@@ -4,7 +4,7 @@
 use conga_bench::{bench, black_box};
 use conga_core::FabricPolicy;
 use conga_net::{inject, HostId, LeafSpineBuilder, Network, Packet, SinkAgent};
-use conga_sim::{EventQueue, SimTime};
+use conga_sim::{EventQueue, SimDuration, SimTime};
 
 fn bench_event_queue() {
     let mut q: EventQueue<u64> = EventQueue::with_capacity(1 << 12);
@@ -44,8 +44,16 @@ fn bench_forwarding() {
                 );
                 inject(&mut net, pkt);
             }
-            net.run_to_quiescence();
+            // A millisecond drains the burst and keeps the clock finite:
+            // `run_to_quiescence` parks it at the end of time, and every
+            // later burst would be scheduled at wrapped timestamps.
+            net.run_until(net.now() + SimDuration::from_millis(1));
+            net.agent.received.clear();
         });
+        assert_eq!(
+            net.stats.delivered_pkts, net.stats.injected_pkts,
+            "a forwarding burst did not drain within its millisecond"
+        );
     }
 }
 

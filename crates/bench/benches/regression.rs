@@ -24,7 +24,7 @@ use conga_bench::{black_box, BenchReport, BENCH_SCHEMA};
 use conga_core::FabricPolicy;
 use conga_experiments::{run_fct, FctRun, Scheme, TestbedOpts};
 use conga_net::{inject, HostId, LeafSpineBuilder, Network, Packet, SinkAgent};
-use conga_sim::{EventQueue, QueueKind, SimTime};
+use conga_sim::{EventQueue, QueueKind, SimDuration, SimTime};
 use conga_trace::json::{parse, Value};
 use conga_workloads::FlowSizeDist;
 
@@ -171,8 +171,16 @@ fn bench_forwarding(r: &mut BenchReport) {
             );
             inject(&mut net, pkt);
         }
-        net.run_to_quiescence();
+        // A millisecond drains the burst and keeps the clock finite:
+        // `run_to_quiescence` parks it at the end of time, and every
+        // later burst would be scheduled at wrapped timestamps.
+        net.run_until(net.now() + SimDuration::from_millis(1));
+        net.agent.received.clear();
     });
+    assert_eq!(
+        net.stats.delivered_pkts, net.stats.injected_pkts,
+        "a forwarding burst did not drain within its millisecond"
+    );
 }
 
 fn bench_cell(r: &mut BenchReport) {

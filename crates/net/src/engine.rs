@@ -29,11 +29,13 @@
 use crate::ids::{ChannelId, CoreId, LeafId, NodeId, SpineId};
 use crate::packet::{ecmp_mix, Overlay, Packet};
 use crate::port::{Enqueue, TxPort};
+use crate::shard::Mail;
 use crate::topology::{Fib, Topology};
 use conga_sim::{EventQueue, SimDuration, SimRng, SimTime};
 use conga_telemetry::profile::{self, Phase};
 use conga_telemetry::{MetricsRegistry, SeriesRegistry};
 use conga_trace::{TraceEvent, TraceHandle};
+use std::collections::VecDeque;
 
 /// Switch dataplane behaviour: load-balancing choice plus congestion-state
 /// maintenance. See the crate docs of `conga-core` for the implementations.
@@ -189,9 +191,10 @@ impl Emitter {
 ///
 /// Deliberately small (12 bytes): every push/pop copies a whole
 /// `Scheduled<Ev>` inside the future-event list, so packets are *not*
-/// carried in the event. A packet in flight lives in its channel's wire
-/// FIFO (`Network::wire`) and a jittered host emission in its host's
-/// inject FIFO (`Network::inject_q`); the event stores only the index.
+/// carried in the event. A packet in flight is referenced from its
+/// channel's wire FIFO (`Network::wire`) and a jittered host emission from
+/// its host's inject FIFO (`Network::inject_q`); the event stores only the
+/// index.
 /// This is sound because both sequences are FIFO by construction: arrival
 /// times on one channel are strictly increasing (the serializer is a
 /// non-preemptive unit and each packet's arrival is scheduled after the
@@ -240,18 +243,17 @@ pub struct SampleLog {
 #[derive(Debug)]
 pub struct ShardCtx {
     /// This domain's index.
-    pub id: u8,
+    pub id: u16,
     /// Domain that processes each channel's arrivals (the domain of the
     /// channel's destination node), indexed by channel.
-    pub arrive_domain: Vec<u8>,
+    pub arrive_domain: Vec<u16>,
     /// Whether this domain owns each channel's transmit side (the domain
     /// of the channel's source node), indexed by channel. Fault-transition
     /// accounting is gated on this so the merged telemetry counts each
     /// transition exactly once.
     pub owns_tx: Vec<bool>,
-    /// Cross-domain transmissions captured during the current window:
-    /// `(arrival time, channel, packet, fail epoch at tx start)`.
-    pub outbox: Vec<(SimTime, ChannelId, Packet, u32)>,
+    /// Cross-domain transmissions captured during the current window.
+    pub outbox: Vec<Mail>,
 }
 
 /// Aggregate counters the engine maintains itself.
@@ -340,14 +342,17 @@ pub struct Network<D: Dataplane, A: HostAgent> {
     fault_log: Vec<(SimTime, ChannelId, bool)>,
     sample_every: Option<SimDuration>,
     scratch: Emitter,
-    /// Reusable buffer for packets flushed off a failing link's queue.
-    scratch_flush: Vec<Packet>,
+    /// Reusable buffer for packets flushed off a failing link's queue
+    /// (the port's own handles: unboxing them would copy each packet just
+    /// to drop it).
+    #[allow(clippy::vec_box)]
+    scratch_flush: Vec<Box<Packet>>,
     /// Per-channel FIFO of packets on the wire, with the fail epoch captured
     /// at transmission start. Heads are consumed by `Ev::Arrive`.
-    wire: Vec<std::collections::VecDeque<(Packet, u32)>>,
+    wire: Vec<VecDeque<(Box<Packet>, u32)>>,
     /// Per-host FIFO of emitted packets awaiting their jittered NIC release.
     /// Heads are consumed by `Ev::Inject`. Sized lazily with `nic_release`.
-    inject_q: Vec<std::collections::VecDeque<Packet>>,
+    inject_q: Vec<VecDeque<Box<Packet>>>,
     /// Host emission jitter bound: each packet handed to the NIC is delayed
     /// by a uniform random amount in `[0, jitter)`, never reordering a
     /// host's own emissions. Models interrupt/scheduling noise and breaks
@@ -401,7 +406,7 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
             sample_every: None,
             scratch: Emitter::default(),
             scratch_flush: Vec::new(),
-            wire: (0..nc).map(|_| std::collections::VecDeque::new()).collect(),
+            wire: (0..nc).map(|_| VecDeque::new()).collect(),
             inject_q: Vec::new(),
             host_jitter: SimDuration::from_nanos(1_000),
             nic_release: Vec::new(),
@@ -709,10 +714,9 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
                 // A non-owner's replica port never transmits, so its queue
                 // is empty by construction; flushing is owner-only.
                 let mut flushed = std::mem::take(&mut self.scratch_flush);
-                flushed.clear();
                 let n = self.ports[ch.idx()].flush_dead(self.now, &mut flushed);
                 self.stats.blackholed += n as u64;
-                for pkt in &flushed {
+                for pkt in flushed.drain(..) {
                     if self.tracer.wants_flow(pkt.flow) {
                         self.tracer.emit(
                             self.now,
@@ -735,11 +739,7 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
     /// remain. Returns the number of events processed.
     pub fn run_until(&mut self, t_end: SimTime) -> u64 {
         let mut n = 0;
-        while let Some(t) = self.events.peek_time() {
-            if t > t_end {
-                break;
-            }
-            let (t, ev) = self.events.pop().expect("peeked");
+        while let Some((t, ev)) = self.events.pop_through(t_end) {
             debug_assert!(t >= self.now, "time went backwards");
             self.now = t;
             self.dispatch(ev);
@@ -775,11 +775,7 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
     /// `[bound, ...)` and must not trip the monotonicity assertion.
     pub fn run_window(&mut self, bound: SimTime) -> u64 {
         let mut n = 0;
-        while let Some(t) = self.events.peek_time() {
-            if t >= bound {
-                break;
-            }
-            let (t, ev) = self.events.pop().expect("peeked");
+        while let Some((t, ev)) = self.events.pop_before(bound) {
             debug_assert!(t >= self.now, "time went backwards");
             self.now = t;
             self.dispatch(ev);
@@ -805,7 +801,7 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
     /// epoch the *sender* captured at transmission start; the receiving
     /// domain applies the same fault schedule, so a mismatch at arrival
     /// blackholes the packet exactly as the monolithic engine would.
-    pub fn deliver_remote(&mut self, at: SimTime, ch: ChannelId, pkt: Packet, epoch: u32) {
+    pub fn deliver_remote(&mut self, at: SimTime, ch: ChannelId, pkt: Box<Packet>, epoch: u32) {
         debug_assert!(at >= self.now, "remote delivery inside the past window");
         self.wire[ch.idx()].push_back((pkt, epoch));
         self.events.push(at, Ev::Arrive { ch });
@@ -813,7 +809,7 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
 
     /// Move the accumulated cross-domain transmissions out of this
     /// domain's outbox (empty for monolithic networks).
-    pub fn take_outbox(&mut self) -> Vec<(SimTime, ChannelId, Packet, u32)> {
+    pub fn take_outbox(&mut self) -> Vec<Mail> {
         match &mut self.shard {
             Some(s) => std::mem::take(&mut s.outbox),
             None => Vec::new(),
@@ -899,7 +895,10 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
         for (delay, token) in em.timers.drain(..) {
             self.events.push(self.now + delay, Ev::Timer { token });
         }
-        for mut pkt in em.packets.drain(..) {
+        for pkt in em.packets.drain(..) {
+            // The packet's one allocation: from here to its delivery, drop,
+            // blackhole or unroutable exit only this handle moves.
+            let mut pkt = Box::new(pkt);
             pkt.id = self.next_pkt_id;
             self.next_pkt_id += 1;
             self.stats.injected_pkts += 1;
@@ -910,7 +909,7 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
                 if self.nic_release.is_empty() {
                     let nh = self.topo.n_hosts as usize;
                     self.nic_release = vec![SimTime::ZERO; nh];
-                    self.inject_q = (0..nh).map(|_| std::collections::VecDeque::new()).collect();
+                    self.inject_q = (0..nh).map(|_| VecDeque::new()).collect();
                 }
                 let j = SimDuration::from_nanos(
                     self.rng.range_u64(0, self.host_jitter.as_nanos().max(1)),
@@ -928,7 +927,7 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
     }
 
     /// Packet finished traversing `ch`: process at the receiving node.
-    fn arrive(&mut self, ch: ChannelId, mut pkt: Packet, epoch: u32) {
+    fn arrive(&mut self, ch: ChannelId, mut pkt: Box<Packet>, epoch: u32) {
         if epoch != self.fail_epoch[ch.idx()] {
             // The link failed while the packet was on the wire: lost.
             self.ports[ch.idx()].blackholed += 1;
@@ -969,7 +968,7 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
                 }
                 let _t = profile::timer(Phase::Transport);
                 let mut em = std::mem::take(&mut self.scratch);
-                self.agent.on_packet(pkt, self.now, &mut em);
+                self.agent.on_packet(*pkt, self.now, &mut em);
                 self.process_emissions(&mut em);
                 self.scratch = em;
             }
@@ -1054,7 +1053,7 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
         }
     }
 
-    fn enqueue(&mut self, ch: ChannelId, mut pkt: Packet) {
+    fn enqueue(&mut self, ch: ChannelId, mut pkt: Box<Packet>) {
         // ECN: mark on enqueue against the instantaneous queue depth. This
         // runs in whichever domain owns the target port, exactly once per
         // hop, so marking decisions and counters are shard-invariant.
@@ -1172,7 +1171,46 @@ mod tests {
     use super::*;
     use crate::ids::HostId;
     use crate::packet::{ecmp_mix, PacketKind};
-    use crate::topology::{ChannelKind, LeafSpineBuilder, TopologyBuilder};
+    use crate::topology::{ChannelKind, LeafSpineBuilder, QueueProfile, TopologyBuilder};
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    /// The system allocator, counting per thread the heap blocks shaped
+    /// like a `Packet` — which on the engine's paths are exactly its
+    /// `Box<Packet>` handles (packet `Vec`s start at four elements). Each
+    /// test runs on its own thread, so concurrent tests do not disturb
+    /// one another's counts.
+    struct CountPackets;
+
+    thread_local! {
+        static PACKETS_ALLOCATED: Cell<u64> = const { Cell::new(0) };
+        static PACKETS_FREED: Cell<u64> = const { Cell::new(0) };
+    }
+
+    // SAFETY: every request is forwarded unchanged to `System`, which
+    // upholds the `GlobalAlloc` contract; the counters are `const`
+    // thread-locals without destructors, so touching them neither
+    // allocates nor can observe a torn-down slot.
+    unsafe impl GlobalAlloc for CountPackets {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            if layout == Layout::new::<Packet>() {
+                PACKETS_ALLOCATED.with(|c| c.set(c.get() + 1));
+            }
+            // SAFETY: the caller's obligations are passed through as given.
+            unsafe { System.alloc(layout) }
+        }
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            if layout == Layout::new::<Packet>() {
+                PACKETS_FREED.with(|c| c.set(c.get() + 1));
+            }
+            // SAFETY: `ptr` came from `alloc` above, i.e. from `System`,
+            // with this layout.
+            unsafe { System.dealloc(ptr, layout) }
+        }
+    }
+
+    #[global_allocator]
+    static ALLOCATOR: CountPackets = CountPackets;
 
     /// Minimal ECMP-only dataplane for engine tests (the real policies live
     /// in conga-core).
@@ -1386,6 +1424,86 @@ mod tests {
             .map(|i| net.port(ChannelId(i as u32)).blackholed)
             .sum();
         assert_eq!(per_port, s.blackholed);
+    }
+
+    /// A packet is allocated once, at emission, and freed once, at
+    /// whichever of its four exits it takes: delivery, tail drop,
+    /// blackhole (flushed off a failing link's queue, caught on its wire,
+    /// or enqueued while it is down) and unroutable.
+    #[test]
+    fn every_exit_frees_the_packet_it_takes() {
+        // 40G of hosts into 2x10G uplinks with four-packet queues: tail
+        // drops from the first microseconds. 50 us wires keep dozens of
+        // packets in flight when the links go.
+        let topo = LeafSpineBuilder::new(2, 2, 4)
+            .host_rate_gbps(10)
+            .fabric_rate_gbps(10)
+            .link_delay(SimDuration::from_micros(50))
+            .queue_profile(QueueProfile {
+                access_bytes: 6_240,
+                fabric_bytes: 6_240,
+                host_nic_bytes: 1 << 20,
+            })
+            .build();
+        let mut net = Network::new(topo, TestEcmp, SinkAgent::default(), 1);
+        let (alloc0, freed0) = (PACKETS_ALLOCATED.get(), PACKETS_FREED.get());
+        let live = || (PACKETS_ALLOCATED.get() - alloc0) - (PACKETS_FREED.get() - freed0);
+        for i in 0..400u32 {
+            let flow_hash = ecmp_mix(i as u64, 0xAB);
+            let (src, dst) = (HostId(i % 4), HostId(4 + i % 4));
+            inject(
+                &mut net,
+                Packet::data(i, 0, flow_hash, src, dst, 0, 1460, SimTime::ZERO),
+            );
+        }
+        assert_eq!(live(), 400, "one allocation per emitted packet");
+        let ups = net.fib.leaf_uplinks[0].clone();
+        let access3 = net.fib.host_access[3];
+        // Host 3's access link dies with most of its burst still queued at
+        // the NIC (early enough that the packet caught on its wire is
+        // counted before the 100 us snapshot below); uplink 0 dies under
+        // load (queue flushed, wire caught); then uplink 1, and what still
+        // reaches the leaf has nowhere to go.
+        net.schedule_channel_fault(SimTime::from_micros(40), access3, false);
+        net.schedule_channel_fault(SimTime::from_micros(120), ups[0], false);
+        net.schedule_channel_fault(SimTime::from_micros(160), ups[1], false);
+        net.run_until(SimTime::from_micros(100));
+        assert!(
+            live() > 0 && live() < 400,
+            "mid-run: some exited, some live"
+        );
+        // Eight more from host 3: enqueued into a channel that is down.
+        let flushed_at_nic = net.port(access3).blackholed;
+        for i in 400..408u32 {
+            let pkt = Packet::data(i, 0, i as u64, HostId(3), HostId(7), 0, 1460, net.now());
+            inject(&mut net, pkt);
+        }
+        net.run_to_quiescence();
+        let s = net.stats;
+        let drops = net.total_drops();
+        assert!(s.delivered_pkts >= 1, "no delivery");
+        assert!(drops >= 1, "no tail drop");
+        assert!(
+            flushed_at_nic >= 1,
+            "nothing flushed off the dying NIC queue"
+        );
+        assert_eq!(net.port(access3).blackholed, flushed_at_nic + 8);
+        assert!(
+            net.port(ups[0]).blackholed >= 2,
+            "nothing flushed or caught"
+        );
+        assert!(s.unroutable >= 1, "no unroutable packet");
+        assert_eq!(
+            s.injected_pkts,
+            s.delivered_pkts + drops + s.blackholed + s.unroutable,
+            "conservation"
+        );
+        assert_eq!(live(), 0, "a packet outlived its exit");
+        assert_eq!(
+            PACKETS_ALLOCATED.get() - alloc0,
+            s.injected_pkts,
+            "a packet was allocated more than once"
+        );
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub use packet::{
     WIRE_OVERHEAD,
 };
 pub use port::{Enqueue, TxPort};
-pub use shard::ShardedNetwork;
+pub use shard::{Mail, ShardedNetwork};
 pub use topology::{
     Channel, ChannelKind, Fib, LeafSpineBuilder, QueueProfile, ThreeTierBuilder, Topology,
     TopologyBuilder,

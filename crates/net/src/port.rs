@@ -6,6 +6,10 @@
 //! as in the paper's testbed switches). Occupancy is tracked as a
 //! time-weighted integral so experiments can report exact mean queue depths,
 //! and optionally sampled for CDFs (paper Figure 11c).
+//!
+//! The FIFO holds `Box<Packet>` handles, not packets: a packet is allocated
+//! once when its host emits it and every queue it then waits in moves eight
+//! bytes (see DESIGN.md §11 for the ownership rule).
 
 use crate::packet::Packet;
 use conga_sim::{SimDuration, SimTime};
@@ -34,7 +38,7 @@ pub struct TxPort {
     pub cap: u64,
     /// Whether a packet is currently being serialized.
     pub busy: bool,
-    queue: VecDeque<Packet>,
+    queue: VecDeque<Box<Packet>>,
     queued_bytes: u64,
 
     // ---- statistics ----
@@ -88,9 +92,12 @@ impl TxPort {
         self.last_change = now;
     }
 
-    /// Try to enqueue `pkt`. On `StartTx` the caller must immediately call
-    /// [`TxPort::begin_tx`] to obtain the packet back and start serializing.
-    pub fn enqueue(&mut self, pkt: Packet, now: SimTime) -> Enqueue {
+    /// Try to enqueue `pkt` — a handle the engine already owns, or a plain
+    /// [`Packet`], which is boxed here. On `StartTx` the caller must
+    /// immediately call [`TxPort::begin_tx`] to obtain the packet back and
+    /// start serializing. A dropped packet is freed.
+    pub fn enqueue(&mut self, pkt: impl Into<Box<Packet>>, now: SimTime) -> Enqueue {
+        let pkt = pkt.into();
         if self.queued_bytes + pkt.size as u64 > self.cap {
             self.drops += 1;
             return Enqueue::Dropped;
@@ -108,7 +115,7 @@ impl TxPort {
 
     /// Pop the head packet and mark the serializer busy. Returns the packet
     /// and its serialization time. Panics if the queue is empty or busy.
-    pub fn begin_tx(&mut self, now: SimTime) -> (Packet, SimDuration) {
+    pub fn begin_tx(&mut self, now: SimTime) -> (Box<Packet>, SimDuration) {
         assert!(!self.busy, "begin_tx on busy port");
         self.account(now);
         let pkt = self.queue.pop_front().expect("begin_tx on empty port");
@@ -135,7 +142,7 @@ impl TxPort {
     /// buffer, so repeated faults allocate nothing) so the engine can
     /// account (and trace) each loss individually; returns how many were
     /// flushed.
-    pub fn flush_dead(&mut self, now: SimTime, out: &mut Vec<Packet>) -> usize {
+    pub fn flush_dead(&mut self, now: SimTime, out: &mut Vec<Box<Packet>>) -> usize {
         self.account(now);
         let n = self.queue.len();
         out.extend(self.queue.drain(..));
@@ -208,10 +215,11 @@ mod tests {
         let t0 = SimTime::ZERO;
         assert_eq!(p.enqueue(pkt(1000), t0), Enqueue::StartTx);
         let _ = p.begin_tx(t0);
-        let mut a = pkt(100);
+        let mut a = Box::new(pkt(100));
         a.seq = 11;
-        let mut b = pkt(100);
+        let mut b = Box::new(pkt(100));
         b.seq = 22;
+        let (addr_a, addr_b): (*const Packet, *const Packet) = (&*a, &*b);
         assert_eq!(p.enqueue(a, t0), Enqueue::Queued);
         assert_eq!(p.enqueue(b, t0), Enqueue::Queued);
         assert_eq!(p.queued_pkts(), 2);
@@ -222,6 +230,8 @@ mod tests {
         let (second, _) = p.begin_tx(SimTime::from_nanos(880));
         assert_eq!(second.seq, 22);
         assert!(!p.tx_done());
+        // The queue held the callers' handles: the packets never moved.
+        assert!(std::ptr::eq(&*first, addr_a) && std::ptr::eq(&*second, addr_b));
     }
 
     #[test]
@@ -293,6 +303,10 @@ mod tests {
         let mut flushed = Vec::new();
         assert_eq!(p.flush_dead(SimTime::from_nanos(100), &mut flushed), 2);
         assert_eq!(flushed.len(), 2);
+        assert!(
+            flushed.iter().all(|f| f.size == 500),
+            "queue order, not the wire"
+        );
         assert_eq!(p.blackholed, 2);
         assert_eq!(p.queued_bytes(), 0);
         assert_eq!(p.queued_pkts(), 0);

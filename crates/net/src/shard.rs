@@ -55,16 +55,19 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex};
 
 /// A cross-domain packet in flight between barriers:
-/// `(arrival time, channel, packet, fail epoch at tx start)`.
-type Mail = (SimTime, ChannelId, Packet, u32);
+/// `(arrival time, channel, packet, fail epoch at tx start)`. The packet
+/// is the sender's handle: outbox, mailbox and the sort before injection
+/// move 24-byte entries, and the receiving domain frees the allocation the
+/// sending domain made.
+pub type Mail = (SimTime, ChannelId, Box<Packet>, u32);
 
 /// Domain that owns a node: hosts and leaves by leaf index, spines
 /// round-robin across the leaves of their own pod, cores round-robin
 /// across all leaves.
-fn domain_of(topo: &Topology, node: NodeId) -> u8 {
+fn domain_of(topo: &Topology, node: NodeId) -> u16 {
     match node {
-        NodeId::Host(h) => topo.leaf_of(h).0 as u8,
-        NodeId::Leaf(l) => l.0 as u8,
+        NodeId::Host(h) => topo.leaf_of(h).0 as u16,
+        NodeId::Leaf(l) => l.0 as u16,
         NodeId::Spine(s) => {
             // Pod-local round-robin: spine with pod-local index `sl` in pod
             // `p` lands on leaf `p*leaves_per_pod + sl % leaves_per_pod`.
@@ -75,9 +78,9 @@ fn domain_of(topo: &Topology, node: NodeId) -> u8 {
             let spp = topo.spines_per_pod().max(1);
             let pod = s.0 / spp;
             let sl = s.0 % spp;
-            (pod * lpp + sl % lpp) as u8
+            (pod * lpp + sl % lpp) as u16
         }
-        NodeId::Core(c) => (c.0 as usize % topo.n_leaves as usize) as u8,
+        NodeId::Core(c) => (c.0 as usize % topo.n_leaves as usize) as u16,
     }
 }
 
@@ -92,8 +95,8 @@ fn domain_of(topo: &Topology, node: NodeId) -> u8 {
 pub struct ShardedNetwork<D: Dataplane, A: HostAgent> {
     nets: Vec<Network<D, A>>,
     mailboxes: Vec<Mutex<Vec<Mail>>>,
-    arrive_domain: Vec<u8>,
-    src_domain: Vec<u8>,
+    arrive_domain: Vec<u16>,
+    src_domain: Vec<u16>,
     lookahead: Option<SimDuration>,
     workers: usize,
     now: SimTime,
@@ -116,12 +119,18 @@ impl<D: Dataplane + Send, A: HostAgent + Send> ShardedNetwork<D, A> {
     ) -> Self {
         let n_domains = topo.n_leaves as usize;
         assert!(n_domains >= 1, "topology has no leaves");
-        let arrive_domain: Vec<u8> = topo
+        // Domain ids are u16 and packet ids are minted from `d << 48`:
+        // beyond 2^16 domains both would alias.
+        assert!(
+            n_domains <= 1 << 16,
+            "{n_domains} leaves exceed the 65536 shard domains ids can name"
+        );
+        let arrive_domain: Vec<u16> = topo
             .channels
             .iter()
             .map(|c| domain_of(topo, c.dst))
             .collect();
-        let src_domain: Vec<u8> = topo
+        let src_domain: Vec<u16> = topo
             .channels
             .iter()
             .map(|c| domain_of(topo, c.src))
@@ -141,7 +150,7 @@ impl<D: Dataplane + Send, A: HostAgent + Send> ShardedNetwork<D, A> {
                 net.rng = parent.fork(d as u64);
                 net.set_pkt_id_base((d as u64) << 48);
                 net.set_shard(ShardCtx {
-                    id: d as u8,
+                    id: d as u16,
                     arrive_domain: arrive_domain.clone(),
                     owns_tx: src_domain.iter().map(|&s| s as usize == d).collect(),
                     outbox: Vec::new(),
@@ -260,7 +269,12 @@ impl<D: Dataplane + Send, A: HostAgent + Send> ShardedNetwork<D, A> {
     /// sequence is independent of which thread routed each entry.
     fn drain_into(mailbox: &Mutex<Vec<Mail>>, net: &mut Network<D, A>) -> Option<SimTime> {
         let mut mail = std::mem::take(&mut *mailbox.lock().expect("mailbox poisoned"));
-        mail.sort_by_key(|m| (m.0, (m.1).0, m.2.id));
+        // The packet is only dereferenced to break a (time, channel) tie.
+        mail.sort_by(|a, b| {
+            (a.0, (a.1).0)
+                .cmp(&(b.0, (b.1).0))
+                .then_with(|| a.2.id.cmp(&b.2.id))
+        });
         for (t, ch, pkt, epoch) in mail {
             net.deliver_remote(t, ch, pkt, epoch);
         }
@@ -268,7 +282,11 @@ impl<D: Dataplane + Send, A: HostAgent + Send> ShardedNetwork<D, A> {
     }
 
     /// Route one domain's outbox into the target mailboxes.
-    fn route_outbox(mailboxes: &[Mutex<Vec<Mail>>], arrive_domain: &[u8], net: &mut Network<D, A>) {
+    fn route_outbox(
+        mailboxes: &[Mutex<Vec<Mail>>],
+        arrive_domain: &[u16],
+        net: &mut Network<D, A>,
+    ) {
         for entry in net.take_outbox() {
             let d = arrive_domain[entry.1.idx()] as usize;
             mailboxes[d].lock().expect("mailbox poisoned").push(entry);
@@ -526,6 +544,45 @@ mod tests {
         let b = net.domain(0).agent.received[0].1.id;
         assert_eq!(a >> 48, 0, "domain 0 mints ids in 0 << 48 ..");
         assert_eq!(b >> 48, 1, "domain 1 mints ids in 1 << 48 ..");
+    }
+
+    /// A domain id narrower than the leaf count aliases: as `u8`, leaf 256
+    /// becomes domain 0, its arrivals are scheduled in the wrong replica
+    /// and its packet ids collide with domain 0's.
+    #[test]
+    fn domains_above_256_leaves_do_not_alias() {
+        let topo = LeafSpineBuilder::new(257, 1, 1).build();
+        let mut net = ShardedNetwork::new(&topo, 1, 1, |_| (TestEcmp, SinkAgent::default()));
+        assert_eq!(net.n_domains(), 257);
+        let into_leaf_256 = topo
+            .channels
+            .iter()
+            .position(|c| c.dst == NodeId::Leaf(LeafId(256)))
+            .expect("leaf 256 has an inbound channel");
+        let ch = ChannelId(into_leaf_256 as u32);
+        assert_eq!(net.rx_domain(ch), 256);
+        let from_leaf_256 = topo
+            .channels
+            .iter()
+            .position(|c| c.src == NodeId::Leaf(LeafId(256)))
+            .expect("leaf 256 has an outbound channel");
+        assert_eq!(net.tx_domain(ChannelId(from_leaf_256 as u32)), 256);
+        // Host h hangs off leaf h. One packet each way between the first
+        // and the last domain: both arrive, with ids from disjoint bases.
+        crate::engine::inject(
+            net.domain_mut(0),
+            Packet::data(0, 0, 7, HostId(0), HostId(256), 0, 100, SimTime::ZERO),
+        );
+        crate::engine::inject(
+            net.domain_mut(256),
+            Packet::data(1, 0, 9, HostId(256), HostId(0), 0, 100, SimTime::ZERO),
+        );
+        net.run_until(SimTime::from_millis(1));
+        let at_256 = &net.domain(256).agent.received;
+        let at_0 = &net.domain(0).agent.received;
+        assert_eq!((at_256.len(), at_0.len()), (1, 1));
+        assert_eq!(at_256[0].1.id >> 48, 0, "minted by domain 0");
+        assert_eq!(at_0[0].1.id >> 48, 256, "minted by domain 256");
     }
 
     #[test]

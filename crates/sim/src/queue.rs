@@ -20,11 +20,13 @@
 //!   monotone ones.
 //!
 //! The two are observationally identical — `tests::calendar_matches_heap`
-//! drives both with a seeded workload and asserts identical pop sequences.
+//! (sparse, adversarial) and `tests::dense_calendar_matches_heap` (hundreds
+//! of events per bucket, the packet workloads' regime) drive both with
+//! seeded workloads and assert identical pop sequences.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// A scheduled entry in the future-event list.
 #[derive(Debug)]
@@ -103,6 +105,14 @@ struct Calendar<E> {
     far: BinaryHeap<Reverse<Scheduled<E>>>,
     /// Events currently bucketed.
     near_len: usize,
+    /// Buffers of drained buckets, handed LIFO to the next bucket that
+    /// needs storage. The scan empties one bucket while pushes fill one a
+    /// few microseconds ahead, so without this every one of the 4096
+    /// buckets grows its own buffer and the ring cycles through all of
+    /// them once a year — cold memory on every push and pop. Recycling
+    /// keeps as many buffers as buckets are occupied at once, and the most
+    /// recently drained (cache-hot) one is reused first.
+    spare: Vec<Vec<Scheduled<E>>>,
 }
 
 impl<E> Calendar<E> {
@@ -115,6 +125,7 @@ impl<E> Calendar<E> {
             epoch: 0,
             far: BinaryHeap::new(),
             near_len: 0,
+            spare: Vec::new(),
         }
     }
 
@@ -125,9 +136,16 @@ impl<E> Calendar<E> {
     fn insert_near(&mut self, s: Scheduled<E>) {
         let b = ((s.time.as_nanos() >> CAL_SHIFT) & CAL_MASK) as usize;
         let v = &mut self.buckets[b];
+        if v.capacity() == 0 {
+            if let Some(buf) = self.spare.pop() {
+                *v = buf;
+            }
+        }
         // Descending by (time, seq): find the first element strictly
-        // smaller and insert before it. Pushes trend later-in-time, so
-        // the insertion point is usually the tail and the memmove empty.
+        // smaller and insert before it. Pushes trend later-in-time and a
+        // later key sorts toward the *front*, so the typical insert lands
+        // near index 0 and the memmove shifts most of the bucket — the
+        // price of keeping the minimum at `last()` for an O(1) pop.
         let key = (s.time, s.seq);
         let i = v.partition_point(|x| (x.time, x.seq) > key);
         v.insert(i, s);
@@ -229,12 +247,17 @@ impl<E> Calendar<E> {
         }
     }
 
-    fn pop(&mut self) -> Option<Scheduled<E>> {
+    /// Pop the global minimum if `ok(its time)`; one seek serves both the
+    /// test and the removal.
+    fn pop_if(&mut self, ok: impl FnOnce(SimTime) -> bool) -> Option<Scheduled<E>> {
         let b = self.seek()?;
-        let s = self.buckets[b]
-            .pop()
-            .expect("seek found an occupied bucket");
-        if self.buckets[b].is_empty() {
+        let v = &mut self.buckets[b];
+        if !ok(v.last().expect("seek found an occupied bucket").time) {
+            return None;
+        }
+        let s = v.pop().expect("seek found an occupied bucket");
+        if v.is_empty() {
+            self.spare.push(std::mem::take(v));
             self.occ[b >> 6] &= !(1 << (b & 63));
             if self.occ[b >> 6] == 0 {
                 self.top &= !(1 << (b >> 6));
@@ -349,7 +372,36 @@ impl<E> EventQueue<E> {
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         match &mut self.backend {
             Backend::Heap(h) => h.pop().map(|Reverse(s)| (s.time, s.event)),
-            Backend::Calendar(c) => c.pop().map(|s| (s.time, s.event)),
+            Backend::Calendar(c) => c.pop_if(|_| true).map(|s| (s.time, s.event)),
+        }
+    }
+
+    /// Remove and return the earliest event if it fires strictly before
+    /// `bound`: `peek_time() < bound` then `pop()`, in one search.
+    #[inline]
+    pub fn pop_before(&mut self, bound: SimTime) -> Option<(SimTime, E)> {
+        self.pop_if(|t| t < bound)
+    }
+
+    /// Remove and return the earliest event if it fires at or before
+    /// `t_end` (the inclusive form of [`EventQueue::pop_before`]).
+    #[inline]
+    pub fn pop_through(&mut self, t_end: SimTime) -> Option<(SimTime, E)> {
+        self.pop_if(|t| t <= t_end)
+    }
+
+    #[inline]
+    fn pop_if(&mut self, ok: impl FnOnce(SimTime) -> bool) -> Option<(SimTime, E)> {
+        match &mut self.backend {
+            Backend::Heap(h) => {
+                let top = h.peek_mut()?;
+                if !ok(top.0.time) {
+                    return None;
+                }
+                let Reverse(s) = PeekMut::pop(top);
+                Some((s.time, s.event))
+            }
+            Backend::Calendar(c) => c.pop_if(ok).map(|s| (s.time, s.event)),
         }
     }
 
@@ -571,5 +623,111 @@ mod tests {
                 break;
             }
         }
+    }
+
+    /// The regime the packet workloads put the calendar in, which the
+    /// sparse test above never reaches: ≥200 events per 1024-ns bucket,
+    /// pushed with the engine's interleaved lead times (so every bucket
+    /// fills out of order, drains to empty and hands its buffer on),
+    /// timers a fraction of a year, more than a year and many years out,
+    /// and pushes behind a scan that a peek or a refused fused pop has
+    /// already advanced. `reference` only ever does `peek_time` then
+    /// `pop`; the other two use the fused pops and must agree with it.
+    #[test]
+    fn dense_calendar_matches_heap() {
+        const LEADS: [u64; 4] = [80, 300, 1_200, 5_200];
+        fn push_all(qs: &mut [EventQueue<u64>; 3], id: &mut u64, t: u64) {
+            for q in qs.iter_mut() {
+                q.push(SimTime::from_nanos(t), *id);
+            }
+            *id += 1;
+        }
+        /// One pop in each queue: form 0 plain, 1 `pop_before(bound)`,
+        /// 2 `pop_through(bound)`.
+        fn pop_all(qs: &mut [EventQueue<u64>; 3], form: u64, bound: u64) -> Option<(SimTime, u64)> {
+            let bound = SimTime::from_nanos(bound);
+            let [reference, heap, cal] = qs;
+            let due = match (form, reference.peek_time()) {
+                (_, None) => false,
+                (0, _) => true,
+                (1, Some(t)) => t < bound,
+                (_, Some(t)) => t <= bound,
+            };
+            let want = if due { reference.pop() } else { None };
+            for q in [heap, cal] {
+                let got = match form {
+                    0 => q.pop(),
+                    1 => q.pop_before(bound),
+                    _ => q.pop_through(bound),
+                };
+                assert_eq!(got, want, "{:?} form {form}", q.kind());
+            }
+            want
+        }
+
+        let mut rng = SimRng::new(0xD3A5_E001);
+        let mut qs = [
+            EventQueue::with_kind(QueueKind::Heap, 0),
+            EventQueue::with_kind(QueueKind::Heap, 0),
+            EventQueue::with_kind(QueueKind::Calendar, 0),
+        ];
+        let (mut now, mut id) = (0u64, 0u64);
+        let mut densest = 0;
+        for _round in 0..8 {
+            // A cloud of 1500 events over the next 5.2 us (ties included)
+            // and three timers: same year, next year, a dozen years out.
+            for _ in 0..1500 {
+                push_all(&mut qs, &mut id, now + rng.u64() % 5_200);
+            }
+            for ms in [3, 6, 50] {
+                push_all(&mut qs, &mut id, now + ms * 1_000_000);
+            }
+            // Steady state: every popped event schedules one successor.
+            for step in 0..6_000u64 {
+                let bound = match rng.u64() % 4 {
+                    // Exactly the head's time: `pop_before` must refuse,
+                    // `pop_through` must accept.
+                    0 => qs[0].peek_time().expect("cloud").as_nanos(),
+                    _ => now + rng.u64() % 40,
+                };
+                if let Some((t, _)) = pop_all(&mut qs, step % 3, bound) {
+                    now = t.as_nanos();
+                    push_all(&mut qs, &mut id, now + LEADS[(step % 4) as usize]);
+                    if let Backend::Calendar(c) = &qs[2].backend {
+                        densest = densest.max(c.buckets[c.cur].len());
+                    }
+                }
+                assert_eq!(qs[0].len(), qs[2].len());
+            }
+            // Drain the cloud; the refused pop leaves the calendar's scan
+            // parked on the 3 ms timer's bucket.
+            while pop_all(&mut qs, 1, now + 100_000).is_some() {}
+            assert_eq!(qs[0].len(), 3, "only the timers remain");
+            assert_eq!(qs[0].peek_time(), qs[2].peek_time());
+            // A push behind the scan must rewind it.
+            push_all(&mut qs, &mut id, now + 1);
+            assert_eq!(
+                pop_all(&mut qs, 0, 0),
+                Some((SimTime::from_nanos(now + 1), id - 1))
+            );
+            // The timers: a year wrap, far-heap migration, fast-forward.
+            while let Some((t, _)) = pop_all(&mut qs, 2, u64::MAX) {
+                now = t.as_nanos();
+            }
+            assert!(qs.iter().all(EventQueue::is_empty));
+        }
+        assert!(densest >= 200, "densest bucket held {densest} events");
+        // Recycling: eight clouds in eight different years, yet storage was
+        // only ever allocated for the few buckets occupied at one time.
+        let Backend::Calendar(c) = &qs[2].backend else {
+            unreachable!("third queue is the calendar")
+        };
+        assert!(!c.spare.is_empty(), "no drained bucket parked its buffer");
+        let owned = c.buckets.iter().filter(|v| v.capacity() > 0).count();
+        assert_eq!(
+            owned, 0,
+            "an empty calendar keeps every buffer on the spare list"
+        );
+        assert!(c.spare.len() <= 16, "{} buffers allocated", c.spare.len());
     }
 }
