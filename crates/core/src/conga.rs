@@ -1,14 +1,15 @@
-//! The CONGA dataplane (paper §3, Figure 6).
+//! CONGA's part of the leaf pipeline (paper §3, Figure 6).
 //!
-//! One [`Conga`] instance models the dataplane logic of *every* switch in
-//! the fabric (the per-switch state is internally partitioned, exactly as
-//! each physical ASIC holds only its own tables):
+//! [`Conga`] is the shared [`Pipeline`] — flowlet tables, fabric-link DREs,
+//! LBTag stamping, spine ECMP (paper footnote 3) — running
+//! [`CongaPolicy`], which adds what only CONGA has:
 //!
-//! * per fabric link: a [`Dre`] congestion estimator;
-//! * per leaf: a [`FlowletTable`], a [`CongestionToLeaf`] table and a
-//!   [`CongestionFromLeaf`] table;
-//! * spine switches forward with standard ECMP hashing (paper footnote 3)
-//!   while their DREs stamp the CE field of passing packets.
+//! * per leaf: a [`CongestionToLeaf`] table and a [`CongestionFromLeaf`]
+//!   table, and the feedback loop between them — one metric piggybacked on
+//!   every packet entering the fabric, harvested at the destination leaf;
+//! * per fabric transmission: the link's DRE folded into the packet's CE
+//!   field (the hop-by-hop maximum of §3.3);
+//! * decision provenance in the trace.
 //!
 //! The decision rule (§3.5): on the first packet of a flowlet, pick the
 //! uplink minimizing `max(local DRE metric, remote Congestion-To-Leaf
@@ -16,34 +17,38 @@
 //! used (a flow only moves if a strictly better uplink exists), then
 //! randomly.
 
-use crate::dre::Dre;
-use crate::flowlet::{FlowletTable, Lookup};
+use crate::dre::DreBank;
 use crate::params::CongaParams;
-use crate::policies::FallbackTable;
+use crate::pipeline::{Decision, LeafPolicy, Pipeline, Shared, Why};
 use crate::tables::{CongestionFromLeaf, CongestionToLeaf};
-use conga_net::{
-    ecmp_mix, ChannelId, Dataplane, Fib, LeafId, Packet, SpineId, Topology, MAX_LBTAG,
-};
+use conga_net::{ChannelId, Fib, LeafId, Packet, Topology, MAX_LBTAG};
 use conga_sim::{SimRng, SimTime};
-use conga_telemetry::{MetricsRegistry, SeriesRegistry};
-use conga_trace::{Candidate, TraceEvent, TraceHandle};
+use conga_telemetry::MetricsRegistry;
+use conga_trace::{Candidate, TraceEvent};
 
-/// Per-leaf CONGA state.
+/// The CONGA dataplane: implements `conga_net::Dataplane` for the whole
+/// fabric.
+pub type Conga = Pipeline<CongaPolicy>;
+
+/// Per-leaf congestion tables.
 #[derive(Clone, Debug)]
-struct LeafState {
-    flowlets: FlowletTable,
+struct LeafTables {
     to_leaf: CongestionToLeaf,
     from_leaf: CongestionFromLeaf,
 }
 
-/// The CONGA dataplane: implements [`Dataplane`] for the whole fabric.
-#[derive(Clone, Debug)]
-pub struct Conga {
-    /// Parameters (public so experiments can report them).
-    pub params: CongaParams,
-    dres: Vec<Option<Dre>>,
-    lbtag_of: Vec<u8>,
-    leaves: Vec<LeafState>,
+/// CONGA's policy-specific state: the leaf-to-leaf feedback tables, the
+/// decision rule and its counters.
+#[derive(Clone, Debug, Default)]
+pub struct CongaPolicy {
+    leaves: Vec<LeafTables>,
+    /// Incremental deployment (paper §7): CONGA decides only at the flagged
+    /// leaves and the rest hash like ECMP. DREs, CE marking and the egress
+    /// tables still run fabric-wide — exactly as in a real rollout, where
+    /// spine ASICs are upgraded first and legacy ToRs simply ignore the
+    /// overlay congestion fields; traffic CONGA does not control just
+    /// becomes bandwidth asymmetry it adapts around. `None` = every leaf.
+    conga_leaves: Option<Vec<bool>>,
     /// Decisions where the flow stayed on its previous port (tie-break).
     pub sticky_decisions: u64,
     /// Decisions that moved a flow to a strictly better port.
@@ -58,62 +63,50 @@ pub struct Conga {
     pub feedback_harvested: u64,
     /// Path-congestion observations recorded into Congestion-From-Leaf.
     pub from_leaf_records: u64,
-    label: &'static str,
-    tracer: TraceHandle,
-    fallback: FallbackTable,
 }
 
 impl Conga {
     /// CONGA with the given parameters.
     pub fn new(params: CongaParams) -> Self {
-        Conga {
-            params,
-            dres: Vec::new(),
-            lbtag_of: Vec::new(),
-            leaves: Vec::new(),
-            sticky_decisions: 0,
-            moved_decisions: 0,
-            dre_updates: 0,
-            ce_raised: 0,
-            feedback_piggybacked: 0,
-            feedback_harvested: 0,
-            from_leaf_records: 0,
-            label: "conga",
-            tracer: TraceHandle::disabled(),
-            fallback: FallbackTable::default(),
-        }
+        Pipeline::with("conga", params, CongaPolicy::default())
     }
 
     /// The paper's CONGA-Flow variant (one decision per flow).
     pub fn conga_flow() -> Self {
-        let mut c = Conga::new(CongaParams::conga_flow());
-        c.label = "conga-flow";
-        c
+        Pipeline::with(
+            "conga-flow",
+            CongaParams::conga_flow(),
+            CongaPolicy::default(),
+        )
     }
 
-    /// Flowlet statistics for a leaf (hits / new flowlets).
-    pub fn flowlet_stats(&self, leaf: LeafId) -> crate::flowlet::FlowletStats {
-        self.leaves[leaf.idx()].flowlets.stats
+    /// CONGA on the leaves whose flag is true, plain ECMP on the rest.
+    pub fn incremental(params: CongaParams, conga_leaves: Vec<bool>) -> Self {
+        let policy = CongaPolicy {
+            conga_leaves: Some(conga_leaves),
+            ..CongaPolicy::default()
+        };
+        Pipeline::with("incremental", params, policy)
     }
+}
 
-    /// Current quantized local DRE metric of a channel (for debugging and
-    /// the parameter-ablation experiments).
-    pub fn link_metric(&mut self, ch: ChannelId, now: SimTime) -> Option<u8> {
-        let q = self.params.q_bits;
-        self.dres[ch.idx()].as_mut().map(|d| d.quantized(now, q))
-    }
-
-    /// Decision core, shared by CONGA and (via `remote = 0`) the local-only
-    /// baseline: pick argmin over candidates of `max(local, remote)`.
+impl CongaPolicy {
+    /// Decision core: pick argmin over candidates of `max(local, remote)`.
+    /// Returns the uplink and whether the tie-break kept the previous port.
+    ///
+    /// Kept apart from the local-only baseline's decider on purpose: this
+    /// one draws a reservoir `below(k)` per tied candidate while
+    /// `LocalAware` draws one `below(|ties|)` per non-sticky decision, and
+    /// every policy must keep its exact RNG draw order for same-seed
+    /// artifacts to stay byte-identical.
     #[allow(clippy::too_many_arguments)]
     fn decide(
-        dres: &mut [Option<Dre>],
-        to_leaf: Option<&CongestionToLeaf>,
+        dres: &mut DreBank,
+        to_leaf: &CongestionToLeaf,
         lbtag_of: &[u8],
         dst_leaf: usize,
         candidates: &[ChannelId],
         prev: Option<ChannelId>,
-        q_bits: u8,
         now: SimTime,
         rng: &mut SimRng,
         mut capture: Option<&mut Vec<Candidate>>,
@@ -129,16 +122,8 @@ impl Conga {
         let mut n_ties = 0u64;
         let mut tied_prev: Option<ChannelId> = None;
         for &u in candidates {
-            // A candidate without a DRE (a channel surfaced by a FIB
-            // rebuild the dataplane was never re-installed for) reads as
-            // idle rather than panicking.
-            let local = match dres.get_mut(u.idx()).and_then(Option::as_mut) {
-                Some(d) => d.quantized(now, q_bits),
-                None => 0,
-            };
-            let remote = to_leaf
-                .map(|t| t.read(dst_leaf, lbtag_of[u.idx()], now))
-                .unwrap_or(0);
+            let local = dres.quantized(u, now);
+            let remote = to_leaf.read(dst_leaf, lbtag_of[u.idx()], now);
             let m = local.max(remote) as u16;
             if let Some(cap) = capture.as_deref_mut() {
                 cap.push(Candidate {
@@ -172,230 +157,140 @@ impl Conga {
     }
 }
 
-impl Dataplane for Conga {
-    fn install(&mut self, topo: &Topology, fib: &Fib) {
-        self.dres = topo
-            .channels
-            .iter()
-            .map(|c| {
-                c.kind
-                    .is_fabric()
-                    .then(|| Dre::new(c.rate_bps, self.params.tdre, self.params.alpha))
-            })
-            .collect();
-        self.lbtag_of = fib.lbtag_of.clone();
+impl LeafPolicy for CongaPolicy {
+    const FLOWLETS: bool = true;
+    const DRES: bool = true;
+
+    fn install(&mut self, params: &CongaParams, topo: &Topology, _fib: &Fib) {
         let nl = topo.n_leaves as usize;
+        if let Some(mask) = &self.conga_leaves {
+            assert_eq!(mask.len(), nl, "one incremental-rollout flag per leaf");
+        }
         self.leaves = (0..nl)
-            .map(|_| LeafState {
-                flowlets: FlowletTable::new(
-                    self.params.flowlet_entries,
-                    self.params.tfl,
-                    self.params.gap_mode,
-                ),
-                to_leaf: CongestionToLeaf::new(nl, MAX_LBTAG, self.params.metric_age),
-                from_leaf: CongestionFromLeaf::new(nl, MAX_LBTAG, self.params.metric_age),
+            .map(|_| LeafTables {
+                to_leaf: CongestionToLeaf::new(nl, MAX_LBTAG, params.metric_age),
+                from_leaf: CongestionFromLeaf::new(nl, MAX_LBTAG, params.metric_age),
             })
             .collect();
-        self.fallback.install(topo);
     }
 
-    fn leaf_ingress(
-        &mut self,
-        leaf: LeafId,
-        pkt: &mut Packet,
-        candidates: &[ChannelId],
-        now: SimTime,
-        rng: &mut SimRng,
-    ) -> ChannelId {
-        if candidates.is_empty() {
-            // Total uplink failure mid-rebuild: deterministic fallback, the
-            // engine blackhole-accounts the packet on the dead channel.
-            return self.fallback.leaf(leaf);
-        }
-        let l = leaf.idx();
-        let Some(dst) = pkt.overlay.as_ref().map(|o| o.dst_tep.idx()) else {
-            // No overlay means no destination table and nowhere to stamp:
-            // degrade to stateless hashing without touching flowlet state.
-            let h = ecmp_mix(pkt.flow_hash, 0x1EAF_0000 + leaf.0 as u64);
-            return candidates[(h % candidates.len() as u64) as usize];
-        };
-        let traced = self.tracer.wants_flow(pkt.flow);
+    fn deployed(&self, leaf: LeafId) -> bool {
+        self.conga_leaves
+            .as_ref()
+            .is_none_or(|mask| mask[leaf.idx()])
+    }
 
-        // Opportunistically piggyback one feedback metric for the
-        // destination leaf (paper §3.3 step 4).
-        if let Some((tag, metric)) = self.leaves[l].from_leaf.select_feedback(dst, now) {
-            if let Some(o) = pkt.overlay.as_mut() {
-                o.fb_lbtag = tag;
-                o.fb_metric = metric;
-                o.fb_valid = true;
-            }
-            self.feedback_piggybacked += 1;
-            if traced {
-                self.tracer.emit(
+    /// Opportunistically piggyback one feedback metric for the destination
+    /// leaf (paper §3.3 step 4).
+    fn stamp(&mut self, sh: &Shared, leaf: LeafId, dst: usize, pkt: &mut Packet, now: SimTime) {
+        let l = leaf.idx();
+        let Some((tag, metric)) = self.leaves[l].from_leaf.select_feedback(dst, now) else {
+            return;
+        };
+        if let Some(o) = pkt.overlay.as_mut() {
+            o.fb_lbtag = tag;
+            o.fb_metric = metric;
+            o.fb_valid = true;
+        }
+        self.feedback_piggybacked += 1;
+        if sh.tracer.wants_flow(pkt.flow) {
+            sh.tracer.emit(
+                now,
+                TraceEvent::FeedbackPiggyback {
+                    leaf: l as u32,
+                    flow: pkt.flow,
+                    dst_leaf: dst as u32,
+                    lbtag: tag,
+                    metric,
+                },
+            );
+        }
+    }
+
+    fn choose(&mut self, sh: &mut Shared, d: &Decision<'_>, rng: &mut SimRng) -> ChannelId {
+        let (l, now) = (d.leaf.idx(), d.now);
+        let traced = sh.tracer.wants_flow(d.flow);
+        let aged_out = match d.why {
+            Why::NewFlowlet { aged_out } => aged_out,
+            _ => None,
+        };
+        if traced {
+            if let Some(p) = aged_out {
+                sh.tracer.emit(
                     now,
-                    TraceEvent::FeedbackPiggyback {
+                    TraceEvent::FlowletExpire {
                         leaf: l as u32,
-                        flow: pkt.flow,
-                        dst_leaf: dst as u32,
-                        lbtag: tag,
-                        metric,
+                        flow: d.flow,
+                        ch: p.idx() as u32,
                     },
                 );
             }
         }
-
-        // Flowlet lookup; decide only on the first packet of a flowlet.
-        let lookup = self.leaves[l].flowlets.lookup(pkt.flow_hash, now);
-        let chosen = match lookup {
-            Lookup::Active(port) if candidates.contains(&port) => port,
-            Lookup::Active(stale) => {
-                // Cached port can no longer reach this destination (link
-                // failure or a table collision across destinations):
-                // decide afresh.
-                let state = &mut self.leaves[l];
-                let mut cap: Vec<Candidate> = Vec::new();
-                let (port, sticky) = Self::decide(
-                    &mut self.dres,
-                    Some(&state.to_leaf),
-                    &self.lbtag_of,
-                    dst,
-                    candidates,
-                    Some(stale).filter(|p| candidates.contains(p)),
-                    self.params.q_bits,
-                    now,
-                    rng,
-                    traced.then_some(&mut cap),
-                );
-                if sticky {
-                    self.sticky_decisions += 1;
-                }
-                state.flowlets.commit(pkt.flow_hash, port, now);
-                if traced {
-                    self.tracer.emit(
-                        now,
-                        TraceEvent::Decision {
-                            leaf: l as u32,
-                            flow: pkt.flow,
-                            dst_leaf: dst as u32,
-                            candidates: cap,
-                            chosen: port.idx() as u32,
-                            lbtag: self.lbtag_of[port.idx()],
-                            sticky,
-                        },
-                    );
-                }
-                port
-            }
-            Lookup::NewFlowlet { prev } => {
-                let state = &mut self.leaves[l];
-                if traced {
-                    // `prev` means the flow's previous flowlet aged out —
-                    // expiry is lazy, observable only at this lookup.
-                    if let Some(p) = prev {
-                        self.tracer.emit(
-                            now,
-                            TraceEvent::FlowletExpire {
-                                leaf: l as u32,
-                                flow: pkt.flow,
-                                ch: p.idx() as u32,
-                            },
-                        );
-                    }
-                }
-                let mut cap: Vec<Candidate> = Vec::new();
-                let (port, sticky) = Self::decide(
-                    &mut self.dres,
-                    Some(&state.to_leaf),
-                    &self.lbtag_of,
-                    dst,
-                    candidates,
-                    prev.filter(|p| candidates.contains(p)),
-                    self.params.q_bits,
-                    now,
-                    rng,
-                    traced.then_some(&mut cap),
-                );
-                if sticky {
-                    self.sticky_decisions += 1;
-                } else if prev.is_some() {
-                    self.moved_decisions += 1;
-                }
-                state.flowlets.commit(pkt.flow_hash, port, now);
-                if traced {
-                    self.tracer.emit(
-                        now,
-                        TraceEvent::FlowletNew {
-                            leaf: l as u32,
-                            flow: pkt.flow,
-                            ch: port.idx() as u32,
-                            prev: prev.map(|p| p.idx() as u32),
-                        },
-                    );
-                    self.tracer.emit(
-                        now,
-                        TraceEvent::Decision {
-                            leaf: l as u32,
-                            flow: pkt.flow,
-                            dst_leaf: dst as u32,
-                            candidates: cap,
-                            chosen: port.idx() as u32,
-                            lbtag: self.lbtag_of[port.idx()],
-                            sticky,
-                        },
-                    );
-                }
-                port
-            }
-        };
-
-        if let Some(o) = pkt.overlay.as_mut() {
-            o.lbtag = self.lbtag_of[chosen.idx()];
+        let mut cap: Vec<Candidate> = Vec::new();
+        let (port, sticky) = Self::decide(
+            &mut sh.dres,
+            &self.leaves[l].to_leaf,
+            &sh.lbtag_of,
+            d.dst,
+            d.candidates,
+            d.prev,
+            now,
+            rng,
+            traced.then_some(&mut cap),
+        );
+        if sticky {
+            self.sticky_decisions += 1;
+        } else if aged_out.is_some() {
+            self.moved_decisions += 1;
         }
-        chosen
+        if traced {
+            // The pipeline commits the port to the flowlet table right
+            // after this returns, and commit emits nothing.
+            if let Why::NewFlowlet { .. } = d.why {
+                sh.tracer.emit(
+                    now,
+                    TraceEvent::FlowletNew {
+                        leaf: l as u32,
+                        flow: d.flow,
+                        ch: port.idx() as u32,
+                        prev: aged_out.map(|p| p.idx() as u32),
+                    },
+                );
+            }
+            sh.tracer.emit(
+                now,
+                TraceEvent::Decision {
+                    leaf: l as u32,
+                    flow: d.flow,
+                    dst_leaf: d.dst as u32,
+                    candidates: cap,
+                    chosen: port.idx() as u32,
+                    lbtag: sh.lbtag_of[port.idx()],
+                    sticky,
+                },
+            );
+        }
+        port
     }
 
-    fn spine_forward(
-        &mut self,
-        spine: SpineId,
-        pkt: &mut Packet,
-        candidates: &[ChannelId],
-        _now: SimTime,
-        _rng: &mut SimRng,
-    ) -> ChannelId {
-        if candidates.is_empty() {
-            return self.fallback.spine(spine);
-        }
-        // Standard ECMP among the (parallel) downlinks, paper footnote 3.
-        let h = ecmp_mix(pkt.flow_hash, 0x5B1E_0000 + spine.0 as u64);
-        candidates[(h % candidates.len() as u64) as usize]
-    }
-
-    fn on_fabric_tx(&mut self, ch: ChannelId, pkt: &mut Packet, now: SimTime) {
-        let q = self.params.q_bits;
-        let Some(dre) = self.dres.get_mut(ch.idx()).and_then(Option::as_mut) else {
-            // Host-access channels (and any channel unknown to this
-            // install) carry no DRE; nothing to update.
-            return;
-        };
-        dre.on_send(pkt.size, now);
+    fn on_dre_update(&mut self, sh: &mut Shared, ch: ChannelId, pkt: &mut Packet, now: SimTime) {
         self.dre_updates += 1;
-        if self.tracer.wants_flow(pkt.flow) {
-            // Quantization is lazy but idempotent at a fixed `now`, so the
-            // traced value matches what the CE update below reads.
-            let quantized = dre.quantized(now, q);
-            self.tracer.emit(
+        // Quantization is lazy but idempotent at a fixed `now`, so the
+        // traced value matches what the CE update reads.
+        let m = sh.dres.quantized(ch, now);
+        if sh.tracer.wants_flow(pkt.flow) {
+            sh.tracer.emit(
                 now,
                 TraceEvent::DreUpdate {
                     ch: ch.idx() as u32,
                     flow: pkt.flow,
                     bytes: pkt.size,
-                    quantized,
+                    quantized: m,
                 },
             );
         }
         if let Some(o) = pkt.overlay.as_mut() {
             // CE accumulates the maximum link congestion along the path.
-            let m = dre.quantized(now, q);
             if m > o.ce {
                 o.ce = m;
                 self.ce_raised += 1;
@@ -403,22 +298,22 @@ impl Dataplane for Conga {
         }
     }
 
-    fn leaf_egress(&mut self, leaf: LeafId, pkt: &Packet, now: SimTime) {
+    fn leaf_egress(&mut self, sh: &Shared, leaf: LeafId, pkt: &Packet, now: SimTime) {
         let Some(o) = pkt.overlay.as_ref() else {
             return;
         };
-        let state = &mut self.leaves[leaf.idx()];
+        let tables = &mut self.leaves[leaf.idx()];
         // Store this packet's path congestion for later piggybacking...
-        state.from_leaf.record(o.src_tep.idx(), o.lbtag, o.ce, now);
+        tables.from_leaf.record(o.src_tep.idx(), o.lbtag, o.ce, now);
         self.from_leaf_records += 1;
         // ...and absorb the feedback it carries into Congestion-To-Leaf.
         if o.fb_valid {
-            state
+            tables
                 .to_leaf
                 .update(o.src_tep.idx(), o.fb_lbtag, o.fb_metric, now);
             self.feedback_harvested += 1;
-            if self.tracer.wants_flow(pkt.flow) {
-                self.tracer.emit(
+            if sh.tracer.wants_flow(pkt.flow) {
+                sh.tracer.emit(
                     now,
                     TraceEvent::FeedbackApply {
                         leaf: leaf.idx() as u32,
@@ -432,36 +327,6 @@ impl Dataplane for Conga {
         }
     }
 
-    fn name(&self) -> &'static str {
-        self.label
-    }
-
-    fn set_tracer(&mut self, tracer: TraceHandle) {
-        self.tracer = tracer;
-    }
-
-    fn sample_series(&mut self, now: SimTime, out: &mut SeriesRegistry) {
-        // Shard rule: leaf L's tables and a link's DRE are only exercised
-        // in the domain that owns them; replica copies elsewhere read zero.
-        // Zero DRE readings are skipped (idle links and replicas alike), so
-        // the shard sum-merge reproduces the monolithic sample exactly.
-        let q = self.params.q_bits;
-        for (i, dre) in self.dres.iter_mut().enumerate() {
-            if let Some(d) = dre.as_mut() {
-                let m = d.quantized(now, q);
-                if m > 0 {
-                    out.record(&format!("dataplane.dre.{i:04}"), now, m as f64);
-                }
-            }
-        }
-        for (l, leaf) in self.leaves.iter().enumerate() {
-            let occ = leaf.flowlets.occupancy(now);
-            if occ > 0 {
-                out.record(&format!("dataplane.flowlets.leaf{l}"), now, occ as f64);
-            }
-        }
-    }
-
     fn export_metrics(&self, reg: &mut MetricsRegistry) {
         reg.set_counter("dataplane.sticky_decisions", self.sticky_decisions);
         reg.set_counter("dataplane.moved_decisions", self.moved_decisions);
@@ -470,20 +335,17 @@ impl Dataplane for Conga {
         reg.set_counter("dataplane.feedback_piggybacked", self.feedback_piggybacked);
         reg.set_counter("dataplane.feedback_harvested", self.feedback_harvested);
         reg.set_counter("dataplane.from_leaf_records", self.from_leaf_records);
-        let (mut hits, mut new_flowlets) = (0u64, 0u64);
-        for leaf in &self.leaves {
-            hits += leaf.flowlets.stats.hits;
-            new_flowlets += leaf.flowlets.stats.new_flowlets;
+        if let Some(mask) = &self.conga_leaves {
+            let n = mask.iter().filter(|&&b| b).count();
+            reg.set_counter("dataplane.conga_leaves", n as u64);
         }
-        reg.set_counter("dataplane.flowlet_hits", hits);
-        reg.set_counter("dataplane.flowlet_new", new_flowlets);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use conga_net::{HostId, LeafSpineBuilder, Overlay};
+    use conga_net::{ecmp_mix, Dataplane, HostId, LeafSpineBuilder, Overlay, SpineId};
 
     fn setup() -> (Topology, Fib, Conga) {
         let topo = LeafSpineBuilder::new(2, 2, 2)
@@ -549,7 +411,7 @@ mod tests {
         for &u in &cands {
             let tag = fib.lbtag_of[u.idx()];
             let metric = if tag == 2 { 0 } else { 7 };
-            c.leaves[0].to_leaf.update(1, tag, metric, now);
+            c.policy.leaves[0].to_leaf.update(1, tag, metric, now);
         }
         // Many distinct flows: all must pick the uncongested uplink.
         for f in 0..20u64 {
@@ -626,19 +488,17 @@ mod tests {
         );
         // Leaf 0 receives the reverse packet: Congestion-To-Leaf updated.
         c.leaf_egress(LeafId(0), &rev, now);
-        assert_eq!(c.leaves[0].to_leaf.read(1, 3, now), 6);
+        assert_eq!(c.policy.leaves[0].to_leaf.read(1, 3, now), 6);
     }
 
-    /// Synthetic decision inputs: `n` equal-cost uplinks with idle DREs and
-    /// no remote table, so every candidate ties at metric 0.
-    fn equal_cost_setup(n: usize) -> (Vec<Option<Dre>>, Vec<u8>, Vec<ChannelId>) {
-        let params = CongaParams::paper_default();
-        let dres = (0..n)
-            .map(|_| Some(Dre::new(40_000_000_000, params.tdre, params.alpha)))
-            .collect();
-        let lbtag_of = vec![0u8; n];
+    /// Synthetic decision inputs: `n` equal-cost uplinks — no DRE (reads
+    /// idle) and an empty remote table — so every candidate ties at
+    /// metric 0.
+    fn equal_cost_setup(n: usize) -> (DreBank, CongestionToLeaf, Vec<u8>, Vec<ChannelId>) {
+        let age = CongaParams::paper_default().metric_age;
+        let to_leaf = CongestionToLeaf::new(2, MAX_LBTAG, age);
         let candidates = (0..n).map(|i| ChannelId(i as u32)).collect();
-        (dres, lbtag_of, candidates)
+        (DreBank::default(), to_leaf, vec![0u8; n], candidates)
     }
 
     #[test]
@@ -648,20 +508,18 @@ mod tests {
         // MAX_LBTAG, so uplinks 16..24 could never win. The reservoir pick
         // must select all 24 uniformly.
         let n = MAX_LBTAG + 8;
-        let (mut dres, lbtag_of, candidates) = equal_cost_setup(n);
+        let (mut dres, to_leaf, lbtag_of, candidates) = equal_cost_setup(n);
         let mut rng = SimRng::new(42);
-        let q = CongaParams::paper_default().q_bits;
         let rounds = 24_000usize;
         let mut counts = vec![0usize; n];
         for _ in 0..rounds {
-            let (ch, sticky) = Conga::decide(
+            let (ch, sticky) = CongaPolicy::decide(
                 &mut dres,
-                None,
+                &to_leaf,
                 &lbtag_of,
                 1,
                 &candidates,
                 None,
-                q,
                 SimTime::ZERO,
                 &mut rng,
                 None,
@@ -683,19 +541,17 @@ mod tests {
         // The previous port ties at a position past the old buffer bound:
         // stickiness must still hold (the old code would have evicted it).
         let n = MAX_LBTAG + 8;
-        let (mut dres, lbtag_of, candidates) = equal_cost_setup(n);
+        let (mut dres, to_leaf, lbtag_of, candidates) = equal_cost_setup(n);
         let mut rng = SimRng::new(43);
-        let q = CongaParams::paper_default().q_bits;
         let prev = candidates[n - 1];
         for _ in 0..100 {
-            let (ch, sticky) = Conga::decide(
+            let (ch, sticky) = CongaPolicy::decide(
                 &mut dres,
-                None,
+                &to_leaf,
                 &lbtag_of,
                 1,
                 &candidates,
                 Some(prev),
-                q,
                 SimTime::ZERO,
                 &mut rng,
                 None,
@@ -719,7 +575,7 @@ mod tests {
         let mut p2 = fabric_pkt(55, 0, 1);
         let ch1 = c.leaf_ingress(LeafId(0), &mut p2, &cands, later, &mut rng);
         assert_eq!(ch0, ch1, "no strictly better path: flow must not move");
-        assert!(c.sticky_decisions >= 1);
+        assert!(c.policy.sticky_decisions >= 1);
     }
 
     #[test]

@@ -11,7 +11,10 @@
 //! timer version at packet/decision boundaries while requiring no simulator
 //! events.
 
+use crate::params::CongaParams;
+use conga_net::{ChannelId, Topology};
 use conga_sim::{SimDuration, SimTime};
+use conga_telemetry::SeriesRegistry;
 
 /// A single link's Discounting Rate Estimator.
 #[derive(Clone, Debug)]
@@ -84,6 +87,80 @@ impl Dre {
     pub fn register(&mut self, now: SimTime) -> f64 {
         self.decay_to(now);
         self.x_bytes
+    }
+}
+
+/// The fabric's DREs: one per fabric link, indexed by channel id. Host
+/// access links carry none, and a policy that keeps no DREs holds the
+/// empty (default) bank, on which every operation is a no-op.
+#[derive(Clone, Debug, Default)]
+pub struct DreBank {
+    dres: Vec<Option<Dre>>,
+    q_bits: u8,
+}
+
+impl DreBank {
+    /// A DRE on every fabric channel of `topo`, with `params`' time
+    /// constant and quantization width.
+    pub fn new(topo: &Topology, params: &CongaParams) -> Self {
+        DreBank {
+            dres: topo
+                .channels
+                .iter()
+                .map(|c| {
+                    c.kind
+                        .is_fabric()
+                        .then(|| Dre::new(c.rate_bps, params.tdre, params.alpha))
+                })
+                .collect(),
+            q_bits: params.q_bits,
+        }
+    }
+
+    #[inline]
+    fn get_mut(&mut self, ch: ChannelId) -> Option<&mut Dre> {
+        self.dres.get_mut(ch.idx()).and_then(Option::as_mut)
+    }
+
+    /// Account a packet of `bytes` starting transmission on `ch`. Returns
+    /// whether the channel carries a DRE (host-access channels, and any
+    /// channel unknown to this install, do not).
+    #[inline]
+    pub fn on_send(&mut self, ch: ChannelId, bytes: u32, now: SimTime) -> bool {
+        self.get_mut(ch).map(|d| d.on_send(bytes, now)).is_some()
+    }
+
+    /// The quantized congestion metric of `ch`, if it carries a DRE.
+    #[inline]
+    pub fn link_metric(&mut self, ch: ChannelId, now: SimTime) -> Option<u8> {
+        let q = self.q_bits;
+        self.get_mut(ch).map(|d| d.quantized(now, q))
+    }
+
+    /// The quantized congestion metric of `ch` for a load-balancing
+    /// decision. A candidate without a DRE (a channel surfaced by a FIB
+    /// rebuild the dataplane was never re-installed for) reads as idle
+    /// rather than panicking.
+    #[inline]
+    pub fn quantized(&mut self, ch: ChannelId, now: SimTime) -> u8 {
+        self.link_metric(ch, now).unwrap_or(0)
+    }
+
+    /// Record every non-zero metric as `dataplane.dre.<channel>`. Shard
+    /// rule: a link's DRE is only exercised in the domain that owns it and
+    /// replica copies elsewhere read zero; zero readings are skipped (idle
+    /// links and replicas alike), so the shard sum-merge reproduces the
+    /// monolithic sample exactly.
+    pub fn sample(&mut self, now: SimTime, out: &mut SeriesRegistry) {
+        let q = self.q_bits;
+        for (i, dre) in self.dres.iter_mut().enumerate() {
+            if let Some(d) = dre.as_mut() {
+                let m = d.quantized(now, q);
+                if m > 0 {
+                    out.record(&format!("dataplane.dre.{i:04}"), now, m as f64);
+                }
+            }
+        }
     }
 }
 

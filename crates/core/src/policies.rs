@@ -1,4 +1,5 @@
-//! Baseline load-balancing policies the paper compares against, plus the
+//! The baseline load-balancing schemes the paper compares against, each
+//! reduced to what is its own over the shared [`Pipeline`], plus the
 //! [`FabricPolicy`] enum that lets experiments swap schemes without generic
 //! plumbing.
 //!
@@ -16,190 +17,48 @@
 //!   with threshold-based exclusion, modeled on client-side latency-aware
 //!   replica selection (scylla's `LatencyAwareness`).
 //!
-//! Every policy honours the same degrade-don't-panic contract: a missing
-//! overlay costs only the optional header stamps, and an empty candidate
-//! slice (possible transiently while a FIB rebuild races a total uplink
-//! failure) yields the deterministic [`FallbackTable`] channel, where the
-//! engine blackhole-accounts the packet instead of the process dying.
+//! Candidate filtering, the empty-candidate and missing-overlay fallbacks,
+//! flowlet bookkeeping, LBTag stamping and spine ECMP are the pipeline's;
+//! nothing here repeats them.
 
 use crate::conga::Conga;
-use crate::dre::Dre;
-use crate::flowlet::{FlowletTable, Lookup};
 use crate::params::CongaParams;
+use crate::pipeline::{leaf_hash, Decision, LeafPolicy, Pipeline, Shared};
 use conga_net::{
     ecmp_mix, ChannelId, Dataplane, Fib, LeafId, NodeId, Packet, SpineId, Topology, MAX_LBTAG,
 };
 use conga_sim::{SimDuration, SimRng, SimTime};
 use conga_telemetry::{policy_series, MetricsRegistry, SeriesRegistry};
 
-// ---------------------------------------------------------------------------
-// Shared degrade-don't-panic plumbing
-// ---------------------------------------------------------------------------
-
-/// Deterministic last-resort channels, one per leaf and per spine: each
-/// node's first fabric channel in the topology (falling back to the
-/// topology's first fabric channel, then channel 0). Returned by every
-/// policy when it is handed an empty candidate slice; if that channel is
-/// dead the engine's enqueue path blackhole-accounts the packet, so total
-/// uplink failure shows up as counted loss rather than a panic.
-#[derive(Clone, Debug, Default)]
-pub struct FallbackTable {
-    leaf: Vec<ChannelId>,
-    spine: Vec<ChannelId>,
-}
-
-impl FallbackTable {
-    /// Precompute the per-node fallback channels.
-    pub fn install(&mut self, topo: &Topology) {
-        let first_fabric = topo
-            .channels
-            .iter()
-            .position(|c| c.kind.is_fabric())
-            .map(|i| ChannelId(i as u32))
-            .unwrap_or(ChannelId(0));
-        let first_from = |node: NodeId| {
-            topo.channels
-                .iter()
-                .position(|c| c.kind.is_fabric() && c.src == node)
-                .map(|i| ChannelId(i as u32))
-                .unwrap_or(first_fabric)
-        };
-        self.leaf = (0..topo.n_leaves)
-            .map(|l| first_from(NodeId::Leaf(LeafId(l))))
-            .collect();
-        self.spine = (0..topo.n_spines)
-            .map(|s| first_from(NodeId::Spine(SpineId(s))))
-            .collect();
-    }
-
-    /// The fallback channel for a leaf's ingress path.
-    pub fn leaf(&self, leaf: LeafId) -> ChannelId {
-        self.leaf.get(leaf.idx()).copied().unwrap_or(ChannelId(0))
-    }
-
-    /// The fallback channel for a spine's forwarding path.
-    pub fn spine(&self, spine: SpineId) -> ChannelId {
-        self.spine.get(spine.idx()).copied().unwrap_or(ChannelId(0))
-    }
-}
-
-/// Deterministic per-flow hash pick among a non-empty candidate slice.
-#[inline]
-fn hash_pick(candidates: &[ChannelId], h: u64) -> ChannelId {
-    candidates[(h % candidates.len() as u64) as usize]
-}
-
-// ---------------------------------------------------------------------------
-// ECMP
-// ---------------------------------------------------------------------------
-
 /// Static per-flow Equal-Cost Multi-Path hashing.
-#[derive(Clone, Debug, Default)]
-pub struct Ecmp {
-    lbtag_of: Vec<u8>,
-    fallback: FallbackTable,
-}
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Ecmp;
 
-impl Dataplane for Ecmp {
-    fn install(&mut self, topo: &Topology, fib: &Fib) {
-        self.lbtag_of = fib.lbtag_of.clone();
-        self.fallback.install(topo);
-    }
+impl LeafPolicy for Ecmp {
+    const FLOWLETS: bool = false;
+    const DRES: bool = false;
 
-    fn leaf_ingress(
-        &mut self,
-        leaf: LeafId,
-        pkt: &mut Packet,
-        candidates: &[ChannelId],
-        _now: SimTime,
-        _rng: &mut SimRng,
-    ) -> ChannelId {
-        if candidates.is_empty() {
-            return self.fallback.leaf(leaf);
-        }
-        let ch = hash_pick(
-            candidates,
-            ecmp_mix(pkt.flow_hash, 0x1EAF_0000 + leaf.0 as u64),
-        );
-        // The engine encapsulates before ingress, so the overlay is
-        // normally present — but a missing one only costs the LBTag stamp
-        // (ECMP carries no feedback), so degrade instead of panicking.
-        if let Some(ov) = pkt.overlay.as_mut() {
-            ov.lbtag = self.lbtag_of[ch.idx()];
-        }
-        ch
-    }
-
-    fn spine_forward(
-        &mut self,
-        spine: SpineId,
-        pkt: &mut Packet,
-        candidates: &[ChannelId],
-        _now: SimTime,
-        _rng: &mut SimRng,
-    ) -> ChannelId {
-        if candidates.is_empty() {
-            return self.fallback.spine(spine);
-        }
-        hash_pick(
-            candidates,
-            ecmp_mix(pkt.flow_hash, 0x5B1E_0000 + spine.0 as u64),
-        )
-    }
-
-    fn on_fabric_tx(&mut self, _ch: ChannelId, _pkt: &mut Packet, _now: SimTime) {}
-    fn leaf_egress(&mut self, _leaf: LeafId, _pkt: &Packet, _now: SimTime) {}
-    fn name(&self) -> &'static str {
-        "ecmp"
+    fn choose(&mut self, _sh: &mut Shared, d: &Decision<'_>, _rng: &mut SimRng) -> ChannelId {
+        leaf_hash(d.leaf, d.flow_hash, d.candidates)
     }
 }
-
-// ---------------------------------------------------------------------------
-// Local congestion-aware (the strawman of §2.4)
-// ---------------------------------------------------------------------------
 
 /// Flowlet-granularity load balancing using only *local* uplink DREs —
-/// the paper's illustration of why global information is required.
-#[derive(Clone, Debug)]
-pub struct LocalAware {
-    params: CongaParams,
-    dres: Vec<Option<Dre>>,
-    lbtag_of: Vec<u8>,
-    flowlets: Vec<FlowletTable>,
-    fallback: FallbackTable,
-}
+/// the paper's illustration of why global information is required. The
+/// DREs see local load; CE is not stamped (that is CONGA's global
+/// machinery).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct LocalAware;
 
-impl LocalAware {
-    /// Local-only policy with CONGA's flowlet/DRE parameters.
-    pub fn new(params: CongaParams) -> Self {
-        LocalAware {
-            params,
-            dres: Vec::new(),
-            lbtag_of: Vec::new(),
-            flowlets: Vec::new(),
-            fallback: FallbackTable::default(),
-        }
-    }
+impl LeafPolicy for LocalAware {
+    const FLOWLETS: bool = true;
+    const DRES: bool = true;
 
-    fn decide(
-        &mut self,
-        candidates: &[ChannelId],
-        prev: Option<ChannelId>,
-        now: SimTime,
-        rng: &mut SimRng,
-    ) -> ChannelId {
-        debug_assert!(!candidates.is_empty());
-        let q = self.params.q_bits;
+    fn choose(&mut self, sh: &mut Shared, d: &Decision<'_>, rng: &mut SimRng) -> ChannelId {
         let mut best = u8::MAX;
-        let mut ties: Vec<ChannelId> = Vec::with_capacity(candidates.len());
-        for &u in candidates {
-            // A candidate without a DRE (a channel added by a FIB rebuild
-            // the policy was never re-installed for) reads as idle rather
-            // than panicking.
-            let m = match self.dres.get_mut(u.idx()).and_then(Option::as_mut) {
-                Some(d) => d.quantized(now, q),
-                None => 0,
-            };
+        let mut ties: Vec<ChannelId> = Vec::with_capacity(d.candidates.len());
+        for &u in d.candidates {
+            let m = sh.dres.quantized(u, d.now);
             if m < best {
                 best = m;
                 ties.clear();
@@ -208,7 +67,7 @@ impl LocalAware {
                 ties.push(u);
             }
         }
-        if let Some(p) = prev {
+        if let Some(p) = d.prev {
             if ties.contains(&p) {
                 return p;
             }
@@ -217,208 +76,54 @@ impl LocalAware {
     }
 }
 
-impl Dataplane for LocalAware {
-    fn install(&mut self, topo: &Topology, fib: &Fib) {
-        self.dres = topo
-            .channels
-            .iter()
-            .map(|c| {
-                c.kind
-                    .is_fabric()
-                    .then(|| Dre::new(c.rate_bps, self.params.tdre, self.params.alpha))
-            })
-            .collect();
-        self.lbtag_of = fib.lbtag_of.clone();
-        self.flowlets = (0..topo.n_leaves)
-            .map(|_| {
-                FlowletTable::new(
-                    self.params.flowlet_entries,
-                    self.params.tfl,
-                    self.params.gap_mode,
-                )
-            })
-            .collect();
-        self.fallback.install(topo);
-    }
-
-    fn leaf_ingress(
-        &mut self,
-        leaf: LeafId,
-        pkt: &mut Packet,
-        candidates: &[ChannelId],
-        now: SimTime,
-        rng: &mut SimRng,
-    ) -> ChannelId {
-        if candidates.is_empty() {
-            return self.fallback.leaf(leaf);
-        }
-        let l = leaf.idx();
-        let ch = match self.flowlets[l].lookup(pkt.flow_hash, now) {
-            Lookup::Active(port) if candidates.contains(&port) => port,
-            Lookup::Active(stale) => {
-                let port = self.decide(
-                    candidates,
-                    Some(stale).filter(|p| candidates.contains(p)),
-                    now,
-                    rng,
-                );
-                self.flowlets[l].commit(pkt.flow_hash, port, now);
-                port
-            }
-            Lookup::NewFlowlet { prev } => {
-                let port = self.decide(
-                    candidates,
-                    prev.filter(|p| candidates.contains(p)),
-                    now,
-                    rng,
-                );
-                self.flowlets[l].commit(pkt.flow_hash, port, now);
-                port
-            }
-        };
-        // Degrade on a missing overlay: only the LBTag stamp is lost.
-        if let Some(ov) = pkt.overlay.as_mut() {
-            ov.lbtag = self.lbtag_of[ch.idx()];
-        }
-        ch
-    }
-
-    fn spine_forward(
-        &mut self,
-        spine: SpineId,
-        pkt: &mut Packet,
-        candidates: &[ChannelId],
-        _now: SimTime,
-        _rng: &mut SimRng,
-    ) -> ChannelId {
-        if candidates.is_empty() {
-            return self.fallback.spine(spine);
-        }
-        hash_pick(
-            candidates,
-            ecmp_mix(pkt.flow_hash, 0x5B1E_0000 + spine.0 as u64),
-        )
-    }
-
-    fn on_fabric_tx(&mut self, ch: ChannelId, pkt: &mut Packet, now: SimTime) {
-        // DREs are maintained so local decisions see local load; CE is NOT
-        // stamped (that is CONGA's global machinery).
-        if let Some(d) = self.dres.get_mut(ch.idx()).and_then(Option::as_mut) {
-            d.on_send(pkt.size, now);
-        }
-    }
-
-    fn leaf_egress(&mut self, _leaf: LeafId, _pkt: &Packet, _now: SimTime) {}
-    fn name(&self) -> &'static str {
-        "local"
-    }
-
-    fn export_metrics(&self, reg: &mut MetricsRegistry) {
-        let (mut hits, mut new_flowlets) = (0u64, 0u64);
-        for t in &self.flowlets {
-            hits += t.stats.hits;
-            new_flowlets += t.stats.new_flowlets;
-        }
-        reg.set_counter("dataplane.flowlet_hits", hits);
-        reg.set_counter("dataplane.flowlet_new", new_flowlets);
-    }
+/// Advance a round-robin cursor over `candidates`.
+fn rotate(cur: &mut usize, candidates: &[ChannelId]) -> ChannelId {
+    let ch = candidates[*cur % candidates.len()];
+    *cur = (*cur + 1) % candidates.len();
+    ch
 }
 
-// ---------------------------------------------------------------------------
-// Per-packet spray
-// ---------------------------------------------------------------------------
-
-/// Per-packet round-robin spraying (in the spirit of DRB / packet-spray).
+/// Per-packet round-robin spraying (in the spirit of DRB / packet-spray),
+/// at the leaves and at the spines.
 #[derive(Clone, Debug, Default)]
 pub struct PacketSpray {
-    lbtag_of: Vec<u8>,
     /// Round-robin cursor per (leaf, dst leaf).
     leaf_rr: Vec<Vec<usize>>,
     /// Round-robin cursor per (spine, dst leaf).
     spine_rr: Vec<Vec<usize>>,
-    fallback: FallbackTable,
 }
 
-impl Dataplane for PacketSpray {
-    fn install(&mut self, topo: &Topology, fib: &Fib) {
-        self.lbtag_of = fib.lbtag_of.clone();
+impl LeafPolicy for PacketSpray {
+    const FLOWLETS: bool = false;
+    const DRES: bool = false;
+
+    fn install(&mut self, _params: &CongaParams, topo: &Topology, _fib: &Fib) {
         let nl = topo.n_leaves as usize;
         self.leaf_rr = vec![vec![0; nl]; nl];
         self.spine_rr = vec![vec![0; nl]; topo.n_spines as usize];
-        self.fallback.install(topo);
     }
 
-    fn leaf_ingress(
-        &mut self,
-        leaf: LeafId,
-        pkt: &mut Packet,
-        candidates: &[ChannelId],
-        _now: SimTime,
-        _rng: &mut SimRng,
-    ) -> ChannelId {
-        if candidates.is_empty() {
-            return self.fallback.leaf(leaf);
-        }
-        // Without an overlay the per-destination cursor is unknowable:
-        // degrade to stateless hashing and leave the spray state untouched.
-        let Some(dst) = pkt.overlay.as_ref().map(|o| o.dst_tep.idx()) else {
-            return hash_pick(
-                candidates,
-                ecmp_mix(pkt.flow_hash, 0x1EAF_0000 + leaf.0 as u64),
-            );
-        };
-        let cur = &mut self.leaf_rr[leaf.idx()][dst];
-        let ch = candidates[*cur % candidates.len()];
-        *cur = (*cur + 1) % candidates.len();
-        if let Some(ov) = pkt.overlay.as_mut() {
-            ov.lbtag = self.lbtag_of[ch.idx()];
-        }
-        ch
+    fn choose(&mut self, _sh: &mut Shared, d: &Decision<'_>, _rng: &mut SimRng) -> ChannelId {
+        rotate(&mut self.leaf_rr[d.leaf.idx()][d.dst], d.candidates)
     }
 
-    fn spine_forward(
+    fn spine_pick(
         &mut self,
         spine: SpineId,
-        pkt: &mut Packet,
+        dst: usize,
         candidates: &[ChannelId],
-        _now: SimTime,
-        _rng: &mut SimRng,
-    ) -> ChannelId {
-        if candidates.is_empty() {
-            return self.fallback.spine(spine);
-        }
-        let Some(dst) = pkt.overlay.as_ref().map(|o| o.dst_tep.idx()) else {
-            return hash_pick(
-                candidates,
-                ecmp_mix(pkt.flow_hash, 0x5B1E_0000 + spine.0 as u64),
-            );
-        };
-        let cur = &mut self.spine_rr[spine.idx()][dst];
-        let ch = candidates[*cur % candidates.len()];
-        *cur = (*cur + 1) % candidates.len();
-        ch
-    }
-
-    fn on_fabric_tx(&mut self, _ch: ChannelId, _pkt: &mut Packet, _now: SimTime) {}
-    fn leaf_egress(&mut self, _leaf: LeafId, _pkt: &Packet, _now: SimTime) {}
-    fn name(&self) -> &'static str {
-        "spray"
+    ) -> Option<ChannelId> {
+        Some(rotate(&mut self.spine_rr[spine.idx()][dst], candidates))
     }
 }
-
-// ---------------------------------------------------------------------------
-// Weighted random (oblivious routing)
-// ---------------------------------------------------------------------------
 
 /// Static weighted-random load balancing: per-flow choice with weights
 /// proportional to each uplink's bottleneck path capacity. The best a
 /// topology-aware but traffic-oblivious scheme can do (§2.4, Figure 3).
 #[derive(Clone, Debug, Default)]
 pub struct WeightedRandom {
-    lbtag_of: Vec<u8>,
     /// `weights[leaf][dst][i]` — cumulative weight of `up_candidates[leaf][dst][i]`.
     cum_weights: Vec<Vec<Vec<f64>>>,
-    fallback: FallbackTable,
 }
 
 impl WeightedRandom {
@@ -429,10 +134,11 @@ impl WeightedRandom {
     }
 }
 
-impl Dataplane for WeightedRandom {
-    fn install(&mut self, topo: &Topology, fib: &Fib) {
-        self.lbtag_of = fib.lbtag_of.clone();
-        self.fallback.install(topo);
+impl LeafPolicy for WeightedRandom {
+    const FLOWLETS: bool = false;
+    const DRES: bool = false;
+
+    fn install(&mut self, _params: &CongaParams, topo: &Topology, fib: &Fib) {
         let nl = topo.n_leaves as usize;
         self.cum_weights = vec![vec![Vec::new(); nl]; nl];
         for l in 0..nl {
@@ -478,202 +184,51 @@ impl Dataplane for WeightedRandom {
         }
     }
 
-    fn leaf_ingress(
-        &mut self,
-        leaf: LeafId,
-        pkt: &mut Packet,
-        candidates: &[ChannelId],
-        _now: SimTime,
-        _rng: &mut SimRng,
-    ) -> ChannelId {
-        if candidates.is_empty() {
-            return self.fallback.leaf(leaf);
-        }
-        let hashed = hash_pick(
-            candidates,
-            ecmp_mix(pkt.flow_hash, 0x1EAF_0000 + leaf.0 as u64),
-        );
+    fn choose(&mut self, _sh: &mut Shared, d: &Decision<'_>, _rng: &mut SimRng) -> ChannelId {
+        let cum = &self.cum_weights[d.leaf.idx()][d.dst];
+        let total = cum.last().copied().unwrap_or(0.0);
         // Weights are static (oblivious routing): a runtime link fault
         // changes the candidate list out from under them, and a fully
         // degraded destination has zero total weight. Fall back to plain
         // hashing in both cases — exactly the paper's point that oblivious
-        // schemes cannot react. A missing overlay also hashes (the weights
-        // are per-destination, which only the overlay names).
-        let ch = match pkt.overlay.as_ref().map(|o| o.dst_tep.idx()) {
-            Some(dst) => {
-                let cum = &self.cum_weights[leaf.idx()][dst];
-                let total = cum.last().copied().unwrap_or(0.0);
-                if cum.len() == candidates.len() && total > 0.0 {
-                    // Deterministic per-flow draw: hash to [0, total).
-                    let u = (ecmp_mix(pkt.flow_hash, 0x3EED) as f64 / u64::MAX as f64) * total;
-                    let i = cum.partition_point(|&c| c <= u).min(cum.len() - 1);
-                    candidates[i]
-                } else {
-                    hashed
-                }
-            }
-            None => hashed,
-        };
-        if let Some(ov) = pkt.overlay.as_mut() {
-            ov.lbtag = self.lbtag_of[ch.idx()];
+        // schemes cannot react.
+        if cum.len() != d.candidates.len() || total <= 0.0 {
+            return leaf_hash(d.leaf, d.flow_hash, d.candidates);
         }
-        ch
-    }
-
-    fn spine_forward(
-        &mut self,
-        spine: SpineId,
-        pkt: &mut Packet,
-        candidates: &[ChannelId],
-        _now: SimTime,
-        _rng: &mut SimRng,
-    ) -> ChannelId {
-        if candidates.is_empty() {
-            return self.fallback.spine(spine);
-        }
-        hash_pick(
-            candidates,
-            ecmp_mix(pkt.flow_hash, 0x5B1E_0000 + spine.0 as u64),
-        )
-    }
-
-    fn on_fabric_tx(&mut self, _ch: ChannelId, _pkt: &mut Packet, _now: SimTime) {}
-    fn leaf_egress(&mut self, _leaf: LeafId, _pkt: &Packet, _now: SimTime) {}
-    fn name(&self) -> &'static str {
-        "weighted"
+        // Deterministic per-flow draw: hash to [0, total).
+        let u = (ecmp_mix(d.flow_hash, 0x3EED) as f64 / u64::MAX as f64) * total;
+        d.candidates[cum.partition_point(|&c| c <= u).min(cum.len() - 1)]
     }
 }
 
-// ---------------------------------------------------------------------------
-// LetFlow: flowlet switching with uniform-random path choice
-// ---------------------------------------------------------------------------
-
 /// LetFlow-style load balancing: flowlet detection exactly as in CONGA, but
-/// the first packet of every flowlet picks a *uniformly random* uplink — no
+/// the first packet of every flowlet (or one whose cached port can no
+/// longer reach the destination) picks a *uniformly random* uplink — no
 /// DREs, no feedback, no congestion state of any kind. The elasticity of
 /// flowlet sizes (congested paths emit fewer, shorter flowlets) is the whole
 /// balancing mechanism.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct LetFlow {
-    params: CongaParams,
-    lbtag_of: Vec<u8>,
-    flowlets: Vec<FlowletTable>,
-    fallback: FallbackTable,
     /// Flowlet decisions that drew a fresh uniform-random uplink.
     pub random_decisions: u64,
 }
 
-impl LetFlow {
-    /// LetFlow with the given flowlet parameters (only `tfl`,
-    /// `flowlet_entries` and `gap_mode` are consulted).
-    pub fn new(params: CongaParams) -> Self {
-        LetFlow {
-            params,
-            lbtag_of: Vec::new(),
-            flowlets: Vec::new(),
-            fallback: FallbackTable::default(),
-            random_decisions: 0,
-        }
-    }
-}
+impl LeafPolicy for LetFlow {
+    const FLOWLETS: bool = true;
+    const DRES: bool = false;
 
-impl Dataplane for LetFlow {
-    fn install(&mut self, topo: &Topology, fib: &Fib) {
-        self.lbtag_of = fib.lbtag_of.clone();
-        self.flowlets = (0..topo.n_leaves)
-            .map(|_| {
-                FlowletTable::new(
-                    self.params.flowlet_entries,
-                    self.params.tfl,
-                    self.params.gap_mode,
-                )
-            })
-            .collect();
-        self.fallback.install(topo);
-    }
-
-    fn leaf_ingress(
-        &mut self,
-        leaf: LeafId,
-        pkt: &mut Packet,
-        candidates: &[ChannelId],
-        now: SimTime,
-        rng: &mut SimRng,
-    ) -> ChannelId {
-        if candidates.is_empty() {
-            return self.fallback.leaf(leaf);
-        }
-        let l = leaf.idx();
-        let ch = match self.flowlets[l].lookup(pkt.flow_hash, now) {
-            Lookup::Active(port) if candidates.contains(&port) => port,
-            _ => {
-                // First packet of a flowlet (or the cached port can no
-                // longer reach the destination): draw uniformly.
-                let port = *rng.choose(candidates);
-                self.flowlets[l].commit(pkt.flow_hash, port, now);
-                self.random_decisions += 1;
-                port
-            }
-        };
-        if let Some(ov) = pkt.overlay.as_mut() {
-            ov.lbtag = self.lbtag_of[ch.idx()];
-        }
-        ch
-    }
-
-    fn spine_forward(
-        &mut self,
-        spine: SpineId,
-        pkt: &mut Packet,
-        candidates: &[ChannelId],
-        _now: SimTime,
-        _rng: &mut SimRng,
-    ) -> ChannelId {
-        if candidates.is_empty() {
-            return self.fallback.spine(spine);
-        }
-        hash_pick(
-            candidates,
-            ecmp_mix(pkt.flow_hash, 0x5B1E_0000 + spine.0 as u64),
-        )
-    }
-
-    fn on_fabric_tx(&mut self, _ch: ChannelId, _pkt: &mut Packet, _now: SimTime) {}
-    fn leaf_egress(&mut self, _leaf: LeafId, _pkt: &Packet, _now: SimTime) {}
-    fn name(&self) -> &'static str {
-        "letflow"
+    fn choose(&mut self, _sh: &mut Shared, d: &Decision<'_>, rng: &mut SimRng) -> ChannelId {
+        self.random_decisions += 1;
+        *rng.choose(d.candidates)
     }
 
     fn export_metrics(&self, reg: &mut MetricsRegistry) {
-        let (mut hits, mut new_flowlets) = (0u64, 0u64);
-        for t in &self.flowlets {
-            hits += t.stats.hits;
-            new_flowlets += t.stats.new_flowlets;
-        }
-        reg.set_counter("dataplane.flowlet_hits", hits);
-        reg.set_counter("dataplane.flowlet_new", new_flowlets);
         reg.set_counter(
             &policy_series("letflow", "random_decisions"),
             self.random_decisions,
         );
     }
-
-    fn sample_series(&mut self, now: SimTime, out: &mut SeriesRegistry) {
-        // Same shard rule as CONGA's tables: only the owning domain's
-        // table has live entries; zero occupancy is skipped everywhere so
-        // the shard merge reproduces the monolithic sample.
-        for (l, t) in self.flowlets.iter().enumerate() {
-            let occ = t.occupancy(now);
-            if occ > 0 {
-                out.record(&format!("dataplane.flowlets.leaf{l}"), now, occ as f64);
-            }
-        }
-    }
 }
-
-// ---------------------------------------------------------------------------
-// Latency-aware EWMA exclusion (scylla-style LatencyAwareness)
-// ---------------------------------------------------------------------------
 
 /// Parameters for [`LatencyAware`], fabric-scaled from the scylla driver's
 /// `LatencyAwareness` defaults (`exclusion_threshold` 2.0, `retry_period`
@@ -740,7 +295,6 @@ struct LatCell {
 pub struct LatencyAware {
     /// Parameters (public so experiments can report them).
     pub params: LatencyAwareParams,
-    lbtag_of: Vec<u8>,
     n_leaves: usize,
     /// Per source leaf: EWMA cells indexed `dst_leaf * MAX_LBTAG + lbtag`.
     to_leaf: Vec<Vec<LatCell>>,
@@ -749,8 +303,6 @@ pub struct LatencyAware {
     pending: Vec<Vec<Option<u64>>>,
     /// Per leaf: round-robin piggyback cursor per peer leaf.
     cursor: Vec<Vec<u8>>,
-    flowlets: Vec<FlowletTable>,
-    fallback: FallbackTable,
     /// Decisions made below the measurement warmup (ECMP hashing).
     pub warmup_decisions: u64,
     /// Candidate exclusions applied (EWMA over the threshold).
@@ -766,13 +318,10 @@ impl LatencyAware {
     pub fn new(params: LatencyAwareParams) -> Self {
         LatencyAware {
             params,
-            lbtag_of: Vec::new(),
             n_leaves: 0,
             to_leaf: Vec::new(),
             pending: Vec::new(),
             cursor: Vec::new(),
-            flowlets: Vec::new(),
-            fallback: FallbackTable::default(),
             warmup_decisions: 0,
             excluded: 0,
             probes: 0,
@@ -809,27 +358,44 @@ impl LatencyAware {
         cell.last = now;
         self.samples += 1;
     }
+}
 
-    /// Pick an uplink toward `dst`: warmup-hash until any candidate is
+impl LeafPolicy for LatencyAware {
+    const FLOWLETS: bool = true;
+    const DRES: bool = false;
+
+    fn install(&mut self, _params: &CongaParams, topo: &Topology, _fib: &Fib) {
+        let nl = topo.n_leaves as usize;
+        self.n_leaves = nl;
+        self.to_leaf = vec![vec![LatCell::default(); nl * MAX_LBTAG]; nl];
+        self.pending = vec![vec![None; nl * MAX_LBTAG]; nl];
+        self.cursor = vec![vec![0; nl]; nl];
+    }
+
+    /// Piggyback one pending latency sample for the destination leaf (the
+    /// latency analogue of CONGA §3.3 step 4) and timestamp the departure.
+    fn stamp(&mut self, _sh: &Shared, leaf: LeafId, dst: usize, pkt: &mut Packet, now: SimTime) {
+        let Some(o) = pkt.overlay.as_mut() else {
+            return;
+        };
+        if dst < self.n_leaves {
+            if let Some(fb) = self.take_pending(leaf.idx(), dst) {
+                o.lat_fb = Some(fb);
+            }
+        }
+        o.lat_sent = Some(now);
+    }
+
+    /// Pick an uplink toward `d.dst`: warmup-hash until any candidate is
     /// measured, otherwise reservoir-uniform over the non-excluded set.
-    #[allow(clippy::too_many_arguments)]
-    fn decide(
-        &mut self,
-        leaf: usize,
-        dst: usize,
-        flow_hash: u64,
-        candidates: &[ChannelId],
-        prev: Option<ChannelId>,
-        now: SimTime,
-        rng: &mut SimRng,
-    ) -> ChannelId {
-        debug_assert!(!candidates.is_empty());
+    fn choose(&mut self, sh: &mut Shared, d: &Decision<'_>, rng: &mut SimRng) -> ChannelId {
+        let (leaf, now) = (d.leaf.idx(), d.now);
         let min_n = self.params.min_measurements;
+        let cell_of = |u: ChannelId| d.dst * MAX_LBTAG + sh.lbtag_of[u.idx()] as usize;
         // Best (lowest) EWMA among candidates with enough measurements.
         let mut best: Option<f64> = None;
-        for &u in candidates {
-            let tag = self.lbtag_of[u.idx()] as usize;
-            let c = self.to_leaf[leaf][dst * MAX_LBTAG + tag];
+        for &u in d.candidates {
+            let c = self.to_leaf[leaf][cell_of(u)];
             if c.count >= min_n {
                 best = Some(best.map_or(c.ewma_ns, |b: f64| b.min(c.ewma_ns)));
             }
@@ -839,14 +405,14 @@ impl LatencyAware {
             // deterministic and rng-free, so the warmup phase consumes no
             // randomness.
             self.warmup_decisions += 1;
-            return hash_pick(candidates, ecmp_mix(flow_hash, 0x1EAF_0000 + leaf as u64));
+            return leaf_hash(d.leaf, d.flow_hash, d.candidates);
         };
         let threshold = best * self.params.exclusion_threshold;
-        let mut pick = candidates[0];
+        let mut pick = d.candidates[0];
         let mut included = 0usize;
         let mut prev_in = false;
-        for &u in candidates {
-            let idx = dst * MAX_LBTAG + self.lbtag_of[u.idx()] as usize;
+        for &u in d.candidates {
+            let idx = cell_of(u);
             let c = self.to_leaf[leaf][idx];
             let include = if c.count < min_n || c.ewma_ns <= threshold {
                 true
@@ -866,107 +432,20 @@ impl LatencyAware {
                 if rng.below(included) == 0 {
                     pick = u;
                 }
-                prev_in |= prev == Some(u);
+                prev_in |= d.prev == Some(u);
             }
         }
         // Stay put when the previous port is still acceptable: flowlet
         // moves only need to happen off excluded paths.
         if prev_in {
-            if let Some(p) = prev {
+            if let Some(p) = d.prev {
                 return p;
             }
         }
         pick
     }
-}
 
-impl Dataplane for LatencyAware {
-    fn install(&mut self, topo: &Topology, fib: &Fib) {
-        self.lbtag_of = fib.lbtag_of.clone();
-        let nl = topo.n_leaves as usize;
-        self.n_leaves = nl;
-        self.to_leaf = vec![vec![LatCell::default(); nl * MAX_LBTAG]; nl];
-        self.pending = vec![vec![None; nl * MAX_LBTAG]; nl];
-        self.cursor = vec![vec![0; nl]; nl];
-        let fl = self.params.flowlet;
-        self.flowlets = (0..nl)
-            .map(|_| FlowletTable::new(fl.flowlet_entries, fl.tfl, fl.gap_mode))
-            .collect();
-        self.fallback.install(topo);
-    }
-
-    fn leaf_ingress(
-        &mut self,
-        leaf: LeafId,
-        pkt: &mut Packet,
-        candidates: &[ChannelId],
-        now: SimTime,
-        rng: &mut SimRng,
-    ) -> ChannelId {
-        if candidates.is_empty() {
-            return self.fallback.leaf(leaf);
-        }
-        let l = leaf.idx();
-        // No overlay: nowhere to stamp the timestamp or read the
-        // destination from. Degrade to hashing without touching any state.
-        let Some(dst) = pkt.overlay.as_ref().map(|o| o.dst_tep.idx()) else {
-            return hash_pick(
-                candidates,
-                ecmp_mix(pkt.flow_hash, 0x1EAF_0000 + leaf.0 as u64),
-            );
-        };
-        // Piggyback one pending latency sample for the destination leaf
-        // (the latency analogue of CONGA §3.3 step 4).
-        if dst < self.n_leaves {
-            if let Some((tag, delay)) = self.take_pending(l, dst) {
-                if let Some(o) = pkt.overlay.as_mut() {
-                    o.lat_fb = Some((tag, delay));
-                }
-            }
-        }
-        // Flowlet lookup; decide only on the first packet of a flowlet.
-        let ch = match self.flowlets[l].lookup(pkt.flow_hash, now) {
-            Lookup::Active(port) if candidates.contains(&port) => port,
-            Lookup::Active(stale) => {
-                let prev = Some(stale).filter(|p| candidates.contains(p));
-                let port = self.decide(l, dst, pkt.flow_hash, candidates, prev, now, rng);
-                self.flowlets[l].commit(pkt.flow_hash, port, now);
-                port
-            }
-            Lookup::NewFlowlet { prev } => {
-                let prev = prev.filter(|p| candidates.contains(p));
-                let port = self.decide(l, dst, pkt.flow_hash, candidates, prev, now, rng);
-                self.flowlets[l].commit(pkt.flow_hash, port, now);
-                port
-            }
-        };
-        if let Some(o) = pkt.overlay.as_mut() {
-            o.lbtag = self.lbtag_of[ch.idx()];
-            o.lat_sent = Some(now);
-        }
-        ch
-    }
-
-    fn spine_forward(
-        &mut self,
-        spine: SpineId,
-        pkt: &mut Packet,
-        candidates: &[ChannelId],
-        _now: SimTime,
-        _rng: &mut SimRng,
-    ) -> ChannelId {
-        if candidates.is_empty() {
-            return self.fallback.spine(spine);
-        }
-        hash_pick(
-            candidates,
-            ecmp_mix(pkt.flow_hash, 0x5B1E_0000 + spine.0 as u64),
-        )
-    }
-
-    fn on_fabric_tx(&mut self, _ch: ChannelId, _pkt: &mut Packet, _now: SimTime) {}
-
-    fn leaf_egress(&mut self, leaf: LeafId, pkt: &Packet, now: SimTime) {
+    fn leaf_egress(&mut self, _sh: &Shared, leaf: LeafId, pkt: &Packet, now: SimTime) {
         let Some(o) = pkt.overlay.as_ref() else {
             return;
         };
@@ -992,18 +471,7 @@ impl Dataplane for LatencyAware {
         }
     }
 
-    fn name(&self) -> &'static str {
-        "latency-aware"
-    }
-
     fn export_metrics(&self, reg: &mut MetricsRegistry) {
-        let (mut hits, mut new_flowlets) = (0u64, 0u64);
-        for t in &self.flowlets {
-            hits += t.stats.hits;
-            new_flowlets += t.stats.new_flowlets;
-        }
-        reg.set_counter("dataplane.flowlet_hits", hits);
-        reg.set_counter("dataplane.flowlet_new", new_flowlets);
         reg.set_counter(&policy_series("latency", "samples"), self.samples);
         reg.set_counter(
             &policy_series("latency", "warmup_decisions"),
@@ -1014,134 +482,43 @@ impl Dataplane for LatencyAware {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Incremental deployment: CONGA on a subset of leaves (paper §7)
-// ---------------------------------------------------------------------------
-
-/// Mixed deployment: leaves flagged in `conga_leaves` run CONGA; the rest
-/// run plain ECMP. The CONGA machinery (DREs, CE marking, feedback) runs
-/// fabric-wide — exactly as in a real rollout, where legacy ToRs simply
-/// ignore the overlay congestion fields. Traffic not controlled by CONGA
-/// just becomes bandwidth asymmetry that CONGA adapts around.
-#[derive(Clone, Debug)]
-pub struct Incremental {
-    conga: Conga,
-    ecmp: Ecmp,
-    conga_leaves: Vec<bool>,
-}
-
-impl Incremental {
-    /// CONGA on the leaves whose flag is true.
-    pub fn new(params: CongaParams, conga_leaves: Vec<bool>) -> Self {
-        Incremental {
-            conga: Conga::new(params),
-            ecmp: Ecmp::default(),
-            conga_leaves,
-        }
-    }
-}
-
-impl Dataplane for Incremental {
-    fn install(&mut self, topo: &Topology, fib: &Fib) {
-        assert_eq!(self.conga_leaves.len(), topo.n_leaves as usize);
-        self.conga.install(topo, fib);
-        self.ecmp.install(topo, fib);
-    }
-
-    fn leaf_ingress(
-        &mut self,
-        leaf: LeafId,
-        pkt: &mut Packet,
-        candidates: &[ChannelId],
-        now: SimTime,
-        rng: &mut SimRng,
-    ) -> ChannelId {
-        if self.conga_leaves[leaf.idx()] {
-            self.conga.leaf_ingress(leaf, pkt, candidates, now, rng)
-        } else {
-            self.ecmp.leaf_ingress(leaf, pkt, candidates, now, rng)
-        }
-    }
-
-    fn spine_forward(
-        &mut self,
-        spine: SpineId,
-        pkt: &mut Packet,
-        candidates: &[ChannelId],
-        now: SimTime,
-        rng: &mut SimRng,
-    ) -> ChannelId {
-        self.conga.spine_forward(spine, pkt, candidates, now, rng)
-    }
-
-    fn on_fabric_tx(&mut self, ch: ChannelId, pkt: &mut Packet, now: SimTime) {
-        // DREs and CE marking run fabric-wide (spine ASICs are upgraded
-        // first in a rollout); ECMP leaves simply never read them.
-        self.conga.on_fabric_tx(ch, pkt, now);
-    }
-
-    fn leaf_egress(&mut self, leaf: LeafId, pkt: &Packet, now: SimTime) {
-        self.conga.leaf_egress(leaf, pkt, now);
-    }
-
-    fn name(&self) -> &'static str {
-        "incremental"
-    }
-
-    fn export_metrics(&self, reg: &mut MetricsRegistry) {
-        Dataplane::export_metrics(&self.conga, reg);
-        reg.set_counter(
-            "dataplane.conga_leaves",
-            self.conga_leaves.iter().filter(|&&b| b).count() as u64,
-        );
-    }
-
-    fn sample_series(&mut self, now: SimTime, out: &mut SeriesRegistry) {
-        // The CONGA half carries all the sampled state (DREs run
-        // fabric-wide; ECMP leaves keep no tables).
-        self.conga.sample_series(now, out);
-    }
-
-    fn set_tracer(&mut self, tracer: conga_trace::TraceHandle) {
-        // Only the CONGA half has decision provenance to record.
-        self.conga.set_tracer(tracer);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The policy enum
-// ---------------------------------------------------------------------------
+/// One row of [`FabricPolicy::zoo`]: a stable key and a constructor.
+pub type ZooEntry = (&'static str, fn() -> FabricPolicy);
 
 /// Any of the fabric load-balancing schemes, behind one concrete type so the
 /// engine stays monomorphic (`Network<FabricPolicy, _>`).
 #[derive(Clone, Debug)]
 pub enum FabricPolicy {
     /// Static per-flow hashing.
-    Ecmp(Ecmp),
-    /// CONGA (or CONGA-Flow, depending on parameters).
+    Ecmp(Pipeline<Ecmp>),
+    /// CONGA, CONGA-Flow or an incremental CONGA rollout, depending on
+    /// parameters.
     Conga(Box<Conga>),
     /// Local-DRE-only strawman.
-    Local(LocalAware),
+    Local(Pipeline<LocalAware>),
     /// Per-packet round-robin.
-    Spray(PacketSpray),
+    Spray(Pipeline<PacketSpray>),
     /// Static weighted random.
-    Weighted(WeightedRandom),
+    Weighted(Pipeline<WeightedRandom>),
     /// Flowlet switching with uniform-random choice (LetFlow).
-    LetFlow(LetFlow),
+    LetFlow(Pipeline<LetFlow>),
     /// Latency-EWMA exclusion (scylla-style latency awareness).
-    LatencyAware(Box<LatencyAware>),
-    /// CONGA on a subset of leaves, ECMP elsewhere (incremental rollout).
-    Incremental(Box<Incremental>),
+    LatencyAware(Box<Pipeline<LatencyAware>>),
+}
+
+/// A baseline pipeline with the paper's default flowlet/DRE parameters.
+fn baseline<P: LeafPolicy>(label: &'static str, policy: P) -> Pipeline<P> {
+    Pipeline::with(label, CongaParams::paper_default(), policy)
 }
 
 impl FabricPolicy {
     /// ECMP baseline.
     pub fn ecmp() -> Self {
-        FabricPolicy::Ecmp(Ecmp::default())
+        FabricPolicy::Ecmp(baseline("ecmp", Ecmp))
     }
     /// CONGA with the paper's default parameters.
     pub fn conga() -> Self {
-        FabricPolicy::Conga(Box::new(Conga::new(CongaParams::paper_default())))
+        Self::conga_with(CongaParams::paper_default())
     }
     /// CONGA with custom parameters.
     pub fn conga_with(params: CongaParams) -> Self {
@@ -1151,35 +528,58 @@ impl FabricPolicy {
     pub fn conga_flow() -> Self {
         FabricPolicy::Conga(Box::new(Conga::conga_flow()))
     }
-    /// Local congestion-aware strawman.
+    /// Local congestion-aware strawman, with CONGA's flowlet/DRE parameters.
     pub fn local() -> Self {
-        FabricPolicy::Local(LocalAware::new(CongaParams::paper_default()))
+        FabricPolicy::Local(baseline("local", LocalAware))
     }
     /// Per-packet round-robin spray.
     pub fn spray() -> Self {
-        FabricPolicy::Spray(PacketSpray::default())
+        FabricPolicy::Spray(baseline("spray", PacketSpray::default()))
     }
     /// Weighted-random oblivious routing.
     pub fn weighted() -> Self {
-        FabricPolicy::Weighted(WeightedRandom::default())
+        FabricPolicy::Weighted(baseline("weighted", WeightedRandom::default()))
     }
-    /// LetFlow with CONGA's flowlet parameters.
+    /// LetFlow with CONGA's flowlet parameters (only `tfl`,
+    /// `flowlet_entries` and `gap_mode` are consulted).
     pub fn letflow() -> Self {
-        FabricPolicy::LetFlow(LetFlow::new(CongaParams::paper_default()))
+        FabricPolicy::LetFlow(baseline("letflow", LetFlow::default()))
     }
     /// Latency-aware EWMA exclusion with fabric-scaled defaults.
     pub fn latency_aware() -> Self {
-        FabricPolicy::LatencyAware(Box::new(LatencyAware::new(
-            LatencyAwareParams::fabric_default(),
+        let p = LatencyAwareParams::fabric_default();
+        FabricPolicy::LatencyAware(Box::new(Pipeline::with(
+            "latency-aware",
+            p.flowlet,
+            LatencyAware::new(p),
         )))
     }
 
     /// CONGA on the flagged leaves only, ECMP on the rest (paper §7).
     pub fn incremental(conga_leaves: Vec<bool>) -> Self {
-        FabricPolicy::Incremental(Box::new(Incremental::new(
-            CongaParams::paper_default(),
-            conga_leaves,
-        )))
+        let p = CongaParams::paper_default();
+        FabricPolicy::Conga(Box::new(Conga::incremental(p, conga_leaves)))
+    }
+
+    /// Every shipped policy by stable key and constructor: the eight
+    /// tournament policies plus an incremental rollout on a two-leaf
+    /// fabric. The one table every "for each policy" test iterates, so a
+    /// new policy cannot be left out of a determinism, conservation or
+    /// observability battery by forgetting a hand-kept list.
+    pub fn zoo() -> [ZooEntry; 9] {
+        [
+            ("ecmp", FabricPolicy::ecmp),
+            ("conga", FabricPolicy::conga),
+            ("conga_flow", FabricPolicy::conga_flow),
+            ("local", FabricPolicy::local),
+            ("spray", FabricPolicy::spray),
+            ("weighted", FabricPolicy::weighted),
+            ("letflow", FabricPolicy::letflow),
+            ("latency_aware", FabricPolicy::latency_aware),
+            ("incremental", || {
+                FabricPolicy::incremental(vec![true, false])
+            }),
+        ]
     }
 
     /// Access the inner CONGA state, if this policy is CONGA.
@@ -1201,7 +601,6 @@ macro_rules! delegate {
             FabricPolicy::Weighted($inner) => $body,
             FabricPolicy::LetFlow($inner) => $body,
             FabricPolicy::LatencyAware($inner) => $body,
-            FabricPolicy::Incremental($inner) => $body,
         }
     };
 }
@@ -1255,6 +654,19 @@ mod tests {
     use super::*;
     use conga_net::{HostId, LeafSpineBuilder, Overlay};
 
+    fn letflow() -> Pipeline<LetFlow> {
+        baseline("letflow", LetFlow::default())
+    }
+
+    fn latency_aware() -> Pipeline<LatencyAware> {
+        let p = LatencyAwareParams::fabric_default();
+        Pipeline::with("latency-aware", p.flowlet, LatencyAware::new(p))
+    }
+
+    fn weighted() -> Pipeline<WeightedRandom> {
+        baseline("weighted", WeightedRandom::default())
+    }
+
     fn setup<P: Dataplane>(mut p: P) -> (Topology, Fib, P) {
         let topo = LeafSpineBuilder::new(2, 2, 2).parallel_links(2).build();
         let fib = topo.fib();
@@ -1279,7 +691,7 @@ mod tests {
 
     #[test]
     fn ecmp_is_deterministic_per_flow_and_spreads_across_flows() {
-        let (_t, fib, mut e) = setup(Ecmp::default());
+        let (_t, fib, mut e) = setup(FabricPolicy::ecmp());
         let mut rng = SimRng::new(1);
         let cands = fib.up_candidates[0][1].clone();
         let mut counts = vec![0usize; cands.len()];
@@ -1308,26 +720,8 @@ mod tests {
     }
 
     #[test]
-    fn ecmp_ingress_without_overlay_does_not_panic() {
-        // Regression: this used to `expect("ingress without overlay")`.
-        // A bare packet still gets a valid (and deterministic) candidate;
-        // only the LBTag stamp is skipped.
-        let (_t, fib, mut e) = setup(Ecmp::default());
-        let mut rng = SimRng::new(3);
-        let cands = fib.up_candidates[0][1].clone();
-        let mut bare = fabric_pkt(ecmp_mix(42, 99));
-        bare.overlay = None;
-        let c1 = e.leaf_ingress(LeafId(0), &mut bare, &cands, SimTime::ZERO, &mut rng);
-        assert!(cands.contains(&c1));
-        assert!(bare.overlay.is_none());
-        let mut with = fabric_pkt(ecmp_mix(42, 99));
-        let c2 = e.leaf_ingress(LeafId(0), &mut with, &cands, SimTime::ZERO, &mut rng);
-        assert_eq!(c1, c2, "overlay presence must not change the hash choice");
-    }
-
-    #[test]
     fn spray_round_robins_per_packet() {
-        let (_t, fib, mut s) = setup(PacketSpray::default());
+        let (_t, fib, mut s) = setup(FabricPolicy::spray());
         let mut rng = SimRng::new(2);
         let cands = fib.up_candidates[0][1].clone();
         let picks: Vec<ChannelId> = (0..8)
@@ -1351,7 +745,7 @@ mod tests {
 
     #[test]
     fn local_aware_prefers_idle_uplink() {
-        let (_t, fib, mut p) = setup(LocalAware::new(CongaParams::paper_default()));
+        let (_t, fib, mut p) = setup(FabricPolicy::local());
         let mut rng = SimRng::new(3);
         let cands = fib.up_candidates[0][1].clone();
         let now = SimTime::from_micros(10);
@@ -1379,7 +773,7 @@ mod tests {
             .override_link_rate_gbps(1, 1, 0, 40)
             .build();
         let fib = topo.fib();
-        let mut w = WeightedRandom::default();
+        let mut w = weighted();
         w.install(&topo, &fib);
         let mut rng = SimRng::new(4);
         let cands = fib.up_candidates[0][1].clone();
@@ -1398,78 +792,49 @@ mod tests {
     }
 
     #[test]
-    fn spray_ingress_without_overlay_does_not_panic() {
-        // Regression: this used to `expect("ingress without overlay")`.
-        // The degraded pick must also leave the round-robin cursor alone,
-        // so the spray rotation is unperturbed by the odd bare packet.
-        let (_t, fib, mut s) = setup(PacketSpray::default());
-        let mut rng = SimRng::new(7);
-        let cands = fib.up_candidates[0][1].clone();
-        let mut bare = fabric_pkt(5);
-        bare.overlay = None;
-        let c = s.leaf_ingress(LeafId(0), &mut bare, &cands, SimTime::ZERO, &mut rng);
-        assert!(cands.contains(&c));
-        let mut bare2 = fabric_pkt(5);
-        bare2.overlay = None;
-        let c2 = s.spine_forward(SpineId(0), &mut bare2, &cands, SimTime::ZERO, &mut rng);
-        assert!(cands.contains(&c2));
-        // Cursor untouched: the first overlay packet starts the rotation
-        // at candidate 0 as if the bare packets never happened.
-        let first = s.leaf_ingress(
-            LeafId(0),
-            &mut fabric_pkt(5),
-            &cands,
-            SimTime::ZERO,
-            &mut rng,
-        );
-        assert_eq!(first, cands[0]);
-    }
-
-    #[test]
-    fn local_aware_ingress_without_overlay_does_not_panic() {
-        // Regression: LBTag stamping used to `expect("ingress without
-        // overlay")`. The decision itself must still be valid.
-        let (_t, fib, mut p) = setup(LocalAware::new(CongaParams::paper_default()));
-        let mut rng = SimRng::new(8);
-        let cands = fib.up_candidates[0][1].clone();
-        let mut bare = fabric_pkt(6);
-        bare.overlay = None;
-        let c = p.leaf_ingress(LeafId(0), &mut bare, &cands, SimTime::ZERO, &mut rng);
-        assert!(cands.contains(&c));
-        assert!(bare.overlay.is_none());
-    }
-
-    #[test]
-    fn weighted_ingress_without_overlay_does_not_panic() {
-        let (_t, fib, mut w) = setup(WeightedRandom::default());
-        let mut rng = SimRng::new(9);
-        let cands = fib.up_candidates[0][1].clone();
-        let mut bare = fabric_pkt(6);
-        bare.overlay = None;
-        let c = w.leaf_ingress(LeafId(0), &mut bare, &cands, SimTime::ZERO, &mut rng);
-        assert!(cands.contains(&c));
-    }
-
-    #[test]
-    fn empty_candidates_fall_back_deterministically() {
-        // Total uplink failure mid-run can transiently hand any policy an
-        // empty candidate slice. Every policy must return the same
-        // deterministic fallback channel rooted at the asking node — the
-        // engine blackhole-accounts the packet downstream.
-        let policies: Vec<FabricPolicy> = vec![
-            FabricPolicy::ecmp(),
-            FabricPolicy::conga(),
-            FabricPolicy::conga_flow(),
-            FabricPolicy::local(),
-            FabricPolicy::spray(),
-            FabricPolicy::weighted(),
-            FabricPolicy::letflow(),
-            FabricPolicy::latency_aware(),
-        ];
-        for p in policies {
-            let name = p.name();
-            let (topo, _fib, mut p) = setup(p);
+    fn degraded_inputs_get_a_deterministic_channel_and_touch_no_state() {
+        // One row set per policy, for the two inputs the engine never
+        // produces but a direct caller (or a FIB rebuild racing a total
+        // uplink failure) can: a packet without an overlay, and an empty
+        // candidate slice — each at a leaf and at a spine. The packet must
+        // get a valid, repeatable channel and leave every piece of state
+        // alone: counters (flowlet stats included), the spray cursors and
+        // the RNG stream.
+        for (name, mk) in FabricPolicy::zoo() {
+            let (topo, fib, mut p) = setup(mk());
+            let metrics = |p: &FabricPolicy| {
+                let mut reg = MetricsRegistry::new();
+                p.export_metrics(&mut reg);
+                reg
+            };
+            let before = metrics(&p);
             let mut rng = SimRng::new(10);
+            let mut untouched = rng.clone();
+            let bare = |flow_hash: u64| {
+                let mut pkt = fabric_pkt(flow_hash);
+                pkt.overlay = None;
+                pkt
+            };
+            let (ups, downs) = (&fib.up_candidates[0][1], &fib.spine_down[0][1]);
+
+            // Bare packet: a valid candidate, identical on repeat, and the
+            // header is not conjured.
+            let mut pkt = bare(ecmp_mix(42, 99));
+            let c1 = p.leaf_ingress(LeafId(0), &mut pkt, ups, SimTime::ZERO, &mut rng);
+            let c2 = p.leaf_ingress(LeafId(0), &mut pkt, ups, SimTime::ZERO, &mut rng);
+            assert!(ups.contains(&c1), "{name}: bare leaf pick not a candidate");
+            assert_eq!(c1, c2, "{name}: bare leaf pick not repeatable");
+            assert!(pkt.overlay.is_none(), "{name}: overlay appeared");
+            let s1 = p.spine_forward(SpineId(0), &mut pkt, downs, SimTime::ZERO, &mut rng);
+            let s2 = p.spine_forward(SpineId(0), &mut pkt, downs, SimTime::ZERO, &mut rng);
+            assert!(
+                downs.contains(&s1),
+                "{name}: bare spine pick not a candidate"
+            );
+            assert_eq!(s1, s2, "{name}: bare spine pick not repeatable");
+
+            // Empty slice: the fallback channel rooted at the asking node,
+            // whatever the flow — the engine blackhole-accounts downstream.
             let a = p.leaf_ingress(LeafId(0), &mut fabric_pkt(1), &[], SimTime::ZERO, &mut rng);
             let b = p.leaf_ingress(LeafId(0), &mut fabric_pkt(2), &[], SimTime::ZERO, &mut rng);
             assert_eq!(a, b, "{name}: leaf fallback must be deterministic");
@@ -1479,11 +844,32 @@ mod tests {
                 "{name}: leaf fallback must leave the asking leaf"
             );
             let s = p.spine_forward(SpineId(1), &mut fabric_pkt(3), &[], SimTime::ZERO, &mut rng);
+            let r = p.spine_forward(SpineId(1), &mut fabric_pkt(4), &[], SimTime::ZERO, &mut rng);
+            assert_eq!(s, r, "{name}: spine fallback must be deterministic");
             assert_eq!(
                 topo.channel(s).src,
                 NodeId::Spine(SpineId(1)),
                 "{name}: spine fallback must leave the asking spine"
             );
+
+            // No state touched.
+            assert_eq!(metrics(&p), before, "{name}: a counter moved");
+            assert_eq!(rng.u64(), untouched.u64(), "{name}: the RNG was drawn from");
+            let mut first = fabric_pkt(ecmp_mix(42, 99));
+            let with = p.leaf_ingress(LeafId(0), &mut first, ups, SimTime::ZERO, &mut rng);
+            match name {
+                // Overlay presence must not change the hash choice.
+                "ecmp" => assert_eq!(with, c1, "ecmp: overlay changed the hash"),
+                // The first overlay packets start both rotations at
+                // candidate 0, as if the degraded ones never happened.
+                "spray" => {
+                    assert_eq!(with, ups[0], "spray: leaf cursor moved");
+                    let at_spine =
+                        p.spine_forward(SpineId(0), &mut first, downs, SimTime::ZERO, &mut rng);
+                    assert_eq!(at_spine, downs[0], "spray: spine cursor moved");
+                }
+                _ => {}
+            }
         }
     }
 
@@ -1497,9 +883,9 @@ mod tests {
             .override_link_rate_gbps(0, 1, 0, 0)
             .build();
         let fib = topo.fib();
-        let mut w = WeightedRandom::default();
+        let mut w = weighted();
         w.install(&topo, &fib);
-        for (l, per_dst) in w.cum_weights().iter().enumerate() {
+        for (l, per_dst) in w.policy.cum_weights().iter().enumerate() {
             for (m, cum) in per_dst.iter().enumerate() {
                 let mut prev = 0.0f64;
                 for (i, &c) in cum.iter().enumerate() {
@@ -1528,7 +914,7 @@ mod tests {
     fn letflow_spreads_new_flowlets_uniformly() {
         // Mirrors the CONGA reservoir uniformity test: every distinct flow
         // opens a fresh flowlet, and LetFlow must choose uniformly.
-        let (_t, fib, mut lf) = setup(LetFlow::new(CongaParams::paper_default()));
+        let (_t, fib, mut lf) = setup(letflow());
         let mut rng = SimRng::new(12);
         let cands = fib.up_candidates[0][1].clone();
         let rounds = 8000usize;
@@ -1553,16 +939,16 @@ mod tests {
         // Table collisions make a few flows inherit an active entry (paper
         // Remark 1), so slightly fewer than `rounds` decisions are random.
         assert!(
-            lf.random_decisions as usize >= rounds * 9 / 10,
+            lf.policy.random_decisions as usize >= rounds * 9 / 10,
             "only {}/{rounds} decisions were random",
-            lf.random_decisions
+            lf.policy.random_decisions
         );
     }
 
     #[test]
     fn letflow_flowlet_stays_put_and_same_seed_is_deterministic() {
         let run = |seed: u64| -> Vec<ChannelId> {
-            let (_t, fib, mut lf) = setup(LetFlow::new(CongaParams::paper_default()));
+            let (_t, fib, mut lf) = setup(letflow());
             let mut rng = SimRng::new(seed);
             let cands = fib.up_candidates[0][1].clone();
             (0..64u64)
@@ -1594,7 +980,7 @@ mod tests {
 
     /// Push `n` latency feedback samples for (peer leaf 1, `tag`) into leaf
     /// 0's EWMA table by decapsulating crafted reverse packets.
-    fn feed_latency(la: &mut LatencyAware, tag: u8, delay_ns: u64, n: u64) {
+    fn feed_latency(la: &mut Pipeline<LatencyAware>, tag: u8, delay_ns: u64, n: u64) {
         for i in 0..n {
             let mut p = fabric_pkt(1);
             // Reverse direction: a packet from leaf 1 arriving at leaf 0.
@@ -1607,7 +993,7 @@ mod tests {
 
     #[test]
     fn latency_aware_warms_up_as_ecmp_without_consuming_rng() {
-        let (_t, fib, mut la) = setup(LatencyAware::new(LatencyAwareParams::fabric_default()));
+        let (_t, fib, mut la) = setup(latency_aware());
         let cands = fib.up_candidates[0][1].clone();
         // Two differently seeded rngs: warmup decisions must not depend on
         // the rng at all (pure hashing), so the picks agree.
@@ -1636,15 +1022,15 @@ mod tests {
         for (i, &c) in counts.iter().enumerate() {
             assert!((800..=1200).contains(&c), "uplink {i} got {c}/4000 flows");
         }
-        assert!(la.warmup_decisions > 0);
-        assert_eq!(la.excluded, 0);
+        assert!(la.policy.warmup_decisions > 0);
+        assert_eq!(la.policy.excluded, 0);
     }
 
     #[test]
     fn latency_aware_excludes_slow_uplink_and_probes_it() {
-        let (_t, fib, mut la) = setup(LatencyAware::new(LatencyAwareParams::fabric_default()));
+        let (_t, fib, mut la) = setup(latency_aware());
         let cands = fib.up_candidates[0][1].clone();
-        let min_n = la.params.min_measurements;
+        let min_n = la.policy.params.min_measurements;
         // Tag 0 measures 10× slower than the rest (threshold is 2×).
         for &u in &cands {
             let tag = fib.lbtag_of[u.idx()];
@@ -1680,17 +1066,20 @@ mod tests {
             slow_picks <= 5,
             "slow uplink won {slow_picks}/{rounds} decisions despite exclusion"
         );
-        assert!(la.excluded > 0, "no exclusions recorded");
-        assert!(la.probes >= 1, "the excluded uplink was never probed");
-        assert_eq!(la.samples, min_n * cands.len() as u64);
+        assert!(la.policy.excluded > 0, "no exclusions recorded");
+        assert!(
+            la.policy.probes >= 1,
+            "the excluded uplink was never probed"
+        );
+        assert_eq!(la.policy.samples, min_n * cands.len() as u64);
     }
 
     #[test]
     fn latency_aware_same_seed_is_deterministic() {
         let run = |seed: u64| -> Vec<ChannelId> {
-            let (_t, fib, mut la) = setup(LatencyAware::new(LatencyAwareParams::fabric_default()));
+            let (_t, fib, mut la) = setup(latency_aware());
             let cands = fib.up_candidates[0][1].clone();
-            let min_n = la.params.min_measurements;
+            let min_n = la.policy.params.min_measurements;
             for &u in &cands {
                 let tag = fib.lbtag_of[u.idx()];
                 let delay = if tag == 0 { 5_000 } else { 1_000 };
@@ -1716,7 +1105,7 @@ mod tests {
     fn latency_aware_feedback_loop_round_trips() {
         // A measured one-way delay at the destination leaf must ride a
         // reverse packet home and land in the source's EWMA table.
-        let (_t, fib, mut la) = setup(LatencyAware::new(LatencyAwareParams::fabric_default()));
+        let (_t, fib, mut la) = setup(latency_aware());
         let mut rng = SimRng::new(14);
         // Leaf 0 sends to leaf 1: the overlay gets a send timestamp.
         let mut fwd = fabric_pkt(70);
@@ -1742,35 +1131,22 @@ mod tests {
         let fb = rev.overlay.unwrap().lat_fb;
         assert_eq!(fb, Some((o.lbtag, 7_000)), "sample must piggyback");
         // Leaf 0 decapsulates the reverse packet: EWMA observed.
-        assert_eq!(la.samples, 0);
+        assert_eq!(la.policy.samples, 0);
         la.leaf_egress(LeafId(0), &rev, SimTime::from_micros(65));
-        assert_eq!(la.samples, 1);
+        assert_eq!(la.policy.samples, 1);
     }
 
     #[test]
     fn policy_enum_delegates() {
-        for (mk, name) in [
-            (FabricPolicy::ecmp as fn() -> FabricPolicy, "ecmp"),
-            (FabricPolicy::conga, "conga"),
-            (FabricPolicy::conga_flow, "conga-flow"),
-            (FabricPolicy::local, "local"),
-            (FabricPolicy::spray, "spray"),
-            (FabricPolicy::weighted, "weighted"),
-            (FabricPolicy::letflow, "letflow"),
-            (FabricPolicy::latency_aware, "latency-aware"),
-        ] {
+        for (key, mk) in FabricPolicy::zoo() {
             let (_t, fib, mut p) = setup(mk());
-            assert_eq!(p.name(), name);
+            assert_eq!(p.name(), key.replace('_', "-"));
             let mut rng = SimRng::new(5);
             let cands = fib.up_candidates[0][1].clone();
-            let ch = p.leaf_ingress(
-                LeafId(0),
-                &mut fabric_pkt(9),
-                &cands,
-                SimTime::ZERO,
-                &mut rng,
-            );
+            let mut pkt = fabric_pkt(9);
+            let ch = p.leaf_ingress(LeafId(0), &mut pkt, &cands, SimTime::ZERO, &mut rng);
             assert!(cands.contains(&ch));
+            assert_eq!(pkt.overlay.unwrap().lbtag, fib.lbtag_of[ch.idx()]);
         }
     }
 }

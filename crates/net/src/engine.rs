@@ -45,11 +45,14 @@ pub trait Dataplane {
     fn install(&mut self, topo: &Topology, fib: &Fib);
 
     /// A packet is entering the fabric at its source leaf. `candidates` are
-    /// the uplink channels that can reach the packet's destination leaf
-    /// (never empty). The packet's overlay header is already initialized
-    /// with src/dst TEPs and CE = 0; the implementation must set
-    /// `overlay.lbtag`, may stamp feedback fields, and returns the chosen
-    /// uplink channel.
+    /// the uplink channels that can reach the packet's destination leaf.
+    /// The engine never passes an empty slice (it counts the packet
+    /// `unroutable` first) and always encapsulates before calling; a direct
+    /// caller that does pass one gets the implementation's deterministic
+    /// fallback channel, not a panic. The packet's overlay header is
+    /// initialized with src/dst TEPs and CE = 0; the implementation must
+    /// set `overlay.lbtag`, may stamp feedback fields, and returns the
+    /// chosen uplink channel.
     fn leaf_ingress(
         &mut self,
         leaf: LeafId,
@@ -70,41 +73,6 @@ pub trait Dataplane {
         now: SimTime,
         rng: &mut SimRng,
     ) -> ChannelId;
-
-    /// A packet at a spine has no direct downlink to its destination leaf
-    /// (inter-pod traffic in a three-tier Clos, or every pod downlink
-    /// failed): pick among the live spine→core channels. The tier above
-    /// the leaves stays congestion-oblivious — paper footnote 3 has spines
-    /// use ECMP regardless of the leaf policy — so the default flow-hashes
-    /// across the candidates and no policy needs to override it.
-    fn spine_up_forward(
-        &mut self,
-        spine: SpineId,
-        pkt: &mut Packet,
-        candidates: &[ChannelId],
-        _now: SimTime,
-        _rng: &mut SimRng,
-    ) -> ChannelId {
-        let i =
-            (ecmp_mix(pkt.flow_hash, 0x50000 + spine.0 as u64) % candidates.len() as u64) as usize;
-        candidates[i]
-    }
-
-    /// A packet at a core switch must descend toward its destination leaf;
-    /// pick among the live core→spine channels that still reach it. ECMP
-    /// by default, like [`Dataplane::spine_up_forward`].
-    fn core_forward(
-        &mut self,
-        core: CoreId,
-        pkt: &mut Packet,
-        candidates: &[ChannelId],
-        _now: SimTime,
-        _rng: &mut SimRng,
-    ) -> ChannelId {
-        let i =
-            (ecmp_mix(pkt.flow_hash, 0xC0000 + core.0 as u64) % candidates.len() as u64) as usize;
-        candidates[i]
-    }
 
     /// A packet starts transmission on a fabric channel: update the
     /// channel's congestion estimate and fold it into the packet's CE.
@@ -137,6 +105,18 @@ pub trait Dataplane {
     /// shard-domain series merge reproduces the monolithic reading.
     /// Default: no series.
     fn sample_series(&mut self, _now: SimTime, _out: &mut SeriesRegistry) {}
+}
+
+/// Forwarding above the leaves of a three-tier Clos — a spine with no
+/// direct downlink to the destination leaf climbing to a core, a core
+/// descending toward the destination's pod — is plain flow-hash ECMP
+/// whatever the leaf policy (paper footnote 3), so it is the engine's and
+/// not a [`Dataplane`] hook. `salt` is `0x50000 + spine` or
+/// `0xC0000 + core`; `candidates` is non-empty (the caller counts
+/// `unroutable` first).
+#[inline]
+fn upper_tier_ecmp(flow_hash: u64, salt: u64, candidates: &[ChannelId]) -> ChannelId {
+    candidates[(ecmp_mix(flow_hash, salt) % candidates.len() as u64) as usize]
 }
 
 /// End-host stack: receives packets addressed to its hosts and timer
@@ -1025,10 +1005,8 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
                 }
                 let chosen = {
                     let _t = profile::timer(Phase::Route);
-                    self.dataplane
-                        .spine_up_forward(s, &mut pkt, ups, self.now, &mut self.rng)
+                    upper_tier_ecmp(pkt.flow_hash, 0x50000 + s.0 as u64, ups)
                 };
-                debug_assert!(ups.contains(&chosen), "dataplane chose a non-candidate");
                 self.enqueue(chosen, pkt);
             }
             NodeId::Core(co) => {
@@ -1044,10 +1022,8 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
                 }
                 let chosen = {
                     let _t = profile::timer(Phase::Route);
-                    self.dataplane
-                        .core_forward(co, &mut pkt, cands, self.now, &mut self.rng)
+                    upper_tier_ecmp(pkt.flow_hash, 0xC0000 + co.0 as u64, cands)
                 };
-                debug_assert!(cands.contains(&chosen), "dataplane chose a non-candidate");
                 self.enqueue(chosen, pkt);
             }
         }

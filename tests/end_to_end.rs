@@ -8,16 +8,8 @@ use conga::transport::{
     FlowSpec, ListSource, MptcpConfig, TcpConfig, TransportKind, TransportLayer,
 };
 
-fn policies() -> Vec<FabricPolicy> {
-    vec![
-        FabricPolicy::ecmp(),
-        FabricPolicy::conga(),
-        FabricPolicy::conga_flow(),
-        FabricPolicy::local(),
-        FabricPolicy::spray(),
-        FabricPolicy::weighted(),
-        FabricPolicy::incremental(vec![true, false]),
-    ]
+fn policies() -> impl Iterator<Item = FabricPolicy> {
+    FabricPolicy::zoo().into_iter().map(|(_, mk)| mk())
 }
 
 #[test]

@@ -23,25 +23,6 @@ use conga::telemetry::MetricsRegistry;
 use conga::transport::{FlowSpec, TcpConfig, TransportKind, TransportLayer};
 use conga::workloads::FlowSizeDist;
 
-/// A named fabric-policy constructor (same matrix as `tests/telemetry.rs`).
-type PolicyCase = (&'static str, fn() -> FabricPolicy);
-
-fn all_policies() -> Vec<PolicyCase> {
-    vec![
-        ("ecmp", FabricPolicy::ecmp as fn() -> FabricPolicy),
-        ("conga", FabricPolicy::conga),
-        ("conga_flow", FabricPolicy::conga_flow),
-        ("local", FabricPolicy::local),
-        ("spray", FabricPolicy::spray),
-        ("weighted", FabricPolicy::weighted),
-        ("letflow", FabricPolicy::letflow),
-        ("latency_aware", FabricPolicy::latency_aware),
-        ("incremental", || {
-            FabricPolicy::incremental(vec![true, false])
-        }),
-    ]
-}
-
 /// A small FCT cell whose arrival span (~20 ms at this load) comfortably
 /// covers a fail-at-5 ms / recover-at-12 ms schedule.
 fn faulted_cell() -> FctRun {
@@ -65,7 +46,7 @@ fn faulted_cell() -> FctRun {
 #[test]
 fn same_seed_fault_runs_are_byte_identical_for_every_policy() {
     let cfg = faulted_cell();
-    for (name, mk) in all_policies() {
+    for (name, mk) in FabricPolicy::zoo() {
         let a = run_fct_with_policy(&cfg, mk()).report.to_json();
         let b = run_fct_with_policy(&cfg, mk()).report.to_json();
         assert_eq!(
@@ -104,7 +85,7 @@ fn fault_schedule_changes_the_run() {
 /// or blackholed — and the failure really blackholes something.
 #[test]
 fn fault_runs_conserve_packets_including_blackholes() {
-    for (name, mk) in all_policies() {
+    for (name, mk) in FabricPolicy::zoo() {
         let out = run_fct_with_policy(&faulted_cell(), mk());
         let reg = &out.report.metrics;
         let injected = reg.counter("engine.injected_pkts");
@@ -230,7 +211,7 @@ fn cross_shard_link_fault_is_shard_count_invariant() {
 /// accounted), and after recovery every flow still completes.
 #[test]
 fn total_uplink_failure_of_one_leaf_degrades_without_panicking() {
-    for (name, mk) in all_policies() {
+    for (name, mk) in FabricPolicy::zoo() {
         let mut cfg = faulted_cell();
         cfg.n_flows = 50;
         cfg.load = 0.6;

@@ -149,18 +149,7 @@ fn dynfail_artifacts_identical_across_shard_counts() {
 /// not interact with any dataplane's feedback or flowlet state).
 #[test]
 fn every_policy_is_shard_count_invariant() {
-    type PolicyCase = (&'static str, fn() -> FabricPolicy);
-    let policies: Vec<PolicyCase> = vec![
-        ("ecmp", FabricPolicy::ecmp as fn() -> FabricPolicy),
-        ("conga", FabricPolicy::conga),
-        ("conga_flow", FabricPolicy::conga_flow),
-        ("local", FabricPolicy::local),
-        ("spray", FabricPolicy::spray),
-        ("weighted", FabricPolicy::weighted),
-        ("letflow", FabricPolicy::letflow),
-        ("latency_aware", FabricPolicy::latency_aware),
-    ];
-    for (name, mk) in policies {
+    for (name, mk) in FabricPolicy::zoo() {
         let mut serial = fct_cell(1);
         serial.trace = None;
         let mut sharded = fct_cell(2);

@@ -20,24 +20,6 @@ use conga::telemetry::MetricsRegistry;
 use conga::transport::{FlowSpec, TcpConfig, TransportKind, TransportLayer};
 use conga::workloads::FlowSizeDist;
 
-/// A named fabric-policy constructor.
-type PolicyCase = (&'static str, fn() -> FabricPolicy);
-
-/// Every fabric policy the workspace ships, by constructor.
-fn all_policies() -> Vec<PolicyCase> {
-    vec![
-        ("ecmp", FabricPolicy::ecmp as fn() -> FabricPolicy),
-        ("conga", FabricPolicy::conga),
-        ("conga_flow", FabricPolicy::conga_flow),
-        ("local", FabricPolicy::local),
-        ("spray", FabricPolicy::spray),
-        ("weighted", FabricPolicy::weighted),
-        ("incremental", || {
-            FabricPolicy::incremental(vec![true, false])
-        }),
-    ]
-}
-
 fn small_cell() -> FctRun {
     let mut cfg = FctRun::new(
         TestbedOpts::paper_baseline().quick(),
@@ -54,7 +36,7 @@ fn small_cell() -> FctRun {
 #[test]
 fn same_seed_reports_are_byte_identical_for_every_policy() {
     let cfg = small_cell();
-    for (name, mk) in all_policies() {
+    for (name, mk) in FabricPolicy::zoo() {
         let a = run_fct_with_policy(&cfg, mk()).report.to_json();
         let b = run_fct_with_policy(&cfg, mk()).report.to_json();
         assert!(!a.is_empty());
@@ -103,7 +85,7 @@ fn fault_counters_absent_without_a_fault_schedule() {
 /// quiescent.
 #[test]
 fn telemetry_counters_prove_packet_conservation() {
-    for (name, mk) in all_policies() {
+    for (name, mk) in FabricPolicy::zoo() {
         let topo = LeafSpineBuilder::new(2, 2, 4).parallel_links(2).build();
         let mut net = Network::new(topo, mk(), TransportLayer::new(), 11);
         net.agent_call(|a, now, em| {

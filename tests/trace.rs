@@ -29,23 +29,6 @@ use conga::sim::SimTime;
 use conga::trace::{explain, TraceHandle};
 use conga::workloads::FlowSizeDist;
 
-/// A named fabric-policy constructor (same matrix as `tests/faults.rs`).
-type PolicyCase = (&'static str, fn() -> FabricPolicy);
-
-fn all_policies() -> Vec<PolicyCase> {
-    vec![
-        ("ecmp", FabricPolicy::ecmp as fn() -> FabricPolicy),
-        ("conga", FabricPolicy::conga),
-        ("conga_flow", FabricPolicy::conga_flow),
-        ("local", FabricPolicy::local),
-        ("spray", FabricPolicy::spray),
-        ("weighted", FabricPolicy::weighted),
-        ("incremental", || {
-            FabricPolicy::incremental(vec![true, false])
-        }),
-    ]
-}
-
 /// A tiny fail/recover cell: 16 flows per direction at 80 % load, link
 /// (1,1,0) dies at 2 ms — while the first large flows are still
 /// transmitting — and returns at 5 ms. Seed 3 is chosen so the CONGA
@@ -88,7 +71,7 @@ fn exports(cfg: &FctRun, mk: fn() -> FabricPolicy) -> (String, String, u64) {
 fn traces_are_deterministic_and_account_for_blackholes() {
     let cfg = traced_cell(TraceSpec::default()); // all flows, unbounded
     let mut total_blackholed = 0;
-    for (name, mk) in all_policies() {
+    for (name, mk) in FabricPolicy::zoo() {
         let (jsonl_a, chrome_a, counted) = exports(&cfg, mk);
         let (jsonl_b, chrome_b, _) = exports(&cfg, mk);
         assert!(!jsonl_a.is_empty(), "policy {name}: empty trace");
