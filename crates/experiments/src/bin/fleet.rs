@@ -6,23 +6,18 @@
 //! ```text
 //! fleet all   [--quick] [--jobs N] [--no-cache] ...   # every routed figure
 //! fleet fig09 | fig10 | fig11 | fig12 | fig13 ...     # one figure
-//! fleet bench [--quick] [--jobs N] [--shards N]       # serial vs parallel vs
-//!                                                     # sharded vs warm-cache
-//!                                                     # timings ->
-//!                                                     # results/BENCH_fleet.json
+//! fleet tournament [--cc a,b,...] [--loads 20,40,60]  # the policy race
 //! ```
 //!
 //! Unlike the per-figure binaries (which default to the historical serial
 //! path), `fleet` defaults `--jobs` to the machine's available
-//! parallelism. All flags of [`conga_experiments::Args`] apply.
-
-use std::fmt::Write as _;
-use std::time::Instant;
+//! parallelism. All flags of [`conga_experiments::Args`] apply. The
+//! binary times nothing itself: wall-clock cost is measured from outside
+//! by `congabench` (see DESIGN.md, "Where wall-clock is measured").
 
 use conga_experiments::{fleet, suite, tournament, Args};
 
-const USAGE: &str =
-    "usage: fleet <all|fig09|fig10|fig11|fig12|fig13|tournament|bench|profile> [flags]
+const USAGE: &str = "usage: fleet <all|fig09|fig10|fig11|fig12|fig13|tournament> [flags]
 
 subcommands:
   all      run every fleet-routed figure (fig09, fig10, fig11-dynamic,
@@ -37,12 +32,6 @@ subcommands:
            Weighted, LetFlow, LatencyAware) through three arenas and write
            results/tournament.json + results/tournament_table.txt; add
            --cc a,b,... to race each congestion controller as an axis
-  bench    time the quick suite serial / parallel / sharded / warm-cache
-           and write results/BENCH_fleet.json (includes events/s and
-           delivered packets/s for the serial pass)
-  profile  run the quick suite serially (cache bypassed) with the engine
-           self-profiler on, print a top-down wall-clock table, and write
-           results/PROFILE.json
 
 flags (after the subcommand) are the shared figure flags; see any figure
 binary's usage (`tournament` also honours --loads 20,40,60). `fleet`
@@ -81,147 +70,6 @@ fn run_all(args: &Args) -> bool {
     ok &= suite::fig12(args);
     ok &= suite::fig13(args);
     ok
-}
-
-/// `fleet bench`: the quick suite three ways — serial without the cache,
-/// parallel without the cache, then parallel against a cache warmed by
-/// the previous passes — written as deterministic-shaped (but
-/// wall-clock-valued) JSON to `results/BENCH_fleet.json`.
-fn bench(args: &Args) -> std::io::Result<()> {
-    let jobs = args.jobs_or_serial().max(2);
-    // The intra-run shard axis: honour an explicit --shards, else use the
-    // machine parallelism (capped: the quick testbed has two leaf domains).
-    let shards = if args.shards > 1 {
-        args.shards
-    } else {
-        parallelism().clamp(2, 4)
-    };
-    let cache_dir = "results/cache";
-
-    let pass = |label: &str, extra: &[&str]| -> (f64, bool) {
-        let mut argv: Vec<String> = vec!["--quick".into(), "--seed".into(), args.seed.to_string()];
-        argv.extend(extra.iter().map(|s| s.to_string()));
-        let a = Args::from_iter(argv).expect("bench flags parse");
-        eprintln!("bench: pass '{label}' (jobs={})", a.jobs_or_serial());
-        let t0 = Instant::now();
-        let ok = run_all(&a);
-        (t0.elapsed().as_secs_f64() * 1e3, ok)
-    };
-
-    let purged = conga_fleet::cache::purge(std::path::Path::new(cache_dir))?;
-    if purged > 0 {
-        eprintln!("bench: purged {purged} cached results for a cold start");
-    }
-    // Engine throughput is measured over the serial pass: the counters are
-    // process-global, so the delta around one single-threaded pass is the
-    // clean events-per-wall-second reading.
-    let ev0 = conga_fleet::stats::engine_events();
-    let pk0 = conga_fleet::stats::delivered_pkts();
-    let (serial_ms, ok1) = pass("serial", &["--no-cache", "--jobs", "1"]);
-    let events = conga_fleet::stats::engine_events() - ev0;
-    let delivered = conga_fleet::stats::delivered_pkts() - pk0;
-    let serial_s = (serial_ms / 1e3).max(1e-9);
-    let jobs_s = jobs.to_string();
-    let (parallel_ms, ok2) = pass("parallel", &["--no-cache", "--jobs", &jobs_s]);
-    // The shards axis: serial cell order, parallelism *inside* each run.
-    let shards_s = shards.to_string();
-    let (sharded_ms, ok5) = pass(
-        "sharded",
-        &["--no-cache", "--jobs", "1", "--shards", &shards_s],
-    );
-    // Warm the cache with one live pass, then time a fully-cached one.
-    let (_, ok3) = pass("cache warm-up", &["--jobs", &jobs_s]);
-    let (warm_ms, ok4) = pass("warm-cache", &["--jobs", &jobs_s]);
-
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"suite\": \"fleet_all --quick\",");
-    let _ = writeln!(out, "  \"jobs\": {jobs},");
-    let _ = writeln!(out, "  \"cores\": {},", parallelism());
-    let _ = writeln!(out, "  \"shards\": {shards},");
-    let _ = writeln!(out, "  \"serial_events\": {events},");
-    let _ = writeln!(out, "  \"serial_delivered_pkts\": {delivered},");
-    let _ = writeln!(
-        out,
-        "  \"events_per_sec\": {:.0},",
-        events as f64 / serial_s
-    );
-    let _ = writeln!(
-        out,
-        "  \"delivered_pkts_per_sec\": {:.0},",
-        delivered as f64 / serial_s
-    );
-    let _ = writeln!(out, "  \"serial_ms\": {serial_ms:.1},");
-    let _ = writeln!(out, "  \"parallel_ms\": {parallel_ms:.1},");
-    let _ = writeln!(out, "  \"sharded_ms\": {sharded_ms:.1},");
-    let _ = writeln!(out, "  \"warm_cache_ms\": {warm_ms:.1},");
-    let _ = writeln!(
-        out,
-        "  \"parallel_speedup\": {:.2},",
-        serial_ms / parallel_ms.max(1e-9)
-    );
-    let _ = writeln!(
-        out,
-        "  \"shard_speedup\": {:.2},",
-        serial_ms / sharded_ms.max(1e-9)
-    );
-    let _ = writeln!(
-        out,
-        "  \"warm_cache_speedup\": {:.2}",
-        serial_ms / warm_ms.max(1e-9)
-    );
-    out.push_str("}\n");
-    std::fs::create_dir_all("results")?;
-    std::fs::write("results/BENCH_fleet.json", &out)?;
-    eprintln!("bench: wrote results/BENCH_fleet.json");
-    print!("{out}");
-    if !(ok1 && ok2 && ok3 && ok4 && ok5) {
-        std::process::exit(1);
-    }
-    Ok(())
-}
-
-/// `fleet profile`: the quick suite run *serially* with the engine
-/// self-profiler enabled — serial so the per-phase totals attribute
-/// exactly (parallel jobs interleave phase time across cells), and with
-/// the result cache bypassed: a cache hit skips the engine entirely, so
-/// a warm-cache profile would measure nothing but lookups. Prints a
-/// top-down wall-clock table and writes `results/PROFILE.json`; the JSON's
-/// structure is deterministic, its `wall_ns` values are quarantined
-/// timing fields (same contract as BENCH_fleet.json).
-fn profile_cmd(args: &Args) -> std::io::Result<()> {
-    use conga_telemetry::profile;
-    profile::enable();
-    profile::reset();
-    let mut argv: Vec<String> = vec![
-        "--quick".into(),
-        "--seed".into(),
-        args.seed.to_string(),
-        "--jobs".into(),
-        "1".into(),
-        "--no-cache".into(),
-    ];
-    if args.shards > 1 {
-        argv.push("--shards".into());
-        argv.push(args.shards.to_string());
-    }
-    let a = Args::from_iter(argv).expect("profile flags parse");
-    let ok = run_all(&a);
-    // The manifest from this run carries the per-cell phase breakdown
-    // (the profiler is on, and --jobs 1 makes the attribution exact).
-    fleet::finish("fleet_profile", &a);
-    let snap = profile::snapshot();
-    std::fs::create_dir_all("results")?;
-    std::fs::write(
-        "results/PROFILE.json",
-        snap.to_json("fleet_all --quick --jobs 1"),
-    )?;
-    eprintln!("profile: wrote results/PROFILE.json");
-    print!("{}", snap.table());
-    if !ok {
-        std::process::exit(1);
-    }
-    Ok(())
 }
 
 fn main() {
@@ -274,26 +122,6 @@ fn main() {
             let ok = tournament::run(&args);
             fleet::finish("tournament", &args);
             ok
-        }
-        "bench" => {
-            let args = fleet_args(rest);
-            match bench(&args) {
-                Ok(()) => true,
-                Err(e) => {
-                    eprintln!("bench failed: {e}");
-                    false
-                }
-            }
-        }
-        "profile" => {
-            let args = fleet_args(rest);
-            match profile_cmd(&args) {
-                Ok(()) => true,
-                Err(e) => {
-                    eprintln!("profile failed: {e}");
-                    false
-                }
-            }
         }
         "--help" | "-h" | "help" => {
             println!("{USAGE}");

@@ -1,10 +1,14 @@
 //! Minimal argument parsing shared by the experiment binaries (no external
 //! dependency needed for `--quick`-style flags).
 //!
-//! Malformed flags never panic: [`Args::from_iter`] returns `Err` with a
-//! message, and [`Args::parse`] prints the message plus a usage banner and
-//! exits nonzero.
+//! Malformed flags never panic and are never silently replaced by a
+//! default: [`Args::from_iter`] returns `Err` with a message for the
+//! first-class flags, the experiment-specific `--key value` options are
+//! checked when a harness reads them (always before its first cell runs),
+//! and either way the process prints the message plus a usage banner and
+//! exits with status 2.
 
+use conga_sim::SimTime;
 use conga_transport::CcKind;
 
 /// Upper bound accepted for `--ecn-threshold`, in packets: the default
@@ -63,13 +67,7 @@ impl Args {
     /// stderr and exit with status 2.
     pub fn parse() -> Args {
         conga_fleet::stats::mark_start();
-        match Self::from_iter(std::env::args().skip(1)) {
-            Ok(a) => a,
-            Err(msg) => {
-                eprintln!("error: {msg}\n{USAGE}");
-                std::process::exit(2);
-            }
-        }
+        or_usage(Self::from_iter(std::env::args().skip(1)))
     }
 
     /// Parse from an explicit iterator (testable). Returns a message
@@ -162,13 +160,86 @@ impl Args {
         })
     }
 
-    /// Experiment-specific option with a default.
+    /// Experiment-specific option with a default. An absent key yields
+    /// the default; a present value that does not parse is a usage error
+    /// (exit 2), never the default.
     pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.extra
-            .iter()
-            .find(|(k, _)| k == key)
-            .and_then(|(_, v)| v.parse().ok())
-            .unwrap_or(default)
+        or_usage(self.try_get(key)).unwrap_or(default)
+    }
+
+    /// An experiment-specific option through `parse`: `Ok(None)` for an
+    /// absent key, `Err` naming the flag and the form it `wants` for a
+    /// present value `parse` rejects.
+    fn parsed<T>(
+        &self,
+        key: &str,
+        wants: &str,
+        parse: impl Fn(&str) -> Option<T>,
+    ) -> Result<Option<T>, String> {
+        let Some((_, raw)) = self.extra.iter().find(|(k, _)| k == key) else {
+            return Ok(None);
+        };
+        parse(raw)
+            .map(Some)
+            .ok_or_else(|| format!("--{key} wants {wants}, got '{raw}'"))
+    }
+
+    /// [`get`](Self::get) without the exit or the default.
+    pub(crate) fn try_get<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
+        self.parsed(key, std::any::type_name::<T>(), |v| v.parse().ok())
+    }
+
+    /// A `sep`-separated option, every element parsed as `T`.
+    fn list<T: std::str::FromStr>(
+        &self,
+        key: &str,
+        sep: char,
+        wants: &str,
+    ) -> Result<Option<Vec<T>>, String> {
+        self.parsed(key, wants, |raw| {
+            raw.split(sep).map(|x| x.trim().parse().ok()).collect()
+        })
+    }
+
+    /// `--loads 10,30,50`: load points in percent, returned as fractions.
+    pub(crate) fn loads(&self) -> Result<Option<Vec<f64>>, String> {
+        let pct = self.list::<f64>("loads", ',', "comma-separated percents")?;
+        Ok(pct.map(|v| v.into_iter().map(|p| p / 100.0).collect()))
+    }
+
+    /// `--trace-flows a,b,c`: the flow ids to sample.
+    pub(crate) fn trace_flows(&self) -> Result<Option<Vec<u32>>, String> {
+        self.list("trace-flows", ',', "comma-separated flow ids")
+    }
+
+    /// `--fault-link l:s:p`: the leaf–spine link the fault flags act on.
+    pub(crate) fn fault_link(&self) -> Result<Option<(u32, u32, u32)>, String> {
+        self.parsed("fault-link", "leaf:spine:parallel", |raw| {
+            let ids: Option<Vec<u32>> = raw.split(':').map(|x| x.trim().parse().ok()).collect();
+            match ids?[..] {
+                [l, s, p] => Some((l, s, p)),
+                _ => None,
+            }
+        })
+    }
+
+    /// `--fail-at-ms T` / `--recover-at-ms T'` as simulated instants. Each
+    /// must be a time >= 0, and when both are given the recovery must come
+    /// after the failure.
+    pub(crate) fn fault_window(&self) -> Result<(Option<SimTime>, Option<SimTime>), String> {
+        let at = |key: &str| match self.try_get::<f64>(key)? {
+            Some(ms) if ms.is_nan() || ms < 0.0 => {
+                Err(format!("--{key} wants a time >= 0 ms, got {ms}"))
+            }
+            ms => Ok(ms.map(|ms| SimTime::from_nanos((ms * 1e6) as u64))),
+        };
+        let (fail, recover) = (at("fail-at-ms")?, at("recover-at-ms")?);
+        match (fail, recover) {
+            (Some(f), Some(r)) if r <= f => {
+                Err("--recover-at-ms must come after --fail-at-ms".into())
+            }
+            _ => Ok((fail, recover)),
+        }
     }
 
     /// Number of runs, with experiment-chosen defaults for quick/full mode.
@@ -192,6 +263,15 @@ impl Args {
     pub fn primary_cc(&self) -> CcKind {
         self.cc.first().copied().unwrap_or(CcKind::Aimd)
     }
+}
+
+/// The one exit for every malformed flag: unwrap a parsed value, or print
+/// the message and the usage banner and exit with status 2.
+pub(crate) fn or_usage<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|msg| {
+        eprintln!("error: {msg}\n{USAGE}");
+        std::process::exit(2)
+    })
 }
 
 /// Print a header banner for an experiment.
@@ -290,6 +370,60 @@ mod tests {
             "unexpected argument: positional"
         );
         assert_eq!(parse_err(&["--loads"]), "--loads needs a value");
+
+        // Experiment-specific options: a present-but-unparsable value is
+        // an error naming the flag, an absent key still yields the default.
+        let a = parse(&["--sketch", "maybe", "--flows", "12x"]);
+        assert_eq!(
+            a.try_get::<bool>("sketch").unwrap_err(),
+            "--sketch wants bool, got 'maybe'"
+        );
+        assert_eq!(
+            a.try_get::<usize>("flows").unwrap_err(),
+            "--flows wants usize, got '12x'"
+        );
+        assert_eq!(a.try_get::<usize>("fanout"), Ok(None));
+        assert_eq!(a.get("fanout", 8usize), 8);
+
+        let a = parse(&["--loads", "x", "--trace-flows", "a", "--fault-link", "1:2"]);
+        assert_eq!(
+            a.loads().unwrap_err(),
+            "--loads wants comma-separated percents, got 'x'"
+        );
+        assert_eq!(
+            a.trace_flows().unwrap_err(),
+            "--trace-flows wants comma-separated flow ids, got 'a'"
+        );
+        assert_eq!(
+            a.fault_link().unwrap_err(),
+            "--fault-link wants leaf:spine:parallel, got '1:2'"
+        );
+        assert_eq!(
+            parse(&["--fault-link", "1:b:0"]).fault_link().unwrap_err(),
+            "--fault-link wants leaf:spine:parallel, got '1:b:0'"
+        );
+        assert_eq!(
+            parse(&["--fail-at-ms", "5", "--recover-at-ms", "3"])
+                .fault_window()
+                .unwrap_err(),
+            "--recover-at-ms must come after --fail-at-ms"
+        );
+        assert_eq!(
+            parse(&["--fail-at-ms", "-5"]).fault_window().unwrap_err(),
+            "--fail-at-ms wants a time >= 0 ms, got -5"
+        );
+
+        // The same flags with valid values parse to what they always did.
+        let a = parse(&["--loads", "10, 30", "--trace-flows", "7,9"]);
+        assert_eq!(a.loads(), Ok(Some(vec![0.1, 0.3])));
+        assert_eq!(a.trace_flows(), Ok(Some(vec![7, 9])));
+        let a = parse(&["--fault-link", "1:0:1", "--fail-at-ms", "5"]);
+        assert_eq!(a.fault_link(), Ok(Some((1, 0, 1))));
+        assert_eq!(
+            a.fault_window(),
+            Ok((Some(SimTime::from_nanos(5_000_000)), None))
+        );
+        assert_eq!(parse(&[]).fault_window(), Ok((None, None)));
     }
 
     #[test]

@@ -1,15 +1,23 @@
 //! Shared figure-generation code used by multiple binaries (Figures 9, 10,
 //! 11 share the FCT-vs-load sweep; Figure 15 reuses it at scale).
 
-use crate::cli::{banner, Args};
+use crate::cli::{banner, or_usage, Args};
 use crate::fleet::{fct_cell, run_cells, FleetOpts};
 use crate::runner::{FctRun, LinkFaultSpec, Scheme, TestbedOpts, TraceSpec};
-use conga_sim::SimTime;
 use conga_telemetry::RunReport;
 use conga_trace::TraceHandle;
 use conga_workloads::FlowSizeDist;
 use std::fmt::Write as _;
 use std::path::PathBuf;
+
+/// The file-name form of a cell label: lowercase, non-alphanumerics → `-`.
+fn slug(label: &str) -> String {
+    label
+        .to_ascii_lowercase()
+        .chars()
+        .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
+        .collect()
+}
 
 /// Write a run's telemetry artifact as `results/<figure>.<label>.metrics.json`
 /// and return the path. The label is slugified (lowercase, non-alphanumerics
@@ -30,11 +38,7 @@ pub fn write_metrics_sidecar_text(
     label: &str,
     json: &str,
 ) -> std::io::Result<PathBuf> {
-    let slug: String = label
-        .to_ascii_lowercase()
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
-        .collect();
+    let slug = slug(label);
     let path = PathBuf::from("results").join(format!("{figure}.{slug}.metrics.json"));
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent)?;
@@ -60,11 +64,7 @@ pub fn write_series_sidecars_from_text(
     ) else {
         return Ok(None);
     };
-    let slug: String = label
-        .to_ascii_lowercase()
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
-        .collect();
+    let slug = slug(label);
     let dir = PathBuf::from("results");
     std::fs::create_dir_all(&dir)?;
     let jpath = dir.join(format!("{figure}.{slug}.series.jsonl"));
@@ -96,20 +96,10 @@ pub fn trace_args(args: &Args) -> Option<TraceArgs> {
     if dir.is_empty() {
         return None;
     }
-    let mut spec = TraceSpec::default();
-    let flows: String = args.get("trace-flows", String::new());
-    if !flows.is_empty() {
-        spec.flows = Some(
-            flows
-                .split(',')
-                .map(|x| x.trim().parse().expect("--trace-flows wants flow ids"))
-                .collect(),
-        );
-    }
-    let ring: i64 = args.get("trace-ring", -1);
-    if ring >= 0 {
-        spec.ring = Some(ring as usize);
-    }
+    let spec = TraceSpec {
+        flows: or_usage(args.trace_flows()),
+        ring: or_usage(args.try_get("trace-ring")),
+    };
     Some(TraceArgs {
         dir: PathBuf::from(dir),
         spec,
@@ -125,11 +115,7 @@ pub fn write_trace_sidecars(
     label: &str,
     trace: &TraceHandle,
 ) -> std::io::Result<(PathBuf, PathBuf)> {
-    let slug: String = label
-        .to_ascii_lowercase()
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
-        .collect();
+    let slug = slug(label);
     std::fs::create_dir_all(dir)?;
     let jsonl = dir.join(format!("{figure}.{slug}.trace.jsonl"));
     let chrome = dir.join(format!("{figure}.{slug}.trace.chrome.json"));
@@ -162,39 +148,13 @@ pub fn write_trace_sidecars(
 /// Returns an empty schedule when `--fail-at-ms` is absent, so existing
 /// scenarios run unchanged.
 pub fn fault_args(args: &Args) -> Vec<LinkFaultSpec> {
-    let fail_ms: f64 = args.get("fail-at-ms", -1.0);
-    if fail_ms < 0.0 {
+    let (Some(fail_at), recover_at) = or_usage(args.fault_window()) else {
         return Vec::new();
-    }
-    let link: String = args.get("fault-link", "1:1:0".to_string());
-    let parts: Vec<u32> = link
-        .split(':')
-        .map(|x| {
-            x.trim()
-                .parse()
-                .expect("--fault-link wants leaf:spine:parallel")
-        })
-        .collect();
-    assert_eq!(parts.len(), 3, "--fault-link wants leaf:spine:parallel");
-    let at_ns = |ms: f64| SimTime::from_nanos((ms * 1e6) as u64);
-    let mut sched = vec![LinkFaultSpec::fail(
-        at_ns(fail_ms),
-        parts[0],
-        parts[1],
-        parts[2],
-    )];
-    let recover_ms: f64 = args.get("recover-at-ms", -1.0);
-    if recover_ms >= 0.0 {
-        assert!(
-            recover_ms > fail_ms,
-            "--recover-at-ms must come after --fail-at-ms"
-        );
-        sched.push(LinkFaultSpec::recover(
-            at_ns(recover_ms),
-            parts[0],
-            parts[1],
-            parts[2],
-        ));
+    };
+    let (l, s, p) = or_usage(args.fault_link()).unwrap_or((1, 1, 0));
+    let mut sched = vec![LinkFaultSpec::fail(fail_at, l, s, p)];
+    if let Some(recover_at) = recover_at {
+        sched.push(LinkFaultSpec::recover(recover_at, l, s, p));
     }
     sched
 }
@@ -463,16 +423,10 @@ pub fn print_fct_panels(sweep: &Sweep) {
 
 /// Parse `--loads 10,30,50` into fractions, or fall back to `default`.
 pub fn loads_arg(args: &Args, default: Vec<f64>) -> Vec<f64> {
-    let raw: String = args.get("loads", String::new());
-    if raw.is_empty() {
-        return default;
-    }
-    raw.split(',')
-        .map(|x| x.trim().parse::<f64>().expect("--loads wants percents") / 100.0)
-        .collect()
+    or_usage(args.loads()).unwrap_or(default)
 }
 
-/// The Figure 9/10 driver shared by both workload binaries. `figure` names
+/// The Figure 9/10 driver shared by both workload figures. `figure` names
 /// the trace artifacts when `--trace DIR` is given.
 pub fn run_baseline_figure(
     args: &Args,

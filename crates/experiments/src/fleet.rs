@@ -17,7 +17,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use conga_fleet::manifest::{drain, CellRecord};
 use conga_fleet::{CellResult, FaultSpec, FleetManifest, ResultCache, Scenario, TopoSpec};
-use conga_telemetry::profile;
 
 use crate::cli::Args;
 use crate::figures::{write_trace_sidecars, TraceArgs};
@@ -93,7 +92,6 @@ pub fn run_cells(cells: Vec<FleetCell>, opts: &FleetOpts) -> Vec<CellResult> {
                 cached: true,
                 failed: false,
                 wall_us: 0,
-                profile: Vec::new(),
             });
             results[i] = Some(hit);
         } else {
@@ -102,33 +100,6 @@ pub fn run_cells(cells: Vec<FleetCell>, opts: &FleetOpts) -> Vec<CellResult> {
         }
     }
 
-    // Each executed cell is bracketed by profiler snapshots so its
-    // manifest record carries a per-phase breakdown. With `--jobs > 1`
-    // concurrent cells share the global accumulators (deltas overlap);
-    // `fleet profile` runs serially for exact attribution. When the
-    // profiler is off the snapshots are all-zero and the record's
-    // breakdown stays empty.
-    type ProfiledCell = (CellResult, Vec<(String, u64, u64)>);
-    let jobs: Vec<Box<dyn FnOnce() -> ProfiledCell + Send>> = jobs
-        .into_iter()
-        .map(|run| {
-            Box::new(move || {
-                let before = profile::snapshot();
-                let r = run();
-                let delta = profile::snapshot().delta_since(&before);
-                let breakdown = if delta.is_zero() {
-                    Vec::new()
-                } else {
-                    delta
-                        .entries
-                        .iter()
-                        .map(|&(name, ns, calls)| (name.to_string(), ns, calls))
-                        .collect()
-                };
-                (r, breakdown)
-            }) as Box<dyn FnOnce() -> ProfiledCell + Send>
-        })
-        .collect();
     let done = AtomicUsize::new(hits);
     let labels: Vec<String> = pending.iter().map(|(_, _, _, l)| l.clone()).collect();
     let timed = conga_fleet::run_ordered(jobs, opts.jobs, &|j, wall| {
@@ -143,18 +114,18 @@ pub fn run_cells(cells: Vec<FleetCell>, opts: &FleetOpts) -> Vec<CellResult> {
         // A panicked cell contributes an empty result tagged with the
         // panic message; it is recorded as failed and never cached, and
         // the rest of the batch proceeds normally.
-        let (result, failed, prof) = match t.result {
-            Ok((r, prof)) => {
+        let (result, failed) = match t.result {
+            Ok(r) => {
                 if let Err(e) = opts.cache.store(&hash, &r) {
                     eprintln!("fleet: cache store failed for {label}: {e}");
                 }
-                (r, false, prof)
+                (r, false)
             }
             Err(msg) => {
                 eprintln!("fleet: cell {label} PANICKED: {msg}");
                 let mut r = CellResult::default();
                 r.text.insert("failed".into(), msg);
-                (r, true, Vec::new())
+                (r, true)
             }
         };
         conga_fleet::manifest::record(CellRecord {
@@ -164,7 +135,6 @@ pub fn run_cells(cells: Vec<FleetCell>, opts: &FleetOpts) -> Vec<CellResult> {
             cached: false,
             failed,
             wall_us: t.wall.as_micros() as u64,
-            profile: prof,
         });
         results[i] = Some(result);
     }

@@ -1,7 +1,7 @@
 //! # conga-experiments — the harness that regenerates every figure
 //!
 //! One binary per table/figure of the paper's evaluation lives in
-//! `src/bin/`; this library holds the shared machinery: the scheme matrix
+//! `src/bin/` (Figures 9–13 are subcommands of `fleet`); this library holds the shared machinery: the scheme matrix
 //! (fabric policy × transport), the paper's testbed topologies, the
 //! open-loop FCT runner, and small CLI/printing helpers.
 //!

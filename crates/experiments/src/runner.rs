@@ -925,7 +925,6 @@ pub fn run_fct_with_policy(cfg: &FctRun, policy: FabricPolicy) -> FctOutcome {
         run.net.now(),
     );
     run.net.export_metrics(&mut report.metrics);
-    conga_fleet::stats::note_engine(run.stat(|s| s.events), run.stat(|s| s.delivered_pkts));
     let mut series = run.net.export_series();
     if cfg.sample_uplinks {
         // The paper's Fig 12 imbalance score as a live observable:

@@ -1,15 +1,14 @@
-//! The figure-suite drivers: each routed `fig*` binary's body lives here
-//! so the `fleet` orchestrator can drive the same code paths
-//! (`fleet all`, `fleet fig12`, ...) that the standalone binaries use.
+//! The figure-suite drivers: the body of every `fleet` figure subcommand
+//! (`fleet all`, `fleet fig09` … `fleet fig13`) lives here.
 //!
 //! Every driver routes its cell matrix through the fleet executor
 //! ([`crate::fleet::run_cells`]): cells run in parallel under `--jobs N`,
 //! completed cells are served from the content-addressed result cache,
 //! and the printed tables and sidecar artifacts are byte-identical
 //! whatever the worker count or cache state. Drivers return `false` when
-//! a sidecar write failed (the binaries exit nonzero on that).
+//! a sidecar write failed (`fleet` exits nonzero on that).
 
-use crate::cli::{banner, Args};
+use crate::cli::{banner, or_usage, Args};
 use crate::dynfail::{dynfail_cell, DynFailSpec};
 use crate::figures::{
     run_baseline_figure, trace_args, write_metrics_sidecar_text, write_trace_sidecars,
@@ -59,26 +58,14 @@ pub fn fig11_dynamic(args: &Args) -> bool {
     let opts = FleetOpts::from_args(args, tracing.is_some());
     let mut sidecar_failed = false;
     let mut cells = Vec::new();
+    // Optional overrides shared with the sweep binaries.
+    let (fail_at, recover_at) = or_usage(args.fault_window());
+    let link = or_usage(args.fault_link());
     for scheme in Scheme::PAPER {
         let mut spec = DynFailSpec::paper(scheme, args.quick, args.seed);
-        // Optional overrides shared with the sweep binaries.
-        let fail_ms: f64 = args.get("fail-at-ms", -1.0);
-        if fail_ms >= 0.0 {
-            spec.fail_at = SimTime::from_nanos((fail_ms * 1e6) as u64);
-        }
-        let recover_ms: f64 = args.get("recover-at-ms", -1.0);
-        if recover_ms >= 0.0 {
-            spec.recover_at = SimTime::from_nanos((recover_ms * 1e6) as u64);
-        }
-        let link: String = args.get("fault-link", String::new());
-        if !link.is_empty() {
-            let parts: Vec<u32> = link
-                .split(':')
-                .map(|x| x.parse().expect("--fault-link wants leaf:spine:parallel"))
-                .collect();
-            assert_eq!(parts.len(), 3, "--fault-link wants leaf:spine:parallel");
-            spec.link = (parts[0], parts[1], parts[2]);
-        }
+        spec.fail_at = fail_at.unwrap_or(spec.fail_at);
+        spec.recover_at = recover_at.unwrap_or(spec.recover_at);
+        spec.link = link.unwrap_or(spec.link);
         spec.trace = tracing.as_ref().map(|t| t.spec.clone());
         spec.shards = args.shards;
         cells.push(dynfail_cell(

@@ -15,10 +15,9 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use conga_analysis::fct::FctSummary;
-use conga_telemetry::profile::{self, Phase};
 use conga_trace::json::{parse, Value};
 
 /// Everything a finished cell contributes to its figure.
@@ -32,10 +31,9 @@ pub struct CellResult {
     /// Figure-specific derived strings (e.g. a reconvergence time that
     /// may be `"never"`).
     pub text: BTreeMap<String, String>,
-    /// The cell's full telemetry artifact, exactly as
-    /// [`RunReport::to_json`](conga_telemetry::RunReport::to_json)
-    /// rendered it — re-written verbatim as the metrics sidecar on a
-    /// cache hit.
+    /// The cell's full telemetry artifact, exactly as `conga-telemetry`'s
+    /// `RunReport::to_json` rendered it — re-written verbatim as the
+    /// metrics sidecar on a cache hit.
     pub report_json: String,
 }
 
@@ -241,7 +239,6 @@ impl ResultCache {
     /// Look a hash up. Missing, unreadable, or unparsable entries are
     /// misses.
     pub fn lookup(&self, hash: &str) -> Option<CellResult> {
-        let _t = profile::timer(Phase::CacheIo);
         let path = self.path_for(hash)?;
         let text = std::fs::read_to_string(path).ok()?;
         CellResult::parse(&text).ok()
@@ -252,7 +249,6 @@ impl ResultCache {
     /// The write goes through a worker-unique temp file and an atomic
     /// rename, so a concurrent reader can never observe a torn entry.
     pub fn store(&self, hash: &str, result: &CellResult) -> io::Result<()> {
-        let _t = profile::timer(Phase::CacheIo);
         let Some(path) = self.path_for(hash) else {
             return Ok(());
         };
@@ -262,26 +258,6 @@ impl ResultCache {
         let tmp = path.with_extension(format!("tmp.{:?}", std::thread::current().id()));
         std::fs::write(&tmp, result.to_json())?;
         std::fs::rename(&tmp, &path)
-    }
-}
-
-/// Purge every entry of a cache directory (used by `fleet --purge-cache`
-/// and the determinism tests). Returns how many entries were removed.
-pub fn purge(dir: &Path) -> io::Result<usize> {
-    let mut removed = 0;
-    match std::fs::read_dir(dir) {
-        Ok(entries) => {
-            for e in entries {
-                let p = e?.path();
-                if p.extension().map(|x| x == "json").unwrap_or(false) {
-                    std::fs::remove_file(p)?;
-                    removed += 1;
-                }
-            }
-            Ok(removed)
-        }
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(0),
-        Err(e) => Err(e),
     }
 }
 
@@ -344,9 +320,8 @@ mod tests {
         // Corrupt entries read as misses.
         std::fs::write(dir.join("feedfacefeedface.json"), "{not json").unwrap();
         assert!(cache.lookup("feedfacefeedface").is_none());
-        assert_eq!(purge(&dir).unwrap(), 2);
-        assert!(cache.lookup("deadbeefdeadbeef").is_none());
         let _ = std::fs::remove_dir_all(&dir);
+        assert!(cache.lookup("deadbeefdeadbeef").is_none());
     }
 
     #[test]

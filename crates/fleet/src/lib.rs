@@ -39,6 +39,9 @@ pub use scenario::{FaultSpec, Scenario, TopoSpec, CACHE_FORMAT_VERSION};
 /// The executor and cache layers bump these; binaries print
 /// [`summary_line`](stats::summary_line) on exit so `results/*.log`
 /// records orchestration stats even for harnesses that never fan out.
+/// Together with [`exec`]'s per-cell `wall_us` this is the only place the
+/// workspace reads a clock: the simulator itself is timed from outside,
+/// by `congabench`.
 pub mod stats {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::OnceLock;
@@ -46,8 +49,6 @@ pub mod stats {
 
     static CELLS_RUN: AtomicU64 = AtomicU64::new(0);
     static CACHE_HITS: AtomicU64 = AtomicU64::new(0);
-    static ENGINE_EVENTS: AtomicU64 = AtomicU64::new(0);
-    static DELIVERED_PKTS: AtomicU64 = AtomicU64::new(0);
     static START: OnceLock<Instant> = OnceLock::new();
 
     /// Mark process start (idempotent; called from `Args::parse`). The
@@ -76,24 +77,6 @@ pub mod stats {
     /// Cache-hit count so far.
     pub fn cache_hits() -> u64 {
         CACHE_HITS.load(Ordering::Relaxed)
-    }
-
-    /// Accumulate one finished run's raw engine volume (events processed,
-    /// packets delivered) — the numerators of the packets-per-wall-second
-    /// throughput figures in `results/BENCH_fleet.json`.
-    pub fn note_engine(events: u64, delivered_pkts: u64) {
-        ENGINE_EVENTS.fetch_add(events, Ordering::Relaxed);
-        DELIVERED_PKTS.fetch_add(delivered_pkts, Ordering::Relaxed);
-    }
-
-    /// Engine events accumulated so far.
-    pub fn engine_events() -> u64 {
-        ENGINE_EVENTS.load(Ordering::Relaxed)
-    }
-
-    /// Delivered packets accumulated so far.
-    pub fn delivered_pkts() -> u64 {
-        DELIVERED_PKTS.load(Ordering::Relaxed)
     }
 
     /// Seconds since [`mark_start`] (0.0 if never marked).

@@ -5,8 +5,8 @@
 //! non-deterministic artifact the fleet produces; everything else in the
 //! manifest (cell order, labels, hashes, hit/miss flags) is a pure
 //! function of the sweep specification. CI uses the `cached` flags to
-//! assert a warm re-run was 100 % hits; the bench harness uses the
-//! timings for `BENCH_fleet.json`.
+//! assert a warm re-run was 100 % hits; `wall_us` and `total_wall_us`
+//! are the only wall-clock-bearing keys (`tests/fleet.rs` pins that).
 
 use std::fmt::Write as _;
 use std::io;
@@ -29,13 +29,6 @@ pub struct CellRecord {
     pub failed: bool,
     /// Wall-clock microseconds spent executing (0 for cache hits).
     pub wall_us: u64,
-    /// Per-phase self-profiler breakdown `(phase, wall_ns, calls)` for
-    /// this cell — empty unless the profiler was enabled. Like `wall_us`
-    /// these are wall-clock values, quarantined in the manifest (which is
-    /// excluded from the byte-identity contract). With `--jobs > 1`
-    /// concurrent cells share the global accumulators, so deltas overlap;
-    /// the `fleet profile` subcommand runs serially for exact attribution.
-    pub profile: Vec<(String, u64, u64)>,
 }
 
 /// Process-global collector: every [`run`](crate::exec) batch appends its
@@ -103,23 +96,9 @@ impl FleetManifest {
             }
             let _ = write!(
                 out,
-                "\n    {{\"figure\": \"{}\", \"label\": \"{}\", \"hash\": \"{}\", \"cached\": {}, \"failed\": {}, \"wall_us\": {}",
+                "\n    {{\"figure\": \"{}\", \"label\": \"{}\", \"hash\": \"{}\", \"cached\": {}, \"failed\": {}, \"wall_us\": {}}}",
                 c.figure, c.label, c.hash, c.cached, c.failed, c.wall_us
             );
-            if !c.profile.is_empty() {
-                out.push_str(", \"profile\": [");
-                for (j, (phase, ns, calls)) in c.profile.iter().enumerate() {
-                    if j > 0 {
-                        out.push_str(", ");
-                    }
-                    let _ = write!(
-                        out,
-                        "{{\"phase\": \"{phase}\", \"wall_ns\": {ns}, \"calls\": {calls}}}"
-                    );
-                }
-                out.push(']');
-            }
-            out.push('}');
         }
         if !self.cells.is_empty() {
             out.push_str("\n  ");
@@ -155,7 +134,6 @@ mod tests {
                     cached: true,
                     failed: false,
                     wall_us: 0,
-                    profile: Vec::new(),
                 },
                 CellRecord {
                     figure: "f".into(),
@@ -164,7 +142,6 @@ mod tests {
                     cached: false,
                     failed: true,
                     wall_us: 1234,
-                    profile: vec![("event_dispatch".into(), 5000, 3)],
                 },
             ],
             total_wall_us: 5000,
@@ -177,11 +154,6 @@ mod tests {
         assert!(j.contains("\"cells_failed\": 1"));
         assert_eq!(m.failures(), 1);
         assert!(j.contains("\"hash\": \"2222\""));
-        // The profile breakdown appears only on the cell that has one.
-        assert!(j.contains(
-            "\"profile\": [{\"phase\": \"event_dispatch\", \"wall_ns\": 5000, \"calls\": 3}]"
-        ));
-        assert_eq!(j.matches("\"profile\"").count(), 1);
         // Must be valid JSON by the workspace's own parser.
         let doc = conga_trace::json::parse(&j).expect("manifest parses");
         assert_eq!(
@@ -200,7 +172,6 @@ mod tests {
             cached: false,
             failed: false,
             wall_us: 10,
-            profile: Vec::new(),
         });
         record(CellRecord {
             figure: "f".into(),
@@ -209,7 +180,6 @@ mod tests {
             cached: true,
             failed: false,
             wall_us: 0,
-            profile: Vec::new(),
         });
         let got = drain();
         assert_eq!(got.len(), 2);

@@ -32,7 +32,6 @@ use crate::port::{Enqueue, TxPort};
 use crate::shard::Mail;
 use crate::topology::{Fib, Topology};
 use conga_sim::{EventQueue, SimDuration, SimRng, SimTime};
-use conga_telemetry::profile::{self, Phase};
 use conga_telemetry::{MetricsRegistry, SeriesRegistry};
 use conga_trace::{TraceEvent, TraceHandle};
 use std::collections::VecDeque;
@@ -797,7 +796,6 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
     }
 
     fn dispatch(&mut self, ev: Ev) {
-        let _t = profile::timer(Phase::Dispatch);
         match ev {
             Ev::Arrive { ch } => {
                 let (pkt, epoch) = self.wire[ch.idx()]
@@ -811,7 +809,6 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
                 }
             }
             Ev::Timer { token } => {
-                let _t = profile::timer(Phase::Transport);
                 let mut em = std::mem::take(&mut self.scratch);
                 self.agent.on_timer(token, self.now, &mut em);
                 self.process_emissions(&mut em);
@@ -946,7 +943,6 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
                         },
                     );
                 }
-                let _t = profile::timer(Phase::Transport);
                 let mut em = std::mem::take(&mut self.scratch);
                 self.agent.on_packet(*pkt, self.now, &mut em);
                 self.process_emissions(&mut em);
@@ -970,11 +966,9 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
                         return;
                     }
                     pkt.overlay = Some(Overlay::new(l, dst_leaf));
-                    let chosen = {
-                        let _t = profile::timer(Phase::Route);
+                    let chosen =
                         self.dataplane
-                            .leaf_ingress(l, &mut pkt, cands, self.now, &mut self.rng)
-                    };
+                            .leaf_ingress(l, &mut pkt, cands, self.now, &mut self.rng);
                     debug_assert!(cands.contains(&chosen), "dataplane chose a non-candidate");
                     self.enqueue(chosen, pkt);
                 }
@@ -987,11 +981,9 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
                     .dst_tep;
                 let cands = &self.fib.spine_down[s.idx()][dst_leaf.idx()];
                 if !cands.is_empty() {
-                    let chosen = {
-                        let _t = profile::timer(Phase::Route);
+                    let chosen =
                         self.dataplane
-                            .spine_forward(s, &mut pkt, cands, self.now, &mut self.rng)
-                    };
+                            .spine_forward(s, &mut pkt, cands, self.now, &mut self.rng);
                     debug_assert!(cands.contains(&chosen), "dataplane chose a non-candidate");
                     self.enqueue(chosen, pkt);
                     return;
@@ -1003,10 +995,7 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
                     self.stats.unroutable += 1;
                     return;
                 }
-                let chosen = {
-                    let _t = profile::timer(Phase::Route);
-                    upper_tier_ecmp(pkt.flow_hash, 0x50000 + s.0 as u64, ups)
-                };
+                let chosen = upper_tier_ecmp(pkt.flow_hash, 0x50000 + s.0 as u64, ups);
                 self.enqueue(chosen, pkt);
             }
             NodeId::Core(co) => {
@@ -1020,10 +1009,7 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
                     self.stats.unroutable += 1;
                     return;
                 }
-                let chosen = {
-                    let _t = profile::timer(Phase::Route);
-                    upper_tier_ecmp(pkt.flow_hash, 0xC0000 + co.0 as u64, cands)
-                };
+                let chosen = upper_tier_ecmp(pkt.flow_hash, 0xC0000 + co.0 as u64, cands);
                 self.enqueue(chosen, pkt);
             }
         }

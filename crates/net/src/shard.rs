@@ -49,7 +49,6 @@ use crate::ids::{ChannelId, NodeId};
 use crate::packet::Packet;
 use crate::topology::Topology;
 use conga_sim::{conservative_window, SimDuration, SimRng, SimTime};
-use conga_telemetry::profile::{self, Phase};
 use conga_telemetry::SeriesRegistry;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex};
@@ -349,11 +348,7 @@ impl<D: Dataplane + Send, A: HostAgent + Send> ShardedNetwork<D, A> {
                         min_ns.fetch_min(t.as_nanos(), Ordering::AcqRel);
                     }
                 }
-                let is_leader = {
-                    let _t = profile::timer(Phase::BarrierWait);
-                    barrier.wait().is_leader()
-                };
-                if is_leader {
+                if barrier.wait().is_leader() {
                     let m = min_ns.swap(u64::MAX, Ordering::AcqRel);
                     let min_pending = (m != u64::MAX).then(|| SimTime::from_nanos(m));
                     match conservative_window(min_pending, lookahead, t_end) {
@@ -364,10 +359,7 @@ impl<D: Dataplane + Send, A: HostAgent + Send> ShardedNetwork<D, A> {
                         None => stop.store(true, Ordering::Release),
                     }
                 }
-                {
-                    let _t = profile::timer(Phase::BarrierWait);
-                    barrier.wait();
-                }
+                barrier.wait();
                 if stop.load(Ordering::Acquire) {
                     break;
                 }
@@ -377,10 +369,7 @@ impl<D: Dataplane + Send, A: HostAgent + Send> ShardedNetwork<D, A> {
                     local_events += net.run_window(w);
                     Self::route_outbox(mailboxes, arrive_domain, net);
                 }
-                {
-                    let _t = profile::timer(Phase::BarrierWait);
-                    barrier.wait();
-                }
+                barrier.wait();
             }
             events.fetch_add(local_events, Ordering::AcqRel);
         };

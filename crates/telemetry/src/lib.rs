@@ -22,7 +22,6 @@
 
 #![warn(missing_docs)]
 
-pub mod profile;
 pub mod series;
 
 pub use series::{SeriesRegistry, SERIES_SCHEMA};
@@ -202,7 +201,6 @@ impl RunReport {
     /// Serialize the report to deterministic JSON (sorted keys, integer
     /// nanosecond timestamps, `\n`-terminated).
     pub fn to_json(&self) -> String {
-        let _t = profile::timer(profile::Phase::Serialize);
         let mut out = String::with_capacity(1024);
         out.push_str("{\n  \"meta\": {");
         write_string_map(&mut out, &self.meta);

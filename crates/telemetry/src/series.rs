@@ -33,8 +33,8 @@
 //! [`SeriesRegistry::to_jsonl`] / [`SeriesRegistry::to_csv`] exporters
 //! iterate in sorted-name order — same seed ⇒ byte-identical artifacts
 //! for any `--jobs`/`--shards`/cache state. No wall-clock value can
-//! reach these exporters (the profiler in [`crate::profile`] is the one
-//! quarantined home for wall-clock).
+//! reach these exporters: this crate reads no clock (the fleet manifest
+//! is the one quarantined home for wall-clock).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -286,7 +286,6 @@ impl SeriesRegistry {
     /// Deterministic JSONL export: a header line with the schema tag and
     /// base window, then one line per point in sorted-name, time order.
     pub fn to_jsonl(&self) -> String {
-        let _t = crate::profile::timer(crate::profile::Phase::Serialize);
         let mut out = String::with_capacity(64 + self.series.len() * 64);
         let _ = writeln!(
             out,
@@ -308,7 +307,6 @@ impl SeriesRegistry {
 
     /// Deterministic CSV export (`series,t_ns,span_ns,value` header).
     pub fn to_csv(&self) -> String {
-        let _t = crate::profile::timer(crate::profile::Phase::Serialize);
         let mut out = String::from("series,t_ns,span_ns,value\n");
         for name in self.series.keys() {
             for (t, span, v) in self.points(name) {

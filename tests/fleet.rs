@@ -19,7 +19,7 @@ use std::path::{Path, PathBuf};
 
 use conga::experiments::figures::fct_sweep;
 use conga::experiments::{fct_cell, run_cells, Args, FctRun, FleetOpts, Scheme, TestbedOpts};
-use conga::fleet::ResultCache;
+use conga::fleet::{manifest, FleetManifest, ResultCache};
 use conga::workloads::FlowSizeDist;
 
 /// Parse figure-binary flags for a test sweep.
@@ -148,6 +148,51 @@ fn run_reports_identical_across_worker_counts() {
     }
     // Sanity: distinct seeds really produced distinct reports.
     assert_ne!(one[0].report_json, one[1].report_json);
+}
+
+/// Run the quick sweep cold and render the manifest of its cells. The
+/// collector is process-global and sibling tests run concurrently, so only
+/// this figure's records are kept.
+fn sweep_manifest(figure: &str) -> String {
+    run_sweep(figure, &["--no-cache", "--jobs", "2"]);
+    let cells = manifest::drain()
+        .into_iter()
+        .filter(|c| c.figure == figure)
+        .collect();
+    let manifest = FleetManifest {
+        suite: figure.into(),
+        jobs: 2,
+        cells,
+        total_wall_us: (conga::fleet::stats::elapsed_s() * 1e6) as u64,
+    };
+    manifest.to_json()
+}
+
+/// Blank the number after every `"wall_us": ` / `"total_wall_us": ` key.
+fn blank_wall_clock(json: &str) -> String {
+    let mut parts = json.split("wall_us\": ");
+    let mut out = parts.next().unwrap_or_default().to_string();
+    for rest in parts {
+        out.push_str("wall_us\": _");
+        out.push_str(rest.trim_start_matches(|c: char| c.is_ascii_digit()));
+    }
+    out
+}
+
+#[test]
+fn manifest_quarantines_wall_clock_in_two_keys() {
+    // The fleet manifest is the one artifact allowed to carry wall-clock,
+    // and only under `wall_us` / `total_wall_us`: two cold runs of one
+    // sweep agree on every other byte.
+    let figure = "testfleet_manifest";
+    let a = sweep_manifest(figure);
+    let b = sweep_manifest(figure);
+    assert_eq!(a.matches("\"cached\": false").count(), 4, "{a}");
+    assert_eq!(a.matches("wall_us\": ").count(), 5, "{a}");
+    assert_eq!(blank_wall_clock(&a), blank_wall_clock(&b));
+    for key in ["profile", "wall_ns"] {
+        assert!(!a.contains(key), "manifest must not carry a `{key}` key");
+    }
 }
 
 #[test]
