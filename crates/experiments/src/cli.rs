@@ -1,4 +1,4 @@
-//! Minimal argument parsing shared by the experiment binaries (no external
+//! Minimal argument parsing for `fleet <figure> [flags]` (no external
 //! dependency needed for `--quick`-style flags).
 //!
 //! Malformed flags never panic and are never silently replaced by a
@@ -8,6 +8,8 @@
 //! and either way the process prints the message plus a usage banner and
 //! exits with status 2.
 
+use crate::runner::{build_testbed, TestbedOpts};
+use conga_net::{LeafId, SpineId};
 use conga_sim::SimTime;
 use conga_transport::CcKind;
 
@@ -25,15 +27,16 @@ pub struct Args {
     pub seed: u64,
     /// Number of independent runs to average where applicable.
     pub runs: usize,
-    /// Fleet worker threads (`--jobs N`); `None` = serial.
-    pub jobs: Option<usize>,
+    /// Fleet worker threads (`--jobs N`; default: the machine's available
+    /// parallelism — artifacts are byte-identical for any N).
+    pub jobs: usize,
     /// Bypass the content-addressed result cache (`--no-cache`).
     pub no_cache: bool,
     /// Worker threads *inside* each simulation (`--shards N`); purely a
     /// performance knob, never part of a scenario hash (default 1).
     pub shards: usize,
     /// Congestion controllers to run (`--cc a,b,...`; default `[aimd]`).
-    /// Single-controller binaries use the first entry; the tournament
+    /// Single-controller figures use the first entry; the tournament
     /// races every entry as an axis.
     pub cc: Vec<CcKind>,
     /// ECN marking threshold in packets (`--ecn-threshold N`); `None`
@@ -46,11 +49,12 @@ pub struct Args {
 
 /// The usage banner printed on a parse error.
 pub const USAGE: &str = "\
-usage: <binary> [flags]
+usage: fleet <subcommand> [flags]    (`fleet --help` lists the subcommands)
   --quick             reduced problem sizes (CI-scale run)
   --seed N            base RNG seed (default 1)
   --runs N            independent runs to average where applicable
-  --jobs N            run independent cells on N worker threads (default 1)
+  --jobs N            run independent cells on N worker threads (default:
+                      the available parallelism)
   --shards N          worker threads inside each simulation (default 1;
                       artifacts are byte-identical for any N)
   --cc LIST           congestion controllers, comma-separated from
@@ -60,16 +64,9 @@ usage: <binary> [flags]
   --no-cache          bypass the content-addressed result cache
   --cache-dir DIR     result-cache directory (default results/cache)
   --trace DIR         write structured event traces under DIR
-  --key value         experiment-specific options (see the binary's docs)";
+  --key value         experiment-specific options (see the figure's docs)";
 
 impl Args {
-    /// Parse `std::env::args()`; on error, print the message and usage to
-    /// stderr and exit with status 2.
-    pub fn parse() -> Args {
-        conga_fleet::stats::mark_start();
-        or_usage(Self::from_iter(std::env::args().skip(1)))
-    }
-
     /// Parse from an explicit iterator (testable). Returns a message
     /// describing the first malformed flag instead of panicking.
     #[allow(clippy::should_implement_trait)]
@@ -151,7 +148,11 @@ impl Args {
             quick,
             seed,
             runs,
-            jobs,
+            jobs: jobs.unwrap_or_else(|| {
+                std::thread::available_parallelism()
+                    .map(|n| n.get())
+                    .unwrap_or(1)
+            }),
             no_cache,
             shards,
             cc,
@@ -212,15 +213,28 @@ impl Args {
         self.list("trace-flows", ',', "comma-separated flow ids")
     }
 
-    /// `--fault-link l:s:p`: the leaf–spine link the fault flags act on.
-    pub(crate) fn fault_link(&self) -> Result<Option<(u32, u32, u32)>, String> {
-        self.parsed("fault-link", "leaf:spine:parallel", |raw| {
+    /// `--fault-link l:s:p`: the leaf–spine link the fault flags act on
+    /// (default `1:1:0`, the paper's Figure 7(b) link). It must exist on
+    /// `fabric`, the topology the figure's cells will build — the engine
+    /// asserts the same bound, inside the cell.
+    pub(crate) fn fault_link(&self, fabric: TestbedOpts) -> Result<(u32, u32, u32), String> {
+        let parsed = self.parsed("fault-link", "leaf:spine:parallel", |raw| {
             let ids: Option<Vec<u32>> = raw.split(':').map(|x| x.trim().parse().ok()).collect();
             match ids?[..] {
                 [l, s, p] => Some((l, s, p)),
                 _ => None,
             }
-        })
+        })?;
+        let (l, s, p) = parsed.unwrap_or((1, 1, 0));
+        let links = build_testbed(fabric).link_channels(LeafId(l), SpineId(s));
+        if (p as usize) < links.len() {
+            Ok((l, s, p))
+        } else {
+            Err(format!(
+                "--fault-link {l}:{s}:{p}: no such link on a {}x{} par{} fabric",
+                fabric.leaves, fabric.spines, fabric.parallel
+            ))
+        }
     }
 
     /// `--fail-at-ms T` / `--recover-at-ms T'` as simulated instants. Each
@@ -253,12 +267,7 @@ impl Args {
         }
     }
 
-    /// Fleet worker threads: `--jobs N`, defaulting to serial.
-    pub fn jobs_or_serial(&self) -> usize {
-        self.jobs.unwrap_or(1)
-    }
-
-    /// The congestion controller for single-controller binaries: the first
+    /// The congestion controller for single-controller figures: the first
     /// `--cc` entry (the default list is `[aimd]`, so this never panics).
     pub fn primary_cc(&self) -> CcKind {
         self.cc.first().copied().unwrap_or(CcKind::Aimd)
@@ -267,7 +276,7 @@ impl Args {
 
 /// The one exit for every malformed flag: unwrap a parsed value, or print
 /// the message and the usage banner and exit with status 2.
-pub(crate) fn or_usage<T>(parsed: Result<T, String>) -> T {
+pub fn or_usage<T>(parsed: Result<T, String>) -> T {
     parsed.unwrap_or_else(|msg| {
         eprintln!("error: {msg}\n{USAGE}");
         std::process::exit(2)
@@ -280,14 +289,6 @@ pub fn banner(title: &str, detail: &str) {
     println!("{title}");
     println!("{detail}");
     println!("==============================================================");
-}
-
-/// Print the one-line orchestration summary every figure binary emits on
-/// exit (cells run, cells cached, wall-clock), so `results/*.log` records
-/// orchestration stats. The line is wall-clock-bearing and therefore
-/// excluded from the byte-identity contract.
-pub fn exit_summary(name: &str) {
-    println!("{}", conga_fleet::stats::summary_line(name));
 }
 
 #[cfg(test)]
@@ -308,8 +309,8 @@ mod tests {
         assert!(!a.quick);
         assert!(!a.no_cache);
         assert_eq!(a.seed, 1);
-        assert_eq!(a.jobs, None);
-        assert_eq!(a.jobs_or_serial(), 1);
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(a.jobs, cores, "one --jobs default: the core count");
         assert_eq!(a.runs_or(1, 5), 5);
     }
 
@@ -332,8 +333,7 @@ mod tests {
     #[test]
     fn fleet_flags() {
         let a = parse(&["--jobs", "4", "--no-cache"]);
-        assert_eq!(a.jobs, Some(4));
-        assert_eq!(a.jobs_or_serial(), 4);
+        assert_eq!(a.jobs, 4);
         assert!(a.no_cache);
         assert_eq!(a.shards, 1);
     }
@@ -394,13 +394,37 @@ mod tests {
             a.trace_flows().unwrap_err(),
             "--trace-flows wants comma-separated flow ids, got 'a'"
         );
+        let testbed = TestbedOpts::paper_baseline().quick();
+        let link_err = |raw: &str| {
+            parse(&["--fault-link", raw])
+                .fault_link(testbed)
+                .unwrap_err()
+        };
         assert_eq!(
-            a.fault_link().unwrap_err(),
+            a.fault_link(testbed).unwrap_err(),
             "--fault-link wants leaf:spine:parallel, got '1:2'"
         );
         assert_eq!(
-            parse(&["--fault-link", "1:b:0"]).fault_link().unwrap_err(),
+            link_err("1:b:0"),
             "--fault-link wants leaf:spine:parallel, got '1:b:0'"
+        );
+        // Parsable but naming no link of the figure's fabric: leaf/spine
+        // out of range, or a parallel index past the pair's links.
+        assert_eq!(
+            link_err("9:9:0"),
+            "--fault-link 9:9:0: no such link on a 2x2 par2 fabric"
+        );
+        assert_eq!(
+            link_err("1:1:7"),
+            "--fault-link 1:1:7: no such link on a 2x2 par2 fabric"
+        );
+        // The check is against the fabric as built: Figure 7(b) already
+        // removed one of the two Leaf1–Spine1 links.
+        assert_eq!(
+            parse(&["--fault-link", "1:1:1"])
+                .fault_link(TestbedOpts::paper_failure())
+                .unwrap_err(),
+            "--fault-link 1:1:1: no such link on a 2x2 par2 fabric"
         );
         assert_eq!(
             parse(&["--fail-at-ms", "5", "--recover-at-ms", "3"])
@@ -418,7 +442,8 @@ mod tests {
         assert_eq!(a.loads(), Ok(Some(vec![0.1, 0.3])));
         assert_eq!(a.trace_flows(), Ok(Some(vec![7, 9])));
         let a = parse(&["--fault-link", "1:0:1", "--fail-at-ms", "5"]);
-        assert_eq!(a.fault_link(), Ok(Some((1, 0, 1))));
+        assert_eq!(a.fault_link(testbed), Ok((1, 0, 1)));
+        assert_eq!(parse(&[]).fault_link(testbed), Ok((1, 1, 0)));
         assert_eq!(
             a.fault_window(),
             Ok((Some(SimTime::from_nanos(5_000_000)), None))

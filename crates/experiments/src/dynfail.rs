@@ -2,7 +2,7 @@
 //! recover it later, and measure how fast each scheme's delivered
 //! throughput reconverges.
 //!
-//! This differs from the static Figure 11 harness (`fig11_link_failure`),
+//! This differs from the static Figure 11 harness (`fleet fig11_static`),
 //! where the link is absent from the start: here the run begins on the
 //! healthy baseline fabric, the failure fires through the engine's runtime
 //! fault-injection path (blackholing queued and in-flight packets, forcing
@@ -12,12 +12,15 @@
 
 use crate::figures::{write_trace_sidecars, TraceArgs};
 use crate::fleet::FleetCell;
-use crate::runner::{build_testbed, LinkFaultSpec, Scheme, ShardedRun, TestbedOpts, TraceSpec};
+use crate::runner::{
+    absolute_starts, build_testbed, leaf_capacity, plan_arrivals, workload_rng, LinkFaultSpec,
+    Scheme, ShardedRun, TestbedOpts, TraceSpec,
+};
 use conga_fleet::{CellResult, FaultSpec, Scenario, TopoSpec};
-use conga_sim::{QueueKind, SimDuration, SimRng, SimTime};
+use conga_sim::{QueueKind, SimDuration, SimTime};
 use conga_telemetry::RunReport;
 use conga_transport::TcpConfig;
-use conga_workloads::{FlowSizeDist, PoissonPlan};
+use conga_workloads::FlowSizeDist;
 
 /// Specification for one dynamic-failure run.
 #[derive(Clone, Debug)]
@@ -219,45 +222,24 @@ pub fn run_dynamic_failure(spec: &DynFailSpec) -> DynFailOutcome {
     assert!(spec.topo.fail.is_none(), "start from the healthy fabric");
     assert!(spec.fail_at < spec.recover_at && spec.recover_at < spec.window);
     let topo = build_testbed(spec.topo);
-    let capacity = topo
-        .leaf_uplink_capacity(conga_net::LeafId(0))
-        .min(topo.access_capacity(conga_net::LeafId(0)));
 
     // Size the arrival plan to span the window with margin: the offered
     // flow rate per direction is load·capacity / (8·mean size).
-    let rate = spec.load * capacity as f64 / (8.0 * spec.dist.mean());
+    let rate = spec.load * leaf_capacity(&topo) as f64 / (8.0 * spec.dist.mean());
     let n_flows = (rate * spec.window.as_secs_f64() * 1.3).ceil() as usize;
-
-    let group_a = topo.hosts_under(conga_net::LeafId(0));
-    let group_b = topo.hosts_under(conga_net::LeafId(1));
-    let mut wl_rng = SimRng::new(spec.seed.wrapping_mul(0x9E37_79B9) ^ 0xC04A);
-    let plan = PoissonPlan::generate(
+    let (arrivals, span_ns) = plan_arrivals(
+        spec.topo,
         &spec.dist,
-        group_a.len() as u32,
-        group_b.len() as u32,
-        capacity,
         spec.load,
         n_flows,
-        &mut wl_rng,
+        spec.scheme.transport(TcpConfig::standard()),
+        &mut workload_rng(spec.seed),
     );
-    let tcp = TcpConfig::standard();
-    let scheme = spec.scheme;
-    let arrivals =
-        crate::runner::merged_arrivals(&plan, &group_a, &group_b, |_| scheme.transport(tcp));
-    let span_ns: u64 = arrivals.iter().map(|(g, _)| g.as_nanos()).sum();
     assert!(
         SimTime::from_nanos(span_ns) >= spec.recover_at + spec.slice * 2,
         "arrival span {span_ns}ns too short to cover the fault schedule"
     );
-
-    // Gap-encoded arrivals become absolute start times for preregistration
-    // (every domain must register the same flow list in the same order).
-    let mut abs_arrivals = Vec::with_capacity(arrivals.len());
-    let mut t_abs = SimTime::from_nanos(0);
-    for (gap, fspec) in &arrivals {
-        t_abs += *gap;
-        abs_arrivals.push((t_abs, *fspec));
-    }
+    let abs_arrivals = absolute_starts(&arrivals);
     let (l, s, p) = spec.link;
     let faults = vec![
         LinkFaultSpec::fail(spec.fail_at, l, s, p),

@@ -1,5 +1,5 @@
-//! Shared figure-generation code used by multiple binaries (Figures 9, 10,
-//! 11 share the FCT-vs-load sweep; Figure 15 reuses it at scale).
+//! Figure-generation code shared by several figures (Figures 9, 10 and 11
+//! share the FCT-vs-load sweep; Figure 15 reuses it at scale).
 
 use crate::cli::{banner, or_usage, Args};
 use crate::fleet::{fct_cell, run_cells, FleetOpts};
@@ -84,7 +84,7 @@ pub struct TraceArgs {
     pub spec: TraceSpec,
 }
 
-/// Parse the structured-tracing flags shared by every figure binary:
+/// Parse the structured-tracing flags shared by every figure:
 ///
 /// * `--trace DIR` — enable tracing and write artifacts under `DIR`,
 /// * `--trace-flows a,b,c` — sample only these flow ids (default: all),
@@ -136,22 +136,22 @@ pub fn write_trace_sidecars(
     Ok((jsonl, chrome))
 }
 
-/// Parse the runtime fault-injection flags shared by every sweep binary
-/// into a fault schedule:
+/// Parse the runtime fault-injection flags shared by every sweep figure
+/// into a fault schedule on `fabric`:
 ///
 /// * `--fail-at-ms T` — fail a link T ms into the run,
 /// * `--recover-at-ms T` — recover it T ms in (optional; omit for a
 ///   permanent failure),
 /// * `--fault-link l:s:p` — which link (default `1:1:0`, the paper's
-///   Figure 7(b) link).
+///   Figure 7(b) link); a link `fabric` does not have is a usage error.
 ///
 /// Returns an empty schedule when `--fail-at-ms` is absent, so existing
 /// scenarios run unchanged.
-pub fn fault_args(args: &Args) -> Vec<LinkFaultSpec> {
+pub fn fault_args(args: &Args, fabric: TestbedOpts) -> Vec<LinkFaultSpec> {
     let (Some(fail_at), recover_at) = or_usage(args.fault_window()) else {
         return Vec::new();
     };
-    let (l, s, p) = or_usage(args.fault_link()).unwrap_or((1, 1, 0));
+    let (l, s, p) = or_usage(args.fault_link(fabric));
     let mut sched = vec![LinkFaultSpec::fail(fail_at, l, s, p)];
     if let Some(recover_at) = recover_at {
         sched.push(LinkFaultSpec::recover(recover_at, l, s, p));
@@ -197,7 +197,7 @@ pub fn fct_sweep(
     // Every sweep scenario accepts the runtime fault flags (empty when the
     // flags are absent — see [`fault_args`]) and the tracing flags (`None`
     // when absent — see [`trace_args`]).
-    let faults = fault_args(args);
+    let faults = fault_args(args, topo);
     let tracing = trace_args(args);
 
     let mut sweep = Sweep {

@@ -22,11 +22,10 @@ use crate::cli::Args;
 use crate::figures::{write_trace_sidecars, TraceArgs};
 use crate::runner::{run_fct, FctRun};
 
-/// Orchestration options, parsed once per binary.
+/// Orchestration options, parsed once per invocation.
 #[derive(Clone, Debug)]
 pub struct FleetOpts {
-    /// Worker threads for independent cells (1 = the historical serial
-    /// path).
+    /// Worker threads for independent cells.
     pub jobs: usize,
     /// The content-addressed result cache (possibly disabled).
     pub cache: ResultCache,
@@ -43,7 +42,7 @@ impl FleetOpts {
             ResultCache::at(args.get("cache-dir", "results/cache".to_string()))
         };
         FleetOpts {
-            jobs: args.jobs_or_serial(),
+            jobs: args.jobs,
             cache,
         }
     }
@@ -262,28 +261,37 @@ pub fn fct_cell(
     }
 }
 
-/// Drain the per-cell records collected so far into one manifest, write
-/// it to `results/<suite>.fleet_manifest.json`, and print the one-line
-/// orchestration summary. Call once, at binary exit.
-pub fn finish(suite: &str, args: &Args) {
-    let cells = drain();
-    if !cells.is_empty() {
-        let manifest = FleetManifest {
-            suite: suite.to_string(),
-            jobs: args.jobs_or_serial(),
-            cells,
-            total_wall_us: (conga_fleet::stats::elapsed_s() * 1e6) as u64,
-        };
+/// The one exit point of a `fleet` invocation: drain the per-cell records
+/// collected so far into `results/<suite>.fleet_manifest.json` (when any
+/// cell was scheduled) and print the one-line orchestration summary —
+/// wall-clock-bearing, so excluded from the byte-identity contract.
+/// Returns `false` when a cell panicked — its figure averaged an empty
+/// result into a table, so the invocation must not exit 0 — or when the
+/// manifest could not be written.
+pub fn finish(suite: &str, args: &Args) -> bool {
+    let manifest = FleetManifest {
+        suite: suite.to_string(),
+        jobs: args.jobs,
+        cells: drain(),
+        total_wall_us: (conga_fleet::stats::elapsed_s() * 1e6) as u64,
+    };
+    let mut ok = true;
+    if !manifest.cells.is_empty() {
         let path = format!("results/{suite}.fleet_manifest.json");
         match manifest.write_to(&path) {
             Ok(()) => eprintln!("fleet manifest: {path}"),
             Err(e) => {
                 eprintln!("fleet manifest write failed: {e}");
-                std::process::exit(1);
+                ok = false;
             }
         }
     }
-    crate::cli::exit_summary(suite);
+    println!("{}", conga_fleet::stats::summary_line(suite));
+    for c in manifest.cells.iter().filter(|c| c.failed) {
+        eprintln!("fleet: FAILED cell {}/{} ({})", c.figure, c.label, c.hash);
+        ok = false;
+    }
+    ok
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@ use conga_net::{
 use conga_sim::{QueueKind, SimDuration, SimRng, SimTime};
 use conga_telemetry::{RunReport, SeriesRegistry};
 use conga_transport::{
-    CcKind, FlowRecord, FlowSpec, MptcpConfig, TcpConfig, TransportKind, TransportLayer,
+    CcKind, FlowRecord, FlowSpec, ListSource, MptcpConfig, TcpConfig, TransportKind, TransportLayer,
 };
 use conga_workloads::{FlowSizeDist, PoissonPlan};
 
@@ -584,6 +584,99 @@ pub fn uniform_arrivals(
         .collect()
 }
 
+/// The RNG an FCT-style cell draws its workload from: a stream derived
+/// from the cell seed, separate from the engine's own.
+pub(crate) fn workload_rng(seed: u64) -> SimRng {
+    SimRng::new(seed.wrapping_mul(0x9E37_79B9) ^ 0xC04A)
+}
+
+/// The leaf-to-leaf capacity offered load is a fraction of: leaf 0's
+/// uplinks, bounded by the access capacity feeding them (matters for
+/// shrunken `--quick` topologies).
+pub(crate) fn leaf_capacity(topo: &Topology) -> u64 {
+    topo.leaf_uplink_capacity(conga_net::LeafId(0))
+        .min(topo.access_capacity(conga_net::LeafId(0)))
+}
+
+/// The open-loop arrival schedule of one cell on `opts`' fabric, in start
+/// order and gap-encoded, plus its span in nanoseconds. `load` is
+/// relative to the *baseline* (unfailed) [`leaf_capacity`] — the paper
+/// keeps the reference fixed when links fail. Two-leaf fabrics get the
+/// testbed pattern (`n_flows` per direction: clients under one leaf use
+/// servers under the other), larger ones `2 × n_flows` uniform
+/// all-to-all flows. The schedule is a pure function of the arguments
+/// and the draws it takes from `rng`.
+pub(crate) fn plan_arrivals(
+    opts: TestbedOpts,
+    dist: &FlowSizeDist,
+    load: f64,
+    n_flows: usize,
+    kind: TransportKind,
+    rng: &mut SimRng,
+) -> (Vec<(SimDuration, FlowSpec)>, u64) {
+    let base = build_testbed(TestbedOpts { fail: None, ..opts });
+    let capacity = leaf_capacity(&base);
+    let arrivals = if base.n_leaves == 2 {
+        let group_a = base.hosts_under(conga_net::LeafId(0));
+        let group_b = base.hosts_under(conga_net::LeafId(1));
+        let plan = PoissonPlan::generate(
+            dist,
+            group_a.len() as u32,
+            group_b.len() as u32,
+            capacity,
+            load,
+            n_flows,
+            rng,
+        );
+        merged_arrivals(&plan, &group_a, &group_b, |_| kind)
+    } else {
+        uniform_arrivals(dist, &base, capacity, load, n_flows * 2, rng, kind)
+    };
+    let span_ns = arrivals.iter().map(|(g, _)| g.as_nanos()).sum();
+    (arrivals, span_ns)
+}
+
+/// Gap-encoded arrivals as absolute start times: preregistration needs
+/// the full schedule up front so every domain registers the same flow
+/// list in the same order.
+pub(crate) fn absolute_starts(arrivals: &[(SimDuration, FlowSpec)]) -> Vec<(SimTime, FlowSpec)> {
+    let mut t = SimTime::from_nanos(0);
+    arrivals
+        .iter()
+        .map(|(gap, spec)| {
+            t += *gap;
+            (t, *spec)
+        })
+        .collect()
+}
+
+/// Feed a gap-encoded schedule to a monolithic network's transport.
+pub(crate) fn start_source(
+    net: &mut Network<FabricPolicy, TransportLayer>,
+    arrivals: Vec<(SimDuration, FlowSpec)>,
+) {
+    net.agent.attach_source(Box::new(ListSource::new(arrivals)));
+    if let Some((d, tok)) = net.agent.begin_source() {
+        net.schedule_timer(d, tok);
+    }
+}
+
+/// Run a monolithic network slice by slice until `total` flows are fully
+/// received or the clock passes `bound`.
+pub(crate) fn run_until_received(
+    net: &mut Network<FabricPolicy, TransportLayer>,
+    total: usize,
+    slice: SimDuration,
+    bound: SimTime,
+) {
+    loop {
+        net.run_until(net.now() + slice);
+        if net.agent.completed_rx >= total || net.now() >= bound {
+            break;
+        }
+    }
+}
+
 /// A domain-decomposed simulation run: one replicated [`Network`] per leaf
 /// domain, coordinated by [`ShardedNetwork`]'s conservative-window barrier.
 ///
@@ -739,58 +832,15 @@ pub fn run_fct(cfg: &FctRun) -> FctOutcome {
 pub fn run_fct_with_policy(cfg: &FctRun, policy: FabricPolicy) -> FctOutcome {
     conga_fleet::stats::note_cell_run();
     let topo = build_testbed(cfg.topo);
-    // Load is relative to the *baseline* (unfailed) leaf-to-leaf capacity.
-    let baseline = TestbedOpts {
-        fail: None,
-        ..cfg.topo
-    };
-    let base_topo = build_testbed(baseline);
-    // The effective bisection is bounded by both the uplinks and the access
-    // capacity feeding them (matters for shrunken --quick topologies).
-    let capacity = base_topo
-        .leaf_uplink_capacity(conga_net::LeafId(0))
-        .min(base_topo.access_capacity(conga_net::LeafId(0)));
-
-    let mut wl_rng = SimRng::new(cfg.seed.wrapping_mul(0x9E37_79B9) ^ 0xC04A);
-    let tcp = cfg.tcp.with_cc(cfg.cc);
-    let scheme = cfg.scheme;
-    let arrivals = if topo.n_leaves == 2 {
-        // The paper's testbed pattern: clients under leaf 0 use servers
-        // under leaf 1 and vice-versa.
-        let group_a = topo.hosts_under(conga_net::LeafId(0));
-        let group_b = topo.hosts_under(conga_net::LeafId(1));
-        let plan = PoissonPlan::generate(
-            &cfg.dist,
-            group_a.len() as u32,
-            group_b.len() as u32,
-            capacity,
-            cfg.load,
-            cfg.n_flows,
-            &mut wl_rng,
-        );
-        merged_arrivals(&plan, &group_a, &group_b, |_| scheme.transport(tcp))
-    } else {
-        uniform_arrivals(
-            &cfg.dist,
-            &topo,
-            capacity,
-            cfg.load,
-            cfg.n_flows * 2,
-            &mut wl_rng,
-            scheme.transport(tcp),
-        )
-    };
-    let span_ns: u64 = arrivals.iter().map(|(g, _)| g.as_nanos()).sum();
-
-    // Gap-encoded arrivals become absolute start times: preregistration
-    // needs the full schedule up front so every domain registers the same
-    // flow list in the same order.
-    let mut abs_arrivals = Vec::with_capacity(arrivals.len());
-    let mut t_abs = SimTime::from_nanos(0);
-    for (gap, spec) in &arrivals {
-        t_abs += *gap;
-        abs_arrivals.push((t_abs, *spec));
-    }
+    let (arrivals, span_ns) = plan_arrivals(
+        cfg.topo,
+        &cfg.dist,
+        cfg.load,
+        cfg.n_flows,
+        cfg.scheme.transport(cfg.tcp.with_cc(cfg.cc)),
+        &mut workload_rng(cfg.seed),
+    );
+    let abs_arrivals = absolute_starts(&arrivals);
 
     let mut run = ShardedRun::new(
         &topo,
@@ -1175,5 +1225,67 @@ mod tests {
         );
         assert_eq!(out.summary.incomplete, 0);
         assert!(out.summary.avg_norm_optimal >= 1.0, "can't beat optimal");
+    }
+
+    #[test]
+    fn plan_arrivals_reproduces_the_inline_planner() {
+        // FNV-1a/64 over the rendered `(gap, FlowSpec)` list, and the span,
+        // that the planner block inlined in `run_fct_with_policy` produced
+        // at commit 750825e for these inputs — one per branch. Every
+        // figure's schedule hangs off this function; not one arrival may
+        // move.
+        let render = |list: &[(SimDuration, FlowSpec)]| -> String {
+            list.iter()
+                .map(|(g, f)| {
+                    format!(
+                        "{} {} {} {} {:?}\n",
+                        g.as_nanos(),
+                        f.src.0,
+                        f.dst.0,
+                        f.bytes,
+                        f.kind
+                    )
+                })
+                .collect()
+        };
+        let fnv = |list: &[(SimDuration, FlowSpec)]| {
+            conga_fleet::scenario::fnv1a64(render(list).as_bytes())
+        };
+        let tcp = TcpConfig::standard();
+
+        let (testbed, span) = plan_arrivals(
+            TestbedOpts::paper_failure().quick(),
+            &FlowSizeDist::data_mining(),
+            0.6,
+            120,
+            Scheme::Mptcp.transport(tcp),
+            &mut workload_rng(7),
+        );
+        assert_eq!((testbed.len(), span), (240, 191_615_061));
+        assert_eq!(fnv(&testbed), 0xabb4_6ae7_6bd4_6f33);
+
+        let four_leaves = TestbedOpts {
+            leaves: 4,
+            spines: 4,
+            hosts_per_leaf: 6,
+            parallel: 1,
+            ..TestbedOpts::paper_baseline()
+        };
+        let (uniform, span) = plan_arrivals(
+            four_leaves,
+            &FlowSizeDist::web_search(),
+            0.4,
+            90,
+            Scheme::Conga.transport(tcp),
+            &mut workload_rng(7),
+        );
+        assert_eq!((uniform.len(), span), (180, 22_555_825));
+        assert_eq!(fnv(&uniform), 0x321b_1185_9590_4746);
+
+        // Absolute starts are the running sum of the gaps.
+        let starts = absolute_starts(&testbed);
+        assert_eq!(starts.len(), testbed.len());
+        assert_eq!(starts[0].0.as_nanos(), testbed[0].0.as_nanos());
+        assert_eq!(starts[239].0.as_nanos(), 191_615_061);
     }
 }

@@ -19,23 +19,23 @@
 //! `--quick` shrinks every case: 2 leaves for (a)/(b) and a small
 //! three-tier cell (2 pods × 2 leaves × 1 spine, 2 cores) for (c)/(d).
 
-use conga_experiments::cli::banner;
-use conga_experiments::figures::{fct_sweep, loads_arg};
-use conga_experiments::{
-    fct_cell, run_cells, Args, CoreLinkFaultSpec, FctRun, FleetOpts, Scheme, TestbedOpts,
-};
+use crate::cli::{banner, Args};
+use crate::figures::{fault_args, fct_sweep, loads_arg};
+use crate::fleet::{fct_cell, run_cells, FleetOpts};
+use crate::runner::{CoreLinkFaultSpec, FctRun, Scheme, TestbedOpts};
 use conga_sim::SimTime;
 use conga_workloads::FlowSizeDist;
 
-fn main() {
-    let args = Args::parse();
+/// Figure 15: web-search FCT on 3:1-oversubscribed two- and three-tier
+/// fabrics, plus the core-link failure case.
+pub fn fig15(args: &Args) -> bool {
     banner(
         "Figure 15 — large-scale web-search workload, 3:1 oversubscription",
         "(a)/(b): 4 leaves x 4 spines x 40G (2 leaves in --quick); \
          (c)/(d): three-tier Clos, 10240 hosts full / 16 hosts quick",
     );
     let loads = loads_arg(
-        &args,
+        args,
         if args.quick {
             vec![0.4, 0.7]
         } else {
@@ -67,6 +67,11 @@ fn main() {
         ("(b) 40G hosts", two_tier(12, 40)),
         ("(c) three-tier Clos, streaming sketch", three_tier),
     ];
+    // A `--fault-link` that one case's fabric lacks is rejected before
+    // any case runs, not when its sweep comes up.
+    for (_, topo) in cases {
+        fault_args(args, if args.quick { topo.quick() } else { topo });
+    }
     for (title, topo) in cases {
         println!("\n{title}");
         // The 10k-host case is one deterministic run per cell: averaging
@@ -118,7 +123,7 @@ fn main() {
     // down; nothing may remain blackholed after recovery.
     println!("\n(d) core-link failure (spine0-core0 down 3ms..9ms)");
     let load = *loads.last().expect("loads is never empty");
-    let opts = FleetOpts::from_args(&args, false);
+    let opts = FleetOpts::from_args(args, false);
     let cells: Vec<_> = [Scheme::Ecmp, Scheme::Conga]
         .into_iter()
         .map(|scheme| {
@@ -149,5 +154,5 @@ fn main() {
             cell.values.get("drops").copied().unwrap_or(0.0)
         );
     }
-    conga_experiments::cli::exit_summary("fig15_large_scale");
+    true
 }

@@ -1,31 +1,128 @@
-//! The figure-suite drivers: the body of every `fleet` figure subcommand
-//! (`fleet all`, `fleet fig09` … `fleet fig13`) lives here.
+//! The figure suite: one table of every figure `fleet` can regenerate,
+//! and the drivers of the fleet-routed ones (Figures 9–13).
 //!
-//! Every driver routes its cell matrix through the fleet executor
+//! [`ROWS`] is the only list of subcommands: `fleet --help`, the
+//! unknown-subcommand error and `fleet all` are all derived from it.
+//!
+//! Every driver here routes its cell matrix through the fleet executor
 //! ([`crate::fleet::run_cells`]): cells run in parallel under `--jobs N`,
 //! completed cells are served from the content-addressed result cache,
 //! and the printed tables and sidecar artifacts are byte-identical
 //! whatever the worker count or cache state. Drivers return `false` when
 //! a sidecar write failed (`fleet` exits nonzero on that).
 
-use crate::cli::{banner, or_usage, Args};
+use crate::cli::{banner, or_usage, Args, USAGE};
 use crate::dynfail::{dynfail_cell, DynFailSpec};
 use crate::figures::{
     run_baseline_figure, trace_args, write_metrics_sidecar_text, write_trace_sidecars,
 };
 use crate::fleet::{fct_scenario, run_cells, FleetCell, FleetOpts};
-use crate::runner::{FctRun, Scheme, TestbedOpts, TraceSpec};
+use crate::runner::{run_until_received, start_source, FctRun, Scheme, TestbedOpts, TraceSpec};
+use crate::{ablation, analytic, asymmetry, failures, hdfs, scale, tournament};
 use conga_analysis::imbalance::throughput_imbalance;
 use conga_analysis::stats::percentile;
 use conga_fleet::{CellResult, Scenario, TopoSpec};
 use conga_net::{HostId, LeafSpineBuilder, Network};
 use conga_sim::{SimDuration, SimRng, SimTime};
 use conga_telemetry::RunReport;
-use conga_transport::{FlowSpec, ListSource, TcpConfig, TransportLayer};
+use conga_transport::{FlowSpec, TcpConfig, TransportLayer};
 use conga_workloads::{FlowSizeDist, IncastPattern};
+use std::fmt::Write as _;
+
+/// One figure of the suite.
+pub struct Row {
+    /// The subcommand: `fleet <name>`.
+    pub name: &'static str,
+    /// What the figure's artifacts are called: `results/<artifact>.*`,
+    /// its manifest and its `orchestration[<artifact>]` summary line.
+    pub artifact: &'static str,
+    /// One line for `fleet --help`.
+    pub title: &'static str,
+    /// Runs the figure; `false` when an artifact could not be written.
+    pub driver: fn(&Args) -> bool,
+    /// Part of `fleet all`?
+    pub in_all: bool,
+}
+
+const fn row(
+    name: &'static str,
+    artifact: &'static str,
+    title: &'static str,
+    driver: fn(&Args) -> bool,
+    in_all: bool,
+) -> Row {
+    Row {
+        name,
+        artifact,
+        title,
+        driver,
+        in_all,
+    }
+}
+
+/// Every figure, in paper order.
+#[rustfmt::skip]
+pub const ROWS: [Row; 18] = [
+    row("fig02", "fig02_asymmetry", "Figure 2 — asymmetry demands global congestion-awareness", asymmetry::fig02, false),
+    row("fig03", "fig03_traffic_matrix", "Figure 3 — the optimal split depends on the traffic matrix", asymmetry::fig03, false),
+    row("fig05", "fig05_flowlet_sizes", "Figure 5 — bytes vs transfer size for different flowlet gaps", analytic::fig05, false),
+    row("fig08", "fig08_workload_cdfs", "Figure 8 — empirical flow-size distributions", analytic::fig08, false),
+    row("fig09", "fig09_enterprise", "Figure 9 — enterprise FCT sweep", fig09, true),
+    row("fig10", "fig10_datamining", "Figure 10 — data-mining FCT sweep", fig10, true),
+    row("fig11", "fig11_dynamic_failure", "Figure 11 (dynamic) — mid-run link failure and recovery", fig11_dynamic, true),
+    row("fig11_static", "fig11_link_failure", "Figure 11 — FCT sweeps and hotspot queue with one link down", failures::fig11_static, false),
+    row("fig12", "fig12_imbalance", "Figure 12 — uplink throughput imbalance", fig12, true),
+    row("fig13", "fig13_incast", "Figure 13 — incast goodput vs fanout", fig13, true),
+    row("fig14", "fig14_hdfs", "Figure 14 — HDFS write benchmark job times", hdfs::fig14, false),
+    row("fig15", "fig15_large_scale", "Figure 15 — large-scale fabrics up to the 10,240-host Clos", scale::fig15, false),
+    row("fig16", "fig16_multi_failure", "Figure 16 — fabric queues under 9 random link failures", failures::fig16, false),
+    row("fig17", "fig17_price_of_anarchy", "Figure 17 / Theorem 1 — Price of Anarchy of the CONGA game", analytic::fig17, false),
+    row("thm2", "thm2_imbalance_bound", "Theorem 2 — randomized load-balancing imbalance vs time", analytic::thm2, false),
+    row("ablation_incremental", "ablation_incremental", "Ablation (§7) — CONGA deployed leaf by leaf", ablation::incremental, false),
+    row("ablation_parameters", "ablation_parameters", "Ablation (§3.6) — robustness to Q, tau, Tfl and gap detection", ablation::parameters, false),
+    row("tournament", "tournament", "race every fabric policy through three arenas (--cc a,b,... adds a controller axis; honours --loads)", tournament::run, false),
+];
+
+/// The rows `fleet all` runs.
+fn in_all() -> impl Iterator<Item = &'static Row> {
+    ROWS.iter().filter(|r| r.in_all)
+}
+
+/// What `fleet <name>` runs: the artifact name its manifest and summary
+/// line carry, and the rows. `all` is every `in_all` row under one
+/// manifest; anything [`ROWS`] does not name is an error listing what it
+/// does.
+pub fn lookup(name: &str) -> Result<(&'static str, Vec<&'static Row>), String> {
+    if name == "all" {
+        return Ok(("fleet_all", in_all().collect()));
+    }
+    match ROWS.iter().find(|r| r.name == name) {
+        Some(row) => Ok((row.artifact, vec![row])),
+        None => {
+            let names: Vec<&str> = ROWS.iter().map(|r| r.name).collect();
+            let what = if name.is_empty() {
+                "missing subcommand".to_string()
+            } else {
+                format!("unknown subcommand '{name}'")
+            };
+            Err(format!("{what} (expected all|{})", names.join("|")))
+        }
+    }
+}
+
+/// The `fleet --help` text: every subcommand, then the shared flags.
+pub fn usage() -> String {
+    let all: Vec<&str> = in_all().map(|r| r.name).collect();
+    let mut out = String::from("subcommands:\n");
+    let _ = writeln!(out, "  {:<22}{}, under one manifest", "all", all.join(", "));
+    for r in &ROWS {
+        let _ = writeln!(out, "  {:<22}{}", r.name, r.title);
+    }
+    out + "\n" + USAGE
+}
 
 /// Figure 9: enterprise workload FCT sweep on the baseline testbed.
-pub fn fig09(args: &Args) {
+pub fn fig09(args: &Args) -> bool {
     run_baseline_figure(
         args,
         "fig09_enterprise",
@@ -33,10 +130,11 @@ pub fn fig09(args: &Args) {
         "Figure 9 — enterprise workload, baseline topology",
         800,
     );
+    true
 }
 
 /// Figure 10: data-mining workload FCT sweep on the baseline testbed.
-pub fn fig10(args: &Args) {
+pub fn fig10(args: &Args) -> bool {
     run_baseline_figure(
         args,
         "fig10_datamining",
@@ -44,6 +142,7 @@ pub fn fig10(args: &Args) {
         "Figure 10 — data-mining workload, baseline topology",
         250,
     );
+    true
 }
 
 /// Figure 11 (dynamic): mid-run link failure and recovery, per scheme.
@@ -58,14 +157,15 @@ pub fn fig11_dynamic(args: &Args) -> bool {
     let opts = FleetOpts::from_args(args, tracing.is_some());
     let mut sidecar_failed = false;
     let mut cells = Vec::new();
-    // Optional overrides shared with the sweep binaries.
+    // Optional overrides shared with the sweep figures.
     let (fail_at, recover_at) = or_usage(args.fault_window());
-    let link = or_usage(args.fault_link());
+    let fabric = DynFailSpec::paper(Scheme::Ecmp, args.quick, args.seed).topo;
+    let link = or_usage(args.fault_link(fabric));
     for scheme in Scheme::PAPER {
         let mut spec = DynFailSpec::paper(scheme, args.quick, args.seed);
         spec.fail_at = fail_at.unwrap_or(spec.fail_at);
         spec.recover_at = recover_at.unwrap_or(spec.recover_at);
-        spec.link = link.unwrap_or(spec.link);
+        spec.link = link;
         spec.trace = tracing.as_ref().map(|t| t.spec.clone());
         spec.shards = args.shards;
         cells.push(dynfail_cell(
@@ -416,18 +516,14 @@ pub fn run_incast(
             (gap, spec)
         })
         .collect();
-    net.agent.attach_source(Box::new(ListSource::new(arrivals)));
-    if let Some((d, tok)) = net.agent.begin_source() {
-        net.schedule_timer(d, tok);
-    }
+    start_source(&mut net, arrivals);
     // Run until every response is delivered (generous bound: many RTOs).
-    let bound = SimTime::from_secs(30);
-    loop {
-        net.run_until(net.now() + SimDuration::from_millis(100));
-        if net.agent.completed_rx as u32 >= fanout || net.now() >= bound {
-            break;
-        }
-    }
+    run_until_received(
+        &mut net,
+        fanout as usize,
+        SimDuration::from_millis(100),
+        SimTime::from_secs(30),
+    );
     let last_done = net
         .agent
         .records
@@ -448,4 +544,54 @@ pub fn run_incast(
     net.export_metrics(&mut report.metrics);
     // Percentage of the 10G access link (the paper's y-axis).
     (100.0 * goodput / 10e9, report, trace)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_table_is_the_only_list_of_subcommands() {
+        // Names are unique, and none shadows `all` or the help spellings.
+        let mut names: Vec<&str> = ROWS.iter().map(|r| r.name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), ROWS.len(), "subcommand names must be unique");
+        for reserved in ["all", "help", "--help", "-h"] {
+            assert!(!names.contains(&reserved), "{reserved} is reserved");
+        }
+
+        // Every row resolves to itself, and is in the generated usage.
+        let usage = usage();
+        for r in &ROWS {
+            let (artifact, rows) = lookup(r.name).expect("a row's name resolves");
+            assert_eq!(artifact, r.artifact);
+            assert_eq!(rows.len(), 1);
+            assert_eq!(rows[0].name, r.name);
+            assert!(
+                usage.contains(&format!("\n  {:<22}{}\n", r.name, r.title)),
+                "usage must list {}",
+                r.name
+            );
+        }
+        let listed = usage.lines().skip(1).take_while(|l| !l.is_empty()).count();
+        assert_eq!(listed, ROWS.len() + 1, "18 rows + all:\n{usage}");
+
+        // `all` is the fleet-routed subset, in table order, under its own
+        // manifest name.
+        let (artifact, all) = lookup("all").expect("all resolves");
+        assert_eq!(artifact, "fleet_all");
+        let all: Vec<&str> = all.iter().map(|r| r.name).collect();
+        assert_eq!(all, ["fig09", "fig10", "fig11", "fig12", "fig13"]);
+        assert!(usage.contains("fig09, fig10, fig11, fig12, fig13, under one manifest"));
+
+        // Anything else is an error that lists every valid name.
+        for bad in ["fig99", "", "bench", "profile", "Fig09"] {
+            let err = lookup(bad).err().expect("unknown names are errors");
+            assert!(err.contains("all|fig02|"), "{err}");
+            for r in &ROWS {
+                assert!(err.contains(r.name), "{err} must list {}", r.name);
+            }
+        }
+    }
 }

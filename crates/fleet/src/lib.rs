@@ -16,7 +16,7 @@
 //! * [`manifest`] — per-cell hit/miss + wall-clock records, written as
 //!   `results/<suite>.fleet_manifest.json`;
 //! * [`stats`] — process-wide orchestration counters behind the one-line
-//!   exit summary every figure binary prints.
+//!   exit summary every `fleet` invocation prints.
 //!
 //! The crate sits below the experiment harness in the dependency graph
 //! (it knows nothing about schemes or topologies beyond plain data), so
@@ -36,9 +36,9 @@ pub use scenario::{FaultSpec, Scenario, TopoSpec, CACHE_FORMAT_VERSION};
 
 /// Process-wide orchestration counters for the exit summary line.
 ///
-/// The executor and cache layers bump these; binaries print
-/// [`summary_line`](stats::summary_line) on exit so `results/*.log`
-/// records orchestration stats even for harnesses that never fan out.
+/// The executor and cache layers bump these; `fleet` prints
+/// [`summary_line`](stats::summary_line) on exit, also for figures that
+/// never fan out.
 /// Together with [`exec`]'s per-cell `wall_us` this is the only place the
 /// workspace reads a clock: the simulator itself is timed from outside,
 /// by `congabench`.
@@ -51,8 +51,8 @@ pub mod stats {
     static CACHE_HITS: AtomicU64 = AtomicU64::new(0);
     static START: OnceLock<Instant> = OnceLock::new();
 
-    /// Mark process start (idempotent; called from `Args::parse`). The
-    /// exit summary's wall-clock measures from the first call.
+    /// Mark process start (idempotent; called first thing in `fleet`'s
+    /// `main`). The exit summary's wall-clock measures from the first call.
     pub fn mark_start() {
         let _ = START.get_or_init(Instant::now);
     }

@@ -18,11 +18,18 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use conga::experiments::figures::fct_sweep;
-use conga::experiments::{fct_cell, run_cells, Args, FctRun, FleetOpts, Scheme, TestbedOpts};
-use conga::fleet::{manifest, FleetManifest, ResultCache};
+use conga::experiments::{
+    fct_cell, fleet, run_cells, Args, FctRun, FleetCell, FleetOpts, Scheme, TestbedOpts,
+};
+use conga::fleet::{manifest, FleetManifest, ResultCache, Scenario};
 use conga::workloads::FlowSizeDist;
 
-/// Parse figure-binary flags for a test sweep.
+/// The record collector is process-global and tests run concurrently:
+/// whoever drains it holds this from its first cell to its drain, so no
+/// sibling's drain takes its records.
+static DRAINING: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// Parse `fleet` flags for a test sweep.
 fn test_args(extra: &[&str]) -> Args {
     let mut argv: Vec<String> = vec!["--quick".into(), "--seed".into(), "11".into()];
     argv.extend(extra.iter().map(|s| s.to_string()));
@@ -154,6 +161,7 @@ fn run_reports_identical_across_worker_counts() {
 /// collector is process-global and sibling tests run concurrently, so only
 /// this figure's records are kept.
 fn sweep_manifest(figure: &str) -> String {
+    let _drain = DRAINING.lock().unwrap_or_else(|e| e.into_inner());
     run_sweep(figure, &["--no-cache", "--jobs", "2"]);
     let cells = manifest::drain()
         .into_iter()
@@ -193,6 +201,51 @@ fn manifest_quarantines_wall_clock_in_two_keys() {
     for key in ["profile", "wall_ns"] {
         assert!(!a.contains(key), "manifest must not carry a `{key}` key");
     }
+}
+
+#[test]
+fn a_panicking_cell_fails_the_suite_and_the_manifest_names_it() {
+    // `fleet` exits 1 iff `finish` returns false: one panicking cell in a
+    // batch must get there — after the healthy cell ran and the manifest
+    // was written — instead of vanishing into an all-zero table row.
+    let suite = "testfleet_failed";
+    let args = test_args(&["--no-cache", "--jobs", "2"]);
+    let mut cfg = FctRun::new(
+        TestbedOpts::paper_baseline().quick(),
+        Scheme::Ecmp,
+        FlowSizeDist::enterprise(),
+        0.3,
+    );
+    cfg.n_flows = 20;
+    let cells = vec![
+        fct_cell(suite, "healthy", cfg, true, None),
+        FleetCell {
+            scenario: Scenario::new("fct", suite, "doomed"),
+            run: Box::new(|| panic!("cell body blew up")),
+        },
+    ];
+    let ok = {
+        let _drain = DRAINING.lock().unwrap_or_else(|e| e.into_inner());
+        let results = run_cells(cells, &FleetOpts::from_args(&args, false));
+        assert_eq!(results[0].summary.incomplete, 0, "the healthy cell ran");
+        assert!(results[1].text["failed"].contains("cell body blew up"));
+        fleet::finish(suite, &args)
+    };
+    assert!(!ok, "a failed cell must fail the suite");
+    let path = format!("results/{suite}.fleet_manifest.json");
+    let manifest = std::fs::read_to_string(&path).expect("manifest written despite the failure");
+    let _ = std::fs::remove_file(&path);
+    let doomed = manifest
+        .lines()
+        .find(|l| l.contains("\"label\": \"doomed\""))
+        .expect("the manifest names the failed cell");
+    assert!(doomed.contains("\"failed\": true"), "{doomed}");
+    assert!(manifest.contains("\"cells_failed\": 1"), "{manifest}");
+    let healthy = manifest
+        .lines()
+        .find(|l| l.contains("\"label\": \"healthy\""))
+        .expect("the healthy cell is recorded too");
+    assert!(healthy.contains("\"failed\": false"), "{healthy}");
 }
 
 #[test]
