@@ -3,10 +3,11 @@
 //!
 //! Malformed flags never panic and are never silently replaced by a
 //! default: [`Args::from_iter`] returns `Err` with a message for the
-//! first-class flags, the experiment-specific `--key value` options are
-//! checked when a harness reads them (always before its first cell runs),
-//! and either way the process prints the message plus a usage banner and
-//! exits with status 2.
+//! first-class flags and for any flag it does not know, the values of the
+//! experiment-specific `--key value` options (`KEYS`) are checked when a
+//! harness reads them (always before its first cell runs), and either way
+//! the process prints the message plus a usage banner and exits with
+//! status 2.
 
 use crate::runner::{build_testbed, TestbedOpts};
 use conga_net::{LeafId, SpineId};
@@ -64,7 +65,30 @@ usage: fleet <subcommand> [flags]    (`fleet --help` lists the subcommands)
   --no-cache          bypass the content-addressed result cache
   --cache-dir DIR     result-cache directory (default results/cache)
   --trace DIR         write structured event traces under DIR
-  --key value         experiment-specific options (see the figure's docs)";
+  --trace-flows LIST  trace only these flow ids, comma-separated
+  --trace-ring N      keep only the last N trace events
+  --flows N           flows per direction in each FCT cell
+  --loads LIST        load points in percent, comma-separated
+  --sketch BOOL       stream FCTs through the percentile sketch
+  --fail-at-ms T      fail a link T ms into each FCT cell
+  --recover-at-ms T   recover it T ms in (default: never)
+  --fault-link L:S:P  which link: leaf:spine:parallel (default 1:1:0)";
+
+/// Every experiment-specific `--key value` option some driver reads —
+/// the lower block of [`USAGE`]. [`Args::from_iter`] accepts no other
+/// key: a flag no driver would read is a typo, not an option.
+const KEYS: [&str; 10] = [
+    "cache-dir",
+    "trace",
+    "trace-flows",
+    "trace-ring",
+    "flows",
+    "loads",
+    "sketch",
+    "fail-at-ms",
+    "recover-at-ms",
+    "fault-link",
+];
 
 impl Args {
     /// Parse from an explicit iterator (testable). Returns a message
@@ -138,8 +162,12 @@ impl Args {
                     ecn_threshold = Some(n);
                 }
                 k if k.starts_with("--") => {
+                    let key = &k[2..];
+                    if !KEYS.contains(&key) {
+                        return Err(format!("unknown flag {k}"));
+                    }
                     let v = iter.next().ok_or_else(|| format!("{k} needs a value"))?;
-                    extra.push((k[2..].to_string(), v));
+                    extra.push((key.to_string(), v));
                 }
                 other => return Err(format!("unexpected argument: {other}")),
             }
@@ -267,6 +295,17 @@ impl Args {
         }
     }
 
+    /// Flows per direction in each FCT cell: `--flows N` when given — also
+    /// under `--quick` — else the figure's default for the mode.
+    pub(crate) fn flows_or(&self, quick_default: usize, full_default: usize) -> usize {
+        let default = if self.quick {
+            quick_default
+        } else {
+            full_default
+        };
+        self.get("flows", default)
+    }
+
     /// The congestion controller for single-controller figures: the first
     /// `--cc` entry (the default list is `[aimd]`, so this never panics).
     pub fn primary_cc(&self) -> CcKind {
@@ -316,18 +355,46 @@ mod tests {
 
     #[test]
     fn flags_and_extras() {
-        let a = parse(&["--quick", "--seed", "9", "--fanout", "32"]);
+        let a = parse(&["--quick", "--seed", "9", "--flows", "32"]);
         assert!(a.quick);
         assert_eq!(a.seed, 9);
-        assert_eq!(a.get("fanout", 8u32), 32);
-        assert_eq!(a.get("missing", 3u32), 3);
+        assert_eq!(a.get("flows", 8u32), 32);
+        assert_eq!(a.get("trace-ring", 3u32), 3);
         assert_eq!(a.runs_or(1, 5), 1);
+    }
+
+    #[test]
+    fn unknown_flags_are_usage_errors() {
+        // A key no driver reads used to be swallowed with its value.
+        assert_eq!(parse_err(&["--bogus", "1"]), "unknown flag --bogus");
+        assert_eq!(
+            parse_err(&["--quick", "--flow", "500"]),
+            "unknown flag --flow"
+        );
+        assert_eq!(parse_err(&["--fanout"]), "unknown flag --fanout");
+        // The closed list is the documented one, and every key parses.
+        for key in KEYS {
+            assert!(
+                USAGE.contains(&format!("\n  --{key} ")),
+                "usage lists {key}"
+            );
+            let a = parse(&[&format!("--{key}"), "v"]);
+            assert_eq!(a.get(key, String::new()), "v");
+        }
     }
 
     #[test]
     fn explicit_runs_wins() {
         let a = parse(&["--quick", "--runs", "7"]);
         assert_eq!(a.runs_or(1, 5), 7);
+    }
+
+    #[test]
+    fn explicit_flows_wins_also_under_quick() {
+        assert_eq!(parse(&["--quick", "--flows", "40"]).flows_or(120, 800), 40);
+        assert_eq!(parse(&["--flows", "40"]).flows_or(120, 800), 40);
+        assert_eq!(parse(&["--quick"]).flows_or(120, 800), 120);
+        assert_eq!(parse(&[]).flows_or(120, 800), 800);
     }
 
     #[test]
@@ -382,8 +449,8 @@ mod tests {
             a.try_get::<usize>("flows").unwrap_err(),
             "--flows wants usize, got '12x'"
         );
-        assert_eq!(a.try_get::<usize>("fanout"), Ok(None));
-        assert_eq!(a.get("fanout", 8usize), 8);
+        assert_eq!(a.try_get::<usize>("trace-ring"), Ok(None));
+        assert_eq!(a.get("trace-ring", 8usize), 8);
 
         let a = parse(&["--loads", "x", "--trace-flows", "a", "--fault-link", "1:2"]);
         assert_eq!(

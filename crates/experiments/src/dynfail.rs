@@ -10,13 +10,13 @@
 //! outputs are the throughput timeline around the transitions, the
 //! time-to-reconverge, and whether any flow is permanently stranded.
 
-use crate::figures::{write_trace_sidecars, TraceArgs};
-use crate::fleet::FleetCell;
+use crate::figures::TraceArgs;
+use crate::fleet::{cell, FleetCell};
 use crate::runner::{
     absolute_starts, build_testbed, leaf_capacity, plan_arrivals, workload_rng, LinkFaultSpec,
     Scheme, ShardedRun, TestbedOpts, TraceSpec,
 };
-use conga_fleet::{CellResult, FaultSpec, Scenario, TopoSpec};
+use conga_fleet::Scenario;
 use conga_sim::{QueueKind, SimDuration, SimTime};
 use conga_telemetry::RunReport;
 use conga_transport::TcpConfig;
@@ -95,91 +95,68 @@ impl DynFailSpec {
 }
 
 impl DynFailSpec {
-    /// The hashable [`Scenario`] describing this cell (for the fleet
-    /// executor and result cache).
-    pub fn scenario(&self, figure: &str, label: &str, quick: bool) -> Scenario {
-        let mut s = Scenario::new("dynfail", figure, label);
-        s.scheme = self.scheme.name().to_string();
-        s.dist = self.dist.name().to_string();
-        s.load = self.load;
-        s.seed = self.seed;
-        s.quick = quick;
-        s.topo = TopoSpec {
-            leaves: self.topo.leaves,
-            spines: self.topo.spines,
-            hosts_per_leaf: self.topo.hosts_per_leaf,
-            host_gbps: self.topo.host_gbps,
-            fabric_gbps: self.topo.fabric_gbps,
-            parallel: self.topo.parallel,
-            fail: self.topo.fail,
-        };
-        let (l, sp, p) = self.link;
-        s.faults = vec![
-            FaultSpec {
-                at_ns: self.fail_at.as_nanos(),
-                leaf: l,
-                spine: sp,
-                parallel: p,
-                up: false,
-            },
-            FaultSpec {
-                at_ns: self.recover_at.as_nanos(),
-                leaf: l,
-                spine: sp,
-                parallel: p,
-                up: true,
-            },
-        ];
-        s.with_extra("window_ns", self.window.as_nanos())
-            .with_extra("slice_ns", self.slice.as_nanos())
+    /// The hashable [`Scenario`] of this cell: every field that reaches
+    /// the simulation, by the rule of `FctRun::spec` (runner.rs).
+    pub fn scenario(&self, figure: &str, label: &str) -> Scenario {
+        let DynFailSpec {
+            topo,
+            scheme,
+            dist,
+            load,
+            seed,
+            fail_at,
+            recover_at,
+            link: (l, s, p),
+            window,
+            slice,
+            trace: _,
+            queue: _,
+            shards: _,
+        } = self;
+        let spec = format!(
+            "topo={}\nscheme={}\ndist={dist:?}\nload={load}\nseed={seed}\nfail_at={}ns\n\
+             recover_at={}ns\nlink={l}:{s}:{p}\nwindow={}ns\nslice={}ns\n",
+            topo.spec(),
+            scheme.name(),
+            fail_at.as_nanos(),
+            recover_at.as_nanos(),
+            window.as_nanos(),
+            slice.as_nanos(),
+        );
+        Scenario::new("dynfail", figure, label, spec)
     }
 }
 
 /// Build the fleet cell for one dynamic-failure run: executes
-/// [`run_dynamic_failure`] on a worker, exports trace sidecars in-worker
-/// when tracing is on, and returns the phase throughputs / reconvergence
-/// verdict as derived values so a cache hit can reproduce the figure row
-/// without re-simulating.
+/// [`run_dynamic_failure`] on a worker and returns the phase throughputs /
+/// reconvergence verdict as derived values, so a cache hit can reproduce
+/// the figure row without re-simulating.
 pub fn dynfail_cell(
     figure: &str,
     label: &str,
     spec: DynFailSpec,
-    quick: bool,
     tracing: Option<TraceArgs>,
 ) -> FleetCell {
-    let scenario = spec.scenario(figure, label, quick);
-    let figure = figure.to_string();
-    let label = label.to_string();
-    FleetCell {
-        scenario,
-        run: Box::new(move || {
-            let out = run_dynamic_failure(&spec);
-            if let (Some(t), Some(handle)) = (&tracing, &out.trace) {
-                write_trace_sidecars(&t.dir, &figure, &label, handle).expect("trace sidecar write");
-            }
-            let mut r = CellResult {
-                report_json: out.report.to_json(),
-                ..CellResult::default()
-            };
-            r.values.insert("pre_bps".into(), out.pre_bps);
-            r.values.insert("during_bps".into(), out.during_bps);
-            r.values.insert("post_bps".into(), out.post_bps);
-            r.values.insert("blackholed".into(), out.blackholed as f64);
-            r.values.insert("stranded".into(), out.stranded as f64);
-            r.values.insert(
-                "post_recovery_blackholed".into(),
-                out.post_recovery_blackholed as f64,
-            );
-            r.text.insert(
-                "reconverge_ms".into(),
-                match out.reconverge {
-                    Some(d) => format!("{:.0}", d.as_secs_f64() * 1e3),
-                    None => "never".to_string(),
-                },
-            );
-            r
-        }),
-    }
+    cell(spec.scenario(figure, label), tracing, move |r| {
+        let out = run_dynamic_failure(&spec);
+        r.values.insert("pre_bps".into(), out.pre_bps);
+        r.values.insert("during_bps".into(), out.during_bps);
+        r.values.insert("post_bps".into(), out.post_bps);
+        r.values.insert("blackholed".into(), out.blackholed as f64);
+        r.values.insert("stranded".into(), out.stranded as f64);
+        r.values.insert(
+            "post_recovery_blackholed".into(),
+            out.post_recovery_blackholed as f64,
+        );
+        r.text.insert(
+            "reconverge_ms".into(),
+            match out.reconverge {
+                Some(d) => format!("{:.0}", d.as_secs_f64() * 1e3),
+                None => "never".to_string(),
+            },
+        );
+        (out.report, out.trace)
+    })
 }
 
 /// What a dynamic-failure run produced.
@@ -390,5 +367,42 @@ pub fn run_dynamic_failure(spec: &DynFailSpec) -> DynFailOutcome {
         end_time: run.net.now(),
         report,
         trace: run.merged_trace(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fleet::tests::{assert_key_coverage, Edit};
+
+    #[test]
+    fn every_simulation_reaching_field_of_a_dynfail_cell_reaches_the_hash() {
+        let base = || DynFailSpec::paper(Scheme::Ecmp, true, 1);
+        let hash = |spec: DynFailSpec| spec.scenario("figX", "a").content_hash();
+        // Every field `DynFailSpec::scenario` destructures, in its order
+        // (`TestbedOpts::spec`'s own fields: the FCT cell's table).
+        let reaching: &[Edit<DynFailSpec>] = &[
+            ("topo", |s| s.topo.hosts_per_leaf = 4),
+            ("scheme", |s| s.scheme = Scheme::Conga),
+            ("dist", |s| s.dist = FlowSizeDist::data_mining()),
+            ("dist breakpoints under one name", |s| {
+                s.dist = FlowSizeDist::from_points("enterprise", &[(100.0, 0.0), (9e7, 1.0)])
+            }),
+            ("load", |s| s.load = 0.3),
+            ("seed", |s| s.seed = 2),
+            ("fail_at", |s| s.fail_at = SimTime::from_millis(70)),
+            ("recover_at", |s| s.recover_at = SimTime::from_millis(130)),
+            ("link.leaf", |s| s.link.0 = 0),
+            ("link.spine", |s| s.link.1 = 0),
+            ("link.parallel", |s| s.link.2 = 1),
+            ("window", |s| s.window = SimTime::from_millis(200)),
+            ("slice", |s| s.slice = SimDuration::from_millis(5)),
+        ];
+        let inert: &[Edit<DynFailSpec>] = &[
+            ("queue", |s| s.queue = QueueKind::Heap),
+            ("shards", |s| s.shards = 4),
+            ("trace", |s| s.trace = Some(TraceSpec::default())),
+        ];
+        assert_key_coverage(base, hash, reaching, inert);
     }
 }

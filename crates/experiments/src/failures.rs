@@ -22,7 +22,7 @@
 //! their share; CONGA routes around).
 
 use crate::cli::{banner, Args};
-use crate::figures::{fct_sweep, loads_arg, print_fct_panels, write_metrics_sidecar};
+use crate::figures::{fct_sweep, loads_arg, print_fct_panels, write_metrics_sidecar_text};
 use crate::runner::{
     build_report, build_testbed, plan_arrivals, run_until_received, start_source, uniform_arrivals,
     workload_rng, FctRun, Scheme, TestbedOpts,
@@ -37,7 +37,7 @@ use conga_workloads::FlowSizeDist;
 /// Figure 11 (static): FCT sweeps and the hotspot queue on the Figure-7(b)
 /// fabric. Returns `false` if any sidecar write failed.
 pub fn fig11_static(args: &Args) -> bool {
-    let mut sidecar_failed = false;
+    let mut written = true;
     banner(
         "Figure 11 — impact of link failure (3x40G bisection, load ref. unchanged)",
         "one Leaf1-Spine1 link down; ECMP still sends half of L0->L1 via Spine 1",
@@ -56,7 +56,7 @@ pub fn fig11_static(args: &Args) -> bool {
         (FlowSizeDist::data_mining(), 250, "(b) data-mining workload"),
     ] {
         println!("\n{title}");
-        let sweep = fct_sweep(
+        let (sweep, sweep_written) = fct_sweep(
             args,
             "fig11_link_failure",
             TestbedOpts::paper_failure(),
@@ -65,6 +65,7 @@ pub fn fig11_static(args: &Args) -> bool {
             &Scheme::PAPER,
             flows,
         );
+        written &= sweep_written;
         print_fct_panels(&sweep);
     }
 
@@ -90,13 +91,8 @@ pub fn fig11_static(args: &Args) -> bool {
         cfg.cc = args.primary_cc();
         cfg.ecn_threshold_pkts = args.ecn_threshold;
         let (queue, report) = hotspot_queue(&cfg);
-        match write_metrics_sidecar("fig11_link_failure", scheme.name(), &report) {
-            Ok(p) => eprintln!("metrics sidecar: {}", p.display()),
-            Err(e) => {
-                eprintln!("metrics sidecar write failed: {e}");
-                sidecar_failed = true;
-            }
-        }
+        written &=
+            write_metrics_sidecar_text("fig11_link_failure", scheme.name(), &report.to_json());
         // `percentile` is None exactly when the sample is empty; report an
         // all-zero hotspot profile rather than crash on a degenerate run.
         let kb = |rank: f64| percentile(&queue, rank).unwrap_or(0.0) / 1024.0;
@@ -109,7 +105,7 @@ pub fn fig11_static(args: &Args) -> bool {
             kb(100.0)
         );
     }
-    !sidecar_failed
+    written
 }
 
 /// Run `cfg` on the monolithic engine — [`crate::runner::run_fct`] samples

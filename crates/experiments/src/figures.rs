@@ -4,7 +4,7 @@
 use crate::cli::{banner, or_usage, Args};
 use crate::fleet::{fct_cell, run_cells, FleetOpts};
 use crate::runner::{FctRun, LinkFaultSpec, Scheme, TestbedOpts, TraceSpec};
-use conga_telemetry::RunReport;
+use conga_trace::json::write_json_f64;
 use conga_trace::TraceHandle;
 use conga_workloads::FlowSizeDist;
 use std::fmt::Write as _;
@@ -19,59 +19,57 @@ fn slug(label: &str) -> String {
         .collect()
 }
 
-/// Write a run's telemetry artifact as `results/<figure>.<label>.metrics.json`
-/// and return the path. The label is slugified (lowercase, non-alphanumerics
-/// become `-`) so scheme names like `CONGA-Flow` give stable file names.
-pub fn write_metrics_sidecar(
-    figure: &str,
-    label: &str,
-    report: &RunReport,
-) -> std::io::Result<PathBuf> {
-    write_metrics_sidecar_text(figure, label, &report.to_json())
+/// Write one artifact to `results/<file_name>`, creating the directory,
+/// and report the outcome on stderr — the path, or the error. Every
+/// sidecar goes through here, so no failed write is ever silent; returns
+/// whether the artifact was written (a driver that gets `false` returns
+/// it, and `fleet` exits nonzero).
+pub(crate) fn write_artifact(what: &str, file_name: &str, text: &str) -> bool {
+    let path = PathBuf::from("results").join(file_name);
+    match std::fs::create_dir_all("results").and_then(|()| std::fs::write(&path, text)) {
+        Ok(()) => {
+            eprintln!("{what}: {}", path.display());
+            true
+        }
+        Err(e) => {
+            eprintln!("{what} write failed ({}): {e}", path.display());
+            false
+        }
+    }
 }
 
-/// [`write_metrics_sidecar`] from pre-rendered artifact text — the cache
-/// stores a cell's `RunReport` JSON verbatim, so a cache hit re-emits a
-/// byte-identical sidecar without re-running the simulation.
-pub fn write_metrics_sidecar_text(
-    figure: &str,
-    label: &str,
-    json: &str,
-) -> std::io::Result<PathBuf> {
-    let slug = slug(label);
-    let path = PathBuf::from("results").join(format!("{figure}.{slug}.metrics.json"));
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    std::fs::write(&path, json)?;
-    Ok(path)
+/// Write a cell's telemetry artifact, `results/<figure>.<label>.metrics.json`,
+/// from its rendered text — the cache stores a cell's `RunReport` JSON
+/// verbatim, so a cache hit re-emits a byte-identical sidecar without
+/// re-running the simulation. The label is slugified (lowercase,
+/// non-alphanumerics become `-`) so scheme names like `CONGA-Flow` give
+/// stable file names.
+pub fn write_metrics_sidecar_text(figure: &str, label: &str, json: &str) -> bool {
+    let file = format!("{figure}.{}.metrics.json", slug(label));
+    write_artifact("metrics sidecar", &file, json)
 }
 
 /// Write a cell's time-series artifacts — `results/<figure>.<slug>.series.jsonl`
 /// and `.csv` — from the rendered text a [`conga_fleet::CellResult`] carries
 /// (`series_jsonl` / `series_csv` keys). The text rides in the result-cache
 /// entry, so warm-cache re-runs re-emit byte-identical sidecars without
-/// re-running the simulation. No-op (returns `None`) when the cell sampled
-/// no series.
+/// re-running the simulation. Nothing to write (`true`) when the cell
+/// sampled no series.
 pub fn write_series_sidecars_from_text(
     figure: &str,
     label: &str,
     result: &conga_fleet::CellResult,
-) -> std::io::Result<Option<(PathBuf, PathBuf)>> {
+) -> bool {
     let (Some(jsonl), Some(csv)) = (
         result.text.get("series_jsonl"),
         result.text.get("series_csv"),
     ) else {
-        return Ok(None);
+        return true;
     };
-    let slug = slug(label);
-    let dir = PathBuf::from("results");
-    std::fs::create_dir_all(&dir)?;
-    let jpath = dir.join(format!("{figure}.{slug}.series.jsonl"));
-    let cpath = dir.join(format!("{figure}.{slug}.series.csv"));
-    std::fs::write(&jpath, jsonl)?;
-    std::fs::write(&cpath, csv)?;
-    Ok(Some((jpath, cpath)))
+    let stem = format!("{figure}.{}.series", slug(label));
+    // `&`, not `&&`: a failed first write still attempts the second.
+    write_artifact("series sidecar", &format!("{stem}.jsonl"), jsonl)
+        & write_artifact("series sidecar", &format!("{stem}.csv"), csv)
 }
 
 /// Event-tracing options parsed from the CLI: where to write the artifacts
@@ -108,7 +106,8 @@ pub fn trace_args(args: &Args) -> Option<TraceArgs> {
 
 /// Export a finished run's trace as `<dir>/<figure>.<label>.trace.jsonl`
 /// and `<dir>/<figure>.<label>.trace.chrome.json` (label slugified as in
-/// [`write_metrics_sidecar`]), print both paths to stderr, and return them.
+/// [`write_metrics_sidecar_text`]), print both paths to stderr, and return
+/// them.
 pub fn write_trace_sidecars(
     dir: &std::path::Path,
     figure: &str,
@@ -177,7 +176,8 @@ pub struct Sweep {
 }
 
 /// Run an FCT sweep over the paper's scheme set. `figure` names the trace
-/// artifacts when `--trace DIR` is given (see [`trace_args`]).
+/// artifacts when `--trace DIR` is given (see [`trace_args`]). Returns the
+/// merged matrices and whether every sidecar was written.
 pub fn fct_sweep(
     args: &Args,
     figure: &str,
@@ -186,12 +186,8 @@ pub fn fct_sweep(
     loads: &[f64],
     schemes: &[Scheme],
     flows_full: usize,
-) -> Sweep {
-    let n_flows = if args.quick {
-        120
-    } else {
-        args.get("flows", flows_full)
-    };
+) -> (Sweep, bool) {
+    let n_flows = args.flows_or(120, flows_full);
     let runs = args.runs_or(1, 2);
     let topo = if args.quick { topo.quick() } else { topo };
     // Every sweep scenario accepts the runtime fault flags (empty when the
@@ -252,10 +248,9 @@ pub fn fct_sweep(
     let results = run_cells(cells, &opts);
     // Cells that sampled time-series (e.g. under --sample-uplinks style
     // configs) emit their windowed series as sidecars; others skip free.
+    let mut written = true;
     for (label, cell) in labels.iter().zip(&results) {
-        if let Ok(Some((p, _))) = write_series_sidecars_from_text(figure, label, cell) {
-            eprintln!("series sidecar: {}", p.display());
-        }
+        written &= write_series_sidecars_from_text(figure, label, cell);
     }
     let mut it = results.iter();
     for (si, scheme) in schemes.iter().enumerate() {
@@ -291,21 +286,15 @@ pub fn fct_sweep(
             );
         }
     }
-    match write_sweep_sidecar(figure, &sweep) {
-        Ok(p) => eprintln!("sweep sidecar: {}", p.display()),
-        Err(e) => {
-            eprintln!("sweep sidecar write failed: {e}");
-            std::process::exit(1);
-        }
-    }
-    sweep
+    written &= write_sweep_sidecar(figure, &sweep);
+    (sweep, written)
 }
 
 /// Write the merged sweep matrices as deterministic JSON at
-/// `results/<figure>.sweep.json` and return the path. This is the
-/// byte-comparable "merged output" artifact of a sweep: identical for
-/// `--jobs 1`, `--jobs N`, and warm-cache re-runs (CI diffs it).
-pub fn write_sweep_sidecar(figure: &str, sweep: &Sweep) -> std::io::Result<PathBuf> {
+/// `results/<figure>.sweep.json`. This is the byte-comparable "merged
+/// output" artifact of a sweep: identical for `--jobs 1`, `--jobs N`, and
+/// warm-cache re-runs (CI diffs it).
+pub fn write_sweep_sidecar(figure: &str, sweep: &Sweep) -> bool {
     let mut out = String::with_capacity(1024);
     out.push_str("{\n  \"loads\": [");
     for (i, l) in sweep.loads.iter().enumerate() {
@@ -365,25 +354,7 @@ pub fn write_sweep_sidecar(figure: &str, sweep: &Sweep) -> std::io::Result<PathB
         out.push(']');
     }
     out.push_str("]\n}\n");
-    let path = PathBuf::from("results").join(format!("{figure}.sweep.json"));
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    std::fs::write(&path, out)?;
-    Ok(path)
-}
-
-pub(crate) fn write_json_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let s = format!("{v}");
-        let integral = !s.contains(['.', 'e', 'E']);
-        out.push_str(&s);
-        if integral {
-            out.push_str(".0");
-        }
-    } else {
-        out.push_str("null");
-    }
+    write_artifact("sweep sidecar", &format!("{figure}.sweep.json"), &out)
 }
 
 /// Print the three panels of a Figure-9-style sweep.
@@ -427,14 +398,15 @@ pub fn loads_arg(args: &Args, default: Vec<f64>) -> Vec<f64> {
 }
 
 /// The Figure 9/10 driver shared by both workload figures. `figure` names
-/// the trace artifacts when `--trace DIR` is given.
+/// the trace artifacts when `--trace DIR` is given. Returns `false` if a
+/// sidecar write failed.
 pub fn run_baseline_figure(
     args: &Args,
     figure: &str,
     dist: FlowSizeDist,
     title: &str,
     flows_full: usize,
-) {
+) -> bool {
     banner(
         title,
         "testbed: 64 hosts, 2 leaves, 2 spines, 10G access / 2x40G uplinks (2:1 oversub)",
@@ -447,7 +419,7 @@ pub fn run_baseline_figure(
             (1..=9).map(|l| l as f64 / 10.0).collect()
         },
     );
-    let sweep = fct_sweep(
+    let (sweep, written) = fct_sweep(
         args,
         figure,
         TestbedOpts::paper_baseline(),
@@ -457,4 +429,5 @@ pub fn run_baseline_figure(
         flows_full,
     );
     print_fct_panels(&sweep);
+    written
 }

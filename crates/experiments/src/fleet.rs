@@ -1,9 +1,10 @@
-//! The bridge between the experiment harness and `conga-fleet`: scenario
-//! construction for FCT cells, the cell runner, and the batch driver that
-//! every sweep loop routes through.
+//! The bridge between the experiment harness and `conga-fleet`: the tail
+//! every cell shares, the FCT cell, and the batch driver that every sweep
+//! loop routes through.
 //!
-//! A sweep builds a list of [`FleetCell`]s (a hashable
-//! [`Scenario`] plus a closure that executes the cell), then calls
+//! A sweep builds a list of [`FleetCell`]s (a hashable [`Scenario`] — the
+//! cell's own spec rendered as text — plus a closure that executes the
+//! cell), then calls
 //! [`run_cells`]: cache hits are resolved first, misses run on the
 //! work-stealing executor, and results come back **in sweep order** —
 //! merged output is byte-identical for any `--jobs N` and for warm-cache
@@ -16,11 +17,13 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use conga_fleet::manifest::{drain, CellRecord};
-use conga_fleet::{CellResult, FaultSpec, FleetManifest, ResultCache, Scenario, TopoSpec};
+use conga_fleet::{CellResult, FleetManifest, ResultCache, Scenario};
+use conga_telemetry::RunReport;
+use conga_trace::TraceHandle;
 
 use crate::cli::Args;
 use crate::figures::{write_trace_sidecars, TraceArgs};
-use crate::runner::{run_fct, FctRun};
+use crate::runner::{run_fct, FctOutcome, FctRun};
 
 /// Orchestration options, parsed once per invocation.
 #[derive(Clone, Debug)]
@@ -143,88 +146,40 @@ pub fn run_cells(cells: Vec<FleetCell>, opts: &FleetOpts) -> Vec<CellResult> {
         .collect()
 }
 
-/// The [`Scenario`] describing an FCT cell (pure data; hashing covers
-/// every field that reaches the simulation).
+/// The [`Scenario`] of an FCT cell: `FctRun::spec` renders every field
+/// that reaches the simulation; `quick` rides along as one more line.
 pub fn fct_scenario(figure: &str, label: &str, cfg: &FctRun, quick: bool) -> Scenario {
-    let mut s = Scenario::new("fct", figure, label);
-    s.scheme = cfg.scheme.name().to_string();
-    s.dist = cfg.dist.name().to_string();
-    s.load = cfg.load;
-    s.seed = cfg.seed;
-    s.n_flows = cfg.n_flows as u64;
-    s.quick = quick;
-    s.sample_uplinks = cfg.sample_uplinks;
-    s.topo = TopoSpec {
-        leaves: cfg.topo.leaves,
-        spines: cfg.topo.spines,
-        hosts_per_leaf: cfg.topo.hosts_per_leaf,
-        host_gbps: cfg.topo.host_gbps,
-        fabric_gbps: cfg.topo.fabric_gbps,
-        parallel: cfg.topo.parallel,
-        fail: cfg.topo.fail,
-    };
-    s.faults = cfg
-        .faults
-        .iter()
-        .map(|f| FaultSpec {
-            at_ns: f.at.as_nanos(),
-            leaf: f.leaf,
-            spine: f.spine,
-            parallel: f.parallel,
-            up: f.up,
-        })
-        .collect();
-    let mut s = s
-        .with_extra("tcp.mss", cfg.tcp.mss)
-        .with_extra("tcp.init_cwnd", cfg.tcp.init_cwnd)
-        .with_extra("tcp.min_rto_ns", cfg.tcp.min_rto.as_nanos())
-        .with_extra("tcp.max_rto_ns", cfg.tcp.max_rto.as_nanos())
-        .with_extra("tcp.dupack", cfg.tcp.dupack_thresh)
-        .with_extra("tcp.max_burst", cfg.tcp.max_burst)
-        .with_extra("tcp.rwnd", cfg.tcp.rwnd);
-    // Controller and marking knobs reach the hash only when they change
-    // behavior, mirroring the report-meta policy.
-    if cfg.cc != conga_transport::CcKind::Aimd {
-        s = s.with_extra("cc", cfg.cc.name());
-    }
-    if let Some(pkts) = cfg.effective_ecn_pkts() {
-        s = s.with_extra("ecn_threshold_pkts", pkts);
-    }
-    // Likewise the three-tier pod structure, core-link fault schedule and
-    // the streaming-sketch aggregation mode: stamped only when
-    // non-default, so every pre-existing two-tier scenario keeps its
-    // canonical form (modulo the version line).
-    if cfg.topo.pods > 1 {
-        s = s
-            .with_extra("topo.pods", cfg.topo.pods)
-            .with_extra("topo.cores", cfg.topo.cores);
-    }
-    if !cfg.core_faults.is_empty() {
-        let sched: Vec<String> = cfg
-            .core_faults
-            .iter()
-            .map(|f| {
-                format!(
-                    "{}@{}ns:{}:{}:{}",
-                    if f.up { "recover" } else { "fail" },
-                    f.at.as_nanos(),
-                    f.spine,
-                    f.core,
-                    f.parallel
-                )
-            })
-            .collect();
-        s = s.with_extra("core_faults", sched.join(","));
-    }
-    if cfg.sketch {
-        s = s.with_extra("fct_aggregation", "sketch");
-    }
-    s
+    let spec = format!("{}quick={quick}\n", cfg.spec());
+    Scenario::new("fct", figure, label, spec)
 }
 
-/// Build the standard FCT cell: runs [`run_fct`], exports trace sidecars
-/// in-worker when tracing is on (trace handles are thread-local by
-/// design), and returns the summary + telemetry artifact.
+/// The tail every cell shares: `body` runs the simulation on the worker,
+/// fills in the cell's summary and derived values, and hands back the
+/// run's report and trace; the report is rendered into the result and,
+/// when tracing is on, the trace exported as sidecars named after the
+/// cell — in-worker, because the recorder holds the whole run's events.
+pub(crate) fn cell(
+    scenario: Scenario,
+    tracing: Option<TraceArgs>,
+    body: impl FnOnce(&mut CellResult) -> (RunReport, Option<TraceHandle>) + Send + 'static,
+) -> FleetCell {
+    let (figure, label) = (scenario.figure.clone(), scenario.label.clone());
+    FleetCell {
+        scenario,
+        run: Box::new(move || {
+            let mut result = CellResult::default();
+            let (report, trace) = body(&mut result);
+            result.report_json = report.to_json();
+            if let (Some(t), Some(handle)) = (&tracing, &trace) {
+                write_trace_sidecars(&t.dir, &figure, &label, handle).expect("trace sidecar write");
+            }
+            result
+        }),
+    }
+}
+
+/// Build the standard FCT cell: runs [`run_fct`] and returns the summary,
+/// the telemetry artifact, the loss counters and any sampled series.
 pub fn fct_cell(
     figure: &str,
     label: &str,
@@ -233,32 +188,34 @@ pub fn fct_cell(
     tracing: Option<TraceArgs>,
 ) -> FleetCell {
     let scenario = fct_scenario(figure, label, &cfg, quick);
-    let figure = figure.to_string();
-    let label = label.to_string();
-    FleetCell {
-        scenario,
-        run: Box::new(move || {
-            let out = run_fct(&cfg);
-            if let (Some(t), Some(handle)) = (&tracing, &out.trace) {
-                write_trace_sidecars(&t.dir, &figure, &label, handle).expect("trace sidecar write");
-            }
-            let mut r = CellResult {
-                summary: out.summary,
-                report_json: out.report.to_json(),
-                ..CellResult::default()
-            };
-            r.values.insert("drops".into(), out.drops as f64);
-            r.values.insert("retx_bytes".into(), out.retx_bytes as f64);
-            r.values.insert("timeouts".into(), out.timeouts as f64);
-            // Time-series ride in the cache entry as rendered text, so a
-            // warm-cache re-run writes byte-identical series sidecars.
-            if !out.series.is_empty() {
-                r.text.insert("series_jsonl".into(), out.series.to_jsonl());
-                r.text.insert("series_csv".into(), out.series.to_csv());
-            }
-            r
-        }),
-    }
+    fct_cell_with(scenario, cfg, tracing, |_, _| {})
+}
+
+/// [`fct_cell`] under an explicit `scenario`, for figures whose cells
+/// cache more than the standard contribution: `derive` adds values
+/// computed in-worker from the whole outcome (uplink samples, counters —
+/// too bulky to cache themselves).
+pub(crate) fn fct_cell_with(
+    scenario: Scenario,
+    cfg: FctRun,
+    tracing: Option<TraceArgs>,
+    derive: fn(&FctOutcome, &mut CellResult),
+) -> FleetCell {
+    cell(scenario, tracing, move |r| {
+        let out = run_fct(&cfg);
+        r.summary = out.summary;
+        r.values.insert("drops".into(), out.drops as f64);
+        r.values.insert("retx_bytes".into(), out.retx_bytes as f64);
+        r.values.insert("timeouts".into(), out.timeouts as f64);
+        // Time-series ride in the cache entry as rendered text, so a
+        // warm-cache re-run writes byte-identical series sidecars.
+        if !out.series.is_empty() {
+            r.text.insert("series_jsonl".into(), out.series.to_jsonl());
+            r.text.insert("series_csv".into(), out.series.to_csv());
+        }
+        derive(&out, r);
+        (out.report, out.trace)
+    })
 }
 
 /// The one exit point of a `fleet` invocation: drain the per-cell records
@@ -295,10 +252,38 @@ pub fn finish(suite: &str, args: &Args) -> bool {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::runner::{Scheme, TestbedOpts};
     use conga_workloads::FlowSizeDist;
+
+    /// A named edit of a cell spec, for the key-coverage tests.
+    pub(crate) type Edit<T> = (&'static str, fn(&mut T));
+
+    /// The key-coverage check each spec type's test runs: every `reaching`
+    /// edit of `base()` must hash apart from the base and from every other
+    /// edit, every `inert` edit like the base.
+    pub(crate) fn assert_key_coverage<T>(
+        base: impl Fn() -> T,
+        hash: impl Fn(T) -> String,
+        reaching: &[Edit<T>],
+        inert: &[Edit<T>],
+    ) {
+        let mut seen = std::collections::BTreeMap::new();
+        seen.insert(hash(base()), "the unedited cell");
+        for (field, edit) in reaching {
+            let mut spec = base();
+            edit(&mut spec);
+            if let Some(other) = seen.insert(hash(spec), field) {
+                panic!("{field} shares a cache entry with {other}");
+            }
+        }
+        for (field, edit) in inert {
+            let mut spec = base();
+            edit(&mut spec);
+            assert_eq!(hash(spec), hash(base()), "{field} is not an input");
+        }
+    }
 
     fn tiny_cfg(seed: u64) -> FctRun {
         let mut cfg = FctRun::new(
@@ -313,77 +298,118 @@ mod tests {
     }
 
     #[test]
-    fn fct_scenario_hash_separates_cells() {
-        let a = fct_scenario("figX", "a", &tiny_cfg(1), true).content_hash();
-        let b = fct_scenario("figX", "a", &tiny_cfg(2), true).content_hash();
-        assert_ne!(a, b, "seed must reach the hash");
-        let c = {
+    fn every_simulation_reaching_field_of_an_fct_cell_reaches_the_hash() {
+        use crate::runner::{CoreLinkFaultSpec, LinkFaultSpec};
+        use conga_sim::{QueueKind, SimDuration, SimTime};
+        use conga_transport::CcKind;
+        // One runtime fault of each kind, so their fields have a value to
+        // move; nothing here is built or run.
+        let base = || {
             let mut cfg = tiny_cfg(1);
-            cfg.load = 0.6;
-            fct_scenario("figX", "a", &cfg, true).content_hash()
+            cfg.faults = vec![LinkFaultSpec::fail(SimTime::from_millis(3), 1, 1, 0)];
+            cfg.core_faults = vec![CoreLinkFaultSpec::fail(SimTime::from_millis(3), 0, 0, 0)];
+            cfg
         };
-        assert_ne!(a, c, "load must reach the hash");
-        let d = {
-            let mut cfg = tiny_cfg(1);
-            cfg.tcp = cfg.tcp.with_min_rto(conga_sim::SimDuration::from_millis(1));
-            fct_scenario("figX", "a", &cfg, true).content_hash()
-        };
-        assert_ne!(a, d, "tcp overrides must reach the hash");
-    }
-
-    #[test]
-    fn cc_and_ecn_reach_the_scenario_hash() {
-        let a = fct_scenario("figX", "a", &tiny_cfg(1), true).content_hash();
-        let b = {
-            let mut cfg = tiny_cfg(1);
-            cfg.cc = conga_transport::CcKind::Dctcp;
-            fct_scenario("figX", "a", &cfg, true).content_hash()
-        };
-        assert_ne!(a, b, "cc must reach the hash");
-        let c = {
-            let mut cfg = tiny_cfg(1);
-            cfg.cc = conga_transport::CcKind::Dctcp;
-            cfg.ecn_threshold_pkts = Some(20);
-            fct_scenario("figX", "a", &cfg, true).content_hash()
-        };
-        assert_ne!(b, c, "ecn threshold must reach the hash");
-        // The AIMD default stamps no extra keys, so the pre-subsystem
-        // canonical form is unchanged apart from the version line.
-        let canon = fct_scenario("figX", "a", &tiny_cfg(1), true).canonical();
-        assert!(!canon.contains("x.cc="));
-        assert!(!canon.contains("x.ecn_threshold_pkts="));
-    }
-
-    #[test]
-    fn three_tier_and_sketch_knobs_reach_the_scenario_hash() {
-        let base = fct_scenario("figX", "a", &tiny_cfg(1), true);
-        let base_hash = base.content_hash();
-        // Defaults stamp none of the new extras — pre-existing two-tier
-        // scenarios keep their canonical form (modulo the version line).
-        let canon = base.canonical();
-        assert!(!canon.contains("x.topo.pods="));
-        assert!(!canon.contains("x.core_faults="));
-        assert!(!canon.contains("x.fct_aggregation="));
-
-        let mut cfg = tiny_cfg(1);
-        cfg.topo = TestbedOpts::three_tier(2, 2, 1, 2, 4);
-        let tri = fct_scenario("figX", "a", &cfg, true).content_hash();
-        assert_ne!(base_hash, tri, "pod structure must reach the hash");
-        cfg.core_faults = vec![crate::runner::CoreLinkFaultSpec::fail(
-            conga_sim::SimTime::from_millis(3),
-            0,
-            0,
-            0,
-        )];
-        let faulted = fct_scenario("figX", "a", &cfg, true).content_hash();
-        assert_ne!(tri, faulted, "core faults must reach the hash");
-
-        let mut cfg = tiny_cfg(1);
-        cfg.sketch = true;
+        let hash = |cfg: FctRun| fct_scenario("figX", "a", &cfg, true).content_hash();
+        // Every field `FctRun::spec`, `TestbedOpts::spec`, `tcp_spec` and
+        // the two fault `spec`s destructure, in their order.
+        let reaching: &[Edit<FctRun>] = &[
+            ("topo.leaves", |c| c.topo.leaves = 4),
+            ("topo.spines", |c| c.topo.spines = 4),
+            ("topo.hosts_per_leaf", |c| c.topo.hosts_per_leaf = 4),
+            ("topo.host_gbps", |c| c.topo.host_gbps = 40),
+            ("topo.fabric_gbps", |c| c.topo.fabric_gbps = 100),
+            ("topo.parallel", |c| c.topo.parallel = 1),
+            ("topo.fail", |c| c.topo.fail = Some((1, 1, 0))),
+            ("topo.pods", |c| c.topo.pods = 2),
+            ("topo.cores", |c| c.topo.cores = 2),
+            ("scheme", |c| c.scheme = Scheme::Conga),
+            ("dist", |c| c.dist = FlowSizeDist::data_mining()),
+            ("dist breakpoints under one name", |c| {
+                c.dist = FlowSizeDist::from_points("enterprise", &[(100.0, 0.0), (9e7, 1.0)])
+            }),
+            ("load", |c| c.load = 0.6),
+            ("n_flows", |c| c.n_flows = 31),
+            ("seed", |c| c.seed = 2),
+            ("tcp.mss", |c| c.tcp.mss = 8960),
+            ("tcp.init_cwnd", |c| c.tcp.init_cwnd = 4),
+            ("tcp.min_rto", |c| {
+                c.tcp.min_rto = SimDuration::from_millis(1)
+            }),
+            ("tcp.max_rto", |c| {
+                c.tcp.max_rto = SimDuration::from_millis(500)
+            }),
+            ("tcp.dupack_thresh", |c| c.tcp.dupack_thresh = 2),
+            ("tcp.max_burst", |c| c.tcp.max_burst = 4),
+            ("tcp.rwnd", |c| c.tcp.rwnd = 65_536),
+            ("tcp.cc", |c| c.tcp.cc = CcKind::Cubic),
+            ("cc", |c| c.cc = CcKind::Dctcp),
+            ("ecn_threshold_pkts", |c| c.ecn_threshold_pkts = Some(20)),
+            ("sample_uplinks", |c| c.sample_uplinks = true),
+            ("faults", |c| c.faults.clear()),
+            ("faults.at", |c| c.faults[0].at = SimTime::from_millis(4)),
+            ("faults.leaf", |c| c.faults[0].leaf = 0),
+            ("faults.spine", |c| c.faults[0].spine = 0),
+            ("faults.parallel", |c| c.faults[0].parallel = 1),
+            ("faults.up", |c| c.faults[0].up = true),
+            ("core_faults", |c| c.core_faults.clear()),
+            ("core_faults.at", |c| {
+                c.core_faults[0].at = SimTime::from_millis(4)
+            }),
+            ("core_faults.spine", |c| c.core_faults[0].spine = 1),
+            ("core_faults.core", |c| c.core_faults[0].core = 1),
+            ("core_faults.parallel", |c| c.core_faults[0].parallel = 1),
+            ("core_faults.up", |c| c.core_faults[0].up = true),
+            ("sketch", |c| c.sketch = true),
+        ];
+        // The three execution knobs move no artifact byte (tests/hotpath.rs,
+        // tests/shards.rs, tests/trace.rs), so they must not move the key.
+        let inert: &[Edit<FctRun>] = &[
+            ("queue", |c| c.queue = QueueKind::Heap),
+            ("shards", |c| c.shards = 4),
+            ("trace", |c| {
+                c.trace = Some(crate::runner::TraceSpec::default())
+            }),
+        ];
+        assert_key_coverage(base, hash, reaching, inert);
+        // `quick`, `figure` and `label` are part of the key too.
         assert_ne!(
-            base_hash,
-            fct_scenario("figX", "a", &cfg, true).content_hash(),
-            "aggregation mode must reach the hash"
+            fct_scenario("figX", "a", &base(), false).content_hash(),
+            hash(base())
+        );
+    }
+
+    #[test]
+    fn the_key_of_a_default_fct_cell_is_this_text() {
+        // The key format, literally. An edit that moves it re-keys every
+        // cached cell: bump `CACHE_FORMAT_VERSION` in the same change.
+        let cfg = FctRun::new(
+            TestbedOpts::paper_baseline(),
+            Scheme::Conga,
+            FlowSizeDist::from_points("two-point", &[(100.0, 0.0), (2.5e6, 1.0)]),
+            0.5,
+        );
+        assert_eq!(
+            fct_scenario("fig09_enterprise", "CONGA.load50.r0", &cfg, false).canonical(),
+            "version=7\n\
+             kind=fct\n\
+             figure=fig09_enterprise\n\
+             label=CONGA.load50.r0\n\
+             topo=2x2x32@10G/40G par2 pods1 cores0 fail=none\n\
+             scheme=CONGA\n\
+             dist=FlowSizeDist { name: \"two-point\", points: [(100.0, 0.0), (2500000.0, 1.0)] }\n\
+             load=0.5\n\
+             n_flows=2000\n\
+             seed=1\n\
+             tcp=mss1460 init_cwnd10 min_rto200000000ns max_rto2000000000ns dupack3 \
+             max_burst10 rwnd524288 cc:aimd\n\
+             cc=aimd\n\
+             ecn=none\n\
+             sample_uplinks=false\n\
+             faults=\n\
+             core_faults=\n\
+             sketch=false\n\
+             quick=false\n"
         );
     }
 

@@ -201,6 +201,26 @@ impl TestbedOpts {
         self.hosts_per_leaf = self.hosts_per_leaf.min(8);
         self
     }
+
+    /// This fabric as cache-key text (see [`FctRun::spec`] for the rule).
+    pub(crate) fn spec(&self) -> String {
+        let TestbedOpts {
+            leaves,
+            spines,
+            hosts_per_leaf,
+            host_gbps,
+            fabric_gbps,
+            parallel,
+            fail,
+            pods,
+            cores,
+        } = self;
+        let fail = fail.map_or("none".to_string(), |(l, s, p)| format!("{l}:{s}:{p}"));
+        format!(
+            "{leaves}x{spines}x{hosts_per_leaf}@{host_gbps}G/{fabric_gbps}G par{parallel} \
+             pods{pods} cores{cores} fail={fail}"
+        )
+    }
 }
 
 /// Build the topology for the given options.
@@ -283,6 +303,23 @@ impl LinkFaultSpec {
             up: true,
         }
     }
+
+    /// This transition as text, e.g. `fail@80000000ns:leaf1-spine1#0` — a
+    /// report's `fault_schedule` entry and the cache key's.
+    pub(crate) fn spec(&self) -> String {
+        let LinkFaultSpec {
+            at,
+            leaf,
+            spine,
+            parallel,
+            up,
+        } = self;
+        let what = if *up { "recover" } else { "fail" };
+        format!(
+            "{what}@{}ns:leaf{leaf}-spine{spine}#{parallel}",
+            at.as_nanos()
+        )
+    }
 }
 
 /// A scheduled runtime transition on a spine–core link of a three-tier
@@ -326,6 +363,49 @@ impl CoreLinkFaultSpec {
             up: true,
         }
     }
+
+    /// This transition as text, e.g. `fail@3000000ns:spine0-core0#0` — a
+    /// report's `core_fault_schedule` entry and the cache key's.
+    pub(crate) fn spec(&self) -> String {
+        let CoreLinkFaultSpec {
+            at,
+            spine,
+            core,
+            parallel,
+            up,
+        } = self;
+        let what = if *up { "recover" } else { "fail" };
+        format!(
+            "{what}@{}ns:spine{spine}-core{core}#{parallel}",
+            at.as_nanos()
+        )
+    }
+}
+
+/// A fault schedule as one comma-joined line.
+fn schedule<T>(faults: &[T], spec: fn(&T) -> String) -> String {
+    faults.iter().map(spec).collect::<Vec<_>>().join(",")
+}
+
+/// `tcp` as cache-key text (see [`FctRun::spec`] for the rule).
+pub(crate) fn tcp_spec(tcp: &TcpConfig) -> String {
+    let TcpConfig {
+        mss,
+        init_cwnd,
+        min_rto,
+        max_rto,
+        dupack_thresh,
+        max_burst,
+        rwnd,
+        cc,
+    } = tcp;
+    format!(
+        "mss{mss} init_cwnd{init_cwnd} min_rto{}ns max_rto{}ns dupack{dupack_thresh} \
+         max_burst{max_burst} rwnd{rwnd} cc:{}",
+        min_rto.as_nanos(),
+        max_rto.as_nanos(),
+        cc.name()
+    )
 }
 
 /// Structured event-tracing options for a run: which flows to sample and
@@ -453,6 +533,46 @@ impl FctRun {
         self.effective_ecn_pkts().map(|pkts| EcnConfig {
             threshold_bytes: pkts as u64 * (self.tcp.mss + WIRE_OVERHEAD) as u64,
         })
+    }
+
+    /// This cell as cache-key text: one `key=value` line per field that
+    /// reaches the simulation, defaults included — the text is the cell's
+    /// identity, so nothing may be left out because it "usually" has one
+    /// value. The destructuring is exhaustive on purpose: a field added
+    /// later does not compile until it is rendered here or, like the three
+    /// execution knobs that provably move no byte, bound to `_`.
+    pub(crate) fn spec(&self) -> String {
+        let FctRun {
+            topo,
+            scheme,
+            dist,
+            load,
+            n_flows,
+            seed,
+            tcp,
+            cc,
+            ecn_threshold_pkts,
+            sample_uplinks,
+            faults,
+            core_faults,
+            sketch,
+            trace: _,
+            queue: _,
+            shards: _,
+        } = self;
+        // `{dist:?}` is the derive: the name and every CDF breakpoint.
+        format!(
+            "topo={}\nscheme={}\ndist={dist:?}\nload={load}\nn_flows={n_flows}\nseed={seed}\n\
+             tcp={}\ncc={}\necn={}\nsample_uplinks={sample_uplinks}\nfaults={}\n\
+             core_faults={}\nsketch={sketch}\n",
+            topo.spec(),
+            scheme.name(),
+            tcp_spec(tcp),
+            cc.name(),
+            ecn_threshold_pkts.map_or("none".to_string(), |pkts| pkts.to_string()),
+            schedule(faults, LinkFaultSpec::spec),
+            schedule(core_faults, CoreLinkFaultSpec::spec),
+        )
     }
 }
 
@@ -1071,38 +1191,12 @@ fn fct_meta(cfg: &FctRun, policy_name: &str, end: SimTime) -> RunReport {
         report.set_meta("failed_link", format!("leaf{l}-spine{s}#{p}"));
     }
     if !cfg.faults.is_empty() {
-        let sched: Vec<String> = cfg
-            .faults
-            .iter()
-            .map(|f| {
-                format!(
-                    "{}@{}ns:leaf{}-spine{}#{}",
-                    if f.up { "recover" } else { "fail" },
-                    f.at.as_nanos(),
-                    f.leaf,
-                    f.spine,
-                    f.parallel
-                )
-            })
-            .collect();
-        report.set_meta("fault_schedule", sched.join(","));
+        let sched = schedule(&cfg.faults, LinkFaultSpec::spec);
+        report.set_meta("fault_schedule", sched);
     }
     if !cfg.core_faults.is_empty() {
-        let sched: Vec<String> = cfg
-            .core_faults
-            .iter()
-            .map(|f| {
-                format!(
-                    "{}@{}ns:spine{}-core{}#{}",
-                    if f.up { "recover" } else { "fail" },
-                    f.at.as_nanos(),
-                    f.spine,
-                    f.core,
-                    f.parallel
-                )
-            })
-            .collect();
-        report.set_meta("core_fault_schedule", sched.join(","));
+        let sched = schedule(&cfg.core_faults, CoreLinkFaultSpec::spec);
+        report.set_meta("core_fault_schedule", sched);
     }
     report.set_meta("end_time_ns", end.as_nanos().to_string());
     report

@@ -27,7 +27,8 @@ use conga_sim::SimTime;
 use conga_workloads::FlowSizeDist;
 
 /// Figure 15: web-search FCT on 3:1-oversubscribed two- and three-tier
-/// fabrics, plus the core-link failure case.
+/// fabrics, plus the core-link failure case. Returns `false` if a sidecar
+/// write failed.
 pub fn fig15(args: &Args) -> bool {
     banner(
         "Figure 15 — large-scale web-search workload, 3:1 oversubscription",
@@ -72,6 +73,7 @@ pub fn fig15(args: &Args) -> bool {
     for (_, topo) in cases {
         fault_args(args, if args.quick { topo.quick() } else { topo });
     }
+    let mut written = true;
     for (title, topo) in cases {
         println!("\n{title}");
         // The 10k-host case is one deterministic run per cell: averaging
@@ -84,7 +86,7 @@ pub fn fig15(args: &Args) -> bool {
         } else {
             args.clone()
         };
-        let sweep = fct_sweep(
+        let (sweep, sweep_written) = fct_sweep(
             &case_args,
             "fig15_large_scale",
             topo,
@@ -93,6 +95,7 @@ pub fn fig15(args: &Args) -> bool {
             &[Scheme::Ecmp, Scheme::Conga],
             500,
         );
+        written &= sweep_written;
         println!("{:<12}FCT normalized to ECMP", "load");
         print!("{:<12}", "");
         for l in &loads {
@@ -151,8 +154,8 @@ pub fn fig15(args: &Args) -> bool {
             scheme.name(),
             cell.summary.avg_s * 1e3,
             cell.summary.incomplete,
-            cell.values.get("drops").copied().unwrap_or(0.0)
+            cell.value("drops")
         );
     }
-    true
+    written
 }

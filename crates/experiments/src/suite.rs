@@ -14,14 +14,17 @@
 use crate::cli::{banner, or_usage, Args, USAGE};
 use crate::dynfail::{dynfail_cell, DynFailSpec};
 use crate::figures::{
-    run_baseline_figure, trace_args, write_metrics_sidecar_text, write_trace_sidecars,
+    run_baseline_figure, trace_args, write_metrics_sidecar_text, write_series_sidecars_from_text,
+    TraceArgs,
 };
-use crate::fleet::{fct_scenario, run_cells, FleetCell, FleetOpts};
-use crate::runner::{run_until_received, start_source, FctRun, Scheme, TestbedOpts, TraceSpec};
+use crate::fleet::{cell, fct_cell_with, fct_scenario, run_cells, FleetCell, FleetOpts};
+use crate::runner::{
+    run_until_received, start_source, tcp_spec, FctOutcome, FctRun, Scheme, TestbedOpts, TraceSpec,
+};
 use crate::{ablation, analytic, asymmetry, failures, hdfs, scale, tournament};
 use conga_analysis::imbalance::throughput_imbalance;
 use conga_analysis::stats::percentile;
-use conga_fleet::{CellResult, Scenario, TopoSpec};
+use conga_fleet::{CellResult, Scenario};
 use conga_net::{HostId, LeafSpineBuilder, Network};
 use conga_sim::{SimDuration, SimRng, SimTime};
 use conga_telemetry::RunReport;
@@ -129,8 +132,7 @@ pub fn fig09(args: &Args) -> bool {
         FlowSizeDist::enterprise(),
         "Figure 9 — enterprise workload, baseline topology",
         800,
-    );
-    true
+    )
 }
 
 /// Figure 10: data-mining workload FCT sweep on the baseline testbed.
@@ -141,8 +143,7 @@ pub fn fig10(args: &Args) -> bool {
         FlowSizeDist::data_mining(),
         "Figure 10 — data-mining workload, baseline topology",
         250,
-    );
-    true
+    )
 }
 
 /// Figure 11 (dynamic): mid-run link failure and recovery, per scheme.
@@ -155,7 +156,7 @@ pub fn fig11_dynamic(args: &Args) -> bool {
 
     let tracing = trace_args(args);
     let opts = FleetOpts::from_args(args, tracing.is_some());
-    let mut sidecar_failed = false;
+    let mut written = true;
     let mut cells = Vec::new();
     // Optional overrides shared with the sweep figures.
     let (fail_at, recover_at) = or_usage(args.fault_window());
@@ -172,7 +173,6 @@ pub fn fig11_dynamic(args: &Args) -> bool {
             "fig11_dynamic_failure",
             scheme.name(),
             spec,
-            args.quick,
             tracing.clone(),
         ));
     }
@@ -189,13 +189,8 @@ pub fn fig11_dynamic(args: &Args) -> bool {
         "stranded"
     );
     for (scheme, out) in Scheme::PAPER.iter().zip(&results) {
-        match write_metrics_sidecar_text("fig11_dynamic_failure", scheme.name(), &out.report_json) {
-            Ok(p) => eprintln!("metrics sidecar: {}", p.display()),
-            Err(e) => {
-                eprintln!("metrics sidecar write failed: {e}");
-                sidecar_failed = true;
-            }
-        }
+        written &=
+            write_metrics_sidecar_text("fig11_dynamic_failure", scheme.name(), &out.report_json);
         println!(
             "{:<12}{:>12.1}{:>12.1}{:>12.1}{:>14}{:>12}{:>10}",
             scheme.name(),
@@ -210,7 +205,7 @@ pub fn fig11_dynamic(args: &Args) -> bool {
             out.value("stranded") as u64,
         );
     }
-    !sidecar_failed
+    written
 }
 
 /// Figure 12: uplink throughput imbalance at 60 % load, both workloads.
@@ -218,7 +213,7 @@ pub fn fig11_dynamic(args: &Args) -> bool {
 pub fn fig12(args: &Args) -> bool {
     let tracing = trace_args(args);
     let opts = FleetOpts::from_args(args, tracing.is_some());
-    let mut sidecar_failed = false;
+    let mut written = true;
     banner(
         "Figure 12 — uplink throughput imbalance (MAX-MIN)/AVG at 60% load",
         "synchronous 10ms samples of Leaf 0's four uplinks, baseline topology",
@@ -246,7 +241,8 @@ pub fn fig12(args: &Args) -> bool {
             cfg.trace = tracing.as_ref().map(|t| t.spec.clone());
             cfg.shards = args.shards;
             let label = format!("{}.{}", dist.name(), scheme.name());
-            cells.push(fig12_cell(label, cfg, args.quick, tracing.clone()));
+            let scenario = fct_scenario("fig12_imbalance", &label, &cfg, args.quick);
+            cells.push(fct_cell_with(scenario, cfg, tracing.clone(), imbalance));
         }
     }
     let results = run_cells(cells, &opts);
@@ -261,21 +257,8 @@ pub fn fig12(args: &Args) -> bool {
         for scheme in Scheme::PAPER {
             let out = it.next().expect("one result per cell");
             let label = format!("{}.{}", dist.name(), scheme.name());
-            match write_metrics_sidecar_text("fig12_imbalance", &label, &out.report_json) {
-                Ok(p) => eprintln!("metrics sidecar: {}", p.display()),
-                Err(e) => {
-                    eprintln!("metrics sidecar write failed: {e}");
-                    sidecar_failed = true;
-                }
-            }
-            match crate::figures::write_series_sidecars_from_text("fig12_imbalance", &label, out) {
-                Ok(Some((p, _))) => eprintln!("series sidecar: {}", p.display()),
-                Ok(None) => {}
-                Err(e) => {
-                    eprintln!("series sidecar write failed: {e}");
-                    sidecar_failed = true;
-                }
-            }
+            written &= write_metrics_sidecar_text("fig12_imbalance", &label, &out.report_json);
+            written &= write_series_sidecars_from_text("fig12_imbalance", &label, out);
             if out.value("n_windows") == 0.0 {
                 println!(
                     "{:<12}{:>10}{:>10}{:>10}{:>10}",
@@ -297,52 +280,23 @@ pub fn fig12(args: &Args) -> bool {
             );
         }
     }
-    !sidecar_failed
+    written
 }
 
-/// One Figure-12 cell: an uplink-sampling FCT run whose imbalance
-/// percentiles are derived in-worker (uplink samples are too bulky to
-/// cache; the four percentiles are what the figure needs).
-fn fig12_cell(
-    label: String,
-    cfg: FctRun,
-    quick: bool,
-    tracing: Option<crate::figures::TraceArgs>,
-) -> FleetCell {
-    let scenario = fct_scenario("fig12_imbalance", &label, &cfg, quick);
-    FleetCell {
-        scenario,
-        run: Box::new(move || {
-            let out = crate::runner::run_fct(&cfg);
-            if let (Some(t), Some(handle)) = (&tracing, &out.trace) {
-                write_trace_sidecars(&t.dir, "fig12_imbalance", &label, handle)
-                    .expect("trace sidecar write");
-            }
-            // Only windows where the uplinks average at least 10% utilized
-            // say anything about balance (idle head/tail windows would
-            // otherwise dominate the percentiles).
-            let min_avg = 0.10 * 40e9 * 0.010 / 8.0;
-            let imb = throughput_imbalance(&out.uplink_tx_samples, min_avg);
-            let mut r = CellResult {
-                summary: out.summary,
-                report_json: out.report.to_json(),
-                ..CellResult::default()
-            };
-            r.values.insert("n_windows".into(), imb.len() as f64);
-            for (k, p) in [("p25", 25.0), ("p50", 50.0), ("p75", 75.0), ("p95", 95.0)] {
-                if let Some(v) = percentile(&imb, p) {
-                    r.values.insert(k.into(), v * 100.0);
-                }
-            }
-            // The windowed series (per-uplink util/queue, DRE estimates,
-            // imbalance-over-time) ride in the cache entry as rendered
-            // text so warm re-runs emit byte-identical sidecars.
-            if !out.series.is_empty() {
-                r.text.insert("series_jsonl".into(), out.series.to_jsonl());
-                r.text.insert("series_csv".into(), out.series.to_csv());
-            }
-            r
-        }),
+/// What a Figure-12 cell caches beyond the standard FCT contribution: the
+/// imbalance percentiles, derived in-worker (uplink samples are too bulky
+/// to cache; the four percentiles are what the figure needs).
+fn imbalance(out: &FctOutcome, r: &mut CellResult) {
+    // Only windows where the uplinks average at least 10% utilized say
+    // anything about balance (idle head/tail windows would otherwise
+    // dominate the percentiles).
+    let min_avg = 0.10 * 40e9 * 0.010 / 8.0;
+    let imb = throughput_imbalance(&out.uplink_tx_samples, min_avg);
+    r.values.insert("n_windows".into(), imb.len() as f64);
+    for (k, p) in [("p25", 25.0), ("p50", 50.0), ("p75", 75.0), ("p95", 95.0)] {
+        if let Some(v) = percentile(&imb, p) {
+            r.values.insert(k.into(), v * 100.0);
+        }
     }
 }
 
@@ -351,7 +305,7 @@ fn fig12_cell(
 pub fn fig13(args: &Args) -> bool {
     let tracing = trace_args(args);
     let opts = FleetOpts::from_args(args, tracing.is_some());
-    let mut sidecar_failed = false;
+    let mut written = true;
     banner(
         "Figure 13 — Incast: client goodput vs fanout",
         "10MB striped over N synchronized senders into one 10G access link;\n\
@@ -378,14 +332,13 @@ pub fn fig13(args: &Args) -> bool {
             let tcp = cfg.with_min_rto(SimDuration::from_millis(*rto_ms));
             for &f in &fanouts {
                 let tag = format!("{mtu_name}.{label}.f{f:02}");
-                cells.push(incast_cell(
-                    tag,
-                    *scheme,
-                    f,
+                let spec = IncastSpec {
+                    scheme: *scheme,
+                    fanout: f,
                     tcp,
-                    args.seed,
-                    tracing.clone(),
-                ));
+                    seed: args.seed,
+                };
+                cells.push(incast_cell(&tag, spec, tracing.clone()));
             }
         }
     }
@@ -404,64 +357,58 @@ pub fn fig13(args: &Args) -> bool {
             for &f in &fanouts {
                 let out = it.next().expect("one result per cell");
                 let tag = format!("{mtu_name}.{label}.f{f:02}");
-                match write_metrics_sidecar_text("fig13_incast", &tag, &out.report_json) {
-                    Ok(p) => eprintln!("metrics sidecar: {}", p.display()),
-                    Err(e) => {
-                        eprintln!("metrics sidecar write failed: {e}");
-                        sidecar_failed = true;
-                    }
-                }
+                written &= write_metrics_sidecar_text("fig13_incast", &tag, &out.report_json);
                 print!("{:>7.1}", out.value("goodput_pct"));
             }
             println!();
         }
     }
-    !sidecar_failed
+    written
 }
 
-/// One incast cell: a custom synchronized-senders simulation (not an FCT
-/// sweep), hashed under `kind = "incast"`.
-fn incast_cell(
-    tag: String,
+/// One incast cell's inputs — [`run_incast`]'s arguments — and their
+/// cache-key text. The fabric is not among them: `run_incast` builds the
+/// one testbed itself.
+struct IncastSpec {
     scheme: Scheme,
     fanout: u32,
     tcp: TcpConfig,
     seed: u64,
-    tracing: Option<crate::figures::TraceArgs>,
-) -> FleetCell {
-    let mut scenario = Scenario::new("incast", "fig13_incast", &tag);
-    scenario.scheme = scheme.name().to_string();
-    scenario.seed = seed;
-    scenario.topo = TopoSpec {
-        leaves: 2,
-        spines: 2,
-        hosts_per_leaf: 32,
-        host_gbps: 10,
-        fabric_gbps: 40,
-        parallel: 2,
-        fail: None,
-    };
-    let scenario = scenario
-        .with_extra("fanout", fanout)
-        .with_extra("tcp.mss", tcp.mss)
-        .with_extra("tcp.min_rto_ns", tcp.min_rto.as_nanos());
-    FleetCell {
-        scenario,
-        run: Box::new(move || {
-            let spec = tracing.as_ref().map(|t| t.spec.clone());
-            let (pct, report, trace) = run_incast(scheme, fanout, tcp, seed, spec.as_ref());
-            if let (Some(t), Some(handle)) = (&tracing, &trace) {
-                write_trace_sidecars(&t.dir, "fig13_incast", &tag, handle)
-                    .expect("trace sidecar write");
-            }
-            let mut r = CellResult {
-                report_json: report.to_json(),
-                ..CellResult::default()
-            };
-            r.values.insert("goodput_pct".into(), pct);
-            r
-        }),
+}
+
+impl IncastSpec {
+    /// By the rule of [`FctRun::spec`]: every field, defaults included.
+    fn spec(&self) -> String {
+        let IncastSpec {
+            scheme,
+            fanout,
+            tcp,
+            seed,
+        } = self;
+        format!(
+            "scheme={}\nfanout={fanout}\ntcp={}\nseed={seed}\n",
+            scheme.name(),
+            tcp_spec(tcp)
+        )
     }
+}
+
+/// One incast cell: a custom synchronized-senders simulation (not an FCT
+/// sweep), hashed under `kind = "incast"`.
+fn incast_cell(tag: &str, spec: IncastSpec, tracing: Option<TraceArgs>) -> FleetCell {
+    let scenario = Scenario::new("incast", "fig13_incast", tag, spec.spec());
+    let trace_spec = tracing.as_ref().map(|t| t.spec.clone());
+    cell(scenario, tracing, move |r| {
+        let (pct, report, trace) = run_incast(
+            spec.scheme,
+            spec.fanout,
+            spec.tcp,
+            spec.seed,
+            trace_spec.as_ref(),
+        );
+        r.values.insert("goodput_pct".into(), pct);
+        (report, trace)
+    })
 }
 
 /// Run one incast: returns goodput as a % of the 10G access line rate, the
@@ -549,6 +496,39 @@ pub fn run_incast(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fleet::tests::{assert_key_coverage, Edit};
+
+    #[test]
+    fn every_field_of_an_incast_cell_reaches_the_hash() {
+        let base = || IncastSpec {
+            scheme: Scheme::Conga,
+            fanout: 16,
+            tcp: TcpConfig::standard(),
+            seed: 1,
+        };
+        let hash = |spec: IncastSpec| incast_cell("a", spec, None).scenario.content_hash();
+        // Every field `IncastSpec::spec` and `tcp_spec` destructure, in
+        // their order. At the parent commit the key carried two of the
+        // eight `tcp` fields.
+        let reaching: &[Edit<IncastSpec>] = &[
+            ("scheme", |s| s.scheme = Scheme::Mptcp),
+            ("fanout", |s| s.fanout = 32),
+            ("tcp.mss", |s| s.tcp.mss = 8960),
+            ("tcp.init_cwnd", |s| s.tcp.init_cwnd = 4),
+            ("tcp.min_rto", |s| {
+                s.tcp.min_rto = SimDuration::from_millis(1)
+            }),
+            ("tcp.max_rto", |s| {
+                s.tcp.max_rto = SimDuration::from_millis(500)
+            }),
+            ("tcp.dupack_thresh", |s| s.tcp.dupack_thresh = 2),
+            ("tcp.max_burst", |s| s.tcp.max_burst = 4),
+            ("tcp.rwnd", |s| s.tcp.rwnd = 65_536),
+            ("tcp.cc", |s| s.tcp.cc = conga_transport::CcKind::Dctcp),
+            ("seed", |s| s.seed = 2),
+        ];
+        assert_key_coverage(base, hash, reaching, &[]);
+    }
 
     #[test]
     fn the_table_is_the_only_list_of_subcommands() {

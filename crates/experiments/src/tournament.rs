@@ -10,14 +10,14 @@
 //! byte-identical for any `--jobs`, `--shards`, or cache state.
 
 use crate::cli::{banner, Args};
-use crate::figures::{loads_arg, write_json_f64};
-use crate::fleet::{fct_scenario, run_cells, FleetCell, FleetOpts};
-use crate::runner::{run_fct, FctRun, Scheme, TestbedOpts};
+use crate::figures::{loads_arg, write_artifact};
+use crate::fleet::{fct_cell_with, fct_scenario, run_cells, FleetOpts};
+use crate::runner::{FctOutcome, FctRun, Scheme, TestbedOpts};
 use conga_analysis::tournament::{compare, render, GroupTable, PolicyCell};
-use conga_fleet::CellResult;
+use conga_fleet::{CellResult, Scenario};
+use conga_trace::json::write_json_f64;
 use conga_workloads::FlowSizeDist;
 use std::fmt::Write as _;
-use std::path::PathBuf;
 
 /// The arena matrix: (name, testbed, workload).
 fn arenas() -> Vec<(&'static str, TestbedOpts, FlowSizeDist)> {
@@ -40,45 +40,22 @@ fn arenas() -> Vec<(&'static str, TestbedOpts, FlowSizeDist)> {
     ]
 }
 
-/// Canonical `--loads` encoding hashed into every tournament scenario:
-/// the full sweep list, as percents, comma-joined. Ratio tables compare
-/// cells *within* one sweep, so a cell's result must never be served for
-/// a sweep raced over a different load list.
-fn loads_key(loads: &[f64]) -> String {
-    loads
-        .iter()
-        .map(|l| format!("{}", l * 100.0))
-        .collect::<Vec<_>>()
-        .join(",")
+/// What a tournament cell caches beyond the standard FCT contribution:
+/// the policy's re-routing decision count.
+fn decisions(out: &FctOutcome, r: &mut CellResult) {
+    let n = out.report.metrics.counter("dataplane.flowlet_new");
+    r.values.insert("decisions".into(), n as f64);
 }
 
-/// One tournament cell: a standard cached FCT run that also records the
-/// policy's re-routing decision count (so cache hits preserve it).
-fn tournament_cell(
-    figure: &str,
-    label: &str,
-    cfg: FctRun,
-    quick: bool,
-    loads: &[f64],
-) -> FleetCell {
-    let scenario = fct_scenario(figure, label, &cfg, quick).with_extra("loads", loads_key(loads));
-    FleetCell {
-        scenario,
-        run: Box::new(move || {
-            let out = run_fct(&cfg);
-            let mut r = CellResult {
-                summary: out.summary,
-                report_json: out.report.to_json(),
-                ..CellResult::default()
-            };
-            r.values.insert(
-                "decisions".into(),
-                out.report.metrics.counter("dataplane.flowlet_new") as f64,
-            );
-            r.values.insert("drops".into(), out.drops as f64);
-            r
-        }),
-    }
+/// The scenario of one tournament cell: the FCT cell's own, plus the
+/// sweep's whole `--loads` list as percents. Ratio tables compare cells
+/// *within* one sweep, so a cell's result must never be served for a
+/// sweep raced over a different load list.
+fn sweep_scenario(figure: &str, label: &str, cfg: &FctRun, quick: bool, loads: &[f64]) -> Scenario {
+    let pcts: Vec<String> = loads.iter().map(|l| format!("{}", l * 100.0)).collect();
+    let mut scenario = fct_scenario(figure, label, cfg, quick);
+    scenario.spec += &format!("loads={}\n", pcts.join(","));
+    scenario
 }
 
 /// Run the tournament. Returns `false` if an artifact write failed.
@@ -96,11 +73,7 @@ pub fn run(args: &Args) -> bool {
             vec![0.2, 0.4, 0.6, 0.8]
         },
     );
-    let n_flows = if args.quick {
-        80
-    } else {
-        args.get("flows", 400)
-    };
+    let n_flows = args.flows_or(80, 400);
     let opts = FleetOpts::from_args(args, false);
 
     let arenas = arenas();
@@ -120,7 +93,8 @@ pub fn run(args: &Args) -> bool {
                     let figure = format!("tournament_{arena}");
                     let label =
                         format!("{}.{}.load{:02.0}", scheme.name(), cc.name(), load * 100.0);
-                    cells.push(tournament_cell(&figure, &label, cfg, args.quick, &loads));
+                    let scenario = sweep_scenario(&figure, &label, &cfg, args.quick, &loads);
+                    cells.push(fct_cell_with(scenario, cfg, None, decisions));
                 }
             }
         }
@@ -155,23 +129,9 @@ pub fn run(args: &Args) -> bool {
     let table_text = render(&tables);
     print!("{table_text}");
     let json = to_json(&loads, ccs, &arenas, &tables);
-    let mut ok = true;
-    for (path, text) in [
-        (PathBuf::from("results/tournament.json"), &json),
-        (PathBuf::from("results/tournament_table.txt"), &table_text),
-    ] {
-        if let Some(parent) = path.parent() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-        match std::fs::write(&path, text) {
-            Ok(()) => eprintln!("tournament artifact: {}", path.display()),
-            Err(e) => {
-                eprintln!("tournament artifact write failed ({}): {e}", path.display());
-                ok = false;
-            }
-        }
-    }
-    ok
+    // `&`, not `&&`: a failed first write still attempts the second.
+    write_artifact("tournament artifact", "tournament.json", &json)
+        & write_artifact("tournament artifact", "tournament_table.txt", &table_text)
 }
 
 /// Serialize the comparison groups as deterministic JSON (sorted structure
@@ -263,33 +223,20 @@ mod tests {
 
     #[test]
     fn loads_list_reaches_the_scenario_hash() {
-        let cfg = || {
-            FctRun::new(
-                TestbedOpts::paper_baseline().quick(),
-                Scheme::Conga,
-                FlowSizeDist::enterprise(),
-                0.3,
-            )
+        let cfg = FctRun::new(
+            TestbedOpts::paper_baseline().quick(),
+            Scheme::Conga,
+            FlowSizeDist::enterprise(),
+            0.3,
+        );
+        let raced_over = |loads: &[f64]| {
+            sweep_scenario("tournament_enterprise", "conga.load30", &cfg, true, loads)
         };
-        let a = tournament_cell(
-            "tournament_enterprise",
-            "conga.load30",
-            cfg(),
-            true,
-            &[0.3, 0.6],
-        );
-        let b = tournament_cell(
-            "tournament_enterprise",
-            "conga.load30",
-            cfg(),
-            true,
-            &[0.3, 0.8],
-        );
         assert_ne!(
-            a.scenario.content_hash(),
-            b.scenario.content_hash(),
+            raced_over(&[0.3, 0.6]).content_hash(),
+            raced_over(&[0.3, 0.8]).content_hash(),
             "same cell raced under a different --loads sweep must not share a cache entry"
         );
-        assert!(a.scenario.canonical().contains("x.loads=30,60"));
+        assert!(raced_over(&[0.3, 0.6]).spec.ends_with("\nloads=30,60\n"));
     }
 }

@@ -18,7 +18,7 @@ use std::io;
 use std::path::PathBuf;
 
 use conga_analysis::fct::FctSummary;
-use conga_trace::json::{parse, Value};
+use conga_trace::json::{parse, write_json_f64, write_json_string, Value};
 
 /// Everything a finished cell contributes to its figure.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -65,7 +65,7 @@ impl CellResult {
         ] {
             let _ = write!(out, "\"{k}\": ");
             match v {
-                Some(v) => write_f64(&mut out, v),
+                Some(v) => write_json_f64(&mut out, v),
                 None => out.push_str("null"),
             }
             if k != "p99_s" {
@@ -77,21 +77,21 @@ impl CellResult {
             if i > 0 {
                 out.push_str(", ");
             }
-            write_str(&mut out, k);
+            write_json_string(&mut out, k);
             out.push_str(": ");
-            write_f64(&mut out, *v);
+            write_json_f64(&mut out, *v);
         }
         out.push_str("},\n  \"text\": {");
         for (i, (k, v)) in self.text.iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
             }
-            write_str(&mut out, k);
+            write_json_string(&mut out, k);
             out.push_str(": ");
-            write_str(&mut out, v);
+            write_json_string(&mut out, v);
         }
         out.push_str("},\n  \"report_json\": ");
-        write_str(&mut out, &self.report_json);
+        write_json_string(&mut out, &self.report_json);
         out.push_str("\n}\n");
         out
     }
@@ -169,37 +169,6 @@ impl CellResult {
             report_json,
         })
     }
-}
-
-fn write_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let s = format!("{v}");
-        let integral = !s.contains(['.', 'e', 'E']);
-        out.push_str(&s);
-        if integral {
-            out.push_str(".0");
-        }
-    } else {
-        out.push_str("null");
-    }
-}
-
-fn write_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// A content-addressed cache directory (or a disabled stand-in).

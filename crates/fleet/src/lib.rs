@@ -5,8 +5,8 @@
 //! deterministic simulations. This crate is the substrate that runs such
 //! matrices fast without giving up a byte of determinism:
 //!
-//! * [`scenario`] — a declarative [`Scenario`](scenario::Scenario) spec
-//!   per cell with a stable canonical serialization and a content hash;
+//! * [`scenario`] — a [`Scenario`](scenario::Scenario) per cell: its names
+//!   and its own spec rendered as text, under a content hash;
 //! * [`exec`] — a work-stealing thread-pool executor (std threads only)
 //!   that returns results **in input order**, so merged sweep output is
 //!   byte-identical for any `--jobs N`;
@@ -19,8 +19,9 @@
 //!   exit summary every `fleet` invocation prints.
 //!
 //! The crate sits below the experiment harness in the dependency graph
-//! (it knows nothing about schemes or topologies beyond plain data), so
-//! `conga-experiments` can route every existing sweep loop through it.
+//! (it knows nothing about schemes or topologies: a cell's spec is opaque
+//! text to it), so `conga-experiments` can route every sweep loop through
+//! it.
 
 #![warn(missing_docs)]
 
@@ -32,7 +33,7 @@ pub mod scenario;
 pub use cache::{CellResult, ResultCache};
 pub use exec::{run_ordered, run_ordered_quiet, Timed};
 pub use manifest::{CellRecord, FleetManifest};
-pub use scenario::{FaultSpec, Scenario, TopoSpec, CACHE_FORMAT_VERSION};
+pub use scenario::{Scenario, CACHE_FORMAT_VERSION};
 
 /// Process-wide orchestration counters for the exit summary line.
 ///

@@ -13,6 +13,8 @@ use std::io;
 use std::path::Path;
 use std::sync::Mutex;
 
+use conga_trace::json::write_json_string;
+
 /// One cell's orchestration record.
 #[derive(Debug, Clone)]
 pub struct CellRecord {
@@ -81,8 +83,9 @@ impl FleetManifest {
     /// vary run to run by design).
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(256 + 128 * self.cells.len());
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"suite\": \"{}\",", self.suite);
+        out.push_str("{\n  \"suite\": ");
+        write_json_string(&mut out, &self.suite);
+        out.push_str(",\n");
         let _ = writeln!(out, "  \"jobs\": {},", self.jobs);
         let _ = writeln!(out, "  \"cells_total\": {},", self.cells.len());
         let _ = writeln!(out, "  \"cache_hits\": {},", self.hits());
@@ -94,10 +97,14 @@ impl FleetManifest {
             if i > 0 {
                 out.push(',');
             }
+            out.push_str("\n    {\"figure\": ");
+            write_json_string(&mut out, &c.figure);
+            out.push_str(", \"label\": ");
+            write_json_string(&mut out, &c.label);
             let _ = write!(
                 out,
-                "\n    {{\"figure\": \"{}\", \"label\": \"{}\", \"hash\": \"{}\", \"cached\": {}, \"failed\": {}, \"wall_us\": {}}}",
-                c.figure, c.label, c.hash, c.cached, c.failed, c.wall_us
+                ", \"hash\": \"{}\", \"cached\": {}, \"failed\": {}, \"wall_us\": {}}}",
+                c.hash, c.cached, c.failed, c.wall_us
             );
         }
         if !self.cells.is_empty() {
@@ -137,7 +144,7 @@ mod tests {
                 },
                 CellRecord {
                     figure: "f".into(),
-                    label: "b".into(),
+                    label: "b \"quoted\\".into(),
                     hash: "2222".into(),
                     cached: false,
                     failed: true,
@@ -156,9 +163,12 @@ mod tests {
         assert!(j.contains("\"hash\": \"2222\""));
         // Must be valid JSON by the workspace's own parser.
         let doc = conga_trace::json::parse(&j).expect("manifest parses");
+        let cells = doc.get("cells").and_then(|c| c.as_arr()).expect("cells");
+        assert_eq!(cells.len(), 2);
+        // Names are escaped, not interpolated.
         assert_eq!(
-            doc.get("cells").and_then(|c| c.as_arr()).map(|a| a.len()),
-            Some(2)
+            cells[1].get("label").and_then(|l| l.as_str()),
+            Some("b \"quoted\\")
         );
     }
 

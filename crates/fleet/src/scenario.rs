@@ -1,83 +1,30 @@
-//! Scenario manifests: a declarative, hashable description of one
-//! experiment cell.
+//! Scenarios: the hashable identity of one experiment cell.
 //!
 //! Every evaluation figure is a sweep over a
 //! `scheme × load × seed × fault` matrix whose cells are independent,
-//! single-threaded, deterministic simulations. A [`Scenario`] captures
-//! everything that determines a cell's outputs — and *nothing else* — so
-//! its content hash can key a result cache: two cells with equal hashes
-//! produce byte-identical artifacts, and a cached result can stand in for
-//! a run.
+//! single-threaded, deterministic simulations. A cell is described once,
+//! by its own spec type in the experiment harness; that type renders
+//! everything that determines the cell's outputs — and *nothing else* —
+//! as text, and a [`Scenario`] carries that text beside the cell's three
+//! names. Its content hash keys the result cache: two cells with equal
+//! hashes produce byte-identical artifacts, and a cached result can stand
+//! in for a run.
 //!
-//! # Canonical serialization
-//!
-//! [`Scenario::canonical`] renders the spec as `key=value` lines in a
-//! fixed, documented order (extras sorted by key). The encoding is pure
-//! data — no floats formatted with locale, no map iteration order, no
-//! wall-clock — so it is stable across runs, worker threads, and
+//! [`Scenario::canonical`] is the [`CACHE_FORMAT_VERSION`] line, the three
+//! names and the spec text verbatim — pure data, no map iteration order,
+//! no wall-clock — so it is stable across runs, worker threads, and
 //! machines. [`Scenario::content_hash`] is FNV-1a/64 over those bytes,
 //! rendered as 16 hex digits.
-//!
-//! The canonical form embeds [`CACHE_FORMAT_VERSION`]; bump it whenever
-//! simulation semantics change so stale cache entries can never be
-//! served for new code.
 
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
+/// Version tag folded into every canonical serialization. Bump it when
+/// simulation semantics or the cached result layout change, so old cache
+/// entries miss instead of serving stale data. A new knob needs no bump:
+/// the spec text renders every simulation-reaching field, defaults
+/// included.
+pub const CACHE_FORMAT_VERSION: u32 = 7;
 
-/// Version tag folded into every canonical serialization. Bump on any
-/// change to simulation semantics or to the cached result layout: old
-/// cache entries then miss instead of serving stale data.
-///
-/// v5: pluggable congestion controllers (`x.cc`) and ECN marking
-/// (`x.ecn_threshold_pkts`) reach the dataplane.
-///
-/// v6: three-tier Clos fabrics (`x.topo.pods`/`x.topo.cores`), spine–core
-/// fault schedules (`x.core_faults`), and the streaming FCT sketch
-/// aggregation path (`x.fct_aggregation`).
-pub const CACHE_FORMAT_VERSION: u32 = 6;
-
-/// The topology of a cell, mirroring the experiment harness's testbed
-/// options as plain data.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TopoSpec {
-    /// Leaves.
-    pub leaves: u32,
-    /// Spines.
-    pub spines: u32,
-    /// Hosts per leaf.
-    pub hosts_per_leaf: u32,
-    /// Host NIC rate, Gbps.
-    pub host_gbps: u64,
-    /// Fabric link rate, Gbps.
-    pub fabric_gbps: u64,
-    /// Parallel links per leaf-spine pair.
-    pub parallel: u32,
-    /// Link failed from t = 0, as (leaf, spine, parallel index).
-    pub fail: Option<(u32, u32, u32)>,
-}
-
-/// One scheduled runtime link transition, as plain data.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FaultSpec {
-    /// Absolute simulation time of the transition, nanoseconds.
-    pub at_ns: u64,
-    /// Leaf side of the link.
-    pub leaf: u32,
-    /// Spine side of the link.
-    pub spine: u32,
-    /// Parallel-link index.
-    pub parallel: u32,
-    /// `false` = fail, `true` = recover.
-    pub up: bool,
-}
-
-/// A complete, hashable description of one experiment cell.
-///
-/// Cells that need knobs beyond the common fields (incast fanout, TCP
-/// overrides, ...) record them in [`extra`](Self::extra); the map is part
-/// of the canonical form, serialized in sorted key order.
-#[derive(Clone, Debug, PartialEq)]
+/// The hashable identity of one experiment cell.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Scenario {
     /// Cell family: `"fct"`, `"dynfail"`, `"incast"`, ...
     pub kind: String,
@@ -85,107 +32,30 @@ pub struct Scenario {
     pub figure: String,
     /// Human-readable cell label (also names sidecar artifacts).
     pub label: String,
-    /// Scheme under test, by display name (`"ECMP"`, `"CONGA"`, ...).
-    pub scheme: String,
-    /// Flow-size distribution, by name (`""` when not applicable).
-    pub dist: String,
-    /// Offered load as a fraction of baseline bisection bandwidth.
-    pub load: f64,
-    /// RNG seed.
-    pub seed: u64,
-    /// Number of flows per direction (0 when not applicable).
-    pub n_flows: u64,
-    /// Reduced problem size (`--quick`)?
-    pub quick: bool,
-    /// Synchronous uplink sampling enabled?
-    pub sample_uplinks: bool,
-    /// The fabric.
-    pub topo: TopoSpec,
-    /// Scheduled runtime link transitions, in schedule order.
-    pub faults: Vec<FaultSpec>,
-    /// Cell-specific knobs, part of the hash (sorted by key).
-    pub extra: BTreeMap<String, String>,
+    /// Every input that reaches the simulation, as `key=value` lines
+    /// rendered by the cell's own spec type.
+    pub spec: String,
 }
 
 impl Scenario {
-    /// A blank scenario for the given family/figure/label; callers fill
-    /// in the rest.
-    pub fn new(kind: &str, figure: &str, label: &str) -> Self {
+    /// The scenario of the cell `figure`/`label` of family `kind` whose
+    /// simulation inputs render as `spec`.
+    pub fn new(kind: &str, figure: &str, label: &str, spec: String) -> Self {
         Scenario {
             kind: kind.to_string(),
             figure: figure.to_string(),
             label: label.to_string(),
-            scheme: String::new(),
-            dist: String::new(),
-            load: 0.0,
-            seed: 0,
-            n_flows: 0,
-            quick: false,
-            sample_uplinks: false,
-            topo: TopoSpec {
-                leaves: 0,
-                spines: 0,
-                hosts_per_leaf: 0,
-                host_gbps: 0,
-                fabric_gbps: 0,
-                parallel: 0,
-                fail: None,
-            },
-            faults: Vec::new(),
-            extra: BTreeMap::new(),
+            spec,
         }
     }
 
-    /// Attach a cell-specific knob (builder style).
-    pub fn with_extra(mut self, key: &str, value: impl ToString) -> Self {
-        self.extra.insert(key.to_string(), value.to_string());
-        self
-    }
-
-    /// The canonical `key=value` serialization: fixed field order, extras
-    /// sorted, floats in Rust's shortest round-trip form, `\n`-separated.
+    /// The canonical serialization: the version line, the three names,
+    /// then the spec text verbatim.
     pub fn canonical(&self) -> String {
-        let mut out = String::with_capacity(256);
-        let _ = writeln!(out, "version={CACHE_FORMAT_VERSION}");
-        let _ = writeln!(out, "kind={}", self.kind);
-        let _ = writeln!(out, "figure={}", self.figure);
-        let _ = writeln!(out, "label={}", self.label);
-        let _ = writeln!(out, "scheme={}", self.scheme);
-        let _ = writeln!(out, "dist={}", self.dist);
-        let _ = writeln!(out, "load={}", self.load);
-        let _ = writeln!(out, "seed={}", self.seed);
-        let _ = writeln!(out, "n_flows={}", self.n_flows);
-        let _ = writeln!(out, "quick={}", self.quick);
-        let _ = writeln!(out, "sample_uplinks={}", self.sample_uplinks);
-        let t = &self.topo;
-        let _ = writeln!(
-            out,
-            "topo={}x{}x{}@{}G/{}G par{}",
-            t.leaves, t.spines, t.hosts_per_leaf, t.host_gbps, t.fabric_gbps, t.parallel
-        );
-        match t.fail {
-            Some((l, s, p)) => {
-                let _ = writeln!(out, "topo.fail={l}:{s}:{p}");
-            }
-            None => {
-                let _ = writeln!(out, "topo.fail=none");
-            }
-        }
-        for f in &self.faults {
-            let _ = writeln!(
-                out,
-                "fault={}@{}ns:{}:{}:{}",
-                if f.up { "recover" } else { "fail" },
-                f.at_ns,
-                f.leaf,
-                f.spine,
-                f.parallel
-            );
-        }
-        for (k, v) in &self.extra {
-            let _ = writeln!(out, "x.{k}={v}");
-        }
-        out
+        format!(
+            "version={CACHE_FORMAT_VERSION}\nkind={}\nfigure={}\nlabel={}\n{}",
+            self.kind, self.figure, self.label, self.spec
+        )
     }
 
     /// The content hash of the canonical serialization: FNV-1a/64 as 16
@@ -214,63 +84,38 @@ mod tests {
     use super::*;
 
     fn sample() -> Scenario {
-        let mut s = Scenario::new("fct", "fig09_enterprise", "CONGA.load30.r0");
-        s.scheme = "CONGA".into();
-        s.dist = "enterprise".into();
-        s.load = 0.3;
-        s.seed = 1;
-        s.n_flows = 120;
-        s.quick = true;
-        s.topo = TopoSpec {
-            leaves: 2,
-            spines: 2,
-            hosts_per_leaf: 8,
-            host_gbps: 10,
-            fabric_gbps: 40,
-            parallel: 2,
-            fail: None,
-        };
-        s
+        Scenario::new(
+            "fct",
+            "fig09_enterprise",
+            "CONGA.load30.r0",
+            "scheme=CONGA\nload=0.3\n".into(),
+        )
     }
 
     #[test]
-    fn hash_is_stable_for_equal_scenarios() {
+    fn canonical_is_the_version_the_names_and_the_spec_verbatim() {
+        assert_eq!(
+            sample().canonical(),
+            "version=7\nkind=fct\nfigure=fig09_enterprise\nlabel=CONGA.load30.r0\n\
+             scheme=CONGA\nload=0.3\n"
+        );
         assert_eq!(sample().content_hash(), sample().content_hash());
-        assert_eq!(sample().canonical(), sample().canonical());
     }
 
     #[test]
     fn every_field_reaches_the_hash() {
         let base = sample().content_hash();
-        let mut s = sample();
-        s.seed = 2;
-        assert_ne!(s.content_hash(), base);
-        let mut s = sample();
-        s.load = 0.6;
-        assert_ne!(s.content_hash(), base);
-        let mut s = sample();
-        s.topo.fail = Some((1, 1, 0));
-        assert_ne!(s.content_hash(), base);
-        let mut s = sample();
-        s.faults.push(FaultSpec {
-            at_ns: 80_000_000,
-            leaf: 1,
-            spine: 1,
-            parallel: 0,
-            up: false,
-        });
-        assert_ne!(s.content_hash(), base);
-        let s = sample().with_extra("fanout", 16u32);
-        assert_ne!(s.content_hash(), base);
-    }
-
-    #[test]
-    fn extras_serialize_sorted() {
-        let s = sample().with_extra("zeta", 1u32).with_extra("alpha", 2u32);
-        let c = s.canonical();
-        let a = c.find("x.alpha=2").expect("alpha present");
-        let z = c.find("x.zeta=1").expect("zeta present");
-        assert!(a < z, "extras must be sorted by key");
+        let edits: [fn(&mut Scenario); 4] = [
+            |s| s.kind = "incast".into(),
+            |s| s.figure = "fig10_datamining".into(),
+            |s| s.label = "CONGA.load30.r1".into(),
+            |s| s.spec.push_str("seed=2\n"),
+        ];
+        for edit in edits {
+            let mut s = sample();
+            edit(&mut s);
+            assert_ne!(s.content_hash(), base, "{}", s.canonical());
+        }
     }
 
     #[test]

@@ -28,6 +28,5 @@ pub use packet::{
 pub use port::{Enqueue, TxPort};
 pub use shard::{Mail, ShardedNetwork};
 pub use topology::{
-    Channel, ChannelKind, Fib, LeafSpineBuilder, QueueProfile, ThreeTierBuilder, Topology,
-    TopologyBuilder,
+    Channel, ChannelKind, Fib, LeafSpineBuilder, QueueProfile, Topology, TopologyBuilder,
 };

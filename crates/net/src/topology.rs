@@ -3,12 +3,12 @@
 //! The primary deployment target of CONGA is the 2-tier Leaf-Spine (folded
 //! Clos) fabric of paper Figure 4: hosts attach to leaf switches, every leaf
 //! connects to every spine with one or more parallel links, and all
-//! leaf-to-leaf paths are exactly two fabric hops. [`LeafSpineBuilder`]
+//! leaf-to-leaf paths are exactly two fabric hops. [`LeafSpineBuilder::new`]
 //! constructs these, including the asymmetric variants the paper studies
 //! (failed links, degraded link rates, mixed speeds).
 //!
-//! [`ThreeTierBuilder`] (entry point [`TopologyBuilder::three_tier`])
-//! generalizes to the pod-structured three-tier Clos of larger deployments
+//! [`TopologyBuilder::three_tier`] starts the same builder on the
+//! generalization, the pod-structured three-tier Clos of larger deployments
 //! (and of CAFT's fault studies): `n_pods` pods, each with its own leaves
 //! and pod-local spines fully meshed, plus a core tier above connecting
 //! every spine. CONGA's congestion-aware choice stays at the leaf (the
@@ -556,10 +556,18 @@ impl Fib {
     }
 }
 
-/// Builder for (possibly asymmetric) Leaf-Spine fabrics.
+/// Builder for every fabric the simulator runs: the (possibly asymmetric)
+/// two-tier Leaf-Spine fabrics of the paper's testbed, via
+/// [`LeafSpineBuilder::new`], and the pod-structured three-tier Clos of
+/// the large-scale cells, via [`TopologyBuilder::three_tier`]. A two-tier
+/// fabric is the one-pod, zero-core case of the same construction.
+///
+/// Numbering is pod-major: pod `p` owns leaves
+/// `p*leaves_per_pod .. (p+1)*leaves_per_pod` and spines
+/// `p*spines_per_pod .. (p+1)*spines_per_pod`; cores are global.
 ///
 /// ```
-/// use conga_net::LeafSpineBuilder;
+/// use conga_net::{LeafSpineBuilder, TopologyBuilder};
 ///
 /// // The paper's testbed: 2 leaves, 2 spines, 32 hosts/leaf, 10G access,
 /// // 2x40G uplinks per leaf-spine pair (Figure 7a).
@@ -571,14 +579,27 @@ impl Fib {
 /// assert_eq!(topo.n_hosts, 64);
 /// let fib = topo.fib();
 /// assert_eq!(fib.leaf_uplinks[0].len(), 4); // 2 spines x 2 parallel links
+///
+/// // 2 pods x (2 leaves + 2 spines), 2 cores, 4 hosts per leaf.
+/// let topo = TopologyBuilder::three_tier(2, 2, 2, 2, 4).build();
+/// assert_eq!(topo.n_hosts, 16);
+/// assert_eq!(topo.n_leaves, 4);
+/// assert_eq!(topo.n_spines, 4);
+/// assert_eq!(topo.n_cores, 2);
+/// let fib = topo.fib();
+/// // Each leaf meshes only with its pod's 2 spines.
+/// assert_eq!(fib.leaf_uplinks[0].len(), 2);
 /// ```
 #[derive(Clone, Debug)]
-pub struct LeafSpineBuilder {
-    n_leaves: u32,
-    n_spines: u32,
+pub struct TopologyBuilder {
+    n_pods: u32,
+    leaves_per_pod: u32,
+    spines_per_pod: u32,
+    n_cores: u32,
     hosts_per_leaf: u32,
     host_rate: u64,
     fabric_rate: u64,
+    core_rate: u64,
     parallel: u32,
     host_delay: SimDuration,
     fabric_delay: SimDuration,
@@ -589,15 +610,23 @@ pub struct LeafSpineBuilder {
     overrides: Vec<(u32, u32, u32, u64)>,
 }
 
-impl LeafSpineBuilder {
-    /// Start a fabric with the given switch counts and hosts per leaf.
+/// The two-tier name of [`TopologyBuilder`]: `LeafSpineBuilder::new(leaves,
+/// spines, hosts_per_leaf)` starts a Leaf-Spine fabric.
+pub type LeafSpineBuilder = TopologyBuilder;
+
+impl TopologyBuilder {
+    /// Start a two-tier Leaf-Spine fabric with the given switch counts and
+    /// hosts per leaf: every leaf meshes with every spine, no core tier.
     pub fn new(n_leaves: u32, n_spines: u32, hosts_per_leaf: u32) -> Self {
-        LeafSpineBuilder {
-            n_leaves,
-            n_spines,
+        TopologyBuilder {
+            n_pods: 1,
+            leaves_per_pod: n_leaves,
+            spines_per_pod: n_spines,
+            n_cores: 0,
             hosts_per_leaf,
             host_rate: 10_000_000_000,
             fabric_rate: 40_000_000_000,
+            core_rate: 40_000_000_000,
             parallel: 1,
             // Host links carry the NIC + kernel stack latency (several us
             // each way in the paper's era); fabric hops are cut-through
@@ -610,19 +639,47 @@ impl LeafSpineBuilder {
         }
     }
 
+    /// Start a pod-structured three-tier Clos: `n_pods` pods of
+    /// `leaves_per_pod` leaves fully meshed with `spines_per_pod` pod-local
+    /// spines, plus `n_cores` core switches each connected to every spine.
+    pub fn three_tier(
+        n_pods: u32,
+        leaves_per_pod: u32,
+        spines_per_pod: u32,
+        n_cores: u32,
+        hosts_per_leaf: u32,
+    ) -> Self {
+        assert!(n_pods >= 1 && leaves_per_pod >= 1 && spines_per_pod >= 1);
+        assert!(
+            n_pods == 1 || n_cores >= 1,
+            "a multi-pod fabric needs at least one core switch"
+        );
+        TopologyBuilder {
+            n_pods,
+            n_cores,
+            ..Self::new(leaves_per_pod, spines_per_pod, hosts_per_leaf)
+        }
+    }
+
     /// Host NIC rate in Gbps.
     pub fn host_rate_gbps(mut self, g: u64) -> Self {
         self.host_rate = g * 1_000_000_000;
         self
     }
 
-    /// Fabric link rate in Gbps.
+    /// Leaf-spine fabric link rate in Gbps.
     pub fn fabric_rate_gbps(mut self, g: u64) -> Self {
         self.fabric_rate = g * 1_000_000_000;
         self
     }
 
-    /// Number of parallel links between each leaf-spine pair.
+    /// Spine-core link rate in Gbps (40 unless set).
+    pub fn core_rate_gbps(mut self, g: u64) -> Self {
+        self.core_rate = g * 1_000_000_000;
+        self
+    }
+
+    /// Number of parallel links between each pod-local leaf-spine pair.
     pub fn parallel_links(mut self, k: u32) -> Self {
         self.parallel = k;
         self
@@ -662,42 +719,49 @@ impl LeafSpineBuilder {
         self
     }
 
-    /// Construct the topology.
+    /// Construct the topology. Channel order: access pairs per host, then
+    /// pod-local `(leaf, spine, parallel)`-ordered LeafUp/SpineDown pairs
+    /// for every link that survives, then `(spine, core)`-ordered
+    /// SpineUp/CoreDown pairs.
     pub fn build(self) -> Topology {
-        let n_hosts = self.n_leaves * self.hosts_per_leaf;
-        let mut host_leaf = Vec::with_capacity(n_hosts as usize);
+        let n_leaves = self.n_pods * self.leaves_per_pod;
+        let n_spines = self.n_pods * self.spines_per_pod;
+        let n_hosts = n_leaves * self.hosts_per_leaf;
+        let host_leaf: Vec<LeafId> = (0..n_hosts)
+            .map(|h| LeafId(h / self.hosts_per_leaf))
+            .collect();
+
+        // One duplex link: the `up` channel, then its reverse.
         let mut channels = Vec::new();
-
-        for l in 0..self.n_leaves {
-            for _ in 0..self.hosts_per_leaf {
-                host_leaf.push(LeafId(l));
+        let mut link = |lo: NodeId, hi: NodeId, rate_bps, delay, up: (ChannelKind, u64), down| {
+            for (src, dst, (kind, queue_cap)) in [(lo, hi, up), (hi, lo, down)] {
+                channels.push(Channel {
+                    src,
+                    dst,
+                    rate_bps,
+                    delay,
+                    queue_cap,
+                    kind,
+                });
             }
+        };
+        let fabric = self.queues.fabric_bytes;
+
+        for (h, &l) in host_leaf.iter().enumerate() {
+            link(
+                NodeId::Host(HostId(h as u32)),
+                NodeId::Leaf(l),
+                self.host_rate,
+                self.host_delay,
+                (ChannelKind::AccessUp, self.queues.host_nic_bytes),
+                (ChannelKind::AccessDown, self.queues.access_bytes),
+            );
         }
 
-        // Access links (both directions per host).
-        for h in 0..n_hosts {
-            let l = host_leaf[h as usize];
-            channels.push(Channel {
-                src: NodeId::Host(HostId(h)),
-                dst: NodeId::Leaf(l),
-                rate_bps: self.host_rate,
-                delay: self.host_delay,
-                queue_cap: self.queues.host_nic_bytes,
-                kind: ChannelKind::AccessUp,
-            });
-            channels.push(Channel {
-                src: NodeId::Leaf(l),
-                dst: NodeId::Host(HostId(h)),
-                rate_bps: self.host_rate,
-                delay: self.host_delay,
-                queue_cap: self.queues.access_bytes,
-                kind: ChannelKind::AccessDown,
-            });
-        }
-
-        // Fabric links: for each (leaf, spine, parallel idx) that survives.
-        for l in 0..self.n_leaves {
-            for s in 0..self.n_spines {
+        // Pod-local leaf-spine mesh.
+        for l in 0..n_leaves {
+            let pod = l / self.leaves_per_pod;
+            for s in pod * self.spines_per_pod..(pod + 1) * self.spines_per_pod {
                 for p in 0..self.parallel {
                     if self.failed.contains(&(l, s, p)) {
                         continue;
@@ -706,228 +770,15 @@ impl LeafSpineBuilder {
                         .overrides
                         .iter()
                         .find(|&&(ol, os, op, _)| (ol, os, op) == (l, s, p))
-                        .map(|&(_, _, _, r)| r)
-                        .unwrap_or(self.fabric_rate);
-                    channels.push(Channel {
-                        src: NodeId::Leaf(LeafId(l)),
-                        dst: NodeId::Spine(SpineId(s)),
-                        rate_bps: rate,
-                        delay: self.fabric_delay,
-                        queue_cap: self.queues.fabric_bytes,
-                        kind: ChannelKind::LeafUp,
-                    });
-                    channels.push(Channel {
-                        src: NodeId::Spine(SpineId(s)),
-                        dst: NodeId::Leaf(LeafId(l)),
-                        rate_bps: rate,
-                        delay: self.fabric_delay,
-                        queue_cap: self.queues.fabric_bytes,
-                        kind: ChannelKind::SpineDown,
-                    });
-                }
-            }
-        }
-
-        Topology {
-            n_hosts,
-            n_leaves: self.n_leaves,
-            n_spines: self.n_spines,
-            n_cores: 0,
-            n_pods: 1,
-            host_leaf,
-            channels,
-        }
-    }
-}
-
-/// Entry point for topology construction: the two-tier leaf-spine builder
-/// the paper's testbed uses, or the pod-structured three-tier Clos for
-/// large-scale cells.
-pub struct TopologyBuilder;
-
-impl TopologyBuilder {
-    /// A two-tier leaf-spine fabric — identical to [`LeafSpineBuilder::new`].
-    pub fn leaf_spine(n_leaves: u32, n_spines: u32, hosts_per_leaf: u32) -> LeafSpineBuilder {
-        LeafSpineBuilder::new(n_leaves, n_spines, hosts_per_leaf)
-    }
-
-    /// A pod-structured three-tier Clos: `n_pods` pods of
-    /// `leaves_per_pod` leaves fully meshed with `spines_per_pod` pod-local
-    /// spines, plus `n_cores` core switches each connected to every spine.
-    pub fn three_tier(
-        n_pods: u32,
-        leaves_per_pod: u32,
-        spines_per_pod: u32,
-        n_cores: u32,
-        hosts_per_leaf: u32,
-    ) -> ThreeTierBuilder {
-        ThreeTierBuilder::new(
-            n_pods,
-            leaves_per_pod,
-            spines_per_pod,
-            n_cores,
-            hosts_per_leaf,
-        )
-    }
-}
-
-/// Builder for pod-structured three-tier Clos fabrics.
-///
-/// Numbering is pod-major: pod `p` owns leaves
-/// `p*leaves_per_pod .. (p+1)*leaves_per_pod` and spines
-/// `p*spines_per_pod .. (p+1)*spines_per_pod`; cores are global. With
-/// `n_pods == 1` and `n_cores == 0` the construction degenerates to the
-/// two-tier leaf-spine fabric (every spine sees every leaf, no core
-/// channels) — the channel list is then identical to
-/// [`LeafSpineBuilder::build`]'s.
-///
-/// ```
-/// use conga_net::TopologyBuilder;
-///
-/// // 2 pods x (2 leaves + 2 spines), 2 cores, 4 hosts per leaf.
-/// let topo = TopologyBuilder::three_tier(2, 2, 2, 2, 4).build();
-/// assert_eq!(topo.n_hosts, 16);
-/// assert_eq!(topo.n_leaves, 4);
-/// assert_eq!(topo.n_spines, 4);
-/// assert_eq!(topo.n_cores, 2);
-/// let fib = topo.fib();
-/// // Each leaf meshes only with its pod's 2 spines.
-/// assert_eq!(fib.leaf_uplinks[0].len(), 2);
-/// ```
-#[derive(Clone, Debug)]
-pub struct ThreeTierBuilder {
-    n_pods: u32,
-    leaves_per_pod: u32,
-    spines_per_pod: u32,
-    n_cores: u32,
-    hosts_per_leaf: u32,
-    host_rate: u64,
-    fabric_rate: u64,
-    core_rate: u64,
-    parallel: u32,
-    host_delay: SimDuration,
-    fabric_delay: SimDuration,
-    queues: QueueProfile,
-}
-
-impl ThreeTierBuilder {
-    /// Start a three-tier fabric with the given pod structure.
-    pub fn new(
-        n_pods: u32,
-        leaves_per_pod: u32,
-        spines_per_pod: u32,
-        n_cores: u32,
-        hosts_per_leaf: u32,
-    ) -> Self {
-        assert!(n_pods >= 1 && leaves_per_pod >= 1 && spines_per_pod >= 1);
-        assert!(
-            n_pods == 1 || n_cores >= 1,
-            "a multi-pod fabric needs at least one core switch"
-        );
-        ThreeTierBuilder {
-            n_pods,
-            leaves_per_pod,
-            spines_per_pod,
-            n_cores,
-            hosts_per_leaf,
-            host_rate: 10_000_000_000,
-            fabric_rate: 40_000_000_000,
-            core_rate: 40_000_000_000,
-            parallel: 1,
-            host_delay: SimDuration::from_nanos(4_000),
-            fabric_delay: SimDuration::from_nanos(1_000),
-            queues: QueueProfile::default(),
-        }
-    }
-
-    /// Host NIC rate in Gbps.
-    pub fn host_rate_gbps(mut self, g: u64) -> Self {
-        self.host_rate = g * 1_000_000_000;
-        self
-    }
-
-    /// Leaf-spine fabric link rate in Gbps.
-    pub fn fabric_rate_gbps(mut self, g: u64) -> Self {
-        self.fabric_rate = g * 1_000_000_000;
-        self
-    }
-
-    /// Spine-core link rate in Gbps (defaults to the fabric rate).
-    pub fn core_rate_gbps(mut self, g: u64) -> Self {
-        self.core_rate = g * 1_000_000_000;
-        self
-    }
-
-    /// Number of parallel links between each pod-local leaf-spine pair.
-    pub fn parallel_links(mut self, k: u32) -> Self {
-        self.parallel = k;
-        self
-    }
-
-    /// Queue capacities.
-    pub fn queue_profile(mut self, q: QueueProfile) -> Self {
-        self.queues = q;
-        self
-    }
-
-    /// Construct the topology. Channel order: access pairs per host, then
-    /// pod-local `(leaf, spine, parallel)`-ordered LeafUp/SpineDown pairs,
-    /// then `(spine, core)`-ordered SpineUp/CoreDown pairs.
-    pub fn build(self) -> Topology {
-        let n_leaves = self.n_pods * self.leaves_per_pod;
-        let n_spines = self.n_pods * self.spines_per_pod;
-        let n_hosts = n_leaves * self.hosts_per_leaf;
-        let mut host_leaf = Vec::with_capacity(n_hosts as usize);
-        let mut channels = Vec::new();
-
-        for l in 0..n_leaves {
-            for _ in 0..self.hosts_per_leaf {
-                host_leaf.push(LeafId(l));
-            }
-        }
-
-        for h in 0..n_hosts {
-            let l = host_leaf[h as usize];
-            channels.push(Channel {
-                src: NodeId::Host(HostId(h)),
-                dst: NodeId::Leaf(l),
-                rate_bps: self.host_rate,
-                delay: self.host_delay,
-                queue_cap: self.queues.host_nic_bytes,
-                kind: ChannelKind::AccessUp,
-            });
-            channels.push(Channel {
-                src: NodeId::Leaf(l),
-                dst: NodeId::Host(HostId(h)),
-                rate_bps: self.host_rate,
-                delay: self.host_delay,
-                queue_cap: self.queues.access_bytes,
-                kind: ChannelKind::AccessDown,
-            });
-        }
-
-        // Pod-local leaf-spine mesh.
-        for l in 0..n_leaves {
-            let pod = l / self.leaves_per_pod;
-            for sl in 0..self.spines_per_pod {
-                let s = pod * self.spines_per_pod + sl;
-                for _ in 0..self.parallel {
-                    channels.push(Channel {
-                        src: NodeId::Leaf(LeafId(l)),
-                        dst: NodeId::Spine(SpineId(s)),
-                        rate_bps: self.fabric_rate,
-                        delay: self.fabric_delay,
-                        queue_cap: self.queues.fabric_bytes,
-                        kind: ChannelKind::LeafUp,
-                    });
-                    channels.push(Channel {
-                        src: NodeId::Spine(SpineId(s)),
-                        dst: NodeId::Leaf(LeafId(l)),
-                        rate_bps: self.fabric_rate,
-                        delay: self.fabric_delay,
-                        queue_cap: self.queues.fabric_bytes,
-                        kind: ChannelKind::SpineDown,
-                    });
+                        .map_or(self.fabric_rate, |&(_, _, _, r)| r);
+                    link(
+                        NodeId::Leaf(LeafId(l)),
+                        NodeId::Spine(SpineId(s)),
+                        rate,
+                        self.fabric_delay,
+                        (ChannelKind::LeafUp, fabric),
+                        (ChannelKind::SpineDown, fabric),
+                    );
                 }
             }
         }
@@ -935,22 +786,14 @@ impl ThreeTierBuilder {
         // Core tier: every spine connects to every core.
         for s in 0..n_spines {
             for c in 0..self.n_cores {
-                channels.push(Channel {
-                    src: NodeId::Spine(SpineId(s)),
-                    dst: NodeId::Core(CoreId(c)),
-                    rate_bps: self.core_rate,
-                    delay: self.fabric_delay,
-                    queue_cap: self.queues.fabric_bytes,
-                    kind: ChannelKind::SpineUp,
-                });
-                channels.push(Channel {
-                    src: NodeId::Core(CoreId(c)),
-                    dst: NodeId::Spine(SpineId(s)),
-                    rate_bps: self.core_rate,
-                    delay: self.fabric_delay,
-                    queue_cap: self.queues.fabric_bytes,
-                    kind: ChannelKind::CoreDown,
-                });
+                link(
+                    NodeId::Spine(SpineId(s)),
+                    NodeId::Core(CoreId(c)),
+                    self.core_rate,
+                    self.fabric_delay,
+                    (ChannelKind::SpineUp, fabric),
+                    (ChannelKind::CoreDown, fabric),
+                );
             }
         }
 
@@ -1283,6 +1126,45 @@ mod tests {
         // Paths 0→1: spine0 detour (2 cores x 1 spine x 1 downlink = 2)
         // plus spine1 direct (1).
         assert_eq!(fib.path_count(&t, LeafId(0), LeafId(1)), 3);
+    }
+
+    #[test]
+    fn channel_lists_match_the_two_builders_this_one_replaced() {
+        // FNV-1a/64 over every channel — position, endpoints, kind, rate,
+        // delay, queue capacity — and its LBTag, as `LeafSpineBuilder` and
+        // `ThreeTierBuilder` built them at commit c12c10d. Channel ids are
+        // positions in this list and every golden hangs off them: not one
+        // channel may move.
+        let fnv = |t: &Topology| {
+            let fib = t.fib();
+            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            for (i, c) in t.channels.iter().enumerate() {
+                let line = format!(
+                    "{i} {:?}>{:?} {:?} {}bps {}ns {}B tag{}\n",
+                    c.src,
+                    c.dst,
+                    c.kind,
+                    c.rate_bps,
+                    c.delay.as_nanos(),
+                    c.queue_cap,
+                    fib.lbtag_of[i]
+                );
+                for b in line.bytes() {
+                    h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+            h
+        };
+        let fig7b = LeafSpineBuilder::new(2, 2, 32)
+            .host_rate_gbps(10)
+            .fabric_rate_gbps(40)
+            .parallel_links(2)
+            .fail_link(1, 1, 0)
+            .build();
+        assert_eq!(fig7b.channels.len(), 142);
+        assert_eq!(fnv(&fig7b), 0xb690_e17f_e6f6_e16d);
+        let clos = TopologyBuilder::three_tier(4, 4, 2, 2, 16).build();
+        assert_eq!(fnv(&clos), 0x28ba_57f1_b2fe_252f);
     }
 
     #[test]

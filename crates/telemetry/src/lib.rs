@@ -32,6 +32,7 @@ use std::io;
 use std::path::Path;
 
 use conga_sim::SimTime;
+use conga_trace::json::{write_json_f64, write_json_string};
 
 /// A registry of named metrics: monotonic counters, gauges, and time-series.
 ///
@@ -287,42 +288,6 @@ fn close(out: &mut String, was_empty: bool) {
     if !was_empty {
         out.push_str("\n  ");
     }
-}
-
-/// Serialize an f64 as a JSON number. Rust's `Display` emits the shortest
-/// decimal string that round-trips, which is deterministic for a build.
-/// Non-finite values (invalid in JSON) become `null`.
-fn write_json_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let s = format!("{v}");
-        // `Display` prints integral floats without a decimal point; keep the
-        // artifact unambiguous about the value being a float.
-        let integral = !s.contains(['.', 'e', 'E']);
-        out.push_str(&s);
-        if integral {
-            out.push_str(".0");
-        }
-    } else {
-        out.push_str("null");
-    }
-}
-
-fn write_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]

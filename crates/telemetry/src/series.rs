@@ -40,6 +40,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use conga_sim::{SimDuration, SimTime};
+use conga_trace::json::write_json_f64;
 
 /// Default bucket capacity per series before resolution halves.
 pub const DEFAULT_SERIES_CAPACITY: usize = 512;
@@ -316,21 +317,6 @@ impl SeriesRegistry {
             }
         }
         out
-    }
-}
-
-/// Shortest-round-trip f64 formatting shared with the report writer:
-/// integral floats keep a trailing `.0`, non-finite values become `null`.
-fn write_json_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let s = format!("{v}");
-        let integral = !s.contains(['.', 'e', 'E']);
-        out.push_str(&s);
-        if integral {
-            out.push_str(".0");
-        }
-    } else {
-        out.push_str("null");
     }
 }
 

@@ -3,6 +3,13 @@
 //! workspace is deliberately free of external dependencies, so this is
 //! hand-rolled; it covers the full JSON grammar the exporters emit
 //! (objects, arrays, strings with escapes, numbers, booleans, null).
+//!
+//! Beside it, the workspace's one number/string *writer* pair
+//! ([`write_json_f64`], [`write_json_string`]): every deterministic
+//! artifact — traces, RunReports, series, cache entries, sweep matrices —
+//! formats its floats and escapes its strings through these two.
+
+use std::fmt::Write as _;
 
 /// A parsed JSON value. Numbers are held as `f64`, which is exact for
 /// every integer the trace exporters emit (all below 2^53).
@@ -73,6 +80,41 @@ impl Value {
             _ => None,
         }
     }
+}
+
+/// Write an `f64` as a JSON number. `Display` emits the shortest decimal
+/// string that round-trips, which is deterministic for a build; integral
+/// values get `.0` appended so the token is unambiguously a float, and
+/// non-finite values (invalid in JSON) become `null`.
+pub fn write_json_f64(out: &mut String, v: f64) {
+    if !v.is_finite() {
+        out.push_str("null");
+        return;
+    }
+    let s = format!("{v}");
+    out.push_str(&s);
+    if !s.contains(['.', 'e', 'E']) {
+        out.push_str(".0");
+    }
+}
+
+/// Escape and write a JSON string literal.
+pub fn write_json_string(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 /// The maximum container-nesting depth [`parse`] accepts. Recursive
@@ -338,6 +380,30 @@ mod tests {
         assert_eq!(arr[1], Value::Null);
         assert_eq!(arr[2].as_str(), Some("x\n"));
         assert_eq!(v.get("c").and_then(Value::as_f64), Some(-2500.0));
+    }
+
+    #[test]
+    fn writers_pin_the_artifact_number_and_string_format() {
+        let num = |v: f64| {
+            let mut out = String::new();
+            write_json_f64(&mut out, v);
+            out
+        };
+        assert_eq!(num(2.0), "2.0", "integral floats keep a `.0`");
+        assert_eq!(num(0.1), "0.1");
+        assert_eq!(
+            num(1e300),
+            format!("{}.0", 1e300),
+            "Display never uses e-notation"
+        );
+        assert_eq!(num(f64::NAN), "null");
+        assert_eq!(num(f64::NEG_INFINITY), "null");
+        // Whatever the escaper writes, the parser reads back.
+        let raw = "a \"q\" \\ \n\r\t \u{1} é";
+        let mut out = String::new();
+        write_json_string(&mut out, raw);
+        assert_eq!(out, "\"a \\\"q\\\" \\\\ \\n\\r\\t \\u0001 é\"");
+        assert_eq!(parse(&out).unwrap().as_str(), Some(raw));
     }
 
     #[test]

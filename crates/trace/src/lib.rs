@@ -40,6 +40,7 @@ pub mod explain;
 pub mod json;
 
 use conga_sim::SimTime;
+use json::{write_json_f64, write_json_string};
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 use std::fmt::Write as _;
@@ -551,41 +552,6 @@ impl TraceHandle {
 // ---------------------------------------------------------------------------
 // JSONL exporter
 // ---------------------------------------------------------------------------
-
-/// Escape and write a JSON string literal (same escaping contract as
-/// `conga-telemetry`'s report writer).
-fn write_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Write an `f64` deterministically: `Display`, with `.0` appended to
-/// integral values so the token is unambiguously a float; non-finite
-/// values become `null`.
-fn write_json_f64(out: &mut String, v: f64) {
-    if !v.is_finite() {
-        out.push_str("null");
-        return;
-    }
-    let s = format!("{v}");
-    out.push_str(&s);
-    if !s.contains(['.', 'e', 'E']) {
-        out.push_str(".0");
-    }
-}
 
 fn write_jsonl_record(out: &mut String, rec: &TraceRecord) {
     let _ = write!(

@@ -220,7 +220,7 @@ fn a_panicking_cell_fails_the_suite_and_the_manifest_names_it() {
     let cells = vec![
         fct_cell(suite, "healthy", cfg, true, None),
         FleetCell {
-            scenario: Scenario::new("fct", suite, "doomed"),
+            scenario: Scenario::new("fct", suite, "doomed", String::new()),
             run: Box::new(|| panic!("cell body blew up")),
         },
     ];
