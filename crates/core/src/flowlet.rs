@@ -51,8 +51,14 @@ pub struct FlowletStats {
 }
 
 /// A leaf switch's flowlet table.
+///
+/// The slots are allocated by the first [`FlowletTable::lookup`] or
+/// [`FlowletTable::commit`], not by `new`: a fabric model builds one table
+/// per leaf, and a leaf that sources no traffic — every leaf but its own in
+/// a shard domain's replica — never pays the megabyte.
 #[derive(Clone, Debug)]
 pub struct FlowletTable {
+    /// Empty until first touched, then `mask + 1` slots.
     entries: Vec<Entry>,
     mask: usize,
     tfl: SimDuration,
@@ -65,25 +71,29 @@ impl FlowletTable {
     /// Create a table with `entries` slots (rounded up to a power of two)
     /// and inactivity timeout `tfl`.
     pub fn new(entries: usize, tfl: SimDuration, mode: GapMode) -> Self {
-        let n = entries.next_power_of_two().max(2);
         FlowletTable {
-            entries: vec![
-                Entry {
-                    port: ChannelId(0),
-                    last_seen: SimTime::ZERO,
-                    ever_used: false,
-                };
-                n
-            ],
-            mask: n - 1,
+            entries: Vec::new(),
+            mask: entries.next_power_of_two().max(2) - 1,
             tfl,
             mode,
             stats: FlowletStats::default(),
         }
     }
 
+    /// Index of the slot `flow_hash` hashes to; the first call allocates
+    /// the slots.
     #[inline]
-    fn slot(&self, flow_hash: u64) -> usize {
+    fn slot(&mut self, flow_hash: u64) -> usize {
+        if self.entries.is_empty() {
+            self.entries = vec![
+                Entry {
+                    port: ChannelId(0),
+                    last_seen: SimTime::ZERO,
+                    ever_used: false,
+                };
+                self.mask + 1
+            ];
+        }
         // The low bits of the already-avalanched flow hash index the table.
         (flow_hash as usize) & self.mask
     }
@@ -131,9 +141,14 @@ impl FlowletTable {
         };
     }
 
-    /// Number of slots.
+    /// Number of slots (configured; allocated or not).
     pub fn capacity(&self) -> usize {
-        self.entries.len()
+        self.mask + 1
+    }
+
+    /// Whether the slots have been allocated (the table was ever touched).
+    pub fn is_allocated(&self) -> bool {
+        !self.entries.is_empty()
     }
 
     /// Entries holding a live (unexpired) flowlet at `now`. An O(capacity)
@@ -280,6 +295,32 @@ mod tests {
     fn capacity_rounds_to_power_of_two() {
         let t = FlowletTable::new(60_000, SimDuration::from_micros(500), GapMode::Exact);
         assert_eq!(t.capacity(), 65_536);
+    }
+
+    #[test]
+    fn slots_are_allocated_on_first_touch() {
+        for touch_by_commit in [false, true] {
+            let mut t = table(GapMode::AgeBit);
+            assert!(!t.is_allocated());
+            assert_eq!(
+                t.capacity(),
+                1024,
+                "configured size, before any slot exists"
+            );
+            assert_eq!(t.occupancy(SimTime::from_micros(1)), 0);
+            assert!(!t.is_allocated(), "reading does not allocate");
+            if touch_by_commit {
+                t.commit(5, ChannelId(1), SimTime::ZERO);
+            } else {
+                assert_eq!(
+                    t.lookup(5, SimTime::ZERO),
+                    Lookup::NewFlowlet { prev: None }
+                );
+            }
+            assert!(t.is_allocated());
+            assert_eq!(t.capacity(), 1024);
+            assert_eq!(t.occupancy(SimTime::ZERO), touch_by_commit as usize);
+        }
     }
 
     #[test]

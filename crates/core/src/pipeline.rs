@@ -263,6 +263,14 @@ impl<P: LeafPolicy> Pipeline<P> {
             .unwrap_or_default()
     }
 
+    /// The leaves whose flowlet table has been touched, and so allocated:
+    /// the leaves that sourced fabric traffic through this pipeline.
+    pub fn allocated_flowlet_tables(&self) -> impl Iterator<Item = LeafId> + '_ {
+        (self.flowlets.iter().enumerate())
+            .filter(|(_, t)| t.is_allocated())
+            .map(|(l, _)| LeafId(l as u32))
+    }
+
     /// Current quantized local DRE metric of a channel (for debugging and
     /// the parameter-ablation experiments).
     pub fn link_metric(&mut self, ch: ChannelId, now: SimTime) -> Option<u8> {

@@ -216,7 +216,7 @@ pub fn run_dynamic_failure(spec: &DynFailSpec) -> DynFailOutcome {
         SimTime::from_nanos(span_ns) >= spec.recover_at + spec.slice * 2,
         "arrival span {span_ns}ns too short to cover the fault schedule"
     );
-    let abs_arrivals = absolute_starts(&arrivals);
+    let abs_arrivals = absolute_starts(arrivals);
     let (l, s, p) = spec.link;
     let faults = vec![
         LinkFaultSpec::fail(spec.fail_at, l, s, p),

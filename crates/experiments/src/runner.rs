@@ -756,16 +756,17 @@ pub(crate) fn plan_arrivals(
     (arrivals, span_ns)
 }
 
-/// Gap-encoded arrivals as absolute start times: preregistration needs
+/// Gap-encoded arrivals as absolute start times, converted in place (a
+/// schedule is tens of megabytes at 200 k flows): preregistration needs
 /// the full schedule up front so every domain registers the same flow
 /// list in the same order.
-pub(crate) fn absolute_starts(arrivals: &[(SimDuration, FlowSpec)]) -> Vec<(SimTime, FlowSpec)> {
+pub fn absolute_starts(arrivals: Vec<(SimDuration, FlowSpec)>) -> Vec<(SimTime, FlowSpec)> {
     let mut t = SimTime::from_nanos(0);
     arrivals
-        .iter()
+        .into_iter()
         .map(|(gap, spec)| {
-            t += *gap;
-            (t, *spec)
+            t += gap;
+            (t, spec)
         })
         .collect()
 }
@@ -960,20 +961,23 @@ pub fn run_fct_with_policy(cfg: &FctRun, policy: FabricPolicy) -> FctOutcome {
         cfg.scheme.transport(cfg.tcp.with_cc(cfg.cc)),
         &mut workload_rng(cfg.seed),
     );
-    let abs_arrivals = absolute_starts(&arrivals);
-
-    let mut run = ShardedRun::new(
-        &topo,
-        policy,
-        cfg.seed,
-        cfg.shards,
-        cfg.queue,
-        cfg.ecn_config(),
-        cfg.trace.as_ref(),
-        &cfg.faults,
-        &cfg.core_faults,
-        &abs_arrivals,
-    );
+    // The schedule lives until the domains have registered it: from then
+    // on their flow records say everything it did.
+    let mut run = {
+        let arrivals = absolute_starts(arrivals);
+        ShardedRun::new(
+            &topo,
+            policy,
+            cfg.seed,
+            cfg.shards,
+            cfg.queue,
+            cfg.ecn_config(),
+            cfg.trace.as_ref(),
+            &cfg.faults,
+            &cfg.core_faults,
+            &arrivals,
+        )
+    };
     if cfg.sample_uplinks {
         // Leaf 0's uplinks are all owned by domain 0, so sampling there
         // observes exactly what the monolithic engine would. Every other
@@ -1013,24 +1017,24 @@ pub fn run_fct_with_policy(cfg: &FctRun, policy: FabricPolicy) -> FctOutcome {
     let measure_until = SimTime::from_nanos((span_ns as f64 * 0.7) as u64);
 
     // Run in slices until every flow completes (or the drain bound). In
-    // sketch mode each slice also consumes newly-completed flows into the
-    // streaming accumulators, so no per-flow sample list ever builds up.
+    // sketch mode each slice also feeds the flows that completed in it to
+    // the streaming accumulators — in flow-id order, the order the float
+    // sums were always taken in — so no per-flow sample list builds up.
     let total_flows = cfg.n_flows * 2;
     let drain_bound = SimTime::from_nanos(span_ns) + SimDuration::from_secs(8);
-    let mut consumed = vec![false; if cfg.sketch { abs_arrivals.len() } else { 0 }];
     let mut acc = FctAccumulator::new();
     let mut sk = FctSketch::new();
+    let mut done: Vec<u32> = Vec::new();
     loop {
         let t = run.net.now() + SimDuration::from_millis(50);
         run.net.run_until(t);
-        for (i, done) in consumed.iter_mut().enumerate() {
-            if *done {
-                continue;
-            }
-            let r = run.merged_record(&topo, i);
-            if let Some(f) = r.fct() {
-                *done = true;
-                if r.start <= measure_until {
+        if cfg.sketch {
+            run.net
+                .each(|_, n| done.extend(n.agent.drain_completions()));
+            done.sort_unstable();
+            for i in done.drain(..) {
+                let r = run.merged_record(&topo, i as usize);
+                if let Some(f) = r.fct().filter(|_| r.start <= measure_until) {
                     acc.add(r.bytes, f.as_nanos(), ideal_of(&r));
                     sk.add(f.as_secs_f64());
                 }
@@ -1043,21 +1047,20 @@ pub fn run_fct_with_policy(cfg: &FctRun, policy: FabricPolicy) -> FctOutcome {
             break;
         }
     }
-    let records = run.merged_records(&topo);
 
     let summary = if cfg.sketch {
-        // Whatever the slice drain never consumed missed the drain bound;
-        // count it incomplete if it was inside the measure window.
-        for (i, done) in consumed.iter().enumerate() {
-            if !done && records[i].start <= measure_until {
-                acc.add_incomplete();
-            }
+        // A flow inside the measure window that the drain never saw
+        // complete missed the drain bound.
+        let records = &run.net.domain(0).agent.records;
+        let measured = records.iter().filter(|r| r.start <= measure_until).count();
+        for _ in acc.count()..measured as u64 {
+            acc.add_incomplete();
         }
         acc.summary(&sk)
     } else {
         let mut samples = Vec::new();
         let mut incomplete = 0;
-        for r in &records {
+        for r in &run.merged_records(&topo) {
             if r.start > measure_until {
                 continue;
             }
@@ -1073,8 +1076,10 @@ pub fn run_fct_with_policy(cfg: &FctRun, policy: FabricPolicy) -> FctOutcome {
         summarize(&samples, incomplete)
     };
 
-    let retx_bytes = records.iter().map(|r| r.retx_bytes).sum();
-    let timeouts = records.iter().map(|r| r.timeouts).sum();
+    // Sender-side counters are nonzero only in the sender's domain.
+    let (retx_bytes, timeouts) = (0..run.net.n_domains())
+        .flat_map(|d| &run.net.domain(d).agent.records)
+        .fold((0, 0), |(b, t), r| (b + r.retx_bytes, t + r.timeouts));
     let fabric_mean_queues = {
         let now = run.net.now();
         let chans: Vec<ChannelId> = (0..topo.channels.len() as u32)
@@ -1377,9 +1382,10 @@ mod tests {
         assert_eq!(fnv(&uniform), 0x321b_1185_9590_4746);
 
         // Absolute starts are the running sum of the gaps.
-        let starts = absolute_starts(&testbed);
-        assert_eq!(starts.len(), testbed.len());
-        assert_eq!(starts[0].0.as_nanos(), testbed[0].0.as_nanos());
+        let first_gap = testbed[0].0.as_nanos();
+        let starts = absolute_starts(testbed);
+        assert_eq!(starts.len(), 240);
+        assert_eq!(starts[0].0.as_nanos(), first_gap);
         assert_eq!(starts[239].0.as_nanos(), 191_615_061);
     }
 }

@@ -164,6 +164,16 @@ impl Emitter {
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) {
         self.timers.push((delay, token));
     }
+
+    /// The packets sent so far (an agent's unit tests read its answers).
+    pub fn packets(&self) -> &[Packet] {
+        &self.packets
+    }
+
+    /// The `(delay, token)` timers requested so far.
+    pub fn timers(&self) -> &[(SimDuration, u64)] {
+        &self.timers
+    }
 }
 
 /// Engine events.

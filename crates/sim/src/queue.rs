@@ -11,9 +11,12 @@
 //! * [`QueueKind::Heap`] — a `BinaryHeap<Reverse<Scheduled>>`; `O(log n)`
 //!   push/pop, the reference implementation.
 //! * [`QueueKind::Calendar`] — a calendar queue (Brown 1988): a ring of
-//!   1024 ns-wide buckets spanning a ~4.2 ms "year", a two-level occupancy
+//!   64 ns-wide buckets spanning a ~262 µs "year", a two-level occupancy
 //!   bitmap for skipping empty buckets, and an overflow heap for events
-//!   beyond the current year (RTO timers live there). Push and pop are
+//!   beyond the current year (RTO and flow-start timers live there). A
+//!   bucket is kept sorted, so its width is what a push pays for: the
+//!   packet workloads schedule ~190 events per simulated µs, a dozen per
+//!   bucket at this width against 200–600 at 1024 ns. Push and pop are
 //!   amortised `O(1)` because simulators schedule overwhelmingly into the
 //!   near future. A push earlier than the current scan position rewinds
 //!   the scan, so ordering holds for arbitrary push patterns, not just
@@ -21,8 +24,8 @@
 //!
 //! The two are observationally identical — `tests::calendar_matches_heap`
 //! (sparse, adversarial) and `tests::dense_calendar_matches_heap` (hundreds
-//! of events per bucket, the packet workloads' regime) drive both with
-//! seeded workloads and assert identical pop sequences.
+//! of events per bucket, far denser than the packet workloads) drive both
+//! with seeded workloads and assert identical pop sequences.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
@@ -68,10 +71,10 @@ pub enum QueueKind {
     Calendar,
 }
 
-// Calendar geometry: 4096 buckets of 1024 ns cover a ~4.2 ms year.
+// Calendar geometry: 4096 buckets of 64 ns cover a ~262 us year.
 // Anything scheduled past the current year waits in the overflow heap
 // and migrates into buckets as years advance.
-const CAL_SHIFT: u32 = 10;
+const CAL_SHIFT: u32 = 6;
 const CAL_BUCKETS: usize = 4096;
 const CAL_MASK: u64 = (CAL_BUCKETS as u64) - 1;
 const CAL_YEAR: u64 = (CAL_BUCKETS as u64) << CAL_SHIFT;
@@ -274,7 +277,10 @@ impl<E> Calendar<E> {
 
     fn clear(&mut self) {
         for v in &mut self.buckets {
-            v.clear();
+            if v.capacity() > 0 {
+                v.clear();
+                self.spare.push(std::mem::take(v));
+            }
         }
         self.occ = [0; CAL_BUCKETS / 64];
         self.top = 0;
@@ -557,7 +563,23 @@ mod tests {
         }
     }
 
-    /// The calendar backend crosses year boundaries (4.2 ms) and parks
+    #[test]
+    fn clear_parks_every_bucket_buffer() {
+        let mut q = EventQueue::with_kind(QueueKind::Calendar, 0);
+        for b in 0..8u64 {
+            q.push(SimTime::from_nanos(b << CAL_SHIFT), b);
+        }
+        q.clear();
+        let Backend::Calendar(c) = &q.backend else {
+            unreachable!("built as a calendar")
+        };
+        assert!(c.buckets.iter().all(|v| v.capacity() == 0));
+        assert_eq!(c.spare.len(), 8);
+        q.push(SimTime::from_nanos(5), 5);
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(5), 5)));
+    }
+
+    /// The calendar backend crosses year boundaries (262 us) and parks
     /// far-future events in its overflow heap; both paths must preserve
     /// the global (time, seq) order.
     #[test]
@@ -625,17 +647,20 @@ mod tests {
         }
     }
 
-    /// The regime the packet workloads put the calendar in, which the
-    /// sparse test above never reaches: ≥200 events per 1024-ns bucket,
-    /// pushed with the engine's interleaved lead times (so every bucket
-    /// fills out of order, drains to empty and hands its buffer on),
-    /// timers a fraction of a year, more than a year and many years out,
-    /// and pushes behind a scan that a peek or a refused fused pop has
-    /// already advanced. `reference` only ever does `peek_time` then
-    /// `pop`; the other two use the fused pops and must agree with it.
+    /// Buckets far denser than the packet workloads make them, which the
+    /// sparse test above never reaches: ≥200 events per bucket, pushed
+    /// with interleaved lead times from a fraction of a bucket to five
+    /// buckets (so every bucket fills out of order, drains to empty and
+    /// hands its buffer on), timers a fraction of a year, more than a year
+    /// and many years out, and pushes behind a scan that a peek or a
+    /// refused fused pop has already advanced. Every time is a multiple of
+    /// the bucket width `W`, so the geometry follows the constant.
+    /// `reference` only ever does `peek_time` then `pop`; the other two
+    /// use the fused pops and must agree with it.
     #[test]
     fn dense_calendar_matches_heap() {
-        const LEADS: [u64; 4] = [80, 300, 1_200, 5_200];
+        const W: u64 = 1 << CAL_SHIFT;
+        const LEADS: [u64; 4] = [W / 12, W * 3 / 10, W * 6 / 5, W * 5];
         fn push_all(qs: &mut [EventQueue<u64>; 3], id: &mut u64, t: u64) {
             for q in qs.iter_mut() {
                 q.push(SimTime::from_nanos(t), *id);
@@ -674,13 +699,14 @@ mod tests {
         let (mut now, mut id) = (0u64, 0u64);
         let mut densest = 0;
         for _round in 0..8 {
-            // A cloud of 1500 events over the next 5.2 us (ties included)
-            // and three timers: same year, next year, a dozen years out.
+            // A cloud of 1500 events over the next five buckets (ties
+            // included) and three timers: same year, next year, a dozen
+            // years out.
             for _ in 0..1500 {
-                push_all(&mut qs, &mut id, now + rng.u64() % 5_200);
+                push_all(&mut qs, &mut id, now + rng.u64() % (5 * W));
             }
-            for ms in [3, 6, 50] {
-                push_all(&mut qs, &mut id, now + ms * 1_000_000);
+            for quarters in [3, 6, 48] {
+                push_all(&mut qs, &mut id, now + quarters * CAL_YEAR / 4);
             }
             // Steady state: every popped event schedules one successor.
             for step in 0..6_000u64 {
@@ -688,7 +714,7 @@ mod tests {
                     // Exactly the head's time: `pop_before` must refuse,
                     // `pop_through` must accept.
                     0 => qs[0].peek_time().expect("cloud").as_nanos(),
-                    _ => now + rng.u64() % 40,
+                    _ => now + rng.u64() % (W / 16),
                 };
                 if let Some((t, _)) = pop_all(&mut qs, step % 3, bound) {
                     now = t.as_nanos();
@@ -700,8 +726,8 @@ mod tests {
                 assert_eq!(qs[0].len(), qs[2].len());
             }
             // Drain the cloud; the refused pop leaves the calendar's scan
-            // parked on the 3 ms timer's bucket.
-            while pop_all(&mut qs, 1, now + 100_000).is_some() {}
+            // parked on the first timer's bucket.
+            while pop_all(&mut qs, 1, now + 100 * W).is_some() {}
             assert_eq!(qs[0].len(), 3, "only the timers remain");
             assert_eq!(qs[0].peek_time(), qs[2].peek_time());
             // A push behind the scan must rewind it.

@@ -9,7 +9,7 @@ use conga_sim::SimDuration;
 /// 200 ms minimum RTO and 1500 B Ethernet MTU. The Incast experiments vary
 /// `min_rto` (200 ms vs 1 ms, after Vasudevan et al.) and the MTU (1500 vs
 /// 9000 jumbo frames).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TcpConfig {
     /// Maximum segment size (payload bytes per packet): MTU minus 40 B of
     /// TCP/IP headers.
@@ -77,7 +77,7 @@ impl Default for TcpConfig {
 }
 
 /// MPTCP connection parameters.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MptcpConfig {
     /// Per-subflow TCP parameters.
     pub tcp: TcpConfig,
