@@ -47,19 +47,6 @@ pub struct FctSummary {
     pub incomplete: usize,
 }
 
-impl FctSummary {
-    /// Small-flow mean with empty buckets reading as 0.0 (the historical
-    /// sentinel, still used by plain-text figure tables).
-    pub fn small_avg_or_zero(&self) -> f64 {
-        self.small_avg_s.unwrap_or(0.0)
-    }
-
-    /// Large-flow mean with empty buckets reading as 0.0.
-    pub fn large_avg_or_zero(&self) -> f64 {
-        self.large_avg_s.unwrap_or(0.0)
-    }
-}
-
 /// Aggregate samples (plus a count of flows that never finished).
 ///
 /// Means are accumulated in sample order in one pass, which keeps the
@@ -233,7 +220,6 @@ mod tests {
         );
         assert_eq!(s.small_avg_s, None);
         assert_eq!(s.large_avg_s, None);
-        assert_eq!(s.small_avg_or_zero(), 0.0);
         assert!(s.avg_s > 0.0);
     }
 

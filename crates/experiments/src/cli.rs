@@ -69,7 +69,6 @@ usage: fleet <subcommand> [flags]    (`fleet --help` lists the subcommands)
   --trace-ring N      keep only the last N trace events
   --flows N           flows per direction in each FCT cell
   --loads LIST        load points in percent, comma-separated
-  --sketch BOOL       stream FCTs through the percentile sketch
   --fail-at-ms T      fail a link T ms into each FCT cell
   --recover-at-ms T   recover it T ms in (default: never)
   --fault-link L:S:P  which link: leaf:spine:parallel (default 1:1:0)";
@@ -77,14 +76,13 @@ usage: fleet <subcommand> [flags]    (`fleet --help` lists the subcommands)
 /// Every experiment-specific `--key value` option some driver reads —
 /// the lower block of [`USAGE`]. [`Args::from_iter`] accepts no other
 /// key: a flag no driver would read is a typo, not an option.
-const KEYS: [&str; 10] = [
+const KEYS: [&str; 9] = [
     "cache-dir",
     "trace",
     "trace-flows",
     "trace-ring",
     "flows",
     "loads",
-    "sketch",
     "fail-at-ms",
     "recover-at-ms",
     "fault-link",
@@ -440,17 +438,17 @@ mod tests {
 
         // Experiment-specific options: a present-but-unparsable value is
         // an error naming the flag, an absent key still yields the default.
-        let a = parse(&["--sketch", "maybe", "--flows", "12x"]);
+        let a = parse(&["--trace-ring", "maybe", "--flows", "12x"]);
         assert_eq!(
-            a.try_get::<bool>("sketch").unwrap_err(),
-            "--sketch wants bool, got 'maybe'"
+            a.try_get::<usize>("trace-ring").unwrap_err(),
+            "--trace-ring wants usize, got 'maybe'"
         );
         assert_eq!(
             a.try_get::<usize>("flows").unwrap_err(),
             "--flows wants usize, got '12x'"
         );
-        assert_eq!(a.try_get::<usize>("trace-ring"), Ok(None));
-        assert_eq!(a.get("trace-ring", 8usize), 8);
+        assert_eq!(a.try_get::<f64>("fail-at-ms"), Ok(None));
+        assert_eq!(a.get("fail-at-ms", 8.0), 8.0);
 
         let a = parse(&["--loads", "x", "--trace-flows", "a", "--fault-link", "1:2"]);
         assert_eq!(

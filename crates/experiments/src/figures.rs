@@ -225,9 +225,8 @@ pub fn fct_sweep(
                 // Three-tier (fig15-scale) cells always stream their FCTs
                 // through the sketch — the whole point of running 10k+
                 // hosts is not buffering one sample per flow. Two-tier
-                // cells keep the exact path (and its goldens) unless
-                // `--sketch true` opts in.
-                cfg.sketch = topo.pods > 1 || args.get("sketch", false);
+                // cells keep the exact path (and its goldens).
+                cfg.sketch = topo.pods > 1;
                 // The default controller keeps historical labels (and so
                 // sidecar paths) unchanged; alternates are called out.
                 let label = if cfg.cc == conga_transport::CcKind::Aimd {
@@ -240,7 +239,7 @@ pub fn fct_sweep(
                         load * 100.0
                     )
                 };
-                cells.push(fct_cell(figure, &label, cfg, args.quick, tracing.clone()));
+                cells.push(fct_cell(figure, &label, cfg, tracing.clone()));
             }
         }
     }

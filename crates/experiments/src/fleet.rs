@@ -6,7 +6,7 @@
 //! cell's own spec rendered as text — plus a closure that executes the
 //! cell), then calls
 //! [`run_cells`]: cache hits are resolved first, misses run on the
-//! work-stealing executor, and results come back **in sweep order** —
+//! cell executor, and results come back **in sweep order** —
 //! merged output is byte-identical for any `--jobs N` and for warm-cache
 //! re-runs.
 //!
@@ -49,12 +49,6 @@ impl FleetOpts {
             cache,
         }
     }
-
-    /// The same options with the cache forced off.
-    pub fn without_cache(mut self) -> Self {
-        self.cache = ResultCache::disabled();
-        self
-    }
 }
 
 /// One schedulable experiment cell: what it is (hashable) and how to run
@@ -68,8 +62,8 @@ pub struct FleetCell {
     pub run: Box<dyn FnOnce() -> CellResult + Send>,
 }
 
-/// Run a batch of cells: resolve cache hits, execute misses on the
-/// work-stealing pool, store fresh results, and return everything in
+/// Run a batch of cells: resolve cache hits, execute misses on
+/// `opts.jobs` workers, store fresh results, and return everything in
 /// input order. Progress lines go to stderr in completion order (the one
 /// place ordering may vary with `--jobs`); all returned data and all
 /// artifacts are deterministic.
@@ -146,11 +140,11 @@ pub fn run_cells(cells: Vec<FleetCell>, opts: &FleetOpts) -> Vec<CellResult> {
         .collect()
 }
 
-/// The [`Scenario`] of an FCT cell: `FctRun::spec` renders every field
-/// that reaches the simulation; `quick` rides along as one more line.
-pub fn fct_scenario(figure: &str, label: &str, cfg: &FctRun, quick: bool) -> Scenario {
-    let spec = format!("{}quick={quick}\n", cfg.spec());
-    Scenario::new("fct", figure, label, spec)
+/// [`FctRun::scenario`] under the four-argument form `congabench/`
+/// compiles against (ROADMAP: the benchmark pins the API). The flag reaches
+/// nothing; the `[benchmark]` PR that moves that call deletes this.
+pub fn fct_scenario(figure: &str, label: &str, cfg: &FctRun, _quick: bool) -> Scenario {
+    cfg.scenario(figure, label)
 }
 
 /// The tail every cell shares: `body` runs the simulation on the worker,
@@ -180,14 +174,8 @@ pub(crate) fn cell(
 
 /// Build the standard FCT cell: runs [`run_fct`] and returns the summary,
 /// the telemetry artifact, the loss counters and any sampled series.
-pub fn fct_cell(
-    figure: &str,
-    label: &str,
-    cfg: FctRun,
-    quick: bool,
-    tracing: Option<TraceArgs>,
-) -> FleetCell {
-    let scenario = fct_scenario(figure, label, &cfg, quick);
+pub fn fct_cell(figure: &str, label: &str, cfg: FctRun, tracing: Option<TraceArgs>) -> FleetCell {
+    let scenario = cfg.scenario(figure, label);
     fct_cell_with(scenario, cfg, tracing, |_, _| {})
 }
 
@@ -310,7 +298,7 @@ pub(crate) mod tests {
             cfg.core_faults = vec![CoreLinkFaultSpec::fail(SimTime::from_millis(3), 0, 0, 0)];
             cfg
         };
-        let hash = |cfg: FctRun| fct_scenario("figX", "a", &cfg, true).content_hash();
+        let hash = |cfg: FctRun| cfg.scenario("figX", "a").content_hash();
         // Every field `FctRun::spec`, `TestbedOpts::spec`, `tcp_spec` and
         // the two fault `spec`s destructure, in their order.
         let reaching: &[Edit<FctRun>] = &[
@@ -372,10 +360,13 @@ pub(crate) mod tests {
             }),
         ];
         assert_key_coverage(base, hash, reaching, inert);
-        // `quick`, `figure` and `label` are part of the key too.
-        assert_ne!(
+        // `figure` and `label` are part of the key too; `--quick` is not —
+        // the shrunken fabric and flow count it chose already are.
+        assert_ne!(base().scenario("figY", "a").content_hash(), hash(base()));
+        assert_ne!(base().scenario("figX", "b").content_hash(), hash(base()));
+        assert_eq!(
             fct_scenario("figX", "a", &base(), false).content_hash(),
-            hash(base())
+            fct_scenario("figX", "a", &base(), true).content_hash()
         );
     }
 
@@ -390,7 +381,8 @@ pub(crate) mod tests {
             0.5,
         );
         assert_eq!(
-            fct_scenario("fig09_enterprise", "CONGA.load50.r0", &cfg, false).canonical(),
+            cfg.scenario("fig09_enterprise", "CONGA.load50.r0")
+                .canonical(),
             "version=7\n\
              kind=fct\n\
              figure=fig09_enterprise\n\
@@ -408,8 +400,7 @@ pub(crate) mod tests {
              sample_uplinks=false\n\
              faults=\n\
              core_faults=\n\
-             sketch=false\n\
-             quick=false\n"
+             sketch=false\n"
         );
     }
 
@@ -421,9 +412,15 @@ pub(crate) mod tests {
             jobs: 2,
             cache: ResultCache::at(&dir),
         };
+        // The last cell samples series: its JSONL/CSV text (quotes and
+        // newlines included) must come back from the cache byte for byte.
         let cells = |n: u64| -> Vec<FleetCell> {
             (0..n)
-                .map(|i| fct_cell("figtest", &format!("cell{i}"), tiny_cfg(i + 1), true, None))
+                .map(|i| {
+                    let mut cfg = tiny_cfg(i + 1);
+                    cfg.sample_uplinks = i + 1 == n;
+                    fct_cell("figtest", &format!("cell{i}"), cfg, None)
+                })
                 .collect()
         };
         drain();
@@ -431,6 +428,8 @@ pub(crate) mod tests {
         let rec1 = drain();
         assert_eq!(rec1.len(), 3);
         assert!(rec1.iter().all(|r| !r.cached), "cold cache: all misses");
+        assert!(first[2].text["series_jsonl"].lines().count() > 1);
+        assert!(!first[0].text.contains_key("series_jsonl"));
         let second = run_cells(cells(3), &opts);
         let rec2 = drain();
         assert!(rec2.iter().all(|r| r.cached), "warm cache: all hits");

@@ -4,6 +4,7 @@
 use conga_analysis::fct::{ideal_fct_s, summarize, FctSample, FctSummary};
 use conga_analysis::sketch::{FctAccumulator, FctSketch};
 use conga_core::FabricPolicy;
+use conga_fleet::Scenario;
 use conga_net::{
     ChannelId, EcnConfig, HostId, LeafSpineBuilder, Network, ShardedNetwork, Topology,
     TopologyBuilder, WIRE_OVERHEAD,
@@ -541,7 +542,7 @@ impl FctRun {
     /// value. The destructuring is exhaustive on purpose: a field added
     /// later does not compile until it is rendered here or, like the three
     /// execution knobs that provably move no byte, bound to `_`.
-    pub(crate) fn spec(&self) -> String {
+    fn spec(&self) -> String {
         let FctRun {
             topo,
             scheme,
@@ -573,6 +574,13 @@ impl FctRun {
             schedule(faults, LinkFaultSpec::spec),
             schedule(core_faults, CoreLinkFaultSpec::spec),
         )
+    }
+
+    /// The hashable [`Scenario`] of this cell under `figure`/`label`. The
+    /// spec already carries the fabric and flow count a `--quick` run
+    /// shrank, so `--quick` and an explicit equal cell share one key.
+    pub fn scenario(&self, figure: &str, label: &str) -> Scenario {
+        Scenario::new("fct", figure, label, self.spec())
     }
 }
 

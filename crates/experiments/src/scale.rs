@@ -140,7 +140,7 @@ pub fn fig15(args: &Args) -> bool {
                 CoreLinkFaultSpec::recover(SimTime::from_millis(9), 0, 0, 0),
             ];
             let label = format!("{}.corefail.load{:02.0}", scheme.name(), load * 100.0);
-            fct_cell("fig15_large_scale", &label, cfg, args.quick, None)
+            fct_cell("fig15_large_scale", &label, cfg, None)
         })
         .collect();
     let results = run_cells(cells, &opts);

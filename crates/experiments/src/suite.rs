@@ -17,7 +17,7 @@ use crate::figures::{
     run_baseline_figure, trace_args, write_metrics_sidecar_text, write_series_sidecars_from_text,
     TraceArgs,
 };
-use crate::fleet::{cell, fct_cell_with, fct_scenario, run_cells, FleetCell, FleetOpts};
+use crate::fleet::{cell, fct_cell_with, run_cells, FleetCell, FleetOpts};
 use crate::runner::{
     run_until_received, start_source, tcp_spec, FctOutcome, FctRun, Scheme, TestbedOpts, TraceSpec,
 };
@@ -241,7 +241,7 @@ pub fn fig12(args: &Args) -> bool {
             cfg.trace = tracing.as_ref().map(|t| t.spec.clone());
             cfg.shards = args.shards;
             let label = format!("{}.{}", dist.name(), scheme.name());
-            let scenario = fct_scenario("fig12_imbalance", &label, &cfg, args.quick);
+            let scenario = cfg.scenario("fig12_imbalance", &label);
             cells.push(fct_cell_with(scenario, cfg, tracing.clone(), imbalance));
         }
     }

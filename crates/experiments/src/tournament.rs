@@ -11,7 +11,7 @@
 
 use crate::cli::{banner, Args};
 use crate::figures::{loads_arg, write_artifact};
-use crate::fleet::{fct_cell_with, fct_scenario, run_cells, FleetOpts};
+use crate::fleet::{fct_cell_with, run_cells, FleetOpts};
 use crate::runner::{FctOutcome, FctRun, Scheme, TestbedOpts};
 use conga_analysis::tournament::{compare, render, GroupTable, PolicyCell};
 use conga_fleet::{CellResult, Scenario};
@@ -51,9 +51,9 @@ fn decisions(out: &FctOutcome, r: &mut CellResult) {
 /// sweep's whole `--loads` list as percents. Ratio tables compare cells
 /// *within* one sweep, so a cell's result must never be served for a
 /// sweep raced over a different load list.
-fn sweep_scenario(figure: &str, label: &str, cfg: &FctRun, quick: bool, loads: &[f64]) -> Scenario {
+fn sweep_scenario(figure: &str, label: &str, cfg: &FctRun, loads: &[f64]) -> Scenario {
     let pcts: Vec<String> = loads.iter().map(|l| format!("{}", l * 100.0)).collect();
-    let mut scenario = fct_scenario(figure, label, cfg, quick);
+    let mut scenario = cfg.scenario(figure, label);
     scenario.spec += &format!("loads={}\n", pcts.join(","));
     scenario
 }
@@ -93,7 +93,7 @@ pub fn run(args: &Args) -> bool {
                     let figure = format!("tournament_{arena}");
                     let label =
                         format!("{}.{}.load{:02.0}", scheme.name(), cc.name(), load * 100.0);
-                    let scenario = sweep_scenario(&figure, &label, &cfg, args.quick, &loads);
+                    let scenario = sweep_scenario(&figure, &label, &cfg, &loads);
                     cells.push(fct_cell_with(scenario, cfg, None, decisions));
                 }
             }
@@ -229,9 +229,8 @@ mod tests {
             FlowSizeDist::enterprise(),
             0.3,
         );
-        let raced_over = |loads: &[f64]| {
-            sweep_scenario("tournament_enterprise", "conga.load30", &cfg, true, loads)
-        };
+        let raced_over =
+            |loads: &[f64]| sweep_scenario("tournament_enterprise", "conga.load30", &cfg, loads);
         assert_ne!(
             raced_over(&[0.3, 0.6]).content_hash(),
             raced_over(&[0.3, 0.8]).content_hash(),

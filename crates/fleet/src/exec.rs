@@ -1,11 +1,12 @@
-//! The work-stealing cell executor.
+//! The cell executor: one shared cursor over the job list.
 //!
 //! Experiment cells are independent, single-threaded, CPU-bound
-//! simulations, so the pool is deliberately simple: each worker owns a
-//! deque of cell indices (dealt round-robin up front), pops from its own
-//! front, and when empty steals from the back of the most-loaded sibling.
-//! No cell spawns further cells, so an empty sweep of every deque is a
-//! correct termination condition.
+//! simulations, so the pool is deliberately simple: `workers` threads —
+//! the calling thread is one of them — each claim the next unclaimed job
+//! index from one shared atomic cursor until the list is exhausted. A slow
+//! cell holds only the thread running it; the others keep claiming. One
+//! worker is the same loop with nobody else claiming, i.e. input order on
+//! the calling thread.
 //!
 //! # Determinism contract
 //!
@@ -23,12 +24,11 @@
 //! [`Timed::result`] `Err`, and the remaining workers keep draining.
 //! Every internal lock is acquired poison-tolerantly — a panic elsewhere
 //! (e.g. in a caller's `on_done`) can mark a mutex poisoned, but the
-//! guarded data (job slots, index deques, result slots) is always in a
-//! consistent state at the panic point, so recovering the inner value is
-//! sound.
+//! guarded data (job slots, result slots) is always in a consistent state
+//! at the panic point, so recovering the inner value is sound.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -70,77 +70,46 @@ fn run_job<R>(job: Job<'_, R>) -> (Result<R, String>, Duration) {
 
 /// Run every job and return the results in input order.
 ///
-/// `workers` is clamped to `[1, jobs.len()]`; with one worker the jobs
-/// run serially on the calling thread (no pool overhead, and `--jobs 1`
-/// is exactly the historical serial path). `on_done(i, wall)` fires as
-/// each job finishes — from worker threads, in completion order — for
-/// live progress reporting; keep it cheap and locked internally.
+/// `workers` is clamped to `[1, jobs.len()]`; the calling thread is worker
+/// 0, so one worker spawns nothing and runs the jobs in input order.
+/// `on_done(i, wall)` fires as each job finishes — from whichever thread
+/// ran it, in completion order — for live progress reporting; keep it
+/// cheap and locked internally.
 ///
 /// A job that panics yields `Err(message)` in its slot; the other jobs
-/// still run and return in order, on both the serial and pooled paths.
+/// still run and return in order.
 pub fn run_ordered<'a, R: Send>(
     jobs: Vec<Job<'a, R>>,
     workers: usize,
     on_done: &(dyn Fn(usize, Duration) + Sync),
 ) -> Vec<Timed<R>> {
     let n = jobs.len();
-    let workers = workers.max(1).min(n.max(1));
-    if workers <= 1 {
-        return jobs
-            .into_iter()
-            .enumerate()
-            .map(|(i, job)| {
-                let (result, wall) = run_job(job);
-                on_done(i, wall);
-                Timed { result, wall }
-            })
-            .collect();
-    }
-
-    // Job slots (taken once each) and per-worker index deques.
+    let workers = workers.clamp(1, n.max(1));
+    // Job slots (taken once each) and their input-order result slots.
     let slots: Vec<Mutex<Option<Job<'a, R>>>> =
         jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
-    let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-        .map(|w| Mutex::new((w..n).step_by(workers).collect()))
-        .collect();
     let results: Vec<Mutex<Option<Timed<R>>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    // Relaxed: the cursor only hands out indices; the slot mutexes publish
+    // the jobs and results, and the scope's join publishes completion.
+    let cursor = AtomicUsize::new(0);
 
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let slots = &slots;
-            let queues = &queues;
-            let results = &results;
-            scope.spawn(move || loop {
-                // Own queue first (front)...
-                let mut idx = lock(&queues[w]).pop_front();
-                if idx.is_none() {
-                    // ...then steal from the back of the fullest sibling.
-                    let mut best: Option<(usize, usize)> = None;
-                    for (q, queue) in queues.iter().enumerate() {
-                        if q == w {
-                            continue;
-                        }
-                        let len = lock(queue).len();
-                        if len > 0 && best.map(|(_, l)| len > l).unwrap_or(true) {
-                            best = Some((q, len));
-                        }
-                    }
-                    if let Some((q, _)) = best {
-                        idx = lock(&queues[q]).pop_back();
-                    }
-                }
-                let Some(i) = idx else { break };
-                let Some(job) = lock(&slots[i]).take() else {
-                    // Unreachable by construction (each index is queued
-                    // once); skip rather than crash the worker if it
-                    // ever regresses.
-                    continue;
-                };
-                let (result, wall) = run_job(job);
-                on_done(i, wall);
-                *lock(&results[i]) = Some(Timed { result, wall });
-            });
+    let worker = || loop {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            break;
         }
+        let job = lock(&slots[i])
+            .take()
+            .expect("the cursor hands out each index once");
+        let (result, wall) = run_job(job);
+        on_done(i, wall);
+        *lock(&results[i]) = Some(Timed { result, wall });
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(worker);
+        }
+        worker();
     });
 
     results
@@ -148,7 +117,7 @@ pub fn run_ordered<'a, R: Send>(
         .map(|slot| {
             slot.into_inner()
                 .unwrap_or_else(|e| e.into_inner())
-                .expect("every queued job stores a result")
+                .expect("every claimed job stores a result")
         })
         .collect()
 }
@@ -161,7 +130,6 @@ pub fn run_ordered_quiet<'a, R: Send>(jobs: Vec<Job<'a, R>>, workers: usize) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn squares(n: usize) -> Vec<Job<'static, usize>> {
         (0..n)
@@ -201,27 +169,28 @@ mod tests {
         assert_eq!(out.len(), 40);
     }
 
+    /// Self-scheduling: while job 0 is stuck, the other workers claim the
+    /// remaining eleven. Job 0 only returns once all eleven have finished,
+    /// so a pool that parked any of them behind it would never return.
     #[test]
-    fn stealing_drains_uneven_queues() {
-        // One slow job pinned to worker 0's queue head; the rest are fast
-        // and must be stolen by the idle workers.
+    fn a_slow_first_job_does_not_hold_the_other_eleven() {
+        let done = AtomicUsize::new(0);
         let jobs: Vec<Job<u64>> = (0..12)
             .map(|i| {
+                let done = &done;
                 Box::new(move || {
                     if i == 0 {
-                        std::thread::sleep(Duration::from_millis(30));
+                        while done.load(Ordering::SeqCst) < 11 {
+                            std::thread::yield_now();
+                        }
+                    } else {
+                        done.fetch_add(1, Ordering::SeqCst);
                     }
                     i as u64
                 }) as Job<u64>
             })
             .collect();
-        let t0 = Instant::now();
         let out = run_ordered_quiet(jobs, 3);
-        assert_eq!(out.len(), 12);
-        assert!(
-            t0.elapsed() < Duration::from_secs(5),
-            "stealing should not deadlock"
-        );
         assert_eq!(values(out), (0..12).collect::<Vec<u64>>());
     }
 
@@ -249,8 +218,8 @@ mod tests {
     }
 
     /// The ISSUE's panic-containment contract: one panicking cell out of
-    /// eight, seven results still returned in input order — on the pool
-    /// and on the serial path.
+    /// eight, seven results still returned in input order — whether the
+    /// caller runs alone or with spawned workers.
     #[test]
     fn one_panicking_cell_does_not_poison_the_batch() {
         for workers in [1, 3, 8] {

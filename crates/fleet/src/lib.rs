@@ -7,8 +7,9 @@
 //!
 //! * [`scenario`] — a [`Scenario`](scenario::Scenario) per cell: its names
 //!   and its own spec rendered as text, under a content hash;
-//! * [`exec`] — a work-stealing thread-pool executor (std threads only)
-//!   that returns results **in input order**, so merged sweep output is
+//! * [`exec`] — a self-scheduling executor (std threads claiming job
+//!   indices from one cursor) that returns results **in input order**, so
+//!   merged sweep output is
 //!   byte-identical for any `--jobs N`;
 //! * [`cache`] — a content-addressed result cache under
 //!   `results/cache/<hash>.json`: re-running a sweep skips completed

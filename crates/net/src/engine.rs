@@ -293,6 +293,13 @@ struct EcnState {
     last_seen: u64,
 }
 
+/// Host emission jitter bound: each packet handed to the NIC is delayed by
+/// a uniform random amount in `[0, 1 µs)`, never reordering a host's own
+/// emissions. Models interrupt/scheduling noise and breaks the artificial
+/// flow synchronization (drop-tail phase lockout) that a perfectly
+/// deterministic simulation otherwise produces.
+const HOST_JITTER_NS: u64 = 1_000;
+
 /// The simulated network.
 pub struct Network<D: Dataplane, A: HostAgent> {
     /// Fabric description (immutable during a run).
@@ -342,12 +349,7 @@ pub struct Network<D: Dataplane, A: HostAgent> {
     /// Per-host FIFO of emitted packets awaiting their jittered NIC release.
     /// Heads are consumed by `Ev::Inject`. Sized lazily with `nic_release`.
     inject_q: Vec<VecDeque<Box<Packet>>>,
-    /// Host emission jitter bound: each packet handed to the NIC is delayed
-    /// by a uniform random amount in `[0, jitter)`, never reordering a
-    /// host's own emissions. Models interrupt/scheduling noise and breaks
-    /// the artificial flow synchronization (drop-tail phase lockout) that a
-    /// perfectly deterministic simulation otherwise produces. Zero disables.
-    host_jitter: SimDuration,
+    /// Per-host earliest next NIC release (see [`HOST_JITTER_NS`]).
     nic_release: Vec<SimTime>,
     /// Structured event tracing; disabled (one dead branch per emission
     /// site) unless [`Network::set_tracer`] installed a recording handle.
@@ -397,7 +399,6 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
             scratch_flush: Vec::new(),
             wire: (0..nc).map(|_| VecDeque::new()).collect(),
             inject_q: Vec::new(),
-            host_jitter: SimDuration::from_nanos(1_000),
             nic_release: Vec::new(),
             tracer: TraceHandle::disabled(),
             faults_scheduled: false,
@@ -455,11 +456,6 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
         self.tracer = tracer.clone();
         self.dataplane.set_tracer(tracer.clone());
         self.agent.set_tracer(tracer);
-    }
-
-    /// Override the host emission jitter (zero disables; see field docs).
-    pub fn set_host_jitter(&mut self, j: SimDuration) {
-        self.host_jitter = j;
     }
 
     /// Current simulation time.
@@ -762,6 +758,12 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
     /// clock is *not* advanced to the bound afterwards: cross-domain
     /// deliveries injected at the next barrier may land anywhere in
     /// `[bound, ...)` and must not trip the monotonicity assertion.
+    ///
+    /// Out of line on purpose: this is the hot loop of every windowed run
+    /// and it has one caller, so LLVM would fold it into the coordinator's
+    /// worker closure — where `testbed_elephants` measured 5–10 % slower
+    /// (results/perf_ledger.jsonl, PR 22).
+    #[inline(never)]
     pub fn run_window(&mut self, bound: SimTime) -> u64 {
         let mut n = 0;
         while let Some((t, ev)) = self.events.pop_before(bound) {
@@ -890,26 +892,19 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
             self.next_pkt_id += 1;
             self.stats.injected_pkts += 1;
             self.stats.injected_bytes += pkt.size as u64;
-            if self.host_jitter > SimDuration::ZERO {
-                // Per-host monotone release times: jitter never reorders a
-                // single host's emissions.
-                if self.nic_release.is_empty() {
-                    let nh = self.topo.n_hosts as usize;
-                    self.nic_release = vec![SimTime::ZERO; nh];
-                    self.inject_q = (0..nh).map(|_| VecDeque::new()).collect();
-                }
-                let j = SimDuration::from_nanos(
-                    self.rng.range_u64(0, self.host_jitter.as_nanos().max(1)),
-                );
-                let host = pkt.src.idx();
-                let release = (self.now + j).max(self.nic_release[host]);
-                self.nic_release[host] = release;
-                self.inject_q[host].push_back(pkt);
-                self.events.push(release, Ev::Inject { host: host as u32 });
-            } else {
-                let access = self.fib.host_access[pkt.src.idx()];
-                self.enqueue(access, pkt);
+            // Per-host monotone release times: jitter never reorders a
+            // single host's emissions.
+            if self.nic_release.is_empty() {
+                let nh = self.topo.n_hosts as usize;
+                self.nic_release = vec![SimTime::ZERO; nh];
+                self.inject_q = (0..nh).map(|_| VecDeque::new()).collect();
             }
+            let j = SimDuration::from_nanos(self.rng.range_u64(0, HOST_JITTER_NS));
+            let host = pkt.src.idx();
+            let release = (self.now + j).max(self.nic_release[host]);
+            self.nic_release[host] = release;
+            self.inject_q[host].push_back(pkt);
+            self.events.push(release, Ev::Inject { host: host as u32 });
         }
     }
 

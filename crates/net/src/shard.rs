@@ -40,9 +40,11 @@
 //! The window schedule is a pure function of the event timeline, the
 //! injection order is sorted, and each domain is single-threaded inside a
 //! window — so the run is a pure function of `(code, seed)` and, crucially,
-//! **independent of the worker count**: `workers = 1` executes the same
-//! logical schedule inline that `workers = n` executes on scoped threads.
-//! The differential battery in `tests/shards.rs` pins this byte-for-byte.
+//! **independent of the worker count**: there is one window loop
+//! ([`ShardedNetwork::run_until`]), every worker derives the same bound
+//! from the same per-worker minima, and a worker count only decides how
+//! many threads share the domains. The differential battery in
+//! `tests/shards.rs` pins this byte-for-byte.
 
 use crate::engine::{Dataplane, HostAgent, Network, ShardCtx};
 use crate::ids::{ChannelId, NodeId};
@@ -50,7 +52,7 @@ use crate::packet::Packet;
 use crate::topology::Topology;
 use conga_sim::{conservative_window, SimDuration, SimRng, SimTime};
 use conga_telemetry::SeriesRegistry;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex};
 
 /// A cross-domain packet in flight between barriers:
@@ -103,7 +105,11 @@ pub struct ShardedNetwork<D: Dataplane, A: HostAgent> {
 
 impl<D: Dataplane + Send, A: HostAgent + Send> ShardedNetwork<D, A> {
     /// Partition `topo` into `n_leaves` domains executed by up to
-    /// `workers` threads (clamped to the domain count; 0 means 1).
+    /// `workers` threads (0 means 1). Domains are dealt in equal
+    /// contiguous chunks of `ceil(n_leaves / workers)`, and the number of
+    /// chunks that come out non-empty *is* the worker count — 6 leaves on
+    /// 4 requested workers run on 3 — so no thread ever waits for a
+    /// worker that has nothing to run.
     /// `mk(d)` constructs domain `d`'s dataplane and host agent — every
     /// domain gets an identical fresh replica.
     ///
@@ -157,13 +163,14 @@ impl<D: Dataplane + Send, A: HostAgent + Send> ShardedNetwork<D, A> {
                 net
             })
             .collect();
+        let chunk = n_domains.div_ceil(workers.clamp(1, n_domains));
         ShardedNetwork {
             nets,
             mailboxes: (0..n_domains).map(|_| Mutex::new(Vec::new())).collect(),
             arrive_domain,
             src_domain,
             lookahead,
-            workers: workers.max(1).min(n_domains),
+            workers: n_domains.div_ceil(chunk),
             now: SimTime::ZERO,
         }
     }
@@ -184,7 +191,7 @@ impl<D: Dataplane + Send, A: HostAgent + Send> ShardedNetwork<D, A> {
         self.nets.len()
     }
 
-    /// Worker threads the windows execute on.
+    /// Worker threads the windows execute on (the calling thread is one).
     pub fn workers(&self) -> usize {
         self.workers
     }
@@ -248,17 +255,83 @@ impl<D: Dataplane + Send, A: HostAgent + Send> ShardedNetwork<D, A> {
     /// Run every domain to `t_end` (inclusive) in conservative windows,
     /// exchanging cross-domain packets at the window barriers. Returns the
     /// total number of events processed across domains.
+    ///
+    /// One loop for every worker count: worker `w` owns the `w`-th chunk
+    /// of domains, the calling thread is worker 0, and a window costs two
+    /// barrier waits (none at one worker, where there is nobody to wait
+    /// for).
+    ///
+    /// ```text
+    /// drain own mailboxes, store own domains' min pending time in slot w
+    /// ── wait ── every slot of this window is written
+    /// every worker computes the same bound from all slots (or stops)
+    /// run the window, route outboxes into the target mailboxes
+    /// ── wait ── routing complete, every slot has been read
+    /// ```
+    ///
+    /// A slot needs no reset: its owner rewrites it only after the second
+    /// wait, which every reader of the old value has reached by then.
     pub fn run_until(&mut self, t_end: SimTime) -> u64 {
-        let n = if self.workers <= 1 {
-            self.run_inline(t_end)
-        } else {
-            self.run_parallel(t_end)
+        let workers = self.workers;
+        let chunk = self.nets.len().div_ceil(workers);
+        let barrier = Barrier::new(workers);
+        let wait = || {
+            if workers > 1 {
+                barrier.wait();
+            }
         };
+        let min_ns: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(u64::MAX)).collect();
+        let mailboxes = &self.mailboxes;
+        let arrive_domain = &self.arrive_domain;
+        let lookahead = self.lookahead;
+
+        let worker = |w: usize, nets: &mut [Network<D, A>]| {
+            let mut events = 0u64;
+            loop {
+                let mut local = u64::MAX;
+                for (i, net) in nets.iter_mut().enumerate() {
+                    if let Some(t) = Self::drain_into(&mailboxes[w * chunk + i], net) {
+                        local = local.min(t.as_nanos());
+                    }
+                }
+                // The waits order the slots; Release/Acquire says so
+                // without leaning on the barrier's internals.
+                min_ns[w].store(local, Ordering::Release);
+                wait();
+                let m = min_ns
+                    .iter()
+                    .map(|slot| slot.load(Ordering::Acquire))
+                    .fold(u64::MAX, u64::min);
+                let min_pending = (m != u64::MAX).then(|| SimTime::from_nanos(m));
+                let Some(bound) = conservative_window(min_pending, lookahead, t_end) else {
+                    break events;
+                };
+                for net in nets.iter_mut() {
+                    events += net.run_window(bound);
+                    Self::route_outbox(mailboxes, arrive_domain, net);
+                }
+                wait();
+            }
+        };
+
+        let events = std::thread::scope(|s| {
+            let mut chunks = self.nets.chunks_mut(chunk).enumerate();
+            let (_, first) = chunks.next().expect("at least one domain");
+            let spawned: Vec<_> = chunks
+                .map(|(w, nets)| s.spawn(move || worker(w, nets)))
+                .collect();
+            let mine = worker(0, first);
+            spawned
+                .into_iter()
+                .map(|h| h.join().expect("shard worker panicked"))
+                .sum::<u64>()
+                + mine
+        });
         for net in &mut self.nets {
             net.advance_to(t_end);
         }
         self.now = t_end;
-        n
+        events
     }
 
     /// Drain and inject one domain's mailbox, then report its minimum
@@ -290,109 +363,6 @@ impl<D: Dataplane + Send, A: HostAgent + Send> ShardedNetwork<D, A> {
             let d = arrive_domain[entry.1.idx()] as usize;
             mailboxes[d].lock().expect("mailbox poisoned").push(entry);
         }
-    }
-
-    /// Single-threaded executor: the identical logical window schedule the
-    /// parallel path runs, without threads or barriers.
-    fn run_inline(&mut self, t_end: SimTime) -> u64 {
-        let mut total = 0;
-        loop {
-            let mut min_pending: Option<SimTime> = None;
-            for (d, net) in self.nets.iter_mut().enumerate() {
-                let m = Self::drain_into(&self.mailboxes[d], net);
-                min_pending = match (min_pending, m) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                };
-            }
-            let Some(w) = conservative_window(min_pending, self.lookahead, t_end) else {
-                break;
-            };
-            for net in self.nets.iter_mut() {
-                total += net.run_window(w);
-                Self::route_outbox(&self.mailboxes, &self.arrive_domain, net);
-            }
-        }
-        total
-    }
-
-    /// Multi-threaded executor: persistent scoped workers over disjoint
-    /// domain chunks, three barrier phases per window.
-    ///
-    /// ```text
-    /// A: drain own mailboxes, contribute local min (atomic fetch_min)
-    /// ── barrier ── leader: compute window bound, reset the min
-    /// ── barrier ── all: read bound (or stop)
-    /// C: run the window, route outboxes into target mailboxes
-    /// ── barrier ── (routing complete before anyone drains again)
-    /// ```
-    fn run_parallel(&mut self, t_end: SimTime) -> u64 {
-        let workers = self.workers;
-        let n_domains = self.nets.len();
-        let chunk = n_domains.div_ceil(workers);
-        let barrier = Barrier::new(workers);
-        let min_ns = AtomicU64::new(u64::MAX);
-        let window_ns = AtomicU64::new(0);
-        let stop = AtomicBool::new(false);
-        let events = AtomicU64::new(0);
-        let mailboxes = &self.mailboxes;
-        let arrive_domain = &self.arrive_domain;
-        let lookahead = self.lookahead;
-
-        let worker = |base: usize, nets: &mut [Network<D, A>]| {
-            let mut local_events = 0u64;
-            loop {
-                // Phase A: inject barrier mail, contribute the local min.
-                for (i, net) in nets.iter_mut().enumerate() {
-                    if let Some(t) = Self::drain_into(&mailboxes[base + i], net) {
-                        min_ns.fetch_min(t.as_nanos(), Ordering::AcqRel);
-                    }
-                }
-                if barrier.wait().is_leader() {
-                    let m = min_ns.swap(u64::MAX, Ordering::AcqRel);
-                    let min_pending = (m != u64::MAX).then(|| SimTime::from_nanos(m));
-                    match conservative_window(min_pending, lookahead, t_end) {
-                        Some(w) => {
-                            window_ns.store(w.as_nanos(), Ordering::Release);
-                            stop.store(false, Ordering::Release);
-                        }
-                        None => stop.store(true, Ordering::Release),
-                    }
-                }
-                barrier.wait();
-                if stop.load(Ordering::Acquire) {
-                    break;
-                }
-                let w = SimTime::from_nanos(window_ns.load(Ordering::Acquire));
-                // Phase C: execute the window, route cross-domain mail.
-                for net in nets.iter_mut() {
-                    local_events += net.run_window(w);
-                    Self::route_outbox(mailboxes, arrive_domain, net);
-                }
-                barrier.wait();
-            }
-            events.fetch_add(local_events, Ordering::AcqRel);
-        };
-
-        std::thread::scope(|s| {
-            let mut chunks: Vec<(usize, &mut [Network<D, A>])> = Vec::with_capacity(workers);
-            let mut rest = self.nets.as_mut_slice();
-            let mut base = 0;
-            while !rest.is_empty() {
-                let take = chunk.min(rest.len());
-                let (head, tail) = rest.split_at_mut(take);
-                chunks.push((base, head));
-                base += take;
-                rest = tail;
-            }
-            let mut iter = chunks.into_iter();
-            let first = iter.next().expect("at least one domain chunk");
-            for (b, c) in iter {
-                s.spawn(move || worker(b, c));
-            }
-            worker(first.0, first.1);
-        });
-        events.load(Ordering::Acquire)
     }
 }
 
@@ -515,6 +485,23 @@ mod tests {
         let one = run_burst(1);
         let two = run_burst(2);
         assert_eq!(one, two);
+    }
+
+    /// A requested worker count that does not divide the domains must not
+    /// leave a thread waiting for a worker with no chunk: 6 leaves on 4
+    /// workers are 3 chunks of 2 (this hung on a 4-party barrier).
+    #[test]
+    fn uneven_worker_count_runs_on_the_non_empty_chunks() {
+        let topo = LeafSpineBuilder::new(6, 2, 1).build();
+        let mut net = ShardedNetwork::new(&topo, 1, 4, |_| (TestEcmp, SinkAgent::default()));
+        assert_eq!((net.n_domains(), net.workers()), (6, 3));
+        // Host h hangs off leaf h: domain 0 → domain 5 crosses the fabric.
+        crate::engine::inject(
+            net.domain_mut(0),
+            Packet::data(0, 0, 7, HostId(0), HostId(5), 0, 100, SimTime::ZERO),
+        );
+        net.run_until(SimTime::from_millis(1));
+        assert_eq!(net.domain(5).agent.received.len(), 1);
     }
 
     #[test]

@@ -115,32 +115,14 @@ impl MetricsRegistry {
         self.series.get(name).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Merge another registry into this one: counters add, gauges overwrite,
-    /// series concatenate.
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (k, v) in &other.counters {
-            *self.entry_counter(k) += v;
-        }
-        for (k, v) in &other.gauges {
-            self.gauges.insert(k.clone(), *v);
-        }
-        for (k, v) in &other.series {
-            self.series
-                .entry(k.clone())
-                .or_default()
-                .extend_from_slice(v);
-        }
-    }
-
     /// Absorb a per-shard registry into this one: counters add, **gauges
     /// add**, series concatenate.
     ///
     /// This is the merge rule for combining partial views of *one* run.
     /// Shard-local gauges are partial sums (a shard's
     /// `engine.inflight_pkts` can even be negative when it delivered more
-    /// packets than it injected), so unlike [`MetricsRegistry::merge`] —
-    /// which treats the incoming gauge as a fresher observation of the
-    /// same quantity — gauges must sum to reconstruct the whole-run value.
+    /// packets than it injected), so gauges must sum — not overwrite — to
+    /// reconstruct the whole-run value.
     pub fn absorb(&mut self, other: &MetricsRegistry) {
         for (k, v) in &other.counters {
             *self.entry_counter(k) += v;
@@ -326,36 +308,23 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds_counters_and_appends_series() {
+    fn absorb_adds_counters_sums_gauges_and_appends_series() {
         let mut a = MetricsRegistry::new();
         a.inc("c", 1);
+        a.set_gauge("g", -3);
         a.sample("s", SimTime::from_nanos(5), 1.0);
         let mut b = MetricsRegistry::new();
         b.inc("c", 2);
         b.inc("d", 9);
-        b.sample("s", SimTime::from_nanos(6), 2.0);
-        a.merge(&b);
-        assert_eq!(a.counter("c"), 3);
-        assert_eq!(a.counter("d"), 9);
-        assert_eq!(a.series("s"), &[(5, 1.0), (6, 2.0)]);
-    }
-
-    #[test]
-    fn absorb_sums_gauges_where_merge_overwrites() {
-        let mut a = MetricsRegistry::new();
-        a.inc("c", 1);
-        a.set_gauge("g", -3);
-        let mut b = MetricsRegistry::new();
-        b.inc("c", 2);
         b.set_gauge("g", 5);
         b.set_gauge("h", 7);
-        let mut merged = a.clone();
-        merged.merge(&b);
-        assert_eq!(merged.gauge("g"), Some(5), "merge overwrites");
+        b.sample("s", SimTime::from_nanos(6), 2.0);
         a.absorb(&b);
         assert_eq!(a.counter("c"), 3);
+        assert_eq!(a.counter("d"), 9);
         assert_eq!(a.gauge("g"), Some(2), "absorb sums partial gauges");
         assert_eq!(a.gauge("h"), Some(7));
+        assert_eq!(a.series("s"), &[(5, 1.0), (6, 2.0)]);
     }
 
     #[test]

@@ -333,14 +333,6 @@ impl TraceConfig {
     }
 }
 
-/// A sink for trace events. The built-in [`TraceHandle`] recorder is the
-/// only sink the simulator binaries use, but the trait lets tests and
-/// external tools observe the stream without materializing it.
-pub trait TraceSink {
-    /// Accept one event at simulation time `now`.
-    fn record(&mut self, now: SimTime, event: TraceEvent);
-}
-
 /// The in-memory recorder behind an enabled [`TraceHandle`].
 #[derive(Debug)]
 struct Recorder {
@@ -350,7 +342,8 @@ struct Recorder {
     records: VecDeque<TraceRecord>,
 }
 
-impl TraceSink for Recorder {
+impl Recorder {
+    /// Accept one event at simulation time `now`.
     fn record(&mut self, now: SimTime, event: TraceEvent) {
         if let (Some(set), Some(flow)) = (&self.cfg.flows, event.flow()) {
             if !set.contains(&flow) {

@@ -21,7 +21,7 @@
 //!   deterministic JSONL + Chrome `trace_event` exporters, and the
 //!   `trace_explain` replay tool;
 //! * [`fleet`] — the experiment orchestrator: hashable scenario specs, a
-//!   work-stealing parallel executor with deterministic merge, and the
+//!   parallel cell executor with deterministic merge, and the
 //!   content-addressed result cache behind the `fleet` binary;
 //! * [`experiments`] — the figure harness (testbed topologies, the scheme
 //!   matrix, the open-loop FCT runner).

@@ -1,8 +1,8 @@
 //! The fleet executor's two contracts, asserted end-to-end through the
 //! real figure code paths:
 //!
-//! 1. **Merge determinism** — a sweep routed through the work-stealing
-//!    executor produces byte-identical merged artifacts (every
+//! 1. **Merge determinism** — a sweep routed through the cell executor
+//!    produces byte-identical merged artifacts (every
 //!    `results/<figure>*` file it writes) whatever the worker count:
 //!    `--jobs 1` and `--jobs 4` are indistinguishable from the artifacts
 //!    alone.
@@ -131,7 +131,7 @@ fn run_reports_identical_across_worker_counts() {
                 );
                 cfg.n_flows = 40;
                 cfg.seed = 100 + i;
-                fct_cell("testfleet_reports", &format!("cell{i}"), cfg, true, None)
+                fct_cell("testfleet_reports", &format!("cell{i}"), cfg, None)
             })
             .collect()
     };
@@ -218,7 +218,7 @@ fn a_panicking_cell_fails_the_suite_and_the_manifest_names_it() {
     );
     cfg.n_flows = 20;
     let cells = vec![
-        fct_cell(suite, "healthy", cfg, true, None),
+        fct_cell(suite, "healthy", cfg, None),
         FleetCell {
             scenario: Scenario::new("fct", suite, "doomed", String::new()),
             run: Box::new(|| panic!("cell body blew up")),

@@ -79,7 +79,9 @@ fn fct_artifacts_identical_across_shard_counts() {
 }
 
 /// More than two domains: a 4-leaf testbed gives four shards real work and
-/// exercises the uniform (all-to-all) arrival path. Same contract.
+/// exercises the uniform (all-to-all) arrival path. Same contract — also
+/// at 3, which does not divide 4 (two 2-domain chunks run; a 3-party
+/// barrier would wait for a third forever).
 #[test]
 fn four_leaf_topology_is_shard_count_invariant() {
     let mk = |shards: usize| {
@@ -94,7 +96,7 @@ fn four_leaf_topology_is_shard_count_invariant() {
     let base = run_fct_with_policy(&mk(1), FabricPolicy::conga())
         .report
         .to_json();
-    for shards in [2, 4] {
+    for shards in [2, 3, 4] {
         let got = run_fct_with_policy(&mk(shards), FabricPolicy::conga())
             .report
             .to_json();
