@@ -13,6 +13,11 @@
 //! Both tables age: a metric not refreshed within `metric_age` reads as
 //! zero, which both bounds staleness and guarantees a congested-looking
 //! path is eventually probed again.
+//!
+//! Both allocate their cells when the first metric is stored, not in
+//! `new`: a fabric model builds the pair for every leaf, and in a shard
+//! domain's replica every leaf but the domain's own never stores one. An
+//! empty table reads exactly like one whose cells are all invalid.
 
 use conga_sim::{SimDuration, SimTime};
 
@@ -29,7 +34,9 @@ struct Cell {
 /// `(destination leaf, LBTag)`.
 #[derive(Clone, Debug)]
 pub struct CongestionToLeaf {
+    /// Empty until the first `update`, then `n_leaves * n_tags` cells.
     cells: Vec<Cell>,
+    n_leaves: usize,
     n_tags: usize,
     age: SimDuration,
 }
@@ -38,7 +45,8 @@ impl CongestionToLeaf {
     /// Table for `n_leaves` possible destinations and `n_tags` local uplinks.
     pub fn new(n_leaves: usize, n_tags: usize, age: SimDuration) -> Self {
         CongestionToLeaf {
-            cells: vec![Cell::default(); n_leaves * n_tags],
+            cells: Vec::new(),
+            n_leaves,
             n_tags,
             age,
         }
@@ -53,6 +61,9 @@ impl CongestionToLeaf {
     /// congestion `metric`".
     pub fn update(&mut self, dst_leaf: usize, tag: u8, metric: u8, now: SimTime) {
         let i = self.idx(dst_leaf, tag);
+        if self.cells.is_empty() {
+            self.cells = vec![Cell::default(); self.n_leaves * self.n_tags];
+        }
         self.cells[i] = Cell {
             value: metric,
             updated_at: now,
@@ -64,6 +75,9 @@ impl CongestionToLeaf {
     /// Read the remote metric for `(dst_leaf, tag)`. Unknown or aged-out
     /// entries read as zero — optimistic, so unprobed paths get tried.
     pub fn read(&self, dst_leaf: usize, tag: u8, now: SimTime) -> u8 {
+        if self.cells.is_empty() {
+            return 0;
+        }
         let c = &self.cells[self.idx(dst_leaf, tag)];
         if !c.valid || now.saturating_since(c.updated_at) > self.age {
             0
@@ -77,6 +91,7 @@ impl CongestionToLeaf {
 /// indexed by `(source leaf, LBTag)`, with round-robin feedback selection.
 #[derive(Clone, Debug)]
 pub struct CongestionFromLeaf {
+    /// Empty until the first `record`, then one cell per `(leaf, tag)`.
     cells: Vec<Cell>,
     /// Round-robin cursor per source leaf.
     cursor: Vec<u8>,
@@ -89,7 +104,7 @@ impl CongestionFromLeaf {
     /// uplinks.
     pub fn new(n_leaves: usize, n_tags: usize, age: SimDuration) -> Self {
         CongestionFromLeaf {
-            cells: vec![Cell::default(); n_leaves * n_tags],
+            cells: Vec::new(),
             cursor: vec![0; n_leaves],
             n_tags,
             age,
@@ -104,6 +119,9 @@ impl CongestionFromLeaf {
     /// Record the CE of a packet that arrived from `src_leaf` with `tag`.
     pub fn record(&mut self, src_leaf: usize, tag: u8, ce: u8, now: SimTime) {
         let i = self.idx(src_leaf, tag);
+        if self.cells.is_empty() {
+            self.cells = vec![Cell::default(); self.cursor.len() * self.n_tags];
+        }
         let c = &mut self.cells[i];
         // "Changed" drives the feedback priority: flag transitions only.
         if !c.valid || c.value != ce {
@@ -118,6 +136,9 @@ impl CongestionFromLeaf {
     /// Round-robin over the row, preferring changed entries; the chosen
     /// entry's changed flag is cleared. Returns `(tag, metric)`.
     pub fn select_feedback(&mut self, src_leaf: usize, now: SimTime) -> Option<(u8, u8)> {
+        if self.cells.is_empty() {
+            return None;
+        }
         let start = self.cursor[src_leaf] as usize;
         let n = self.n_tags;
         let fresh = |c: &Cell| c.valid && now.saturating_since(c.updated_at) <= self.age;
@@ -163,6 +184,24 @@ mod tests {
         assert_eq!(t.read(2, 5, SimTime::from_micros(60)), 6);
         assert_eq!(t.read(2, 4, SimTime::from_micros(60)), 0, "untouched tag");
         assert_eq!(t.read(1, 5, SimTime::from_micros(60)), 0, "untouched leaf");
+    }
+
+    #[test]
+    fn tables_allocate_on_the_first_metric_and_read_empty_until_then() {
+        let now = SimTime::from_micros(1);
+        let mut to = CongestionToLeaf::new(4, 12, AGE);
+        assert_eq!(to.read(3, 11, now), 0);
+        assert!(to.cells.is_empty(), "a read stores nothing");
+        to.update(0, 0, 1, now);
+        assert_eq!(to.cells.len(), 4 * 12);
+        assert_eq!(to.read(3, 11, now), 0);
+
+        let mut from = CongestionFromLeaf::new(4, 12, AGE);
+        assert_eq!(from.select_feedback(3, now), None);
+        assert!(from.cells.is_empty(), "nothing to feed back stores nothing");
+        from.record(3, 11, 5, now);
+        assert_eq!(from.cells.len(), 4 * 12);
+        assert_eq!(from.select_feedback(3, now), Some((11, 5)));
     }
 
     #[test]

@@ -29,7 +29,9 @@ pub struct Args {
     /// Number of independent runs to average where applicable.
     pub runs: usize,
     /// Fleet worker threads (`--jobs N`; default: the machine's available
-    /// parallelism — artifacts are byte-identical for any N).
+    /// parallelism divided by `--shards`, at least 1, so that cells times
+    /// workers per cell fills the cores once — artifacts are
+    /// byte-identical for any N).
     pub jobs: usize,
     /// Bypass the content-addressed result cache (`--no-cache`).
     pub no_cache: bool,
@@ -55,7 +57,7 @@ usage: fleet <subcommand> [flags]    (`fleet --help` lists the subcommands)
   --seed N            base RNG seed (default 1)
   --runs N            independent runs to average where applicable
   --jobs N            run independent cells on N worker threads (default:
-                      the available parallelism)
+                      the available parallelism / --shards, at least 1)
   --shards N          worker threads inside each simulation (default 1;
                       artifacts are byte-identical for any N)
   --cc LIST           congestion controllers, comma-separated from
@@ -175,9 +177,8 @@ impl Args {
             seed,
             runs,
             jobs: jobs.unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
+                let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+                default_jobs(cores, shards)
             }),
             no_cache,
             shards,
@@ -311,6 +312,12 @@ impl Args {
     }
 }
 
+/// `--jobs` when it is not given: as many cells at a time as fill `cores`
+/// once, each cell running `shards` worker threads of its own.
+fn default_jobs(cores: usize, shards: usize) -> usize {
+    (cores / shards).max(1)
+}
+
 /// The one exit for every malformed flag: unwrap a parsed value, or print
 /// the message and the usage banner and exit with status 2.
 pub fn or_usage<T>(parsed: Result<T, String>) -> T {
@@ -349,6 +356,21 @@ mod tests {
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         assert_eq!(a.jobs, cores, "one --jobs default: the core count");
         assert_eq!(a.runs_or(1, 5), 5);
+    }
+
+    /// Cells times workers per cell fills the cores once; an explicit
+    /// `--jobs` is taken as given.
+    #[test]
+    fn default_jobs_leaves_room_for_the_shards() {
+        assert_eq!(default_jobs(2, 1), 2);
+        assert_eq!(default_jobs(2, 2), 1);
+        assert_eq!(default_jobs(8, 2), 4);
+        assert_eq!(default_jobs(8, 3), 2);
+        assert_eq!(default_jobs(2, 16), 1, "never zero");
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(parse(&["--shards", "2"]).jobs, (cores / 2).max(1));
+        assert_eq!(parse(&["--shards", "2", "--jobs", "7"]).jobs, 7);
+        assert_eq!(parse(&["--jobs", "7", "--shards", "2"]).jobs, 7);
     }
 
     #[test]

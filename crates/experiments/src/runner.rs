@@ -872,6 +872,7 @@ impl ShardedRun {
                     n.schedule_core_link_fault(f.at, spine, core, f.parallel as usize);
                 }
             }
+            n.agent.reserve(arrivals.len());
             for (start, spec) in arrivals {
                 let tx_local = topo.leaf_of(spec.src).0 as usize == d;
                 let id = n.agent.preregister(*spec, *start, tx_local);

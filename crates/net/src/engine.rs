@@ -799,11 +799,12 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
     }
 
     /// Move the accumulated cross-domain transmissions out of this
-    /// domain's outbox (empty for monolithic networks).
-    pub fn take_outbox(&mut self) -> Vec<Mail> {
-        match &mut self.shard {
-            Some(s) => std::mem::take(&mut s.outbox),
-            None => Vec::new(),
+    /// domain's outbox onto the end of `into` (nothing for monolithic
+    /// networks). Both vectors keep their capacity, so a window that mails
+    /// no more than an earlier one allocates nothing.
+    pub fn drain_outbox(&mut self, into: &mut Vec<Mail>) {
+        if let Some(s) = &mut self.shard {
+            into.append(&mut s.outbox);
         }
     }
 

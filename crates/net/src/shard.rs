@@ -30,10 +30,41 @@
 //! propagation delay over cross-domain channels. A packet transmitted at
 //! `t ≥ m` (the global minimum pending time) arrives remotely at
 //! `t + ser + delay ≥ m + lookahead`, so executing strictly below
-//! `m + lookahead` can never miss a cross-domain arrival. Outboxes are
-//! exchanged at the barrier between windows and injected — sorted by
-//! `(arrival time, channel, packet id)`, a total order — before the next
-//! window's minimum is computed.
+//! `m + lookahead` can never miss a cross-domain arrival.
+//!
+//! ## One wait per window
+//!
+//! Worker `w` owns the `w`-th chunk of domains. A window is: run the
+//! chunk's domains up to the bound, *post*, wait once, *deliver*.
+//!
+//! * **Post.** The worker moves its domains' outboxes into *lanes*, one
+//!   `Mutex<Vec<Mail>>` per `(parity, source worker, destination domain)`,
+//!   and publishes in its *slot* the earliest time it knows of: the
+//!   minimum over its own queues' next events and the arrivals it has just
+//!   mailed. The mail is not in any event queue yet, but the minimum over
+//!   all slots is exactly what the minimum over all queues will be once it
+//!   is, so the bound can be derived before anything is delivered and the
+//!   exchange needs no second wait.
+//! * **Wait** ([`Rendezvous`]): spin for a bounded count, then yield,
+//!   then park on a condvar. Workers on their own cores finish a window
+//!   within microseconds of each other and meet in the spin or the first
+//!   yields (which return at once when nothing else wants the core);
+//!   workers sharing a core hand it over in the yield; only a worker whose
+//!   peers are descheduled for long goes to sleep. There is no wait at all
+//!   at one worker.
+//! * **Deliver.** Every worker reads all slots, derives the same bound,
+//!   and injects the lanes addressed to its own domains — sorted by
+//!   `(arrival time, channel, packet id)`, a total order — before it runs
+//!   the next window or, when the slice is over, before it returns.
+//!
+//! Slots and lanes are double-buffered by window parity. A worker that
+//! leaves wait `k` early posts window `k+1`'s mail and minimum into the
+//! *other* parity while a slower peer is still reading window `k`'s, and it
+//! cannot come round to the first parity again before wait `k+1`, which the
+//! slow peer only reaches after it has finished reading. So a lane is
+//! locked by its one writer before a wait and by its one reader after it,
+//! never by both at once: the `Mutex` is what makes the hand-over safe
+//! code, and it is never contended.
 //!
 //! ## Determinism
 //!
@@ -52,15 +83,125 @@ use crate::packet::Packet;
 use crate::topology::Topology;
 use conga_sim::{conservative_window, SimDuration, SimRng, SimTime};
 use conga_telemetry::SeriesRegistry;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex};
 
-/// A cross-domain packet in flight between barriers:
+/// A cross-domain packet in flight between windows:
 /// `(arrival time, channel, packet, fail epoch at tx start)`. The packet
-/// is the sender's handle: outbox, mailbox and the sort before injection
+/// is the sender's handle: outbox, lane and the sort before injection
 /// move 24-byte entries, and the receiving domain frees the allocation the
 /// sending domain made.
 pub type Mail = (SimTime, ChannelId, Box<Packet>, u32);
+
+/// A value on cache lines of its own (two: adjacent lines are prefetched
+/// as a pair), so that a worker publishing its minimum does not take the
+/// line its neighbour is about to publish on.
+#[repr(align(128))]
+struct Padded<T>(T);
+
+/// Iterations a waiter spins on the generation counter before it starts
+/// yielding. A count, not a duration — this crate reads no clock. Short on
+/// purpose: it only has to catch a peer that arrives within a microsecond
+/// or two without a system call. On two free cores `yield_now` returns at
+/// once and is itself the longer spin (0 to 4096 here all read the same on
+/// `clos3_shards2`); on one shared core every iteration is time the peer
+/// could have run in (`fleet fig15 --quick --shards 2` under `taskset -c
+/// 0`: 8 s at 64, 19 s at 1024, 58 s at 4096).
+const SPINS: u32 = 64;
+/// `yield_now` calls after the spin before the waiter parks: a few hundred
+/// microseconds on a free core, several windows' worth, so that only a
+/// peer that is descheduled or far behind costs a futex sleep and wake-up.
+const YIELDS: u32 = 256;
+
+/// The once-per-window rendezvous: a generation-counter barrier whose
+/// waiters spin, then yield, then park on a condvar. Nobody sleeps, and
+/// nobody is woken, while every party arrives within the spin and yields.
+struct Rendezvous {
+    parties: usize,
+    arrived: Padded<AtomicUsize>,
+    generation: Padded<AtomicUsize>,
+    /// Waiters inside the condvar section. The last arriver skips the
+    /// lock and the wake-up call while this reads 0.
+    parked: AtomicUsize,
+    lock: Mutex<()>,
+    wake: Condvar,
+}
+
+impl Rendezvous {
+    fn new(parties: usize) -> Self {
+        Rendezvous {
+            parties,
+            arrived: Padded(AtomicUsize::new(0)),
+            generation: Padded(AtomicUsize::new(0)),
+            parked: AtomicUsize::new(0),
+            lock: Mutex::new(()),
+            wake: Condvar::new(),
+        }
+    }
+
+    /// Return once all `parties` have called `wait` the same number of
+    /// times. Everything a party wrote before its call is visible to every
+    /// party after it: arrivals form a release sequence on `arrived`, which
+    /// the last arriver acquires before its `SeqCst` store to `generation`,
+    /// which every leaver loads.
+    fn wait(&self) {
+        if self.parties == 1 {
+            return;
+        }
+        // Stable until this thread has arrived: the generation only moves
+        // once every party has.
+        let gen = self.generation.0.load(Ordering::SeqCst);
+        let passed = || self.generation.0.load(Ordering::SeqCst) != gen;
+        if self.arrived.0.fetch_add(1, Ordering::AcqRel) + 1 == self.parties {
+            // Reset first: a peer re-arrives only after it saw the store
+            // below.
+            self.arrived.0.store(0, Ordering::Relaxed);
+            self.generation
+                .0
+                .store(gen.wrapping_add(1), Ordering::SeqCst);
+            // `SeqCst` on all four accesses (this store and load, a
+            // parker's increment and re-check) rules out the one bad
+            // outcome: this load missing the increment *and* the parker's
+            // re-check missing the store.
+            if self.parked.load(Ordering::SeqCst) > 0 {
+                // Taking the lock orders this wake-up after the parker has
+                // either re-checked or started waiting.
+                drop(self.lock.lock().expect("a barrier waiter panicked"));
+                self.wake.notify_all();
+            }
+            return;
+        }
+        for _ in 0..SPINS {
+            if passed() {
+                return;
+            }
+            std::hint::spin_loop();
+        }
+        for _ in 0..YIELDS {
+            if passed() {
+                return;
+            }
+            std::thread::yield_now();
+        }
+        let mut guard = self.lock.lock().expect("a barrier waiter panicked");
+        self.parked.fetch_add(1, Ordering::SeqCst);
+        while !passed() {
+            guard = self.wake.wait(guard).expect("a barrier waiter panicked");
+        }
+        self.parked.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// One worker's buffers, kept between windows and between `run_until`
+/// calls so that a steady-state window allocates nothing.
+struct Scratch {
+    /// Mail in hand: the chunk's drained outboxes on the way out, one
+    /// domain's collected lanes on the way in.
+    buf: Vec<Mail>,
+    /// The outgoing mail sorted by destination domain, so that each lane
+    /// is locked once per window rather than once per packet.
+    by_domain: Vec<Vec<Mail>>,
+}
 
 /// Domain that owns a node: hosts and leaves by leaf index, spines
 /// round-robin across the leaves of their own pod, cores round-robin
@@ -86,7 +227,7 @@ fn domain_of(topo: &Topology, node: NodeId) -> u16 {
 }
 
 /// A simulation partitioned into per-leaf domains that advance in
-/// conservative windows, exchanging cross-domain packets at barriers.
+/// conservative windows, exchanging cross-domain packets between them.
 ///
 /// The domain decomposition is fixed by the topology (`n_leaves` domains,
 /// always); the `workers` knob only chooses how many OS threads execute
@@ -95,7 +236,11 @@ fn domain_of(topo: &Topology, node: NodeId) -> u16 {
 /// scenario hashes.
 pub struct ShardedNetwork<D: Dataplane, A: HostAgent> {
     nets: Vec<Network<D, A>>,
-    mailboxes: Vec<Mutex<Vec<Mail>>>,
+    /// Mail between windows, `[parity][source worker][destination domain]`
+    /// flattened; empty outside `run_until`.
+    lanes: Vec<Mutex<Vec<Mail>>>,
+    /// One per worker.
+    scratch: Vec<Scratch>,
     arrive_domain: Vec<u16>,
     src_domain: Vec<u16>,
     lookahead: Option<SimDuration>,
@@ -164,13 +309,22 @@ impl<D: Dataplane + Send, A: HostAgent + Send> ShardedNetwork<D, A> {
             })
             .collect();
         let chunk = n_domains.div_ceil(workers.clamp(1, n_domains));
+        let workers = n_domains.div_ceil(chunk);
         ShardedNetwork {
             nets,
-            mailboxes: (0..n_domains).map(|_| Mutex::new(Vec::new())).collect(),
+            lanes: (0..2 * workers * n_domains)
+                .map(|_| Mutex::new(Vec::new()))
+                .collect(),
+            scratch: (0..workers)
+                .map(|_| Scratch {
+                    buf: Vec::new(),
+                    by_domain: (0..n_domains).map(|_| Vec::new()).collect(),
+                })
+                .collect(),
             arrive_domain,
             src_domain,
             lookahead,
-            workers: n_domains.div_ceil(chunk),
+            workers,
             now: SimTime::ZERO,
         }
     }
@@ -253,116 +407,131 @@ impl<D: Dataplane + Send, A: HostAgent + Send> ShardedNetwork<D, A> {
     }
 
     /// Run every domain to `t_end` (inclusive) in conservative windows,
-    /// exchanging cross-domain packets at the window barriers. Returns the
-    /// total number of events processed across domains.
+    /// exchanging cross-domain packets between them. Returns the total
+    /// number of events processed across domains.
     ///
     /// One loop for every worker count: worker `w` owns the `w`-th chunk
-    /// of domains, the calling thread is worker 0, and a window costs two
-    /// barrier waits (none at one worker, where there is nobody to wait
-    /// for).
+    /// of domains, the calling thread is worker 0, and a window costs one
+    /// wait (none at one worker, where there is nobody to wait for). With
+    /// `p` the window's parity:
     ///
     /// ```text
-    /// drain own mailboxes, store own domains' min pending time in slot w
-    /// ── wait ── every slot of this window is written
-    /// every worker computes the same bound from all slots (or stops)
-    /// run the window, route outboxes into the target mailboxes
-    /// ── wait ── routing complete, every slot has been read
+    /// publish in slot[p][w]: min(own queues' next event, arrivals just mailed)
+    /// ── wait ── every slot[p] and every lane[p] of this window is written
+    /// every worker computes the same bound from slot[p][..]
+    /// deliver lane[p][..][own domains], sorted, into the own event queues
+    /// stop if there is no bound; else run the window
+    /// move the own outboxes into lane[1-p][w][..]
     /// ```
     ///
-    /// A slot needs no reset: its owner rewrites it only after the second
-    /// wait, which every reader of the old value has reached by then.
+    /// The module documentation says why one wait is enough and why the
+    /// parities never meet.
     pub fn run_until(&mut self, t_end: SimTime) -> u64 {
         let workers = self.workers;
-        let chunk = self.nets.len().div_ceil(workers);
-        let barrier = Barrier::new(workers);
-        let wait = || {
-            if workers > 1 {
-                barrier.wait();
-            }
+        let n_domains = self.nets.len();
+        let chunk = n_domains.div_ceil(workers);
+        let barrier = Rendezvous::new(workers);
+        let slots: [Vec<Padded<AtomicU64>>; 2] =
+            [0, 1].map(|_| (0..workers).map(|_| Padded(AtomicU64::new(0))).collect());
+        let lanes = &self.lanes;
+        let lane = |parity: usize, from: usize, to: usize| {
+            lanes[(parity * workers + from) * n_domains + to]
+                .lock()
+                .expect("a shard worker panicked")
         };
-        let min_ns: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(u64::MAX)).collect();
-        let mailboxes = &self.mailboxes;
         let arrive_domain = &self.arrive_domain;
         let lookahead = self.lookahead;
 
-        let worker = |w: usize, nets: &mut [Network<D, A>]| {
+        let next_event = |nets: &mut [Network<D, A>]| {
+            let t = nets.iter_mut().filter_map(|n| n.peek_time()).min();
+            t.map_or(u64::MAX, |t| t.as_nanos())
+        };
+
+        let worker = |w: usize, nets: &mut [Network<D, A>], scratch: &mut Scratch| {
+            let Scratch { buf, by_domain } = scratch;
             let mut events = 0u64;
+            let mut parity = 0;
+            let mut earliest = next_event(nets);
             loop {
-                let mut local = u64::MAX;
-                for (i, net) in nets.iter_mut().enumerate() {
-                    if let Some(t) = Self::drain_into(&mailboxes[w * chunk + i], net) {
-                        local = local.min(t.as_nanos());
-                    }
-                }
-                // The waits order the slots; Release/Acquire says so
+                // The wait orders the slots; Release/Acquire says so
                 // without leaning on the barrier's internals.
-                min_ns[w].store(local, Ordering::Release);
-                wait();
-                let m = min_ns
+                slots[parity][w].0.store(earliest, Ordering::Release);
+                barrier.wait();
+                let m = slots[parity]
                     .iter()
-                    .map(|slot| slot.load(Ordering::Acquire))
+                    .map(|slot| slot.0.load(Ordering::Acquire))
                     .fold(u64::MAX, u64::min);
                 let min_pending = (m != u64::MAX).then(|| SimTime::from_nanos(m));
+
+                for (i, net) in nets.iter_mut().enumerate() {
+                    for from in 0..workers {
+                        buf.append(&mut lane(parity, from, w * chunk + i));
+                    }
+                    // A total order (per-channel arrival times strictly
+                    // increase), so the event-queue scheduling sequence is
+                    // independent of which worker mailed each entry and of
+                    // the sort being unstable (which, unlike the stable
+                    // one, allocates nothing). The packet is only
+                    // dereferenced to break a (time, channel) tie.
+                    buf.sort_unstable_by(|a, b| {
+                        (a.0, (a.1).0)
+                            .cmp(&(b.0, (b.1).0))
+                            .then_with(|| a.2.id.cmp(&b.2.id))
+                    });
+                    for (t, ch, pkt, epoch) in buf.drain(..) {
+                        net.deliver_remote(t, ch, pkt, epoch);
+                    }
+                }
                 let Some(bound) = conservative_window(min_pending, lookahead, t_end) else {
                     break events;
                 };
+
                 for net in nets.iter_mut() {
                     events += net.run_window(bound);
-                    Self::route_outbox(mailboxes, arrive_domain, net);
+                    net.drain_outbox(buf);
                 }
-                wait();
+                earliest = next_event(nets);
+                for entry in buf.drain(..) {
+                    earliest = earliest.min(entry.0.as_nanos());
+                    by_domain[arrive_domain[entry.1.idx()] as usize].push(entry);
+                }
+                parity ^= 1;
+                for (to, mail) in by_domain.iter_mut().enumerate() {
+                    if !mail.is_empty() {
+                        lane(parity, w, to).append(mail);
+                    }
+                }
             }
         };
 
         let events = std::thread::scope(|s| {
-            let mut chunks = self.nets.chunks_mut(chunk).enumerate();
-            let (_, first) = chunks.next().expect("at least one domain");
+            let mut chunks = self
+                .nets
+                .chunks_mut(chunk)
+                .zip(&mut self.scratch)
+                .enumerate();
+            let (_, (first, scratch)) = chunks.next().expect("at least one domain");
             let spawned: Vec<_> = chunks
-                .map(|(w, nets)| s.spawn(move || worker(w, nets)))
+                .map(|(w, (nets, scratch))| s.spawn(move || worker(w, nets, scratch)))
                 .collect();
-            let mine = worker(0, first);
+            let mine = worker(0, first, scratch);
             spawned
                 .into_iter()
                 .map(|h| h.join().expect("shard worker panicked"))
                 .sum::<u64>()
                 + mine
         });
+        debug_assert!(
+            self.lanes
+                .iter_mut()
+                .all(|l| l.get_mut().expect("a shard worker panicked").is_empty()),
+            "mail left in a lane: the last window's was not delivered"
+        );
         for net in &mut self.nets {
             net.advance_to(t_end);
         }
         self.now = t_end;
         events
-    }
-
-    /// Drain and inject one domain's mailbox, then report its minimum
-    /// pending event time. Injection order is sorted by
-    /// `(arrival time, channel, packet id)` — a total order (per-channel
-    /// arrival times strictly increase), so the event-queue scheduling
-    /// sequence is independent of which thread routed each entry.
-    fn drain_into(mailbox: &Mutex<Vec<Mail>>, net: &mut Network<D, A>) -> Option<SimTime> {
-        let mut mail = std::mem::take(&mut *mailbox.lock().expect("mailbox poisoned"));
-        // The packet is only dereferenced to break a (time, channel) tie.
-        mail.sort_by(|a, b| {
-            (a.0, (a.1).0)
-                .cmp(&(b.0, (b.1).0))
-                .then_with(|| a.2.id.cmp(&b.2.id))
-        });
-        for (t, ch, pkt, epoch) in mail {
-            net.deliver_remote(t, ch, pkt, epoch);
-        }
-        net.peek_time()
-    }
-
-    /// Route one domain's outbox into the target mailboxes.
-    fn route_outbox(
-        mailboxes: &[Mutex<Vec<Mail>>],
-        arrive_domain: &[u16],
-        net: &mut Network<D, A>,
-    ) {
-        for entry in net.take_outbox() {
-            let d = arrive_domain[entry.1.idx()] as usize;
-            mailboxes[d].lock().expect("mailbox poisoned").push(entry);
-        }
     }
 }
 
@@ -502,6 +671,81 @@ mod tests {
         );
         net.run_until(SimTime::from_millis(1));
         assert_eq!(net.domain(5).agent.received.len(), 1);
+    }
+
+    /// More threads than cores must park, not livelock: every generation
+    /// needs all eight scheduled, and nothing here is timed.
+    #[test]
+    fn barrier_keeps_eight_threads_within_one_generation() {
+        const THREADS: usize = 8;
+        const GENERATIONS: usize = 10_000;
+        let barrier = Rendezvous::new(THREADS);
+        let at: Vec<AtomicUsize> = (0..THREADS).map(|_| AtomicUsize::new(0)).collect();
+        std::thread::scope(|s| {
+            for me in 0..THREADS {
+                let (barrier, at) = (&barrier, &at);
+                s.spawn(move || {
+                    for g in 1..=GENERATIONS {
+                        at[me].store(g, Ordering::Relaxed);
+                        barrier.wait();
+                        // Every peer has reached g; none can have passed
+                        // wait g + 1, which this thread has yet to join.
+                        for peer in at {
+                            let p = peer.load(Ordering::Relaxed);
+                            assert!(p == g || p == g + 1, "peer at {p} after wait {g}");
+                        }
+                    }
+                });
+            }
+        });
+    }
+
+    /// `run_until(a); run_until(b)` is `run_until(b)`, with cross-domain
+    /// packets on the wire at `a`: the last window's mail is in the event
+    /// queues, not in a lane, when `run_until` returns.
+    #[test]
+    fn slicing_a_run_does_not_change_it() {
+        let run = |workers: usize, slices: &[SimTime]| {
+            let mut net = sharded(workers);
+            // 30 full-size packets each way take ~36 us to leave the
+            // 10G hosts, so both directions are mid-fabric at 20 us.
+            for f in 0..30u32 {
+                let h = ecmp_mix(f as u64, 0xAB);
+                let east = Packet::data(f, 0, h, HostId(0), HostId(2), 0, 1460, SimTime::ZERO);
+                crate::engine::inject(net.domain_mut(0), east);
+                let west = Packet::data(30 + f, 0, h, HostId(3), HostId(1), 0, 1460, SimTime::ZERO);
+                crate::engine::inject(net.domain_mut(1), west);
+            }
+            for &t in slices {
+                net.run_until(t);
+            }
+            (0..net.n_domains())
+                .map(|d| {
+                    let dom = net.domain(d);
+                    let got: Vec<(u64, u64)> = dom
+                        .agent
+                        .received
+                        .iter()
+                        .map(|(t, p)| (t.as_nanos(), p.id))
+                        .collect();
+                    (got, format!("{:?}", dom.stats), dom.now())
+                })
+                .collect::<Vec<_>>()
+        };
+        let (a, b) = (SimTime::from_micros(20), SimTime::from_millis(10));
+        let whole = run(1, &[b]);
+        assert!(whole.iter().all(|(got, _, _)| got.len() == 30));
+        let until_a = run(1, &[a]);
+        assert!(
+            until_a
+                .iter()
+                .all(|(got, _, _)| (1..30).contains(&got.len())),
+            "the burst is neither all in nor all out at the cut"
+        );
+        for workers in [1, 2] {
+            assert_eq!(run(workers, &[a]), until_a, "{workers} workers to a");
+            assert_eq!(run(workers, &[a, b]), whole, "{workers} workers");
+        }
     }
 
     #[test]

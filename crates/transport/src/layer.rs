@@ -373,6 +373,14 @@ impl TransportLayer {
         id
     }
 
+    /// Make room for `n` more registrations. A run that knows its arrival
+    /// list registers into vectors of exactly that size; doubling up to it
+    /// instead leaves the outgrown steps behind in every shard replica.
+    pub fn reserve(&mut self, n: usize) {
+        self.records.reserve_exact(n);
+        self.flows.reserve_exact(n);
+    }
+
     /// Register a flow that starts later, without emitting anything yet.
     /// Sharded runs replicate every flow into every domain in the same
     /// order (aligning flow ids), set `tx_local` only in the sender's

@@ -322,7 +322,7 @@ fn per_shard_event_streams_are_time_ordered() {
 
 /// Seeded sharded-vs-serial rounds: packet conservation holds across shard
 /// boundaries (every injected packet is delivered, queue-dropped,
-/// unroutable, or blackholed — nothing is lost in a mailbox), and the
+/// unroutable, or blackholed — nothing is lost in a lane), and the
 /// flowlet ledger is identical, so no barrier epoch ever split a flowlet
 /// gap decision (a split would surface as extra `flowlet_new` entries).
 #[test]
@@ -361,7 +361,7 @@ fn sharded_rounds_conserve_packets_and_flowlet_decisions() {
         assert_eq!(
             reg.gauge("engine.inflight_pkts"),
             Some(0),
-            "case {case}: packets stuck in a shard mailbox at quiescence"
+            "case {case}: packets stuck in a shard lane at quiescence"
         );
         let serial = run_fct_with_policy(&mk(1), FabricPolicy::conga());
         for key in ["dataplane.flowlet_new", "dataplane.flowlet_hits"] {
