@@ -1,18 +1,19 @@
 //! Minimal argument parsing for `fleet <figure> [flags]` (no external
 //! dependency needed for `--quick`-style flags).
 //!
-//! Malformed flags never panic and are never silently replaced by a
-//! default: [`Args::from_iter`] returns `Err` with a message for the
-//! first-class flags and for any flag it does not know, the values of the
-//! experiment-specific `--key value` options (`KEYS`) are checked when a
-//! harness reads them (always before its first cell runs), and either way
-//! the process prints the message plus a usage banner and exits with
-//! status 2.
+//! Every flag is a typed [`Args`] field, parsed once by [`Args::from_iter`]
+//! whichever row runs: a malformed value, an unknown flag or a flag that
+//! needs another one is never a panic and never silently the default —
+//! `from_iter` returns `Err` with a message, and the process prints it
+//! plus a usage banner and exits with status 2 before any cell runs. The
+//! one check left to a driver is whether `--fault-link` names a link of
+//! the fabric it builds ([`Args::fault_link`]).
 
 use crate::runner::{build_testbed, TestbedOpts};
 use conga_net::{LeafId, SpineId};
 use conga_sim::SimTime;
 use conga_transport::CcKind;
+use std::path::PathBuf;
 
 /// Upper bound accepted for `--ecn-threshold`, in packets: the default
 /// 2 MiB access-queue capacity divided by the 1560 B wire size of a
@@ -26,8 +27,9 @@ pub struct Args {
     pub quick: bool,
     /// Base RNG seed.
     pub seed: u64,
-    /// Number of independent runs to average where applicable.
-    pub runs: usize,
+    /// Number of independent runs to average where applicable (`--runs
+    /// N`, N >= 1; `None` = the figure's default).
+    pub runs: Option<usize>,
     /// Fleet worker threads (`--jobs N`; default: the machine's available
     /// parallelism divided by `--shards`, at least 1, so that cells times
     /// workers per cell fills the cores once — artifacts are
@@ -46,8 +48,24 @@ pub struct Args {
     /// leaves the per-controller default in force (off for loss-based
     /// controllers, ~65 packets for DCTCP).
     pub ecn_threshold: Option<u32>,
-    /// Leftover `--key value` pairs for experiment-specific options.
-    extra: Vec<(String, String)>,
+    /// Result-cache directory (`--cache-dir DIR`).
+    pub(crate) cache_dir: String,
+    /// Where event traces go (`--trace DIR`); `None` = no tracing.
+    pub(crate) trace: Option<PathBuf>,
+    /// Trace only these flow ids (`--trace-flows a,b,c`).
+    pub(crate) trace_flows: Option<Vec<u32>>,
+    /// Keep only the last N trace events (`--trace-ring N`).
+    pub(crate) trace_ring: Option<usize>,
+    /// Flows per direction in each FCT cell (`--flows N`).
+    flows: Option<usize>,
+    /// Load points as fractions (`--loads` takes percents).
+    pub(crate) loads: Option<Vec<f64>>,
+    /// When a fault-injecting figure fails its link (`--fail-at-ms T`).
+    pub(crate) fail_at: Option<SimTime>,
+    /// When it recovers the link (`--recover-at-ms T`, after `fail_at`).
+    pub(crate) recover_at: Option<SimTime>,
+    /// `--fault-link l:s:p` as given; see [`Args::fault_link`].
+    fault_link: Option<(u32, u32, u32)>,
 }
 
 /// The usage banner printed on a parse error.
@@ -75,36 +93,32 @@ usage: fleet <subcommand> [flags]    (`fleet --help` lists the subcommands)
   --recover-at-ms T   recover it T ms in (default: never)
   --fault-link L:S:P  which link: leaf:spine:parallel (default 1:1:0)";
 
-/// Every experiment-specific `--key value` option some driver reads —
-/// the lower block of [`USAGE`]. [`Args::from_iter`] accepts no other
-/// key: a flag no driver would read is a typo, not an option.
-const KEYS: [&str; 9] = [
-    "cache-dir",
-    "trace",
-    "trace-flows",
-    "trace-ring",
-    "flows",
-    "loads",
-    "fail-at-ms",
-    "recover-at-ms",
-    "fault-link",
-];
-
 impl Args {
     /// Parse from an explicit iterator (testable). Returns a message
     /// describing the first malformed flag instead of panicking.
     #[allow(clippy::should_implement_trait)]
     pub fn from_iter<I: IntoIterator<Item = String>>(it: I) -> Result<Args, String> {
-        let mut quick = false;
-        let mut seed = 1u64;
-        let mut runs = 0usize;
+        let mut a = Args {
+            quick: false,
+            seed: 1,
+            runs: None,
+            jobs: 0,
+            no_cache: false,
+            shards: 1,
+            cc: vec![CcKind::Aimd],
+            ecn_threshold: None,
+            cache_dir: "results/cache".into(),
+            trace: None,
+            trace_flows: None,
+            trace_ring: None,
+            flows: None,
+            loads: None,
+            fail_at: None,
+            recover_at: None,
+            fault_link: None,
+        };
         let mut jobs = None;
-        let mut no_cache = false;
-        let mut shards = 1usize;
-        let mut cc = vec![CcKind::Aimd];
-        let mut ecn_threshold = None;
-        let mut extra = Vec::new();
-        let mut iter = it.into_iter().peekable();
+        let mut iter = it.into_iter();
         fn want<T: std::str::FromStr>(
             iter: &mut impl Iterator<Item = String>,
             flag: &str,
@@ -115,38 +129,40 @@ impl Args {
                 .parse()
                 .map_err(|_| format!("{flag} needs {what}"))
         }
-        while let Some(a) = iter.next() {
-            match a.as_str() {
-                "--quick" => quick = true,
-                "--no-cache" => no_cache = true,
-                "--seed" => seed = want(&mut iter, "--seed", "an integer")?,
-                "--runs" => runs = want(&mut iter, "--runs", "an integer")?,
+        fn at_least_one(n: usize, flag: &str, what: &str) -> Result<usize, String> {
+            if n == 0 {
+                return Err(format!("{flag} needs {what} >= 1"));
+            }
+            Ok(n)
+        }
+        fn list<T: std::str::FromStr>(raw: &str, sep: char) -> Option<Vec<T>> {
+            raw.split(sep).map(|x| x.trim().parse().ok()).collect()
+        }
+        while let Some(flag) = iter.next() {
+            match flag.as_str() {
+                "--quick" => a.quick = true,
+                "--no-cache" => a.no_cache = true,
+                "--seed" => a.seed = want(&mut iter, "--seed", "an integer")?,
+                "--runs" => {
+                    let n = want(&mut iter, "--runs", "an integer")?;
+                    a.runs = Some(at_least_one(n, "--runs", "an integer")?);
+                }
                 "--jobs" => {
-                    let n: usize = want(&mut iter, "--jobs", "a worker count >= 1")?;
-                    if n == 0 {
-                        return Err("--jobs needs a worker count >= 1".into());
-                    }
-                    jobs = Some(n);
+                    let n = want(&mut iter, "--jobs", "a worker count >= 1")?;
+                    jobs = Some(at_least_one(n, "--jobs", "a worker count")?);
                 }
                 "--shards" => {
-                    let n: usize = want(&mut iter, "--shards", "a worker count >= 1")?;
-                    if n == 0 {
-                        return Err("--shards needs a worker count >= 1".into());
-                    }
-                    shards = n;
+                    let n = want(&mut iter, "--shards", "a worker count >= 1")?;
+                    a.shards = at_least_one(n, "--shards", "a worker count")?;
                 }
                 "--cc" => {
                     let list = iter
                         .next()
                         .ok_or("--cc needs a comma-separated controller list")?;
-                    let parsed: Vec<CcKind> = list
+                    a.cc = list
                         .split(',')
                         .map(CcKind::parse)
                         .collect::<Result<_, _>>()?;
-                    if parsed.is_empty() {
-                        return Err("--cc needs a comma-separated controller list".into());
-                    }
-                    cc = parsed;
                 }
                 "--ecn-threshold" => {
                     let n: u32 = want(&mut iter, "--ecn-threshold", "a packet count >= 1")?;
@@ -159,85 +175,74 @@ impl Args {
                              (the access-queue capacity)"
                         ));
                     }
-                    ecn_threshold = Some(n);
+                    a.ecn_threshold = Some(n);
                 }
-                k if k.starts_with("--") => {
-                    let key = &k[2..];
-                    if !KEYS.contains(&key) {
-                        return Err(format!("unknown flag {k}"));
+                "--cache-dir" => a.cache_dir = want(&mut iter, "--cache-dir", "a value")?,
+                "--trace" => a.trace = Some(want(&mut iter, "--trace", "a value")?),
+                key @ ("--trace-flows" | "--trace-ring" | "--flows" | "--loads"
+                | "--fault-link" | "--fail-at-ms" | "--recover-at-ms") => {
+                    let raw = iter.next().ok_or_else(|| format!("{key} needs a value"))?;
+                    let bad = |wants: &str| format!("{key} wants {wants}, got '{raw}'");
+                    match key {
+                        "--trace-flows" => {
+                            let ids = list(&raw, ',');
+                            a.trace_flows =
+                                Some(ids.ok_or_else(|| bad("comma-separated flow ids"))?);
+                        }
+                        "--trace-ring" => {
+                            a.trace_ring = Some(raw.parse().map_err(|_| bad("usize"))?)
+                        }
+                        "--flows" => a.flows = Some(raw.parse().map_err(|_| bad("usize"))?),
+                        "--loads" => {
+                            let pct: Vec<f64> =
+                                list(&raw, ',').ok_or_else(|| bad("comma-separated percents"))?;
+                            a.loads = Some(pct.into_iter().map(|p| p / 100.0).collect());
+                        }
+                        "--fault-link" => {
+                            let link = match list::<u32>(&raw, ':').as_deref() {
+                                Some(&[l, s, p]) => (l, s, p),
+                                _ => return Err(bad("leaf:spine:parallel")),
+                            };
+                            a.fault_link = Some(link);
+                        }
+                        _ => {
+                            // --fail-at-ms, --recover-at-ms
+                            let ms: f64 = raw.parse().map_err(|_| bad("f64"))?;
+                            if ms.is_nan() || ms < 0.0 {
+                                return Err(format!("{key} wants a time >= 0 ms, got {ms}"));
+                            }
+                            let t = Some(SimTime::from_nanos((ms * 1e6) as u64));
+                            if key == "--fail-at-ms" {
+                                a.fail_at = t;
+                            } else {
+                                a.recover_at = t;
+                            }
+                        }
                     }
-                    let v = iter.next().ok_or_else(|| format!("{k} needs a value"))?;
-                    extra.push((key.to_string(), v));
                 }
+                k if k.starts_with("--") => return Err(format!("unknown flag {k}")),
                 other => return Err(format!("unexpected argument: {other}")),
             }
         }
-        Ok(Args {
-            quick,
-            seed,
-            runs,
-            jobs: jobs.unwrap_or_else(|| {
-                let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-                default_jobs(cores, shards)
-            }),
-            no_cache,
-            shards,
-            cc,
-            ecn_threshold,
-            extra,
-        })
-    }
-
-    /// Experiment-specific option with a default. An absent key yields
-    /// the default; a present value that does not parse is a usage error
-    /// (exit 2), never the default.
-    pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        or_usage(self.try_get(key)).unwrap_or(default)
-    }
-
-    /// An experiment-specific option through `parse`: `Ok(None)` for an
-    /// absent key, `Err` naming the flag and the form it `wants` for a
-    /// present value `parse` rejects.
-    fn parsed<T>(
-        &self,
-        key: &str,
-        wants: &str,
-        parse: impl Fn(&str) -> Option<T>,
-    ) -> Result<Option<T>, String> {
-        let Some((_, raw)) = self.extra.iter().find(|(k, _)| k == key) else {
-            return Ok(None);
-        };
-        parse(raw)
-            .map(Some)
-            .ok_or_else(|| format!("--{key} wants {wants}, got '{raw}'"))
-    }
-
-    /// [`get`](Self::get) without the exit or the default.
-    pub(crate) fn try_get<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
-        self.parsed(key, std::any::type_name::<T>(), |v| v.parse().ok())
-    }
-
-    /// A `sep`-separated option, every element parsed as `T`.
-    fn list<T: std::str::FromStr>(
-        &self,
-        key: &str,
-        sep: char,
-        wants: &str,
-    ) -> Result<Option<Vec<T>>, String> {
-        self.parsed(key, wants, |raw| {
-            raw.split(sep).map(|x| x.trim().parse().ok()).collect()
-        })
-    }
-
-    /// `--loads 10,30,50`: load points in percent, returned as fractions.
-    pub(crate) fn loads(&self) -> Result<Option<Vec<f64>>, String> {
-        let pct = self.list::<f64>("loads", ',', "comma-separated percents")?;
-        Ok(pct.map(|v| v.into_iter().map(|p| p / 100.0).collect()))
-    }
-
-    /// `--trace-flows a,b,c`: the flow ids to sample.
-    pub(crate) fn trace_flows(&self) -> Result<Option<Vec<u32>>, String> {
-        self.list("trace-flows", ',', "comma-separated flow ids")
+        if let (Some(f), Some(r)) = (a.fail_at, a.recover_at) {
+            if r <= f {
+                return Err("--recover-at-ms must come after --fail-at-ms".into());
+            }
+        }
+        if a.trace.is_none() {
+            let given = [
+                ("--trace-flows", a.trace_flows.is_some()),
+                ("--trace-ring", a.trace_ring.is_some()),
+            ];
+            if let Some((flag, _)) = given.iter().find(|(_, set)| *set) {
+                return Err(format!("{flag} needs --trace DIR"));
+            }
+        }
+        a.jobs = jobs.unwrap_or_else(|| {
+            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+            default_jobs(cores, a.shards)
+        });
+        Ok(a)
     }
 
     /// `--fault-link l:s:p`: the leaf–spine link the fault flags act on
@@ -245,14 +250,7 @@ impl Args {
     /// `fabric`, the topology the figure's cells will build — the engine
     /// asserts the same bound, inside the cell.
     pub(crate) fn fault_link(&self, fabric: TestbedOpts) -> Result<(u32, u32, u32), String> {
-        let parsed = self.parsed("fault-link", "leaf:spine:parallel", |raw| {
-            let ids: Option<Vec<u32>> = raw.split(':').map(|x| x.trim().parse().ok()).collect();
-            match ids?[..] {
-                [l, s, p] => Some((l, s, p)),
-                _ => None,
-            }
-        })?;
-        let (l, s, p) = parsed.unwrap_or((1, 1, 0));
+        let (l, s, p) = self.fault_link.unwrap_or((1, 1, 0));
         let links = build_testbed(fabric).link_channels(LeafId(l), SpineId(s));
         if (p as usize) < links.len() {
             Ok((l, s, p))
@@ -264,45 +262,25 @@ impl Args {
         }
     }
 
-    /// `--fail-at-ms T` / `--recover-at-ms T'` as simulated instants. Each
-    /// must be a time >= 0, and when both are given the recovery must come
-    /// after the failure.
-    pub(crate) fn fault_window(&self) -> Result<(Option<SimTime>, Option<SimTime>), String> {
-        let at = |key: &str| match self.try_get::<f64>(key)? {
-            Some(ms) if ms.is_nan() || ms < 0.0 => {
-                Err(format!("--{key} wants a time >= 0 ms, got {ms}"))
-            }
-            ms => Ok(ms.map(|ms| SimTime::from_nanos((ms * 1e6) as u64))),
-        };
-        let (fail, recover) = (at("fail-at-ms")?, at("recover-at-ms")?);
-        match (fail, recover) {
-            (Some(f), Some(r)) if r <= f => {
-                Err("--recover-at-ms must come after --fail-at-ms".into())
-            }
-            _ => Ok((fail, recover)),
-        }
-    }
-
     /// Number of runs, with experiment-chosen defaults for quick/full mode.
     pub fn runs_or(&self, quick_default: usize, full_default: usize) -> usize {
-        if self.runs > 0 {
-            self.runs
-        } else if self.quick {
-            quick_default
-        } else {
-            full_default
-        }
+        self.runs
+            .unwrap_or(self.by_mode(quick_default, full_default))
     }
 
     /// Flows per direction in each FCT cell: `--flows N` when given — also
     /// under `--quick` — else the figure's default for the mode.
     pub(crate) fn flows_or(&self, quick_default: usize, full_default: usize) -> usize {
-        let default = if self.quick {
-            quick_default
+        self.flows
+            .unwrap_or(self.by_mode(quick_default, full_default))
+    }
+
+    fn by_mode(&self, quick: usize, full: usize) -> usize {
+        if self.quick {
+            quick
         } else {
-            full_default
-        };
-        self.get("flows", default)
+            full
+        }
     }
 
     /// The congestion controller for single-controller figures: the first
@@ -374,13 +352,17 @@ mod tests {
     }
 
     #[test]
-    fn flags_and_extras() {
+    fn flags_and_typed_options() {
         let a = parse(&["--quick", "--seed", "9", "--flows", "32"]);
         assert!(a.quick);
         assert_eq!(a.seed, 9);
-        assert_eq!(a.get("flows", 8u32), 32);
-        assert_eq!(a.get("trace-ring", 3u32), 3);
+        assert_eq!(a.flows_or(8, 8), 32);
+        assert_eq!(a.trace_ring, None);
         assert_eq!(a.runs_or(1, 5), 1);
+        let a = parse(&["--cache-dir", "/tmp/c", "--trace", "t", "--trace-ring", "5"]);
+        assert_eq!((a.cache_dir.as_str(), a.trace_ring), ("/tmp/c", Some(5)));
+        assert_eq!(a.trace, Some(PathBuf::from("t")));
+        assert_eq!(parse(&[]).cache_dir, "results/cache");
     }
 
     #[test]
@@ -392,14 +374,12 @@ mod tests {
             "unknown flag --flow"
         );
         assert_eq!(parse_err(&["--fanout"]), "unknown flag --fanout");
-        // The closed list is the documented one, and every key parses.
-        for key in KEYS {
-            assert!(
-                USAGE.contains(&format!("\n  --{key} ")),
-                "usage lists {key}"
-            );
-            let a = parse(&[&format!("--{key}"), "v"]);
-            assert_eq!(a.get(key, String::new()), "v");
+        // Every flag the usage documents is one the parser knows.
+        for line in USAGE.lines().filter(|l| l.starts_with("  --")) {
+            let flag = line.split_whitespace().next().expect("a flag per line");
+            if let Err(e) = Args::from_iter([flag.to_string(), "1".into()]) {
+                assert!(!e.starts_with("unknown flag"), "{flag}: {e}");
+            }
         }
     }
 
@@ -459,44 +439,54 @@ mod tests {
         assert_eq!(parse_err(&["--loads"]), "--loads needs a value");
 
         // Experiment-specific options: a present-but-unparsable value is
-        // an error naming the flag, an absent key still yields the default.
-        let a = parse(&["--trace-ring", "maybe", "--flows", "12x"]);
-        assert_eq!(
-            a.try_get::<usize>("trace-ring").unwrap_err(),
-            "--trace-ring wants usize, got 'maybe'"
-        );
-        assert_eq!(
-            a.try_get::<usize>("flows").unwrap_err(),
-            "--flows wants usize, got '12x'"
-        );
-        assert_eq!(a.try_get::<f64>("fail-at-ms"), Ok(None));
-        assert_eq!(a.get("fail-at-ms", 8.0), 8.0);
+        // an error naming the flag and the form it wants.
+        for (argv, err) in [
+            (
+                &["--trace", "t", "--trace-ring", "maybe"][..],
+                "--trace-ring wants usize, got 'maybe'",
+            ),
+            (&["--flows", "12x"], "--flows wants usize, got '12x'"),
+            (
+                &["--loads", "x"],
+                "--loads wants comma-separated percents, got 'x'",
+            ),
+            (
+                &["--trace", "t", "--trace-flows", "a"],
+                "--trace-flows wants comma-separated flow ids, got 'a'",
+            ),
+            (
+                &["--fault-link", "1:2"],
+                "--fault-link wants leaf:spine:parallel, got '1:2'",
+            ),
+            (
+                &["--fault-link", "1:b:0"],
+                "--fault-link wants leaf:spine:parallel, got '1:b:0'",
+            ),
+            (
+                &["--fail-at-ms", "soon"],
+                "--fail-at-ms wants f64, got 'soon'",
+            ),
+            (
+                &["--fail-at-ms", "-5"],
+                "--fail-at-ms wants a time >= 0 ms, got -5",
+            ),
+            (
+                &["--fail-at-ms", "5", "--recover-at-ms", "3"],
+                "--recover-at-ms must come after --fail-at-ms",
+            ),
+        ] {
+            assert_eq!(parse_err(argv), err, "{argv:?}");
+        }
 
-        let a = parse(&["--loads", "x", "--trace-flows", "a", "--fault-link", "1:2"]);
-        assert_eq!(
-            a.loads().unwrap_err(),
-            "--loads wants comma-separated percents, got 'x'"
-        );
-        assert_eq!(
-            a.trace_flows().unwrap_err(),
-            "--trace-flows wants comma-separated flow ids, got 'a'"
-        );
+        // Parsable but naming no link of the figure's fabric: leaf/spine
+        // out of range, or a parallel index past the pair's links. That
+        // check needs the fabric, so the driver makes it.
         let testbed = TestbedOpts::paper_baseline().quick();
         let link_err = |raw: &str| {
             parse(&["--fault-link", raw])
                 .fault_link(testbed)
                 .unwrap_err()
         };
-        assert_eq!(
-            a.fault_link(testbed).unwrap_err(),
-            "--fault-link wants leaf:spine:parallel, got '1:2'"
-        );
-        assert_eq!(
-            link_err("1:b:0"),
-            "--fault-link wants leaf:spine:parallel, got '1:b:0'"
-        );
-        // Parsable but naming no link of the figure's fabric: leaf/spine
-        // out of range, or a parallel index past the pair's links.
         assert_eq!(
             link_err("9:9:0"),
             "--fault-link 9:9:0: no such link on a 2x2 par2 fabric"
@@ -513,29 +503,43 @@ mod tests {
                 .unwrap_err(),
             "--fault-link 1:1:1: no such link on a 2x2 par2 fabric"
         );
-        assert_eq!(
-            parse(&["--fail-at-ms", "5", "--recover-at-ms", "3"])
-                .fault_window()
-                .unwrap_err(),
-            "--recover-at-ms must come after --fail-at-ms"
-        );
-        assert_eq!(
-            parse(&["--fail-at-ms", "-5"]).fault_window().unwrap_err(),
-            "--fail-at-ms wants a time >= 0 ms, got -5"
-        );
 
         // The same flags with valid values parse to what they always did.
-        let a = parse(&["--loads", "10, 30", "--trace-flows", "7,9"]);
-        assert_eq!(a.loads(), Ok(Some(vec![0.1, 0.3])));
-        assert_eq!(a.trace_flows(), Ok(Some(vec![7, 9])));
+        let a = parse(&["--loads", "10, 30", "--trace", "t", "--trace-flows", "7,9"]);
+        assert_eq!(a.loads, Some(vec![0.1, 0.3]));
+        assert_eq!(a.trace_flows, Some(vec![7, 9]));
         let a = parse(&["--fault-link", "1:0:1", "--fail-at-ms", "5"]);
         assert_eq!(a.fault_link(testbed), Ok((1, 0, 1)));
         assert_eq!(parse(&[]).fault_link(testbed), Ok((1, 1, 0)));
         assert_eq!(
-            a.fault_window(),
-            Ok((Some(SimTime::from_nanos(5_000_000)), None))
+            (a.fail_at, a.recover_at),
+            (Some(SimTime::from_nanos(5_000_000)), None)
         );
-        assert_eq!(parse(&[]).fault_window(), Ok((None, None)));
+        let a = parse(&[]);
+        assert_eq!((a.fail_at, a.recover_at, a.loads), (None, None, None));
+    }
+
+    /// Three inputs that used to run a figure anyway: a malformed value of
+    /// a flag the row never reads (every value is parsed up front now,
+    /// whichever row runs), `--runs 0` (which read as "the default"), and
+    /// a tracing option without `--trace` (which did nothing).
+    #[test]
+    fn inputs_no_row_would_honour_are_usage_errors() {
+        assert_eq!(
+            parse_err(&["--quick", "--loads", "x"]),
+            "--loads wants comma-separated percents, got 'x'"
+        );
+        assert_eq!(parse_err(&["--runs", "0"]), "--runs needs an integer >= 1");
+        assert_eq!(
+            parse_err(&["--trace-ring", "5"]),
+            "--trace-ring needs --trace DIR"
+        );
+        assert_eq!(
+            parse_err(&["--trace-flows", "1,2", "--trace-ring", "5"]),
+            "--trace-flows needs --trace DIR"
+        );
+        assert_eq!(parse(&["--runs", "1"]).runs, Some(1));
+        assert_eq!(parse(&[]).runs, None);
     }
 
     #[test]

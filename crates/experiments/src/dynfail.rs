@@ -13,28 +13,21 @@
 use crate::figures::TraceArgs;
 use crate::fleet::{cell, FleetCell};
 use crate::runner::{
-    absolute_starts, build_testbed, leaf_capacity, plan_arrivals, workload_rng, LinkFaultSpec,
-    Scheme, ShardedRun, TestbedOpts, TraceSpec,
+    build_testbed, leaf_capacity, setup_fct, FctRun, LinkFaultSpec, Scheme, TestbedOpts,
 };
 use conga_fleet::Scenario;
-use conga_sim::{QueueKind, SimDuration, SimTime};
+use conga_sim::{SimDuration, SimTime};
 use conga_telemetry::RunReport;
-use conga_transport::TcpConfig;
 use conga_workloads::FlowSizeDist;
 
-/// Specification for one dynamic-failure run.
+/// Specification for one dynamic-failure run: an FCT cell on the
+/// *healthy* fabric plus the fault window and the throughput sampling.
 #[derive(Clone, Debug)]
 pub struct DynFailSpec {
-    /// Topology options (the *healthy* fabric; do not pre-fail a link).
-    pub topo: TestbedOpts,
-    /// Scheme under test.
-    pub scheme: Scheme,
-    /// Flow-size distribution.
-    pub dist: FlowSizeDist,
-    /// Offered load as a fraction of baseline bisection bandwidth.
-    pub load: f64,
-    /// RNG seed.
-    pub seed: u64,
+    /// The cell's fabric (do not pre-fail a link), scheme, workload, load,
+    /// seed and execution knobs. Its `n_flows` and `faults` are not read:
+    /// the run derives them from the fields below.
+    pub fct: FctRun,
     /// When the link fails.
     pub fail_at: SimTime,
     /// When the link recovers.
@@ -45,17 +38,6 @@ pub struct DynFailSpec {
     pub window: SimTime,
     /// Throughput-sampling slice width.
     pub slice: SimDuration,
-    /// Structured event tracing (`None` = disabled; zero overhead).
-    pub trace: Option<TraceSpec>,
-    /// Future-event-list implementation. Purely a performance knob —
-    /// both kinds are observationally identical (`tests/hotpath.rs`) —
-    /// so it is deliberately *not* part of [`Self::scenario`]'s hash.
-    pub queue: QueueKind,
-    /// Worker threads for the sharded engine. Like `queue`, purely a
-    /// performance knob: artifacts are byte-identical for any shard count
-    /// (`tests/shards.rs`), so it is deliberately *not* part of
-    /// [`Self::scenario`]'s hash.
-    pub shards: usize,
 }
 
 impl DynFailSpec {
@@ -74,52 +56,50 @@ impl DynFailSpec {
             SimTime::from_millis(400)
         };
         let at = |f: f64| SimTime::from_nanos((window.as_nanos() as f64 * f) as u64);
+        let mut fct = FctRun::new(topo, scheme, FlowSizeDist::enterprise(), 0.6);
+        fct.seed = seed;
         DynFailSpec {
-            topo,
-            scheme,
-            dist: FlowSizeDist::enterprise(),
-            load: 0.6,
-            seed,
+            fct,
             fail_at: at(0.50),
             recover_at: at(0.75),
             link: (1, 1, 0),
             window,
             slice: SimDuration::from_millis(10),
-            trace: None,
-            // Calendar by default, as in FctRun::new: a pure performance
-            // knob, proven byte-identical to the heap in tests/hotpath.rs.
-            queue: QueueKind::Calendar,
-            shards: 1,
         }
     }
-}
 
-impl DynFailSpec {
-    /// The hashable [`Scenario`] of this cell: every field that reaches
-    /// the simulation, by the rule of `FctRun::spec` (runner.rs).
+    /// The FCT cell this run executes: `fct` with enough flows to span the
+    /// window and the fail/recover schedule of `link`.
+    pub(crate) fn fct_run(&self) -> FctRun {
+        let mut cfg = self.fct.clone();
+        // The offered flow rate per direction is load·capacity / (8·mean
+        // size); the plan covers the window with margin.
+        let capacity = leaf_capacity(&build_testbed(cfg.topo)) as f64;
+        let rate = cfg.load * capacity / (8.0 * cfg.dist.mean());
+        cfg.n_flows = (rate * self.window.as_secs_f64() * 1.3).ceil() as usize;
+        let (l, s, p) = self.link;
+        cfg.faults = vec![
+            LinkFaultSpec::fail(self.fail_at, l, s, p),
+            LinkFaultSpec::recover(self.recover_at, l, s, p),
+        ];
+        cfg
+    }
+
+    /// The hashable [`Scenario`] of this cell: the FCT cell it executes,
+    /// keyed by [`FctRun`]'s own rule (the fault window and `link` reach
+    /// it as that cell's `faults`), plus the two sampling lines.
     pub fn scenario(&self, figure: &str, label: &str) -> Scenario {
         let DynFailSpec {
-            topo,
-            scheme,
-            dist,
-            load,
-            seed,
-            fail_at,
-            recover_at,
-            link: (l, s, p),
+            fct: _,
+            fail_at: _,
+            recover_at: _,
+            link: _,
             window,
             slice,
-            trace: _,
-            queue: _,
-            shards: _,
         } = self;
         let spec = format!(
-            "topo={}\nscheme={}\ndist={dist:?}\nload={load}\nseed={seed}\nfail_at={}ns\n\
-             recover_at={}ns\nlink={l}:{s}:{p}\nwindow={}ns\nslice={}ns\n",
-            topo.spec(),
-            scheme.name(),
-            fail_at.as_nanos(),
-            recover_at.as_nanos(),
+            "{}window={}ns\nslice={}ns\n",
+            self.fct_run().spec(),
             window.as_nanos(),
             slice.as_nanos(),
         );
@@ -195,44 +175,13 @@ pub struct DynFailOutcome {
 
 /// Run one dynamic-failure cell to completion (or a generous drain bound).
 pub fn run_dynamic_failure(spec: &DynFailSpec) -> DynFailOutcome {
-    conga_fleet::stats::note_cell_run();
-    assert!(spec.topo.fail.is_none(), "start from the healthy fabric");
+    let cfg = spec.fct_run();
+    assert!(cfg.topo.fail.is_none(), "start from the healthy fabric");
     assert!(spec.fail_at < spec.recover_at && spec.recover_at < spec.window);
-    let topo = build_testbed(spec.topo);
-
-    // Size the arrival plan to span the window with margin: the offered
-    // flow rate per direction is load·capacity / (8·mean size).
-    let rate = spec.load * leaf_capacity(&topo) as f64 / (8.0 * spec.dist.mean());
-    let n_flows = (rate * spec.window.as_secs_f64() * 1.3).ceil() as usize;
-    let (arrivals, span_ns) = plan_arrivals(
-        spec.topo,
-        &spec.dist,
-        spec.load,
-        n_flows,
-        spec.scheme.transport(TcpConfig::standard()),
-        &mut workload_rng(spec.seed),
-    );
+    let (_, mut run, span_ns) = setup_fct(&cfg, cfg.scheme.policy());
     assert!(
         SimTime::from_nanos(span_ns) >= spec.recover_at + spec.slice * 2,
         "arrival span {span_ns}ns too short to cover the fault schedule"
-    );
-    let abs_arrivals = absolute_starts(arrivals);
-    let (l, s, p) = spec.link;
-    let faults = vec![
-        LinkFaultSpec::fail(spec.fail_at, l, s, p),
-        LinkFaultSpec::recover(spec.recover_at, l, s, p),
-    ];
-    let mut run = ShardedRun::new(
-        &topo,
-        spec.scheme.policy(),
-        spec.seed,
-        spec.shards,
-        spec.queue,
-        None,
-        spec.trace.as_ref(),
-        &faults,
-        &[],
-        &abs_arrivals,
     );
 
     // Slice-by-slice over the offered-load window, recording the cumulative
@@ -250,19 +199,15 @@ pub fn run_dynamic_failure(spec: &DynFailSpec) -> DynFailOutcome {
         }
     }
     // Drain: let every flow finish (blackholed segments need RTOs).
-    let total_flows = n_flows * 2;
+    let total_flows = cfg.n_flows * 2;
     let drain_bound = SimTime::from_nanos(span_ns) + SimDuration::from_secs(8);
     loop {
         let t = run.net.now() + SimDuration::from_millis(50);
         run.net.run_until(t);
-        if run.completed_rx() >= total_flows {
-            break;
-        }
-        if run.net.now() >= drain_bound {
+        if run.completed_rx() >= total_flows || run.net.now() >= drain_bound {
             break;
         }
     }
-    let records = run.merged_records(&topo);
 
     let per_slice: Vec<u64> = cum_delivered.windows(2).map(|w| w[1] - w[0]).collect();
     let slice_s = spec.slice.as_secs_f64();
@@ -306,30 +251,28 @@ pub fn run_dynamic_failure(spec: &DynFailSpec) -> DynFailOutcome {
         }
     }
 
-    let stranded = records.iter().filter(|r| r.rx_done.is_none()).count();
+    let stranded = total_flows - run.completed_rx();
     let blackholed = run.stat(|s| s.blackholed);
     let post_recovery_blackholed =
         blackholed - blackholed_at_recovery.expect("window covers the recovery");
 
     let mut report = RunReport::new();
     report.set_meta("figure", "fig11_dynamic_failure");
-    report.set_meta("scheme", spec.scheme.name());
+    report.set_meta("scheme", cfg.scheme.name());
     report.set_meta(
         "policy",
         conga_net::Dataplane::name(&run.net.domain(0).dataplane),
     );
-    report.set_meta("seed", spec.seed.to_string());
-    report.set_meta("load", format!("{}", spec.load));
-    report.set_meta("n_flows", n_flows.to_string());
+    report.set_meta("seed", cfg.seed.to_string());
+    report.set_meta("load", format!("{}", cfg.load));
+    report.set_meta("n_flows", cfg.n_flows.to_string());
+    let (l, s, p) = spec.link;
     report.set_meta(
         "fault_schedule",
         format!(
-            "fail@{}ns,recover@{}ns:leaf{}-spine{}#{}",
+            "fail@{}ns,recover@{}ns:leaf{l}-spine{s}#{p}",
             spec.fail_at.as_nanos(),
             spec.recover_at.as_nanos(),
-            l,
-            s,
-            p
         ),
     );
     report.set_meta("pre_bps", format!("{pre_bps:.0}"));
@@ -374,22 +317,18 @@ pub fn run_dynamic_failure(spec: &DynFailSpec) -> DynFailOutcome {
 mod tests {
     use super::*;
     use crate::fleet::tests::{assert_key_coverage, Edit};
+    use crate::runner::TraceSpec;
+    use conga_sim::QueueKind;
 
     #[test]
     fn every_simulation_reaching_field_of_a_dynfail_cell_reaches_the_hash() {
         let base = || DynFailSpec::paper(Scheme::Ecmp, true, 1);
         let hash = |spec: DynFailSpec| spec.scenario("figX", "a").content_hash();
-        // Every field `DynFailSpec::scenario` destructures, in its order
-        // (`TestbedOpts::spec`'s own fields: the FCT cell's table).
+        // `fct` as one field (its own fields: the FCT cell's table), then
+        // the dynfail fields in their order. `n_flows` and `faults` of
+        // `fct` are derived from them, so setting those moves nothing.
         let reaching: &[Edit<DynFailSpec>] = &[
-            ("topo", |s| s.topo.hosts_per_leaf = 4),
-            ("scheme", |s| s.scheme = Scheme::Conga),
-            ("dist", |s| s.dist = FlowSizeDist::data_mining()),
-            ("dist breakpoints under one name", |s| {
-                s.dist = FlowSizeDist::from_points("enterprise", &[(100.0, 0.0), (9e7, 1.0)])
-            }),
-            ("load", |s| s.load = 0.3),
-            ("seed", |s| s.seed = 2),
+            ("fct", |s| s.fct.load = 0.3),
             ("fail_at", |s| s.fail_at = SimTime::from_millis(70)),
             ("recover_at", |s| s.recover_at = SimTime::from_millis(130)),
             ("link.leaf", |s| s.link.0 = 0),
@@ -399,9 +338,11 @@ mod tests {
             ("slice", |s| s.slice = SimDuration::from_millis(5)),
         ];
         let inert: &[Edit<DynFailSpec>] = &[
-            ("queue", |s| s.queue = QueueKind::Heap),
-            ("shards", |s| s.shards = 4),
-            ("trace", |s| s.trace = Some(TraceSpec::default())),
+            ("fct.n_flows", |s| s.fct.n_flows = 7),
+            ("fct.faults", |s| s.fct.faults.clear()),
+            ("fct.queue", |s| s.fct.queue = QueueKind::Heap),
+            ("fct.shards", |s| s.fct.shards = 4),
+            ("fct.trace", |s| s.fct.trace = Some(TraceSpec::default())),
         ];
         assert_key_coverage(base, hash, reaching, inert);
     }

@@ -28,7 +28,7 @@ use crate::runner::{
     workload_rng, FctRun, Scheme, TestbedOpts,
 };
 use conga_analysis::stats::{mean, percentile};
-use conga_net::{ChannelId, ChannelKind, Dataplane, LeafSpineBuilder, Network, NodeId};
+use conga_net::{ChannelId, ChannelKind, Dataplane, LeafSpineBuilder, Network, NodeId, Topology};
 use conga_sim::{SimDuration, SimRng, SimTime};
 use conga_telemetry::RunReport;
 use conga_transport::{TcpConfig, TransportLayer};
@@ -154,16 +154,10 @@ fn hotspot_queue(cfg: &FctRun) -> (Vec<f64>, RunReport) {
     (queue, build_report(&net, cfg))
 }
 
-/// Figure 16: mean queue per fabric port under 9 random link failures.
-pub fn fig16(args: &Args) -> bool {
-    banner(
-        "Figure 16 — 9 random link failures in a 6-leaf x 4-spine x 3x40G fabric",
-        "mean queue per fabric port, web-search @ 60% load; paper: ECMP ~10x CONGA\n\
-         at the spine downlinks next to failures",
-    );
-    // Choose 9 random distinct (leaf, spine, parallel) links to fail.
-    let mut frng = SimRng::new(args.seed ^ 0xFA11);
-    let mut failed: Vec<(u32, u32, u32)> = Vec::new();
+/// Figure 16's 9 random distinct (leaf, spine, parallel) links to fail.
+fn fig16_failed_links(seed: u64) -> Vec<(u32, u32, u32)> {
+    let mut frng = SimRng::new(seed ^ 0xFA11);
+    let mut failed = Vec::new();
     while failed.len() < 9 {
         let f = (
             frng.below(6) as u32,
@@ -174,6 +168,30 @@ pub fn fig16(args: &Args) -> bool {
             failed.push(f);
         }
     }
+    failed
+}
+
+/// Figure 16's fabric: 6 leaves × 4 spines × 3 parallel 40 G links, 10 G
+/// hosts, without the `failed` links.
+fn fig16_fabric(hosts_per_leaf: u32, failed: &[(u32, u32, u32)]) -> Topology {
+    let mut b = LeafSpineBuilder::new(6, 4, hosts_per_leaf)
+        .host_rate_gbps(10)
+        .fabric_rate_gbps(40)
+        .parallel_links(3);
+    for &(l, s, p) in failed {
+        b = b.fail_link(l, s, p);
+    }
+    b.build()
+}
+
+/// Figure 16: mean queue per fabric port under 9 random link failures.
+pub fn fig16(args: &Args) -> bool {
+    banner(
+        "Figure 16 — 9 random link failures in a 6-leaf x 4-spine x 3x40G fabric",
+        "mean queue per fabric port, web-search @ 60% load; paper: ECMP ~10x CONGA\n\
+         at the spine downlinks next to failures",
+    );
+    let failed = fig16_failed_links(args.seed);
     println!("failed links (leaf, spine, parallel): {failed:?}\n");
 
     // The paper's 288-port fabric: 48 x 10G hosts per leaf, 12 x 40G
@@ -183,14 +201,7 @@ pub fn fig16(args: &Args) -> bool {
 
     let mut results: Vec<(String, Vec<f64>, Vec<f64>)> = Vec::new();
     for scheme in [Scheme::Ecmp, Scheme::Conga] {
-        let mut b = LeafSpineBuilder::new(6, 4, hosts_per_leaf)
-            .host_rate_gbps(10)
-            .fabric_rate_gbps(40)
-            .parallel_links(3);
-        for &(l, s, p) in &failed {
-            b = b.fail_link(l, s, p);
-        }
-        let topo = b.build();
+        let topo = fig16_fabric(hosts_per_leaf, &failed);
         // Load reference: the *unfailed* per-leaf capacity (12 x 40G or the
         // access bound for --quick).
         let unfailed_cap = (12 * 40_000_000_000u64).min(hosts_per_leaf as u64 * 10_000_000_000);
@@ -265,4 +276,45 @@ pub fn fig16(args: &Args) -> bool {
         );
     }
     true
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use conga_net::{CoreId, Fib, SpineId, TopologyBuilder};
+
+    /// FNV-1a/64 of every table of `fib`, rendered by its derive.
+    fn fnv(fib: &Fib) -> u64 {
+        conga_fleet::scenario::fnv1a64(format!("{fib:?}").as_bytes())
+    }
+
+    /// The forwarding tables of three fabrics as the two-pass FIB (a
+    /// fresh build beside an in-place refresh) computed them at commit
+    /// e3f08b2: Figure 7(b), Figure 16's fabric with its nine failed links
+    /// at seed 1, and the 16-leaf three-tier Clos refreshed after its
+    /// spine0–core0 link fails. Every routing decision hangs off these
+    /// tables: not one candidate may move.
+    #[test]
+    fn fib_tables_match_the_two_pass_build() {
+        let fig7b = build_testbed(TestbedOpts::paper_failure()).fib();
+        let failed = fig16_failed_links(1);
+        assert_eq!(failed.len(), 9);
+        let fig16 = fig16_fabric(48, &failed).fib();
+        let clos = TopologyBuilder::three_tier(4, 4, 2, 2, 16).build();
+        let mut refreshed = clos.fib();
+        let mut live = vec![true; clos.channels.len()];
+        for (up, down) in clos.core_link_channels(SpineId(0), CoreId(0)) {
+            live[up.idx()] = false;
+            live[down.idx()] = false;
+        }
+        refreshed.refresh_live(&clos, &live);
+        assert_eq!(
+            [fnv(&fig7b), fnv(&fig16), fnv(&refreshed)],
+            [
+                0x5e09_50b4_d4e3_d1e1,
+                0x99c2_bfbb_11ed_af74,
+                0xe604_24d5_589a_e670
+            ]
+        );
+    }
 }

@@ -82,7 +82,7 @@ pub struct TraceArgs {
     pub spec: TraceSpec,
 }
 
-/// Parse the structured-tracing flags shared by every figure:
+/// The structured-tracing flags shared by every figure:
 ///
 /// * `--trace DIR` — enable tracing and write artifacts under `DIR`,
 /// * `--trace-flows a,b,c` — sample only these flow ids (default: all),
@@ -90,17 +90,12 @@ pub struct TraceArgs {
 ///
 /// Returns `None` when `--trace` is absent, so untraced runs pay nothing.
 pub fn trace_args(args: &Args) -> Option<TraceArgs> {
-    let dir: String = args.get("trace", String::new());
-    if dir.is_empty() {
-        return None;
-    }
-    let spec = TraceSpec {
-        flows: or_usage(args.trace_flows()),
-        ring: or_usage(args.try_get("trace-ring")),
-    };
     Some(TraceArgs {
-        dir: PathBuf::from(dir),
-        spec,
+        dir: args.trace.clone()?,
+        spec: TraceSpec {
+            flows: args.trace_flows.clone(),
+            ring: args.trace_ring,
+        },
     })
 }
 
@@ -135,8 +130,8 @@ pub fn write_trace_sidecars(
     Ok((jsonl, chrome))
 }
 
-/// Parse the runtime fault-injection flags shared by every sweep figure
-/// into a fault schedule on `fabric`:
+/// The runtime fault-injection flags shared by every sweep figure as a
+/// fault schedule on `fabric`:
 ///
 /// * `--fail-at-ms T` — fail a link T ms into the run,
 /// * `--recover-at-ms T` — recover it T ms in (optional; omit for a
@@ -147,12 +142,12 @@ pub fn write_trace_sidecars(
 /// Returns an empty schedule when `--fail-at-ms` is absent, so existing
 /// scenarios run unchanged.
 pub fn fault_args(args: &Args, fabric: TestbedOpts) -> Vec<LinkFaultSpec> {
-    let (Some(fail_at), recover_at) = or_usage(args.fault_window()) else {
+    let Some(fail_at) = args.fail_at else {
         return Vec::new();
     };
     let (l, s, p) = or_usage(args.fault_link(fabric));
     let mut sched = vec![LinkFaultSpec::fail(fail_at, l, s, p)];
-    if let Some(recover_at) = recover_at {
+    if let Some(recover_at) = args.recover_at {
         sched.push(LinkFaultSpec::recover(recover_at, l, s, p));
     }
     sched
@@ -391,9 +386,9 @@ pub fn print_fct_panels(sweep: &Sweep) {
     }
 }
 
-/// Parse `--loads 10,30,50` into fractions, or fall back to `default`.
+/// `--loads 10,30,50` as fractions, or `default`.
 pub fn loads_arg(args: &Args, default: Vec<f64>) -> Vec<f64> {
-    or_usage(args.loads()).unwrap_or(default)
+    args.loads.clone().unwrap_or(default)
 }
 
 /// The Figure 9/10 driver shared by both workload figures. `figure` names

@@ -42,7 +42,7 @@ impl FleetOpts {
         let cache = if args.no_cache || tracing {
             ResultCache::disabled()
         } else {
-            ResultCache::at(args.get("cache-dir", "results/cache".to_string()))
+            ResultCache::at(&args.cache_dir)
         };
         FleetOpts {
             jobs: args.jobs,

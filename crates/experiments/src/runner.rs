@@ -6,8 +6,8 @@ use conga_analysis::sketch::{FctAccumulator, FctSketch};
 use conga_core::FabricPolicy;
 use conga_fleet::Scenario;
 use conga_net::{
-    ChannelId, EcnConfig, HostId, LeafSpineBuilder, Network, ShardedNetwork, Topology,
-    TopologyBuilder, WIRE_OVERHEAD,
+    ChannelId, CoreId, EcnConfig, HostId, LeafId, LeafSpineBuilder, Network, ShardedNetwork,
+    SpineId, Topology, TopologyBuilder, WIRE_OVERHEAD,
 };
 use conga_sim::{QueueKind, SimDuration, SimRng, SimTime};
 use conga_telemetry::{RunReport, SeriesRegistry};
@@ -542,7 +542,7 @@ impl FctRun {
     /// value. The destructuring is exhaustive on purpose: a field added
     /// later does not compile until it is rendered here or, like the three
     /// execution knobs that provably move no byte, bound to `_`.
-    fn spec(&self) -> String {
+    pub(crate) fn spec(&self) -> String {
         let FctRun {
             topo,
             scheme,
@@ -722,8 +722,8 @@ pub(crate) fn workload_rng(seed: u64) -> SimRng {
 /// uplinks, bounded by the access capacity feeding them (matters for
 /// shrunken `--quick` topologies).
 pub(crate) fn leaf_capacity(topo: &Topology) -> u64 {
-    topo.leaf_uplink_capacity(conga_net::LeafId(0))
-        .min(topo.access_capacity(conga_net::LeafId(0)))
+    topo.leaf_uplink_capacity(LeafId(0))
+        .min(topo.access_capacity(LeafId(0)))
 }
 
 /// The open-loop arrival schedule of one cell on `opts`' fabric, in start
@@ -745,8 +745,8 @@ pub(crate) fn plan_arrivals(
     let base = build_testbed(TestbedOpts { fail: None, ..opts });
     let capacity = leaf_capacity(&base);
     let arrivals = if base.n_leaves == 2 {
-        let group_a = base.hosts_under(conga_net::LeafId(0));
-        let group_b = base.hosts_under(conga_net::LeafId(1));
+        let group_a = base.hosts_under(LeafId(0));
+        let group_b = base.hosts_under(LeafId(1));
         let plan = PoissonPlan::generate(
             dist,
             group_a.len() as u32,
@@ -857,20 +857,12 @@ impl ShardedRun {
                 tracer_parts.push(h);
             }
             for f in faults {
-                let (leaf, spine) = (conga_net::LeafId(f.leaf), conga_net::SpineId(f.spine));
-                if f.up {
-                    n.schedule_link_recovery(f.at, leaf, spine, f.parallel as usize);
-                } else {
-                    n.schedule_link_fault(f.at, leaf, spine, f.parallel as usize);
-                }
+                let (leaf, spine) = (LeafId(f.leaf), SpineId(f.spine));
+                n.schedule_link(f.at, leaf, spine, f.parallel as usize, f.up);
             }
             for f in core_faults {
-                let (spine, core) = (conga_net::SpineId(f.spine), conga_net::CoreId(f.core));
-                if f.up {
-                    n.schedule_core_link_recovery(f.at, spine, core, f.parallel as usize);
-                } else {
-                    n.schedule_core_link_fault(f.at, spine, core, f.parallel as usize);
-                }
+                let (spine, core) = (SpineId(f.spine), CoreId(f.core));
+                n.schedule_core_link(f.at, spine, core, f.parallel as usize, f.up);
             }
             n.agent.reserve(arrivals.len());
             for (start, spec) in arrivals {
@@ -900,16 +892,17 @@ impl ShardedRun {
     }
 
     /// Flow records with sender-side counters from the sender's domain and
-    /// `rx_done` taken from the receiver's domain.
+    /// `rx_done` taken from the receiver's domain. Kept for `congabench`'s
+    /// stage-by-stage replay of [`run_fct`], its one caller.
     pub fn merged_records(&self, topo: &Topology) -> Vec<FlowRecord> {
         let n = self.net.domain(0).agent.records.len();
         (0..n).map(|i| self.merged_record(topo, i)).collect()
     }
 
     /// The per-index form of [`Self::merged_records`]: one flow's record
-    /// with `rx_done` merged from the receiver's domain. The streaming
+    /// with `rx_done` merged from the receiver's domain. The completion
     /// drain uses this to consume completions incrementally without
-    /// materializing the full record list every slice.
+    /// materializing the full record list.
     pub fn merged_record(&self, topo: &Topology, i: usize) -> FlowRecord {
         let probe = self.net.domain(0).agent.records[i];
         let src_d = topo.leaf_of(probe.src).0 as usize;
@@ -957,9 +950,11 @@ pub fn run_fct(cfg: &FctRun) -> FctOutcome {
     run_fct_with_policy(cfg, cfg.scheme.policy())
 }
 
-/// [`run_fct`] with an explicit fabric policy (for parameter ablations and
-/// mixed-deployment experiments; the transport still follows `cfg.scheme`).
-pub fn run_fct_with_policy(cfg: &FctRun, policy: FabricPolicy) -> FctOutcome {
+/// The set-up every FCT-style cell shares: count the cell run, build
+/// `cfg`'s fabric, plan its arrivals and register them in a [`ShardedRun`]
+/// under `policy`. Returns the fabric, the run and the arrivals' span in
+/// nanoseconds.
+pub(crate) fn setup_fct(cfg: &FctRun, policy: FabricPolicy) -> (Topology, ShardedRun, u64) {
     conga_fleet::stats::note_cell_run();
     let topo = build_testbed(cfg.topo);
     let (arrivals, span_ns) = plan_arrivals(
@@ -972,21 +967,25 @@ pub fn run_fct_with_policy(cfg: &FctRun, policy: FabricPolicy) -> FctOutcome {
     );
     // The schedule lives until the domains have registered it: from then
     // on their flow records say everything it did.
-    let mut run = {
-        let arrivals = absolute_starts(arrivals);
-        ShardedRun::new(
-            &topo,
-            policy,
-            cfg.seed,
-            cfg.shards,
-            cfg.queue,
-            cfg.ecn_config(),
-            cfg.trace.as_ref(),
-            &cfg.faults,
-            &cfg.core_faults,
-            &arrivals,
-        )
-    };
+    let run = ShardedRun::new(
+        &topo,
+        policy,
+        cfg.seed,
+        cfg.shards,
+        cfg.queue,
+        cfg.ecn_config(),
+        cfg.trace.as_ref(),
+        &cfg.faults,
+        &cfg.core_faults,
+        &absolute_starts(arrivals),
+    );
+    (topo, run, span_ns)
+}
+
+/// [`run_fct`] with an explicit fabric policy (for parameter ablations and
+/// mixed-deployment experiments; the transport still follows `cfg.scheme`).
+pub fn run_fct_with_policy(cfg: &FctRun, policy: FabricPolicy) -> FctOutcome {
+    let (topo, mut run, span_ns) = setup_fct(cfg, policy);
     if cfg.sample_uplinks {
         // Leaf 0's uplinks are all owned by domain 0, so sampling there
         // observes exactly what the monolithic engine would. Every other
@@ -1025,64 +1024,58 @@ pub fn run_fct_with_policy(cfg: &FctRun, policy: FabricPolicy) -> FctOutcome {
     // congestion effect. The last 30% of the window is the guard band.
     let measure_until = SimTime::from_nanos((span_ns as f64 * 0.7) as u64);
 
-    // Run in slices until every flow completes (or the drain bound). In
-    // sketch mode each slice also feeds the flows that completed in it to
-    // the streaming accumulators — in flow-id order, the order the float
-    // sums were always taken in — so no per-flow sample list builds up.
+    // Run in slices until every flow completes (or the drain bound). Each
+    // slice feeds the measured flows that completed in it to the sink in
+    // flow-id order: the sketch streams them into its accumulators, the
+    // exact sink keeps one sample per flow and sorts them by id at the end
+    // — either way the float sums are taken in flow-id order.
     let total_flows = cfg.n_flows * 2;
     let drain_bound = SimTime::from_nanos(span_ns) + SimDuration::from_secs(8);
     let mut acc = FctAccumulator::new();
     let mut sk = FctSketch::new();
+    let mut samples: Vec<(u32, FctSample)> = Vec::new();
     let mut done: Vec<u32> = Vec::new();
     loop {
         let t = run.net.now() + SimDuration::from_millis(50);
         run.net.run_until(t);
-        if cfg.sketch {
-            run.net
-                .each(|_, n| done.extend(n.agent.drain_completions()));
-            done.sort_unstable();
-            for i in done.drain(..) {
-                let r = run.merged_record(&topo, i as usize);
-                if let Some(f) = r.fct().filter(|_| r.start <= measure_until) {
-                    acc.add(r.bytes, f.as_nanos(), ideal_of(&r));
-                    sk.add(f.as_secs_f64());
-                }
+        run.net
+            .each(|_, n| done.extend(n.agent.drain_completions()));
+        done.sort_unstable();
+        for i in done.drain(..) {
+            let r = run.merged_record(&topo, i as usize);
+            let Some(f) = r.fct().filter(|_| r.start <= measure_until) else {
+                continue;
+            };
+            if cfg.sketch {
+                acc.add(r.bytes, f.as_nanos(), ideal_of(&r));
+                sk.add(f.as_secs_f64());
+            } else {
+                let sample = FctSample {
+                    bytes: r.bytes,
+                    fct_s: f.as_secs_f64(),
+                    ideal_s: ideal_of(&r),
+                };
+                samples.push((i, sample));
             }
         }
-        if run.completed_rx() >= total_flows {
-            break;
-        }
-        if run.net.now() >= drain_bound {
+        if run.completed_rx() >= total_flows || run.net.now() >= drain_bound {
             break;
         }
     }
 
+    // A flow inside the measure window that the drain never saw complete
+    // missed the drain bound.
+    let records = &run.net.domain(0).agent.records;
+    let measured = records.iter().filter(|r| r.start <= measure_until).count();
     let summary = if cfg.sketch {
-        // A flow inside the measure window that the drain never saw
-        // complete missed the drain bound.
-        let records = &run.net.domain(0).agent.records;
-        let measured = records.iter().filter(|r| r.start <= measure_until).count();
         for _ in acc.count()..measured as u64 {
             acc.add_incomplete();
         }
         acc.summary(&sk)
     } else {
-        let mut samples = Vec::new();
-        let mut incomplete = 0;
-        for r in &run.merged_records(&topo) {
-            if r.start > measure_until {
-                continue;
-            }
-            match r.fct() {
-                Some(f) => samples.push(FctSample {
-                    bytes: r.bytes,
-                    fct_s: f.as_secs_f64(),
-                    ideal_s: ideal_of(r),
-                }),
-                None => incomplete += 1,
-            }
-        }
-        summarize(&samples, incomplete)
+        samples.sort_unstable_by_key(|&(i, _)| i);
+        let samples: Vec<FctSample> = samples.into_iter().map(|(_, s)| s).collect();
+        summarize(&samples, measured - samples.len())
     };
 
     // Sender-side counters are nonzero only in the sender's domain.
@@ -1252,10 +1245,7 @@ mod tests {
     fn testbed_opts_match_paper() {
         let t = build_testbed(TestbedOpts::paper_baseline());
         assert_eq!(t.n_hosts, 64);
-        assert_eq!(
-            t.leaf_uplink_capacity(conga_net::LeafId(0)),
-            160_000_000_000
-        );
+        assert_eq!(t.leaf_uplink_capacity(LeafId(0)), 160_000_000_000);
         let f = build_testbed(TestbedOpts::paper_failure());
         assert_eq!(f.fib().leaf_uplinks[1].len(), 3);
     }

@@ -81,7 +81,7 @@ pub fn fig15(args: &Args) -> bool {
         // three-tier cell is ~20x the work.
         let case_args = if topo.pods > 1 {
             let mut a = args.clone();
-            a.runs = 1;
+            a.runs = Some(1);
             a
         } else {
             args.clone()

@@ -159,16 +159,17 @@ pub fn fig11_dynamic(args: &Args) -> bool {
     let mut written = true;
     let mut cells = Vec::new();
     // Optional overrides shared with the sweep figures.
-    let (fail_at, recover_at) = or_usage(args.fault_window());
-    let fabric = DynFailSpec::paper(Scheme::Ecmp, args.quick, args.seed).topo;
+    let fabric = DynFailSpec::paper(Scheme::Ecmp, args.quick, args.seed)
+        .fct
+        .topo;
     let link = or_usage(args.fault_link(fabric));
     for scheme in Scheme::PAPER {
         let mut spec = DynFailSpec::paper(scheme, args.quick, args.seed);
-        spec.fail_at = fail_at.unwrap_or(spec.fail_at);
-        spec.recover_at = recover_at.unwrap_or(spec.recover_at);
+        spec.fail_at = args.fail_at.unwrap_or(spec.fail_at);
+        spec.recover_at = args.recover_at.unwrap_or(spec.recover_at);
         spec.link = link;
-        spec.trace = tracing.as_ref().map(|t| t.spec.clone());
-        spec.shards = args.shards;
+        spec.fct.trace = tracing.as_ref().map(|t| t.spec.clone());
+        spec.fct.shards = args.shards;
         cells.push(dynfail_cell(
             "fig11_dynamic_failure",
             scheme.name(),

@@ -11,7 +11,7 @@
 //!   *one* (load balancing) and maintains its own state (DREs, flowlet
 //!   table, congestion tables).
 //! * [`HostAgent`] — the end-host stack. Implementations live in
-//!   `conga-transport` (TCP, MPTCP, CBR senders).
+//!   `conga-transport` (TCP and MPTCP).
 //!
 //! Forwarding pipeline for a fabric-crossing packet:
 //!
@@ -588,74 +588,37 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
         self.events.push(at, Ev::Fault { ch, up });
     }
 
-    /// Schedule both directions of the `parallel_idx`-th surviving link
-    /// between `leaf` and `spine` to fail at `at` — the runtime analogue of
-    /// [`crate::LeafSpineBuilder::fail_link`]. Panics if no such link exists.
-    pub fn schedule_link_fault(&mut self, at: SimTime, leaf: LeafId, spine: SpineId, p: usize) {
-        let (upch, downch) = self.resolve_link(leaf, spine, p);
-        self.schedule_channel_fault(at, upch, false);
-        self.schedule_channel_fault(at, downch, false);
-    }
-
-    /// Schedule both directions of the `parallel_idx`-th surviving link
-    /// between `leaf` and `spine` to come back up at `at`.
-    pub fn schedule_link_recovery(&mut self, at: SimTime, leaf: LeafId, spine: SpineId, p: usize) {
-        let (upch, downch) = self.resolve_link(leaf, spine, p);
-        self.schedule_channel_fault(at, upch, true);
-        self.schedule_channel_fault(at, downch, true);
-    }
-
-    fn resolve_link(&self, leaf: LeafId, spine: SpineId, p: usize) -> (ChannelId, ChannelId) {
+    /// Schedule both directions of the `p`-th surviving link between `leaf`
+    /// and `spine` to go down (`up = false`) or come back up at `at` — the
+    /// runtime analogue of [`crate::LeafSpineBuilder::fail_link`]. Panics
+    /// if no such link exists.
+    pub fn schedule_link(&mut self, at: SimTime, leaf: LeafId, spine: SpineId, p: usize, up: bool) {
         let pairs = self.topo.link_channels(leaf, spine);
-        assert!(
-            p < pairs.len(),
-            "leaf{}-spine{} has {} links, no parallel index {p}",
-            leaf.0,
-            spine.0,
-            pairs.len()
-        );
-        pairs[p]
+        let Some(&(a, b)) = pairs.get(p) else {
+            let (l, s, n) = (leaf.0, spine.0, pairs.len());
+            panic!("leaf{l}-spine{s} has {n} links, no parallel index {p}");
+        };
+        self.schedule_channel_fault(at, a, up);
+        self.schedule_channel_fault(at, b, up);
     }
 
-    /// Schedule both directions of the `p`-th link between `spine` and
-    /// `core` to fail at `at` — the three-tier (CAFT-style) analogue of
-    /// [`Network::schedule_link_fault`]. Panics if no such link exists.
-    pub fn schedule_core_link_fault(
+    /// [`Network::schedule_link`] one tier up: the `p`-th link between
+    /// `spine` and `core` of a three-tier (CAFT-style) fabric.
+    pub fn schedule_core_link(
         &mut self,
         at: SimTime,
         spine: SpineId,
         core: CoreId,
         p: usize,
+        up: bool,
     ) {
-        let (upch, downch) = self.resolve_core_link(spine, core, p);
-        self.schedule_channel_fault(at, upch, false);
-        self.schedule_channel_fault(at, downch, false);
-    }
-
-    /// Schedule both directions of the `p`-th link between `spine` and
-    /// `core` to come back up at `at`.
-    pub fn schedule_core_link_recovery(
-        &mut self,
-        at: SimTime,
-        spine: SpineId,
-        core: CoreId,
-        p: usize,
-    ) {
-        let (upch, downch) = self.resolve_core_link(spine, core, p);
-        self.schedule_channel_fault(at, upch, true);
-        self.schedule_channel_fault(at, downch, true);
-    }
-
-    fn resolve_core_link(&self, spine: SpineId, core: CoreId, p: usize) -> (ChannelId, ChannelId) {
         let pairs = self.topo.core_link_channels(spine, core);
-        assert!(
-            p < pairs.len(),
-            "spine{}-core{} has {} links, no parallel index {p}",
-            spine.0,
-            core.0,
-            pairs.len()
-        );
-        pairs[p]
+        let Some(&(a, b)) = pairs.get(p) else {
+            let (s, c, n) = (spine.0, core.0, pairs.len());
+            panic!("spine{s}-core{c} has {n} links, no parallel index {p}");
+        };
+        self.schedule_channel_fault(at, a, up);
+        self.schedule_channel_fault(at, b, up);
     }
 
     /// Whether a channel is currently up.
@@ -699,25 +662,33 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
                 // A non-owner's replica port never transmits, so its queue
                 // is empty by construction; flushing is owner-only.
                 let mut flushed = std::mem::take(&mut self.scratch_flush);
-                let n = self.ports[ch.idx()].flush_dead(self.now, &mut flushed);
-                self.stats.blackholed += n as u64;
+                self.ports[ch.idx()].flush_dead(self.now, &mut flushed);
                 for pkt in flushed.drain(..) {
-                    if self.tracer.wants_flow(pkt.flow) {
-                        self.tracer.emit(
-                            self.now,
-                            TraceEvent::PacketBlackhole {
-                                ch: ch.idx() as u32,
-                                pkt: pkt.id,
-                                flow: pkt.flow,
-                                size: pkt.size,
-                            },
-                        );
-                    }
+                    self.blackhole(ch, &pkt);
                 }
                 self.scratch_flush = flushed;
             }
         }
         self.fib.refresh_live(&self.topo, &self.link_up);
+    }
+
+    /// The one exit for a packet a dead link swallows — flushed off its
+    /// queue by the failure, caught on its wire, or enqueued while it is
+    /// down: counted on the channel and in the engine, and traced.
+    fn blackhole(&mut self, ch: ChannelId, pkt: &Packet) {
+        self.ports[ch.idx()].blackholed += 1;
+        self.stats.blackholed += 1;
+        if self.tracer.wants_flow(pkt.flow) {
+            self.tracer.emit(
+                self.now,
+                TraceEvent::PacketBlackhole {
+                    ch: ch.idx() as u32,
+                    pkt: pkt.id,
+                    flow: pkt.flow,
+                    size: pkt.size,
+                },
+            );
+        }
     }
 
     /// Run the event loop until `t_end` (inclusive) or until no events
@@ -913,19 +884,7 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
     fn arrive(&mut self, ch: ChannelId, mut pkt: Box<Packet>, epoch: u32) {
         if epoch != self.fail_epoch[ch.idx()] {
             // The link failed while the packet was on the wire: lost.
-            self.ports[ch.idx()].blackholed += 1;
-            self.stats.blackholed += 1;
-            if self.tracer.wants_flow(pkt.flow) {
-                self.tracer.emit(
-                    self.now,
-                    TraceEvent::PacketBlackhole {
-                        ch: ch.idx() as u32,
-                        pkt: pkt.id,
-                        flow: pkt.flow,
-                        size: pkt.size,
-                    },
-                );
-            }
+            self.blackhole(ch, &pkt);
             return;
         }
         {
@@ -1034,28 +993,16 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
                 }
             }
         }
-        let traced = self.tracer.wants_flow(pkt.flow);
-        // The port consumes the packet; capture identity first if traced.
-        let (pid, flow, size) = (pkt.id, pkt.flow, pkt.size);
         if !self.link_up[ch.idx()] {
             // The FIB excludes dead fabric channels, but a dead access
             // link — or a race the dataplane cannot see — still swallows
             // the packet.
-            self.ports[ch.idx()].blackholed += 1;
-            self.stats.blackholed += 1;
-            if traced {
-                self.tracer.emit(
-                    self.now,
-                    TraceEvent::PacketBlackhole {
-                        ch: ch.idx() as u32,
-                        pkt: pid,
-                        flow,
-                        size,
-                    },
-                );
-            }
+            self.blackhole(ch, &pkt);
             return;
         }
+        let traced = self.tracer.wants_flow(pkt.flow);
+        // The port consumes the packet; capture identity first if traced.
+        let (pid, flow, size) = (pkt.id, pkt.flow, pkt.size);
         let outcome = self.ports[ch.idx()].enqueue(pkt, self.now);
         if traced {
             let ev = match outcome {
@@ -1480,8 +1427,8 @@ mod tests {
         let before = (net.fib.up_candidates.clone(), net.fib.lbtag_of.clone());
         // Kill both directions of leaf0-spine0 at 1 us via the leaf-spine
         // convenience; recover at 1 ms.
-        net.schedule_link_fault(SimTime::from_micros(1), LeafId(0), SpineId(0), 0);
-        net.schedule_link_recovery(SimTime::from_millis(1), LeafId(0), SpineId(0), 0);
+        net.schedule_link(SimTime::from_micros(1), LeafId(0), SpineId(0), 0, false);
+        net.schedule_link(SimTime::from_millis(1), LeafId(0), SpineId(0), 0, true);
         net.run_until(SimTime::from_micros(10));
         // During the outage: spine0 is unusable in both directions, tags
         // unchanged.
@@ -1621,8 +1568,8 @@ mod tests {
         // Kill every core link of spine 0 and spine 1 toward core 0 early,
         // recover later; traffic in between survives via core 1.
         for s in [SpineId(0), SpineId(1)] {
-            net.schedule_core_link_fault(SimTime::from_micros(1), s, CoreId(0), 0);
-            net.schedule_core_link_recovery(SimTime::from_millis(2), s, CoreId(0), 0);
+            net.schedule_core_link(SimTime::from_micros(1), s, CoreId(0), 0, false);
+            net.schedule_core_link(SimTime::from_millis(2), s, CoreId(0), 0, true);
         }
         net.run_until(SimTime::from_micros(10));
         // During the outage: pod-0 spines detour only through core 1.
@@ -1662,7 +1609,7 @@ mod tests {
         // at the spines.
         for s in [SpineId(0), SpineId(1)] {
             for c in [CoreId(0), CoreId(1)] {
-                net.schedule_core_link_fault(SimTime::from_nanos(1), s, c, 0);
+                net.schedule_core_link(SimTime::from_nanos(1), s, c, 0, false);
             }
         }
         net.run_until(SimTime::from_micros(1));

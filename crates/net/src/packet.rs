@@ -23,8 +23,8 @@ pub const MAX_LBTAG: usize = 16;
 /// + 54 B inner headers, rounded).
 pub const WIRE_OVERHEAD: u32 = 100;
 
-/// Size in bytes of a bare control segment (pure ACK / request stub) on the
-/// wire, including all encapsulation.
+/// Size in bytes of a bare control segment (pure ACK) on the wire,
+/// including all encapsulation.
 pub const ACK_WIRE_BYTES: u32 = WIRE_OVERHEAD;
 
 /// Transport-level flags carried by a packet (a compact stand-in for the TCP
@@ -38,8 +38,6 @@ pub enum PacketKind {
     /// A retransmitted data segment (flagged for statistics only; switches
     /// treat it exactly like `Data`).
     Retransmit,
-    /// An application-level request stub (used by the Incast client).
-    Request,
 }
 
 /// The VXLAN-carried CONGA overlay state (paper §3.1, Figure 6).

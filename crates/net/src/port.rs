@@ -50,7 +50,7 @@ pub struct TxPort {
     pub drops: u64,
     /// Packets lost to this channel being down: flushed from the queue when
     /// the link failed, enqueued while it was dead, or caught on the wire by
-    /// the transition. Maintained partly by the engine.
+    /// the transition. Maintained by the engine's one blackhole exit.
     pub blackholed: u64,
     /// Bytes that completed traversal of this channel (maintained by the
     /// engine on arrival at the far end).
@@ -135,20 +135,16 @@ impl TxPort {
         !self.queue.is_empty()
     }
 
-    /// The channel just went down: discard every queued packet, counting
-    /// each as blackholed. The serializer state is untouched — a packet
-    /// already on the wire is the engine's to account (by arrival epoch).
-    /// Appends the flushed packets in queue order to `out` (a reusable
-    /// buffer, so repeated faults allocate nothing) so the engine can
-    /// account (and trace) each loss individually; returns how many were
-    /// flushed.
-    pub fn flush_dead(&mut self, now: SimTime, out: &mut Vec<Box<Packet>>) -> usize {
+    /// The channel just went down: discard every queued packet. The
+    /// serializer state is untouched — a packet already on the wire is the
+    /// engine's to account (by arrival epoch). Appends the flushed packets
+    /// in queue order to `out` (a reusable buffer, so repeated faults
+    /// allocate nothing) so the engine can account (and trace) each loss
+    /// individually.
+    pub fn flush_dead(&mut self, now: SimTime, out: &mut Vec<Box<Packet>>) {
         self.account(now);
-        let n = self.queue.len();
         out.extend(self.queue.drain(..));
         self.queued_bytes = 0;
-        self.blackholed += n as u64;
-        n
     }
 
     /// Bytes currently waiting (not counting the packet on the wire).
@@ -293,7 +289,7 @@ mod tests {
     }
 
     #[test]
-    fn flush_dead_empties_queue_and_counts_blackholes() {
+    fn flush_dead_empties_the_queue_and_hands_back_its_packets() {
         let mut p = TxPort::new(1_000_000_000, SimDuration::ZERO, 1 << 20);
         let t = SimTime::ZERO;
         assert_eq!(p.enqueue(pkt(1000), t), Enqueue::StartTx);
@@ -301,22 +297,20 @@ mod tests {
         assert_eq!(p.enqueue(pkt(500), t), Enqueue::Queued);
         assert_eq!(p.enqueue(pkt(500), t), Enqueue::Queued);
         let mut flushed = Vec::new();
-        assert_eq!(p.flush_dead(SimTime::from_nanos(100), &mut flushed), 2);
+        p.flush_dead(SimTime::from_nanos(100), &mut flushed);
         assert_eq!(flushed.len(), 2);
         assert!(
             flushed.iter().all(|f| f.size == 500),
             "queue order, not the wire"
         );
-        assert_eq!(p.blackholed, 2);
         assert_eq!(p.queued_bytes(), 0);
         assert_eq!(p.queued_pkts(), 0);
         // The in-flight packet's serializer completes normally afterwards.
         assert!(p.busy);
         assert!(!p.tx_done(), "queue must be empty after flush");
         // Flushing an empty queue is a no-op (and appends nothing).
-        assert_eq!(p.flush_dead(SimTime::from_nanos(200), &mut flushed), 0);
+        p.flush_dead(SimTime::from_nanos(200), &mut flushed);
         assert_eq!(flushed.len(), 2);
-        assert_eq!(p.blackholed, 2);
     }
 
     #[test]

@@ -877,8 +877,8 @@ mod tests {
             let mut net = sharded(workers);
             // leaf0-spine1 is cross-domain (spine1 lives in domain 1).
             net.each(|_, n| {
-                n.schedule_link_fault(SimTime::from_micros(20), LeafId(0), SpineId(1), 0);
-                n.schedule_link_recovery(SimTime::from_micros(400), LeafId(0), SpineId(1), 0);
+                n.schedule_link(SimTime::from_micros(20), LeafId(0), SpineId(1), 0, false);
+                n.schedule_link(SimTime::from_micros(400), LeafId(0), SpineId(1), 0, true);
             });
             for f in 0..20u32 {
                 let pkt = Packet::data(

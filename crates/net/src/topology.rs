@@ -154,7 +154,7 @@ impl Topology {
     /// Build the forwarding tables for the current channel set, with every
     /// channel considered live.
     pub fn fib(&self) -> Fib {
-        Fib::build_live(self, None)
+        self.fib_live(&vec![true; self.channels.len()])
     }
 
     /// Build the forwarding tables with a liveness mask (`live[ch]` false ⇒
@@ -163,8 +163,7 @@ impl Topology {
     /// but are excluded from every candidate list, so a runtime link-state
     /// transition never renumbers the congestion tables.
     pub fn fib_live(&self, live: &[bool]) -> Fib {
-        assert_eq!(live.len(), self.channels.len(), "liveness mask size");
-        Fib::build_live(self, Some(live))
+        Fib::build_live(self, live)
     }
 
     /// Leaves per pod (`n_leaves` itself in a two-tier fabric).
@@ -255,7 +254,7 @@ impl Topology {
 /// Forwarding information base: candidate channels per destination,
 /// precomputed once per topology so the per-packet path is just a vector
 /// index.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Fib {
     /// Host → its access uplink channel.
     pub host_access: Vec<ChannelId>,
@@ -289,174 +288,78 @@ pub struct Fib {
 }
 
 impl Fib {
-    fn build_live(t: &Topology, live: Option<&[bool]>) -> Fib {
-        let nl = t.n_leaves as usize;
-        let ns = t.n_spines as usize;
-        let ncore = t.n_cores as usize;
-        let nc = t.channels.len();
-        let is_live = |ch: ChannelId| live.map(|m| m[ch.idx()]).unwrap_or(true);
-
-        let mut host_access = vec![ChannelId(u32::MAX); t.n_hosts as usize];
-        let mut host_down = vec![ChannelId(u32::MAX); t.n_hosts as usize];
-        let mut leaf_uplinks: Vec<Vec<ChannelId>> = vec![Vec::new(); nl];
-        let mut spine_down: Vec<Vec<Vec<ChannelId>>> = vec![vec![Vec::new(); nl]; ns];
-        let mut spine_up: Vec<Vec<ChannelId>> = vec![Vec::new(); ns];
-        let mut lbtag_of = vec![u8::MAX; nc];
-
+    /// The static tables, which liveness never changes, then the four
+    /// liveness tables through [`Fib::refresh_live`] — the one
+    /// reachability pass, for a fresh build and a runtime transition alike.
+    fn build_live(t: &Topology, live: &[bool]) -> Fib {
+        let mut fib = Fib {
+            host_access: vec![ChannelId(u32::MAX); t.n_hosts as usize],
+            host_down: vec![ChannelId(u32::MAX); t.n_hosts as usize],
+            leaf_uplinks: vec![Vec::new(); t.n_leaves as usize],
+            spine_up: vec![Vec::new(); t.n_spines as usize],
+            lbtag_of: vec![u8::MAX; t.channels.len()],
+            ..Fib::default()
+        };
         for (i, c) in t.channels.iter().enumerate() {
             let id = ChannelId(i as u32);
             match (c.kind, c.src, c.dst) {
                 (ChannelKind::AccessUp, NodeId::Host(h), NodeId::Leaf(_)) => {
-                    host_access[h.idx()] = id;
+                    fib.host_access[h.idx()] = id;
                 }
                 (ChannelKind::AccessDown, NodeId::Leaf(_), NodeId::Host(h)) => {
-                    host_down[h.idx()] = id;
+                    fib.host_down[h.idx()] = id;
                 }
+                // Dead uplinks keep their slot: the slot index is the
+                // LBTag, which must survive fail/recover transitions.
+                // Spine→core channels likewise keep theirs, so the list
+                // order is stable across transitions.
                 (ChannelKind::LeafUp, NodeId::Leaf(l), NodeId::Spine(_)) => {
-                    // Dead uplinks keep their slot: the slot index is the
-                    // LBTag, which must survive fail/recover transitions.
-                    leaf_uplinks[l.idx()].push(id);
-                }
-                (ChannelKind::SpineDown, NodeId::Spine(s), NodeId::Leaf(m)) => {
-                    if is_live(id) {
-                        spine_down[s.idx()][m.idx()].push(id);
-                    }
+                    fib.leaf_uplinks[l.idx()].push(id);
                 }
                 (ChannelKind::SpineUp, NodeId::Spine(s), NodeId::Core(_)) => {
-                    // Like leaf uplinks: dead channels keep their slot so
-                    // the list order is stable across transitions.
-                    spine_up[s.idx()].push(id);
+                    fib.spine_up[s.idx()].push(id);
                 }
-                (ChannelKind::CoreDown, NodeId::Core(_), NodeId::Spine(_)) => {
-                    // Destination-dependent reachability is resolved below,
-                    // once spine_down is complete.
-                }
+                (ChannelKind::SpineDown, NodeId::Spine(_), NodeId::Leaf(_))
+                | (ChannelKind::CoreDown, NodeId::Core(_), NodeId::Spine(_)) => {}
                 _ => panic!("inconsistent channel: {c:?}"),
             }
         }
-
-        for ups in &leaf_uplinks {
+        for ups in &fib.leaf_uplinks {
             assert!(
                 ups.len() <= MAX_LBTAG,
                 "leaf has {} uplinks; LBTag is 4 bits (max {MAX_LBTAG})",
                 ups.len()
             );
-        }
-        for (l, ups) in leaf_uplinks.iter().enumerate() {
             for (tag, ch) in ups.iter().enumerate() {
-                let _ = l;
-                lbtag_of[ch.idx()] = tag as u8;
+                fib.lbtag_of[ch.idx()] = tag as u8;
             }
         }
-
-        // Candidate tables are computed top-down so each tier's
-        // reachability question reduces to the tier below it.
-        //
-        // A core→spine channel is a candidate for dst leaf m iff it is live
-        // and its spine still has a live downlink to m.
-        let mut core_down: Vec<Vec<Vec<ChannelId>>> = vec![vec![Vec::new(); nl]; ncore];
-        for (i, c) in t.channels.iter().enumerate() {
-            if let (ChannelKind::CoreDown, NodeId::Core(co), NodeId::Spine(s)) =
-                (c.kind, c.src, c.dst)
-            {
-                let id = ChannelId(i as u32);
-                if !is_live(id) {
-                    continue;
-                }
-                for m in 0..nl {
-                    if !spine_down[s.idx()][m].is_empty() {
-                        core_down[co.idx()][m].push(id);
-                    }
-                }
-            }
-        }
-
-        // A spine→core channel is a candidate for dst leaf m iff it is live
-        // and its core can still descend toward m.
-        let mut spine_up_candidates: Vec<Vec<Vec<ChannelId>>> = vec![vec![Vec::new(); nl]; ns];
-        for (s, ups) in spine_up.iter().enumerate() {
-            for &u in ups {
-                if !is_live(u) {
-                    continue;
-                }
-                let NodeId::Core(co) = t.channel(u).dst else {
-                    unreachable!()
-                };
-                for m in 0..nl {
-                    if !core_down[co.idx()][m].is_empty() {
-                        spine_up_candidates[s][m].push(u);
-                    }
-                }
-            }
-        }
-
-        // An uplink leaf→spine s is a candidate for dst leaf m iff the
-        // uplink itself is live and spine s can still reach m — directly
-        // (live downlink) or via the core tier.
-        let mut up_candidates = vec![vec![Vec::new(); nl]; nl];
-        for (l, ups) in leaf_uplinks.iter().enumerate() {
-            for m in 0..nl {
-                if m == l {
-                    continue;
-                }
-                for &u in ups {
-                    if !is_live(u) {
-                        continue;
-                    }
-                    let NodeId::Spine(s) = t.channel(u).dst else {
-                        unreachable!()
-                    };
-                    if !spine_down[s.idx()][m].is_empty()
-                        || !spine_up_candidates[s.idx()][m].is_empty()
-                    {
-                        up_candidates[l][m].push(u);
-                    }
-                }
-            }
-        }
-
-        Fib {
-            host_access,
-            host_down,
-            leaf_uplinks,
-            up_candidates,
-            spine_down,
-            spine_up,
-            spine_up_candidates,
-            core_down,
-            lbtag_of,
-        }
+        fib.refresh_live(t, live);
+        fib
     }
 
-    /// Recompute the liveness-dependent tables (`spine_down`, `core_down`,
-    /// `spine_up_candidates` and `up_candidates`) in place for a new
-    /// liveness mask, reusing every existing allocation. The static tables —
+    /// Compute the liveness-dependent tables (`spine_down`, `core_down`,
+    /// `spine_up_candidates` and `up_candidates`) in place for a liveness
+    /// mask, reusing every existing allocation. The static tables —
     /// `host_access`, `host_down`, `leaf_uplinks`, `spine_up`, `lbtag_of` —
     /// do not depend on liveness and are left untouched, so a runtime
-    /// link-state transition never renumbers LBTags. Produces candidate
-    /// lists identical to a fresh [`Topology::fib_live`] build.
+    /// link-state transition never renumbers LBTags.
+    ///
+    /// Candidate tables are computed top-down so each tier's reachability
+    /// question reduces to the tier below it.
     pub fn refresh_live(&mut self, t: &Topology, live: &[bool]) {
         assert_eq!(live.len(), t.channels.len(), "liveness mask size");
-        for per_spine in &mut self.spine_down {
-            for v in per_spine {
-                v.clear();
-            }
+        let nl = t.n_leaves as usize;
+        for (table, rows) in [
+            (&mut self.spine_down, t.n_spines),
+            (&mut self.core_down, t.n_cores),
+            (&mut self.spine_up_candidates, t.n_spines),
+            (&mut self.up_candidates, t.n_leaves),
+        ] {
+            table.resize_with(rows as usize, || vec![Vec::new(); nl]);
+            table.iter_mut().flatten().for_each(Vec::clear);
         }
-        for per_core in &mut self.core_down {
-            for v in per_core {
-                v.clear();
-            }
-        }
-        for per_spine in &mut self.spine_up_candidates {
-            for v in per_spine {
-                v.clear();
-            }
-        }
-        for per_leaf in &mut self.up_candidates {
-            for v in per_leaf {
-                v.clear();
-            }
-        }
+        // A spine→leaf channel is a candidate for its leaf iff it is live.
         for (i, c) in t.channels.iter().enumerate() {
             if let (ChannelKind::SpineDown, NodeId::Spine(s), NodeId::Leaf(m)) =
                 (c.kind, c.src, c.dst)
@@ -466,7 +369,8 @@ impl Fib {
                 }
             }
         }
-        let nl = t.n_leaves as usize;
+        // A core→spine channel is a candidate for leaf m iff it is live and
+        // its spine still has a live downlink to m.
         for (i, c) in t.channels.iter().enumerate() {
             if let (ChannelKind::CoreDown, NodeId::Core(co), NodeId::Spine(s)) =
                 (c.kind, c.src, c.dst)
@@ -481,6 +385,8 @@ impl Fib {
                 }
             }
         }
+        // A spine→core channel is a candidate for leaf m iff it is live and
+        // its core can still descend toward m.
         for s in 0..self.spine_up.len() {
             for k in 0..self.spine_up[s].len() {
                 let u = self.spine_up[s][k];
@@ -497,6 +403,8 @@ impl Fib {
                 }
             }
         }
+        // A leaf→spine uplink is a candidate for leaf m iff it is live and
+        // its spine can still reach m — directly or via the core tier.
         for l in 0..nl {
             for k in 0..self.leaf_uplinks[l].len() {
                 let u = self.leaf_uplinks[l][k];

@@ -1,6 +1,6 @@
 //! The end-host stack: a [`conga_net::HostAgent`] that runs every flow in
-//! the simulation — plain TCP, MPTCP (N subflows with LIA coupling), and
-//! constant-bit-rate senders — and records per-flow completion times.
+//! the simulation — plain TCP and MPTCP (N subflows with LIA coupling) —
+//! and records per-flow completion times.
 //!
 //! Flow identities map directly onto packets: `Packet::flow` indexes
 //! [`TransportLayer::records`], and `Packet::subflow` selects the MPTCP
@@ -26,13 +26,6 @@ pub enum TransportKind {
     Tcp(TcpConfig),
     /// Multipath TCP with LIA coupled congestion control.
     Mptcp(MptcpConfig),
-    /// Unreliable constant-bit-rate sender (for controlled experiments).
-    Cbr {
-        /// Sending rate, bits per second.
-        rate_bps: u64,
-        /// Payload bytes per packet.
-        pkt_bytes: u32,
-    },
 }
 
 /// A flow to start: who, to whom, how much, and over which transport.
@@ -42,7 +35,7 @@ pub struct FlowSpec {
     pub src: HostId,
     /// Receiving host.
     pub dst: HostId,
-    /// Application bytes to transfer (`u64::MAX` for an unbounded CBR).
+    /// Application bytes to transfer.
     pub bytes: u64,
     /// Transport.
     pub kind: TransportKind,
@@ -109,7 +102,6 @@ impl FlowSource for ListSource {
 // [63:28] flow | [27:12] subflow | [11:4] generation | [3:0] kind
 const KIND_ARRIVAL: u64 = 0;
 const KIND_RTO: u64 = 1;
-const KIND_CBR: u64 = 2;
 /// Activation timer for a preregistered flow (sharded runs schedule one
 /// in the flow's sender domain; see [`TransportLayer::preregister`]).
 const KIND_START: u64 = 3;
@@ -203,7 +195,7 @@ struct FlowSlot {
 /// A flow's heavy state: built by `activate` on the sender side and by the
 /// first data packet on the receiver side (one entry serves both when they
 /// are the same stack instance), parked for reuse the moment nothing can
-/// read it again (see `maybe_retire`). CBR flows keep theirs.
+/// read it again (see `maybe_retire`).
 #[derive(Debug, Default)]
 struct FlowLive {
     /// The flow this entry serves, [`NONE`] while parked.
@@ -211,9 +203,6 @@ struct FlowLive {
     subflows: Vec<SubflowRt>,
     /// MPTCP: bytes not yet assigned to any subflow.
     unassigned: u64,
-    /// CBR: bytes left to emit, and payload delivered.
-    cbr_remaining: u64,
-    cbr_delivered: u64,
 }
 
 /// The additive transport counters, as `export_metrics` reports them:
@@ -244,12 +233,11 @@ impl Totals {
     }
 }
 
-/// Subflows a flow of this kind runs (none for CBR).
+/// Subflows a flow of this kind runs.
 fn n_subflows(kind: &TransportKind) -> u16 {
     match kind {
         TransportKind::Tcp(_) => 1,
         TransportKind::Mptcp(c) => c.subflows,
-        TransportKind::Cbr { .. } => 0,
     }
 }
 
@@ -351,13 +339,10 @@ impl TransportLayer {
         }
     }
 
-    /// Payload bytes delivered so far for `flow` (across subflows; includes
-    /// CBR).
+    /// Payload bytes delivered so far for `flow` (across subflows).
     pub fn rx_bytes(&self, flow: usize) -> u64 {
         match self.state(flow) {
-            Some(l) => {
-                l.cbr_delivered + l.subflows.iter().map(|s| s.rx.bytes_received).sum::<u64>()
-            }
+            Some(l) => l.subflows.iter().map(|s| s.rx.bytes_received).sum(),
             // Retired: a receiver that finished holds exactly the flow's
             // bytes (`bytes_received` counts distinct bytes), one that
             // never saw a packet holds none.
@@ -459,13 +444,12 @@ impl TransportLayer {
                 }));
                 l.unassigned = bytes;
             }
-            TransportKind::Cbr { .. } => l.cbr_remaining = bytes,
         }
         li
     }
 
-    /// Emit a registered flow's kickoff: the initial window (TCP), the
-    /// first allocation round (MPTCP), or the first packet (CBR).
+    /// Emit a registered flow's kickoff: the initial window (TCP) or the
+    /// first allocation round (MPTCP).
     fn activate(&mut self, id: usize, now: SimTime, em: &mut Emitter) {
         self.activated += 1;
         let li = self.ensure_state(id);
@@ -480,10 +464,6 @@ impl TransportLayer {
             }
             TransportKind::Mptcp(cfg) => {
                 self.mp_allocate_and_pump(id, li, cfg, now, em);
-            }
-            TransportKind::Cbr { .. } => {
-                // First packet immediately; the timer sustains the rate.
-                self.cbr_emit(id, now, em);
             }
         }
     }
@@ -692,41 +672,6 @@ impl TransportLayer {
         self.scratch_segs = segs;
     }
 
-    fn cbr_emit(&mut self, flow: usize, now: SimTime, em: &mut Emitter) {
-        let slot = &self.flows[flow];
-        let TransportKind::Cbr {
-            rate_bps,
-            pkt_bytes,
-        } = self.kinds[slot.kind as usize]
-        else {
-            return;
-        };
-        let Some(f) = self.live.get_mut(slot.live as usize) else {
-            return;
-        };
-        if f.cbr_remaining == 0 {
-            return;
-        }
-        let r = &self.records[flow];
-        let len = (pkt_bytes as u64).min(f.cbr_remaining) as u32;
-        f.cbr_remaining -= len as u64;
-        let p = Packet::data(
-            flow as u32,
-            0,
-            flow_tuple_hash(flow as u32, 0),
-            r.src,
-            r.dst,
-            r.bytes - f.cbr_remaining - len as u64,
-            len,
-            now,
-        );
-        em.send(p);
-        if f.cbr_remaining > 0 {
-            let gap = SimDuration::serialization(len as u64, rate_bps);
-            em.set_timer(gap, token(flow, 0, 0, KIND_CBR));
-        }
-    }
-
     fn maybe_finish(&mut self, flow: usize, li: usize, now: SimTime) {
         let (slot, f, r) = (
             &mut self.flows[flow],
@@ -734,8 +679,7 @@ impl TransportLayer {
             &mut self.records[flow],
         );
         if !slot.rx_complete {
-            let rx: u64 =
-                f.cbr_delivered + f.subflows.iter().map(|s| s.rx.bytes_received).sum::<u64>();
+            let rx: u64 = f.subflows.iter().map(|s| s.rx.bytes_received).sum();
             if rx >= r.bytes {
                 slot.rx_complete = true;
                 r.rx_done = Some(now);
@@ -743,11 +687,7 @@ impl TransportLayer {
                 self.completions.push(flow as u32);
             }
         }
-        if !slot.tx_complete
-            && !f.subflows.is_empty()
-            && f.unassigned == 0
-            && f.subflows.iter().all(|s| s.tx.done())
-        {
+        if !slot.tx_complete && f.unassigned == 0 && f.subflows.iter().all(|s| s.tx.done()) {
             slot.tx_complete = true;
             self.tx_complete += 1;
             r.tx_done = Some(now);
@@ -770,12 +710,10 @@ impl TransportLayer {
             return;
         }
         let f = &mut self.live[li];
-        // CBR flows have no completion on the sender side: they stay.
-        if f.subflows.is_empty()
-            || (slot.tx_local
-                && f.subflows
-                    .iter()
-                    .any(|s| !s.pace_q.is_empty() || s.pace_pending))
+        if slot.tx_local
+            && f.subflows
+                .iter()
+                .any(|s| !s.pace_q.is_empty() || s.pace_pending)
         {
             return;
         }
@@ -820,11 +758,8 @@ impl TransportLayer {
     /// (`rx_ooo_segments`), and flow lifecycle counts.
     pub fn export_metrics(&self, reg: &mut MetricsRegistry) {
         let mut t = self.retired.clone();
-        for f in &self.live {
-            t.rx_bytes += f.cbr_delivered;
-            for s in &f.subflows {
-                t.absorb(s);
-            }
+        for s in self.live.iter().flat_map(|f| &f.subflows) {
+            t.absorb(s);
         }
         // Retransmission-timer accounting is namespaced per controller:
         // `cc.<name>.rto_fired` / `cc.<name>.fast_retx`, emitted only when
@@ -950,13 +885,7 @@ impl HostAgent for TransportLayer {
                 }
                 slot.rx_seen = true;
                 let li = self.ensure_state(flow);
-                let f = &mut self.live[li];
-                if matches!(kind, TransportKind::Cbr { .. }) {
-                    f.cbr_delivered += pkt.payload as u64;
-                    self.maybe_finish(flow, li, now);
-                    return;
-                }
-                let Some(s) = f.subflows.get_mut(pkt.subflow as usize) else {
+                let Some(s) = self.live[li].subflows.get_mut(pkt.subflow as usize) else {
                     return;
                 };
                 let ack = s.rx.on_data(pkt.seq, pkt.payload);
@@ -1035,7 +964,6 @@ impl HostAgent for TransportLayer {
                 self.arm_rto(flow, li, sub, now, progressed, em);
                 self.maybe_finish(flow, li, now);
             }
-            PacketKind::Request => {}
         }
     }
 
@@ -1121,7 +1049,6 @@ impl HostAgent for TransportLayer {
                 // The last paced segment of a finished sender is out.
                 self.maybe_retire(flow, li);
             }
-            KIND_CBR => self.cbr_emit(flow, now, em),
             KIND_START => self.activate(flow, now, em),
             _ => {}
         }
@@ -1318,22 +1245,5 @@ mod tests {
         assert_eq!(em.packets().len(), 1);
         assert_eq!(em.packets()[0].kind, PacketKind::Retransmit);
         assert_eq!(layer.live_flows(), (0, 1));
-    }
-
-    #[test]
-    fn cbr_flows_keep_their_state() {
-        let cbr = TransportKind::Cbr {
-            rate_bps: 1_000_000_000,
-            pkt_bytes: 1000,
-        };
-        let mut layer = TransportLayer::new();
-        let mut em = Emitter::default();
-        let id = layer.start_flow(spec(1000, cbr), SimTime::ZERO, &mut em);
-        let pkt = em.packets()[0].clone();
-        layer.on_packet(pkt, SimTime::from_micros(5), &mut em);
-        assert_eq!(layer.completed_rx, 1);
-        assert_eq!(layer.live_flows(), (1, 1));
-        assert_eq!(layer.rx_bytes(id), 1000);
-        assert_eq!(counters(&layer).counter("transport.subflows"), 0);
     }
 }

@@ -12,7 +12,6 @@
 //!   [`CongestionController`] ([`cc`] module: AIMD, DCTCP, CUBIC, BBR);
 //! * MPTCP — N subflows with distinct 5-tuple hashes and LIA coupled
 //!   congestion control, layered over the same state machine;
-//! * CBR senders for controlled micro-benchmarks;
 //! * [`TransportLayer`] — the [`conga_net::HostAgent`] that runs all flows
 //!   and records completion times.
 
@@ -228,27 +227,6 @@ mod e2e {
             .filter(|&&u| net.port(u).tx_pkts > 0)
             .count();
         assert!(used >= 2, "all subflows landed on one uplink");
-    }
-
-    #[test]
-    fn cbr_paces_packets_at_configured_rate() {
-        let mut net = testbed(None);
-        let spec = FlowSpec {
-            src: HostId(0),
-            dst: HostId(5),
-            bytes: 1_500_000, // 1000 packets of 1500B
-            kind: TransportKind::Cbr {
-                rate_bps: 1_000_000_000,
-                pkt_bytes: 1500,
-            },
-        };
-        net.agent_call(|a, now, em| a.start_flow(spec, now, em));
-        net.run_until(SimTime::from_secs(1));
-        assert_eq!(net.agent.rx_bytes(0), 1_500_000);
-        let rec = net.agent.records[0];
-        // 1.5 MB at 1 Gbps = 12 ms of pacing.
-        let fct = rec.fct().unwrap().as_secs_f64();
-        assert!((fct - 0.012).abs() < 0.001, "CBR pace off: {fct}");
     }
 
     #[test]

@@ -353,21 +353,7 @@ impl TcpTx {
             if end <= self.snd_una {
                 continue;
             }
-            let mut s0 = start.max(self.snd_una);
-            let mut e0 = end;
-            // Merge with overlapping/touching existing ranges.
-            let overlapping: Vec<u64> = self
-                .sacked
-                .range(..=e0)
-                .filter(|&(&s, &e)| e >= s0 && s <= e0)
-                .map(|(&s, _)| s)
-                .collect();
-            for s in overlapping {
-                let e = self.sacked.remove(&s).expect("key exists");
-                s0 = s0.min(s);
-                e0 = e0.max(e);
-            }
-            self.sacked.insert(s0, e0);
+            merge_range(&mut self.sacked, start.max(self.snd_una), end);
         }
         // Prune below the cumulative ACK.
         while let Some((&s, &e)) = self.sacked.first_key_value() {
@@ -471,6 +457,23 @@ impl TcpTx {
     }
 }
 
+/// Insert `[start, end)` into `ranges` — disjoint, non-touching `start →
+/// end` byte ranges, the sender's SACK scoreboard or the receiver's
+/// out-of-order map — merging every range it overlaps or touches into one.
+/// Those form a run at the top of `ranges.range(..=end)`, since the stored
+/// ranges neither overlap nor touch one another.
+fn merge_range(ranges: &mut BTreeMap<u64, u64>, mut start: u64, mut end: u64) {
+    while let Some((&s, &e)) = ranges.range(..=end).next_back() {
+        if e < start {
+            break;
+        }
+        ranges.remove(&s);
+        start = start.min(s);
+        end = end.max(e);
+    }
+    ranges.insert(start, end);
+}
+
 /// TCP receiver: tracks the in-order prefix and out-of-order segments,
 /// producing cumulative ACKs.
 #[derive(Debug, Clone, Default)]
@@ -530,22 +533,7 @@ impl TcpRx {
             }
         }
         self.bytes_received += new_bytes;
-        // Merge [new_start, end) into the out-of-order map.
-        let mut start = new_start;
-        let mut stop = end;
-        // Absorb any ranges that overlap or touch.
-        let overlapping: Vec<u64> = self
-            .ooo
-            .range(..=stop)
-            .filter(|&(&s, &e)| e >= start && s <= stop)
-            .map(|(&s, _)| s)
-            .collect();
-        for s in overlapping {
-            let e = self.ooo.remove(&s).expect("key exists");
-            start = start.min(s);
-            stop = stop.max(e);
-        }
-        self.ooo.insert(start, stop);
+        merge_range(&mut self.ooo, new_start, end);
         // Advance the in-order prefix.
         while let Some((&s, &e)) = self.ooo.first_key_value() {
             if s <= self.rcv_nxt {
@@ -950,5 +938,58 @@ mod tests {
             &mut fin,
         );
         assert!(tx.done());
+    }
+
+    /// One table for the range merge both ends share: the sender's SACK
+    /// scoreboard (above `snd_una`) and the receiver's out-of-order map
+    /// (above `rcv_nxt`) start from the same held ranges with the base at
+    /// 1000, take the same insert, and must hold the same ranges after —
+    /// except that a range starting at the base is the receiver's new
+    /// in-order prefix instead.
+    #[test]
+    fn sender_and_receiver_merge_ranges_alike() {
+        type Ranges = &'static [(u64, u64)];
+        let held: Ranges = &[(2000, 3000), (4000, 5000)];
+        let cases: [(&str, (u64, u64), Ranges); 8] = [
+            (
+                "disjoint",
+                (6000, 7000),
+                &[(2000, 3000), (4000, 5000), (6000, 7000)],
+            ),
+            ("touching both", (3000, 4000), &[(2000, 5000)]),
+            ("touching one", (5000, 5500), &[(2000, 3000), (4000, 5500)]),
+            ("overlapping", (2500, 3500), &[(2000, 3500), (4000, 5000)]),
+            ("nested", (2200, 2800), &[(2000, 3000), (4000, 5000)]),
+            ("spanning", (1500, 5500), &[(1500, 5500)]),
+            ("below the base", (200, 900), &[(2000, 3000), (4000, 5000)]),
+            (
+                "straddling the base",
+                (800, 1500),
+                &[(1000, 1500), (2000, 3000), (4000, 5000)],
+            ),
+        ];
+        for (name, (start, end), want) in cases {
+            let want: BTreeMap<u64, u64> = want.iter().copied().collect();
+
+            let mut tx = TcpTx::new(cfg(), 10_000);
+            tx.snd_una = 1000;
+            for &(s, e) in held.iter().chain([&(start, end)]) {
+                let mut sack = SackBlocks::default();
+                sack.push(s, e);
+                tx.absorb_sack(&sack);
+            }
+            assert_eq!(tx.sacked, want, "sender: {name}");
+
+            let mut rx = TcpRx {
+                rcv_nxt: 1000,
+                ..TcpRx::default()
+            };
+            for &(s, e) in held.iter().chain([&(start, end)]) {
+                rx.on_data(s, (e - s) as u32);
+            }
+            let mut want = want;
+            let prefix = want.remove(&1000).unwrap_or(1000);
+            assert_eq!((rx.rcv_nxt, &rx.ooo), (prefix, &want), "receiver: {name}");
+        }
     }
 }

@@ -8,7 +8,7 @@
 //! * [`net`] — packets with the CONGA overlay header, drop-tail ports,
 //!   Leaf-Spine topologies with failure injection, the forwarding engine;
 //! * [`transport`] — per-packet TCP (SACK-style recovery, configurable
-//!   minRTO), MPTCP with LIA coupling, CBR senders;
+//!   minRTO) and MPTCP with LIA coupling;
 //! * [`core`] — the CONGA dataplane (DRE, flowlet table, leaf-to-leaf
 //!   congestion feedback) and the baseline load balancers;
 //! * [`workloads`] — empirical flow-size distributions and traffic

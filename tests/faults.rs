@@ -176,7 +176,7 @@ fn cross_shard_link_fault_is_shard_count_invariant() {
         spec.recover_at = SimTime::from_millis(28);
         spec.slice = SimDuration::from_millis(4);
         spec.link = (0, 1, 0); // Leaf0–Spine1: tx domain 0, rx domain 1
-        spec.shards = shards;
+        spec.fct.shards = shards;
         spec
     };
     let serial = run_dynamic_failure(&mk(1));
@@ -292,8 +292,20 @@ fn rto_carries_a_flow_across_a_full_partition() {
     // Cut every Leaf0 uplink while the first window is on the wire; bring
     // them back at 150 ms, before the ~200 ms minimum RTO fires.
     for spine in 0..2 {
-        net.schedule_link_fault(SimTime::from_micros(40), LeafId(0), SpineId(spine), 0);
-        net.schedule_link_recovery(SimTime::from_millis(150), LeafId(0), SpineId(spine), 0);
+        net.schedule_link(
+            SimTime::from_micros(40),
+            LeafId(0),
+            SpineId(spine),
+            0,
+            false,
+        );
+        net.schedule_link(
+            SimTime::from_millis(150),
+            LeafId(0),
+            SpineId(spine),
+            0,
+            true,
+        );
     }
     net.run_until(SimTime::from_secs(5));
 

@@ -30,7 +30,7 @@ fn golden_spec() -> DynFailSpec {
     spec.fail_at = SimTime::from_millis(20);
     spec.recover_at = SimTime::from_millis(30);
     spec.slice = SimDuration::from_millis(5);
-    spec.trace = Some(TraceSpec {
+    spec.fct.trace = Some(TraceSpec {
         flows: Some(vec![0, 1, 2]),
         ring: None,
     });
@@ -79,9 +79,9 @@ fn artifacts_match_pre_optimisation_goldens() {
 #[test]
 fn queue_kinds_are_equivalent() {
     let mut heap = golden_spec();
-    heap.queue = QueueKind::Heap;
+    heap.fct.queue = QueueKind::Heap;
     let mut calendar = golden_spec();
-    calendar.queue = QueueKind::Calendar;
+    calendar.fct.queue = QueueKind::Calendar;
     let (report_h, trace_h) = run_cell(&heap);
     let (report_c, trace_c) = run_cell(&calendar);
     assert!(

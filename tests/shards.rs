@@ -117,11 +117,11 @@ fn dynfail_artifacts_identical_across_shard_counts() {
         spec.fail_at = SimTime::from_millis(20);
         spec.recover_at = SimTime::from_millis(30);
         spec.slice = SimDuration::from_millis(5);
-        spec.trace = Some(TraceSpec {
+        spec.fct.trace = Some(TraceSpec {
             flows: Some(vec![0, 1, 2]),
             ring: None,
         });
-        spec.shards = shards;
+        spec.fct.shards = shards;
         spec
     };
     let run = |shards: usize| {
