@@ -142,9 +142,6 @@ pub fn dynfail_cell(
 /// What a dynamic-failure run produced.
 #[derive(Clone, Debug)]
 pub struct DynFailOutcome {
-    /// Payload bytes delivered in each slice `((i)·slice, (i+1)·slice]`,
-    /// covering the offered-load window.
-    pub delivered_per_slice: Vec<u64>,
     /// Mean delivered throughput (bps) over the second half of the
     /// pre-failure phase (the first half is open-loop warm-up: long flows
     /// are still ramping, so delivered throughput climbs toward the offered
@@ -165,9 +162,8 @@ pub struct DynFailOutcome {
     /// Packets blackholed *after* the recovery transition — must be zero:
     /// once the link is back, nothing may keep falling into it.
     pub post_recovery_blackholed: u64,
-    /// Simulated end of the run.
-    pub end_time: SimTime,
-    /// The deterministic telemetry artifact.
+    /// The deterministic telemetry artifact; `run.delivered_bytes_per_slice`
+    /// holds the payload bytes delivered in each slice of the window.
     pub report: RunReport,
     /// The trace recorder handle, if tracing was requested.
     pub trace: Option<conga_trace::TraceHandle>,
@@ -299,7 +295,6 @@ pub fn run_dynamic_failure(spec: &DynFailSpec) -> DynFailOutcome {
     }
 
     DynFailOutcome {
-        delivered_per_slice: per_slice,
         pre_bps,
         during_bps,
         post_bps,
@@ -307,7 +302,6 @@ pub fn run_dynamic_failure(spec: &DynFailSpec) -> DynFailOutcome {
         stranded,
         blackholed,
         post_recovery_blackholed,
-        end_time: run.net.now(),
         report,
         trace: run.merged_trace(),
     }
@@ -317,8 +311,8 @@ pub fn run_dynamic_failure(spec: &DynFailSpec) -> DynFailOutcome {
 mod tests {
     use super::*;
     use crate::fleet::tests::{assert_key_coverage, Edit};
-    use crate::runner::TraceSpec;
     use conga_sim::QueueKind;
+    use conga_trace::TraceConfig;
 
     #[test]
     fn every_simulation_reaching_field_of_a_dynfail_cell_reaches_the_hash() {
@@ -342,7 +336,7 @@ mod tests {
             ("fct.faults", |s| s.fct.faults.clear()),
             ("fct.queue", |s| s.fct.queue = QueueKind::Heap),
             ("fct.shards", |s| s.fct.shards = 4),
-            ("fct.trace", |s| s.fct.trace = Some(TraceSpec::default())),
+            ("fct.trace", |s| s.fct.trace = Some(TraceConfig::all())),
         ];
         assert_key_coverage(base, hash, reaching, inert);
     }

@@ -110,8 +110,8 @@ pub fn fig11_static(args: &Args) -> bool {
 
 /// Run `cfg` on the monolithic engine — [`crate::runner::run_fct`] samples
 /// leaf 0's uplinks every 10 ms; this samples the hotspot, the surviving
-/// Spine1→Leaf1 channel, every 1 ms — and return its queue depths in bytes
-/// plus the run's telemetry report.
+/// Spine1→Leaf1 channel, every 1 ms — and return its queue depths in bytes,
+/// read from the run's telemetry report, plus the report.
 fn hotspot_queue(cfg: &FctRun) -> (Vec<f64>, RunReport) {
     let topo = build_testbed(cfg.topo);
     let hotspot: Vec<ChannelId> = topo
@@ -139,6 +139,7 @@ fn hotspot_queue(cfg: &FctRun) -> (Vec<f64>, RunReport) {
     if let Some(e) = cfg.ecn_config() {
         net.set_ecn(e);
     }
+    let queue_name = format!("port.{:04}.queue_bytes", hotspot[0].idx());
     net.enable_sampling(hotspot, SimDuration::from_millis(1));
     start_source(&mut net, arrivals);
     run_until_received(
@@ -147,11 +148,9 @@ fn hotspot_queue(cfg: &FctRun) -> (Vec<f64>, RunReport) {
         SimDuration::from_millis(50),
         SimTime::from_nanos(span_ns) + SimDuration::from_secs(8),
     );
-    let queue = net.samples.queue_bytes[0]
-        .iter()
-        .map(|&b| b as f64)
-        .collect();
-    (queue, build_report(&net, cfg))
+    let report = build_report(&net, cfg);
+    let queue = report.metrics.series(&queue_name);
+    (queue.iter().map(|&(_, b)| b).collect(), report)
 }
 
 /// Figure 16's 9 random distinct (leaf, spine, parallel) links to fail.

@@ -3,9 +3,9 @@
 
 use crate::cli::{banner, or_usage, Args};
 use crate::fleet::{fct_cell, run_cells, FleetOpts};
-use crate::runner::{FctRun, LinkFaultSpec, Scheme, TestbedOpts, TraceSpec};
+use crate::runner::{FctRun, LinkFaultSpec, Scheme, TestbedOpts};
 use conga_trace::json::write_json_f64;
-use conga_trace::TraceHandle;
+use conga_trace::{TraceConfig, TraceHandle};
 use conga_workloads::FlowSizeDist;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -79,7 +79,7 @@ pub struct TraceArgs {
     /// Output directory for the `.trace.jsonl` / `.trace.chrome.json` files.
     pub dir: PathBuf,
     /// What to record (flow sampling, ring bound).
-    pub spec: TraceSpec,
+    pub spec: TraceConfig,
 }
 
 /// The structured-tracing flags shared by every figure:
@@ -92,8 +92,8 @@ pub struct TraceArgs {
 pub fn trace_args(args: &Args) -> Option<TraceArgs> {
     Some(TraceArgs {
         dir: args.trace.clone()?,
-        spec: TraceSpec {
-            flows: args.trace_flows.clone(),
+        spec: TraceConfig {
+            flows: args.trace_flows.clone().map(|f| f.into_iter().collect()),
             ring: args.trace_ring,
         },
     })

@@ -289,6 +289,7 @@ pub(crate) mod tests {
     fn every_simulation_reaching_field_of_an_fct_cell_reaches_the_hash() {
         use crate::runner::{CoreLinkFaultSpec, LinkFaultSpec};
         use conga_sim::{QueueKind, SimDuration, SimTime};
+        use conga_trace::TraceConfig;
         use conga_transport::CcKind;
         // One runtime fault of each kind, so their fields have a value to
         // move; nothing here is built or run.
@@ -330,7 +331,6 @@ pub(crate) mod tests {
             ("tcp.dupack_thresh", |c| c.tcp.dupack_thresh = 2),
             ("tcp.max_burst", |c| c.tcp.max_burst = 4),
             ("tcp.rwnd", |c| c.tcp.rwnd = 65_536),
-            ("tcp.cc", |c| c.tcp.cc = CcKind::Cubic),
             ("cc", |c| c.cc = CcKind::Dctcp),
             ("ecn_threshold_pkts", |c| c.ecn_threshold_pkts = Some(20)),
             ("sample_uplinks", |c| c.sample_uplinks = true),
@@ -351,13 +351,13 @@ pub(crate) mod tests {
             ("sketch", |c| c.sketch = true),
         ];
         // The three execution knobs move no artifact byte (tests/hotpath.rs,
-        // tests/shards.rs, tests/trace.rs), so they must not move the key.
+        // tests/shards.rs, tests/trace.rs), so they must not move the key;
+        // nor does `tcp.cc`, which `cc` overrides.
         let inert: &[Edit<FctRun>] = &[
+            ("tcp.cc", |c| c.tcp.cc = CcKind::Cubic),
             ("queue", |c| c.queue = QueueKind::Heap),
             ("shards", |c| c.shards = 4),
-            ("trace", |c| {
-                c.trace = Some(crate::runner::TraceSpec::default())
-            }),
+            ("trace", |c| c.trace = Some(TraceConfig::all())),
         ];
         assert_key_coverage(base, hash, reaching, inert);
         // `figure` and `label` are part of the key too; `--quick` is not —
@@ -373,7 +373,8 @@ pub(crate) mod tests {
     #[test]
     fn the_key_of_a_default_fct_cell_is_this_text() {
         // The key format, literally. An edit that moves it re-keys every
-        // cached cell: bump `CACHE_FORMAT_VERSION` in the same change.
+        // cached cell, so old entries simply miss; `CACHE_FORMAT_VERSION`
+        // moves only when simulation semantics or the entry layout do.
         let cfg = FctRun::new(
             TestbedOpts::paper_baseline(),
             Scheme::Conga,
@@ -395,7 +396,6 @@ pub(crate) mod tests {
              seed=1\n\
              tcp=mss1460 init_cwnd10 min_rto200000000ns max_rto2000000000ns dupack3 \
              max_burst10 rwnd524288 cc:aimd\n\
-             cc=aimd\n\
              ecn=none\n\
              sample_uplinks=false\n\
              faults=\n\

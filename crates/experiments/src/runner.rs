@@ -6,11 +6,12 @@ use conga_analysis::sketch::{FctAccumulator, FctSketch};
 use conga_core::FabricPolicy;
 use conga_fleet::Scenario;
 use conga_net::{
-    ChannelId, CoreId, EcnConfig, HostId, LeafId, LeafSpineBuilder, Network, ShardedNetwork,
-    SpineId, Topology, TopologyBuilder, WIRE_OVERHEAD,
+    CoreId, EcnConfig, HostId, LeafId, LeafSpineBuilder, Network, ShardedNetwork, SpineId,
+    Topology, TopologyBuilder, WIRE_OVERHEAD,
 };
 use conga_sim::{QueueKind, SimDuration, SimRng, SimTime};
 use conga_telemetry::{RunReport, SeriesRegistry};
+use conga_trace::{TraceConfig, TraceHandle};
 use conga_transport::{
     CcKind, FlowRecord, FlowSpec, ListSource, MptcpConfig, TcpConfig, TransportKind, TransportLayer,
 };
@@ -409,34 +410,9 @@ pub(crate) fn tcp_spec(tcp: &TcpConfig) -> String {
     )
 }
 
-/// Structured event-tracing options for a run: which flows to sample and
-/// whether to bound the recorder to a flight-recorder ring.
-#[derive(Clone, Debug, Default)]
-pub struct TraceSpec {
-    /// Sample only these flow ids (`None` = every flow).
-    pub flows: Option<Vec<u32>>,
-    /// Keep only the most recent N events (`None` = unbounded).
-    pub ring: Option<usize>,
-}
-
-impl TraceSpec {
-    /// The recorder configuration this spec describes.
-    pub fn config(&self) -> conga_trace::TraceConfig {
-        let mut cfg = match &self.flows {
-            Some(f) => conga_trace::TraceConfig::for_flows(f.iter().copied()),
-            None => conga_trace::TraceConfig::all(),
-        };
-        if let Some(n) = self.ring {
-            cfg = cfg.with_ring(n);
-        }
-        cfg
-    }
-
-    /// Build the corresponding recorder handle.
-    pub fn handle(&self) -> conga_trace::TraceHandle {
-        conga_trace::TraceHandle::recording(self.config())
-    }
-}
+/// The former name of [`TraceConfig`], kept for `congabench`, which
+/// names it.
+pub type TraceSpec = TraceConfig;
 
 /// An FCT experiment specification.
 #[derive(Clone, Debug)]
@@ -456,8 +432,8 @@ pub struct FctRun {
     pub seed: u64,
     /// TCP parameters.
     pub tcp: TcpConfig,
-    /// Congestion controller every flow runs (`cc.with_cc` is applied to
-    /// `tcp` at run time, so `tcp.cc` need not be kept in sync).
+    /// Congestion controller every flow runs (`tcp.with_cc(cc)` is what
+    /// the cell runs, so `tcp.cc` is not read).
     pub cc: CcKind,
     /// ECN marking threshold in packets; `None` = the controller default
     /// ([`DCTCP_DEFAULT_ECN_PKTS`] for DCTCP, ECN off otherwise).
@@ -478,7 +454,7 @@ pub struct FctRun {
     /// keeps the exact path and its byte-identical goldens.
     pub sketch: bool,
     /// Structured event tracing (`None` = disabled; zero overhead).
-    pub trace: Option<TraceSpec>,
+    pub trace: Option<TraceConfig>,
     /// Future-event-list implementation. Purely a performance knob —
     /// both kinds are observationally identical (`tests/hotpath.rs`) —
     /// so it is deliberately *not* part of the cell's scenario hash.
@@ -561,15 +537,15 @@ impl FctRun {
             queue: _,
             shards: _,
         } = self;
-        // `{dist:?}` is the derive: the name and every CDF breakpoint.
+        // `{dist:?}` is the derive: the name and every CDF breakpoint. The
+        // transport is the one the cell runs, `tcp` under `cc`.
         format!(
             "topo={}\nscheme={}\ndist={dist:?}\nload={load}\nn_flows={n_flows}\nseed={seed}\n\
-             tcp={}\ncc={}\necn={}\nsample_uplinks={sample_uplinks}\nfaults={}\n\
+             tcp={}\necn={}\nsample_uplinks={sample_uplinks}\nfaults={}\n\
              core_faults={}\nsketch={sketch}\n",
             topo.spec(),
             scheme.name(),
-            tcp_spec(tcp),
-            cc.name(),
+            tcp_spec(&tcp.with_cc(*cc)),
             ecn_threshold_pkts.map_or("none".to_string(), |pkts| pkts.to_string()),
             schedule(faults, LinkFaultSpec::spec),
             schedule(core_faults, CoreLinkFaultSpec::spec),
@@ -600,16 +576,10 @@ pub struct FctOutcome {
     pub retx_bytes: u64,
     /// Total RTO firings.
     pub timeouts: u64,
-    /// Simulated time at which the run ended.
-    pub end_time: SimTime,
-    /// Leaf-0 uplink cumulative tx-byte samples (if sampling enabled).
-    pub uplink_tx_samples: Vec<Vec<u64>>,
-    /// Per-sampled-channel queue-depth samples (if sampling enabled).
-    pub uplink_queue_samples: Vec<Vec<u64>>,
-    /// Mean queue depth in bytes per fabric channel, by channel id.
-    pub fabric_mean_queues: Vec<(ChannelId, f64)>,
     /// The run-level telemetry artifact: every engine, port, dataplane and
-    /// transport counter, serializable to deterministic JSON.
+    /// transport counter, plus the raw samples of leaf 0's uplinks
+    /// (`port.NNNN.{queue_bytes,tx_bytes}`) when `sample_uplinks` was set,
+    /// serializable to deterministic JSON.
     pub report: RunReport,
     /// Windowed time-series sampled on simulated-time boundaries (empty
     /// unless `sample_uplinks` was set): per-uplink queue depth and
@@ -619,8 +589,8 @@ pub struct FctOutcome {
     /// `shards` value.
     pub series: SeriesRegistry,
     /// The trace recorder handle, if tracing was requested. Export with
-    /// [`conga_trace::TraceHandle::export_jsonl`] / `export_chrome`.
-    pub trace: Option<conga_trace::TraceHandle>,
+    /// [`TraceHandle::export_jsonl`] / `export_chrome`.
+    pub trace: Option<TraceHandle>,
     /// The streaming percentile sketch, when [`FctRun::sketch`] was set
     /// (`None` on the exact path). Its [`FctSketch::canonical`] form is
     /// byte-identical across `--shards` and merge orders.
@@ -817,8 +787,8 @@ pub(crate) fn run_until_received(
 pub struct ShardedRun {
     /// The coordinated per-domain networks.
     pub net: ShardedNetwork<FabricPolicy, TransportLayer>,
-    tracer_parts: Vec<conga_trace::TraceHandle>,
-    trace_cfg: Option<conga_trace::TraceConfig>,
+    tracer_parts: Vec<TraceHandle>,
+    trace_cfg: Option<TraceConfig>,
 }
 
 impl ShardedRun {
@@ -834,12 +804,12 @@ impl ShardedRun {
         shards: usize,
         queue: QueueKind,
         ecn: Option<EcnConfig>,
-        trace: Option<&TraceSpec>,
+        trace: Option<&TraceConfig>,
         faults: &[LinkFaultSpec],
         core_faults: &[CoreLinkFaultSpec],
         arrivals: &[(SimTime, FlowSpec)],
     ) -> Self {
-        let trace_cfg = trace.map(|t| t.config());
+        let trace_cfg = trace.cloned();
         let mut net = ShardedNetwork::new(topo, seed, shards, |_| {
             (policy.clone(), TransportLayer::new())
         });
@@ -852,7 +822,7 @@ impl ShardedRun {
                 n.set_ecn(e);
             }
             if let Some(cfg) = &trace_cfg {
-                let h = conga_trace::TraceHandle::recording(cfg.clone());
+                let h = TraceHandle::recording(cfg.clone());
                 n.set_tracer(h.clone());
                 tracer_parts.push(h);
             }
@@ -932,16 +902,16 @@ impl ShardedRun {
     /// The raw per-domain trace recorders (one per leaf domain, empty when
     /// tracing is off) — the property battery inspects these for
     /// within-shard event ordering before any merge.
-    pub fn trace_parts(&self) -> &[conga_trace::TraceHandle] {
+    pub fn trace_parts(&self) -> &[TraceHandle] {
         &self.tracer_parts
     }
 
     /// Deterministically merge the per-domain trace streams, if tracing was
     /// requested. Call after the run has finished.
-    pub fn merged_trace(&self) -> Option<conga_trace::TraceHandle> {
+    pub fn merged_trace(&self) -> Option<TraceHandle> {
         self.trace_cfg
             .as_ref()
-            .map(|cfg| conga_trace::TraceHandle::merged(cfg.clone(), &self.tracer_parts))
+            .map(|cfg| TraceHandle::merged(cfg.clone(), &self.tracer_parts))
     }
 }
 
@@ -989,7 +959,7 @@ pub fn run_fct_with_policy(cfg: &FctRun, policy: FabricPolicy) -> FctOutcome {
     if cfg.sample_uplinks {
         // Leaf 0's uplinks are all owned by domain 0, so sampling there
         // observes exactly what the monolithic engine would. Every other
-        // domain gets the same periodic tick with no port columns: the
+        // domain gets the same periodic tick with no sampled channel: the
         // dataplane/transport sampling hooks must fire on identical
         // window boundaries in the domains that own their state, so the
         // by-window series merge reproduces a monolithic run.
@@ -1082,20 +1052,6 @@ pub fn run_fct_with_policy(cfg: &FctRun, policy: FabricPolicy) -> FctOutcome {
     let (retx_bytes, timeouts) = (0..run.net.n_domains())
         .flat_map(|d| &run.net.domain(d).agent.records)
         .fold((0, 0), |(b, t), r| (b + r.retx_bytes, t + r.timeouts));
-    let fabric_mean_queues = {
-        let now = run.net.now();
-        let chans: Vec<ChannelId> = (0..topo.channels.len() as u32)
-            .map(ChannelId)
-            .filter(|c| topo.channel(*c).kind.is_fabric())
-            .collect();
-        chans
-            .into_iter()
-            .map(|c| {
-                let d = run.net.tx_domain(c);
-                (c, run.net.domain_mut(d).port_mut(c).mean_queue_bytes(now))
-            })
-            .collect()
-    };
     let mut report = fct_meta(
         cfg,
         conga_net::Dataplane::name(&run.net.domain(0).dataplane),
@@ -1122,10 +1078,6 @@ pub fn run_fct_with_policy(cfg: &FctRun, policy: FabricPolicy) -> FctOutcome {
         drops: run.total_drops(),
         retx_bytes,
         timeouts,
-        end_time: run.net.now(),
-        uplink_tx_samples: run.net.domain(0).samples.tx_bytes.clone(),
-        uplink_queue_samples: run.net.domain(0).samples.queue_bytes.clone(),
-        fabric_mean_queues,
         report,
         series,
         trace,

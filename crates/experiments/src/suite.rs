@@ -19,7 +19,7 @@ use crate::figures::{
 };
 use crate::fleet::{cell, fct_cell_with, run_cells, FleetCell, FleetOpts};
 use crate::runner::{
-    run_until_received, start_source, tcp_spec, FctOutcome, FctRun, Scheme, TestbedOpts, TraceSpec,
+    run_until_received, start_source, tcp_spec, FctOutcome, FctRun, Scheme, TestbedOpts,
 };
 use crate::{ablation, analytic, asymmetry, failures, hdfs, scale, tournament};
 use conga_analysis::imbalance::throughput_imbalance;
@@ -28,6 +28,7 @@ use conga_fleet::{CellResult, Scenario};
 use conga_net::{HostId, LeafSpineBuilder, Network};
 use conga_sim::{SimDuration, SimRng, SimTime};
 use conga_telemetry::RunReport;
+use conga_trace::{TraceConfig, TraceHandle};
 use conga_transport::{FlowSpec, TcpConfig, TransportLayer};
 use conga_workloads::{FlowSizeDist, IncastPattern};
 use std::fmt::Write as _;
@@ -285,14 +286,22 @@ pub fn fig12(args: &Args) -> bool {
 }
 
 /// What a Figure-12 cell caches beyond the standard FCT contribution: the
-/// imbalance percentiles, derived in-worker (uplink samples are too bulky
-/// to cache; the four percentiles are what the figure needs).
+/// imbalance percentiles, derived in-worker from the report's
+/// `port.NNNN.tx_bytes` samples of leaf 0's uplinks (the four percentiles
+/// are what the figure needs).
 fn imbalance(out: &FctOutcome, r: &mut CellResult) {
+    let tx: Vec<Vec<u64>> = out
+        .report
+        .metrics
+        .all_series()
+        .filter(|(name, _)| name.starts_with("port.") && name.ends_with(".tx_bytes"))
+        .map(|(_, samples)| samples.iter().map(|&(_, bytes)| bytes as u64).collect())
+        .collect();
     // Only windows where the uplinks average at least 10% utilized say
     // anything about balance (idle head/tail windows would otherwise
     // dominate the percentiles).
     let min_avg = 0.10 * 40e9 * 0.010 / 8.0;
-    let imb = throughput_imbalance(&out.uplink_tx_samples, min_avg);
+    let imb = throughput_imbalance(&tx, min_avg);
     r.values.insert("n_windows".into(), imb.len() as f64);
     for (k, p) in [("p25", 25.0), ("p50", 50.0), ("p75", 75.0), ("p95", 95.0)] {
         if let Some(v) = percentile(&imb, p) {
@@ -419,8 +428,8 @@ pub fn run_incast(
     fanout: u32,
     tcp: TcpConfig,
     seed: u64,
-    trace: Option<&TraceSpec>,
-) -> (f64, RunReport, Option<conga_trace::TraceHandle>) {
+    trace: Option<&TraceConfig>,
+) -> (f64, RunReport, Option<TraceHandle>) {
     conga_fleet::stats::note_cell_run();
     let topo = LeafSpineBuilder::new(2, 2, 32)
         .host_rate_gbps(10)
@@ -428,7 +437,7 @@ pub fn run_incast(
         .parallel_links(2)
         .build();
     let mut net = Network::new(topo, scheme.policy(), TransportLayer::new(), seed);
-    let trace = trace.map(|spec| spec.handle());
+    let trace = trace.map(|cfg| TraceHandle::recording(cfg.clone()));
     if let Some(t) = &trace {
         net.set_tracer(t.clone());
     }

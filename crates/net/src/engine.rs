@@ -209,20 +209,6 @@ enum Ev {
     Fault { ch: ChannelId, up: bool },
 }
 
-/// Periodic per-channel sample log (queue depth and cumulative tx bytes),
-/// used for the throughput-imbalance and queue-CDF figures.
-#[derive(Debug, Default, Clone)]
-pub struct SampleLog {
-    /// Sampled channels, in column order.
-    pub channels: Vec<ChannelId>,
-    /// Sample timestamps.
-    pub times: Vec<SimTime>,
-    /// `queue_bytes[col][row]` — queue depth of channel `col` at sample `row`.
-    pub queue_bytes: Vec<Vec<u64>>,
-    /// `tx_bytes[col][row]` — cumulative bytes transmitted.
-    pub tx_bytes: Vec<Vec<u64>>,
-}
-
 /// Shard identity installed on a [`Network`] that models one domain of a
 /// sharded run (see `crate::shard`). Every domain replicates the full
 /// topology but *owns* only the channels whose source node lies in it:
@@ -314,8 +300,6 @@ pub struct Network<D: Dataplane, A: HostAgent> {
     pub rng: SimRng,
     /// Engine counters.
     pub stats: EngineStats,
-    /// Periodic sample log (empty unless sampling was enabled).
-    pub samples: SampleLog,
     /// Windowed time-series gauges recorded on sampling boundaries
     /// (disabled unless sampling was enabled): per-channel queue depth
     /// and utilization plus whatever the dataplane and host agent
@@ -334,8 +318,13 @@ pub struct Network<D: Dataplane, A: HostAgent> {
     /// events compare it against the value captured at transmission start
     /// to blackhole packets the failure caught on the wire.
     fail_epoch: Vec<u32>,
-    /// Applied transitions `(time, channel, up)` in order, for telemetry.
-    fault_log: Vec<(SimTime, ChannelId, bool)>,
+    /// What the run records over time, exported verbatim by
+    /// [`Network::export_metrics`]: each sampled channel's raw
+    /// `port.NNNN.{queue_bytes,tx_bytes}` and every applied link-state
+    /// transition as `net.link_up.NNNN`.
+    log: MetricsRegistry,
+    /// Sampled channels with their tx-byte reading at the previous tick.
+    sampled: Vec<(ChannelId, u64)>,
     sample_every: Option<SimDuration>,
     scratch: Emitter,
     /// Reusable buffer for packets flushed off a failing link's queue
@@ -385,7 +374,6 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
             agent,
             rng: SimRng::new(seed),
             stats: EngineStats::default(),
-            samples: SampleLog::default(),
             series: SeriesRegistry::disabled(),
             ports,
             events: EventQueue::with_capacity(1 << 16),
@@ -393,7 +381,8 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
             next_pkt_id: 0,
             link_up: vec![true; nc],
             fail_epoch: vec![0; nc],
-            fault_log: Vec::new(),
+            log: MetricsRegistry::new(),
+            sampled: Vec::new(),
             sample_every: None,
             scratch: Emitter::default(),
             scratch_flush: Vec::new(),
@@ -484,9 +473,7 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
     /// domain still needs the periodic tick so its dataplane/agent
     /// `sample_series` hooks fire on identical boundaries.
     pub fn enable_sampling(&mut self, channels: Vec<ChannelId>, every: SimDuration) {
-        self.samples.queue_bytes = vec![Vec::new(); channels.len()];
-        self.samples.tx_bytes = vec![Vec::new(); channels.len()];
-        self.samples.channels = channels;
+        self.sampled = channels.into_iter().map(|ch| (ch, 0)).collect();
         self.sample_every = Some(every);
         self.series = SeriesRegistry::new(every);
         self.events.push(self.now + every, Ev::Sample);
@@ -500,9 +487,10 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
     /// Export every engine-level metric into `reg`: the [`EngineStats`]
     /// counters under `engine.*`, per-port counters under `port.NNNN.*`
     /// (zero-padded channel index, so sorted keys follow channel order),
-    /// any enabled [`SampleLog`] columns as `port.NNNN.queue_bytes` /
-    /// `port.NNNN.tx_bytes` time series, and whatever the dataplane and
-    /// host agent export under `dataplane.*` / `transport.*`.
+    /// the run's time log (sampled channels' `port.NNNN.queue_bytes` /
+    /// `port.NNNN.tx_bytes`, link transitions as `net.link_up.NNNN`), and
+    /// whatever the dataplane and host agent export under `dataplane.*` /
+    /// `transport.*`.
     ///
     /// The result is a pure function of the simulation state, so two runs
     /// with identical seeds export identical registries.
@@ -542,22 +530,9 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
             "engine.inflight_pkts",
             self.stats.injected_pkts as i64 - accounted as i64,
         );
-        // Link-state transition series: one 0/1 series per faulted channel,
-        // in applied order (appends within a name stay time-ordered).
-        for &(t, ch, up) in &self.fault_log {
-            let name = format!("net.link_up.{:04}", ch.idx());
-            reg.sample(&name, t, if up { 1.0 } else { 0.0 });
-        }
+        reg.absorb(&self.log);
         for (i, port) in self.ports.iter().enumerate() {
             port.export_metrics(&format!("port.{i:04}"), reg);
-        }
-        for (col, &ch) in self.samples.channels.iter().enumerate() {
-            let qname = format!("port.{:04}.queue_bytes", ch.idx());
-            let tname = format!("port.{:04}.tx_bytes", ch.idx());
-            for (row, &t) in self.samples.times.iter().enumerate() {
-                reg.sample(&qname, t, self.samples.queue_bytes[col][row] as f64);
-                reg.sample(&tname, t, self.samples.tx_bytes[col][row] as f64);
-            }
         }
         self.dataplane.export_metrics(reg);
         self.agent.export_metrics(reg);
@@ -645,7 +620,8 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
         let owns = self.shard.as_ref().is_none_or(|s| s.owns_tx[ch.idx()]);
         if owns {
             self.stats.fault_transitions += 1;
-            self.fault_log.push((self.now, ch, up));
+            let name = format!("net.link_up.{:04}", ch.idx());
+            self.log.sample(&name, self.now, if up { 1.0 } else { 0.0 });
             if self.tracer.enabled() {
                 self.tracer.emit(
                     self.now,
@@ -811,27 +787,26 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
     }
 
     fn take_sample(&mut self) {
-        self.samples.times.push(self.now);
-        for (col, &ch) in self.samples.channels.iter().enumerate() {
+        let every = self
+            .sample_every
+            .expect("only enable_sampling schedules a sample tick");
+        let dt_s = every.as_secs_f64();
+        for (ch, prev_tx) in &mut self.sampled {
             let p = &self.ports[ch.idx()];
+            let (queue, tx) = (p.queued_bytes() as f64, p.tx_bytes);
             // Utilization over the window that just closed: tx-byte
             // delta against the previous sample (cumulative counters
             // start at zero, so the first window needs no special case).
-            let prev_tx = self.samples.tx_bytes[col].last().copied().unwrap_or(0);
-            self.samples.queue_bytes[col].push(p.queued_bytes());
-            self.samples.tx_bytes[col].push(p.tx_bytes);
-            if let Some(every) = self.sample_every {
-                let rate = self.topo.channels[ch.idx()].rate_bps as f64;
-                let dt_s = every.as_secs_f64();
-                let util = ((p.tx_bytes - prev_tx) as f64 * 8.0) / (rate * dt_s).max(1e-12);
-                self.series.record(
-                    &format!("port.{:04}.queue_bytes", ch.idx()),
-                    self.now,
-                    p.queued_bytes() as f64,
-                );
-                self.series
-                    .record(&format!("port.{:04}.util", ch.idx()), self.now, util);
-            }
+            let rate = self.topo.channels[ch.idx()].rate_bps as f64;
+            let util = ((tx - *prev_tx) as f64 * 8.0) / (rate * dt_s).max(1e-12);
+            *prev_tx = tx;
+            let port = format!("port.{:04}", ch.idx());
+            let queue_name = format!("{port}.queue_bytes");
+            self.log.sample(&queue_name, self.now, queue);
+            self.log
+                .sample(&format!("{port}.tx_bytes"), self.now, tx as f64);
+            self.series.record(&queue_name, self.now, queue);
+            self.series.record(&format!("{port}.util"), self.now, util);
         }
         // Windowed ECN mark counts (deltas, so domain merges stay additive;
         // the mark *fraction* is derived after merging). Recorded every
@@ -846,9 +821,7 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
         }
         self.dataplane.sample_series(self.now, &mut self.series);
         self.agent.sample_series(self.now, &mut self.series);
-        if let Some(every) = self.sample_every {
-            self.events.push(self.now + every, Ev::Sample);
-        }
+        self.events.push(self.now + every, Ev::Sample);
     }
 
     /// Process packets/timers emitted by an agent callback.
@@ -1265,12 +1238,15 @@ mod tests {
             );
         }
         net.run_until(SimTime::from_millis(1));
+        let mut reg = MetricsRegistry::new();
+        net.export_metrics(&mut reg);
+        let rows: Vec<(&str, usize)> = reg.all_series().map(|(n, s)| (n, s.len())).collect();
+        assert_eq!(rows.len(), 4, "queue and tx bytes of two uplinks: {rows:?}");
         assert!(
-            net.samples.times.len() >= 9,
-            "got {}",
-            net.samples.times.len()
+            rows.iter()
+                .all(|&(n, len)| n.starts_with("port.") && len >= 9),
+            "{rows:?}"
         );
-        assert_eq!(net.samples.queue_bytes.len(), 2);
     }
 
     #[test]

@@ -17,8 +17,7 @@ mod shard;
 mod topology;
 
 pub use engine::{
-    inject, Dataplane, EcnConfig, Emitter, EngineStats, HostAgent, Network, SampleLog, ShardCtx,
-    SinkAgent,
+    inject, Dataplane, EcnConfig, Emitter, EngineStats, HostAgent, Network, ShardCtx, SinkAgent,
 };
 pub use ids::{ChannelId, CoreId, HostId, LeafId, NodeId, SpineId};
 pub use packet::{

@@ -115,6 +115,11 @@ impl MetricsRegistry {
         self.series.get(name).map(Vec::as_slice).unwrap_or(&[])
     }
 
+    /// Iterate `(name, samples)` over all time series in sorted name order.
+    pub fn all_series(&self) -> impl Iterator<Item = (&str, &[(u64, f64)])> {
+        self.series.iter().map(|(k, v)| (k.as_str(), v.as_slice()))
+    }
+
     /// Absorb a per-shard registry into this one: counters add, **gauges
     /// add**, series concatenate.
     ///

@@ -15,8 +15,9 @@
 //!    the binary-heap event queue and once on the calendar variant, and
 //!    the artifacts must be byte-identical (`queue_kinds_are_equivalent`).
 
-use conga::experiments::{run_dynamic_failure, DynFailSpec, Scheme, TraceSpec};
+use conga::experiments::{run_dynamic_failure, DynFailSpec, Scheme};
 use conga::sim::{QueueKind, SimDuration, SimTime};
+use conga::trace::TraceConfig;
 
 const GOLDEN_REPORT: &str = "tests/golden/fig11_dynamic.report.json";
 const GOLDEN_TRACE: &str = "tests/golden/fig11_dynamic.trace.jsonl";
@@ -30,8 +31,8 @@ fn golden_spec() -> DynFailSpec {
     spec.fail_at = SimTime::from_millis(20);
     spec.recover_at = SimTime::from_millis(30);
     spec.slice = SimDuration::from_millis(5);
-    spec.fct.trace = Some(TraceSpec {
-        flows: Some(vec![0, 1, 2]),
+    spec.fct.trace = Some(TraceConfig {
+        flows: Some([0, 1, 2].into()),
         ring: None,
     });
     spec

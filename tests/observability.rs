@@ -1,6 +1,6 @@
 //! Tier-1 gates for the time-series telemetry layer.
 //!
-//! Two contracts are pinned here. First, determinism: the per-window
+//! Three contracts are pinned here. First, determinism: the per-window
 //! series a run leaves behind (queue depth, utilization, DRE estimates,
 //! flowlet occupancy, active flows, and the derived imbalance-over-time
 //! series) are **byte identical** for any `--shards` count — the same
@@ -8,9 +8,12 @@
 //! Second, fidelity: the imbalance-over-time series must actually
 //! separate ECMP from CONGA — hash collisions leave ECMP's uplink
 //! utilization visibly skewed window after window, while
-//! congestion-aware flowlet balancing keeps the spread tight.
+//! congestion-aware flowlet balancing keeps the spread tight. Third,
+//! consistency: one sampling tick feeds both the RunReport's raw samples
+//! and the windowed series, and the two must say the same thing.
 
-use conga::experiments::{run_fct_with_policy, FctRun, Scheme, TestbedOpts};
+use conga::experiments::{build_testbed, run_fct_with_policy, FctRun, Scheme, TestbedOpts};
+use conga::sim::SimDuration;
 use conga::telemetry::SeriesRegistry;
 use conga::workloads::FlowSizeDist;
 
@@ -77,6 +80,56 @@ fn series_cover_all_layers() {
     // The derived imbalance series has real, finite values.
     let m = s.mean("imbalance.leaf0").expect("imbalance series sampled");
     assert!(m.is_finite() && m >= 0.0, "imbalance mean {m}");
+}
+
+/// The two outputs of one sampling tick agree, window by window, for every
+/// sampled uplink: the report's raw `port.NNNN.queue_bytes` is the series
+/// value, and the series' `port.NNNN.util` is the raw `port.NNNN.tx_bytes`
+/// delta × 8 / (rate × 10 ms).
+#[test]
+fn raw_samples_and_windowed_series_agree() {
+    let topo = TestbedOpts::paper_baseline().quick();
+    let cfg = sampled_cell(topo, Scheme::Conga, 0.6, 1);
+    let out = run_fct_with_policy(&cfg, Scheme::Conga.policy());
+    let fabric = build_testbed(topo);
+    let window_s = SimDuration::from_millis(10).as_secs_f64();
+    let raw = &out.report.metrics;
+    let mut ports = 0;
+    let mut busy_windows = 0;
+    for (name, tx) in raw.all_series().filter(|(n, _)| n.ends_with(".tx_bytes")) {
+        let port = name.strip_suffix(".tx_bytes").expect("filtered on it");
+        let ch: usize = port["port.".len()..].parse().expect("zero-padded index");
+        let rate = fabric.channels[ch].rate_bps as f64;
+        let queue = raw.series(&format!("{port}.queue_bytes"));
+        let queue_series = out.series.points(&format!("{port}.queue_bytes"));
+        let util_series = out.series.points(&format!("{port}.util"));
+        assert!(tx.len() > 1, "{port}: {} raw samples", tx.len());
+        assert_eq!(queue.len(), tx.len(), "{port}: raw queue rows");
+        assert_eq!(queue_series.len(), tx.len(), "{port}: queue windows");
+        assert_eq!(util_series.len(), tx.len(), "{port}: util windows");
+        let mut prev_tx = 0;
+        for (i, &(t, bytes)) in tx.iter().enumerate() {
+            let bytes = bytes as u64;
+            assert_eq!(queue[i].0, t, "{port}: raw rows share their tick");
+            assert_eq!(
+                queue_series[i].0, t,
+                "{port}: window {i} starts at its tick"
+            );
+            assert_eq!(queue_series[i].2, queue[i].1, "{port}: queue at {t} ns");
+            let util = ((bytes - prev_tx) as f64 * 8.0) / (rate * window_s);
+            assert_eq!(util_series[i].0, t, "{port}: window {i} starts at its tick");
+            assert_eq!(util_series[i].2, util, "{port}: util at {t} ns");
+            busy_windows += usize::from(util > 0.0);
+            prev_tx = bytes;
+        }
+        ports += 1;
+    }
+    let uplinks = fabric.fib().leaf_uplinks[0].len();
+    assert_eq!(
+        ports, uplinks,
+        "every leaf-0 uplink is sampled, and only those"
+    );
+    assert!(busy_windows > 0, "the cell carried traffic");
 }
 
 /// Figure-12's claim, read off the time axis: under sustained load on the

@@ -21,12 +21,11 @@
 //!    drop out of counters, series or traces.
 
 use conga::core::FabricPolicy;
-use conga::experiments::{
-    run_fct_with_policy, FctRun, LinkFaultSpec, Scheme, TestbedOpts, TraceSpec,
-};
+use conga::experiments::{run_fct_with_policy, FctRun, LinkFaultSpec, Scheme, TestbedOpts};
 use conga::fleet::scenario::fnv1a64;
 use conga::sim::SimTime;
 use conga::telemetry::MetricsRegistry;
+use conga::trace::TraceConfig;
 use conga::workloads::FlowSizeDist;
 use std::sync::OnceLock;
 
@@ -46,7 +45,7 @@ fn cell(shards: usize) -> FctRun {
         LinkFaultSpec::fail(SimTime::from_millis(2), 1, 1, 0),
         LinkFaultSpec::recover(SimTime::from_millis(5), 1, 1, 0),
     ];
-    cfg.trace = Some(TraceSpec {
+    cfg.trace = Some(TraceConfig {
         flows: Some((0..60).step_by(3).collect()),
         ring: None,
     });

@@ -258,9 +258,10 @@ fn conservative_window_bound_invariants() {
 /// windows, so a domain must never observe time running backwards.
 #[test]
 fn per_shard_event_streams_are_time_ordered() {
-    use conga::experiments::{build_testbed, ShardedRun, TestbedOpts, TraceSpec};
+    use conga::experiments::{build_testbed, ShardedRun, TestbedOpts};
     use conga::net::LeafId;
     use conga::sim::QueueKind;
+    use conga::trace::TraceConfig;
 
     let topo = build_testbed(TestbedOpts::paper_baseline().quick());
     let a = topo.hosts_under(LeafId(0));
@@ -282,10 +283,7 @@ fn per_shard_event_streams_are_time_ordered() {
             },
         ));
     }
-    let trace = TraceSpec {
-        flows: None, // every flow
-        ring: None,
-    };
+    let trace = TraceConfig::all();
     let mut run = ShardedRun::new(
         &topo,
         FabricPolicy::conga(),

@@ -10,9 +10,10 @@
 
 use conga::core::FabricPolicy;
 use conga::experiments::{
-    run_dynamic_failure, run_fct_with_policy, DynFailSpec, FctRun, Scheme, TestbedOpts, TraceSpec,
+    run_dynamic_failure, run_fct_with_policy, DynFailSpec, FctRun, Scheme, TestbedOpts,
 };
 use conga::sim::{SimDuration, SimTime};
+use conga::trace::TraceConfig;
 use conga::workloads::FlowSizeDist;
 
 /// A small traced FCT cell on the quick baseline testbed (2 leaf domains).
@@ -26,8 +27,8 @@ fn fct_cell(shards: usize) -> FctRun {
     cfg.n_flows = 40;
     cfg.seed = 11;
     cfg.sample_uplinks = true;
-    cfg.trace = Some(TraceSpec {
-        flows: Some(vec![0, 1, 2, 3]),
+    cfg.trace = Some(TraceConfig {
+        flows: Some([0, 1, 2, 3].into()),
         ring: None,
     });
     cfg.shards = shards;
@@ -42,15 +43,8 @@ fn fct_artifacts(cfg: &FctRun) -> [String; 4] {
     let out = run_fct_with_policy(cfg, FabricPolicy::conga());
     let report = out.report.to_json();
     let sidecar = format!(
-        "{:?}|drops={}|retx={}|timeouts={}|end={}|tx={:?}|q={:?}|fabq={:?}",
-        out.summary,
-        out.drops,
-        out.retx_bytes,
-        out.timeouts,
-        out.end_time.as_nanos(),
-        out.uplink_tx_samples,
-        out.uplink_queue_samples,
-        out.fabric_mean_queues,
+        "{:?}|drops={}|retx={}|timeouts={}",
+        out.summary, out.drops, out.retx_bytes, out.timeouts,
     );
     let t = out.trace.expect("tracing was requested");
     let jsonl = t.export_jsonl().expect("enabled handle");
@@ -117,8 +111,8 @@ fn dynfail_artifacts_identical_across_shard_counts() {
         spec.fail_at = SimTime::from_millis(20);
         spec.recover_at = SimTime::from_millis(30);
         spec.slice = SimDuration::from_millis(5);
-        spec.fct.trace = Some(TraceSpec {
-            flows: Some(vec![0, 1, 2]),
+        spec.fct.trace = Some(TraceConfig {
+            flows: Some([0, 1, 2].into()),
             ring: None,
         });
         spec.fct.shards = shards;

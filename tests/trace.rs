@@ -22,11 +22,9 @@
 //! traffic is in flight so blackholes land in the trace.
 
 use conga::core::FabricPolicy;
-use conga::experiments::{
-    run_fct_with_policy, FctRun, LinkFaultSpec, Scheme, TestbedOpts, TraceSpec,
-};
+use conga::experiments::{run_fct_with_policy, FctRun, LinkFaultSpec, Scheme, TestbedOpts};
 use conga::sim::SimTime;
-use conga::trace::{explain, TraceHandle};
+use conga::trace::{explain, TraceConfig, TraceHandle};
 use conga::workloads::FlowSizeDist;
 
 /// A tiny fail/recover cell: 16 flows per direction at 80 % load, link
@@ -34,7 +32,7 @@ use conga::workloads::FlowSizeDist;
 /// transmitting — and returns at 5 ms. Seed 3 is chosen so the CONGA
 /// policy itself has packets in flight on the dying link (most seeds let
 /// it steer clear and blackhole nothing).
-fn traced_cell(spec: TraceSpec) -> FctRun {
+fn traced_cell(spec: TraceConfig) -> FctRun {
     let mut cfg = FctRun::new(
         TestbedOpts::paper_baseline().quick(),
         Scheme::Conga, // transport = plain TCP; the policy is overridden per case
@@ -69,7 +67,7 @@ fn exports(cfg: &FctRun, mk: fn() -> FabricPolicy) -> (String, String, u64) {
 /// check would be vacuous.
 #[test]
 fn traces_are_deterministic_and_account_for_blackholes() {
-    let cfg = traced_cell(TraceSpec::default()); // all flows, unbounded
+    let cfg = traced_cell(TraceConfig::all()); // all flows, unbounded
     let mut total_blackholed = 0;
     for (name, mk) in FabricPolicy::zoo() {
         let (jsonl_a, chrome_a, counted) = exports(&cfg, mk);
@@ -124,7 +122,7 @@ fn traces_are_deterministic_and_account_for_blackholes() {
 /// actually routed.
 #[test]
 fn explainer_reconstructs_a_decision_chain() {
-    let cfg = traced_cell(TraceSpec::default());
+    let cfg = traced_cell(TraceConfig::all());
     let (jsonl, _, _) = exports(&cfg, FabricPolicy::conga);
     let summary = explain::validate(&jsonl).expect("trace must validate");
     assert!(
@@ -149,7 +147,7 @@ fn explainer_reconstructs_a_decision_chain() {
 /// byte-identical to the untraced run's.
 #[test]
 fn tracing_does_not_perturb_the_run() {
-    let traced = traced_cell(TraceSpec::default());
+    let traced = traced_cell(TraceConfig::all());
     let mut untraced = traced.clone();
     untraced.trace = None;
     let a = run_fct_with_policy(&traced, FabricPolicy::conga())
@@ -172,8 +170,8 @@ fn recorder_modes_behave() {
     assert!(disabled.export_chrome().is_none());
 
     // Flow sampling: flows 0 and 1 only.
-    let cfg = traced_cell(TraceSpec {
-        flows: Some(vec![0, 1]),
+    let cfg = traced_cell(TraceConfig {
+        flows: Some([0, 1].into()),
         ring: None,
     });
     let (jsonl, _, _) = exports(&cfg, FabricPolicy::conga);
@@ -192,10 +190,7 @@ fn recorder_modes_behave() {
 
     // Ring mode: the buffer is bounded, evictions are counted, and the
     // trailing window still validates.
-    let ring = traced_cell(TraceSpec {
-        flows: None,
-        ring: Some(256),
-    });
+    let ring = traced_cell(TraceConfig::all().with_ring(256));
     let out = run_fct_with_policy(&ring, FabricPolicy::conga());
     let t = out.trace.expect("tracing was requested");
     assert!(t.len() <= 256);
