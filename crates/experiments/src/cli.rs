@@ -10,7 +10,7 @@
 //! the fabric it builds ([`Args::fault_link`]).
 
 use crate::runner::{build_testbed, TestbedOpts};
-use conga_net::{LeafId, SpineId};
+use conga_net::{LeafId, Link, NodeId, SpineId};
 use conga_sim::SimTime;
 use conga_transport::CcKind;
 use std::path::PathBuf;
@@ -249,11 +249,11 @@ impl Args {
     /// (default `1:1:0`, the paper's Figure 7(b) link). It must exist on
     /// `fabric`, the topology the figure's cells will build — the engine
     /// asserts the same bound, inside the cell.
-    pub(crate) fn fault_link(&self, fabric: TestbedOpts) -> Result<(u32, u32, u32), String> {
+    pub(crate) fn fault_link(&self, fabric: TestbedOpts) -> Result<Link, String> {
         let (l, s, p) = self.fault_link.unwrap_or((1, 1, 0));
-        let links = build_testbed(fabric).link_channels(LeafId(l), SpineId(s));
-        if (p as usize) < links.len() {
-            Ok((l, s, p))
+        let link = Link::new(NodeId::Leaf(LeafId(l)), NodeId::Spine(SpineId(s)), p);
+        if (p as usize) < build_testbed(fabric).link_channels(link.a, link.b).len() {
+            Ok(link)
         } else {
             Err(format!(
                 "--fault-link {l}:{s}:{p}: no such link on a {}x{} par{} fabric",
@@ -508,9 +508,16 @@ mod tests {
         let a = parse(&["--loads", "10, 30", "--trace", "t", "--trace-flows", "7,9"]);
         assert_eq!(a.loads, Some(vec![0.1, 0.3]));
         assert_eq!(a.trace_flows, Some(vec![7, 9]));
+        let leaf_spine = |l, s, p| {
+            Ok(Link::new(
+                NodeId::Leaf(LeafId(l)),
+                NodeId::Spine(SpineId(s)),
+                p,
+            ))
+        };
         let a = parse(&["--fault-link", "1:0:1", "--fail-at-ms", "5"]);
-        assert_eq!(a.fault_link(testbed), Ok((1, 0, 1)));
-        assert_eq!(parse(&[]).fault_link(testbed), Ok((1, 1, 0)));
+        assert_eq!(a.fault_link(testbed), leaf_spine(1, 0, 1));
+        assert_eq!(parse(&[]).fault_link(testbed), leaf_spine(1, 1, 0));
         assert_eq!(
             (a.fail_at, a.recover_at),
             (Some(SimTime::from_nanos(5_000_000)), None)

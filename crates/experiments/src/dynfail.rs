@@ -16,6 +16,7 @@ use crate::runner::{
     build_testbed, leaf_capacity, setup_fct, FctRun, LinkFaultSpec, Scheme, TestbedOpts,
 };
 use conga_fleet::Scenario;
+use conga_net::{LeafId, Link, NodeId, SpineId};
 use conga_sim::{SimDuration, SimTime};
 use conga_telemetry::RunReport;
 use conga_workloads::FlowSizeDist;
@@ -32,8 +33,8 @@ pub struct DynFailSpec {
     pub fail_at: SimTime,
     /// When the link recovers.
     pub recover_at: SimTime,
-    /// The link to fail: (leaf, spine, parallel index).
-    pub link: (u32, u32, u32),
+    /// The link to fail.
+    pub link: Link,
     /// End of the offered-load window; arrivals are sized to span it.
     pub window: SimTime,
     /// Throughput-sampling slice width.
@@ -62,7 +63,7 @@ impl DynFailSpec {
             fct,
             fail_at: at(0.50),
             recover_at: at(0.75),
-            link: (1, 1, 0),
+            link: Link::new(NodeId::Leaf(LeafId(1)), NodeId::Spine(SpineId(1)), 0),
             window,
             slice: SimDuration::from_millis(10),
         }
@@ -77,10 +78,9 @@ impl DynFailSpec {
         let capacity = leaf_capacity(&build_testbed(cfg.topo)) as f64;
         let rate = cfg.load * capacity / (8.0 * cfg.dist.mean());
         cfg.n_flows = (rate * self.window.as_secs_f64() * 1.3).ceil() as usize;
-        let (l, s, p) = self.link;
         cfg.faults = vec![
-            LinkFaultSpec::fail(self.fail_at, l, s, p),
-            LinkFaultSpec::recover(self.recover_at, l, s, p),
+            LinkFaultSpec::fail(self.fail_at, self.link),
+            LinkFaultSpec::recover(self.recover_at, self.link),
         ];
         cfg
     }
@@ -262,13 +262,13 @@ pub fn run_dynamic_failure(spec: &DynFailSpec) -> DynFailOutcome {
     report.set_meta("seed", cfg.seed.to_string());
     report.set_meta("load", format!("{}", cfg.load));
     report.set_meta("n_flows", cfg.n_flows.to_string());
-    let (l, s, p) = spec.link;
     report.set_meta(
         "fault_schedule",
         format!(
-            "fail@{}ns,recover@{}ns:leaf{l}-spine{s}#{p}",
+            "fail@{}ns,recover@{}ns:{}",
             spec.fail_at.as_nanos(),
             spec.recover_at.as_nanos(),
+            spec.link,
         ),
     );
     report.set_meta("pre_bps", format!("{pre_bps:.0}"));
@@ -325,9 +325,9 @@ mod tests {
             ("fct", |s| s.fct.load = 0.3),
             ("fail_at", |s| s.fail_at = SimTime::from_millis(70)),
             ("recover_at", |s| s.recover_at = SimTime::from_millis(130)),
-            ("link.leaf", |s| s.link.0 = 0),
-            ("link.spine", |s| s.link.1 = 0),
-            ("link.parallel", |s| s.link.2 = 1),
+            ("link.a", |s| s.link.a = NodeId::Leaf(LeafId(0))),
+            ("link.b", |s| s.link.b = NodeId::Spine(SpineId(0))),
+            ("link.parallel", |s| s.link.parallel = 1),
             ("window", |s| s.window = SimTime::from_millis(200)),
             ("slice", |s| s.slice = SimDuration::from_millis(5)),
         ];

@@ -280,7 +280,7 @@ pub fn fig16(args: &Args) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use conga_net::{CoreId, Fib, SpineId, TopologyBuilder};
+    use conga_net::{CoreId, Fib, NodeId, SpineId, TopologyBuilder};
 
     /// FNV-1a/64 of every table of `fib`, rendered by its derive.
     fn fnv(fib: &Fib) -> u64 {
@@ -302,7 +302,7 @@ mod tests {
         let clos = TopologyBuilder::three_tier(4, 4, 2, 2, 16).build();
         let mut refreshed = clos.fib();
         let mut live = vec![true; clos.channels.len()];
-        for (up, down) in clos.core_link_channels(SpineId(0), CoreId(0)) {
+        for (up, down) in clos.link_channels(NodeId::Spine(SpineId(0)), NodeId::Core(CoreId(0))) {
             live[up.idx()] = false;
             live[down.idx()] = false;
         }

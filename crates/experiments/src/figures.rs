@@ -145,10 +145,10 @@ pub fn fault_args(args: &Args, fabric: TestbedOpts) -> Vec<LinkFaultSpec> {
     let Some(fail_at) = args.fail_at else {
         return Vec::new();
     };
-    let (l, s, p) = or_usage(args.fault_link(fabric));
-    let mut sched = vec![LinkFaultSpec::fail(fail_at, l, s, p)];
+    let link = or_usage(args.fault_link(fabric));
+    let mut sched = vec![LinkFaultSpec::fail(fail_at, link)];
     if let Some(recover_at) = args.recover_at {
-        sched.push(LinkFaultSpec::recover(recover_at, l, s, p));
+        sched.push(LinkFaultSpec::recover(recover_at, link));
     }
     sched
 }

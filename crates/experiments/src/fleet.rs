@@ -287,21 +287,26 @@ pub(crate) mod tests {
 
     #[test]
     fn every_simulation_reaching_field_of_an_fct_cell_reaches_the_hash() {
-        use crate::runner::{CoreLinkFaultSpec, LinkFaultSpec};
+        use crate::runner::LinkFaultSpec;
+        use conga_net::{CoreId, LeafId, Link, NodeId, SpineId};
         use conga_sim::{QueueKind, SimDuration, SimTime};
         use conga_trace::TraceConfig;
         use conga_transport::CcKind;
-        // One runtime fault of each kind, so their fields have a value to
+        // One runtime fault at each tier, so their fields have a value to
         // move; nothing here is built or run.
         let base = || {
             let mut cfg = tiny_cfg(1);
-            cfg.faults = vec![LinkFaultSpec::fail(SimTime::from_millis(3), 1, 1, 0)];
-            cfg.core_faults = vec![CoreLinkFaultSpec::fail(SimTime::from_millis(3), 0, 0, 0)];
+            let (leaf, spine) = (NodeId::Leaf(LeafId(1)), NodeId::Spine(SpineId(1)));
+            let core = NodeId::Core(CoreId(0));
+            cfg.faults = vec![
+                LinkFaultSpec::fail(SimTime::from_millis(3), Link::new(leaf, spine, 0)),
+                LinkFaultSpec::fail(SimTime::from_millis(3), Link::new(spine, core, 0)),
+            ];
             cfg
         };
         let hash = |cfg: FctRun| cfg.scenario("figX", "a").content_hash();
-        // Every field `FctRun::spec`, `TestbedOpts::spec`, `tcp_spec` and
-        // the two fault `spec`s destructure, in their order.
+        // Every field `FctRun::spec`, `TestbedOpts::spec`, `tcp_spec`,
+        // `LinkFaultSpec::spec` and its `Link` destructure, in their order.
         let reaching: &[Edit<FctRun>] = &[
             ("topo.leaves", |c| c.topo.leaves = 4),
             ("topo.spines", |c| c.topo.spines = 4),
@@ -335,19 +340,19 @@ pub(crate) mod tests {
             ("ecn_threshold_pkts", |c| c.ecn_threshold_pkts = Some(20)),
             ("sample_uplinks", |c| c.sample_uplinks = true),
             ("faults", |c| c.faults.clear()),
+            ("faults order", |c| c.faults.reverse()),
             ("faults.at", |c| c.faults[0].at = SimTime::from_millis(4)),
-            ("faults.leaf", |c| c.faults[0].leaf = 0),
-            ("faults.spine", |c| c.faults[0].spine = 0),
-            ("faults.parallel", |c| c.faults[0].parallel = 1),
-            ("faults.up", |c| c.faults[0].up = true),
-            ("core_faults", |c| c.core_faults.clear()),
-            ("core_faults.at", |c| {
-                c.core_faults[0].at = SimTime::from_millis(4)
+            ("faults.link.a", |c| {
+                c.faults[0].link.a = NodeId::Leaf(LeafId(0))
             }),
-            ("core_faults.spine", |c| c.core_faults[0].spine = 1),
-            ("core_faults.core", |c| c.core_faults[0].core = 1),
-            ("core_faults.parallel", |c| c.core_faults[0].parallel = 1),
-            ("core_faults.up", |c| c.core_faults[0].up = true),
+            ("faults.link.b", |c| {
+                c.faults[0].link.b = NodeId::Spine(SpineId(0))
+            }),
+            ("faults.link.parallel", |c| c.faults[0].link.parallel = 1),
+            ("faults.up", |c| c.faults[0].up = true),
+            ("faults.link.b at the core tier", |c| {
+                c.faults[1].link.b = NodeId::Core(CoreId(1))
+            }),
             ("sketch", |c| c.sketch = true),
         ];
         // The three execution knobs move no artifact byte (tests/hotpath.rs,
@@ -399,7 +404,6 @@ pub(crate) mod tests {
              ecn=none\n\
              sample_uplinks=false\n\
              faults=\n\
-             core_faults=\n\
              sketch=false\n"
         );
     }

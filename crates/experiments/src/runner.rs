@@ -6,8 +6,8 @@ use conga_analysis::sketch::{FctAccumulator, FctSketch};
 use conga_core::FabricPolicy;
 use conga_fleet::Scenario;
 use conga_net::{
-    CoreId, EcnConfig, HostId, LeafId, LeafSpineBuilder, Network, ShardedNetwork, SpineId,
-    Topology, TopologyBuilder, WIRE_OVERHEAD,
+    EcnConfig, HostId, LeafId, Link, Network, ShardedNetwork, Topology, TopologyBuilder,
+    WIRE_OVERHEAD,
 };
 use conga_sim::{QueueKind, SimDuration, SimRng, SimTime};
 use conga_telemetry::{RunReport, SeriesRegistry};
@@ -225,168 +225,84 @@ impl TestbedOpts {
     }
 }
 
-/// Build the topology for the given options.
+/// Build the topology for the given options: one builder chain for both
+/// tiers, a two-tier fabric being its one-pod, zero-core case.
 pub fn build_testbed(o: TestbedOpts) -> Topology {
-    if o.pods > 1 {
-        assert!(
-            o.leaves.is_multiple_of(o.pods) && o.spines.is_multiple_of(o.pods),
-            "leaves ({}) and spines ({}) must split evenly across {} pods",
-            o.leaves,
-            o.spines,
-            o.pods
-        );
-        assert!(
-            o.fail.is_none(),
-            "static link failure is a two-tier knob; use runtime fault schedules on three-tier fabrics"
-        );
-        return TopologyBuilder::three_tier(
-            o.pods,
-            o.leaves / o.pods,
-            o.spines / o.pods,
-            o.cores,
-            o.hosts_per_leaf,
-        )
+    assert!(
+        o.leaves.is_multiple_of(o.pods) && o.spines.is_multiple_of(o.pods),
+        "leaves ({}) and spines ({}) must split evenly across {} pods",
+        o.leaves,
+        o.spines,
+        o.pods
+    );
+    assert!(
+        o.pods == 1 || o.fail.is_none(),
+        "static link failure is a two-tier knob; use runtime fault schedules on three-tier fabrics"
+    );
+    assert!(o.pods > 1 || o.cores == 0, "core switches require pods > 1");
+    let (leaves, spines) = (o.leaves / o.pods, o.spines / o.pods);
+    let b = TopologyBuilder::three_tier(o.pods, leaves, spines, o.cores, o.hosts_per_leaf)
         .host_rate_gbps(o.host_gbps)
         .fabric_rate_gbps(o.fabric_gbps)
         .core_rate_gbps(o.fabric_gbps)
-        .parallel_links(o.parallel)
-        .build();
-    }
-    assert_eq!(o.cores, 0, "core switches require pods > 1");
-    let mut b = LeafSpineBuilder::new(o.leaves, o.spines, o.hosts_per_leaf)
-        .host_rate_gbps(o.host_gbps)
-        .fabric_rate_gbps(o.fabric_gbps)
         .parallel_links(o.parallel);
-    if let Some((l, s, p)) = o.fail {
-        b = b.fail_link(l, s, p);
+    match o.fail {
+        Some((l, s, p)) => b.fail_link(l, s, p),
+        None => b,
     }
-    b.build()
+    .build()
 }
 
-/// A scheduled runtime link transition: fail (or recover) one leaf–spine
-/// link — both simplex channels — at an absolute simulation time. Unlike
-/// [`TestbedOpts::fail`], which removes the link before the run starts,
-/// these fire *mid-run* through the engine's fault-injection path:
-/// queued and in-flight packets on a failing link are blackholed and the
-/// FIB reconverges at the transition instant.
+/// A scheduled runtime link transition: fail (or recover) one link — both
+/// simplex channels — at an absolute simulation time, at any tier (a
+/// leaf–spine link, or a spine–core link of a three-tier fabric, the
+/// CAFT-style core failure). Unlike [`TestbedOpts::fail`], which removes
+/// the link before the run starts, these fire *mid-run* through the
+/// engine's fault-injection path: queued and in-flight packets on a
+/// failing link are blackholed and the FIB reconverges at the transition
+/// instant.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LinkFaultSpec {
     /// When the transition fires.
     pub at: SimTime,
-    /// Leaf side of the link.
-    pub leaf: u32,
-    /// Spine side of the link.
-    pub spine: u32,
-    /// Parallel-link index within the leaf–spine pair.
-    pub parallel: u32,
+    /// The link that transitions.
+    pub link: Link,
     /// `false` = fail, `true` = recover.
     pub up: bool,
 }
 
 impl LinkFaultSpec {
-    /// Fail link (leaf, spine, parallel) at `at`.
-    pub fn fail(at: SimTime, leaf: u32, spine: u32, parallel: u32) -> Self {
+    /// Fail `link` at `at`.
+    pub fn fail(at: SimTime, link: Link) -> Self {
         LinkFaultSpec {
             at,
-            leaf,
-            spine,
-            parallel,
+            link,
             up: false,
         }
     }
 
-    /// Recover link (leaf, spine, parallel) at `at`.
-    pub fn recover(at: SimTime, leaf: u32, spine: u32, parallel: u32) -> Self {
-        LinkFaultSpec {
-            at,
-            leaf,
-            spine,
-            parallel,
-            up: true,
-        }
+    /// Recover `link` at `at`.
+    pub fn recover(at: SimTime, link: Link) -> Self {
+        LinkFaultSpec { at, link, up: true }
     }
 
-    /// This transition as text, e.g. `fail@80000000ns:leaf1-spine1#0` — a
-    /// report's `fault_schedule` entry and the cache key's.
+    /// This transition as text, e.g. `fail@80000000ns:leaf1-spine1#0` or
+    /// `fail@3000000ns:spine0-core0#0` — a report's `fault_schedule` entry
+    /// and the cache key's.
     pub(crate) fn spec(&self) -> String {
-        let LinkFaultSpec {
-            at,
-            leaf,
-            spine,
-            parallel,
-            up,
-        } = self;
+        let LinkFaultSpec { at, link, up } = self;
         let what = if *up { "recover" } else { "fail" };
-        format!(
-            "{what}@{}ns:leaf{leaf}-spine{spine}#{parallel}",
-            at.as_nanos()
-        )
-    }
-}
-
-/// A scheduled runtime transition on a spine–core link of a three-tier
-/// fabric — the CAFT-style core failure scenario. Same semantics as
-/// [`LinkFaultSpec`]: both simplex channels transition at `at`, in-flight
-/// packets on a failing link are blackholed, and the FIB reconverges
-/// (inter-pod traffic detours through the surviving cores).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CoreLinkFaultSpec {
-    /// When the transition fires.
-    pub at: SimTime,
-    /// Spine side of the link.
-    pub spine: u32,
-    /// Core side of the link.
-    pub core: u32,
-    /// Parallel-link index within the spine–core pair.
-    pub parallel: u32,
-    /// `false` = fail, `true` = recover.
-    pub up: bool,
-}
-
-impl CoreLinkFaultSpec {
-    /// Fail link (spine, core, parallel) at `at`.
-    pub fn fail(at: SimTime, spine: u32, core: u32, parallel: u32) -> Self {
-        CoreLinkFaultSpec {
-            at,
-            spine,
-            core,
-            parallel,
-            up: false,
-        }
-    }
-
-    /// Recover link (spine, core, parallel) at `at`.
-    pub fn recover(at: SimTime, spine: u32, core: u32, parallel: u32) -> Self {
-        CoreLinkFaultSpec {
-            at,
-            spine,
-            core,
-            parallel,
-            up: true,
-        }
-    }
-
-    /// This transition as text, e.g. `fail@3000000ns:spine0-core0#0` — a
-    /// report's `core_fault_schedule` entry and the cache key's.
-    pub(crate) fn spec(&self) -> String {
-        let CoreLinkFaultSpec {
-            at,
-            spine,
-            core,
-            parallel,
-            up,
-        } = self;
-        let what = if *up { "recover" } else { "fail" };
-        format!(
-            "{what}@{}ns:spine{spine}-core{core}#{parallel}",
-            at.as_nanos()
-        )
+        format!("{what}@{}ns:{link}", at.as_nanos())
     }
 }
 
 /// A fault schedule as one comma-joined line.
-fn schedule<T>(faults: &[T], spec: fn(&T) -> String) -> String {
-    faults.iter().map(spec).collect::<Vec<_>>().join(",")
+fn schedule(faults: &[LinkFaultSpec]) -> String {
+    faults
+        .iter()
+        .map(LinkFaultSpec::spec)
+        .collect::<Vec<_>>()
+        .join(",")
 }
 
 /// `tcp` as cache-key text (see [`FctRun::spec`] for the rule).
@@ -441,10 +357,9 @@ pub struct FctRun {
     /// Enable 10 ms synchronous sampling of Leaf 0's uplinks (Figure 12) /
     /// queue statistics.
     pub sample_uplinks: bool,
-    /// Runtime link fail/recover events, applied in order mid-run.
+    /// Runtime link fail/recover events at any tier, applied in order
+    /// mid-run.
     pub faults: Vec<LinkFaultSpec>,
-    /// Runtime spine–core link fail/recover events (three-tier fabrics).
-    pub core_faults: Vec<CoreLinkFaultSpec>,
     /// Stream completed flows into the deterministic
     /// [`FctSketch`]/[`FctAccumulator`] pair instead of buffering one
     /// [`FctSample`] per flow for a collect-then-sort summary. Memory
@@ -483,7 +398,6 @@ impl FctRun {
             ecn_threshold_pkts: None,
             sample_uplinks: false,
             faults: Vec::new(),
-            core_faults: Vec::new(),
             sketch: false,
             trace: None,
             // The calendar queue is the production default; the heap is
@@ -531,7 +445,6 @@ impl FctRun {
             ecn_threshold_pkts,
             sample_uplinks,
             faults,
-            core_faults,
             sketch,
             trace: _,
             queue: _,
@@ -541,14 +454,12 @@ impl FctRun {
         // transport is the one the cell runs, `tcp` under `cc`.
         format!(
             "topo={}\nscheme={}\ndist={dist:?}\nload={load}\nn_flows={n_flows}\nseed={seed}\n\
-             tcp={}\necn={}\nsample_uplinks={sample_uplinks}\nfaults={}\n\
-             core_faults={}\nsketch={sketch}\n",
+             tcp={}\necn={}\nsample_uplinks={sample_uplinks}\nfaults={}\nsketch={sketch}\n",
             topo.spec(),
             scheme.name(),
             tcp_spec(&tcp.with_cc(*cc)),
             ecn_threshold_pkts.map_or("none".to_string(), |pkts| pkts.to_string()),
-            schedule(faults, LinkFaultSpec::spec),
-            schedule(core_faults, CoreLinkFaultSpec::spec),
+            schedule(faults),
         )
     }
 
@@ -796,6 +707,11 @@ impl ShardedRun {
     /// tracer, and fault schedule everywhere, then preregister every flow in
     /// every domain (ids align by position) with a start timer only in the
     /// sender's domain.
+    ///
+    /// `more_faults` is scheduled after `faults`. Every caller in this
+    /// workspace passes `&[]`: the parameter only keeps the ten-argument
+    /// signature that `congabench`'s stage-by-stage replay compiles
+    /// against, and goes when that replay is rebuilt on [`setup_fct`].
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         topo: &Topology,
@@ -806,7 +722,7 @@ impl ShardedRun {
         ecn: Option<EcnConfig>,
         trace: Option<&TraceConfig>,
         faults: &[LinkFaultSpec],
-        core_faults: &[CoreLinkFaultSpec],
+        more_faults: &[LinkFaultSpec],
         arrivals: &[(SimTime, FlowSpec)],
     ) -> Self {
         let trace_cfg = trace.cloned();
@@ -826,13 +742,8 @@ impl ShardedRun {
                 n.set_tracer(h.clone());
                 tracer_parts.push(h);
             }
-            for f in faults {
-                let (leaf, spine) = (LeafId(f.leaf), SpineId(f.spine));
-                n.schedule_link(f.at, leaf, spine, f.parallel as usize, f.up);
-            }
-            for f in core_faults {
-                let (spine, core) = (SpineId(f.spine), CoreId(f.core));
-                n.schedule_core_link(f.at, spine, core, f.parallel as usize, f.up);
+            for f in faults.iter().chain(more_faults) {
+                n.schedule_link(f.at, f.link, f.up);
             }
             n.agent.reserve(arrivals.len());
             for (start, spec) in arrivals {
@@ -946,7 +857,7 @@ pub(crate) fn setup_fct(cfg: &FctRun, policy: FabricPolicy) -> (Topology, Sharde
         cfg.ecn_config(),
         cfg.trace.as_ref(),
         &cfg.faults,
-        &cfg.core_faults,
+        &[],
         &absolute_starts(arrivals),
     );
     (topo, run, span_ns)
@@ -1150,12 +1061,7 @@ fn fct_meta(cfg: &FctRun, policy_name: &str, end: SimTime) -> RunReport {
         report.set_meta("failed_link", format!("leaf{l}-spine{s}#{p}"));
     }
     if !cfg.faults.is_empty() {
-        let sched = schedule(&cfg.faults, LinkFaultSpec::spec);
-        report.set_meta("fault_schedule", sched);
-    }
-    if !cfg.core_faults.is_empty() {
-        let sched = schedule(&cfg.core_faults, CoreLinkFaultSpec::spec);
-        report.set_meta("core_fault_schedule", sched);
+        report.set_meta("fault_schedule", schedule(&cfg.faults));
     }
     report.set_meta("end_time_ns", end.as_nanos().to_string());
     report

@@ -22,7 +22,8 @@
 use crate::cli::{banner, Args};
 use crate::figures::{fault_args, fct_sweep, loads_arg};
 use crate::fleet::{fct_cell, run_cells, FleetOpts};
-use crate::runner::{CoreLinkFaultSpec, FctRun, Scheme, TestbedOpts};
+use crate::runner::{FctRun, LinkFaultSpec, Scheme, TestbedOpts};
+use conga_net::{CoreId, Link, NodeId, SpineId};
 use conga_sim::SimTime;
 use conga_workloads::FlowSizeDist;
 
@@ -135,9 +136,10 @@ pub fn fig15(args: &Args) -> bool {
             cfg.seed = args.seed;
             cfg.shards = args.shards;
             cfg.sketch = true;
-            cfg.core_faults = vec![
-                CoreLinkFaultSpec::fail(SimTime::from_millis(3), 0, 0, 0),
-                CoreLinkFaultSpec::recover(SimTime::from_millis(9), 0, 0, 0),
+            let link = Link::new(NodeId::Spine(SpineId(0)), NodeId::Core(CoreId(0)), 0);
+            cfg.faults = vec![
+                LinkFaultSpec::fail(SimTime::from_millis(3), link),
+                LinkFaultSpec::recover(SimTime::from_millis(9), link),
             ];
             let label = format!("{}.corefail.load{:02.0}", scheme.name(), load * 100.0);
             fct_cell("fig15_large_scale", &label, cfg, None)

@@ -26,7 +26,7 @@
 //! fold the link's congestion into the packet's CE field — exactly the
 //! hop-by-hop CE update of paper §3.3.
 
-use crate::ids::{ChannelId, CoreId, LeafId, NodeId, SpineId};
+use crate::ids::{ChannelId, LeafId, Link, NodeId, SpineId};
 use crate::packet::{ecmp_mix, Overlay, Packet};
 use crate::port::{Enqueue, TxPort};
 use crate::shard::Mail;
@@ -563,34 +563,15 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
         self.events.push(at, Ev::Fault { ch, up });
     }
 
-    /// Schedule both directions of the `p`-th surviving link between `leaf`
-    /// and `spine` to go down (`up = false`) or come back up at `at` — the
-    /// runtime analogue of [`crate::LeafSpineBuilder::fail_link`]. Panics
-    /// if no such link exists.
-    pub fn schedule_link(&mut self, at: SimTime, leaf: LeafId, spine: SpineId, p: usize, up: bool) {
-        let pairs = self.topo.link_channels(leaf, spine);
-        let Some(&(a, b)) = pairs.get(p) else {
-            let (l, s, n) = (leaf.0, spine.0, pairs.len());
-            panic!("leaf{l}-spine{s} has {n} links, no parallel index {p}");
-        };
-        self.schedule_channel_fault(at, a, up);
-        self.schedule_channel_fault(at, b, up);
-    }
-
-    /// [`Network::schedule_link`] one tier up: the `p`-th link between
-    /// `spine` and `core` of a three-tier (CAFT-style) fabric.
-    pub fn schedule_core_link(
-        &mut self,
-        at: SimTime,
-        spine: SpineId,
-        core: CoreId,
-        p: usize,
-        up: bool,
-    ) {
-        let pairs = self.topo.core_link_channels(spine, core);
-        let Some(&(a, b)) = pairs.get(p) else {
-            let (s, c, n) = (spine.0, core.0, pairs.len());
-            panic!("spine{s}-core{c} has {n} links, no parallel index {p}");
+    /// Schedule both directions of `link`, at any tier, to go down
+    /// (`up = false`) or come back up at `at` — the runtime analogue of
+    /// [`crate::LeafSpineBuilder::fail_link`]. Panics if the built topology
+    /// has no such link.
+    pub fn schedule_link(&mut self, at: SimTime, link: Link, up: bool) {
+        let pairs = self.topo.link_channels(link.a, link.b);
+        let Some(&(a, b)) = pairs.get(link.parallel as usize) else {
+            let (n, p) = (pairs.len(), link.parallel);
+            panic!("{}-{} has {n} links, no parallel index {p}", link.a, link.b);
         };
         self.schedule_channel_fault(at, a, up);
         self.schedule_channel_fault(at, b, up);
@@ -1057,7 +1038,7 @@ pub fn inject<D: Dataplane, A: HostAgent>(net: &mut Network<D, A>, pkt: Packet) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::HostId;
+    use crate::ids::{CoreId, HostId};
     use crate::packet::{ecmp_mix, PacketKind};
     use crate::topology::{ChannelKind, LeafSpineBuilder, QueueProfile, TopologyBuilder};
     use std::alloc::{GlobalAlloc, Layout, System};
@@ -1401,10 +1382,10 @@ mod tests {
     fn link_recovery_restores_forwarding_and_keeps_lbtags() {
         let mut net = small_net();
         let before = (net.fib.up_candidates.clone(), net.fib.lbtag_of.clone());
-        // Kill both directions of leaf0-spine0 at 1 us via the leaf-spine
-        // convenience; recover at 1 ms.
-        net.schedule_link(SimTime::from_micros(1), LeafId(0), SpineId(0), 0, false);
-        net.schedule_link(SimTime::from_millis(1), LeafId(0), SpineId(0), 0, true);
+        // Kill both directions of leaf0-spine0 at 1 us; recover at 1 ms.
+        let link = Link::new(NodeId::Leaf(LeafId(0)), NodeId::Spine(SpineId(0)), 0);
+        net.schedule_link(SimTime::from_micros(1), link, false);
+        net.schedule_link(SimTime::from_millis(1), link, true);
         net.run_until(SimTime::from_micros(10));
         // During the outage: spine0 is unusable in both directions, tags
         // unchanged.
@@ -1543,9 +1524,10 @@ mod tests {
         let mut net = three_tier_net();
         // Kill every core link of spine 0 and spine 1 toward core 0 early,
         // recover later; traffic in between survives via core 1.
-        for s in [SpineId(0), SpineId(1)] {
-            net.schedule_core_link(SimTime::from_micros(1), s, CoreId(0), 0, false);
-            net.schedule_core_link(SimTime::from_millis(2), s, CoreId(0), 0, true);
+        for s in 0..2 {
+            let link = Link::new(NodeId::Spine(SpineId(s)), NodeId::Core(CoreId(0)), 0);
+            net.schedule_link(SimTime::from_micros(1), link, false);
+            net.schedule_link(SimTime::from_millis(2), link, true);
         }
         net.run_until(SimTime::from_micros(10));
         // During the outage: pod-0 spines detour only through core 1.
@@ -1583,9 +1565,10 @@ mod tests {
         let mut net = three_tier_net();
         // Kill every spine-up link in pod 0: inter-pod traffic is stranded
         // at the spines.
-        for s in [SpineId(0), SpineId(1)] {
-            for c in [CoreId(0), CoreId(1)] {
-                net.schedule_core_link(SimTime::from_nanos(1), s, c, 0, false);
+        for s in 0..2 {
+            for c in 0..2 {
+                let link = Link::new(NodeId::Spine(SpineId(s)), NodeId::Core(CoreId(c)), 0);
+                net.schedule_link(SimTime::from_nanos(1), link, false);
             }
         }
         net.run_until(SimTime::from_micros(1));

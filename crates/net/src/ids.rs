@@ -92,6 +92,32 @@ impl fmt::Display for NodeId {
     }
 }
 
+/// One physical (duplex) link at any tier: the `parallel`-th of the links
+/// the built topology has between `a` and `b` (a link removed at build
+/// time is not counted). Displays as `leaf1-spine1#0` or `spine0-core0#0`.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub struct Link {
+    /// One end, by convention the lower tier (leaf or spine).
+    pub a: NodeId,
+    /// The other end (spine or core).
+    pub b: NodeId,
+    /// Position among the built links between `a` and `b`.
+    pub parallel: u32,
+}
+
+impl Link {
+    /// The `parallel`-th built link between `a` and `b`.
+    pub fn new(a: NodeId, b: NodeId, parallel: u32) -> Self {
+        Link { a, b, parallel }
+    }
+}
+
+impl fmt::Display for Link {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}-{}#{}", self.a, self.b, self.parallel)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,6 +128,11 @@ mod tests {
         assert_eq!(NodeId::Leaf(LeafId(0)).to_string(), "leaf0");
         assert_eq!(NodeId::Spine(SpineId(7)).to_string(), "spine7");
         assert_eq!(NodeId::Core(CoreId(2)).to_string(), "core2");
+        let leaf = NodeId::Leaf(LeafId(1));
+        let spine = |s| NodeId::Spine(SpineId(s));
+        assert_eq!(Link::new(leaf, spine(1), 0).to_string(), "leaf1-spine1#0");
+        let core = NodeId::Core(CoreId(0));
+        assert_eq!(Link::new(spine(0), core, 0).to_string(), "spine0-core0#0");
     }
 
     #[test]

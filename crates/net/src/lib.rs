@@ -19,7 +19,7 @@ mod topology;
 pub use engine::{
     inject, Dataplane, EcnConfig, Emitter, EngineStats, HostAgent, Network, ShardCtx, SinkAgent,
 };
-pub use ids::{ChannelId, CoreId, HostId, LeafId, NodeId, SpineId};
+pub use ids::{ChannelId, CoreId, HostId, LeafId, Link, NodeId, SpineId};
 pub use packet::{
     ecmp_mix, flow_tuple_hash, Overlay, Packet, PacketKind, SackBlocks, ACK_WIRE_BYTES, MAX_LBTAG,
     WIRE_OVERHEAD,

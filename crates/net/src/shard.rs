@@ -539,7 +539,7 @@ impl<D: Dataplane + Send, A: HostAgent + Send> ShardedNetwork<D, A> {
 mod tests {
     use super::*;
     use crate::engine::SinkAgent;
-    use crate::ids::{HostId, LeafId, SpineId};
+    use crate::ids::{HostId, LeafId, Link, SpineId};
     use crate::packet::{ecmp_mix, Packet};
     use crate::topology::{Fib, LeafSpineBuilder};
     use conga_sim::SimRng;
@@ -876,9 +876,10 @@ mod tests {
         let run = |workers: usize| -> (u64, u64, u64) {
             let mut net = sharded(workers);
             // leaf0-spine1 is cross-domain (spine1 lives in domain 1).
+            let link = Link::new(NodeId::Leaf(LeafId(0)), NodeId::Spine(SpineId(1)), 0);
             net.each(|_, n| {
-                n.schedule_link(SimTime::from_micros(20), LeafId(0), SpineId(1), 0, false);
-                n.schedule_link(SimTime::from_micros(400), LeafId(0), SpineId(1), 0, true);
+                n.schedule_link(SimTime::from_micros(20), link, false);
+                n.schedule_link(SimTime::from_micros(400), link, true);
             });
             for f in 0..20u32 {
                 let pkt = Packet::data(

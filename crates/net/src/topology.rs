@@ -190,42 +190,17 @@ impl Topology {
         s.0 / self.spines_per_pod().max(1)
     }
 
-    /// The simplex channel pairs forming the parallel links between `leaf`
-    /// and `spine`, in parallel-link order: `(leaf→spine, spine→leaf)`.
-    /// Links removed at build time (static failures) do not appear.
-    pub fn link_channels(&self, leaf: LeafId, spine: SpineId) -> Vec<(ChannelId, ChannelId)> {
-        let ups = self.channels.iter().enumerate().filter_map(|(i, c)| {
-            (c.kind == ChannelKind::LeafUp
-                && c.src == NodeId::Leaf(leaf)
-                && c.dst == NodeId::Spine(spine))
-            .then_some(ChannelId(i as u32))
-        });
-        let downs = self.channels.iter().enumerate().filter_map(|(i, c)| {
-            (c.kind == ChannelKind::SpineDown
-                && c.src == NodeId::Spine(spine)
-                && c.dst == NodeId::Leaf(leaf))
-            .then_some(ChannelId(i as u32))
-        });
-        ups.zip(downs).collect()
-    }
-
-    /// The simplex channel pairs forming the parallel links between `spine`
-    /// and `core`, in parallel-link order: `(spine→core, core→spine)`.
-    /// Empty in two-tier fabrics.
-    pub fn core_link_channels(&self, spine: SpineId, core: CoreId) -> Vec<(ChannelId, ChannelId)> {
-        let ups = self.channels.iter().enumerate().filter_map(|(i, c)| {
-            (c.kind == ChannelKind::SpineUp
-                && c.src == NodeId::Spine(spine)
-                && c.dst == NodeId::Core(core))
-            .then_some(ChannelId(i as u32))
-        });
-        let downs = self.channels.iter().enumerate().filter_map(|(i, c)| {
-            (c.kind == ChannelKind::CoreDown
-                && c.src == NodeId::Core(core)
-                && c.dst == NodeId::Spine(spine))
-            .then_some(ChannelId(i as u32))
-        });
-        ups.zip(downs).collect()
+    /// The simplex channel pairs forming the parallel links between `a`
+    /// and `b`, at any tier, in parallel-link order: `(a→b, b→a)`. Links
+    /// removed at build time (static failures) do not appear, so position
+    /// `p` in the list is [`crate::Link::parallel`] `p`.
+    pub fn link_channels(&self, a: NodeId, b: NodeId) -> Vec<(ChannelId, ChannelId)> {
+        let one_way = |src, dst| {
+            self.channels.iter().enumerate().filter_map(move |(i, c)| {
+                (c.src == src && c.dst == dst).then_some(ChannelId(i as u32))
+            })
+        };
+        one_way(a, b).zip(one_way(b, a)).collect()
     }
 
     /// Aggregate leaf-to-leaf bisection capacity in bits per second: the sum
@@ -721,6 +696,18 @@ impl TopologyBuilder {
 mod tests {
     use super::*;
 
+    fn leaf(l: u32) -> NodeId {
+        NodeId::Leaf(LeafId(l))
+    }
+
+    fn spine(s: u32) -> NodeId {
+        NodeId::Spine(SpineId(s))
+    }
+
+    fn core(c: u32) -> NodeId {
+        NodeId::Core(CoreId(c))
+    }
+
     fn testbed() -> Topology {
         LeafSpineBuilder::new(2, 2, 32)
             .host_rate_gbps(10)
@@ -819,7 +806,7 @@ mod tests {
         let t = testbed();
         let full = t.fib();
         // Take down both directions of the first leaf1-spine1 parallel link.
-        let (up, down) = t.link_channels(LeafId(1), SpineId(1))[0];
+        let (up, down) = t.link_channels(leaf(1), spine(1))[0];
         let mut live = vec![true; t.channels.len()];
         live[up.idx()] = false;
         live[down.idx()] = false;
@@ -845,8 +832,8 @@ mod tests {
         let mut fib = t.fib();
         // Fail, recover, and fail a different link: after every transition
         // the in-place refresh must equal a from-scratch fib_live build.
-        let (up_a, down_a) = t.link_channels(LeafId(1), SpineId(1))[0];
-        let (up_b, down_b) = t.link_channels(LeafId(0), SpineId(0))[1];
+        let (up_a, down_a) = t.link_channels(leaf(1), spine(1))[0];
+        let (up_b, down_b) = t.link_channels(leaf(0), spine(0))[1];
         let mut live = vec![true; t.channels.len()];
         let transitions: [(&[ChannelId], bool); 3] = [
             (&[up_a, down_a], false),
@@ -870,7 +857,7 @@ mod tests {
     fn fib_live_drops_spine_with_no_live_downlink() {
         let t = testbed();
         let mut live = vec![true; t.channels.len()];
-        for (up, down) in t.link_channels(LeafId(1), SpineId(1)) {
+        for (up, down) in t.link_channels(leaf(1), spine(1)) {
             live[up.idx()] = false;
             live[down.idx()] = false;
         }
@@ -886,7 +873,7 @@ mod tests {
     #[test]
     fn link_channels_pairs_both_directions_in_parallel_order() {
         let t = testbed();
-        let pairs = t.link_channels(LeafId(0), SpineId(1));
+        let pairs = t.link_channels(leaf(0), spine(1));
         assert_eq!(pairs.len(), 2, "2 parallel links");
         for (up, down) in pairs {
             assert_eq!(t.channel(up).src, NodeId::Leaf(LeafId(0)));
@@ -899,8 +886,23 @@ mod tests {
             .parallel_links(2)
             .fail_link(1, 1, 0)
             .build();
-        assert_eq!(t2.link_channels(LeafId(1), SpineId(1)).len(), 1);
-        assert_eq!(t2.link_channels(LeafId(0), SpineId(1)).len(), 2);
+        assert_eq!(t2.link_channels(leaf(1), spine(1)).len(), 1);
+        assert_eq!(t2.link_channels(leaf(0), spine(1)).len(), 2);
+        // One tier up, the same lookup pairs spine→core with core→spine.
+        let t3 = three_tier();
+        let pairs = t3.link_channels(spine(1), core(0));
+        assert_eq!(pairs.len(), 1);
+        let (up, down) = pairs[0];
+        assert_eq!(t3.channel(up).kind, ChannelKind::SpineUp);
+        assert_eq!(
+            (t3.channel(up).src, t3.channel(up).dst),
+            (spine(1), core(0))
+        );
+        assert_eq!(t3.channel(down).kind, ChannelKind::CoreDown);
+        assert_eq!(
+            (t3.channel(down).src, t3.channel(down).dst),
+            (core(0), spine(1))
+        );
     }
 
     #[test]
@@ -944,7 +946,6 @@ mod tests {
             assert_eq!(t.pod_of_spine(s), 0);
         }
         assert_eq!(fib.spine_up[0].len(), 2, "each spine sees both cores");
-        assert_eq!(t.core_link_channels(SpineId(1), CoreId(0)).len(), 1);
     }
 
     #[test]
@@ -975,8 +976,8 @@ mod tests {
     fn three_tier_refresh_live_matches_fresh_build() {
         let t = three_tier();
         let mut fib = t.fib();
-        let (su, cd) = t.core_link_channels(SpineId(2), CoreId(0))[0];
-        let (lu, sd) = t.link_channels(LeafId(2), SpineId(2))[0];
+        let (su, cd) = t.link_channels(spine(2), core(0))[0];
+        let (lu, sd) = t.link_channels(leaf(2), spine(2))[0];
         let mut live = vec![true; t.channels.len()];
         let transitions: [(&[ChannelId], bool); 3] =
             [(&[su, cd], false), (&[lu, sd], false), (&[su, cd], true)];
@@ -1001,7 +1002,7 @@ mod tests {
         // Kill core 0 entirely (all its links, both directions).
         let mut live = vec![true; t.channels.len()];
         for s in 0..t.n_spines {
-            for (su, cd) in t.core_link_channels(SpineId(s), CoreId(0)) {
+            for (su, cd) in t.link_channels(spine(s), core(0)) {
                 live[su.idx()] = false;
                 live[cd.idx()] = false;
             }
@@ -1023,7 +1024,7 @@ mod tests {
         // uplink to spine 0 must stay a candidate for leaf 1, because the
         // spine can detour up through a core and down via spine 1.
         let t = three_tier();
-        let (lu, sd) = t.link_channels(LeafId(1), SpineId(0))[0];
+        let (lu, sd) = t.link_channels(leaf(1), spine(0))[0];
         let mut live = vec![true; t.channels.len()];
         live[lu.idx()] = false;
         live[sd.idx()] = false;

@@ -14,14 +14,26 @@
 //! 4. **RTO recovery across a partition** — a leaf fully cut off for less
 //!    than the retransmission timeout resumes and finishes its flows once
 //!    the links return.
+//! 5. **One schedule at every tier** — leaf–spine and spine–core links
+//!    fail and recover through the same `LinkFaultSpec` list.
 
 use conga::core::FabricPolicy;
 use conga::experiments::{run_fct_with_policy, FctRun, LinkFaultSpec, Scheme, TestbedOpts};
-use conga::net::{HostId, LeafId, LeafSpineBuilder, Network, SpineId};
+use conga::net::{CoreId, HostId, LeafId, LeafSpineBuilder, Link, Network, NodeId, SpineId};
 use conga::sim::SimTime;
 use conga::telemetry::MetricsRegistry;
 use conga::transport::{FlowSpec, TcpConfig, TransportKind, TransportLayer};
 use conga::workloads::FlowSizeDist;
+
+/// Link `p` between leaf `l` and spine `s`.
+fn leaf_spine(l: u32, s: u32, p: u32) -> Link {
+    Link::new(NodeId::Leaf(LeafId(l)), NodeId::Spine(SpineId(s)), p)
+}
+
+/// Link `p` between spine `s` and core `c`.
+fn spine_core(s: u32, c: u32, p: u32) -> Link {
+    Link::new(NodeId::Spine(SpineId(s)), NodeId::Core(CoreId(c)), p)
+}
 
 /// A small FCT cell whose arrival span (~20 ms at this load) comfortably
 /// covers a fail-at-5 ms / recover-at-12 ms schedule.
@@ -35,8 +47,8 @@ fn faulted_cell() -> FctRun {
     cfg.n_flows = 40;
     cfg.seed = 7;
     cfg.faults = vec![
-        LinkFaultSpec::fail(SimTime::from_millis(5), 1, 1, 0),
-        LinkFaultSpec::recover(SimTime::from_millis(12), 1, 1, 0),
+        LinkFaultSpec::fail(SimTime::from_millis(5), leaf_spine(1, 1, 0)),
+        LinkFaultSpec::recover(SimTime::from_millis(12), leaf_spine(1, 1, 0)),
     ];
     cfg
 }
@@ -131,10 +143,10 @@ fn no_flow_stranded_across_failure() {
         // several transition instants make it (deterministically) certain
         // that some packets are caught on or queued for a dead link.
         cfg.faults = vec![
-            LinkFaultSpec::fail(SimTime::from_millis(4), 1, 1, 0),
-            LinkFaultSpec::fail(SimTime::from_millis(6), 0, 0, 0),
-            LinkFaultSpec::recover(SimTime::from_millis(9), 1, 1, 0),
-            LinkFaultSpec::recover(SimTime::from_millis(11), 0, 0, 0),
+            LinkFaultSpec::fail(SimTime::from_millis(4), leaf_spine(1, 1, 0)),
+            LinkFaultSpec::fail(SimTime::from_millis(6), leaf_spine(0, 0, 0)),
+            LinkFaultSpec::recover(SimTime::from_millis(9), leaf_spine(1, 1, 0)),
+            LinkFaultSpec::recover(SimTime::from_millis(11), leaf_spine(0, 0, 0)),
         ];
         if !recovery {
             cfg.faults.truncate(2); // both failures become permanent
@@ -175,7 +187,7 @@ fn cross_shard_link_fault_is_shard_count_invariant() {
         spec.fail_at = SimTime::from_millis(16);
         spec.recover_at = SimTime::from_millis(28);
         spec.slice = SimDuration::from_millis(4);
-        spec.link = (0, 1, 0); // Leaf0–Spine1: tx domain 0, rx domain 1
+        spec.link = leaf_spine(0, 1, 0); // tx domain 0, rx domain 1
         spec.fct.shards = shards;
         spec
     };
@@ -221,18 +233,11 @@ fn total_uplink_failure_of_one_leaf_degrades_without_panicking() {
         cfg.faults.clear();
         for spine in 0..2 {
             for parallel in 0..2 {
-                cfg.faults.push(LinkFaultSpec::fail(
-                    SimTime::from_millis(4),
-                    1,
-                    spine,
-                    parallel,
-                ));
-                cfg.faults.push(LinkFaultSpec::recover(
-                    SimTime::from_millis(11),
-                    1,
-                    spine,
-                    parallel,
-                ));
+                let link = leaf_spine(1, spine, parallel);
+                cfg.faults
+                    .push(LinkFaultSpec::fail(SimTime::from_millis(4), link));
+                cfg.faults
+                    .push(LinkFaultSpec::recover(SimTime::from_millis(11), link));
             }
         }
         let a = run_fct_with_policy(&cfg, mk());
@@ -292,20 +297,8 @@ fn rto_carries_a_flow_across_a_full_partition() {
     // Cut every Leaf0 uplink while the first window is on the wire; bring
     // them back at 150 ms, before the ~200 ms minimum RTO fires.
     for spine in 0..2 {
-        net.schedule_link(
-            SimTime::from_micros(40),
-            LeafId(0),
-            SpineId(spine),
-            0,
-            false,
-        );
-        net.schedule_link(
-            SimTime::from_millis(150),
-            LeafId(0),
-            SpineId(spine),
-            0,
-            true,
-        );
+        net.schedule_link(SimTime::from_micros(40), leaf_spine(0, spine, 0), false);
+        net.schedule_link(SimTime::from_millis(150), leaf_spine(0, spine, 0), true);
     }
     net.run_until(SimTime::from_secs(5));
 
@@ -340,8 +333,6 @@ fn rto_carries_a_flow_across_a_full_partition() {
 /// while the link is down).
 #[test]
 fn core_link_fault_cycle_conserves_packets_and_strands_no_flow() {
-    use conga::experiments::CoreLinkFaultSpec;
-
     let mut cfg = FctRun::new(
         TestbedOpts::three_tier(2, 2, 1, 2, 4),
         Scheme::Conga,
@@ -350,9 +341,9 @@ fn core_link_fault_cycle_conserves_packets_and_strands_no_flow() {
     );
     cfg.n_flows = 40;
     cfg.seed = 7;
-    cfg.core_faults = vec![
-        CoreLinkFaultSpec::fail(SimTime::from_millis(3), 0, 0, 0),
-        CoreLinkFaultSpec::recover(SimTime::from_millis(9), 0, 0, 0),
+    cfg.faults = vec![
+        LinkFaultSpec::fail(SimTime::from_millis(3), spine_core(0, 0, 0)),
+        LinkFaultSpec::recover(SimTime::from_millis(9), spine_core(0, 0, 0)),
     ];
     let out = run_fct_with_policy(&cfg, FabricPolicy::conga());
     let json = out.report.to_json();
@@ -375,9 +366,68 @@ fn core_link_fault_cycle_conserves_packets_and_strands_no_flow() {
     // The schedule must actually change the run (guards against the
     // transitions silently never firing).
     let mut clean = cfg.clone();
-    clean.core_faults.clear();
+    clean.faults.clear();
     let b = run_fct_with_policy(&clean, FabricPolicy::conga())
         .report
         .to_json();
     assert_ne!(json, b, "core fault schedule is not reaching the run");
+}
+
+/// One schedule, two tiers, one cell: on the three-tier Clos a leaf–spine
+/// and a spine–core link fail and recover, overlapping, through one
+/// `faults` list. The report lists the four transitions in schedule order,
+/// all eight simplex transitions fire, the outage catches packets,
+/// conservation holds, no flow is stranded, and two workers reproduce one.
+#[test]
+fn one_schedule_fails_links_at_two_tiers() {
+    let ms = SimTime::from_millis;
+    let mut cfg = FctRun::new(
+        TestbedOpts::three_tier(2, 2, 2, 2, 4),
+        Scheme::Conga,
+        FlowSizeDist::enterprise(),
+        0.7,
+    );
+    cfg.n_flows = 60;
+    cfg.seed = 2;
+    cfg.faults = vec![
+        LinkFaultSpec::fail(ms(3), leaf_spine(0, 0, 0)),
+        LinkFaultSpec::fail(ms(4), spine_core(0, 0, 0)),
+        LinkFaultSpec::recover(ms(7), leaf_spine(0, 0, 0)),
+        LinkFaultSpec::recover(ms(9), spine_core(0, 0, 0)),
+    ];
+    let out = run_fct_with_policy(&cfg, FabricPolicy::conga());
+    assert_eq!(
+        out.report.meta("fault_schedule"),
+        Some(
+            "fail@3000000ns:leaf0-spine0#0,fail@4000000ns:spine0-core0#0,\
+             recover@7000000ns:leaf0-spine0#0,recover@9000000ns:spine0-core0#0"
+        )
+    );
+    let reg = &out.report.metrics;
+    assert_eq!(
+        reg.counter("net.fault_transitions"),
+        8,
+        "2 links × 2 simplex channels × (fail + recover)"
+    );
+    assert!(
+        reg.counter("net.blackholed_packets") > 0,
+        "the two outages swallowed nothing — retune the cell"
+    );
+    assert_eq!(
+        reg.counter("engine.injected_pkts"),
+        reg.counter("engine.delivered_pkts")
+            + reg.counter("engine.queue_drops")
+            + reg.counter("engine.unroutable_pkts")
+            + reg.counter("net.blackholed_packets"),
+        "conservation violated through the two-tier schedule"
+    );
+    assert_eq!(out.summary.incomplete, 0, "a flow was stranded");
+
+    let mut sharded = cfg.clone();
+    sharded.shards = 2;
+    let two = run_fct_with_policy(&sharded, FabricPolicy::conga());
+    assert!(
+        out.report.to_json() == two.report.to_json(),
+        "two-tier schedule: report diverged between shards 1 and 2"
+    );
 }

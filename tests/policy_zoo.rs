@@ -23,6 +23,7 @@
 use conga::core::FabricPolicy;
 use conga::experiments::{run_fct_with_policy, FctRun, LinkFaultSpec, Scheme, TestbedOpts};
 use conga::fleet::scenario::fnv1a64;
+use conga::net::{LeafId, Link, NodeId, SpineId};
 use conga::sim::SimTime;
 use conga::telemetry::MetricsRegistry;
 use conga::trace::TraceConfig;
@@ -41,9 +42,10 @@ fn cell(shards: usize) -> FctRun {
     cfg.n_flows = 30;
     cfg.seed = 3;
     cfg.sample_uplinks = true;
+    let link = Link::new(NodeId::Leaf(LeafId(1)), NodeId::Spine(SpineId(1)), 0);
     cfg.faults = vec![
-        LinkFaultSpec::fail(SimTime::from_millis(2), 1, 1, 0),
-        LinkFaultSpec::recover(SimTime::from_millis(5), 1, 1, 0),
+        LinkFaultSpec::fail(SimTime::from_millis(2), link),
+        LinkFaultSpec::recover(SimTime::from_millis(5), link),
     ];
     cfg.trace = Some(TraceConfig {
         flows: Some((0..60).step_by(3).collect()),

@@ -23,6 +23,7 @@
 
 use conga::core::FabricPolicy;
 use conga::experiments::{run_fct_with_policy, FctRun, LinkFaultSpec, Scheme, TestbedOpts};
+use conga::net::{LeafId, Link, NodeId, SpineId};
 use conga::sim::SimTime;
 use conga::trace::{explain, TraceConfig, TraceHandle};
 use conga::workloads::FlowSizeDist;
@@ -41,9 +42,10 @@ fn traced_cell(spec: TraceConfig) -> FctRun {
     );
     cfg.n_flows = 16;
     cfg.seed = 3;
+    let link = Link::new(NodeId::Leaf(LeafId(1)), NodeId::Spine(SpineId(1)), 0);
     cfg.faults = vec![
-        LinkFaultSpec::fail(SimTime::from_millis(2), 1, 1, 0),
-        LinkFaultSpec::recover(SimTime::from_millis(5), 1, 1, 0),
+        LinkFaultSpec::fail(SimTime::from_millis(2), link),
+        LinkFaultSpec::recover(SimTime::from_millis(5), link),
     ];
     cfg.trace = Some(spec);
     cfg
