@@ -1,5 +1,5 @@
-//! Small statistics toolkit shared by the experiments: means, percentiles,
-//! empirical CDFs, and a fixed-bin histogram.
+//! Small statistics toolkit shared by the experiments: means, percentiles
+//! and a fixed-bin histogram.
 
 /// Mean of a slice (0 for empty input).
 pub fn mean(xs: &[f64]) -> f64 {
@@ -8,15 +8,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     } else {
         xs.iter().sum::<f64>() / xs.len() as f64
     }
-}
-
-/// Population standard deviation.
-pub fn std_dev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    (xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / xs.len() as f64).sqrt()
 }
 
 /// The `p`-th percentile (0–100) by linear interpolation on the sorted
@@ -51,31 +42,6 @@ pub fn percentile_sorted(s: &[f64], p: f64) -> Option<f64> {
         let f = rank - lo as f64;
         s[lo] * (1.0 - f) + s[hi] * f
     })
-}
-
-/// An empirical CDF: sorted `(value, cumulative probability)` points
-/// suitable for plotting.
-pub fn ecdf(xs: &[f64]) -> Vec<(f64, f64)> {
-    let mut s: Vec<f64> = xs.to_vec();
-    s.sort_by(f64::total_cmp);
-    let n = s.len() as f64;
-    s.into_iter()
-        .enumerate()
-        .map(|(i, x)| (x, (i + 1) as f64 / n))
-        .collect()
-}
-
-/// Evaluate an ECDF (as returned by [`ecdf`]) at chosen probe points,
-/// producing a compact plottable series.
-pub fn ecdf_at(cdf: &[(f64, f64)], probes: &[f64]) -> Vec<(f64, f64)> {
-    probes
-        .iter()
-        .map(|&x| {
-            let idx = cdf.partition_point(|&(v, _)| v <= x);
-            let p = if idx == 0 { 0.0 } else { cdf[idx - 1].1 };
-            (x, p)
-        })
-        .collect()
 }
 
 /// A fixed-width histogram over `[lo, hi)`.
@@ -123,10 +89,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mean_and_std() {
+    fn mean_of_empty_and_nonempty_samples() {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(mean(&[2.0, 4.0]), 3.0);
-        assert!((std_dev(&[2.0, 4.0]) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -162,16 +127,6 @@ mod tests {
         for p in [0.0, 12.5, 50.0, 90.0, 100.0] {
             assert_eq!(percentile(&xs, p), percentile_sorted(&s, p));
         }
-    }
-
-    #[test]
-    fn ecdf_shape() {
-        let c = ecdf(&[3.0, 1.0, 2.0]);
-        assert_eq!(c, vec![(1.0, 1.0 / 3.0), (2.0, 2.0 / 3.0), (3.0, 1.0)]);
-        let probed = ecdf_at(&c, &[0.5, 1.5, 5.0]);
-        assert_eq!(probed[0].1, 0.0);
-        assert!((probed[1].1 - 1.0 / 3.0).abs() < 1e-12);
-        assert_eq!(probed[2].1, 1.0);
     }
 
     #[test]

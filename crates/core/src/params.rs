@@ -62,16 +62,6 @@ impl CongaParams {
             ..Self::paper_default()
         }
     }
-
-    /// The DRE time constant `τ = T_dre / α`.
-    pub fn tau(&self) -> SimDuration {
-        SimDuration::from_nanos((self.tdre.as_nanos() as f64 / self.alpha).round() as u64)
-    }
-
-    /// Largest representable quantized metric: `2^Q − 1`.
-    pub fn metric_max(&self) -> u8 {
-        ((1u16 << self.q_bits) - 1) as u8
-    }
 }
 
 impl Default for CongaParams {
@@ -88,9 +78,10 @@ mod tests {
     fn paper_defaults_match_section_3_6() {
         let p = CongaParams::paper_default();
         assert_eq!(p.q_bits, 3);
-        assert_eq!(p.tau(), SimDuration::from_micros(160));
+        // τ = T_dre / α = 16 µs / 0.1 = 160 µs.
+        assert_eq!(p.tdre, SimDuration::from_micros(16));
+        assert_eq!(p.alpha, 0.1);
         assert_eq!(p.tfl, SimDuration::from_micros(500));
-        assert_eq!(p.metric_max(), 7);
         assert_eq!(p.flowlet_entries, 65536);
     }
 
@@ -101,12 +92,5 @@ mod tests {
         assert_eq!(b.tfl, SimDuration::from_millis(13));
         assert_eq!(a.q_bits, b.q_bits);
         assert_eq!(a.tdre, b.tdre);
-    }
-
-    #[test]
-    fn metric_max_tracks_q() {
-        let mut p = CongaParams::paper_default();
-        p.q_bits = 6;
-        assert_eq!(p.metric_max(), 63);
     }
 }

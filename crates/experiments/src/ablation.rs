@@ -15,26 +15,21 @@
 //! reacts too slowly; very large T_fl degenerates to per-flow decisions.
 
 use crate::cli::{banner, Args};
-use crate::runner::{run_fct_with_policy, FctOutcome, FctRun, Scheme, TestbedOpts};
+use crate::runner::{run_fct_with_policy, FctOutcome, Scheme, TestbedOpts};
 use conga_core::{CongaParams, FabricPolicy, GapMode};
 use conga_sim::SimDuration;
 use conga_workloads::FlowSizeDist;
 
 /// One ablation cell: TCP over `policy` on the failed-link testbed.
 fn run_with(policy: FabricPolicy, args: &Args) -> FctOutcome {
-    let mut cfg = FctRun::new(
-        if args.quick {
-            TestbedOpts::paper_failure().quick()
-        } else {
-            TestbedOpts::paper_failure()
-        },
-        Scheme::Conga, // transport = TCP; policy passed explicitly
-        FlowSizeDist::enterprise(),
-        0.6,
-    );
+    let topo = if args.quick {
+        TestbedOpts::paper_failure().quick()
+    } else {
+        TestbedOpts::paper_failure()
+    };
+    // Transport = TCP; the policy is passed explicitly.
+    let mut cfg = args.fct_run(topo, Scheme::Conga, FlowSizeDist::enterprise(), 0.6);
     cfg.n_flows = if args.quick { 150 } else { 600 };
-    cfg.seed = args.seed;
-    cfg.shards = args.shards;
     run_fct_with_policy(&cfg, policy)
 }
 

@@ -7,12 +7,13 @@
 //! `from_iter` returns `Err` with a message, and the process prints it
 //! plus a usage banner and exits with status 2 before any cell runs. The
 //! one check left to a driver is whether `--fault-link` names a link of
-//! the fabric it builds ([`Args::fault_link`]).
+//! the fabric it builds (`Args::fault_link`).
 
-use crate::runner::{build_testbed, TestbedOpts};
+use crate::runner::{build_testbed, FctRun, Scheme, TestbedOpts};
 use conga_net::{LeafId, Link, NodeId, SpineId};
 use conga_sim::SimTime;
 use conga_transport::CcKind;
+use conga_workloads::FlowSizeDist;
 use std::path::PathBuf;
 
 /// Upper bound accepted for `--ecn-threshold`, in packets: the default
@@ -287,6 +288,24 @@ impl Args {
     /// `--cc` entry (the default list is `[aimd]`, so this never panics).
     pub fn primary_cc(&self) -> CcKind {
         self.cc.first().copied().unwrap_or(CcKind::Aimd)
+    }
+
+    /// The FCT cell of `scheme` on `topo` under `dist` at `load`, with
+    /// what every FCT row takes from the command line: the seed,
+    /// `--shards`, the first `--cc` entry and `--ecn-threshold`.
+    pub(crate) fn fct_run(
+        &self,
+        topo: TestbedOpts,
+        scheme: Scheme,
+        dist: FlowSizeDist,
+        load: f64,
+    ) -> FctRun {
+        let mut cfg = FctRun::new(topo, scheme, dist, load);
+        cfg.seed = self.seed;
+        cfg.shards = self.shards;
+        cfg.cc = self.primary_cc();
+        cfg.ecn_threshold_pkts = self.ecn_threshold;
+        cfg
     }
 }
 
@@ -586,6 +605,38 @@ mod tests {
             parse_err(&["--cc", "reno"]),
             "unknown congestion controller 'reno' (expected aimd|dctcp|cubic|bbr)"
         );
+    }
+
+    /// Without flags the cell is `FctRun::new`'s; each cell flag reaches
+    /// its field, and a controller list contributes its first entry.
+    #[test]
+    fn fct_run_carries_the_cell_flags() {
+        let cell = |argv: &[&str]| {
+            let topo = TestbedOpts::paper_baseline();
+            parse(argv).fct_run(topo, Scheme::Conga, FlowSizeDist::enterprise(), 0.6)
+        };
+        let plain = FctRun::new(
+            TestbedOpts::paper_baseline(),
+            Scheme::Conga,
+            FlowSizeDist::enterprise(),
+            0.6,
+        );
+        assert_eq!(format!("{:?}", cell(&[])), format!("{plain:?}"));
+        let c = cell(&[
+            "--seed",
+            "9",
+            "--shards",
+            "3",
+            "--cc",
+            "dctcp,bbr",
+            "--ecn-threshold",
+            "20",
+        ]);
+        assert_eq!(
+            (c.seed, c.shards, c.cc, c.ecn_threshold_pkts),
+            (9, 3, CcKind::Dctcp, Some(20))
+        );
+        assert_eq!((c.scheme, c.load, c.n_flows), (Scheme::Conga, 0.6, 2000));
     }
 
     #[test]

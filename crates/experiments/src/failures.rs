@@ -24,7 +24,7 @@
 use crate::cli::{banner, Args};
 use crate::figures::{fct_sweep, loads_arg, print_fct_panels, write_metrics_sidecar_text};
 use crate::runner::{
-    build_report, build_testbed, plan_arrivals, run_until_received, start_source, uniform_arrivals,
+    build_testbed, fct_meta, plan_arrivals, run_until_received, start_source, uniform_arrivals,
     workload_rng, FctRun, Scheme, TestbedOpts,
 };
 use conga_analysis::stats::{mean, percentile};
@@ -76,20 +76,13 @@ pub fn fig11_static(args: &Args) -> bool {
         "scheme", "p50 (KB)", "p90 (KB)", "p99 (KB)", "max (KB)"
     );
     for scheme in Scheme::PAPER {
-        let mut cfg = FctRun::new(
-            if args.quick {
-                TestbedOpts::paper_failure().quick()
-            } else {
-                TestbedOpts::paper_failure()
-            },
-            scheme,
-            FlowSizeDist::data_mining(),
-            0.6,
-        );
+        let topo = if args.quick {
+            TestbedOpts::paper_failure().quick()
+        } else {
+            TestbedOpts::paper_failure()
+        };
+        let mut cfg = args.fct_run(topo, scheme, FlowSizeDist::data_mining(), 0.6);
         cfg.n_flows = if args.quick { 120 } else { 300 };
-        cfg.seed = args.seed;
-        cfg.cc = args.primary_cc();
-        cfg.ecn_threshold_pkts = args.ecn_threshold;
         let (queue, report) = hotspot_queue(&cfg);
         written &=
             write_metrics_sidecar_text("fig11_link_failure", scheme.name(), &report.to_json());
@@ -148,7 +141,8 @@ fn hotspot_queue(cfg: &FctRun) -> (Vec<f64>, RunReport) {
         SimDuration::from_millis(50),
         SimTime::from_nanos(span_ns) + SimDuration::from_secs(8),
     );
-    let report = build_report(&net, cfg);
+    let mut report = fct_meta(cfg, net.dataplane.name(), net.now());
+    net.export_metrics(&mut report.metrics);
     let queue = report.metrics.series(&queue_name);
     (queue.iter().map(|&(_, b)| b).collect(), report)
 }

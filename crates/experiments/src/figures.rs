@@ -3,12 +3,15 @@
 
 use crate::cli::{banner, or_usage, Args};
 use crate::fleet::{fct_cell, run_cells, FleetOpts};
-use crate::runner::{FctRun, LinkFaultSpec, Scheme, TestbedOpts};
+use crate::runner::{LinkFaultSpec, Scheme, TestbedOpts};
 use conga_trace::json::write_json_f64;
 use conga_trace::{TraceConfig, TraceHandle};
 use conga_workloads::FlowSizeDist;
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+
+/// Where every figure artifact is written.
+pub(crate) const RESULTS: &str = "results";
 
 /// The file-name form of a cell label: lowercase, non-alphanumerics → `-`.
 fn slug(label: &str) -> String {
@@ -19,14 +22,20 @@ fn slug(label: &str) -> String {
         .collect()
 }
 
-/// Write one artifact to `results/<file_name>`, creating the directory,
+/// Write one artifact to `<dir>/<file_name>`, creating the directory,
 /// and report the outcome on stderr — the path, or the error. Every
-/// sidecar goes through here, so no failed write is ever silent; returns
-/// whether the artifact was written (a driver that gets `false` returns
-/// it, and `fleet` exits nonzero).
-pub(crate) fn write_artifact(what: &str, file_name: &str, text: &str) -> bool {
-    let path = PathBuf::from("results").join(file_name);
-    match std::fs::create_dir_all("results").and_then(|()| std::fs::write(&path, text)) {
+/// sidecar, trace and manifest goes through here, so no failed write is
+/// ever silent; returns whether the artifact was written (a driver that
+/// gets `false` returns it, and `fleet` exits nonzero).
+pub(crate) fn write_artifact(
+    what: &str,
+    dir: impl AsRef<Path>,
+    file_name: &str,
+    text: &str,
+) -> bool {
+    let dir = dir.as_ref();
+    let path = dir.join(file_name);
+    match std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, text)) {
         Ok(()) => {
             eprintln!("{what}: {}", path.display());
             true
@@ -46,7 +55,7 @@ pub(crate) fn write_artifact(what: &str, file_name: &str, text: &str) -> bool {
 /// stable file names.
 pub fn write_metrics_sidecar_text(figure: &str, label: &str, json: &str) -> bool {
     let file = format!("{figure}.{}.metrics.json", slug(label));
-    write_artifact("metrics sidecar", &file, json)
+    write_artifact("metrics sidecar", RESULTS, &file, json)
 }
 
 /// Write a cell's time-series artifacts — `results/<figure>.<slug>.series.jsonl`
@@ -68,8 +77,8 @@ pub fn write_series_sidecars_from_text(
     };
     let stem = format!("{figure}.{}.series", slug(label));
     // `&`, not `&&`: a failed first write still attempts the second.
-    write_artifact("series sidecar", &format!("{stem}.jsonl"), jsonl)
-        & write_artifact("series sidecar", &format!("{stem}.csv"), csv)
+    write_artifact("series sidecar", RESULTS, &format!("{stem}.jsonl"), jsonl)
+        & write_artifact("series sidecar", RESULTS, &format!("{stem}.csv"), csv)
 }
 
 /// Event-tracing options parsed from the CLI: where to write the artifacts
@@ -101,33 +110,23 @@ pub fn trace_args(args: &Args) -> Option<TraceArgs> {
 
 /// Export a finished run's trace as `<dir>/<figure>.<label>.trace.jsonl`
 /// and `<dir>/<figure>.<label>.trace.chrome.json` (label slugified as in
-/// [`write_metrics_sidecar_text`]), print both paths to stderr, and return
-/// them.
-pub fn write_trace_sidecars(
-    dir: &std::path::Path,
-    figure: &str,
-    label: &str,
-    trace: &TraceHandle,
-) -> std::io::Result<(PathBuf, PathBuf)> {
-    let slug = slug(label);
-    std::fs::create_dir_all(dir)?;
-    let jsonl = dir.join(format!("{figure}.{slug}.trace.jsonl"));
-    let chrome = dir.join(format!("{figure}.{slug}.trace.chrome.json"));
-    let jsonl_text = trace
-        .export_jsonl()
-        .expect("write_trace_sidecars wants an enabled trace handle");
-    let chrome_text = trace.export_chrome().expect("enabled handle");
-    std::fs::write(&jsonl, jsonl_text)?;
-    std::fs::write(&chrome, chrome_text)?;
-    eprintln!("trace: {} ({} events)", jsonl.display(), trace.len());
-    eprintln!("trace: {}", chrome.display());
+/// [`write_metrics_sidecar_text`]) through `write_artifact`; returns
+/// whether both were written.
+pub fn write_trace_sidecars(dir: &Path, figure: &str, label: &str, trace: &TraceHandle) -> bool {
+    let stem = format!("{figure}.{}.trace", slug(label));
+    let (Some(jsonl), Some(chrome)) = (trace.export_jsonl(), trace.export_chrome()) else {
+        panic!("write_trace_sidecars wants an enabled trace handle");
+    };
+    let what = format!("trace ({} events)", trace.len());
+    let written = write_artifact(&what, dir, &format!("{stem}.jsonl"), &jsonl)
+        & write_artifact("trace", dir, &format!("{stem}.chrome.json"), &chrome);
     if trace.dropped() > 0 {
         eprintln!(
             "trace: ring evicted {} earlier events (raise --trace-ring to keep more)",
             trace.dropped()
         );
     }
-    Ok((jsonl, chrome))
+    written
 }
 
 /// The runtime fault-injection flags shared by every sweep figure as a
@@ -209,14 +208,11 @@ pub fn fct_sweep(
     for &scheme in schemes {
         for &load in loads {
             for r in 0..runs {
-                let mut cfg = FctRun::new(topo, scheme, dist.clone(), load);
+                let mut cfg = args.fct_run(topo, scheme, dist.clone(), load);
                 cfg.n_flows = n_flows;
-                cfg.seed = args.seed + 1000 * r as u64;
+                cfg.seed += 1000 * r as u64;
                 cfg.faults = faults.clone();
                 cfg.trace = tracing.as_ref().map(|t| t.spec.clone());
-                cfg.shards = args.shards;
-                cfg.cc = args.primary_cc();
-                cfg.ecn_threshold_pkts = args.ecn_threshold;
                 // Three-tier (fig15-scale) cells always stream their FCTs
                 // through the sketch — the whole point of running 10k+
                 // hosts is not buffering one sample per flow. Two-tier
@@ -348,7 +344,12 @@ pub fn write_sweep_sidecar(figure: &str, sweep: &Sweep) -> bool {
         out.push(']');
     }
     out.push_str("]\n}\n");
-    write_artifact("sweep sidecar", &format!("{figure}.sweep.json"), &out)
+    write_artifact(
+        "sweep sidecar",
+        RESULTS,
+        &format!("{figure}.sweep.json"),
+        &out,
+    )
 }
 
 /// Print the three panels of a Figure-9-style sweep.

@@ -22,7 +22,7 @@ use conga_telemetry::RunReport;
 use conga_trace::TraceHandle;
 
 use crate::cli::Args;
-use crate::figures::{write_trace_sidecars, TraceArgs};
+use crate::figures::{write_artifact, write_trace_sidecars, TraceArgs, RESULTS};
 use crate::runner::{run_fct, FctOutcome, FctRun};
 
 /// Orchestration options, parsed once per invocation.
@@ -79,7 +79,6 @@ pub fn run_cells(cells: Vec<FleetCell>, opts: &FleetOpts) -> Vec<CellResult> {
         let label = cell.scenario.label.clone();
         if let Some(hit) = opts.cache.lookup(&hash) {
             hits += 1;
-            conga_fleet::stats::note_cache_hit();
             eprintln!("fleet: [{}/{}] {label} — cache hit ({hash})", i + 1, n);
             conga_fleet::manifest::record(CellRecord {
                 figure,
@@ -165,7 +164,12 @@ pub(crate) fn cell(
             let (report, trace) = body(&mut result);
             result.report_json = report.to_json();
             if let (Some(t), Some(handle)) = (&tracing, &trace) {
-                write_trace_sidecars(&t.dir, &figure, &label, handle).expect("trace sidecar write");
+                // A panic fails the cell: the manifest marks it, `fleet`
+                // exits nonzero.
+                assert!(
+                    write_trace_sidecars(&t.dir, &figure, &label, handle),
+                    "trace sidecar write failed"
+                );
             }
             result
         }),
@@ -208,8 +212,9 @@ pub(crate) fn fct_cell_with(
 
 /// The one exit point of a `fleet` invocation: drain the per-cell records
 /// collected so far into `results/<suite>.fleet_manifest.json` (when any
-/// cell was scheduled) and print the one-line orchestration summary —
-/// wall-clock-bearing, so excluded from the byte-identity contract.
+/// cell was scheduled) and print the one-line orchestration summary over
+/// that manifest's cells — wall-clock-bearing, so excluded from the
+/// byte-identity contract.
 /// Returns `false` when a cell panicked — its figure averaged an empty
 /// result into a table, so the invocation must not exit 0 — or when the
 /// manifest could not be written.
@@ -220,18 +225,17 @@ pub fn finish(suite: &str, args: &Args) -> bool {
         cells: drain(),
         total_wall_us: (conga_fleet::stats::elapsed_s() * 1e6) as u64,
     };
-    let mut ok = true;
-    if !manifest.cells.is_empty() {
-        let path = format!("results/{suite}.fleet_manifest.json");
-        match manifest.write_to(&path) {
-            Ok(()) => eprintln!("fleet manifest: {path}"),
-            Err(e) => {
-                eprintln!("fleet manifest write failed: {e}");
-                ok = false;
-            }
-        }
-    }
-    println!("{}", conga_fleet::stats::summary_line(suite));
+    let mut ok = manifest.cells.is_empty()
+        || write_artifact(
+            "fleet manifest",
+            RESULTS,
+            &format!("{suite}.fleet_manifest.json"),
+            &manifest.to_json(),
+        );
+    println!(
+        "{}",
+        conga_fleet::stats::summary_line(suite, manifest.misses(), manifest.hits())
+    );
     for c in manifest.cells.iter().filter(|c| c.failed) {
         eprintln!("fleet: FAILED cell {}/{} ({})", c.figure, c.label, c.hash);
         ok = false;

@@ -30,6 +30,6 @@ pub use cli::Args;
 pub use dynfail::{dynfail_cell, run_dynamic_failure, DynFailOutcome, DynFailSpec};
 pub use fleet::{fct_cell, fct_scenario, run_cells, FleetCell, FleetOpts};
 pub use runner::{
-    build_report, build_testbed, merged_arrivals, run_fct, run_fct_with_policy, uniform_arrivals,
-    FctOutcome, FctRun, LinkFaultSpec, Scheme, ShardedRun, TestbedOpts, TraceSpec,
+    build_testbed, merged_arrivals, run_fct, run_fct_with_policy, uniform_arrivals, FctOutcome,
+    FctRun, LinkFaultSpec, Scheme, ShardedRun, TestbedOpts, TraceSpec,
 };

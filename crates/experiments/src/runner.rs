@@ -244,7 +244,6 @@ pub fn build_testbed(o: TestbedOpts) -> Topology {
     let b = TopologyBuilder::three_tier(o.pods, leaves, spines, o.cores, o.hosts_per_leaf)
         .host_rate_gbps(o.host_gbps)
         .fabric_rate_gbps(o.fabric_gbps)
-        .core_rate_gbps(o.fabric_gbps)
         .parallel_links(o.parallel);
     match o.fail {
         Some((l, s, p)) => b.fail_link(l, s, p),
@@ -711,7 +710,7 @@ impl ShardedRun {
     /// `more_faults` is scheduled after `faults`. Every caller in this
     /// workspace passes `&[]`: the parameter only keeps the ten-argument
     /// signature that `congabench`'s stage-by-stage replay compiles
-    /// against, and goes when that replay is rebuilt on [`setup_fct`].
+    /// against, and goes when that replay is rebuilt on `setup_fct`.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         topo: &Topology,
@@ -795,8 +794,9 @@ impl ShardedRun {
         r
     }
 
-    /// Sum an [`EngineStats`] counter across domains (ownership gating in
-    /// the engine guarantees each event is counted in exactly one domain).
+    /// Sum an [`conga_net::EngineStats`] counter across domains (ownership
+    /// gating in the engine guarantees each event is counted in exactly one
+    /// domain).
     pub fn stat(&self, f: impl Fn(&conga_net::EngineStats) -> u64) -> u64 {
         (0..self.net.n_domains())
             .map(|d| f(&self.net.domain(d).stats))
@@ -831,12 +831,10 @@ pub fn run_fct(cfg: &FctRun) -> FctOutcome {
     run_fct_with_policy(cfg, cfg.scheme.policy())
 }
 
-/// The set-up every FCT-style cell shares: count the cell run, build
-/// `cfg`'s fabric, plan its arrivals and register them in a [`ShardedRun`]
-/// under `policy`. Returns the fabric, the run and the arrivals' span in
-/// nanoseconds.
+/// The set-up every FCT-style cell shares: build `cfg`'s fabric, plan its
+/// arrivals and register them in a [`ShardedRun`] under `policy`. Returns
+/// the fabric, the run and the arrivals' span in nanoseconds.
 pub(crate) fn setup_fct(cfg: &FctRun, policy: FabricPolicy) -> (Topology, ShardedRun, u64) {
-    conga_fleet::stats::note_cell_run();
     let topo = build_testbed(cfg.topo);
     let (arrivals, span_ns) = plan_arrivals(
         cfg.topo,
@@ -996,18 +994,11 @@ pub fn run_fct_with_policy(cfg: &FctRun, policy: FabricPolicy) -> FctOutcome {
     }
 }
 
-/// Assemble the [`RunReport`] for a finished FCT run: configuration metadata
-/// plus every counter the network exports. Pure function of the simulation
-/// state — same seed, same bytes.
-pub fn build_report(net: &Network<FabricPolicy, TransportLayer>, cfg: &FctRun) -> RunReport {
-    let mut report = fct_meta(cfg, conga_net::Dataplane::name(&net.dataplane), net.now());
-    net.export_metrics(&mut report.metrics);
-    report
-}
-
-/// The configuration-metadata half of [`build_report`], shared between the
-/// monolithic and sharded paths (metrics are exported by the caller).
-fn fct_meta(cfg: &FctRun, policy_name: &str, end: SimTime) -> RunReport {
+/// The configuration metadata of a finished FCT run's [`RunReport`],
+/// shared between the monolithic and sharded paths; the caller adds every
+/// counter the network exports. Pure function of the simulation state —
+/// same seed, same bytes.
+pub(crate) fn fct_meta(cfg: &FctRun, policy_name: &str, end: SimTime) -> RunReport {
     let mut report = RunReport::new();
     report.set_meta("scheme", cfg.scheme.name());
     report.set_meta("policy", policy_name);

@@ -22,7 +22,7 @@
 use crate::cli::{banner, Args};
 use crate::figures::{fault_args, fct_sweep, loads_arg};
 use crate::fleet::{fct_cell, run_cells, FleetOpts};
-use crate::runner::{FctRun, LinkFaultSpec, Scheme, TestbedOpts};
+use crate::runner::{LinkFaultSpec, Scheme, TestbedOpts};
 use conga_net::{CoreId, Link, NodeId, SpineId};
 use conga_sim::SimTime;
 use conga_workloads::FlowSizeDist;
@@ -131,10 +131,8 @@ pub fn fig15(args: &Args) -> bool {
     let cells: Vec<_> = [Scheme::Ecmp, Scheme::Conga]
         .into_iter()
         .map(|scheme| {
-            let mut cfg = FctRun::new(three_tier, scheme, FlowSizeDist::web_search(), load);
+            let mut cfg = args.fct_run(three_tier, scheme, FlowSizeDist::web_search(), load);
             cfg.n_flows = if args.quick { 120 } else { 500 };
-            cfg.seed = args.seed;
-            cfg.shards = args.shards;
             cfg.sketch = true;
             let link = Link::new(NodeId::Spine(SpineId(0)), NodeId::Core(CoreId(0)), 0);
             cfg.faults = vec![

@@ -18,9 +18,7 @@ use crate::figures::{
     TraceArgs,
 };
 use crate::fleet::{cell, fct_cell_with, run_cells, FleetCell, FleetOpts};
-use crate::runner::{
-    run_until_received, start_source, tcp_spec, FctOutcome, FctRun, Scheme, TestbedOpts,
-};
+use crate::runner::{run_until_received, start_source, tcp_spec, FctOutcome, Scheme, TestbedOpts};
 use crate::{ablation, analytic, asymmetry, failures, hdfs, scale, tournament};
 use conga_analysis::imbalance::throughput_imbalance;
 use conga_analysis::stats::percentile;
@@ -166,11 +164,12 @@ pub fn fig11_dynamic(args: &Args) -> bool {
     let link = or_usage(args.fault_link(fabric));
     for scheme in Scheme::PAPER {
         let mut spec = DynFailSpec::paper(scheme, args.quick, args.seed);
+        let paper = &spec.fct;
+        spec.fct = args.fct_run(paper.topo, scheme, paper.dist.clone(), paper.load);
         spec.fail_at = args.fail_at.unwrap_or(spec.fail_at);
         spec.recover_at = args.recover_at.unwrap_or(spec.recover_at);
         spec.link = link;
         spec.fct.trace = tracing.as_ref().map(|t| t.spec.clone());
-        spec.fct.shards = args.shards;
         cells.push(dynfail_cell(
             "fig11_dynamic_failure",
             scheme.name(),
@@ -227,21 +226,15 @@ pub fn fig12(args: &Args) -> bool {
     let mut cells = Vec::new();
     for (dist, flows) in &workloads {
         for scheme in Scheme::PAPER {
-            let mut cfg = FctRun::new(
-                if args.quick {
-                    TestbedOpts::paper_baseline().quick()
-                } else {
-                    TestbedOpts::paper_baseline()
-                },
-                scheme,
-                dist.clone(),
-                0.6,
-            );
+            let topo = if args.quick {
+                TestbedOpts::paper_baseline().quick()
+            } else {
+                TestbedOpts::paper_baseline()
+            };
+            let mut cfg = args.fct_run(topo, scheme, dist.clone(), 0.6);
             cfg.n_flows = if args.quick { 150 } else { *flows };
-            cfg.seed = args.seed;
             cfg.sample_uplinks = true;
             cfg.trace = tracing.as_ref().map(|t| t.spec.clone());
-            cfg.shards = args.shards;
             let label = format!("{}.{}", dist.name(), scheme.name());
             let scenario = cfg.scenario("fig12_imbalance", &label);
             cells.push(fct_cell_with(scenario, cfg, tracing.clone(), imbalance));
@@ -387,7 +380,7 @@ struct IncastSpec {
 }
 
 impl IncastSpec {
-    /// By the rule of [`FctRun::spec`]: every field, defaults included.
+    /// By the rule of `FctRun::spec`: every field, defaults included.
     fn spec(&self) -> String {
         let IncastSpec {
             scheme,
@@ -430,7 +423,6 @@ pub fn run_incast(
     seed: u64,
     trace: Option<&TraceConfig>,
 ) -> (f64, RunReport, Option<TraceHandle>) {
-    conga_fleet::stats::note_cell_run();
     let topo = LeafSpineBuilder::new(2, 2, 32)
         .host_rate_gbps(10)
         .fabric_rate_gbps(40)

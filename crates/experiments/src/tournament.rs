@@ -10,7 +10,7 @@
 //! byte-identical for any `--jobs`, `--shards`, or cache state.
 
 use crate::cli::{banner, Args};
-use crate::figures::{loads_arg, write_artifact};
+use crate::figures::{loads_arg, write_artifact, RESULTS};
 use crate::fleet::{fct_cell_with, run_cells, FleetOpts};
 use crate::runner::{FctOutcome, FctRun, Scheme, TestbedOpts};
 use conga_analysis::tournament::{compare, render, GroupTable, PolicyCell};
@@ -84,12 +84,9 @@ pub fn run(args: &Args) -> bool {
         for &load in &loads {
             for &cc in ccs {
                 for scheme in Scheme::TOURNAMENT {
-                    let mut cfg = FctRun::new(topo, scheme, dist.clone(), load);
+                    let mut cfg = args.fct_run(topo, scheme, dist.clone(), load);
                     cfg.n_flows = n_flows;
-                    cfg.seed = args.seed;
-                    cfg.shards = args.shards;
                     cfg.cc = cc;
-                    cfg.ecn_threshold_pkts = args.ecn_threshold;
                     let figure = format!("tournament_{arena}");
                     let label =
                         format!("{}.{}.load{:02.0}", scheme.name(), cc.name(), load * 100.0);
@@ -130,8 +127,9 @@ pub fn run(args: &Args) -> bool {
     print!("{table_text}");
     let json = to_json(&loads, ccs, &arenas, &tables);
     // `&`, not `&&`: a failed first write still attempts the second.
-    write_artifact("tournament artifact", "tournament.json", &json)
-        & write_artifact("tournament artifact", "tournament_table.txt", &table_text)
+    let what = "tournament artifact";
+    write_artifact(what, RESULTS, "tournament.json", &json)
+        & write_artifact(what, RESULTS, "tournament_table.txt", &table_text)
 }
 
 /// Serialize the comparison groups as deterministic JSON (sorted structure

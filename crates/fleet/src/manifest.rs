@@ -9,8 +9,6 @@
 //! are the only wall-clock-bearing keys (`tests/fleet.rs` pins that).
 
 use std::fmt::Write as _;
-use std::io;
-use std::path::Path;
 use std::sync::Mutex;
 
 use conga_trace::json::write_json_string;
@@ -112,15 +110,6 @@ impl FleetManifest {
         }
         out.push_str("]\n}\n");
         out
-    }
-
-    /// Write the manifest JSON to `path`, creating parent directories.
-    pub fn write_to(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        let path = path.as_ref();
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        std::fs::write(path, self.to_json())
     }
 }
 

@@ -482,7 +482,6 @@ pub struct TopologyBuilder {
     hosts_per_leaf: u32,
     host_rate: u64,
     fabric_rate: u64,
-    core_rate: u64,
     parallel: u32,
     host_delay: SimDuration,
     fabric_delay: SimDuration,
@@ -509,7 +508,6 @@ impl TopologyBuilder {
             hosts_per_leaf,
             host_rate: 10_000_000_000,
             fabric_rate: 40_000_000_000,
-            core_rate: 40_000_000_000,
             parallel: 1,
             // Host links carry the NIC + kernel stack latency (several us
             // each way in the paper's era); fabric hops are cut-through
@@ -550,15 +548,9 @@ impl TopologyBuilder {
         self
     }
 
-    /// Leaf-spine fabric link rate in Gbps.
+    /// Fabric link rate in Gbps: leaf–spine and spine–core links.
     pub fn fabric_rate_gbps(mut self, g: u64) -> Self {
         self.fabric_rate = g * 1_000_000_000;
-        self
-    }
-
-    /// Spine-core link rate in Gbps (40 unless set).
-    pub fn core_rate_gbps(mut self, g: u64) -> Self {
-        self.core_rate = g * 1_000_000_000;
         self
     }
 
@@ -672,7 +664,7 @@ impl TopologyBuilder {
                 link(
                     NodeId::Spine(SpineId(s)),
                     NodeId::Core(CoreId(c)),
-                    self.core_rate,
+                    self.fabric_rate,
                     self.fabric_delay,
                     (ChannelKind::SpineUp, fabric),
                     (ChannelKind::CoreDown, fabric),

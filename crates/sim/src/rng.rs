@@ -161,35 +161,6 @@ impl SimRng {
         (mu + sigma * self.std_normal()).exp()
     }
 
-    /// Bounded Pareto variate on `[lo, hi]` with shape `alpha`, via inverse CDF.
-    pub fn bounded_pareto(&mut self, lo: f64, hi: f64, alpha: f64) -> f64 {
-        debug_assert!(lo > 0.0 && hi > lo && alpha > 0.0);
-        let u = self.f64();
-        let la = lo.powf(alpha);
-        let ha = hi.powf(alpha);
-        // Inverse CDF of the bounded Pareto.
-        (-(u * ha - u * la - ha) / (ha * la)).powf(-1.0 / alpha)
-    }
-
-    /// Sample an index from a discrete CDF given as non-decreasing cumulative
-    /// probabilities ending at (approximately) 1.0.
-    pub fn discrete_cdf(&mut self, cdf: &[f64]) -> usize {
-        debug_assert!(!cdf.is_empty());
-        let u = self.f64();
-        match cdf.binary_search_by(|p| p.partial_cmp(&u).expect("NaN in CDF")) {
-            Ok(i) => (i + 1).min(cdf.len() - 1),
-            Err(i) => i.min(cdf.len() - 1),
-        }
-    }
-
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.below(i + 1);
-            xs.swap(i, j);
-        }
-    }
-
     /// Choose a uniformly random element of a non-empty slice.
     pub fn choose<'a, T>(&mut self, xs: &'a [T]) -> &'a T {
         &xs[self.below(xs.len())]
@@ -247,39 +218,5 @@ mod tests {
         let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.01, "mean {mean}");
         assert!((var - 1.0).abs() < 0.02, "var {var}");
-    }
-
-    #[test]
-    fn bounded_pareto_respects_bounds() {
-        let mut rng = SimRng::new(5);
-        for _ in 0..10_000 {
-            let x = rng.bounded_pareto(1e3, 1e8, 0.5);
-            assert!((1e3..=1e8).contains(&x), "out of bounds: {x}");
-        }
-    }
-
-    #[test]
-    fn discrete_cdf_frequencies() {
-        let mut rng = SimRng::new(6);
-        let cdf = [0.1, 0.4, 1.0];
-        let mut counts = [0usize; 3];
-        let n = 100_000;
-        for _ in 0..n {
-            counts[rng.discrete_cdf(&cdf)] += 1;
-        }
-        let p: Vec<f64> = counts.iter().map(|&c| c as f64 / n as f64).collect();
-        assert!((p[0] - 0.1).abs() < 0.01);
-        assert!((p[1] - 0.3).abs() < 0.01);
-        assert!((p[2] - 0.6).abs() < 0.01);
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut rng = SimRng::new(8);
-        let mut xs: Vec<u32> = (0..100).collect();
-        rng.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
     }
 }

@@ -77,12 +77,6 @@ impl SimTime {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
-    /// Checked addition of a duration.
-    #[inline]
-    pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
-        self.0.checked_add(d.0).map(SimTime)
-    }
-
     /// Saturating addition of a duration (clamps at [`SimTime::MAX`]).
     #[inline]
     pub fn saturating_add(self, d: SimDuration) -> SimTime {

@@ -28,8 +28,6 @@ pub use series::{SeriesRegistry, SERIES_SCHEMA};
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::io;
-use std::path::Path;
 
 use conga_sim::SimTime;
 use conga_trace::json::{write_json_f64, write_json_string};
@@ -73,15 +71,6 @@ impl MetricsRegistry {
     /// Read a counter; missing counters read as zero.
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Sum of all counters whose name starts with `prefix`.
-    pub fn sum_counters(&self, prefix: &str) -> u64 {
-        self.counters
-            .range(prefix.to_owned()..)
-            .take_while(|(k, _)| k.starts_with(prefix))
-            .map(|(_, v)| *v)
-            .sum()
     }
 
     /// Iterate `(name, value)` over all counters in sorted name order.
@@ -201,15 +190,6 @@ impl RunReport {
         out.push_str("}\n}\n");
         out
     }
-
-    /// Write the JSON artifact to `path`, creating parent directories.
-    pub fn write_to(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        let path = path.as_ref();
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        std::fs::write(path, self.to_json())
-    }
 }
 
 fn write_string_map(out: &mut String, map: &BTreeMap<String, String>) {
@@ -293,26 +273,6 @@ mod tests {
     }
 
     #[test]
-    fn sum_counters_matches_prefix_only() {
-        let mut reg = MetricsRegistry::new();
-        reg.inc("port.0000.drops", 1);
-        reg.inc("port.0001.drops", 2);
-        reg.inc("port.0001.tx_pkts", 100);
-        reg.inc("engine.drops", 50);
-        assert_eq!(
-            reg.sum_counters("port.0000.drops") + reg.counter("port.0001.drops"),
-            3
-        );
-        let drops: u64 = reg
-            .counters()
-            .filter(|(k, _)| k.starts_with("port.") && k.ends_with(".drops"))
-            .map(|(_, v)| v)
-            .sum();
-        assert_eq!(drops, 3);
-        assert_eq!(reg.sum_counters("port."), 103);
-    }
-
-    #[test]
     fn absorb_adds_counters_sums_gauges_and_appends_series() {
         let mut a = MetricsRegistry::new();
         a.inc("c", 1);
@@ -362,7 +322,7 @@ mod tests {
         );
         let mut reg = MetricsRegistry::new();
         reg.set_counter(&policy_series("latency", "probes"), 3);
-        assert_eq!(reg.sum_counters("dataplane.latency."), 3);
+        assert_eq!(reg.counter("dataplane.latency.probes"), 3);
     }
 
     #[test]
@@ -378,19 +338,5 @@ mod tests {
         let r = RunReport::new();
         assert_eq!(r.to_json(), RunReport::new().to_json());
         assert!(r.metrics.is_empty());
-    }
-
-    #[test]
-    fn write_to_creates_dirs_and_round_trips_bytes() {
-        let dir = std::env::temp_dir().join("conga-telemetry-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        let path = dir.join("nested/report.json");
-        let mut r = RunReport::new();
-        r.set_meta("k", "v");
-        r.metrics.inc("c", 1);
-        r.write_to(&path).unwrap();
-        let bytes = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(bytes, r.to_json());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -147,12 +147,6 @@ impl SeriesRegistry {
         self.series.values().all(|s| s.buckets.is_empty())
     }
 
-    /// The base window index containing simulated time `now`.
-    pub fn window_index(&self, now: SimTime) -> u64 {
-        debug_assert!(self.window_ns > 0, "window_index on a disabled registry");
-        now.as_nanos() / self.window_ns.max(1)
-    }
-
     /// Record one observation of `name` for the base window containing
     /// `now`. No-op when the registry is disabled.
     pub fn record(&mut self, name: &str, now: SimTime, value: f64) {

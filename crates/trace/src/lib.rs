@@ -318,14 +318,6 @@ impl TraceConfig {
         Self::default()
     }
 
-    /// Record only the given flow ids.
-    pub fn for_flows<I: IntoIterator<Item = u32>>(flows: I) -> Self {
-        Self {
-            flows: Some(flows.into_iter().collect()),
-            ring: None,
-        }
-    }
-
     /// Bound the recorder to the most recent `cap` records.
     pub fn with_ring(mut self, cap: usize) -> Self {
         self.ring = Some(cap);
@@ -853,7 +845,10 @@ mod tests {
 
     #[test]
     fn flow_filter_drops_unsampled_flows_but_keeps_faults() {
-        let h = TraceHandle::recording(TraceConfig::for_flows([7]));
+        let h = TraceHandle::recording(TraceConfig {
+            flows: Some([7].into()),
+            ring: None,
+        });
         assert!(h.wants_flow(7));
         assert!(!h.wants_flow(8));
         h.emit(

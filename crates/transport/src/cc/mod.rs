@@ -9,7 +9,7 @@
 //! `cwnd`/`ssthresh` and whether they pace.
 //!
 //! Four controllers ship, selected by [`CcKind`] on
-//! [`TcpConfig`](crate::TcpConfig):
+//! [`TcpConfig`]:
 //!
 //! * [`Aimd`] — the NewReno arithmetic extracted verbatim from the
 //!   pre-refactor `TcpTx`; the default, byte-identical to the historical
@@ -187,16 +187,6 @@ impl Cc {
             CcKind::Bbr => Cc::Bbr(Bbr::new(cfg)),
         }
     }
-
-    /// The [`CcKind`] this controller was built from.
-    pub fn kind(&self) -> CcKind {
-        match self {
-            Cc::Aimd(_) => CcKind::Aimd,
-            Cc::Dctcp(_) => CcKind::Dctcp,
-            Cc::Cubic(_) => CcKind::Cubic,
-            Cc::Bbr(_) => CcKind::Bbr,
-        }
-    }
 }
 
 macro_rules! delegate {
@@ -276,7 +266,6 @@ mod tests {
                 ..TcpConfig::standard()
             };
             let cc = Cc::from_config(&cfg);
-            assert_eq!(cc.kind(), k);
             assert_eq!(cc.name(), k.name());
             assert!(cc.cwnd() > 0.0, "{}: initial window", cc.name());
         }

@@ -55,8 +55,6 @@ pub struct FlowRecord {
     /// When the receiver had every byte (the FCT endpoint used throughout
     /// the experiments).
     pub rx_done: Option<SimTime>,
-    /// When the sender had every byte ACKed.
-    pub tx_done: Option<SimTime>,
     /// Total bytes retransmitted across subflows.
     pub retx_bytes: u64,
     /// Total RTO firings across subflows.
@@ -70,15 +68,7 @@ impl FlowRecord {
     }
 }
 
-/// An open-loop source of flow arrivals (implemented by the workload crate;
-/// adapted in the experiment harness).
-pub trait FlowSource {
-    /// The next arrival: delay after the *previous* arrival, plus the spec.
-    /// `None` ends the workload.
-    fn next_flow(&mut self) -> Option<(SimDuration, FlowSpec)>;
-}
-
-/// A pre-materialized list of arrivals.
+/// An open-loop workload: a pre-materialized list of arrivals.
 pub struct ListSource {
     items: std::vec::IntoIter<(SimDuration, FlowSpec)>,
 }
@@ -90,9 +80,9 @@ impl ListSource {
             items: items.into_iter(),
         }
     }
-}
 
-impl FlowSource for ListSource {
+    /// The next arrival: delay after the *previous* arrival, plus the spec.
+    /// `None` ends the workload.
     fn next_flow(&mut self) -> Option<(SimDuration, FlowSpec)> {
         self.items.next()
     }
@@ -274,7 +264,7 @@ pub struct TransportLayer {
     /// sharded runs preregister every flow in every domain but activate
     /// each exactly once, in its sender's domain.
     activated: u64,
-    source: Option<Box<dyn FlowSource + Send>>,
+    source: Option<Box<ListSource>>,
     /// Spec pulled from the source, waiting for its arrival timer to fire.
     pending_first: Option<FlowSpec>,
     /// Structured event tracing (cwnd moves, fast retransmits, RTOs);
@@ -296,8 +286,10 @@ impl TransportLayer {
     /// Attach an arrival source. The caller must kick it off by scheduling
     /// the first arrival: `net.schedule_timer(delay0, 0)` where `delay0`
     /// comes from the first `next_flow()` call — or more simply via
-    /// [`TransportLayer::begin_source`].
-    pub fn attach_source(&mut self, source: Box<dyn FlowSource + Send>) {
+    /// [`TransportLayer::begin_source`]. Boxed because `congabench`'s
+    /// replay passes `Box::new(ListSource::new(..))`; the box is stored as
+    /// it comes.
+    pub fn attach_source(&mut self, source: Box<ListSource>) {
         self.source = Some(source);
     }
 
@@ -382,7 +374,6 @@ impl TransportLayer {
             bytes: spec.bytes,
             start,
             rx_done: None,
-            tx_done: None,
             retx_bytes: 0,
             timeouts: 0,
         });
@@ -690,7 +681,6 @@ impl TransportLayer {
         if !slot.tx_complete && f.unassigned == 0 && f.subflows.iter().all(|s| s.tx.done()) {
             slot.tx_complete = true;
             self.tx_complete += 1;
-            r.tx_done = Some(now);
             r.retx_bytes = f.subflows.iter().map(|s| s.tx.bytes_retx).sum();
             r.timeouts = f.subflows.iter().map(|s| s.tx.timeouts).sum();
         }
@@ -750,13 +740,33 @@ impl TransportLayer {
         let hash = flow_tuple_hash(pkt.flow, pkt.subflow);
         send_ack(pkt, hash, ack, SackBlocks::default(), em);
     }
+}
 
+/// Cumulative ACK `ack` for data packet `pkt`, back to its sender,
+/// advertising the first holes (SACK-lite): echoes the timestamp and the
+/// packet's CE mark (a no-op when the dataplane never marks).
+fn send_ack(pkt: &Packet, flow_hash: u64, ack: u64, sack: SackBlocks, em: &mut Emitter) {
+    let mut ackp = Packet::ack_for(
+        pkt.flow,
+        pkt.subflow,
+        flow_hash,
+        pkt.dst,
+        pkt.src,
+        ack,
+        pkt.ts_echo,
+    );
+    ackp.sack = sack;
+    ackp.ecn_echo = pkt.ecn_ce;
+    em.send(ackp);
+}
+
+impl HostAgent for TransportLayer {
     /// Aggregate transport counters across every flow and subflow into
     /// `reg` under `transport.*` names: retransmission work (`bytes_retx`,
     /// `fast_retx`, `rto_timeouts`), congestion-control state transitions
     /// (`recovery_entries` / `recovery_exits`), path-induced reordering
     /// (`rx_ooo_segments`), and flow lifecycle counts.
-    pub fn export_metrics(&self, reg: &mut MetricsRegistry) {
+    fn export_metrics(&self, reg: &mut MetricsRegistry) {
         let mut t = self.retired.clone();
         for s in self.live.iter().flat_map(|f| &f.subflows) {
             t.absorb(s);
@@ -788,30 +798,6 @@ impl TransportLayer {
                 reg.set_counter(&format!("cc.{name}.fast_retx"), fr);
             }
         }
-    }
-}
-
-/// Cumulative ACK `ack` for data packet `pkt`, back to its sender,
-/// advertising the first holes (SACK-lite): echoes the timestamp and the
-/// packet's CE mark (a no-op when the dataplane never marks).
-fn send_ack(pkt: &Packet, flow_hash: u64, ack: u64, sack: SackBlocks, em: &mut Emitter) {
-    let mut ackp = Packet::ack_for(
-        pkt.flow,
-        pkt.subflow,
-        flow_hash,
-        pkt.dst,
-        pkt.src,
-        ack,
-        pkt.ts_echo,
-    );
-    ackp.sack = sack;
-    ackp.ecn_echo = pkt.ecn_ce;
-    em.send(ackp);
-}
-
-impl HostAgent for TransportLayer {
-    fn export_metrics(&self, reg: &mut MetricsRegistry) {
-        TransportLayer::export_metrics(self, reg);
     }
 
     fn sample_series(&self, now: SimTime, out: &mut SeriesRegistry) {
@@ -1191,7 +1177,7 @@ mod tests {
         let mut em = Emitter::default();
         layer.on_packet(ack.clone(), SimTime::from_micros(10), &mut em);
         assert_eq!(layer.live_flows(), (0, 1));
-        assert!(layer.records[id].tx_done.is_some());
+        assert!(layer.flows[id].tx_complete);
 
         let before = counters(&layer);
         layer.on_packet(ack, SimTime::from_micros(11), &mut em);
@@ -1233,7 +1219,7 @@ mod tests {
         s.pace_pending = true;
 
         layer.maybe_finish(id, li, SimTime::from_micros(40));
-        assert!(layer.records[id].tx_done.is_some());
+        assert!(layer.flows[id].tx_complete);
         assert_eq!(layer.live_flows(), (1, 1), "a segment is still queued");
 
         let mut em = Emitter::default();

@@ -24,7 +24,7 @@ mod tcp;
 
 pub use cc::{AckCtx, Cc, CcKind, CongestionController};
 pub use config::{MptcpConfig, TcpConfig};
-pub use layer::{FlowRecord, FlowSource, FlowSpec, ListSource, TransportKind, TransportLayer};
+pub use layer::{FlowRecord, FlowSpec, ListSource, TransportKind, TransportLayer};
 pub use tcp::{Lia, Segment, TcpRx, TcpTx};
 
 #[cfg(test)]
@@ -98,7 +98,10 @@ mod e2e {
         net.run_until(SimTime::from_secs(2));
         let rec = net.agent.records[0];
         assert!(rec.rx_done.is_some(), "flow did not complete");
-        assert!(rec.tx_done.is_some(), "sender did not see final ACK");
+        let mut reg = conga_telemetry::MetricsRegistry::new();
+        net.export_metrics(&mut reg);
+        let acked = reg.counter("transport.flows_tx_complete");
+        assert_eq!(acked, 1, "sender did not see final ACK");
         assert_eq!(net.agent.rx_bytes(0), bytes);
     }
 

@@ -15,8 +15,12 @@
 //! 3. **The AIMD default is a no-op** — reports from the default
 //!    controller carry no `cc.*` or ECN keys, so pre-subsystem goldens
 //!    (`tests/hotpath.rs`) stay byte-identical without re-blessing.
+//! 4. **Every controller fills the channels it owns** — counters and
+//!    series, through a loss and its recovery.
 
-use conga::experiments::{run_fct, FctRun, Scheme, TestbedOpts};
+use conga::experiments::{run_fct, FctRun, LinkFaultSpec, Scheme, TestbedOpts};
+use conga::net::{LeafId, Link, NodeId, SpineId};
+use conga::sim::SimTime;
 use conga::transport::CcKind;
 use conga::workloads::FlowSizeDist;
 
@@ -153,4 +157,52 @@ fn fault_free_runs_export_no_rto_series() {
         "zero-valued RTO counters must not be exported"
     );
     assert_eq!(out.report.metrics.counter("cc.dctcp.rto_fired"), 0);
+}
+
+/// One table row per controller: `cc_cell(cc, 1)` with a Leaf1–Spine1
+/// link failed at 4 ms and recovered at 9 ms, so every controller repairs
+/// a loss. Each must fill the transport counters; each non-default
+/// controller fills its own `cc.<name>.*` series and loss counters, and
+/// AIMD keeps the flat names and exports no `cc.` key at all.
+#[test]
+fn every_controller_fills_the_channels_it_owns() {
+    let link = Link::new(NodeId::Leaf(LeafId(1)), NodeId::Spine(SpineId(1)), 0);
+    for cc in CcKind::ALL {
+        let mut cfg = cc_cell(cc, 1);
+        cfg.faults = vec![
+            LinkFaultSpec::fail(SimTime::from_millis(4), link),
+            LinkFaultSpec::recover(SimTime::from_millis(9), link),
+        ];
+        let out = run_fct(&cfg);
+        let (m, name) = (&out.report.metrics, cc.name());
+        for counter in ["transport.flows_started", "transport.subflows"] {
+            assert!(m.counter(counter) > 0, "{name}: {counter} is empty");
+        }
+        assert_eq!(out.summary.incomplete, 0, "{name}: a flow was stranded");
+        let has_series = |s: &str| !out.series.points(s).is_empty();
+        if cc == CcKind::Aimd {
+            let losses = m.counter("transport.rto_timeouts") + m.counter("transport.fast_retx");
+            assert!(losses > 0, "aimd: no loss was repaired");
+            let json = out.report.to_json() + &out.series.to_jsonl();
+            assert!(!json.contains("cc."), "aimd: a cc. key was exported");
+            continue;
+        }
+        for s in ["cwnd_bytes", "subflows"] {
+            assert!(
+                has_series(&format!("cc.{name}.{s}")),
+                "{name}: no {s} series"
+            );
+        }
+        let losses =
+            m.counter(&format!("cc.{name}.rto_fired")) + m.counter(&format!("cc.{name}.fast_retx"));
+        assert!(losses > 0, "{name}: no loss was repaired");
+        let own = match cc {
+            CcKind::Dctcp => Some("cc.dctcp.alpha_sum"),
+            CcKind::Bbr => Some("cc.bbr.pacing_rate_bps"),
+            _ => None,
+        };
+        if let Some(s) = own {
+            assert!(has_series(s), "{name}: no {s} series");
+        }
+    }
 }

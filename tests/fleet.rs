@@ -90,25 +90,24 @@ fn sweep_artifacts_byte_identical_across_jobs_and_cache_state() {
     }
 
     // Cold-cache run fills the cache; the warm run must be all hits and
-    // still byte-identical to the serial no-cache pass.
-    let hits_before = conga::fleet::stats::cache_hits();
-    let cold = run_sweep(figure, &["--jobs", "2", "--cache-dir", &cache_flag]);
-    assert_eq!(
-        conga::fleet::stats::cache_hits(),
-        hits_before,
-        "cold cache must not hit"
-    );
+    // still byte-identical to the serial no-cache pass. Each pass counts
+    // the hits among this figure's manifest records.
+    let cached_run = || {
+        let _drain = DRAINING.lock().unwrap_or_else(|e| e.into_inner());
+        let artifacts = run_sweep(figure, &["--jobs", "2", "--cache-dir", &cache_flag]);
+        let records = manifest::drain();
+        let hits = records.iter().filter(|c| c.figure == figure && c.cached);
+        (artifacts, hits.count())
+    };
+    let (cold, cold_hits) = cached_run();
+    assert_eq!(cold_hits, 0, "cold cache must not hit");
     let n_entries = std::fs::read_dir(&cache_dir)
         .expect("cache dir created")
         .count();
     assert_eq!(n_entries, 4, "2 schemes x 2 loads x 1 quick run cached");
 
-    let warm = run_sweep(figure, &["--jobs", "2", "--cache-dir", &cache_flag]);
-    assert_eq!(
-        conga::fleet::stats::cache_hits() - hits_before,
-        4,
-        "warm cache must serve every cell"
-    );
+    let (warm, warm_hits) = cached_run();
+    assert_eq!(warm_hits, 4, "warm cache must serve every cell");
     for (name, bytes) in &serial {
         assert_eq!(bytes, &cold[name], "{name}: cold-cache run must match");
         assert_eq!(bytes, &warm[name], "{name}: warm-cache run must match");
