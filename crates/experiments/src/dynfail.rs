@@ -13,7 +13,7 @@
 use crate::figures::TraceArgs;
 use crate::fleet::{cell, FleetCell};
 use crate::runner::{
-    build_testbed, leaf_capacity, setup_fct, FctRun, LinkFaultSpec, Scheme, TestbedOpts,
+    build_testbed, leaf_capacity, setup_fct, stamp_cc, FctRun, LinkFaultSpec, Scheme, TestbedOpts,
 };
 use conga_fleet::Scenario;
 use conga_net::{LeafId, Link, NodeId, SpineId};
@@ -262,6 +262,7 @@ pub fn run_dynamic_failure(spec: &DynFailSpec) -> DynFailOutcome {
     report.set_meta("seed", cfg.seed.to_string());
     report.set_meta("load", format!("{}", cfg.load));
     report.set_meta("n_flows", cfg.n_flows.to_string());
+    stamp_cc(&mut report, cfg.cc, cfg.ecn_marking());
     report.set_meta(
         "fault_schedule",
         format!(
@@ -313,6 +314,7 @@ mod tests {
     use crate::fleet::tests::{assert_key_coverage, Edit};
     use conga_sim::QueueKind;
     use conga_trace::TraceConfig;
+    use conga_transport::CcKind;
 
     #[test]
     fn every_simulation_reaching_field_of_a_dynfail_cell_reaches_the_hash() {
@@ -339,5 +341,26 @@ mod tests {
             ("fct.trace", |s| s.fct.trace = Some(TraceConfig::all())),
         ];
         assert_key_coverage(base, hash, reaching, inert);
+    }
+
+    #[test]
+    fn reports_stamp_the_controller_they_ran() {
+        // A short, light cell: the meta keys do not depend on its size.
+        let run = |cc| {
+            let mut spec = DynFailSpec::paper(Scheme::Ecmp, true, 1);
+            spec.fct.cc = cc;
+            spec.fct.load = 0.1;
+            spec.window = SimTime::from_millis(20);
+            spec.fail_at = SimTime::from_millis(10);
+            spec.recover_at = SimTime::from_millis(15);
+            spec.slice = SimDuration::from_millis(2);
+            run_dynamic_failure(&spec).report
+        };
+        let dctcp = run(CcKind::Dctcp);
+        assert_eq!(dctcp.meta("cc"), Some("dctcp"));
+        assert_eq!(dctcp.meta("ecn_threshold_pkts"), Some("65"));
+        let aimd = run(CcKind::Aimd);
+        assert_eq!(aimd.meta("cc"), None);
+        assert_eq!(aimd.meta("ecn_threshold_pkts"), None);
     }
 }

@@ -407,22 +407,14 @@ impl FctRun {
         }
     }
 
-    /// The ECN threshold actually in force for this run, in packets:
-    /// the explicit `ecn_threshold_pkts` if set, the DCTCP default when
-    /// running DCTCP, `None` (marking off) otherwise.
-    pub fn effective_ecn_pkts(&self) -> Option<u32> {
-        self.ecn_threshold_pkts.or(match self.cc {
-            CcKind::Dctcp => Some(DCTCP_DEFAULT_ECN_PKTS),
-            _ => None,
-        })
+    /// The ECN marking in force for this run, by [`ecn_marking`].
+    pub(crate) fn ecn_marking(&self) -> Option<(u32, EcnConfig)> {
+        ecn_marking(self.cc, self.ecn_threshold_pkts, self.tcp.mss)
     }
 
-    /// The [`EcnConfig`] this run installs on every domain, if any: the
-    /// packet threshold scaled by the full wire size of an MSS segment.
+    /// The [`EcnConfig`] this run installs on every domain, if any.
     pub fn ecn_config(&self) -> Option<EcnConfig> {
-        self.effective_ecn_pkts().map(|pkts| EcnConfig {
-            threshold_bytes: pkts as u64 * (self.tcp.mss + WIRE_OVERHEAD) as u64,
-        })
+        self.ecn_marking().map(|(_, ecn)| ecn)
     }
 
     /// This cell as cache-key text: one `key=value` line per field that
@@ -474,6 +466,31 @@ impl FctRun {
 /// 65 full-MSS packets, the K the paper's testbed uses for 10 G edges
 /// (DCTCP paper §3; ~100 KB of queue).
 pub const DCTCP_DEFAULT_ECN_PKTS: u32 = 65;
+
+/// The ECN marking a run under `cc` installs: the `explicit` threshold if
+/// given, else the controller's default ([`DCTCP_DEFAULT_ECN_PKTS`] for
+/// DCTCP, marking off otherwise). Returned in packets and as the
+/// [`EcnConfig`] that counts each packet as one MSS-sized wire packet.
+pub(crate) fn ecn_marking(cc: CcKind, explicit: Option<u32>, mss: u32) -> Option<(u32, EcnConfig)> {
+    let pkts = explicit.or(match cc {
+        CcKind::Dctcp => Some(DCTCP_DEFAULT_ECN_PKTS),
+        _ => None,
+    })?;
+    let threshold_bytes = pkts as u64 * (mss + WIRE_OVERHEAD) as u64;
+    Some((pkts, EcnConfig { threshold_bytes }))
+}
+
+/// Stamp the controller a run used and its ECN marking, each only when it
+/// is not the default (AIMD, marking off), so AIMD reports and their
+/// goldens stay byte-identical.
+pub(crate) fn stamp_cc(report: &mut RunReport, cc: CcKind, marking: Option<(u32, EcnConfig)>) {
+    if cc != CcKind::Aimd {
+        report.set_meta("cc", cc.name());
+    }
+    if let Some((pkts, _)) = marking {
+        report.set_meta("ecn_threshold_pkts", pkts.to_string());
+    }
+}
 
 /// What an FCT run produced.
 #[derive(Clone, Debug)]
@@ -1005,14 +1022,7 @@ pub(crate) fn fct_meta(cfg: &FctRun, policy_name: &str, end: SimTime) -> RunRepo
     report.set_meta("seed", cfg.seed.to_string());
     report.set_meta("load", format!("{}", cfg.load));
     report.set_meta("n_flows", cfg.n_flows.to_string());
-    // Only non-default controller setups stamp extra keys, so pre-existing
-    // AIMD reports (and their goldens) are byte-identical.
-    if cfg.cc != CcKind::Aimd {
-        report.set_meta("cc", cfg.cc.name());
-    }
-    if let Some(pkts) = cfg.effective_ecn_pkts() {
-        report.set_meta("ecn_threshold_pkts", pkts.to_string());
-    }
+    stamp_cc(&mut report, cfg.cc, cfg.ecn_marking());
     // Two-tier fabrics keep the historical topology string (and their
     // byte-identical goldens); three-tier fabrics get an extended form
     // that names the pod structure and core tier.

@@ -18,7 +18,10 @@ use crate::figures::{
     TraceArgs,
 };
 use crate::fleet::{cell, fct_cell_with, run_cells, FleetCell, FleetOpts};
-use crate::runner::{run_until_received, start_source, tcp_spec, FctOutcome, Scheme, TestbedOpts};
+use crate::runner::{
+    ecn_marking, run_until_received, stamp_cc, start_source, tcp_spec, FctOutcome, Scheme,
+    TestbedOpts,
+};
 use crate::{ablation, analytic, asymmetry, failures, hdfs, scale, tournament};
 use conga_analysis::imbalance::throughput_imbalance;
 use conga_analysis::stats::percentile;
@@ -326,8 +329,8 @@ pub fn fig13(args: &Args) -> bool {
         ("MPTCP (minRTO 1ms)", Scheme::Mptcp, 1),
     ];
     let mtus = [
-        ("MTU 1500", TcpConfig::standard()),
-        ("MTU 9000", TcpConfig::jumbo()),
+        ("MTU 1500", TcpConfig::standard().with_cc(args.primary_cc())),
+        ("MTU 9000", TcpConfig::jumbo().with_cc(args.primary_cc())),
     ];
     let mut cells = Vec::new();
     for (mtu_name, cfg) in &mtus {
@@ -429,6 +432,10 @@ pub fn run_incast(
         .parallel_links(2)
         .build();
     let mut net = Network::new(topo, scheme.policy(), TransportLayer::new(), seed);
+    let marking = ecn_marking(tcp.cc, None, tcp.mss);
+    if let Some((_, ecn)) = marking {
+        net.set_ecn(ecn);
+    }
     let trace = trace.map(|cfg| TraceHandle::recording(cfg.clone()));
     if let Some(t) = &trace {
         net.set_tracer(t.clone());
@@ -489,6 +496,7 @@ pub fn run_incast(
     report.set_meta("seed", seed.to_string());
     report.set_meta("mss", tcp.mss.to_string());
     report.set_meta("min_rto_ns", tcp.min_rto.as_nanos().to_string());
+    stamp_cc(&mut report, tcp.cc, marking);
     report.set_meta("end_time_ns", net.now().as_nanos().to_string());
     net.export_metrics(&mut report.metrics);
     // Percentage of the 10G access link (the paper's y-axis).
@@ -530,6 +538,20 @@ mod tests {
             ("seed", |s| s.seed = 2),
         ];
         assert_key_coverage(base, hash, reaching, &[]);
+    }
+
+    #[test]
+    fn incast_runs_and_stamps_the_controller_it_is_given() {
+        let tcp = TcpConfig::standard().with_min_rto(SimDuration::from_millis(1));
+        let (_, aimd, _) = run_incast(Scheme::Conga, 16, tcp, 1, None);
+        assert_eq!(aimd.meta("cc"), None);
+        assert_eq!(aimd.meta("ecn_threshold_pkts"), None);
+        assert_eq!(aimd.metrics.counter("net.ecn_marked_pkts"), 0);
+        let dctcp = tcp.with_cc(conga_transport::CcKind::Dctcp);
+        let (_, dctcp, _) = run_incast(Scheme::Conga, 16, dctcp, 1, None);
+        assert_eq!(dctcp.meta("cc"), Some("dctcp"));
+        assert_eq!(dctcp.meta("ecn_threshold_pkts"), Some("65"));
+        assert!(dctcp.metrics.counter("net.ecn_marked_pkts") > 0);
     }
 
     #[test]

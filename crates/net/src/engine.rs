@@ -538,8 +538,10 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
         self.agent.export_metrics(reg);
     }
 
-    /// Call into the host agent from outside the event loop (e.g. to start
-    /// flows); emissions are processed immediately.
+    /// Call into the host agent — from the event loop (timers, host
+    /// deliveries) or from outside it (e.g. to start flows); emissions are
+    /// processed immediately.
+    #[inline]
     pub fn agent_call<R>(&mut self, f: impl FnOnce(&mut A, SimTime, &mut Emitter) -> R) -> R {
         let mut em = std::mem::take(&mut self.scratch);
         let r = f(&mut self.agent, self.now, &mut em);
@@ -749,12 +751,7 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
                     self.start_tx(ch);
                 }
             }
-            Ev::Timer { token } => {
-                let mut em = std::mem::take(&mut self.scratch);
-                self.agent.on_timer(token, self.now, &mut em);
-                self.process_emissions(&mut em);
-                self.scratch = em;
-            }
+            Ev::Timer { token } => self.agent_call(|a, now, em| a.on_timer(token, now, em)),
             Ev::Inject { host } => {
                 let pkt = self.inject_q[host as usize]
                     .pop_front()
@@ -862,10 +859,7 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
                         },
                     );
                 }
-                let mut em = std::mem::take(&mut self.scratch);
-                self.agent.on_packet(*pkt, self.now, &mut em);
-                self.process_emissions(&mut em);
-                self.scratch = em;
+                self.agent_call(|a, now, em| a.on_packet(*pkt, now, em));
             }
             NodeId::Leaf(l) => {
                 if channel.kind.is_fabric() {

@@ -51,38 +51,20 @@ fn main() {
             std::process::exit(1);
         }
     };
-    match explain::validate(&text) {
-        Ok(s) => {
-            if validate_only {
-                println!(
-                    "{path}: ok ({} events, {} flows, span {:.3} ms)",
-                    s.events,
-                    s.flows,
-                    s.last_t_ns as f64 / 1e6
-                );
-                return;
-            }
-        }
-        Err(e) => {
-            eprintln!("{path}: INVALID: {e}");
-            std::process::exit(1);
-        }
-    }
-    match flow {
-        Some(f) => print!("{}", explain::explain_flow(&text, f)),
-        None => {
-            let rendered = if summary {
-                explain::summarize_flows(&text)
-            } else {
-                explain::summarize(&text)
-            };
-            match rendered {
-                Ok(s) => print!("{s}"),
-                Err(e) => {
-                    eprintln!("{path}: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
+    let s = explain::validate(&text).unwrap_or_else(|e| {
+        eprintln!("{path}: INVALID: {e}");
+        std::process::exit(1);
+    });
+    if validate_only {
+        println!(
+            "{path}: ok ({} events, {} flows, span {:.3} ms)",
+            s.events,
+            s.flows,
+            s.last_t_ns as f64 / 1e6
+        );
+    } else if let Some(f) = flow {
+        print!("{}", explain::explain_flow(&text, f));
+    } else {
+        print!("{}", explain::summarize(&s, summary));
     }
 }

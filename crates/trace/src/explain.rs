@@ -1,8 +1,9 @@
 //! Replay and validation of JSONL traces: the logic behind the
 //! `trace_explain` binary, kept in the library so tests and CI can call
-//! it directly.
+//! it directly. Every line is read through [`TraceRecord::from_jsonl`],
+//! so the schema lives in one place: the event list in the crate root.
 
-use crate::json::{self, Value};
+use crate::{TraceEvent, TraceRecord};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -13,12 +14,12 @@ pub struct ValidateSummary {
     pub events: usize,
     /// Event counts by type tag.
     pub by_type: BTreeMap<String, usize>,
-    /// Distinct flow ids seen (events carrying a `flow` field).
+    /// Distinct flow ids seen (events attributed to a flow).
     pub flows: usize,
     /// Timestamp of the last event, nanoseconds.
     pub last_t_ns: u64,
-    /// Per-flow breakdown, keyed by flow id (events carrying a `flow`
-    /// field only; global events such as faults are not attributed).
+    /// Per-flow breakdown, keyed by flow id (events attributed to a flow
+    /// only; global events such as faults are not attributed).
     pub per_flow: BTreeMap<u64, FlowSummary>,
 }
 
@@ -35,27 +36,6 @@ pub struct FlowSummary {
     pub by_type: BTreeMap<String, usize>,
 }
 
-/// Required fields per event type, beyond the envelope (`seq`, `t_ns`,
-/// `ev`). The schema check is exact: unknown types fail validation.
-fn required_fields(kind: &str) -> Option<&'static [&'static str]> {
-    Some(match kind {
-        "enqueue" | "tx" | "drop" | "blackhole" => &["ch", "pkt", "flow", "size"],
-        "deliver" => &["host", "pkt", "flow", "payload"],
-        "dre" => &["ch", "flow", "bytes", "q"],
-        "flowlet_new" => &["leaf", "flow", "ch", "prev"],
-        "flowlet_expire" => &["leaf", "flow", "ch"],
-        "decision" => &[
-            "leaf", "flow", "dst_leaf", "cand", "chosen", "lbtag", "sticky",
-        ],
-        "fb_piggyback" => &["leaf", "flow", "dst_leaf", "lbtag", "metric"],
-        "fb_apply" => &["leaf", "flow", "src_leaf", "lbtag", "metric"],
-        "cwnd" => &["flow", "sub", "cwnd"],
-        "fast_retx" | "rto" => &["flow", "sub"],
-        "fault" => &["ch", "up"],
-        _ => return None,
-    })
-}
-
 /// Format a validation error anchored to its offending line: the
 /// diagnostic plus the line's content (truncated for sanity), so a
 /// failure is actionable without opening the trace by hand.
@@ -66,106 +46,60 @@ fn line_error(ln: usize, line: &str, msg: impl std::fmt::Display) -> String {
     format!("line {ln}: {msg}\n  offending line: {shown}{truncated}")
 }
 
-/// Validate a JSONL trace: every line must parse as JSON, carry the
-/// envelope fields, use a known event type with its required fields,
-/// have strictly increasing `seq`, and non-decreasing `t_ns`. Decision
-/// events must list their chosen channel among the candidates.
+/// Validate a JSONL trace: every line must decode as a [`TraceRecord`]
+/// (known event type, every field present and in its type's range),
+/// `seq` must strictly increase, `t_ns` must not decrease, and decision
+/// events must list their chosen channel among their candidates.
 ///
 /// Errors name the offending line number and echo its content; malformed
 /// input of any shape (including invalid UTF-8 escapes and pathological
 /// nesting) yields `Err`, never a panic.
 pub fn validate(text: &str) -> Result<ValidateSummary, String> {
     let mut summary = ValidateSummary::default();
-    let mut last_seq: Option<u64> = None;
-    let mut last_t: u64 = 0;
-    let mut flows = std::collections::BTreeSet::new();
+    let mut last: Option<(u64, u64)> = None;
     for (i, line) in text.lines().enumerate() {
-        let ln = i + 1;
-        let v = json::parse(line).map_err(|e| line_error(ln, line, e))?;
-        let seq = v
-            .get("seq")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| line_error(ln, line, "missing seq"))?;
-        let t = v
-            .get("t_ns")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| line_error(ln, line, "missing t_ns"))?;
-        let ev = v
-            .get("ev")
-            .and_then(Value::as_str)
-            .ok_or_else(|| line_error(ln, line, "missing ev"))?;
-        if let Some(prev) = last_seq {
+        let err = |msg: String| line_error(i + 1, line, msg);
+        let rec = TraceRecord::from_jsonl(line).map_err(err)?;
+        let (seq, t) = (rec.seq, rec.t.as_nanos());
+        if let Some((prev, last_t)) = last {
             if seq <= prev {
-                return Err(line_error(ln, line, format!("seq {seq} not above {prev}")));
+                return Err(err(format!("seq {seq} not above {prev}")));
             }
             if t < last_t {
-                return Err(line_error(
-                    ln,
-                    line,
-                    format!("t_ns {t} went backwards from {last_t}"),
-                ));
+                return Err(err(format!("t_ns {t} went backwards from {last_t}")));
             }
         }
-        last_seq = Some(seq);
-        last_t = t;
-        let fields = required_fields(ev)
-            .ok_or_else(|| line_error(ln, line, format!("unknown event type {ev:?}")))?;
-        for f in fields {
-            if v.get(f).is_none() {
-                return Err(line_error(ln, line, format!("{ev} missing field {f:?}")));
+        last = Some((seq, t));
+        if let TraceEvent::Decision {
+            candidates, chosen, ..
+        } = &rec.event
+        {
+            if candidates.is_empty() {
+                return Err(err("decision with no candidates".to_string()));
+            }
+            if !candidates.iter().any(|c| c.ch == *chosen) {
+                return Err(err(format!("chosen channel {chosen} not among candidates")));
             }
         }
-        if ev == "decision" {
-            let chosen = v
-                .get("chosen")
-                .and_then(Value::as_u64)
-                .ok_or_else(|| line_error(ln, line, "decision chosen not a number"))?;
-            let cand = v
-                .get("cand")
-                .and_then(Value::as_arr)
-                .ok_or_else(|| line_error(ln, line, "decision cand not an array"))?;
-            if cand.is_empty() {
-                return Err(line_error(ln, line, "decision with no candidates"));
-            }
-            let mut found = false;
-            for c in cand {
-                for f in ["ch", "lbtag", "local", "remote", "metric"] {
-                    if c.get(f).and_then(Value::as_u64).is_none() {
-                        return Err(line_error(ln, line, format!("candidate missing {f:?}")));
-                    }
-                }
-                if c.get("ch").and_then(Value::as_u64) == Some(chosen) {
-                    found = true;
-                }
-            }
-            if !found {
-                return Err(line_error(
-                    ln,
-                    line,
-                    format!("chosen channel {chosen} not among candidates"),
-                ));
-            }
-        }
-        if let Some(f) = v.get("flow").and_then(Value::as_u64) {
-            flows.insert(f);
-            let fs = summary.per_flow.entry(f).or_insert_with(|| FlowSummary {
-                first_t_ns: t,
-                ..FlowSummary::default()
-            });
+        let kind = rec.event.kind();
+        if let Some(f) = rec.event.flow() {
+            let fs = summary
+                .per_flow
+                .entry(u64::from(f))
+                .or_insert_with(|| FlowSummary {
+                    first_t_ns: t,
+                    ..FlowSummary::default()
+                });
             fs.events += 1;
             fs.last_t_ns = t;
-            *fs.by_type.entry(ev.to_string()).or_insert(0) += 1;
+            *fs.by_type.entry(kind.to_string()).or_insert(0) += 1;
         }
         summary.events += 1;
-        *summary.by_type.entry(ev.to_string()).or_insert(0) += 1;
+        *summary.by_type.entry(kind.to_string()).or_insert(0) += 1;
     }
-    summary.flows = flows.len();
-    summary.last_t_ns = last_t;
+    summary.flows = summary.per_flow.len();
+    summary.last_t_ns = last.map_or(0, |(_, t)| t);
     Ok(summary)
-}
-
-fn ms(t_ns: u64) -> String {
-    format!("{:>10.3} ms", t_ns as f64 / 1e6)
 }
 
 /// Replay the trace and print the causal chain for one flow: flowlet
@@ -182,171 +116,98 @@ pub fn explain_flow(text: &str, flow: u64) -> String {
     let mut flow_specific = 0usize;
     let mut pkts = 0usize;
     for line in text.lines() {
-        let Ok(v) = json::parse(line) else { continue };
-        let Some(t) = v.get("t_ns").and_then(Value::as_u64) else {
+        let Ok(rec) = TraceRecord::from_jsonl(line) else {
             continue;
         };
-        let Some(ev) = v.get("ev").and_then(Value::as_str) else {
-            continue;
-        };
-        let ev_flow = v.get("flow").and_then(Value::as_u64);
-        if ev != "fault" && ev_flow != Some(flow) {
+        let ours = rec.event.flow().map(u64::from) == Some(flow);
+        if !ours && !matches!(rec.event, TraceEvent::FaultTransition { .. }) {
             continue;
         }
-        if ev_flow == Some(flow) {
+        if ours {
             flow_specific += 1;
         }
-        let num = |k: &str| v.get(k).and_then(Value::as_u64).unwrap_or(0);
-        match ev {
-            "fault" => {
-                let up = v.get("up").and_then(Value::as_bool).unwrap_or(false);
-                let _ = writeln!(
-                    out,
-                    "{}  FAULT      channel {} {}",
-                    ms(t),
-                    num("ch"),
-                    if up { "recovered" } else { "FAILED" }
-                );
-                shown += 1;
+        let what = match &rec.event {
+            TraceEvent::FaultTransition { ch, up } => {
+                let state = if *up { "recovered" } else { "FAILED" };
+                format!("FAULT      channel {ch} {state}")
             }
-            "flowlet_new" => {
-                let prev = match v.get("prev") {
-                    Some(Value::Num(_)) => {
-                        format!(" (previous flowlet on channel {} aged out)", num("prev"))
-                    }
-                    _ => String::new(),
-                };
-                let _ = writeln!(
-                    out,
-                    "{}  FLOWLET    leaf {} committed new flowlet to channel {}{}",
-                    ms(t),
-                    num("leaf"),
-                    num("ch"),
-                    prev
-                );
-                shown += 1;
+            TraceEvent::FlowletNew { leaf, ch, prev, .. } => {
+                let prev = prev.map_or(String::new(), |p| {
+                    format!(" (previous flowlet on channel {p} aged out)")
+                });
+                format!("FLOWLET    leaf {leaf} committed new flowlet to channel {ch}{prev}")
             }
-            "flowlet_expire" => {
-                let _ = writeln!(
-                    out,
-                    "{}  FLOWLET    leaf {} flowlet on channel {} expired",
-                    ms(t),
-                    num("leaf"),
-                    num("ch")
-                );
-                shown += 1;
+            TraceEvent::FlowletExpire { leaf, ch, .. } => {
+                format!("FLOWLET    leaf {leaf} flowlet on channel {ch} expired")
             }
-            "decision" => {
-                let sticky = v.get("sticky").and_then(Value::as_bool).unwrap_or(false);
-                let _ = writeln!(
-                    out,
-                    "{}  DECISION   leaf {} -> leaf {}: chose channel {} (lbtag {}){}",
-                    ms(t),
-                    num("leaf"),
-                    num("dst_leaf"),
-                    num("chosen"),
-                    num("lbtag"),
-                    if sticky { " [sticky]" } else { "" }
+            TraceEvent::Decision {
+                leaf,
+                dst_leaf,
+                candidates,
+                chosen,
+                lbtag,
+                sticky,
+                ..
+            } => {
+                let sticky = if *sticky { " [sticky]" } else { "" };
+                let mut s = format!(
+                    "DECISION   leaf {leaf} -> leaf {dst_leaf}: chose channel {chosen} (lbtag {lbtag}){sticky}"
                 );
-                if let Some(cand) = v.get("cand").and_then(Value::as_arr) {
-                    for c in cand {
-                        let g = |k: &str| c.get(k).and_then(Value::as_u64).unwrap_or(0);
-                        let mark = if Some(g("ch")) == v.get("chosen").and_then(Value::as_u64) {
-                            " <= chosen"
-                        } else {
-                            ""
-                        };
-                        let _ = writeln!(
-                            out,
-                            "                 candidate ch {:>3} lbtag {:>2}: local {} remote {} -> metric {}{}",
-                            g("ch"),
-                            g("lbtag"),
-                            g("local"),
-                            g("remote"),
-                            g("metric"),
-                            mark
-                        );
-                    }
+                for c in candidates {
+                    let mark = if c.ch == *chosen { " <= chosen" } else { "" };
+                    let _ = write!(
+                        s,
+                        "\n                 candidate ch {:>3} lbtag {:>2}: local {} remote {} -> metric {}{mark}",
+                        c.ch, c.lbtag, c.local, c.remote, c.metric
+                    );
                 }
-                shown += 1;
+                s
             }
-            "fb_piggyback" => {
-                let _ = writeln!(
-                    out,
-                    "{}  FEEDBACK   leaf {} piggybacked lbtag {} metric {} toward leaf {}",
-                    ms(t),
-                    num("leaf"),
-                    num("lbtag"),
-                    num("metric"),
-                    num("dst_leaf")
-                );
-                shown += 1;
+            TraceEvent::FeedbackPiggyback {
+                leaf,
+                dst_leaf,
+                lbtag,
+                metric,
+                ..
+            } => format!(
+                "FEEDBACK   leaf {leaf} piggybacked lbtag {lbtag} metric {metric} toward leaf {dst_leaf}"
+            ),
+            TraceEvent::FeedbackApply {
+                leaf,
+                src_leaf,
+                lbtag,
+                metric,
+                ..
+            } => format!(
+                "FEEDBACK   leaf {leaf} applied lbtag {lbtag} metric {metric} from leaf {src_leaf}"
+            ),
+            TraceEvent::PacketDrop { ch, pkt, .. } => {
+                format!("LOSS       packet {pkt} tail-dropped at channel {ch}")
             }
-            "fb_apply" => {
-                let _ = writeln!(
-                    out,
-                    "{}  FEEDBACK   leaf {} applied lbtag {} metric {} from leaf {}",
-                    ms(t),
-                    num("leaf"),
-                    num("lbtag"),
-                    num("metric"),
-                    num("src_leaf")
-                );
-                shown += 1;
+            TraceEvent::PacketBlackhole { ch, pkt, .. } => {
+                format!("LOSS       packet {pkt} blackholed on dead channel {ch}")
             }
-            "drop" => {
-                let _ = writeln!(
-                    out,
-                    "{}  LOSS       packet {} tail-dropped at channel {}",
-                    ms(t),
-                    num("pkt"),
-                    num("ch")
-                );
-                shown += 1;
+            TraceEvent::FastRetx { subflow, .. } => {
+                format!("TRANSPORT  subflow {subflow} entered fast retransmit")
             }
-            "blackhole" => {
-                let _ = writeln!(
-                    out,
-                    "{}  LOSS       packet {} blackholed on dead channel {}",
-                    ms(t),
-                    num("pkt"),
-                    num("ch")
-                );
-                shown += 1;
+            TraceEvent::Rto { subflow, .. } => {
+                format!("TRANSPORT  subflow {subflow} retransmission timeout")
             }
-            "fast_retx" => {
-                let _ = writeln!(
-                    out,
-                    "{}  TRANSPORT  subflow {} entered fast retransmit",
-                    ms(t),
-                    num("sub")
-                );
-                shown += 1;
-            }
-            "rto" => {
-                let _ = writeln!(
-                    out,
-                    "{}  TRANSPORT  subflow {} retransmission timeout",
-                    ms(t),
-                    num("sub")
-                );
-                shown += 1;
-            }
-            "cwnd" => {
-                let cw = v.get("cwnd").and_then(Value::as_f64).unwrap_or(0.0);
-                let _ = writeln!(
-                    out,
-                    "{}  TRANSPORT  subflow {} cwnd -> {:.0} bytes",
-                    ms(t),
-                    num("sub"),
-                    cw
-                );
-                shown += 1;
+            TraceEvent::CwndUpdate { subflow, cwnd, .. } => {
+                format!("TRANSPORT  subflow {subflow} cwnd -> {cwnd:.0} bytes")
             }
             // Per-packet queue/DRE/delivery events are summarized, not
             // printed line by line.
-            _ => pkts += 1,
-        }
+            TraceEvent::PacketEnqueue { .. }
+            | TraceEvent::PacketTx { .. }
+            | TraceEvent::PacketDeliver { .. }
+            | TraceEvent::DreUpdate { .. } => {
+                pkts += 1;
+                continue;
+            }
+        };
+        let _ = writeln!(out, "{:>10.3} ms  {what}", rec.t.as_nanos() as f64 / 1e6);
+        shown += 1;
     }
     if flow_specific == 0 {
         let _ = writeln!(
@@ -363,21 +224,25 @@ pub fn explain_flow(text: &str, flow: u64) -> String {
     out
 }
 
-/// One-paragraph overview of a trace: event counts by type, flow count,
-/// and span. Used when `trace_explain` is run without `--flow`.
-pub fn summarize(text: &str) -> Result<String, String> {
-    let s = validate(text)?;
+/// What `trace_explain` prints for a validated trace without `--flow`:
+/// event counts by type, flow count and span; with `per_flow`
+/// (`--summary`), also each flow's event-type counts and first/last
+/// timestamps.
+pub fn summarize(s: &ValidateSummary, per_flow: bool) -> String {
     let mut out = String::new();
-    overview(&mut out, &s);
-    Ok(out)
-}
-
-/// The detailed summary behind `trace_explain --summary`: the overview
-/// plus, per flow, event-type counts and first/last timestamps.
-pub fn summarize_flows(text: &str) -> Result<String, String> {
-    let s = validate(text)?;
-    let mut out = String::new();
-    overview(&mut out, &s);
+    let _ = writeln!(
+        out,
+        "{} events over {:.3} ms across {} flows",
+        s.events,
+        s.last_t_ns as f64 / 1e6,
+        s.flows
+    );
+    for (k, n) in &s.by_type {
+        let _ = writeln!(out, "  {k:<14} {n}");
+    }
+    if !per_flow {
+        return out;
+    }
     for (flow, fs) in &s.per_flow {
         let _ = writeln!(
             out,
@@ -390,20 +255,7 @@ pub fn summarize_flows(text: &str) -> Result<String, String> {
             let _ = writeln!(out, "    {k:<14} {n}");
         }
     }
-    Ok(out)
-}
-
-fn overview(out: &mut String, s: &ValidateSummary) {
-    let _ = writeln!(
-        out,
-        "{} events over {:.3} ms across {} flows",
-        s.events,
-        s.last_t_ns as f64 / 1e6,
-        s.flows
-    );
-    for (k, n) in &s.by_type {
-        let _ = writeln!(out, "  {k:<14} {n}");
-    }
+    out
 }
 
 #[cfg(test)]
@@ -481,6 +333,61 @@ mod tests {
     }
 
     #[test]
+    fn validate_rejects_mistyped_and_out_of_range_fields() {
+        let good = r#"{"seq":0,"t_ns":1,"ev":"fault","ch":0,"up":true}"#;
+        let decision = |cand: &str| {
+            format!(
+                r#"{{"seq":1,"t_ns":2,"ev":"decision","leaf":0,"flow":0,"dst_leaf":1,"cand":[{cand}],"chosen":1,"lbtag":0,"sticky":false}}"#
+            )
+        };
+        let cases = [
+            (
+                r#"{"seq":1,"t_ns":2,"ev":"fault","ch":-1,"up":false}"#.to_string(),
+                r#"fault field "ch": not a u32"#,
+            ),
+            (
+                r#"{"seq":1,"t_ns":2,"ev":"fault","ch":4294967296,"up":false}"#.to_string(),
+                r#"fault field "ch": not a u32"#,
+            ),
+            (
+                r#"{"seq":1,"t_ns":2,"ev":"fault","ch":1,"up":1}"#.to_string(),
+                r#"fault field "up": not a bool"#,
+            ),
+            (
+                r#"{"seq":1,"t_ns":2,"ev":"dre","ch":1,"flow":0,"bytes":9,"q":256}"#.to_string(),
+                r#"dre field "q": not a u8"#,
+            ),
+            (
+                r#"{"seq":1,"t_ns":2,"ev":"cwnd","flow":0,"sub":0,"cwnd":"big"}"#.to_string(),
+                r#"cwnd field "cwnd": not a number"#,
+            ),
+            (
+                r#"{"seq":1,"t_ns":2,"ev":"flowlet_new","leaf":0,"flow":0,"ch":1,"prev":1.5}"#
+                    .to_string(),
+                r#"flowlet_new field "prev": not null and not a u32"#,
+            ),
+            (
+                decision(r#"{"ch":1,"lbtag":0,"local":0,"remote":-2,"metric":0}"#),
+                r#"decision field "cand": candidate field "remote": not a u8"#,
+            ),
+            (
+                r#"{"seq":-1,"t_ns":2,"ev":"fault","ch":1,"up":true}"#.to_string(),
+                r#"field "seq": not a u64"#,
+            ),
+        ];
+        for (bad, why) in cases {
+            let err = validate(&format!("{good}\n{bad}\n")).unwrap_err();
+            assert!(err.starts_with("line 2: "), "{err}");
+            assert!(err.contains(why), "want {why:?} in {err}");
+        }
+        // Structural errors keep their messages.
+        let err = validate(&decision("")).unwrap_err();
+        assert!(err.contains("decision with no candidates"), "{err}");
+        let err = validate(r#"{"seq":1,"t_ns":2,"ev":"fault","up":true}"#).unwrap_err();
+        assert!(err.contains(r#"fault missing field "ch""#), "{err}");
+    }
+
+    #[test]
     fn summary_breaks_down_per_flow() {
         let text = sample_trace();
         let s = validate(&text).expect("trace validates");
@@ -490,7 +397,7 @@ mod tests {
         assert_eq!(fs.last_t_ns, 3000);
         assert_eq!(fs.by_type["decision"], 1);
         assert_eq!(fs.by_type["blackhole"], 1);
-        let rendered = summarize_flows(&text).expect("summary renders");
+        let rendered = summarize(&s, true);
         assert!(
             rendered.contains("flow 1: 3 events, first 0.001 ms, last 0.003 ms"),
             "{rendered}"

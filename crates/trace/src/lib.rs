@@ -40,7 +40,7 @@ pub mod explain;
 pub mod json;
 
 use conga_sim::SimTime;
-use json::{write_json_f64, write_json_string};
+use json::{write_json_f64, write_json_string, Value};
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 use std::fmt::Write as _;
@@ -65,179 +65,349 @@ pub struct Candidate {
     pub metric: u8,
 }
 
-/// A typed trace event. Every variant carries plain integers so the event
-/// layer has no dependency on the network/core crates it instruments.
-#[derive(Clone, Debug, PartialEq)]
-pub enum TraceEvent {
-    /// A packet was accepted into a channel's transmit queue.
-    PacketEnqueue {
-        /// Global channel index.
-        ch: u32,
-        /// Engine-assigned packet id.
-        pkt: u64,
-        /// Flow the packet belongs to.
-        flow: u32,
-        /// Wire size in bytes.
-        size: u32,
-    },
-    /// A packet began serialization onto the wire (dequeue).
-    PacketTx {
-        /// Global channel index.
-        ch: u32,
-        /// Engine-assigned packet id.
-        pkt: u64,
-        /// Flow the packet belongs to.
-        flow: u32,
-        /// Wire size in bytes.
-        size: u32,
-    },
-    /// A packet was tail-dropped by a full transmit queue.
-    PacketDrop {
-        /// Global channel index.
-        ch: u32,
-        /// Engine-assigned packet id.
-        pkt: u64,
-        /// Flow the packet belongs to.
-        flow: u32,
-        /// Wire size in bytes.
-        size: u32,
-    },
-    /// A packet was lost to a dead link (queued, in flight, or enqueued
-    /// into a failed channel). Every such event corresponds to one
-    /// increment of the engine's `net.blackholed_packets` counter.
-    PacketBlackhole {
-        /// Global channel index of the dead channel.
-        ch: u32,
-        /// Engine-assigned packet id.
-        pkt: u64,
-        /// Flow the packet belongs to.
-        flow: u32,
-        /// Wire size in bytes.
-        size: u32,
-    },
-    /// A packet was delivered to its destination host.
-    PacketDeliver {
-        /// Destination host id.
-        host: u32,
-        /// Engine-assigned packet id.
-        pkt: u64,
-        /// Flow the packet belongs to.
-        flow: u32,
-        /// Payload bytes (excluding wire overhead).
-        payload: u32,
-    },
-    /// A leaf's DRE register absorbed bytes for an uplink transmission.
-    DreUpdate {
-        /// Global channel index whose DRE was updated.
-        ch: u32,
-        /// Flow of the packet that caused the update.
-        flow: u32,
-        /// Bytes added to the register.
-        bytes: u32,
-        /// Quantized register value immediately after the update.
-        quantized: u8,
-    },
-    /// A new flowlet was committed to an uplink. `prev` is the port the
-    /// previous flowlet of this flow used, if one existed (its presence
-    /// means the previous flowlet aged out — expiry is lazy, detectable
-    /// only at the next lookup).
-    FlowletNew {
-        /// Source leaf index.
-        leaf: u32,
-        /// Flow id.
-        flow: u32,
-        /// Channel the new flowlet was committed to.
-        ch: u32,
-        /// Channel the expired previous flowlet used, if any.
-        prev: Option<u32>,
-    },
-    /// A flowlet aged out (observed at lookup time, immediately before
-    /// the matching [`TraceEvent::FlowletNew`]).
-    FlowletExpire {
-        /// Source leaf index.
-        leaf: u32,
-        /// Flow id.
-        flow: u32,
-        /// Channel the expired flowlet had used.
-        ch: u32,
-    },
-    /// A CONGA routing decision with its full provenance: every candidate
-    /// uplink with the congestion metrics compared, and the winner.
-    Decision {
-        /// Source leaf index making the decision.
-        leaf: u32,
-        /// Flow id.
-        flow: u32,
-        /// Destination leaf index.
-        dst_leaf: u32,
-        /// Per-candidate congestion vector, in candidate order.
-        candidates: Vec<Candidate>,
-        /// Channel index of the chosen uplink.
-        chosen: u32,
-        /// LBTag the packet will carry.
-        lbtag: u8,
-        /// True if the tie-break kept the flow's previous port (sticky).
-        sticky: bool,
-    },
-    /// Feedback was piggybacked onto an outgoing packet's overlay header.
-    FeedbackPiggyback {
-        /// Leaf originating the feedback.
-        leaf: u32,
-        /// Flow of the carrying packet.
-        flow: u32,
-        /// Destination leaf the feedback is addressed to.
-        dst_leaf: u32,
-        /// LBTag the feedback describes.
-        lbtag: u8,
-        /// Congestion metric being fed back.
-        metric: u8,
-    },
-    /// Piggybacked feedback was harvested into a Congestion-To-Leaf table.
-    FeedbackApply {
-        /// Leaf applying the feedback (the original sender).
-        leaf: u32,
-        /// Flow of the carrying packet.
-        flow: u32,
-        /// Leaf the feedback came from.
-        src_leaf: u32,
-        /// LBTag the feedback describes.
-        lbtag: u8,
-        /// Congestion metric applied.
-        metric: u8,
-    },
-    /// A subflow's congestion window changed while processing an ACK or a
-    /// retransmission timeout.
-    CwndUpdate {
-        /// Flow id.
-        flow: u32,
-        /// Subflow index within the flow.
-        subflow: u16,
-        /// New congestion window, in bytes (fractional during congestion
-        /// avoidance).
-        cwnd: f64,
-    },
-    /// A subflow entered fast retransmit (triple duplicate ACK / SACK).
-    FastRetx {
-        /// Flow id.
-        flow: u32,
-        /// Subflow index within the flow.
-        subflow: u16,
-    },
-    /// A subflow's retransmission timer fired.
-    Rto {
-        /// Flow id.
-        flow: u32,
-        /// Subflow index within the flow.
-        subflow: u16,
-    },
-    /// A fabric channel changed liveness (link failure or recovery).
-    /// Never subject to flow sampling.
-    FaultTransition {
-        /// Global channel index.
-        ch: u32,
-        /// New liveness state.
-        up: bool,
-    },
+/// One value's JSONL form: how the schema writes it and reads it back.
+trait Field: Sized {
+    fn write(&self, out: &mut String);
+    /// Decode `v`, or say which type it is not.
+    fn read(v: &Value) -> Result<Self, String>;
+}
+
+macro_rules! uint_field {
+    ($($t:ty),*) => {$(
+        impl Field for $t {
+            fn write(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+            fn read(v: &Value) -> Result<Self, String> {
+                v.as_u64()
+                    .and_then(|n| <$t>::try_from(n).ok())
+                    .ok_or_else(|| concat!("not a ", stringify!($t)).to_string())
+            }
+        }
+    )*};
+}
+uint_field!(u8, u16, u32, u64);
+
+impl Field for f64 {
+    fn write(&self, out: &mut String) {
+        write_json_f64(out, *self);
+    }
+    fn read(v: &Value) -> Result<Self, String> {
+        v.as_f64().ok_or_else(|| "not a number".to_string())
+    }
+}
+
+impl Field for bool {
+    fn write(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
+    fn read(v: &Value) -> Result<Self, String> {
+        v.as_bool().ok_or_else(|| "not a bool".to_string())
+    }
+}
+
+impl Field for Option<u32> {
+    fn write(&self, out: &mut String) {
+        match self {
+            Some(x) => x.write(out),
+            None => out.push_str("null"),
+        }
+    }
+    fn read(v: &Value) -> Result<Self, String> {
+        match v {
+            Value::Null => Ok(None),
+            _ => u32::read(v)
+                .map(Some)
+                .map_err(|e| format!("not null and {e}")),
+        }
+    }
+}
+
+impl Field for Vec<Candidate> {
+    fn write(&self, out: &mut String) {
+        out.push('[');
+        for (i, c) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(
+                out,
+                "{{\"ch\":{},\"lbtag\":{},\"local\":{},\"remote\":{},\"metric\":{}}}",
+                c.ch, c.lbtag, c.local, c.remote, c.metric
+            );
+        }
+        out.push(']');
+    }
+    fn read(v: &Value) -> Result<Self, String> {
+        let cands = v.as_arr().ok_or_else(|| "not an array".to_string())?;
+        cands
+            .iter()
+            .map(|c| {
+                Ok(Candidate {
+                    ch: field(c, "ch")?,
+                    lbtag: field(c, "lbtag")?,
+                    local: field(c, "local")?,
+                    remote: field(c, "remote")?,
+                    metric: field(c, "metric")?,
+                })
+            })
+            .collect::<Result<_, String>>()
+            .map_err(|e| format!("candidate {e}"))
+    }
+}
+
+/// Decode the value under `key` of the JSON object `obj`.
+fn field<T: Field>(obj: &Value, key: &str) -> Result<T, String> {
+    let v = obj
+        .get(key)
+        .ok_or_else(|| format!("missing field {key:?}"))?;
+    T::read(v).map_err(|e| format!("field {key:?}: {e}"))
+}
+
+/// A field's JSON key: its Rust name unless the schema gives another.
+macro_rules! json_key {
+    ($f:ident) => {
+        stringify!($f)
+    };
+    ($f:ident $key:literal) => {
+        $key
+    };
+}
+
+/// The trace schema, written once: each variant's JSONL type tag, then
+/// its fields in record order (`as "k"` where the JSON key differs from
+/// the field name). It defines [`TraceEvent`], [`TraceEvent::kind`], the
+/// JSONL writer and the [`TraceRecord::from_jsonl`] reader.
+macro_rules! trace_schema {
+    (
+        $(#[$doc:meta])*
+        pub enum TraceEvent {$(
+            $(#[$vdoc:meta])*
+            $variant:ident = $tag:literal {$(
+                $(#[$fdoc:meta])*
+                $field:ident $(as $key:literal)?: $ty:ty,
+            )*},
+        )*}
+    ) => {
+        $(#[$doc])*
+        #[derive(Clone, Debug, PartialEq)]
+        pub enum TraceEvent {$(
+            $(#[$vdoc])*
+            $variant {$(
+                $(#[$fdoc])*
+                $field: $ty,
+            )*},
+        )*}
+
+        impl TraceEvent {
+            /// The stable type tag used in the JSONL `"ev"` field and as
+            /// the Chrome event name.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(TraceEvent::$variant { .. } => $tag,)*
+                }
+            }
+
+            /// Append `,"key":value` for every field, in schema order.
+            fn write_fields(&self, out: &mut String) {
+                match self {$(
+                    TraceEvent::$variant { $($field),* } => {$(
+                        out.push_str(concat!(",\"", json_key!($field $($key)?), "\":"));
+                        $field.write(out);
+                    )*}
+                )*}
+            }
+
+            /// Decode the fields of a `kind` event from its JSON object.
+            fn read_fields(kind: &str, obj: &Value) -> Result<TraceEvent, String> {
+                let named = |e: String| format!("{kind} {e}");
+                match kind {
+                    $($tag => Ok(TraceEvent::$variant {$(
+                        $field: field(obj, json_key!($field $($key)?)).map_err(named)?,
+                    )*}),)*
+                    _ => Err(format!("unknown event type {kind:?}")),
+                }
+            }
+        }
+    };
+}
+
+trace_schema! {
+    /// A typed trace event. Every variant carries plain integers so the
+    /// event layer has no dependency on the network/core crates it
+    /// instruments.
+    pub enum TraceEvent {
+        /// A packet was accepted into a channel's transmit queue.
+        PacketEnqueue = "enqueue" {
+            /// Global channel index.
+            ch: u32,
+            /// Engine-assigned packet id.
+            pkt: u64,
+            /// Flow the packet belongs to.
+            flow: u32,
+            /// Wire size in bytes.
+            size: u32,
+        },
+        /// A packet began serialization onto the wire (dequeue).
+        PacketTx = "tx" {
+            /// Global channel index.
+            ch: u32,
+            /// Engine-assigned packet id.
+            pkt: u64,
+            /// Flow the packet belongs to.
+            flow: u32,
+            /// Wire size in bytes.
+            size: u32,
+        },
+        /// A packet was tail-dropped by a full transmit queue.
+        PacketDrop = "drop" {
+            /// Global channel index.
+            ch: u32,
+            /// Engine-assigned packet id.
+            pkt: u64,
+            /// Flow the packet belongs to.
+            flow: u32,
+            /// Wire size in bytes.
+            size: u32,
+        },
+        /// A packet was lost to a dead link (queued, in flight, or enqueued
+        /// into a failed channel). Every such event corresponds to one
+        /// increment of the engine's `net.blackholed_packets` counter.
+        PacketBlackhole = "blackhole" {
+            /// Global channel index of the dead channel.
+            ch: u32,
+            /// Engine-assigned packet id.
+            pkt: u64,
+            /// Flow the packet belongs to.
+            flow: u32,
+            /// Wire size in bytes.
+            size: u32,
+        },
+        /// A packet was delivered to its destination host.
+        PacketDeliver = "deliver" {
+            /// Destination host id.
+            host: u32,
+            /// Engine-assigned packet id.
+            pkt: u64,
+            /// Flow the packet belongs to.
+            flow: u32,
+            /// Payload bytes (excluding wire overhead).
+            payload: u32,
+        },
+        /// A leaf's DRE register absorbed bytes for an uplink transmission.
+        DreUpdate = "dre" {
+            /// Global channel index whose DRE was updated.
+            ch: u32,
+            /// Flow of the packet that caused the update.
+            flow: u32,
+            /// Bytes added to the register.
+            bytes: u32,
+            /// Quantized register value immediately after the update.
+            quantized as "q": u8,
+        },
+        /// A new flowlet was committed to an uplink. `prev` is the port the
+        /// previous flowlet of this flow used, if one existed (its presence
+        /// means the previous flowlet aged out — expiry is lazy, detectable
+        /// only at the next lookup).
+        FlowletNew = "flowlet_new" {
+            /// Source leaf index.
+            leaf: u32,
+            /// Flow id.
+            flow: u32,
+            /// Channel the new flowlet was committed to.
+            ch: u32,
+            /// Channel the expired previous flowlet used, if any.
+            prev: Option<u32>,
+        },
+        /// A flowlet aged out (observed at lookup time, immediately before
+        /// the matching [`TraceEvent::FlowletNew`]).
+        FlowletExpire = "flowlet_expire" {
+            /// Source leaf index.
+            leaf: u32,
+            /// Flow id.
+            flow: u32,
+            /// Channel the expired flowlet had used.
+            ch: u32,
+        },
+        /// A CONGA routing decision with its full provenance: every
+        /// candidate uplink with the congestion metrics compared, and the
+        /// winner.
+        Decision = "decision" {
+            /// Source leaf index making the decision.
+            leaf: u32,
+            /// Flow id.
+            flow: u32,
+            /// Destination leaf index.
+            dst_leaf: u32,
+            /// Per-candidate congestion vector, in candidate order.
+            candidates as "cand": Vec<Candidate>,
+            /// Channel index of the chosen uplink.
+            chosen: u32,
+            /// LBTag the packet will carry.
+            lbtag: u8,
+            /// True if the tie-break kept the flow's previous port (sticky).
+            sticky: bool,
+        },
+        /// Feedback was piggybacked onto an outgoing packet's overlay header.
+        FeedbackPiggyback = "fb_piggyback" {
+            /// Leaf originating the feedback.
+            leaf: u32,
+            /// Flow of the carrying packet.
+            flow: u32,
+            /// Destination leaf the feedback is addressed to.
+            dst_leaf: u32,
+            /// LBTag the feedback describes.
+            lbtag: u8,
+            /// Congestion metric being fed back.
+            metric: u8,
+        },
+        /// Piggybacked feedback was harvested into a Congestion-To-Leaf table.
+        FeedbackApply = "fb_apply" {
+            /// Leaf applying the feedback (the original sender).
+            leaf: u32,
+            /// Flow of the carrying packet.
+            flow: u32,
+            /// Leaf the feedback came from.
+            src_leaf: u32,
+            /// LBTag the feedback describes.
+            lbtag: u8,
+            /// Congestion metric applied.
+            metric: u8,
+        },
+        /// A subflow's congestion window changed while processing an ACK or
+        /// a retransmission timeout.
+        CwndUpdate = "cwnd" {
+            /// Flow id.
+            flow: u32,
+            /// Subflow index within the flow.
+            subflow as "sub": u16,
+            /// New congestion window, in bytes (fractional during congestion
+            /// avoidance).
+            cwnd: f64,
+        },
+        /// A subflow entered fast retransmit (triple duplicate ACK / SACK).
+        FastRetx = "fast_retx" {
+            /// Flow id.
+            flow: u32,
+            /// Subflow index within the flow.
+            subflow as "sub": u16,
+        },
+        /// A subflow's retransmission timer fired.
+        Rto = "rto" {
+            /// Flow id.
+            flow: u32,
+            /// Subflow index within the flow.
+            subflow as "sub": u16,
+        },
+        /// A fabric channel changed liveness (link failure or recovery).
+        /// Never subject to flow sampling.
+        FaultTransition = "fault" {
+            /// Global channel index.
+            ch: u32,
+            /// New liveness state.
+            up: bool,
+        },
+    }
 }
 
 impl TraceEvent {
@@ -262,28 +432,6 @@ impl TraceEvent {
             TraceEvent::FaultTransition { .. } => None,
         }
     }
-
-    /// The stable type tag used in the JSONL `"ev"` field and as the
-    /// Chrome event name.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            TraceEvent::PacketEnqueue { .. } => "enqueue",
-            TraceEvent::PacketTx { .. } => "tx",
-            TraceEvent::PacketDrop { .. } => "drop",
-            TraceEvent::PacketBlackhole { .. } => "blackhole",
-            TraceEvent::PacketDeliver { .. } => "deliver",
-            TraceEvent::DreUpdate { .. } => "dre",
-            TraceEvent::FlowletNew { .. } => "flowlet_new",
-            TraceEvent::FlowletExpire { .. } => "flowlet_expire",
-            TraceEvent::Decision { .. } => "decision",
-            TraceEvent::FeedbackPiggyback { .. } => "fb_piggyback",
-            TraceEvent::FeedbackApply { .. } => "fb_apply",
-            TraceEvent::CwndUpdate { .. } => "cwnd",
-            TraceEvent::FastRetx { .. } => "fast_retx",
-            TraceEvent::Rto { .. } => "rto",
-            TraceEvent::FaultTransition { .. } => "fault",
-        }
-    }
 }
 
 /// One recorded event: sequence number, simulation timestamp, payload.
@@ -296,6 +444,27 @@ pub struct TraceRecord {
     pub t: SimTime,
     /// The event payload.
     pub event: TraceEvent,
+}
+
+impl TraceRecord {
+    /// Decode one line of [`TraceHandle::export_jsonl`]. A missing field,
+    /// a mistyped one (`"ch":-1`) or one out of its type's range
+    /// (`"ch":4294967296`) is an error; keys the schema does not name are
+    /// ignored. Malformed input of any shape returns `Err`, never panics.
+    pub fn from_jsonl(line: &str) -> Result<TraceRecord, String> {
+        let v = json::parse(line)?;
+        let seq = field(&v, "seq")?;
+        let t_ns = field(&v, "t_ns")?;
+        let kind = v
+            .get("ev")
+            .and_then(Value::as_str)
+            .ok_or_else(|| "field \"ev\" missing or not a string".to_string())?;
+        Ok(TraceRecord {
+            seq,
+            t: SimTime::from_nanos(t_ns),
+            event: TraceEvent::read_fields(kind, &v)?,
+        })
+    }
 }
 
 /// Per-run trace configuration: which flows to sample and whether to
@@ -546,145 +715,7 @@ fn write_jsonl_record(out: &mut String, rec: &TraceRecord) {
         rec.t.as_nanos()
     );
     write_json_string(out, rec.event.kind());
-    match &rec.event {
-        TraceEvent::PacketEnqueue {
-            ch,
-            pkt,
-            flow,
-            size,
-        }
-        | TraceEvent::PacketTx {
-            ch,
-            pkt,
-            flow,
-            size,
-        }
-        | TraceEvent::PacketDrop {
-            ch,
-            pkt,
-            flow,
-            size,
-        }
-        | TraceEvent::PacketBlackhole {
-            ch,
-            pkt,
-            flow,
-            size,
-        } => {
-            let _ = write!(
-                out,
-                ",\"ch\":{ch},\"pkt\":{pkt},\"flow\":{flow},\"size\":{size}"
-            );
-        }
-        TraceEvent::PacketDeliver {
-            host,
-            pkt,
-            flow,
-            payload,
-        } => {
-            let _ = write!(
-                out,
-                ",\"host\":{host},\"pkt\":{pkt},\"flow\":{flow},\"payload\":{payload}"
-            );
-        }
-        TraceEvent::DreUpdate {
-            ch,
-            flow,
-            bytes,
-            quantized,
-        } => {
-            let _ = write!(
-                out,
-                ",\"ch\":{ch},\"flow\":{flow},\"bytes\":{bytes},\"q\":{quantized}"
-            );
-        }
-        TraceEvent::FlowletNew {
-            leaf,
-            flow,
-            ch,
-            prev,
-        } => {
-            let _ = write!(
-                out,
-                ",\"leaf\":{leaf},\"flow\":{flow},\"ch\":{ch},\"prev\":"
-            );
-            match prev {
-                Some(p) => {
-                    let _ = write!(out, "{p}");
-                }
-                None => out.push_str("null"),
-            }
-        }
-        TraceEvent::FlowletExpire { leaf, flow, ch } => {
-            let _ = write!(out, ",\"leaf\":{leaf},\"flow\":{flow},\"ch\":{ch}");
-        }
-        TraceEvent::Decision {
-            leaf,
-            flow,
-            dst_leaf,
-            candidates,
-            chosen,
-            lbtag,
-            sticky,
-        } => {
-            let _ = write!(
-                out,
-                ",\"leaf\":{leaf},\"flow\":{flow},\"dst_leaf\":{dst_leaf},\"cand\":["
-            );
-            for (i, c) in candidates.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{{\"ch\":{},\"lbtag\":{},\"local\":{},\"remote\":{},\"metric\":{}}}",
-                    c.ch, c.lbtag, c.local, c.remote, c.metric
-                );
-            }
-            let _ = write!(
-                out,
-                "],\"chosen\":{chosen},\"lbtag\":{lbtag},\"sticky\":{sticky}"
-            );
-        }
-        TraceEvent::FeedbackPiggyback {
-            leaf,
-            flow,
-            dst_leaf,
-            lbtag,
-            metric,
-        } => {
-            let _ = write!(
-                out,
-                ",\"leaf\":{leaf},\"flow\":{flow},\"dst_leaf\":{dst_leaf},\"lbtag\":{lbtag},\"metric\":{metric}"
-            );
-        }
-        TraceEvent::FeedbackApply {
-            leaf,
-            flow,
-            src_leaf,
-            lbtag,
-            metric,
-        } => {
-            let _ = write!(
-                out,
-                ",\"leaf\":{leaf},\"flow\":{flow},\"src_leaf\":{src_leaf},\"lbtag\":{lbtag},\"metric\":{metric}"
-            );
-        }
-        TraceEvent::CwndUpdate {
-            flow,
-            subflow,
-            cwnd,
-        } => {
-            let _ = write!(out, ",\"flow\":{flow},\"sub\":{subflow},\"cwnd\":");
-            write_json_f64(out, *cwnd);
-        }
-        TraceEvent::FastRetx { flow, subflow } | TraceEvent::Rto { flow, subflow } => {
-            let _ = write!(out, ",\"flow\":{flow},\"sub\":{subflow}");
-        }
-        TraceEvent::FaultTransition { ch, up } => {
-            let _ = write!(out, ",\"ch\":{ch},\"up\":{up}");
-        }
-    }
+    rec.event.write_fields(out);
     out.push('}');
 }
 
@@ -937,6 +968,154 @@ mod tests {
         assert_eq!(cand.len(), 2);
         assert_eq!(cand[1].get("metric").and_then(json::Value::as_u64), Some(0));
         assert_eq!(v.get("chosen").and_then(json::Value::as_u64), Some(5));
+    }
+
+    #[test]
+    fn every_variant_round_trips_through_the_schema() {
+        let cand = |ch| Candidate {
+            ch,
+            lbtag: 1,
+            local: 2,
+            remote: 250,
+            metric: 250,
+        };
+        let (ch, pkt, flow, leaf) = (7, 1 << 40, 4_000_000_000, 3);
+        let events = vec![
+            TraceEvent::PacketEnqueue {
+                ch,
+                pkt,
+                flow,
+                size: 1500,
+            },
+            TraceEvent::PacketTx {
+                ch,
+                pkt,
+                flow,
+                size: 1501,
+            },
+            TraceEvent::PacketDrop {
+                ch,
+                pkt,
+                flow,
+                size: 1502,
+            },
+            TraceEvent::PacketBlackhole {
+                ch,
+                pkt,
+                flow,
+                size: 1503,
+            },
+            TraceEvent::PacketDeliver {
+                host: 9,
+                pkt,
+                flow,
+                payload: 1460,
+            },
+            TraceEvent::DreUpdate {
+                ch,
+                flow,
+                bytes: 1500,
+                quantized: 255,
+            },
+            TraceEvent::FlowletNew {
+                leaf,
+                flow,
+                ch,
+                prev: Some(8),
+            },
+            TraceEvent::FlowletNew {
+                leaf,
+                flow,
+                ch,
+                prev: None,
+            },
+            TraceEvent::FlowletExpire { leaf, flow, ch },
+            TraceEvent::Decision {
+                leaf,
+                flow,
+                dst_leaf: 5,
+                candidates: vec![cand(6), cand(7)],
+                chosen: 7,
+                lbtag: 1,
+                sticky: true,
+            },
+            TraceEvent::FeedbackPiggyback {
+                leaf,
+                flow,
+                dst_leaf: 5,
+                lbtag: 2,
+                metric: 6,
+            },
+            TraceEvent::FeedbackApply {
+                leaf,
+                flow,
+                src_leaf: 5,
+                lbtag: 2,
+                metric: 6,
+            },
+            TraceEvent::CwndUpdate {
+                flow,
+                subflow: 65535,
+                cwnd: 14600.25,
+            },
+            TraceEvent::FastRetx { flow, subflow: 1 },
+            TraceEvent::Rto { flow, subflow: 2 },
+            TraceEvent::FaultTransition { ch, up: false },
+        ];
+        // No `_` arm: a new variant does not compile until it has a slot
+        // here, and the assertion below wants a record in every slot.
+        let slots: BTreeSet<usize> = events
+            .iter()
+            .map(|e| match e {
+                TraceEvent::PacketEnqueue { .. } => 0,
+                TraceEvent::PacketTx { .. } => 1,
+                TraceEvent::PacketDrop { .. } => 2,
+                TraceEvent::PacketBlackhole { .. } => 3,
+                TraceEvent::PacketDeliver { .. } => 4,
+                TraceEvent::DreUpdate { .. } => 5,
+                TraceEvent::FlowletNew { .. } => 6,
+                TraceEvent::FlowletExpire { .. } => 7,
+                TraceEvent::Decision { .. } => 8,
+                TraceEvent::FeedbackPiggyback { .. } => 9,
+                TraceEvent::FeedbackApply { .. } => 10,
+                TraceEvent::CwndUpdate { .. } => 11,
+                TraceEvent::FastRetx { .. } => 12,
+                TraceEvent::Rto { .. } => 13,
+                TraceEvent::FaultTransition { .. } => 14,
+            })
+            .collect();
+        assert_eq!(slots, (0..15).collect());
+        for (i, event) in events.into_iter().enumerate() {
+            let rec = TraceRecord {
+                seq: i as u64,
+                t: t(1_000 * i as u64),
+                event,
+            };
+            let mut line = String::new();
+            write_jsonl_record(&mut line, &rec);
+            let back = TraceRecord::from_jsonl(&line).unwrap_or_else(|e| panic!("{e}: {line}"));
+            assert_eq!(back, rec, "{line}");
+            let mut again = String::new();
+            write_jsonl_record(&mut again, &back);
+            assert_eq!(again, line);
+        }
+    }
+
+    #[test]
+    fn golden_trace_decodes_and_re_encodes_byte_for_byte() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/golden/fig11_dynamic.trace.jsonl"
+        );
+        let text = std::fs::read_to_string(path).expect("golden trace committed");
+        let mut out = String::new();
+        for line in text.lines() {
+            let rec = TraceRecord::from_jsonl(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+            write_jsonl_record(&mut out, &rec);
+            out.push('\n');
+        }
+        assert_eq!(text.lines().count(), 7718);
+        assert!(out == text, "re-encoded golden trace differs");
     }
 
     #[test]

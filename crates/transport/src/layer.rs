@@ -89,7 +89,7 @@ impl ListSource {
 }
 
 // ---- timer token layout -----------------------------------------------
-// [63:28] flow | [27:12] subflow | [11:4] generation | [3:0] kind
+// [63:28] flow | [27:12] subflow | [3:0] kind
 const KIND_ARRIVAL: u64 = 0;
 const KIND_RTO: u64 = 1;
 /// Activation timer for a preregistered flow (sharded runs schedule one
@@ -99,17 +99,12 @@ const KIND_START: u64 = 3;
 /// fires when the subflow's next paced segment may go on the wire.
 const KIND_PACE: u64 = 4;
 
-fn token(flow: usize, sub: usize, gen: u8, kind: u64) -> u64 {
-    ((flow as u64) << 28) | ((sub as u64) << 12) | ((gen as u64) << 4) | kind
+fn token(flow: usize, sub: usize, kind: u64) -> u64 {
+    ((flow as u64) << 28) | ((sub as u64) << 12) | kind
 }
 
-fn untoken(t: u64) -> (usize, usize, u8, u64) {
-    (
-        (t >> 28) as usize,
-        ((t >> 12) & 0xFFFF) as usize,
-        ((t >> 4) & 0xFF) as u8,
-        t & 0xF,
-    )
+fn untoken(t: u64) -> (usize, usize, u64) {
+    ((t >> 28) as usize, ((t >> 12) & 0xFFFF) as usize, t & 0xF)
 }
 
 #[derive(Debug)]
@@ -298,7 +293,7 @@ impl TransportLayer {
     pub fn begin_source(&mut self) -> Option<(SimDuration, u64)> {
         let (delay, spec) = self.source.as_mut()?.next_flow()?;
         self.pending_first = Some(spec);
-        Some((delay, token(0, 0, 0, KIND_ARRIVAL)))
+        Some((delay, token(0, 0, KIND_ARRIVAL)))
     }
 
     /// Number of flows started so far.
@@ -403,7 +398,7 @@ impl TransportLayer {
 
     /// The timer token whose firing activates preregistered flow `flow`.
     pub fn start_token(flow: usize) -> u64 {
-        token(flow, 0, 0, KIND_START)
+        token(flow, 0, KIND_START)
     }
 
     /// The flow's heavy state, built now if it has none: the same initial
@@ -530,7 +525,7 @@ impl TransportLayer {
                         s.pace_pending = true;
                         em.set_timer(
                             s.pace_next.saturating_since(now),
-                            token(flow, sub, 0, KIND_PACE),
+                            token(flow, sub, KIND_PACE),
                         );
                     }
                     return;
@@ -583,7 +578,7 @@ impl TransportLayer {
             s.rto_pending = true;
             em.set_timer(
                 s.rto_deadline.saturating_since(now),
-                token(flow, sub, 0, KIND_RTO),
+                token(flow, sub, KIND_RTO),
             );
         }
     }
@@ -954,7 +949,7 @@ impl HostAgent for TransportLayer {
     }
 
     fn on_timer(&mut self, t: u64, now: SimTime, em: &mut Emitter) {
-        let (flow, sub, _gen, kind) = untoken(t);
+        let (flow, sub, kind) = untoken(t);
         if kind == KIND_ARRIVAL {
             // Start the pending flow, then schedule the next arrival.
             if let Some(spec) = self.pending_first.take() {
@@ -963,7 +958,7 @@ impl HostAgent for TransportLayer {
             if let Some(src) = self.source.as_mut() {
                 if let Some((delay, spec)) = src.next_flow() {
                     self.pending_first = Some(spec);
-                    em.set_timer(delay, token(0, 0, 0, KIND_ARRIVAL));
+                    em.set_timer(delay, token(0, 0, KIND_ARRIVAL));
                 }
             }
             return;
@@ -993,7 +988,7 @@ impl HostAgent for TransportLayer {
                         s.rto_pending = true;
                         em.set_timer(
                             s.rto_deadline.saturating_since(now),
-                            token(flow, sub, 0, KIND_RTO),
+                            token(flow, sub, KIND_RTO),
                         );
                         self.scratch_segs = segs;
                         return;
@@ -1167,7 +1162,7 @@ mod tests {
         let id = layer.start_flow(tcp(1000), SimTime::ZERO, &mut em);
         assert_eq!(layer.live_flows(), (1, 1));
         let rto_token = em.timers()[0].1;
-        assert_eq!(rto_token, token(id, 0, 0, KIND_RTO));
+        assert_eq!(rto_token, token(id, 0, KIND_RTO));
         let segment = em.packets()[0].clone();
 
         let mut acks = Emitter::default();
@@ -1182,11 +1177,7 @@ mod tests {
         let before = counters(&layer);
         layer.on_packet(ack, SimTime::from_micros(11), &mut em);
         layer.on_timer(rto_token, SimTime::from_millis(200), &mut em);
-        layer.on_timer(
-            token(id, 0, 0, KIND_PACE),
-            SimTime::from_millis(201),
-            &mut em,
-        );
+        layer.on_timer(token(id, 0, KIND_PACE), SimTime::from_millis(201), &mut em);
         assert!(em.packets().is_empty() && em.timers().is_empty());
         assert_eq!(counters(&layer), before);
         assert_eq!(layer.live_flows(), (0, 1));
@@ -1223,11 +1214,7 @@ mod tests {
         assert_eq!(layer.live_flows(), (1, 1), "a segment is still queued");
 
         let mut em = Emitter::default();
-        layer.on_timer(
-            token(id, 0, 0, KIND_PACE),
-            SimTime::from_micros(50),
-            &mut em,
-        );
+        layer.on_timer(token(id, 0, KIND_PACE), SimTime::from_micros(50), &mut em);
         assert_eq!(em.packets().len(), 1);
         assert_eq!(em.packets()[0].kind, PacketKind::Retransmit);
         assert_eq!(layer.live_flows(), (0, 1));
