@@ -27,59 +27,62 @@
 //! the analytic game model (`conga_analysis::poa`).
 
 use crate::cli::{banner, Args};
+use crate::runner::ShardedRun;
 use conga_analysis::poa::{BottleneckGame, User};
 use conga_core::FabricPolicy;
-use conga_net::{Dataplane, HostId, LeafSpineBuilder, Network, NodeId, SpineId, Topology};
+use conga_net::{Dataplane, HostId, LeafSpineBuilder, NodeId, SpineId, Topology};
 use conga_sim::{SimDuration, SimRng, SimTime};
-use conga_transport::{FlowSpec, TcpConfig, TransportKind, TransportLayer};
+use conga_transport::{FlowSpec, TcpConfig, TransportKind};
 
-/// Start one saturated flow per `(src, dst)` pair, warm up, then measure a
-/// steady window: Gbps leaving `leaf` toward each of the two spines, and
-/// the payload Gbps delivered fabric-wide.
-fn steady_state(
-    topo: Topology,
+/// One saturated flow per `(src, dst)` pair on `topo` under `policy`, all
+/// starting at time zero.
+fn saturated(
+    topo: &Topology,
     policy: FabricPolicy,
     pairs: &[(u32, u32)],
-    leaf: usize,
     args: &Args,
-) -> ([f64; 2], f64) {
-    let mut net = Network::new(topo, policy, TransportLayer::new(), args.seed);
+) -> ShardedRun {
     // Long-lived saturated flows: model Linux receive-buffer autotuning
     // (multi-MB windows) so the bottleneck queue actually fills and drops —
     // the loss/recovery stalls are what opens flowlet gaps on saturated
     // flows. A datacenter-tuned minRTO keeps convergence fast.
     let mut tcp = TcpConfig::standard().with_min_rto(SimDuration::from_millis(2));
     tcp.rwnd = 4 << 20;
-    net.agent_call(|a, now, em| {
-        for &(src, dst) in pairs {
-            a.start_flow(
-                FlowSpec {
-                    src: HostId(src),
-                    dst: HostId(dst),
-                    bytes: u64::MAX / 2,
-                    kind: TransportKind::Tcp(tcp),
-                },
-                now,
-                em,
-            );
-        }
-    });
-    let warm = if args.quick { 30 } else { 80 };
-    let window_ms = if args.quick { 30 } else { 120 };
+    let kind = TransportKind::Tcp(tcp.with_cc(args.primary_cc()));
+    let flows: Vec<(SimTime, FlowSpec)> = pairs
+        .iter()
+        .map(|&(src, dst)| {
+            let spec = FlowSpec {
+                src: HostId(src),
+                dst: HostId(dst),
+                bytes: u64::MAX / 2,
+                kind,
+            };
+            (SimTime::ZERO, spec)
+        })
+        .collect();
+    args.engine(tcp.mss).register(topo, policy, &flows)
+}
+
+/// Warm `run` up, then measure a steady window: Gbps leaving `leaf`
+/// toward each of the two spines, and the payload Gbps delivered
+/// fabric-wide.
+fn steady_state(run: &mut ShardedRun, leaf: usize, quick: bool) -> ([f64; 2], f64) {
+    let (warm, window_ms) = if quick { (30, 30) } else { (80, 120) };
     let gbps = |bytes: u64| bytes as f64 * 8.0 / (window_ms as f64 * 1e-3) / 1e9;
-    net.run_until(SimTime::from_millis(warm));
-    let ups = net.fib.leaf_uplinks[leaf].clone();
-    let start: Vec<u64> = ups.iter().map(|&c| net.port(c).tx_bytes).collect();
-    let delivered = net.stats.delivered_payload;
-    net.run_until(SimTime::from_millis(warm + window_ms));
+    run.net.run_until(SimTime::from_millis(warm));
+    let ups = run.net.domain(0).fib.leaf_uplinks[leaf].clone();
+    let start: Vec<u64> = ups.iter().map(|&c| run.port_mut(c).tx_bytes).collect();
+    let delivered = run.stat(|s| s.delivered_payload);
+    run.net.run_until(SimTime::from_millis(warm + window_ms));
     let mut via = [0.0f64; 2];
     for (i, &c) in ups.iter().enumerate() {
-        let NodeId::Spine(SpineId(s)) = net.topo.channel(c).dst else {
+        let NodeId::Spine(SpineId(s)) = run.net.domain(0).topo.channel(c).dst else {
             unreachable!()
         };
-        via[s as usize] += gbps(net.port(c).tx_bytes - start[i]);
+        via[s as usize] += gbps(run.port_mut(c).tx_bytes - start[i]);
     }
-    (via, gbps(net.stats.delivered_payload - delivered))
+    (via, gbps(run.stat(|s| s.delivered_payload) - delivered))
 }
 
 /// Figure 2: asymmetry demands global congestion-awareness.
@@ -89,6 +92,7 @@ pub fn fig02(args: &Args) -> bool {
         "L0->L1 TCP demand ~100G+; upper path 80G, lower path bottlenecked at 40G.\n\
          Paper: ECMP ~90G (50/50), local-aware ~80G (40/40), CONGA ~100G (2:1 split)",
     );
+    args.print_controller();
     println!(
         "{:<22}{:>12}{:>14}{:>14}",
         "scheme", "total Gbps", "via S0 (80G)", "via S1 (40G)"
@@ -110,7 +114,8 @@ pub fn fig02(args: &Args) -> bool {
             .override_link_rate_gbps(1, 1, 0, 40)
             .build();
         let name = policy.name();
-        let ([s0, s1], _) = steady_state(topo, policy, &pairs, 0, args);
+        let mut run = saturated(&topo, policy, &pairs, args);
+        let ([s0, s1], _) = steady_state(&mut run, 0, args.quick);
         eprintln!("[{name}] upper (via S0) {s0:.1}G, lower (via S1) {s1:.1}G");
         println!("{label:<22}{:>12.1}{s0:>14.1}{s1:>14.1}", s0 + s1);
     }
@@ -125,6 +130,7 @@ pub fn fig03(args: &Args) -> bool {
          (a) only L1->L2 (40G): optimal L1 split 50/50.\n\
          (b) plus 40G of L0->L2 pinned via S0: optimal L1 split ~0/100.",
     );
+    args.print_controller();
     for (case, with_l0) in [("(a) L0->L2 = 0", false), ("(b) L0->L2 = 40G", true)] {
         println!("\n{case}");
         println!(
@@ -152,7 +158,8 @@ pub fn fig03(args: &Args) -> bool {
                 .parallel_links(1)
                 .fail_link(0, 1, 0)
                 .build();
-            let ([s0, s1], total) = steady_state(topo, policy, &pairs, 1, args);
+            let mut run = saturated(&topo, policy, &pairs, args);
+            let ([s0, s1], total) = steady_state(&mut run, 1, args.quick);
             println!("{label:<22}{s0:>14.1}{s1:>14.1}{total:>12.1}");
         }
     }
@@ -178,4 +185,51 @@ pub fn fig03(args: &Args) -> bool {
         );
     }
     true
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(argv: &[&str]) -> Args {
+        Args::from_iter(argv.iter().map(|s| s.to_string())).expect("valid args")
+    }
+
+    /// Figure 2's shape at a tenth of its rates: 10 pairs of 1 G hosts
+    /// across an 8 G upper path and a 4 G lower one. Returns the measured
+    /// steady state and the run's `net.ecn_marked_pkts`.
+    fn fig02_cell(policy: FabricPolicy, argv: &[&str]) -> ([f64; 2], f64, u64) {
+        let topo = LeafSpineBuilder::new(2, 2, 10)
+            .host_rate_gbps(1)
+            .fabric_rate_gbps(8)
+            .parallel_links(1)
+            .override_link_rate_gbps(1, 1, 0, 4)
+            .build();
+        let pairs: Vec<(u32, u32)> = (0..10).map(|i| (i, 10 + i)).collect();
+        let mut run = saturated(&topo, policy, &pairs, &args(argv));
+        let (via, total) = steady_state(&mut run, 0, true);
+        let mut reg = conga_telemetry::MetricsRegistry::new();
+        run.net.export_metrics(&mut reg);
+        (via, total, reg.counter("net.ecn_marked_pkts"))
+    }
+
+    #[test]
+    fn a_steady_cell_is_shard_count_invariant() {
+        let one = fig02_cell(FabricPolicy::conga(), &["--shards", "1"]);
+        assert!(one.1 > 0.0, "the cell delivered nothing: {one:?}");
+        for shards in ["2", "3"] {
+            assert_eq!(
+                fig02_cell(FabricPolicy::conga(), &["--shards", shards]),
+                one
+            );
+        }
+    }
+
+    #[test]
+    fn the_controller_flag_reaches_the_cell() {
+        let (_, _, aimd) = fig02_cell(FabricPolicy::ecmp(), &[]);
+        assert_eq!(aimd, 0, "AIMD runs with marking off");
+        let (_, _, dctcp) = fig02_cell(FabricPolicy::ecmp(), &["--cc", "dctcp"]);
+        assert!(dctcp > 0, "DCTCP runs with marking on");
+    }
 }

@@ -9,10 +9,10 @@
 //! one check left to a driver is whether `--fault-link` names a link of
 //! the fabric it builds (`Args::fault_link`).
 
-use crate::runner::{build_testbed, FctRun, Scheme, TestbedOpts};
+use crate::runner::{build_testbed, ecn_marking, Engine, FctRun, Scheme, TestbedOpts};
 use conga_net::{LeafId, Link, NodeId, SpineId};
-use conga_sim::SimTime;
-use conga_transport::CcKind;
+use conga_sim::{QueueKind, SimTime};
+use conga_transport::{CcKind, TcpConfig};
 use conga_workloads::FlowSizeDist;
 use std::path::PathBuf;
 
@@ -306,6 +306,33 @@ impl Args {
         cfg.cc = self.primary_cc();
         cfg.ecn_threshold_pkts = self.ecn_threshold;
         cfg
+    }
+
+    /// The engine settings of a row that builds its own flows, with what
+    /// it takes from the command line: the seed, `--shards`, and the ECN
+    /// marking of the first `--cc` entry under `--ecn-threshold`, counted
+    /// in `mss`-sized packets.
+    pub(crate) fn engine(&self, mss: u32) -> Engine<'static> {
+        Engine {
+            seed: self.seed,
+            shards: self.shards,
+            queue: QueueKind::Calendar,
+            ecn: ecn_marking(self.primary_cc(), self.ecn_threshold, mss).map(|(_, e)| e),
+            trace: None,
+            faults: &[],
+        }
+    }
+
+    /// Under a controller other than AIMD or an explicit
+    /// `--ecn-threshold`, print one line naming both; with the default
+    /// flags, print nothing.
+    pub(crate) fn print_controller(&self) {
+        let cc = self.primary_cc();
+        if cc != CcKind::Aimd || self.ecn_threshold.is_some() {
+            let marking = ecn_marking(cc, self.ecn_threshold, TcpConfig::standard().mss);
+            let ecn = marking.map_or("off".into(), |(pkts, _)| format!("at {pkts} packets"));
+            println!("controller {}, ECN marking {ecn}", cc.name());
+        }
     }
 }
 

@@ -197,13 +197,7 @@ pub fn run_dynamic_failure(spec: &DynFailSpec) -> DynFailOutcome {
     // Drain: let every flow finish (blackholed segments need RTOs).
     let total_flows = cfg.n_flows * 2;
     let drain_bound = SimTime::from_nanos(span_ns) + SimDuration::from_secs(8);
-    loop {
-        let t = run.net.now() + SimDuration::from_millis(50);
-        run.net.run_until(t);
-        if run.completed_rx() >= total_flows || run.net.now() >= drain_bound {
-            break;
-        }
-    }
+    run.run_until_received(total_flows, drain_bound, |_| {});
 
     let per_slice: Vec<u64> = cum_delivered.windows(2).map(|w| w[1] - w[0]).collect();
     let slice_s = spec.slice.as_secs_f64();

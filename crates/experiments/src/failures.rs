@@ -24,14 +24,15 @@
 use crate::cli::{banner, Args};
 use crate::figures::{fct_sweep, loads_arg, print_fct_panels, write_metrics_sidecar_text};
 use crate::runner::{
-    build_testbed, fct_meta, plan_arrivals, run_until_received, start_source, uniform_arrivals,
-    workload_rng, FctRun, Scheme, TestbedOpts,
+    absolute_starts, finish_fct, setup_fct, uniform_arrivals, FctRun, Scheme, TestbedOpts,
 };
 use conga_analysis::stats::{mean, percentile};
-use conga_net::{ChannelId, ChannelKind, Dataplane, LeafSpineBuilder, Network, NodeId, Topology};
+use conga_net::{
+    ChannelId, ChannelKind, Dataplane, LeafId, LeafSpineBuilder, NodeId, SpineId, Topology,
+};
 use conga_sim::{SimDuration, SimRng, SimTime};
 use conga_telemetry::RunReport;
-use conga_transport::{TcpConfig, TransportLayer};
+use conga_transport::TcpConfig;
 use conga_workloads::FlowSizeDist;
 
 /// Figure 11 (static): FCT sweeps and the hotspot queue on the Figure-7(b)
@@ -101,49 +102,17 @@ pub fn fig11_static(args: &Args) -> bool {
     written
 }
 
-/// Run `cfg` on the monolithic engine — [`crate::runner::run_fct`] samples
-/// leaf 0's uplinks every 10 ms; this samples the hotspot, the surviving
-/// Spine1→Leaf1 channel, every 1 ms — and return its queue depths in bytes,
-/// read from the run's telemetry report, plus the report.
+/// Run `cfg` as [`crate::runner::run_fct`] does, but sample the hotspot —
+/// the surviving Spine1→Leaf1 channel — every 1 ms instead of leaf 0's
+/// uplinks every 10 ms, and return its queue depths in bytes, read from
+/// the run's telemetry report, plus the report.
 fn hotspot_queue(cfg: &FctRun) -> (Vec<f64>, RunReport) {
-    let topo = build_testbed(cfg.topo);
-    let hotspot: Vec<ChannelId> = topo
-        .channels
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| {
-            c.kind == ChannelKind::SpineDown
-                && matches!(c.src, NodeId::Spine(s) if s.0 == 1)
-                && matches!(c.dst, NodeId::Leaf(l) if l.0 == 1)
-        })
-        .map(|(i, _)| ChannelId(i as u32))
-        .collect();
-    assert_eq!(hotspot.len(), 1, "exactly one surviving S1->L1 link");
-
-    let (arrivals, span_ns) = plan_arrivals(
-        cfg.topo,
-        &cfg.dist,
-        cfg.load,
-        cfg.n_flows,
-        cfg.scheme.transport(cfg.tcp.with_cc(cfg.cc)),
-        &mut workload_rng(cfg.seed),
-    );
-    let mut net = Network::new(topo, cfg.scheme.policy(), TransportLayer::new(), cfg.seed);
-    if let Some(e) = cfg.ecn_config() {
-        net.set_ecn(e);
-    }
-    let queue_name = format!("port.{:04}.queue_bytes", hotspot[0].idx());
-    net.enable_sampling(hotspot, SimDuration::from_millis(1));
-    start_source(&mut net, arrivals);
-    run_until_received(
-        &mut net,
-        cfg.n_flows * 2,
-        SimDuration::from_millis(50),
-        SimTime::from_nanos(span_ns) + SimDuration::from_secs(8),
-    );
-    let mut report = fct_meta(cfg, net.dataplane.name(), net.now());
-    net.export_metrics(&mut report.metrics);
-    let queue = report.metrics.series(&queue_name);
+    let (topo, mut run, span_ns) = setup_fct(cfg, cfg.scheme.policy());
+    let hotspot = topo.link_channels(NodeId::Spine(SpineId(1)), NodeId::Leaf(LeafId(1)))[0].0;
+    run.sample(&[hotspot], SimDuration::from_millis(1));
+    let report = finish_fct(cfg, &topo, run, span_ns).report;
+    let name = format!("port.{:04}.queue_bytes", hotspot.idx());
+    let queue = report.metrics.series(&name);
     (queue.iter().map(|&(_, b)| b).collect(), report)
 }
 
@@ -177,6 +146,57 @@ fn fig16_fabric(hosts_per_leaf: u32, failed: &[(u32, u32, u32)]) -> Topology {
     b.build()
 }
 
+/// One Figure-16 cell: `scheme` on the fabric without `failed`, offered
+/// `n_flows` web-search flows at 60 % of the unfailed per-leaf capacity.
+/// Prints how many flows completed and returns the policy's name and the
+/// mean queue (KB) of every leaf uplink and of every spine downlink.
+fn multi_failure(
+    scheme: Scheme,
+    failed: &[(u32, u32, u32)],
+    hosts_per_leaf: u32,
+    n_flows: usize,
+    args: &Args,
+) -> (&'static str, Vec<f64>, Vec<f64>) {
+    let topo = fig16_fabric(hosts_per_leaf, failed);
+    // Load reference: the *unfailed* per-leaf capacity (12 x 40G or the
+    // access bound for --quick).
+    let unfailed_cap = (12 * 40_000_000_000u64).min(hosts_per_leaf as u64 * 10_000_000_000);
+    let tcp = TcpConfig::standard().with_cc(args.primary_cc());
+    let arrivals = uniform_arrivals(
+        &FlowSizeDist::web_search(),
+        &topo,
+        unfailed_cap,
+        0.6,
+        n_flows,
+        &mut SimRng::new(args.seed),
+        scheme.transport(tcp),
+    );
+    let span: u64 = arrivals.iter().map(|(g, _)| g.as_nanos()).sum();
+    let policy = scheme.policy();
+    let name = policy.name();
+    let flows = absolute_starts(arrivals);
+    let mut run = args.engine(tcp.mss).register(&topo, policy, &flows);
+    let bound = SimTime::from_nanos(span) + SimDuration::from_secs(5);
+    run.run_until_received(n_flows, bound, |_| {});
+    // Mean queue depth per fabric channel, split by kind.
+    let now = run.net.now();
+    let (mut leaf_up, mut spine_down) = (Vec::new(), Vec::new());
+    for (i, c) in topo.channels.iter().enumerate() {
+        let q = run.port_mut(ChannelId(i as u32)).mean_queue_bytes(now) / 1024.0;
+        match c.kind {
+            ChannelKind::LeafUp => leaf_up.push(q),
+            ChannelKind::SpineDown => spine_down.push(q),
+            _ => {}
+        }
+    }
+    println!(
+        "[{name}] done: {} of {n_flows} flows, drops {}",
+        run.completed_rx(),
+        run.total_drops()
+    );
+    (name, leaf_up, spine_down)
+}
+
 /// Figure 16: mean queue per fabric port under 9 random link failures.
 pub fn fig16(args: &Args) -> bool {
     banner(
@@ -184,6 +204,7 @@ pub fn fig16(args: &Args) -> bool {
         "mean queue per fabric port, web-search @ 60% load; paper: ECMP ~10x CONGA\n\
          at the spine downlinks next to failures",
     );
+    args.print_controller();
     let failed = fig16_failed_links(args.seed);
     println!("failed links (leaf, spine, parallel): {failed:?}\n");
 
@@ -191,62 +212,8 @@ pub fn fig16(args: &Args) -> bool {
     // uplinks — 1:1 subscription, so 60% load genuinely loads the fabric.
     let hosts_per_leaf = if args.quick { 12 } else { 48 };
     let n_flows = if args.quick { 600 } else { 4000 };
-
-    let mut results: Vec<(String, Vec<f64>, Vec<f64>)> = Vec::new();
-    for scheme in [Scheme::Ecmp, Scheme::Conga] {
-        let topo = fig16_fabric(hosts_per_leaf, &failed);
-        // Load reference: the *unfailed* per-leaf capacity (12 x 40G or the
-        // access bound for --quick).
-        let unfailed_cap = (12 * 40_000_000_000u64).min(hosts_per_leaf as u64 * 10_000_000_000);
-        let mut rng = SimRng::new(args.seed);
-        let arrivals = uniform_arrivals(
-            &FlowSizeDist::web_search(),
-            &topo,
-            unfailed_cap,
-            0.6,
-            n_flows,
-            &mut rng,
-            scheme.transport(TcpConfig::standard()),
-        );
-        let span: u64 = arrivals.iter().map(|(g, _)| g.as_nanos()).sum();
-        let policy = scheme.policy();
-        let name = policy.name().to_string();
-        let mut net = Network::new(topo, policy, TransportLayer::new(), args.seed);
-        start_source(&mut net, arrivals);
-        run_until_received(
-            &mut net,
-            n_flows,
-            SimDuration::from_millis(50),
-            SimTime::from_nanos(span) + SimDuration::from_secs(5),
-        );
-        // Mean queue depth per fabric channel, split by kind.
-        let now = net.now();
-        let chans: Vec<(ChannelId, ChannelKind)> = net
-            .topo
-            .channels
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.kind.is_fabric())
-            .map(|(i, c)| (ChannelId(i as u32), c.kind))
-            .collect();
-        let mut leaf_up = Vec::new();
-        let mut spine_down = Vec::new();
-        for (ch, kind) in chans {
-            let q = net.port_mut(ch).mean_queue_bytes(now) / 1024.0;
-            match kind {
-                ChannelKind::LeafUp => leaf_up.push(q),
-                ChannelKind::SpineDown => spine_down.push(q),
-                _ => {}
-            }
-        }
-        println!(
-            "[{name}] done: {} of {} flows, drops {}",
-            net.agent.completed_rx,
-            n_flows,
-            net.total_drops()
-        );
-        results.push((name, leaf_up, spine_down));
-    }
+    let results = [Scheme::Ecmp, Scheme::Conga]
+        .map(|s| multi_failure(s, &failed, hosts_per_leaf, n_flows, args));
 
     println!(
         "\n{:<10}{:>22}{:>22}{:>22}",
@@ -262,11 +229,15 @@ pub fn fig16(args: &Args) -> bool {
             dmax
         );
     }
-    if let [(_, _, d_ecmp), (_, _, d_conga)] = &results[..] {
-        let ratio = mean(d_ecmp) / mean(d_conga).max(1e-9);
+    let [(_, _, d_ecmp), (_, _, d_conga)] = &results;
+    // The table prints to 0.1 KB: a ratio of two means below that is noise.
+    if mean(d_conga) >= 0.05 {
+        let ratio = mean(d_ecmp) / mean(d_conga);
         println!(
             "\nECMP/CONGA mean spine-downlink queue ratio: {ratio:.1}x (paper: ~10x at hot ports)"
         );
+    } else {
+        println!("\nECMP/CONGA mean spine-downlink queue ratio: n/a, CONGA's mean is below the table's 0.05 KB resolution");
     }
     true
 }
@@ -274,7 +245,8 @@ pub fn fig16(args: &Args) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use conga_net::{CoreId, Fib, NodeId, SpineId, TopologyBuilder};
+    use crate::runner::build_testbed;
+    use conga_net::{CoreId, Fib, TopologyBuilder};
 
     /// FNV-1a/64 of every table of `fib`, rendered by its derive.
     fn fnv(fib: &Fib) -> u64 {
@@ -309,5 +281,22 @@ mod tests {
                 0xe604_24d5_589a_e670
             ]
         );
+    }
+
+    /// A small Figure-16 cell — 4 hosts per leaf, 60 flows — under CONGA
+    /// at `shards` workers.
+    fn fig16_cell(shards: &str) -> (&'static str, Vec<f64>, Vec<f64>) {
+        let argv = ["--shards", shards].map(String::from);
+        let args = Args::from_iter(argv).expect("valid args");
+        multi_failure(Scheme::Conga, &fig16_failed_links(1), 4, 60, &args)
+    }
+
+    #[test]
+    fn a_fig16_cell_is_shard_count_invariant() {
+        let one = fig16_cell("1");
+        assert!(one.2.iter().any(|&q| q > 0.0), "no spine downlink queued");
+        for shards in ["2", "3"] {
+            assert_eq!(fig16_cell(shards), one, "{shards} workers");
+        }
     }
 }

@@ -6,14 +6,14 @@ use conga_analysis::sketch::{FctAccumulator, FctSketch};
 use conga_core::FabricPolicy;
 use conga_fleet::Scenario;
 use conga_net::{
-    EcnConfig, HostId, LeafId, Link, Network, ShardedNetwork, Topology, TopologyBuilder,
-    WIRE_OVERHEAD,
+    ChannelId, EcnConfig, HostId, LeafId, Link, Network, ShardedNetwork, Topology, TopologyBuilder,
+    TxPort, WIRE_OVERHEAD,
 };
 use conga_sim::{QueueKind, SimDuration, SimRng, SimTime};
 use conga_telemetry::{RunReport, SeriesRegistry};
 use conga_trace::{TraceConfig, TraceHandle};
 use conga_transport::{
-    CcKind, FlowRecord, FlowSpec, ListSource, MptcpConfig, TcpConfig, TransportKind, TransportLayer,
+    CcKind, FlowRecord, FlowSpec, MptcpConfig, TcpConfig, TransportKind, TransportLayer,
 };
 use conga_workloads::{FlowSizeDist, PoissonPlan};
 
@@ -676,32 +676,50 @@ pub fn absolute_starts(arrivals: Vec<(SimDuration, FlowSpec)>) -> Vec<(SimTime, 
         .collect()
 }
 
-/// Feed a gap-encoded schedule to a monolithic network's transport.
-pub(crate) fn start_source(
-    net: &mut Network<FabricPolicy, TransportLayer>,
-    arrivals: Vec<(SimDuration, FlowSpec)>,
-) {
-    net.agent.attach_source(Box::new(ListSource::new(arrivals)));
-    if let Some((d, tok)) = net.agent.begin_source() {
-        net.schedule_timer(d, tok);
+/// A cell's engine settings: everything [`Engine::register`] installs in
+/// every domain besides the fabric, the policy and the flows.
+#[derive(Clone, Copy)]
+pub(crate) struct Engine<'a> {
+    /// Run seed; each domain forks its RNG from it.
+    pub seed: u64,
+    /// Worker threads (`--shards`).
+    pub shards: usize,
+    /// Future-event-list implementation.
+    pub queue: QueueKind,
+    /// ECN marking, by [`ecn_marking`].
+    pub ecn: Option<EcnConfig>,
+    /// Event tracing, if requested.
+    pub trace: Option<&'a TraceConfig>,
+    /// Runtime link transitions.
+    pub faults: &'a [LinkFaultSpec],
+}
+
+impl Engine<'_> {
+    /// The one registration step: a [`ShardedRun`] of `topo` under
+    /// `policy` with `flows` registered, each to start at its time.
+    pub(crate) fn register(
+        self,
+        topo: &Topology,
+        policy: FabricPolicy,
+        flows: &[(SimTime, FlowSpec)],
+    ) -> ShardedRun {
+        ShardedRun::new(
+            topo,
+            policy,
+            self.seed,
+            self.shards,
+            self.queue,
+            self.ecn,
+            self.trace,
+            self.faults,
+            &[],
+            flows,
+        )
     }
 }
 
-/// Run a monolithic network slice by slice until `total` flows are fully
-/// received or the clock passes `bound`.
-pub(crate) fn run_until_received(
-    net: &mut Network<FabricPolicy, TransportLayer>,
-    total: usize,
-    slice: SimDuration,
-    bound: SimTime,
-) {
-    loop {
-        net.run_until(net.now() + slice);
-        if net.agent.completed_rx >= total || net.now() >= bound {
-            break;
-        }
-    }
-}
+/// One leaf domain's replica of the fabric.
+type Domain = Network<FabricPolicy, TransportLayer>;
 
 /// A domain-decomposed simulation run: one replicated [`Network`] per leaf
 /// domain, coordinated by [`ShardedNetwork`]'s conservative-window barrier.
@@ -761,16 +779,12 @@ impl ShardedRun {
             for f in faults.iter().chain(more_faults) {
                 n.schedule_link(f.at, f.link, f.up);
             }
+            // Domain-major, the whole list in one domain before the next:
+            // interleaving the domains flow by flow costs peak memory
+            // (~5 % on 200 k flows).
             n.agent.reserve(arrivals.len());
-            for (start, spec) in arrivals {
-                let tx_local = topo.leaf_of(spec.src).0 as usize == d;
-                let id = n.agent.preregister(*spec, *start, tx_local);
-                if tx_local {
-                    n.schedule_timer(
-                        SimDuration::from_nanos(start.as_nanos()),
-                        TransportLayer::start_token(id),
-                    );
-                }
+            for &(start, spec) in arrivals {
+                register(d, n, start, spec);
             }
         });
         ShardedRun {
@@ -778,6 +792,52 @@ impl ShardedRun {
             tracer_parts,
             trace_cfg,
         }
+    }
+
+    /// Register a flow mid-run, to start at `at` (not before
+    /// [`ShardedNetwork::now`]); returns its id. Every domain registers it,
+    /// in the same order as every other flow, so ids stay aligned, and the
+    /// sender's domain arms its start timer `at − now` ahead. Safe between
+    /// `run_until` calls, which leave every domain's clock at the slice end
+    /// and no mail in flight.
+    pub fn start_flow(&mut self, at: SimTime, spec: FlowSpec) -> usize {
+        assert!(at >= self.net.now(), "a flow cannot start in the past");
+        let mut id = 0;
+        self.net.each(|d, n| id = register(d, n, at, spec));
+        id
+    }
+
+    /// Run 50 ms slices until `n` flows are fully received or the clock
+    /// passes `bound`, calling `f` after every slice.
+    pub fn run_until_received(&mut self, n: usize, bound: SimTime, mut f: impl FnMut(&mut Self)) {
+        loop {
+            let t = self.net.now() + SimDuration::from_millis(50);
+            self.net.run_until(t);
+            f(self);
+            if self.completed_rx() >= n || self.net.now() >= bound {
+                break;
+            }
+        }
+    }
+
+    /// Sample `channels` every `every`, each in the domain that owns its
+    /// transmit side. Every other domain ticks on the same boundaries with
+    /// nothing to sample: the dataplane/transport sampling hooks must fire
+    /// on identical window boundaries in the domains that own their state,
+    /// so the by-window series merge reproduces a monolithic run.
+    pub(crate) fn sample(&mut self, channels: &[ChannelId], every: SimDuration) {
+        let owner: Vec<usize> = channels.iter().map(|&c| self.net.tx_domain(c)).collect();
+        self.net.each(|d, n| {
+            let own = channels.iter().zip(&owner).filter(|&(_, &o)| o == d);
+            n.enable_sampling(own.map(|(&c, _)| c).collect(), every);
+        });
+    }
+
+    /// `ch`'s transmit port in the domain that owns it, where its counters
+    /// live: the same port in any other domain reads 0.
+    pub(crate) fn port_mut(&mut self, ch: ChannelId) -> &mut TxPort {
+        let d = self.net.tx_domain(ch);
+        self.net.domain_mut(d).port_mut(ch)
     }
 
     /// Flows fully received, summed across domains (each flow's receiver
@@ -843,6 +903,17 @@ impl ShardedRun {
     }
 }
 
+/// Register `spec`, to start at `start`, in domain `d`'s replica `n`; only
+/// the sender's domain arms the start timer. Returns the flow id.
+fn register(d: usize, n: &mut Domain, start: SimTime, spec: FlowSpec) -> usize {
+    let tx_local = n.topo.leaf_of(spec.src).0 as usize == d;
+    let id = n.agent.preregister(spec, start, tx_local);
+    if tx_local {
+        n.schedule_timer(start - n.now(), TransportLayer::start_token(id));
+    }
+    id
+}
+
 /// Run one FCT experiment cell to completion (or a generous drain bound).
 pub fn run_fct(cfg: &FctRun) -> FctOutcome {
     run_fct_with_policy(cfg, cfg.scheme.policy())
@@ -863,18 +934,15 @@ pub(crate) fn setup_fct(cfg: &FctRun, policy: FabricPolicy) -> (Topology, Sharde
     );
     // The schedule lives until the domains have registered it: from then
     // on their flow records say everything it did.
-    let run = ShardedRun::new(
-        &topo,
-        policy,
-        cfg.seed,
-        cfg.shards,
-        cfg.queue,
-        cfg.ecn_config(),
-        cfg.trace.as_ref(),
-        &cfg.faults,
-        &[],
-        &absolute_starts(arrivals),
-    );
+    let engine = Engine {
+        seed: cfg.seed,
+        shards: cfg.shards,
+        queue: cfg.queue,
+        ecn: cfg.ecn_config(),
+        trace: cfg.trace.as_ref(),
+        faults: &cfg.faults,
+    };
+    let run = engine.register(&topo, policy, &absolute_starts(arrivals));
     (topo, run, span_ns)
 }
 
@@ -883,20 +951,21 @@ pub(crate) fn setup_fct(cfg: &FctRun, policy: FabricPolicy) -> (Topology, Sharde
 pub fn run_fct_with_policy(cfg: &FctRun, policy: FabricPolicy) -> FctOutcome {
     let (topo, mut run, span_ns) = setup_fct(cfg, policy);
     if cfg.sample_uplinks {
-        // Leaf 0's uplinks are all owned by domain 0, so sampling there
-        // observes exactly what the monolithic engine would. Every other
-        // domain gets the same periodic tick with no sampled channel: the
-        // dataplane/transport sampling hooks must fire on identical
-        // window boundaries in the domains that own their state, so the
-        // by-window series merge reproduces a monolithic run.
-        let every = SimDuration::from_millis(10);
         let ups = run.net.domain(0).fib.leaf_uplinks[0].clone();
-        run.net.domain_mut(0).enable_sampling(ups, every);
-        for d in 1..run.net.n_domains() {
-            run.net.domain_mut(d).enable_sampling(vec![], every);
-        }
+        run.sample(&ups, SimDuration::from_millis(10));
     }
+    finish_fct(cfg, &topo, run, span_ns)
+}
 
+/// What every FCT-style cell does once [`setup_fct`] has registered it and
+/// its sampling is armed: run until every flow completes (or the drain
+/// bound), summarize the measured flows and build the report.
+pub(crate) fn finish_fct(
+    cfg: &FctRun,
+    topo: &Topology,
+    mut run: ShardedRun,
+    span_ns: u64,
+) -> FctOutcome {
     // Ideal FCT model parameters from the topology. Intra-leaf flows
     // traverse 2 hops, cross-leaf 4 (leaf–spine–leaf), inter-pod 6
     // (leaf–spine–core–spine–leaf); two-tier fabrics are one pod, so the
@@ -931,14 +1000,12 @@ pub fn run_fct_with_policy(cfg: &FctRun, policy: FabricPolicy) -> FctOutcome {
     let mut sk = FctSketch::new();
     let mut samples: Vec<(u32, FctSample)> = Vec::new();
     let mut done: Vec<u32> = Vec::new();
-    loop {
-        let t = run.net.now() + SimDuration::from_millis(50);
-        run.net.run_until(t);
+    run.run_until_received(total_flows, drain_bound, |run| {
         run.net
             .each(|_, n| done.extend(n.agent.drain_completions()));
         done.sort_unstable();
         for i in done.drain(..) {
-            let r = run.merged_record(&topo, i as usize);
+            let r = run.merged_record(topo, i as usize);
             let Some(f) = r.fct().filter(|_| r.start <= measure_until) else {
                 continue;
             };
@@ -954,10 +1021,7 @@ pub fn run_fct_with_policy(cfg: &FctRun, policy: FabricPolicy) -> FctOutcome {
                 samples.push((i, sample));
             }
         }
-        if run.completed_rx() >= total_flows || run.net.now() >= drain_bound {
-            break;
-        }
-    }
+    });
 
     // A flow inside the measure window that the drain never saw complete
     // missed the drain bound.
@@ -1026,35 +1090,16 @@ pub(crate) fn fct_meta(cfg: &FctRun, policy_name: &str, end: SimTime) -> RunRepo
     // Two-tier fabrics keep the historical topology string (and their
     // byte-identical goldens); three-tier fabrics get an extended form
     // that names the pod structure and core tier.
-    if cfg.topo.pods > 1 {
-        report.set_meta(
-            "topology",
-            format!(
-                "{}pods:{}x{}x{}+{}cores@{}G/{}G par{}",
-                cfg.topo.pods,
-                cfg.topo.leaves,
-                cfg.topo.spines,
-                cfg.topo.hosts_per_leaf,
-                cfg.topo.cores,
-                cfg.topo.host_gbps,
-                cfg.topo.fabric_gbps,
-                cfg.topo.parallel
-            ),
-        );
+    let t = &cfg.topo;
+    let (pods, cores) = if t.pods > 1 {
+        (format!("{}pods:", t.pods), format!("+{}cores", t.cores))
     } else {
-        report.set_meta(
-            "topology",
-            format!(
-                "{}x{}x{}@{}G/{}G par{}",
-                cfg.topo.leaves,
-                cfg.topo.spines,
-                cfg.topo.hosts_per_leaf,
-                cfg.topo.host_gbps,
-                cfg.topo.fabric_gbps,
-                cfg.topo.parallel
-            ),
-        );
-    }
+        (String::new(), String::new())
+    };
+    let (l, s, h, p) = (t.leaves, t.spines, t.hosts_per_leaf, t.parallel);
+    let (host, fabric) = (t.host_gbps, t.fabric_gbps);
+    let shape = format!("{pods}{l}x{s}x{h}{cores}@{host}G/{fabric}G par{p}");
+    report.set_meta("topology", shape);
     if cfg.sketch {
         report.set_meta("fct_aggregation", "sketch");
     }

@@ -18,10 +18,7 @@ use crate::figures::{
     TraceArgs,
 };
 use crate::fleet::{cell, fct_cell_with, run_cells, FleetCell, FleetOpts};
-use crate::runner::{
-    ecn_marking, run_until_received, stamp_cc, start_source, tcp_spec, FctOutcome, Scheme,
-    TestbedOpts,
-};
+use crate::runner::{ecn_marking, stamp_cc, tcp_spec, FctOutcome, Scheme, TestbedOpts};
 use crate::{ablation, analytic, asymmetry, failures, hdfs, scale, tournament};
 use conga_analysis::imbalance::throughput_imbalance;
 use conga_analysis::stats::percentile;
@@ -30,7 +27,7 @@ use conga_net::{HostId, LeafSpineBuilder, Network};
 use conga_sim::{SimDuration, SimRng, SimTime};
 use conga_telemetry::RunReport;
 use conga_trace::{TraceConfig, TraceHandle};
-use conga_transport::{FlowSpec, TcpConfig, TransportLayer};
+use conga_transport::{FlowSpec, ListSource, TcpConfig, TransportLayer};
 use conga_workloads::{FlowSizeDist, IncastPattern};
 use std::fmt::Write as _;
 
@@ -472,14 +469,14 @@ pub fn run_incast(
             (gap, spec)
         })
         .collect();
-    start_source(&mut net, arrivals);
+    net.agent.attach_source(Box::new(ListSource::new(arrivals)));
+    if let Some((d, tok)) = net.agent.begin_source() {
+        net.schedule_timer(d, tok);
+    }
     // Run until every response is delivered (generous bound: many RTOs).
-    run_until_received(
-        &mut net,
-        fanout as usize,
-        SimDuration::from_millis(100),
-        SimTime::from_secs(30),
-    );
+    while net.agent.completed_rx < fanout as usize && net.now() < SimTime::from_secs(30) {
+        net.run_until(net.now() + SimDuration::from_millis(100));
+    }
     let last_done = net
         .agent
         .records

@@ -10,10 +10,13 @@
 
 use conga::core::FabricPolicy;
 use conga::experiments::{
-    run_dynamic_failure, run_fct_with_policy, DynFailSpec, FctRun, Scheme, TestbedOpts,
+    build_testbed, run_dynamic_failure, run_fct_with_policy, DynFailSpec, FctRun, Scheme,
+    ShardedRun, TestbedOpts,
 };
-use conga::sim::{SimDuration, SimTime};
+use conga::net::LeafId;
+use conga::sim::{QueueKind, SimDuration, SimTime};
 use conga::trace::TraceConfig;
+use conga::transport::{FlowSpec, TcpConfig, TransportKind};
 use conga::workloads::FlowSizeDist;
 
 /// A small traced FCT cell on the quick baseline testbed (2 leaf domains).
@@ -138,6 +141,54 @@ fn dynfail_artifacts_identical_across_shard_counts() {
             trace_n == trace_1,
             "dynfail trace diverged between --shards 1 and --shards {shards}"
         );
+    }
+}
+
+/// A flow registered mid-run by `ShardedRun::start_flow` is the flow
+/// registered up front: on an otherwise idle fabric both get the same
+/// record and FCT, whether the call comes ahead of the start time or at it,
+/// at one worker and at two.
+#[test]
+fn a_flow_started_mid_run_matches_one_registered_up_front() {
+    let topo = build_testbed(TestbedOpts::paper_baseline().quick());
+    let spec = FlowSpec {
+        src: topo.hosts_under(LeafId(0))[1],
+        dst: topo.hosts_under(LeafId(1))[2],
+        bytes: 300_000,
+        kind: TransportKind::Tcp(TcpConfig::standard()),
+    };
+    let at = SimTime::from_millis(3);
+    let run = |workers: usize, flows: &[(SimTime, FlowSpec)]| {
+        let policy = FabricPolicy::conga();
+        let queue = QueueKind::Calendar;
+        ShardedRun::new(
+            &topo,
+            policy,
+            5,
+            workers,
+            queue,
+            None,
+            None,
+            &[],
+            &[],
+            flows,
+        )
+    };
+    let record = |mut run: ShardedRun| {
+        run.run_until_received(1, SimTime::from_secs(1), |_| {});
+        let r = run.merged_record(&topo, 0);
+        (format!("{r:?}"), r.fct())
+    };
+    for workers in [1, 2] {
+        let up_front = record(run(workers, &[(at, spec)]));
+        assert!(up_front.1.is_some(), "the flow did not finish");
+        for now in [SimTime::from_millis(1), at] {
+            let mut mid = run(workers, &[]);
+            mid.net.run_until(now);
+            assert_eq!(mid.start_flow(at, spec), 0);
+            let got = record(mid);
+            assert_eq!(got, up_front, "called at {now:?} on {workers} workers");
+        }
     }
 }
 
