@@ -139,35 +139,28 @@ impl CongestionFromLeaf {
         if self.cells.is_empty() {
             return None;
         }
-        let start = self.cursor[src_leaf] as usize;
         let n = self.n_tags;
-        let fresh = |c: &Cell| c.valid && now.saturating_since(c.updated_at) <= self.age;
-
-        // First pass: changed entries, in round-robin order from the cursor.
-        let mut pick: Option<usize> = None;
-        for k in 0..n {
-            let tag = (start + k) % n;
-            let c = &self.cells[self.idx(src_leaf, tag as u8)];
-            if fresh(c) && c.changed {
-                pick = Some(tag);
-                break;
-            }
-        }
-        // Second pass: any fresh entry.
-        if pick.is_none() {
-            for k in 0..n {
-                let tag = (start + k) % n;
-                if fresh(&self.cells[self.idx(src_leaf, tag as u8)]) {
+        let start = self.cursor[src_leaf] as usize;
+        let row = &mut self.cells[src_leaf * n..(src_leaf + 1) * n];
+        let age = self.age;
+        let fresh = |c: &Cell| c.valid && now.saturating_since(c.updated_at) <= age;
+        // One walk from the cursor round the row: the first changed entry
+        // wins, else the first fresh one.
+        let mut pick = None;
+        for tag in (start..n).chain(0..start) {
+            let c = &row[tag];
+            if fresh(c) {
+                if c.changed {
                     pick = Some(tag);
                     break;
                 }
+                pick.get_or_insert(tag);
             }
         }
         let tag = pick?;
-        let i = self.idx(src_leaf, tag as u8);
-        self.cells[i].changed = false;
-        self.cursor[src_leaf] = ((tag + 1) % n) as u8;
-        Some((tag as u8, self.cells[i].value))
+        row[tag].changed = false;
+        self.cursor[src_leaf] = if tag + 1 == n { 0 } else { tag as u8 + 1 };
+        Some((tag as u8, row[tag].value))
     }
 }
 
@@ -293,5 +286,56 @@ mod tests {
                                 // The changed entry (tag 1) wins even though cursor is at tag 1...
                                 // regardless of cursor position the changed one must be preferred.
         assert_eq!(t.select_feedback(0, now).unwrap().0, 1);
+    }
+
+    /// The walk picks what the two-pass scan it replaced picked: a
+    /// changed fresh entry first, else any fresh one, each in round-robin
+    /// order from the cursor. Random rows of valid, stale and changed
+    /// entries, from every cursor position.
+    #[test]
+    fn one_walk_matches_the_two_pass_scan() {
+        fn two_pass(t: &CongestionFromLeaf, leaf: usize, now: SimTime) -> Option<usize> {
+            let n = t.n_tags;
+            let start = t.cursor[leaf] as usize;
+            let cell = |tag: usize| &t.cells[t.idx(leaf, tag as u8)];
+            let fresh = |c: &Cell| c.valid && now.saturating_since(c.updated_at) <= t.age;
+            let tags = || (0..n).map(|k| (start + k) % n);
+            tags()
+                .find(|&tag| fresh(cell(tag)) && cell(tag).changed)
+                .or_else(|| tags().find(|&tag| fresh(cell(tag))))
+        }
+        let mut rng = conga_sim::SimRng::new(0x0FEE_DBAC);
+        let now = SimTime::from_millis(50);
+        let (mut picked, mut none) = (0, 0);
+        for round in 0..2_000 {
+            let n_tags = 1 + round % 16;
+            let mut t = CongestionFromLeaf::new(3, n_tags, AGE);
+            t.cells = (0..3 * n_tags)
+                .map(|_| Cell {
+                    value: (rng.u64() % 8) as u8,
+                    // Four in fifteen past the 10 ms age limit.
+                    updated_at: now - SimDuration::from_millis(rng.u64() % 15),
+                    valid: !rng.u64().is_multiple_of(4),
+                    changed: rng.u64().is_multiple_of(3),
+                })
+                .collect();
+            for leaf in 0..3 {
+                t.cursor[leaf] = (rng.u64() % n_tags as u64) as u8;
+                for _ in 0..n_tags + 1 {
+                    let want = two_pass(&t, leaf, now);
+                    let got = t.select_feedback(leaf, now).map(|(tag, _)| tag as usize);
+                    assert_eq!(got, want, "{n_tags} tags, leaf {leaf}");
+                    if got.is_some() {
+                        picked += 1;
+                    } else {
+                        none += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            picked > 10_000 && none > 100,
+            "{picked} picked, {none} none"
+        );
     }
 }

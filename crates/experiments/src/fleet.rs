@@ -393,7 +393,7 @@ pub(crate) mod tests {
         assert_eq!(
             cfg.scenario("fig09_enterprise", "CONGA.load50.r0")
                 .canonical(),
-            "version=7\n\
+            "version=8\n\
              kind=fct\n\
              figure=fig09_enterprise\n\
              label=CONGA.load50.r0\n\

@@ -21,7 +21,7 @@
 /// entries miss instead of serving stale data. A new knob needs no bump:
 /// the spec text renders every simulation-reaching field, defaults
 /// included.
-pub const CACHE_FORMAT_VERSION: u32 = 7;
+pub const CACHE_FORMAT_VERSION: u32 = 8;
 
 /// The hashable identity of one experiment cell.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -96,7 +96,7 @@ mod tests {
     fn canonical_is_the_version_the_names_and_the_spec_verbatim() {
         assert_eq!(
             sample().canonical(),
-            "version=7\nkind=fct\nfigure=fig09_enterprise\nlabel=CONGA.load30.r0\n\
+            "version=8\nkind=fct\nfigure=fig09_enterprise\nlabel=CONGA.load30.r0\n\
              scheme=CONGA\nload=0.3\n"
         );
         assert_eq!(sample().content_hash(), sample().content_hash());

@@ -178,12 +178,12 @@ impl Emitter {
 
 /// Engine events.
 ///
-/// Deliberately small (12 bytes): every push/pop copies a whole
-/// `Scheduled<Ev>` inside the future-event list, so packets are *not*
-/// carried in the event. A packet in flight is referenced from its
-/// channel's wire FIFO (`Network::wire`) and a jittered host emission from
-/// its host's inject FIFO (`Network::inject_q`); the event stores only the
-/// index.
+/// Deliberately small (16 bytes, so a queue entry with its `(time, seq)`
+/// key is 32): every push/pop copies a whole `Scheduled<Ev>` inside the
+/// future-event list, so packets are *not* carried in the event. A packet
+/// in flight is referenced from its channel's wire FIFO (`Network::wire`)
+/// and a jittered host emission from its host's inject FIFO
+/// (`Network::inject_q`); the event stores only the index.
 /// This is sound because both sequences are FIFO by construction: arrival
 /// times on one channel are strictly increasing (the serializer is a
 /// non-preemptive unit and each packet's arrival is scheduled after the
@@ -195,7 +195,9 @@ enum Ev {
     /// The packet (and the channel fail epoch captured at transmission
     /// start) is the head of `wire[ch]`.
     Arrive { ch: ChannelId },
-    /// Serializer of `ch` finished.
+    /// Serializer of `ch` finished, and a packet waits in its queue
+    /// (otherwise the completion is folded into the port: see
+    /// [`Network::start_tx`]).
     TxDone { ch: ChannelId },
     /// Host-agent timer.
     Timer { token: u64 },
@@ -307,6 +309,9 @@ pub struct Network<D: Dataplane, A: HostAgent> {
     pub series: SeriesRegistry,
 
     ports: Vec<TxPort>,
+    /// Ports that may hold a folded completion, each listed once
+    /// (`TxPort::listed`); [`Network::settle_folded`] prunes it.
+    folded: Vec<ChannelId>,
     events: EventQueue<Ev>,
     now: SimTime,
     next_pkt_id: u64,
@@ -376,6 +381,7 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
             stats: EngineStats::default(),
             series: SeriesRegistry::disabled(),
             ports,
+            folded: Vec::new(),
             events: EventQueue::with_capacity(1 << 16),
             now: SimTime::ZERO,
             next_pkt_id: 0,
@@ -504,6 +510,11 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
         );
         reg.set_counter("engine.unroutable_pkts", self.stats.unroutable);
         reg.set_counter("engine.events", self.stats.events);
+        // Serializer completions folded into their port (no packet queued
+        // behind them): added to `engine.events`, they give the count of
+        // an engine that schedules every completion.
+        let folded = self.ports.iter().map(|p| p.tx_done_folded).sum();
+        reg.set_counter("engine.tx_done_folded", folded);
         reg.set_counter("engine.queue_drops", self.total_drops());
         // Fault-domain counters appear only in runs that scheduled faults:
         // fault-free reports stay free of zero-valued noise and diff clean
@@ -532,6 +543,13 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
         );
         reg.absorb(&self.log);
         for (i, port) in self.ports.iter().enumerate() {
+            // A domain's replica of a port it neither transmits on nor
+            // receives from is all zeros; the owners export its counters.
+            if let Some(s) = &self.shard {
+                if !s.owns_tx[i] && s.arrive_domain[i] != s.id {
+                    continue;
+                }
+            }
             port.export_metrics(&format!("port.{i:04}"), reg);
         }
         self.dataplane.export_metrics(reg);
@@ -663,6 +681,7 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
         if self.now < t_end {
             self.now = t_end;
         }
+        self.settle_folded(t_end + SimDuration::from_nanos(1));
         self.stats.events += n;
         n
     }
@@ -674,12 +693,40 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
     }
 
     /// Timestamp of the earliest pending event, if any (`&mut` because a
-    /// calendar queue rotates buckets to find its minimum). The barrier
-    /// coordinator reduces this across domains to find the global minimum
-    /// that anchors the next conservative window.
+    /// calendar queue rotates buckets to find its minimum), counting the
+    /// folded completions still ahead as the events they stand for. The
+    /// barrier coordinator reduces this across domains to find the global
+    /// minimum that anchors the next conservative window, which is
+    /// therefore the same as if every completion were scheduled.
     #[inline]
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.events.peek_time()
+        let folded = self
+            .folded
+            .iter()
+            .filter_map(|ch| self.ports[ch.idx()].folded);
+        let folded = folded.map(|tk| tk.time).min();
+        [self.events.peek_time(), folded]
+            .into_iter()
+            .flatten()
+            .min()
+    }
+
+    /// Settle every folded completion earlier than `bound` once the
+    /// events before `bound` are all dispatched: its serializer is idle,
+    /// as the event it stands for would have left it. Prunes the list to
+    /// the ports still holding one.
+    fn settle_folded(&mut self, bound: SimTime) {
+        let ports = &mut self.ports;
+        self.folded.retain(|ch| {
+            let p = &mut ports[ch.idx()];
+            match p.folded {
+                Some(tk) if tk.time >= bound => return true,
+                Some(_) => p.settle(),
+                None => {}
+            }
+            p.listed = false;
+            false
+        });
     }
 
     /// Run the event loop over one conservative window: process every
@@ -702,6 +749,7 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
             self.dispatch(ev);
             n += 1;
         }
+        self.settle_folded(bound);
         self.stats.events += n;
         n
     }
@@ -951,7 +999,12 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
         let traced = self.tracer.wants_flow(pkt.flow);
         // The port consumes the packet; capture identity first if traced.
         let (pid, flow, size) = (pkt.id, pkt.flow, pkt.size);
-        let outcome = self.ports[ch.idx()].enqueue(pkt, self.now);
+        let port = &mut self.ports[ch.idx()];
+        if port.folded.is_some_and(|tk| self.events.passed(tk)) {
+            // The completion fired before this event, with nothing waiting.
+            port.settle();
+        }
+        let outcome = port.enqueue(pkt, self.now);
         if traced {
             let ev = match outcome {
                 Enqueue::StartTx | Enqueue::Queued => TraceEvent::PacketEnqueue {
@@ -969,11 +1022,25 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
             };
             self.tracer.emit(self.now, ev);
         }
-        if let Enqueue::StartTx = outcome {
-            self.start_tx(ch);
+        match outcome {
+            Enqueue::StartTx => self.start_tx(ch),
+            // The first packet behind a folded completion schedules it,
+            // under the key it would have had all along.
+            Enqueue::Queued => {
+                if let Some(tk) = self.ports[ch.idx()].folded.take() {
+                    self.events.insert(tk, Ev::TxDone { ch });
+                }
+            }
+            Enqueue::Dropped => {}
         }
     }
 
+    /// Put the head of `ch`'s queue on the wire. Its completion is an
+    /// event only if another packet waits behind it; otherwise the port
+    /// keeps the completion's reserved ticket, and the completion becomes
+    /// an event only if a packet queues before its time
+    /// ([`Network::enqueue`]). Either way the ticket is reserved where the
+    /// event would be pushed, so every other event keeps its key.
     fn start_tx(&mut self, ch: ChannelId) {
         let (mut pkt, ser) = self.ports[ch.idx()].begin_tx(self.now);
         if self.tracer.wants_flow(pkt.flow) {
@@ -990,9 +1057,18 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
         if self.topo.channels[ch.idx()].kind.is_fabric() {
             self.dataplane.on_fabric_tx(ch, &mut pkt, self.now);
         }
-        let delay = self.ports[ch.idx()].delay;
+        let port = &mut self.ports[ch.idx()];
+        let delay = port.delay;
+        if port.queued_pkts() > 0 {
+            self.events.push(self.now + ser, Ev::TxDone { ch });
+        } else {
+            port.folded = Some(self.events.reserve(self.now + ser));
+            if !port.listed {
+                port.listed = true;
+                self.folded.push(ch);
+            }
+        }
         let epoch = self.fail_epoch[ch.idx()];
-        self.events.push(self.now + ser, Ev::TxDone { ch });
         let arrival = self.now + ser + delay;
         if let Some(s) = &mut self.shard {
             if s.arrive_domain[ch.idx()] != s.id {
@@ -1605,5 +1681,113 @@ mod tests {
                 .collect()
         };
         assert_eq!(run(11), run(11));
+    }
+
+    /// `run_until`, counting the `TxDone` events each channel dispatches
+    /// and the fail transitions that find the channel's completion folded.
+    fn run_counting(
+        net: &mut Network<TestEcmp, SinkAgent>,
+        t_end: SimTime,
+        tx_done: &mut [u64],
+        failed_folded: &mut u32,
+    ) {
+        while let Some((t, ev)) = net.events.pop_through(t_end) {
+            net.now = t;
+            match ev {
+                Ev::TxDone { ch } => tx_done[ch.idx()] += 1,
+                Ev::Fault { ch, up: false } if net.ports[ch.idx()].folded.is_some() => {
+                    *failed_folded += 1;
+                }
+                _ => {}
+            }
+            net.dispatch(ev);
+            net.stats.events += 1;
+        }
+        net.now = net.now.max(t_end);
+        net.settle_folded(t_end + SimDuration::from_nanos(1));
+    }
+
+    /// Every transmission's completion is accounted exactly once: at
+    /// quiescence each port's `tx_pkts` is the `TxDone` events it
+    /// dispatched plus the completions it folded, and every serializer is
+    /// idle. A contended three-tier cell (tail drops at four-packet
+    /// queues) with link faults at both tiers — one of them failing a
+    /// channel while its completion is folded.
+    #[test]
+    fn every_completion_is_an_event_or_folded() {
+        let topo = TopologyBuilder::three_tier(2, 2, 2, 2, 2)
+            .fabric_rate_gbps(10)
+            .queue_profile(QueueProfile {
+                access_bytes: 6_240,
+                fabric_bytes: 6_240,
+                host_nic_bytes: 1 << 20,
+            })
+            .build();
+        let mut net = Network::new(topo, TestEcmp, SinkAgent::default(), 1);
+        for i in 0..600u32 {
+            let (src, dst) = (i % 8, (i % 8 + 1 + i / 8 % 7) % 8);
+            let pkt = Packet::data(
+                i % 40,
+                0,
+                ecmp_mix(i as u64 % 40, 0xAB),
+                HostId(src),
+                HostId(dst),
+                0,
+                1460,
+                SimTime::ZERO,
+            );
+            inject(&mut net, pkt);
+        }
+        let leaf_spine = Link::new(NodeId::Leaf(LeafId(0)), NodeId::Spine(SpineId(0)), 0);
+        net.schedule_link(SimTime::from_micros(30), leaf_spine, false);
+        net.schedule_link(SimTime::from_micros(400), leaf_spine, true);
+        let nc = net.topo.channels.len();
+        let (mut tx_done, mut failed_folded) = (vec![0; nc], 0);
+        run_counting(
+            &mut net,
+            SimTime::from_micros(60),
+            &mut tx_done,
+            &mut failed_folded,
+        );
+        // Fail a busy spine-core channel before its folded completion.
+        let (ch, done_at) = (0..nc)
+            .filter(|&i| matches!(net.topo.channels[i].kind, ChannelKind::SpineUp))
+            .find_map(|i| Some((ChannelId(i as u32), net.ports[i].folded?.time)))
+            .expect("a spine-core channel mid-transmission with nothing queued");
+        let fail_at = net.now() + SimDuration::from_nanos(1);
+        assert!(fail_at < done_at);
+        net.schedule_channel_fault(fail_at, ch, false);
+        net.schedule_channel_fault(SimTime::from_micros(500), ch, true);
+        run_counting(
+            &mut net,
+            SimTime::MAX - SimDuration::from_nanos(1),
+            &mut tx_done,
+            &mut failed_folded,
+        );
+
+        assert!(
+            failed_folded >= 1,
+            "no channel failed with its completion folded"
+        );
+        let s = net.stats;
+        assert!(net.total_drops() >= 1 && s.blackholed >= 1, "{s:?}");
+        assert_eq!(
+            s.injected_pkts,
+            s.delivered_pkts + s.unroutable + s.blackholed + net.total_drops(),
+        );
+        let mut folded = 0;
+        for (i, p) in net.ports.iter().enumerate() {
+            assert_eq!(p.tx_pkts, tx_done[i] + p.tx_done_folded, "channel {i}");
+            assert!(!p.busy && p.folded.is_none(), "channel {i} still busy");
+            folded += p.tx_done_folded;
+        }
+        let events = tx_done.iter().sum::<u64>();
+        assert!(
+            folded > 0 && events > 0,
+            "{folded} folded, {events} TxDone events"
+        );
+        let mut reg = MetricsRegistry::new();
+        net.export_metrics(&mut reg);
+        assert_eq!(reg.counter("engine.tx_done_folded"), folded);
     }
 }

@@ -10,9 +10,13 @@
 //! The FIFO holds `Box<Packet>` handles, not packets: a packet is allocated
 //! once when its host emits it and every queue it then waits in moves eight
 //! bytes (see DESIGN.md §11 for the ownership rule).
+//!
+//! A serializer completion that no queued packet waits for is not an event:
+//! the engine *folds* its [`Ticket`] into the port and schedules it only
+//! when a packet queues behind the one on the wire (DESIGN.md §11).
 
 use crate::packet::Packet;
-use conga_sim::{SimDuration, SimTime};
+use conga_sim::{SimDuration, SimTime, Ticket};
 use conga_telemetry::MetricsRegistry;
 use std::collections::VecDeque;
 
@@ -36,8 +40,14 @@ pub struct TxPort {
     pub delay: SimDuration,
     /// Queue capacity in bytes.
     pub cap: u64,
-    /// Whether a packet is currently being serialized.
+    /// Whether a packet is currently being serialized — or, while its
+    /// completion is folded, was, until the engine settles the ticket.
     pub busy: bool,
+    /// The completion of the packet on the wire while no event carries it
+    /// (nothing is queued behind the packet).
+    pub(crate) folded: Option<Ticket>,
+    /// Whether the engine's list of ports to settle holds this one.
+    pub(crate) listed: bool,
     queue: VecDeque<Box<Packet>>,
     queued_bytes: u64,
 
@@ -46,6 +56,9 @@ pub struct TxPort {
     pub tx_bytes: u64,
     /// Total packets transmitted.
     pub tx_pkts: u64,
+    /// Completions of those transmissions that fired folded, without an
+    /// event: `tx_pkts` minus this is the number of `TxDone` events.
+    pub tx_done_folded: u64,
     /// Packets dropped at the tail.
     pub drops: u64,
     /// Packets lost to this channel being down: flushed from the queue when
@@ -72,10 +85,13 @@ impl TxPort {
             delay,
             cap,
             busy: false,
+            folded: None,
+            listed: false,
             queue: VecDeque::new(),
             queued_bytes: 0,
             tx_bytes: 0,
             tx_pkts: 0,
+            tx_done_folded: 0,
             drops: 0,
             blackholed: 0,
             rx_bytes: 0,
@@ -133,6 +149,14 @@ impl TxPort {
         debug_assert!(self.busy);
         self.busy = false;
         !self.queue.is_empty()
+    }
+
+    /// The folded completion has fired: the serializer is idle.
+    pub(crate) fn settle(&mut self) {
+        debug_assert!(self.folded.is_some() && self.queue.is_empty());
+        self.folded = None;
+        self.busy = false;
+        self.tx_done_folded += 1;
     }
 
     /// The channel just went down: discard every queued packet. The

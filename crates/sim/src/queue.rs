@@ -26,6 +26,13 @@
 //! (sparse, adversarial) and `tests::dense_calendar_matches_heap` (hundreds
 //! of events per bucket, far denser than the packet workloads) drive both
 //! with seeded workloads and assert identical pop sequences.
+//!
+//! A key can be taken before its event exists: [`EventQueue::reserve`]
+//! hands out the [`Ticket`] a `push` at that time would have been given,
+//! and [`EventQueue::insert`] schedules an event under it later — or
+//! never, if the caller finds out in time that dispatching it would have
+//! done nothing. Either way every other event keeps the sequence number,
+//! and so the order, it would have had.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
@@ -55,6 +62,17 @@ impl<E> Ord for Scheduled<E> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         (self.time, self.seq).cmp(&(other.time, other.seq))
     }
+}
+
+/// The `(time, seq)` key of an event: where it sorts in the queue.
+///
+/// Keys order by time, then by sequence number, and no two are equal. A
+/// ticket from [`EventQueue::reserve`] is a key no event holds yet.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Ticket {
+    /// When the event fires.
+    pub time: SimTime,
+    seq: u64,
 }
 
 /// Which future-event-list implementation a queue uses.
@@ -320,6 +338,8 @@ pub struct EventQueue<E> {
     next_seq: u64,
     /// Total number of events ever pushed (for engine statistics).
     pushed: u64,
+    /// Key of the most recently popped event.
+    popped: Ticket,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -347,8 +367,13 @@ impl<E> EventQueue<E> {
         };
         EventQueue {
             backend,
-            next_seq: 0,
+            // From 1, so every key sorts after the initial `popped`.
+            next_seq: 1,
             pushed: 0,
+            popped: Ticket {
+                time: SimTime::ZERO,
+                seq: 0,
+            },
         }
     }
 
@@ -363,23 +388,54 @@ impl<E> EventQueue<E> {
     /// Schedule `event` to fire at `time`.
     #[inline]
     pub fn push(&mut self, time: SimTime, event: E) {
+        let ticket = self.reserve(time);
+        self.schedule(ticket, event);
+    }
+
+    /// Take the key a [`EventQueue::push`] at `time` would give its event,
+    /// without scheduling anything yet.
+    #[inline]
+    pub fn reserve(&mut self, time: SimTime) -> Ticket {
         let seq = self.next_seq;
         self.next_seq += 1;
+        Ticket { time, seq }
+    }
+
+    /// Schedule `event` under a reserved key. It pops exactly where a
+    /// `push` at reservation time would have, which requires that no event
+    /// sorting after the key has been popped yet.
+    #[inline]
+    pub fn insert(&mut self, ticket: Ticket, event: E) {
+        debug_assert!(!self.passed(ticket), "inserted behind the last pop");
+        self.schedule(ticket, event);
+    }
+
+    #[inline]
+    fn schedule(&mut self, ticket: Ticket, event: E) {
         self.pushed += 1;
-        let s = Scheduled { time, seq, event };
+        let s = Scheduled {
+            time: ticket.time,
+            seq: ticket.seq,
+            event,
+        };
         match &mut self.backend {
             Backend::Heap(h) => h.push(Reverse(s)),
             Backend::Calendar(c) => c.push(s),
         }
     }
 
+    /// Whether the event order has gone past `ticket`: the most recently
+    /// popped event sorts after it, so an event inserted under it would
+    /// already have fired.
+    #[inline]
+    pub fn passed(&self, ticket: Ticket) -> bool {
+        ticket < self.popped
+    }
+
     /// Remove and return the earliest event, if any.
     #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        match &mut self.backend {
-            Backend::Heap(h) => h.pop().map(|Reverse(s)| (s.time, s.event)),
-            Backend::Calendar(c) => c.pop_if(|_| true).map(|s| (s.time, s.event)),
-        }
+        self.pop_if(|_| true)
     }
 
     /// Remove and return the earliest event if it fires strictly before
@@ -398,17 +454,21 @@ impl<E> EventQueue<E> {
 
     #[inline]
     fn pop_if(&mut self, ok: impl FnOnce(SimTime) -> bool) -> Option<(SimTime, E)> {
-        match &mut self.backend {
+        let s = match &mut self.backend {
             Backend::Heap(h) => {
                 let top = h.peek_mut()?;
                 if !ok(top.0.time) {
                     return None;
                 }
-                let Reverse(s) = PeekMut::pop(top);
-                Some((s.time, s.event))
+                PeekMut::pop(top).0
             }
-            Backend::Calendar(c) => c.pop_if(ok).map(|s| (s.time, s.event)),
-        }
+            Backend::Calendar(c) => c.pop_if(ok)?,
+        };
+        self.popped = Ticket {
+            time: s.time,
+            seq: s.seq,
+        };
+        Some((s.time, s.event))
     }
 
     /// The time of the earliest pending event, if any.
@@ -604,18 +664,47 @@ mod tests {
     /// after the last popped time, as the engine guarantees) and pops,
     /// with heavy tie density and occasional multi-year jumps. The
     /// calendar must reproduce the heap's pop sequence exactly.
+    ///
+    /// A third of the keys are reserved instead of pushed and inserted
+    /// later, or never: `eager` pushes every one of them at reservation
+    /// time, and both backends must pop each inserted event exactly where
+    /// `eager` does. An event of `eager` whose ticket is still pending when
+    /// it pops is one the other two never see (the caller folded it), and
+    /// from then on both report its ticket as passed.
     #[test]
     fn calendar_matches_heap() {
         let mut rng = SimRng::new(0xCA1E_50DA);
+        let mut eager = EventQueue::with_kind(QueueKind::Heap, 0);
         let mut heap = EventQueue::with_kind(QueueKind::Heap, 0);
         let mut cal = EventQueue::with_kind(QueueKind::Calendar, 0);
-        let mut now = 0u64;
-        let mut id = 0u64;
-        for _ in 0..20_000 {
-            match rng.u64() % 5 {
-                // Push: mostly near-future, sometimes far (RTO-like),
-                // often exactly `now` to stress tie-breaking.
-                0..=2 => {
+        let mut pending: Vec<(Ticket, u64)> = Vec::new();
+        let mut lapsed: Vec<Ticket> = Vec::new();
+        let (mut now, mut id) = (0u64, 0u64);
+        let (mut inserted, mut folded) = (0, 0);
+        // One pop from each queue, skipping `eager`'s events that lapsed.
+        let pop_all = |eager: &mut EventQueue<u64>,
+                       heap: &mut EventQueue<u64>,
+                       cal: &mut EventQueue<u64>,
+                       pending: &mut Vec<(Ticket, u64)>,
+                       lapsed: &mut Vec<Ticket>| {
+            let want = loop {
+                let got = eager.pop();
+                let Some((_, e)) = got else { break None };
+                match pending.iter().position(|&(_, p)| p == e) {
+                    Some(i) => lapsed.push(pending.swap_remove(i).0),
+                    None => break got,
+                }
+            };
+            let (a, b) = (heap.pop(), cal.pop());
+            assert_eq!(a, want, "heap left the eager order");
+            assert_eq!(b, want, "calendar left the eager order");
+            want
+        };
+        for _ in 0..30_000 {
+            match rng.u64() % 7 {
+                // Push or reserve: mostly near-future, sometimes far
+                // (RTO-like), often exactly `now` to stress tie-breaking.
+                0..=3 => {
                     let dt = match rng.u64() % 10 {
                         0 => 0,
                         1..=6 => rng.u64() % 3_000,
@@ -623,28 +712,51 @@ mod tests {
                         _ => rng.u64() % 50_000_000,
                     };
                     let t = SimTime::from_nanos(now + dt);
-                    heap.push(t, id);
-                    cal.push(t, id);
+                    eager.push(t, id);
+                    if rng.u64().is_multiple_of(3) {
+                        let tk = heap.reserve(t);
+                        assert_eq!(cal.reserve(t), tk);
+                        pending.push((tk, id));
+                    } else {
+                        heap.push(t, id);
+                        cal.push(t, id);
+                    }
                     id += 1;
                 }
+                4 if !pending.is_empty() => {
+                    let i = (rng.u64() % pending.len() as u64) as usize;
+                    let (tk, e) = pending.swap_remove(i);
+                    heap.insert(tk, e);
+                    cal.insert(tk, e);
+                    inserted += 1;
+                }
                 _ => {
-                    let (a, b) = (heap.pop(), cal.pop());
-                    assert_eq!(a, b, "pop sequences diverged");
-                    if let Some((t, _)) = a {
+                    let got = pop_all(&mut eager, &mut heap, &mut cal, &mut pending, &mut lapsed);
+                    if let Some((t, _)) = got {
                         now = t.as_nanos();
                     }
                 }
             }
             assert_eq!(heap.len(), cal.len());
+            assert_eq!(eager.len(), heap.len() + pending.len());
             assert_eq!(heap.peek_time(), cal.peek_time());
-        }
-        loop {
-            let (a, b) = (heap.pop(), cal.pop());
-            assert_eq!(a, b, "drain diverged");
-            if a.is_none() {
-                break;
+            for &(tk, _) in &pending {
+                assert!(!heap.passed(tk) && !cal.passed(tk), "pending ticket passed");
+            }
+            for tk in lapsed.drain(..) {
+                assert!(
+                    heap.passed(tk) && cal.passed(tk),
+                    "lapsed ticket not passed"
+                );
+                folded += 1;
             }
         }
+        while pop_all(&mut eager, &mut heap, &mut cal, &mut pending, &mut lapsed).is_some() {}
+        assert!(pending.is_empty() && eager.is_empty());
+        assert!(
+            inserted > 1000 && folded > 1000,
+            "{inserted} inserted, {folded} folded"
+        );
     }
 
     /// Buckets far denser than the packet workloads make them, which the

@@ -154,10 +154,14 @@ impl SimDuration {
     pub fn serialization(bytes: u64, rate_bps: u64) -> SimDuration {
         debug_assert!(rate_bps > 0, "zero-rate link");
         let bits = bytes * 8;
-        // ceil(bits * 1e9 / rate) without overflow for realistic inputs:
-        // bits < 2^40 and 1e9 < 2^30 keeps the product under 2^70 — use u128.
-        let ns = (bits as u128 * 1_000_000_000u128).div_ceil(rate_bps as u128);
-        SimDuration(ns as u64)
+        // ceil(bits * 1e9 / rate). Every packet's product fits a u64
+        // (below 2^64 up to ~2.3 GB); a larger burst divides in u128,
+        // where bits < 2^40 and 1e9 < 2^30 keep it under 2^70.
+        let ns = match bits.checked_mul(1_000_000_000) {
+            Some(p) => p.div_ceil(rate_bps),
+            None => (bits as u128 * 1_000_000_000u128).div_ceil(rate_bps as u128) as u64,
+        };
+        SimDuration(ns)
     }
 }
 
@@ -344,10 +348,28 @@ mod tests {
         );
     }
 
+    /// The u64 division every packet takes agrees with the u128 formula
+    /// on every size from 1 B to a 9000 B jumbo payload plus the 100 B of
+    /// wire overhead, at every whole rate from 1 to 400 Gb/s.
+    #[test]
+    fn serialization_u64_path_matches_u128_formula() {
+        for gbps in 1..=400u64 {
+            let rate = gbps * 1_000_000_000;
+            for bytes in 1..=9_100u64 {
+                let want = (bytes as u128 * 8 * 1_000_000_000).div_ceil(rate as u128);
+                let got = SimDuration::serialization(bytes, rate).as_nanos();
+                assert_eq!(got as u128, want, "{bytes} B at {gbps} Gb/s");
+            }
+        }
+    }
+
     #[test]
     fn serialization_no_overflow_at_large_sizes() {
         // A 1 GB burst on a 1 Gbps link: 8 seconds.
         let d = SimDuration::serialization(1_000_000_000, 1_000_000_000);
+        assert_eq!(d.as_nanos(), 8_000_000_000);
+        // 10 GB: bits x 1e9 overflows a u64, so this one divides in u128.
+        let d = SimDuration::serialization(10_000_000_000, 10_000_000_000);
         assert_eq!(d.as_nanos(), 8_000_000_000);
     }
 

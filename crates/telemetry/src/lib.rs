@@ -52,20 +52,26 @@ impl MetricsRegistry {
 
     /// Add `delta` to the named monotonic counter (creating it at zero).
     pub fn inc(&mut self, name: &str, delta: u64) {
-        *self.entry_counter(name) += delta;
+        self.update_counter(name, |c| *c += delta);
     }
 
     /// Set the named counter to an absolute value. Intended for exporting a
     /// counter that the instrumented component already accumulates itself.
     pub fn set_counter(&mut self, name: &str, value: u64) {
-        *self.entry_counter(name) = value;
+        self.update_counter(name, |c| *c = value);
     }
 
-    fn entry_counter(&mut self, name: &str) -> &mut u64 {
-        if !self.counters.contains_key(name) {
-            self.counters.insert(name.to_owned(), 0);
+    /// Apply `f` to the named counter, created at zero if missing: one map
+    /// lookup when it exists, and a name allocated only when it does not.
+    fn update_counter(&mut self, name: &str, f: impl FnOnce(&mut u64)) {
+        match self.counters.get_mut(name) {
+            Some(c) => f(c),
+            None => {
+                let mut c = 0;
+                f(&mut c);
+                self.counters.insert(name.to_owned(), c);
+            }
         }
-        self.counters.get_mut(name).expect("just inserted")
     }
 
     /// Read a counter; missing counters read as zero.
@@ -119,7 +125,7 @@ impl MetricsRegistry {
     /// reconstruct the whole-run value.
     pub fn absorb(&mut self, other: &MetricsRegistry) {
         for (k, v) in &other.counters {
-            *self.entry_counter(k) += v;
+            self.update_counter(k, |c| *c += v);
         }
         for (k, v) in &other.gauges {
             *self.gauges.entry(k.clone()).or_insert(0) += v;
