@@ -6,16 +6,17 @@ use conga_analysis::sketch::{FctAccumulator, FctSketch};
 use conga_core::FabricPolicy;
 use conga_fleet::Scenario;
 use conga_net::{
-    ChannelId, EcnConfig, HostId, LeafId, Link, Network, ShardedNetwork, Topology, TopologyBuilder,
-    TxPort, WIRE_OVERHEAD,
+    ChannelId, EcnConfig, HostId, LeafId, Link, ShardedNetwork, Topology, TopologyBuilder, TxPort,
+    WIRE_OVERHEAD,
 };
 use conga_sim::{QueueKind, SimDuration, SimRng, SimTime};
 use conga_telemetry::{RunReport, SeriesRegistry};
 use conga_trace::{TraceConfig, TraceHandle};
 use conga_transport::{
-    CcKind, FlowRecord, FlowSpec, MptcpConfig, TcpConfig, TransportKind, TransportLayer,
+    CcKind, FlowRecord, FlowSpec, MptcpConfig, Schedule, TcpConfig, TransportKind, TransportLayer,
 };
 use conga_workloads::{FlowSizeDist, PoissonPlan};
+use std::sync::Arc;
 
 /// The schemes compared throughout the evaluation (§5, "Schemes compared").
 /// MPTCP rides over ECMP hashing in the fabric, exactly as in the testbed.
@@ -533,44 +534,40 @@ pub fn merged_arrivals(
     group_b: &[HostId],
     kind_of: impl Fn(u64) -> TransportKind,
 ) -> Vec<(SimDuration, FlowSpec)> {
-    // Convert per-direction gaps to absolute times.
-    let mut abs: Vec<(u64, FlowSpec)> = Vec::with_capacity(plan.forward.len() * 2);
-    let mut t = 0u64;
-    for a in &plan.forward {
-        t += a.gap.as_nanos();
-        abs.push((
-            t,
-            FlowSpec {
-                src: group_a[a.src as usize],
-                dst: group_b[a.dst as usize],
-                bytes: a.bytes,
-                kind: kind_of(a.bytes),
-            },
-        ));
+    // Each direction is in time order already: merge the two by absolute
+    // time, forward first on a tie.
+    let mut out = Vec::with_capacity(plan.forward.len() + plan.reverse.len());
+    let (mut fwd, mut rev) = (
+        plan.forward.iter().peekable(),
+        plan.reverse.iter().peekable(),
+    );
+    // Absolute time of the last arrival taken from each direction, and of
+    // the last one merged.
+    let (mut tf, mut tr, mut prev) = (0u64, 0u64, 0u64);
+    loop {
+        let next_f = fwd.peek().map(|a| tf + a.gap.as_nanos());
+        let next_r = rev.peek().map(|a| tr + a.gap.as_nanos());
+        let reverse_first = match (next_f, next_r) {
+            (None, None) => return out,
+            (Some(f), Some(r)) => r < f,
+            (f, _) => f.is_none(),
+        };
+        let (t, a, src, dst) = if reverse_first {
+            tr = next_r.expect("reverse has the next arrival");
+            (tr, rev.next().expect("peeked"), group_b, group_a)
+        } else {
+            tf = next_f.expect("forward has the next arrival");
+            (tf, fwd.next().expect("peeked"), group_a, group_b)
+        };
+        let spec = FlowSpec {
+            src: src[a.src as usize],
+            dst: dst[a.dst as usize],
+            bytes: a.bytes,
+            kind: kind_of(a.bytes),
+        };
+        out.push((SimDuration::from_nanos(t - prev), spec));
+        prev = t;
     }
-    let mut t = 0u64;
-    for a in &plan.reverse {
-        t += a.gap.as_nanos();
-        abs.push((
-            t,
-            FlowSpec {
-                src: group_b[a.src as usize],
-                dst: group_a[a.dst as usize],
-                bytes: a.bytes,
-                kind: kind_of(a.bytes),
-            },
-        ));
-    }
-    abs.sort_by_key(|&(t, _)| t);
-    // Back to gaps.
-    let mut prev = 0u64;
-    abs.into_iter()
-        .map(|(t, spec)| {
-            let gap = SimDuration::from_nanos(t - prev);
-            prev = t;
-            (gap, spec)
-        })
-        .collect()
 }
 
 /// Uniform all-to-all arrivals for fabrics with more than two leaves:
@@ -662,9 +659,9 @@ pub(crate) fn plan_arrivals(
 }
 
 /// Gap-encoded arrivals as absolute start times, converted in place (a
-/// schedule is tens of megabytes at 200 k flows): preregistration needs
-/// the full schedule up front so every domain registers the same flow
-/// list in the same order.
+/// schedule is tens of megabytes at 200 k flows): the form
+/// [`ShardedRun::new`] takes, which every domain registers flows from in
+/// the same order, each as it arrives.
 pub fn absolute_starts(arrivals: Vec<(SimDuration, FlowSpec)>) -> Vec<(SimTime, FlowSpec)> {
     let mut t = SimTime::from_nanos(0);
     arrivals
@@ -696,7 +693,7 @@ pub(crate) struct Engine<'a> {
 
 impl Engine<'_> {
     /// The one registration step: a [`ShardedRun`] of `topo` under
-    /// `policy` with `flows` registered, each to start at its time.
+    /// `policy` with `flows` scheduled, each to start at its time.
     pub(crate) fn register(
         self,
         topo: &Topology,
@@ -718,29 +715,33 @@ impl Engine<'_> {
     }
 }
 
-/// One leaf domain's replica of the fabric.
-type Domain = Network<FabricPolicy, TransportLayer>;
-
-/// A domain-decomposed simulation run: one replicated [`Network`] per leaf
-/// domain, coordinated by [`ShardedNetwork`]'s conservative-window barrier.
+/// A domain-decomposed simulation run: one replicated
+/// [`conga_net::Network`] per leaf domain, coordinated by
+/// [`ShardedNetwork`]'s conservative-window barrier.
 ///
 /// Every domain sees the identical configuration (queue kind, fault
-/// schedule, preregistered flow list) so that replica state stays in
-/// lock-step; per-domain ownership masks ensure each metric is accumulated
-/// exactly once, which is what makes the counter-ADD merge exact and the
-/// artifacts byte-identical for any worker count.
+/// schedule, flow schedule) so that replica state stays in lock-step;
+/// per-domain ownership masks ensure each metric is accumulated exactly
+/// once, which is what makes the counter-ADD merge exact and the artifacts
+/// byte-identical for any worker count.
 pub struct ShardedRun {
     /// The coordinated per-domain networks.
     pub net: ShardedNetwork<FabricPolicy, TransportLayer>,
+    /// The flows every domain registers from as they arrive.
+    schedule: Arc<Schedule>,
     tracer_parts: Vec<TraceHandle>,
     trace_cfg: Option<TraceConfig>,
 }
 
 impl ShardedRun {
     /// Build the per-domain networks: install the policy clone, queue kind,
-    /// tracer, and fault schedule everywhere, then preregister every flow in
-    /// every domain (ids align by position) with a start timer only in the
-    /// sender's domain.
+    /// tracer, and fault schedule everywhere, and attach one shared copy of
+    /// `arrivals` (start times must not decrease) to every domain. No flow
+    /// is registered here: a domain registers flow `i`, and every flow
+    /// before it so that ids align by position, when its start timer fires
+    /// there (only in the sender's domain) or its first packet lands there.
+    /// Each domain reserves the keys of all its start timers now, where
+    /// pushing them would have put them, and queues only the next one.
     ///
     /// `more_faults` is scheduled after `faults`. Every caller in this
     /// workspace passes `&[]`: the parameter only keeps the ten-argument
@@ -763,6 +764,9 @@ impl ShardedRun {
         let mut net = ShardedNetwork::new(topo, seed, shards, |_| {
             (policy.clone(), TransportLayer::new())
         });
+        let schedule = Arc::new(Schedule::new(arrivals, net.n_domains(), |h| {
+            topo.leaf_of(h).idx()
+        }));
         let mut tracer_parts = Vec::new();
         net.each(|d, n| {
             n.set_queue_kind(queue);
@@ -779,32 +783,42 @@ impl ShardedRun {
             for f in faults.iter().chain(more_faults) {
                 n.schedule_link(f.at, f.link, f.up);
             }
-            // Domain-major, the whole list in one domain before the next:
-            // interleaving the domains flow by flow costs peak memory
-            // (~5 % on 200 k flows).
-            n.agent.reserve(arrivals.len());
-            for &(start, spec) in arrivals {
-                register(d, n, start, spec);
-            }
+            let tickets = n.reserve_tickets(schedule.local(d).0);
+            let schedule = Arc::clone(&schedule);
+            n.agent_call(|a, _, em| a.attach_schedule(schedule, d, tickets, em));
         });
         ShardedRun {
             net,
+            schedule,
             tracer_parts,
             trace_cfg,
         }
     }
 
     /// Register a flow mid-run, to start at `at` (not before
-    /// [`ShardedNetwork::now`]); returns its id. Every domain registers it,
-    /// in the same order as every other flow, so ids stay aligned, and the
-    /// sender's domain arms its start timer `at − now` ahead. Safe between
-    /// `run_until` calls, which leave every domain's clock at the slice end
-    /// and no mail in flight.
+    /// [`ShardedNetwork::now`]); returns its id, which follows the
+    /// schedule's. Every domain registers the rest of the schedule and
+    /// then this flow, so ids stay aligned, and the sender's domain arms
+    /// its start timer `at − now` ahead. Safe between `run_until` calls,
+    /// which leave every domain's clock at the slice end and no mail in
+    /// flight.
     pub fn start_flow(&mut self, at: SimTime, spec: FlowSpec) -> usize {
         assert!(at >= self.net.now(), "a flow cannot start in the past");
         let mut id = 0;
-        self.net.each(|d, n| id = register(d, n, at, spec));
+        self.net.each(|d, n| {
+            n.agent.register_schedule();
+            let tx_local = n.topo.leaf_of(spec.src).idx() == d;
+            id = n.agent.preregister(spec, at, tx_local);
+            if tx_local {
+                n.schedule_timer(at - n.now(), TransportLayer::start_token(id));
+            }
+        });
         id
+    }
+
+    /// The flows of the run's arrival list, registered or not.
+    pub fn schedule(&self) -> &Schedule {
+        &self.schedule
     }
 
     /// Run 50 ms slices until `n` flows are fully received or the clock
@@ -849,24 +863,32 @@ impl ShardedRun {
     }
 
     /// Flow records with sender-side counters from the sender's domain and
-    /// `rx_done` taken from the receiver's domain. Kept for `congabench`'s
-    /// stage-by-stage replay of [`run_fct`], its one caller.
+    /// `rx_done` taken from the receiver's domain: the schedule's flows,
+    /// then those [`Self::start_flow`] added (which every domain holds).
+    /// Kept for `congabench`'s stage-by-stage replay of [`run_fct`], its
+    /// one caller.
     pub fn merged_records(&self, topo: &Topology) -> Vec<FlowRecord> {
-        let n = self.net.domain(0).agent.records.len();
+        let n = self
+            .schedule
+            .len()
+            .max(self.net.domain(0).agent.records.len());
         (0..n).map(|i| self.merged_record(topo, i)).collect()
     }
 
     /// The per-index form of [`Self::merged_records`]: one flow's record
     /// with `rx_done` merged from the receiver's domain. The completion
     /// drain uses this to consume completions incrementally without
-    /// materializing the full record list.
+    /// materializing the full record list. A flow that has not arrived
+    /// yet reads as planned, with no `rx_done`.
     pub fn merged_record(&self, topo: &Topology, i: usize) -> FlowRecord {
-        let probe = self.net.domain(0).agent.records[i];
-        let src_d = topo.leaf_of(probe.src).0 as usize;
-        let dst_d = topo.leaf_of(probe.dst).0 as usize;
-        let mut r = self.net.domain(src_d).agent.records[i];
+        let known = |d: usize| self.net.domain(d).agent.records.get(i).copied();
+        let planned = self.schedule.record(i).or_else(|| known(0));
+        let planned = planned.expect("no such flow");
+        let src_d = topo.leaf_of(planned.src).idx();
+        let dst_d = topo.leaf_of(planned.dst).idx();
+        let mut r = known(src_d).unwrap_or(planned);
         if dst_d != src_d {
-            r.rx_done = self.net.domain(dst_d).agent.records[i].rx_done;
+            r.rx_done = known(dst_d).and_then(|r| r.rx_done);
         }
         r
     }
@@ -903,17 +925,6 @@ impl ShardedRun {
     }
 }
 
-/// Register `spec`, to start at `start`, in domain `d`'s replica `n`; only
-/// the sender's domain arms the start timer. Returns the flow id.
-fn register(d: usize, n: &mut Domain, start: SimTime, spec: FlowSpec) -> usize {
-    let tx_local = n.topo.leaf_of(spec.src).0 as usize == d;
-    let id = n.agent.preregister(spec, start, tx_local);
-    if tx_local {
-        n.schedule_timer(start - n.now(), TransportLayer::start_token(id));
-    }
-    id
-}
-
 /// Run one FCT experiment cell to completion (or a generous drain bound).
 pub fn run_fct(cfg: &FctRun) -> FctOutcome {
     run_fct_with_policy(cfg, cfg.scheme.policy())
@@ -932,8 +943,7 @@ pub(crate) fn setup_fct(cfg: &FctRun, policy: FabricPolicy) -> (Topology, Sharde
         cfg.scheme.transport(cfg.tcp.with_cc(cfg.cc)),
         &mut workload_rng(cfg.seed),
     );
-    // The schedule lives until the domains have registered it: from then
-    // on their flow records say everything it did.
+    // The arrival list lives until the run has made its compact schedule.
     let engine = Engine {
         seed: cfg.seed,
         shards: cfg.shards,
@@ -1025,8 +1035,11 @@ pub(crate) fn finish_fct(
 
     // A flow inside the measure window that the drain never saw complete
     // missed the drain bound.
-    let records = &run.net.domain(0).agent.records;
-    let measured = records.iter().filter(|r| r.start <= measure_until).count();
+    let measured = run
+        .schedule()
+        .starts()
+        .filter(|&t| t <= measure_until)
+        .count();
     let summary = if cfg.sketch {
         for _ in acc.count()..measured as u64 {
             acc.add_incomplete();
@@ -1171,6 +1184,52 @@ mod tests {
             } else {
                 assert!(spec.dst.0 < 4);
             }
+        }
+    }
+
+    /// The merge is the stable sort it replaced: both directions' gaps
+    /// are summed to absolute times, sorted (forward first on a tie) and
+    /// taken back to gaps. Ties are forced by zero gaps in both
+    /// directions, and by equal sums.
+    #[test]
+    fn merged_arrivals_is_the_stable_sort_by_start() {
+        let reference = |plan: &PoissonPlan, a: &[HostId], b: &[HostId]| {
+            let mut abs: Vec<(u64, HostId, HostId, u64)> = Vec::new();
+            for (list, (src, dst)) in [(&plan.forward, (a, b)), (&plan.reverse, (b, a))] {
+                let mut t = 0;
+                for x in list {
+                    t += x.gap.as_nanos();
+                    abs.push((t, src[x.src as usize], dst[x.dst as usize], x.bytes));
+                }
+            }
+            abs.sort_by_key(|e| e.0);
+            let mut prev = 0;
+            abs.into_iter()
+                .map(|(t, s, d, bytes)| {
+                    let gap = t - prev;
+                    prev = t;
+                    format!("{gap} {} {} {bytes}", s.0, d.0)
+                })
+                .collect::<Vec<_>>()
+        };
+        let a: Vec<HostId> = (0..4).map(HostId).collect();
+        let b: Vec<HostId> = (4..8).map(HostId).collect();
+        let kind = TransportKind::Tcp(TcpConfig::standard());
+        let mut rng = SimRng::new(11);
+        let dist = FlowSizeDist::enterprise();
+        for case in 0..40 {
+            let mut plan = PoissonPlan::generate(&dist, 4, 4, 80_000_000_000, 0.5, 60, &mut rng);
+            // Gaps of 0, 1 or 2 ns make ties within and across directions.
+            for x in plan.forward.iter_mut().chain(&mut plan.reverse) {
+                x.gap = SimDuration::from_nanos(rng.below(3) as u64);
+            }
+            // Some cases leave one direction short or empty.
+            plan.reverse.truncate(case % 70);
+            let got: Vec<String> = merged_arrivals(&plan, &a, &b, |_| kind)
+                .iter()
+                .map(|(g, f)| format!("{} {} {} {}", g.as_nanos(), f.src.0, f.dst.0, f.bytes))
+                .collect();
+            assert_eq!(got, reference(&plan, &a, &b), "case {case}");
         }
     }
 

@@ -31,7 +31,7 @@ use crate::packet::{ecmp_mix, Overlay, Packet};
 use crate::port::{Enqueue, TxPort};
 use crate::shard::Mail;
 use crate::topology::{Fib, Topology};
-use conga_sim::{EventQueue, SimDuration, SimRng, SimTime};
+use conga_sim::{EventQueue, SimDuration, SimRng, SimTime, Ticket, TicketBlock};
 use conga_telemetry::{MetricsRegistry, SeriesRegistry};
 use conga_trace::{TraceEvent, TraceHandle};
 use std::collections::VecDeque;
@@ -150,6 +150,8 @@ pub trait HostAgent {
 pub struct Emitter {
     packets: Vec<Packet>,
     timers: Vec<(SimDuration, u64)>,
+    /// Timers under keys reserved by [`Network::reserve_tickets`].
+    ticketed: Vec<(Ticket, u64)>,
 }
 
 impl Emitter {
@@ -163,6 +165,13 @@ impl Emitter {
     #[inline]
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) {
         self.timers.push((delay, token));
+    }
+
+    /// Request `on_timer(token)` at `ticket.time`, under that reserved key
+    /// (see [`Network::reserve_tickets`]).
+    #[inline]
+    pub fn set_timer_under(&mut self, ticket: Ticket, token: u64) {
+        self.ticketed.push((ticket, token));
     }
 
     /// The packets sent so far (an agent's unit tests read its answers).
@@ -573,6 +582,14 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
         self.events.push(self.now + delay, Ev::Timer { token });
     }
 
+    /// Reserve the keys of `n` agent timers pushed in a row now, for an
+    /// agent to set later, one by one and in order, with
+    /// [`Emitter::set_timer_under`]: each then fires exactly where it would
+    /// have had it been scheduled now.
+    pub fn reserve_tickets(&mut self, n: usize) -> TicketBlock {
+        self.events.reserve_block(n)
+    }
+
     /// Schedule a single simplex channel to go down (`up = false`) or come
     /// back up at absolute time `at`. Transitions are ordinary events:
     /// equal-time events fire in scheduling order, so a fault schedule is
@@ -854,6 +871,9 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
     fn process_emissions(&mut self, em: &mut Emitter) {
         for (delay, token) in em.timers.drain(..) {
             self.events.push(self.now + delay, Ev::Timer { token });
+        }
+        for (ticket, token) in em.ticketed.drain(..) {
+            self.events.insert(ticket, Ev::Timer { token });
         }
         for pkt in em.packets.drain(..) {
             // The packet's one allocation: from here to its delivery, drop,

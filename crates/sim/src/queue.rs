@@ -32,7 +32,10 @@
 //! and [`EventQueue::insert`] schedules an event under it later — or
 //! never, if the caller finds out in time that dispatching it would have
 //! done nothing. Either way every other event keeps the sequence number,
-//! and so the order, it would have had.
+//! and so the order, it would have had. [`EventQueue::reserve_block`] takes
+//! `n` consecutive keys in one call, for a chain of events whose times are
+//! not known yet: [`TicketBlock::ticket`] names the `j`-th of them once its
+//! time is.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
@@ -73,6 +76,31 @@ pub struct Ticket {
     /// When the event fires.
     pub time: SimTime,
     seq: u64,
+}
+
+/// `n` consecutive sequence numbers taken by [`EventQueue::reserve_block`]:
+/// the keys `n` pushes in a row would have been given, whatever their
+/// times.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TicketBlock {
+    base: u64,
+    len: u64,
+}
+
+impl TicketBlock {
+    /// The key of the `j`-th of the `n` pushes, made at `time`.
+    #[inline]
+    pub fn ticket(&self, j: usize, time: SimTime) -> Ticket {
+        assert!(
+            (j as u64) < self.len,
+            "ticket {j} of a block of {}",
+            self.len
+        );
+        Ticket {
+            time,
+            seq: self.base + j as u64,
+        }
+    }
 }
 
 /// Which future-event-list implementation a queue uses.
@@ -401,6 +429,18 @@ impl<E> EventQueue<E> {
         Ticket { time, seq }
     }
 
+    /// Take the sequence numbers of `n` pushes in a row, to be given times
+    /// and events later with [`TicketBlock::ticket`] and
+    /// [`EventQueue::insert`].
+    pub fn reserve_block(&mut self, n: usize) -> TicketBlock {
+        let base = self.next_seq;
+        self.next_seq += n as u64;
+        TicketBlock {
+            base,
+            len: n as u64,
+        }
+    }
+
     /// Schedule `event` under a reserved key. It pops exactly where a
     /// `push` at reservation time would have, which requires that no event
     /// sorting after the key has been popped yet.
@@ -671,16 +711,46 @@ mod tests {
     /// `eager` does. An event of `eager` whose ticket is still pending when
     /// it pops is one the other two never see (the caller folded it), and
     /// from then on both report its ticket as passed.
+    ///
+    /// Some pushes are instead a chain of events with non-decreasing times,
+    /// the way a run's start timers are: `eager` pushes the whole chain at
+    /// once, the other two reserve its keys with one `reserve_block` and
+    /// hold only the next link, inserted under its ticket when the one
+    /// before it pops.
     #[test]
     fn calendar_matches_heap() {
+        type Chains = Vec<(TicketBlock, Vec<(SimTime, u64)>)>;
+        /// After `popped` pops: if it is a chain link, queue the next one.
+        /// Returns whether it did.
+        fn follow(
+            popped: Option<(SimTime, u64)>,
+            [heap, cal]: [&mut EventQueue<u64>; 2],
+            chains: &Chains,
+            link_of: &std::collections::HashMap<u64, (usize, usize)>,
+        ) -> bool {
+            let Some(&(c, j)) = popped.and_then(|(_, e)| link_of.get(&e)) else {
+                return false;
+            };
+            let (block, links) = &chains[c];
+            let Some(&(t, e)) = links.get(j + 1) else {
+                return false;
+            };
+            heap.insert(block.ticket(j + 1, t), e);
+            cal.insert(block.ticket(j + 1, t), e);
+            true
+        }
         let mut rng = SimRng::new(0xCA1E_50DA);
         let mut eager = EventQueue::with_kind(QueueKind::Heap, 0);
         let mut heap = EventQueue::with_kind(QueueKind::Heap, 0);
         let mut cal = EventQueue::with_kind(QueueKind::Calendar, 0);
         let mut pending: Vec<(Ticket, u64)> = Vec::new();
         let mut lapsed: Vec<Ticket> = Vec::new();
+        // Per chain: its block and its links' (time, id); by link id: the
+        // chain and the index of the link.
+        let mut chains: Chains = Vec::new();
+        let mut link_of: std::collections::HashMap<u64, (usize, usize)> = Default::default();
         let (mut now, mut id) = (0u64, 0u64);
-        let (mut inserted, mut folded) = (0, 0);
+        let (mut inserted, mut folded, mut linked) = (0, 0, 0);
         // One pop from each queue, skipping `eager`'s events that lapsed.
         let pop_all = |eager: &mut EventQueue<u64>,
                        heap: &mut EventQueue<u64>,
@@ -723,6 +793,27 @@ mod tests {
                     }
                     id += 1;
                 }
+                4 if rng.u64().is_multiple_of(8) => {
+                    // A chain of 1..=16 links starting at or after `now`,
+                    // some of them tied.
+                    let n = 1 + (rng.u64() % 16) as usize;
+                    let mut t = now + rng.u64() % 3_000;
+                    let links: Vec<(SimTime, u64)> = (0..n)
+                        .map(|j| {
+                            t += [0, rng.u64() % 700, rng.u64() % 400_000][j % 3];
+                            let link = (SimTime::from_nanos(t), id);
+                            eager.push(link.0, id);
+                            link_of.insert(id, (chains.len(), j));
+                            id += 1;
+                            link
+                        })
+                        .collect();
+                    let block = heap.reserve_block(n);
+                    assert_eq!(cal.reserve_block(n), block);
+                    heap.insert(block.ticket(0, links[0].0), links[0].1);
+                    cal.insert(block.ticket(0, links[0].0), links[0].1);
+                    chains.push((block, links));
+                }
                 4 if !pending.is_empty() => {
                     let i = (rng.u64() % pending.len() as u64) as usize;
                     let (tk, e) = pending.swap_remove(i);
@@ -735,10 +826,15 @@ mod tests {
                     if let Some((t, _)) = got {
                         now = t.as_nanos();
                     }
+                    linked += follow(got, [&mut heap, &mut cal], &chains, &link_of) as usize;
                 }
             }
             assert_eq!(heap.len(), cal.len());
-            assert_eq!(eager.len(), heap.len() + pending.len());
+            let unlinked: usize = chains.iter().map(|(_, l)| l.len()).sum::<usize>() - linked;
+            assert_eq!(
+                eager.len(),
+                heap.len() + pending.len() + unlinked - chains.len()
+            );
             assert_eq!(heap.peek_time(), cal.peek_time());
             for &(tk, _) in &pending {
                 assert!(!heap.passed(tk) && !cal.passed(tk), "pending ticket passed");
@@ -751,11 +847,17 @@ mod tests {
                 folded += 1;
             }
         }
-        while pop_all(&mut eager, &mut heap, &mut cal, &mut pending, &mut lapsed).is_some() {}
-        assert!(pending.is_empty() && eager.is_empty());
+        loop {
+            let got = pop_all(&mut eager, &mut heap, &mut cal, &mut pending, &mut lapsed);
+            if got.is_none() {
+                break;
+            }
+            linked += follow(got, [&mut heap, &mut cal], &chains, &link_of) as usize;
+        }
+        assert!(pending.is_empty() && eager.is_empty() && heap.is_empty());
         assert!(
-            inserted > 1000 && folded > 1000,
-            "{inserted} inserted, {folded} folded"
+            inserted > 1000 && folded > 1000 && linked > 1000,
+            "{inserted} inserted, {folded} folded, {linked} linked"
         );
     }
 

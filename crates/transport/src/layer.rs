@@ -10,11 +10,12 @@
 
 use crate::cc::CongestionController;
 use crate::config::{MptcpConfig, TcpConfig};
+use crate::schedule::Schedule;
 use crate::tcp::{Lia, Segment, TcpRx, TcpTx};
 use conga_net::{
     flow_tuple_hash, Emitter, HostAgent, HostId, Packet, PacketKind, SackBlocks, WIRE_OVERHEAD,
 };
-use conga_sim::{SimDuration, SimTime};
+use conga_sim::{SimDuration, SimTime, TicketBlock};
 use conga_telemetry::{MetricsRegistry, SeriesRegistry};
 use conga_trace::{TraceEvent, TraceHandle};
 use std::collections::{BTreeMap, VecDeque};
@@ -92,8 +93,9 @@ impl ListSource {
 // [63:28] flow | [27:12] subflow | [3:0] kind
 const KIND_ARRIVAL: u64 = 0;
 const KIND_RTO: u64 = 1;
-/// Activation timer for a preregistered flow (sharded runs schedule one
-/// in the flow's sender domain; see [`TransportLayer::preregister`]).
+/// Activation timer of a registered flow, set in its sender's domain only
+/// (see [`TransportLayer::attach_schedule`] and
+/// [`TransportLayer::preregister`]).
 const KIND_START: u64 = 3;
 /// Pacing-release timer for controllers that pace (the BBR-style one):
 /// fires when the subflow's next paced segment may go on the wire.
@@ -177,6 +179,21 @@ struct FlowSlot {
     rx_seen: bool,
 }
 
+impl FlowSlot {
+    fn new(kind: u32, tx_local: bool) -> Self {
+        FlowSlot {
+            live: NONE,
+            kind,
+            final_acks: 0,
+            rx_ooo: 0,
+            tx_local,
+            tx_complete: false,
+            rx_complete: false,
+            rx_seen: false,
+        }
+    }
+}
+
 /// A flow's heavy state: built by `activate` on the sender side and by the
 /// first data packet on the receiver side (one entry serves both when they
 /// are the same stack instance), parked for reuse the moment nothing can
@@ -219,7 +236,7 @@ impl Totals {
 }
 
 /// Subflows a flow of this kind runs.
-fn n_subflows(kind: &TransportKind) -> u16 {
+pub(crate) fn n_subflows(kind: &TransportKind) -> u16 {
     match kind {
         TransportKind::Tcp(_) => 1,
         TransportKind::Mptcp(c) => c.subflows,
@@ -256,9 +273,11 @@ pub struct TransportLayer {
     pub completed_rx: usize,
     /// Flows activated (kickoff emitted) by this stack instance — the
     /// `transport.flows_started` export. Distinct from `flows.len()`:
-    /// sharded runs preregister every flow in every domain but activate
-    /// each exactly once, in its sender's domain.
+    /// sharded runs register a flow in every domain it reaches but
+    /// activate it exactly once, in its sender's domain.
     activated: u64,
+    /// The shared schedule flows are registered from, if one is attached.
+    attached: Option<Attached>,
     source: Option<Box<ListSource>>,
     /// Spec pulled from the source, waiting for its arrival timer to fire.
     pending_first: Option<FlowSpec>,
@@ -269,6 +288,17 @@ pub struct TransportLayer {
     /// `mem::take`, checked back in when the call finishes) — the hot path
     /// would otherwise allocate a fresh `Vec` per ACK.
     scratch_segs: Vec<Segment>,
+}
+
+/// An attached [`Schedule`] and this stack's place in it.
+struct Attached {
+    schedule: std::sync::Arc<Schedule>,
+    /// The domain this stack runs in: it starts the flows sent from it.
+    domain: u16,
+    /// The keys of its start timers, one per flow it starts, in order.
+    tickets: TicketBlock,
+    /// Start timers set so far.
+    started: usize,
 }
 
 impl TransportLayer {
@@ -345,22 +375,92 @@ impl TransportLayer {
         id
     }
 
-    /// Make room for `n` more registrations. A run that knows its arrival
-    /// list registers into vectors of exactly that size; doubling up to it
-    /// instead leaves the outgrown steps behind in every shard replica.
-    pub fn reserve(&mut self, n: usize) {
-        self.records.reserve_exact(n);
-        self.flows.reserve_exact(n);
+    /// Run the flows of `schedule` in one domain of a sharded run, where
+    /// every domain attaches the same schedule. Nothing is registered
+    /// here: a flow is registered, with every flow before it so that ids
+    /// stay aligned across domains, when this domain's start timer for it
+    /// fires or when its first packet lands here. `tickets` holds the keys
+    /// of this domain's start timers, one per flow `domain` starts (the
+    /// count [`Schedule::local`] gives), reserved where pushing them all now
+    /// would have put them; only the next one is ever set, and each sets
+    /// its successor when it fires (the first one is set into `em` here).
+    pub fn attach_schedule(
+        &mut self,
+        schedule: std::sync::Arc<Schedule>,
+        domain: usize,
+        tickets: TicketBlock,
+        em: &mut Emitter,
+    ) {
+        assert!(
+            self.flows.is_empty() && self.attached.is_none(),
+            "a schedule is attached to a fresh stack"
+        );
+        // Exactly the schedule's size: doubling up to it would leave the
+        // outgrown steps behind in every replica. Reserved pages become
+        // resident only as flows are registered.
+        self.records.reserve_exact(schedule.len());
+        self.flows.reserve_exact(schedule.len());
+        self.kinds.clone_from(&schedule.kinds);
+        // Counted up front, as if every local flow were registered now.
+        self.tx_subflows = schedule.local(domain).1;
+        self.attached = Some(Attached {
+            schedule,
+            domain: domain as u16,
+            tickets,
+            started: 0,
+        });
+        self.set_next_start(0, em);
     }
 
-    /// Register a flow that starts later, without emitting anything yet.
-    /// Sharded runs replicate every flow into every domain in the same
-    /// order (aligning flow ids), set `tx_local` only in the sender's
-    /// domain, and schedule a [`TransportLayer::start_token`] timer there
-    /// for the arrival time; the timer activates the flow. `start` is the
-    /// planned absolute start time recorded for FCT measurement.
-    /// Registration stores the record and a small slot; the flow's
-    /// TCP/MPTCP state is built when it is first used.
+    /// Set the start timer of the first flow from `from` on that this
+    /// domain starts, under its reserved key.
+    fn set_next_start(&mut self, from: usize, em: &mut Emitter) {
+        let Some(p) = &mut self.attached else { return };
+        let flows = &p.schedule.flows;
+        let rest = flows.get(from..).unwrap_or_default();
+        if let Some(k) = rest.iter().position(|f| f.tx_domain == p.domain) {
+            let id = from + k;
+            em.set_timer_under(
+                p.tickets.ticket(p.started, flows[id].start),
+                Self::start_token(id),
+            );
+            p.started += 1;
+        }
+    }
+
+    /// Register the attached schedule's flows up to and including `last`
+    /// (or its end) that are not registered yet.
+    fn register_through(&mut self, last: usize) {
+        let Some(p) = &self.attached else { return };
+        let end = p.schedule.len().min(last.saturating_add(1));
+        for f in p
+            .schedule
+            .flows
+            .get(self.flows.len()..end)
+            .unwrap_or_default()
+        {
+            self.records.push(f.record());
+            self.flows
+                .push(FlowSlot::new(f.kind as u32, f.tx_domain == p.domain));
+        }
+    }
+
+    /// Register every flow of the attached schedule not registered yet,
+    /// so that the next [`TransportLayer::preregister`] takes the id after
+    /// the schedule's last.
+    pub fn register_schedule(&mut self) {
+        self.register_through(usize::MAX);
+    }
+
+    /// Register a flow that starts later, without emitting anything yet:
+    /// a flow added to a sharded run mid-run, registered in every domain
+    /// in the same order (aligning flow ids), with `tx_local` set only in
+    /// the sender's domain, which also schedules a
+    /// [`TransportLayer::start_token`] timer for the start time; the timer
+    /// activates the flow. `start` is the planned absolute start time
+    /// recorded for FCT measurement. Registration stores the record and a
+    /// small slot; the flow's TCP/MPTCP state is built when it is first
+    /// used.
     pub fn preregister(&mut self, spec: FlowSpec, start: SimTime, tx_local: bool) -> usize {
         let id = self.flows.len();
         self.records.push(FlowRecord {
@@ -383,20 +483,11 @@ impl TransportLayer {
         if tx_local {
             self.tx_subflows += n_subflows(&spec.kind) as u64;
         }
-        self.flows.push(FlowSlot {
-            live: NONE,
-            kind: kind as u32,
-            final_acks: 0,
-            rx_ooo: 0,
-            tx_local,
-            tx_complete: false,
-            rx_complete: false,
-            rx_seen: false,
-        });
+        self.flows.push(FlowSlot::new(kind as u32, tx_local));
         id
     }
 
-    /// The timer token whose firing activates preregistered flow `flow`.
+    /// The timer token whose firing activates registered flow `flow`.
     pub fn start_token(flow: usize) -> u64 {
         token(flow, 0, KIND_START)
     }
@@ -854,6 +945,10 @@ impl HostAgent for TransportLayer {
 
     fn on_packet(&mut self, pkt: Packet, now: SimTime, em: &mut Emitter) {
         let flow = pkt.flow as usize;
+        if flow >= self.flows.len() {
+            // The flow's first packet here.
+            self.register_through(flow);
+        }
         let Some(slot) = self.flows.get_mut(flow) else {
             return;
         };
@@ -963,6 +1058,9 @@ impl HostAgent for TransportLayer {
             }
             return;
         }
+        if kind == KIND_START {
+            self.register_through(flow);
+        }
         let Some(slot) = self.flows.get(flow) else {
             return;
         };
@@ -1030,7 +1128,10 @@ impl HostAgent for TransportLayer {
                 // The last paced segment of a finished sender is out.
                 self.maybe_retire(flow, li);
             }
-            KIND_START => self.activate(flow, now, em),
+            KIND_START => {
+                self.activate(flow, now, em);
+                self.set_next_start(flow + 1, em);
+            }
             _ => {}
         }
     }

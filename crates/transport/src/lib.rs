@@ -20,11 +20,13 @@
 pub mod cc;
 mod config;
 mod layer;
+mod schedule;
 mod tcp;
 
 pub use cc::{AckCtx, Cc, CcKind, CongestionController};
 pub use config::{MptcpConfig, TcpConfig};
 pub use layer::{FlowRecord, FlowSpec, ListSource, TransportKind, TransportLayer};
+pub use schedule::Schedule;
 pub use tcp::{Lia, Segment, TcpRx, TcpTx};
 
 #[cfg(test)]

@@ -20,11 +20,27 @@
 use conga_sim::SimRng;
 
 /// A flow-size distribution given as CDF breakpoints `(bytes, P[S <= bytes])`.
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct FlowSizeDist {
     name: &'static str,
     /// Strictly increasing in both coordinates; first prob is 0, last is 1.
     points: Vec<(f64, f64)>,
+    /// `ln` of each breakpoint size, so that interpolating takes none.
+    ln_sizes: Vec<f64>,
+    /// [`FlowSizeDist::mean`], computed once.
+    mean: f64,
+}
+
+/// The name and the breakpoints, as the derive would print them: a cell's
+/// cache key embeds this text, and the cached values are not part of the
+/// distribution's identity.
+impl std::fmt::Debug for FlowSizeDist {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FlowSizeDist")
+            .field("name", &self.name)
+            .field("points", &self.points)
+            .finish()
+    }
 }
 
 impl FlowSizeDist {
@@ -40,10 +56,14 @@ impl FlowSizeDist {
             assert!(w[0].0 < w[1].0, "sizes must increase");
             assert!(w[0].1 <= w[1].1, "probabilities must not decrease");
         }
-        FlowSizeDist {
+        let mut dist = FlowSizeDist {
             name,
             points: points.to_vec(),
-        }
+            ln_sizes: points.iter().map(|&(x, _)| x.ln()).collect(),
+            mean: 0.0,
+        };
+        dist.mean = dist.moment(1);
+        dist
     }
 
     /// The enterprise workload of paper Figure 8(a).
@@ -139,24 +159,25 @@ impl FlowSizeDist {
         if i >= self.points.len() {
             return self.points.last().expect("non-empty").0 as u64;
         }
-        let (x0, p0) = self.points[i - 1];
         let (x1, p1) = self.points[i];
+        let p0 = self.points[i - 1].1;
         if p1 <= p0 {
             return x1 as u64;
         }
         let f = (u - p0) / (p1 - p0);
-        let lx = x0.ln() + f * (x1.ln() - x0.ln());
-        lx.exp().max(1.0) as u64
+        let (l0, l1) = (self.ln_sizes[i - 1], self.ln_sizes[i]);
+        (l0 + f * (l1 - l0)).exp().max(1.0) as u64
     }
 
-    /// Mean flow size in bytes (numerical, via fine inverse-CDF quadrature).
+    /// Mean flow size in bytes (numerical, via fine inverse-CDF quadrature,
+    /// taken once when the distribution is built).
     pub fn mean(&self) -> f64 {
-        self.moment(1)
+        self.mean
     }
 
     /// Coefficient of variation `σ/μ` of the flow size.
     pub fn coeff_of_variation(&self) -> f64 {
-        let m1 = self.moment(1);
+        let m1 = self.mean;
         let m2 = self.moment(2);
         (m2 - m1 * m1).max(0.0).sqrt() / m1
     }
@@ -188,13 +209,14 @@ impl FlowSizeDist {
         if i >= self.points.len() {
             return self.points.last().expect("non-empty").0;
         }
-        let (x0, p0) = self.points[i - 1];
         let (x1, p1) = self.points[i];
+        let p0 = self.points[i - 1].1;
         if p1 <= p0 {
             return x1;
         }
         let f = (u - p0) / (p1 - p0);
-        (x0.ln() + f * (x1.ln() - x0.ln())).exp()
+        let (l0, l1) = (self.ln_sizes[i - 1], self.ln_sizes[i]);
+        (l0 + f * (l1 - l0)).exp()
     }
 
     /// Fraction of all *bytes* carried by flows of size ≤ `x` (the
@@ -320,6 +342,37 @@ mod tests {
     #[should_panic(expected = "CDF must start")]
     fn malformed_cdf_rejected() {
         FlowSizeDist::from_points("bad", &[(10.0, 0.5), (20.0, 1.0)]);
+    }
+
+    /// The cached `ln` and mean change no bit: each matches the value the
+    /// uncached code computed, and the debug text (a cache-key part) is
+    /// the derive's.
+    #[test]
+    fn cached_values_are_the_computed_ones() {
+        for d in [
+            FlowSizeDist::enterprise(),
+            FlowSizeDist::data_mining(),
+            FlowSizeDist::web_search(),
+        ] {
+            assert_eq!(d.mean().to_bits(), d.moment(1).to_bits(), "{}", d.name);
+            let mut rng = SimRng::new(3);
+            for _ in 0..10_000 {
+                let u = rng.f64();
+                let i = d.points.partition_point(|&(_, p)| p < u);
+                if i == 0 || i >= d.points.len() || d.points[i].1 <= d.points[i - 1].1 {
+                    continue;
+                }
+                let ((x0, p0), (x1, p1)) = (d.points[i - 1], d.points[i]);
+                let f = (u - p0) / (p1 - p0);
+                let uncached = (x0.ln() + f * (x1.ln() - x0.ln())).exp();
+                assert_eq!(d.quantile(u).to_bits(), uncached.to_bits());
+            }
+        }
+        let d = FlowSizeDist::from_points("two", &[(1.0, 0.0), (4.0, 1.0)]);
+        assert_eq!(
+            format!("{d:?}"),
+            r#"FlowSizeDist { name: "two", points: [(1.0, 0.0), (4.0, 1.0)] }"#
+        );
     }
 
     #[test]

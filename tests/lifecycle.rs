@@ -132,3 +132,58 @@ fn a_domain_allocates_only_its_own_leafs_flowlet_table() {
         "only {allocated} of 16 leaves sourced traffic?"
     );
 }
+
+/// A flow exists in a domain from its arrival there: its start timer
+/// firing in the sender's domain, or its first packet landing in another.
+/// Before that the run answers for it from the schedule: the planned
+/// record, never finished. Slices of a mice cell on two domains: after
+/// each, no domain holds a flow that starts after the slice end, and every
+/// flow not yet registered anywhere reads as planned.
+#[test]
+fn a_flow_is_registered_when_it_arrives() {
+    let topo = build_testbed(TestbedOpts::paper_baseline().quick());
+    let (a, b) = (topo.hosts_under(LeafId(0)), topo.hosts_under(LeafId(1)));
+    let dist = FlowSizeDist::from_points("mice", &[(1e3, 0.0), (2e3, 0.5), (1e4, 0.9), (3e4, 1.0)]);
+    let capacity = topo
+        .leaf_uplink_capacity(LeafId(0))
+        .min(topo.access_capacity(LeafId(0)));
+    let plan = PoissonPlan::generate(&dist, 8, 8, capacity, 0.3, 300, &mut SimRng::new(3));
+    let kind = TransportKind::Tcp(TcpConfig::standard());
+    let arrivals = absolute_starts(merged_arrivals(&plan, &a, &b, |_| kind));
+    let last_start = arrivals.last().expect("flows").0;
+
+    let mut run = sharded(&topo, FabricPolicy::ecmp(), &arrivals);
+    let registered = |run: &ShardedRun| -> Vec<usize> {
+        (0..2)
+            .map(|d| run.net.domain(d).agent.records.len())
+            .collect()
+    };
+    assert_eq!(registered(&run), [0, 0], "set-up registers nothing");
+    let mut t = SimTime::ZERO;
+    while t < last_start {
+        t += SimDuration::from_micros(700);
+        run.net.run_until(t);
+        let arrived = arrivals.partition_point(|&(s, _)| s <= t);
+        for (d, n) in registered(&run).into_iter().enumerate() {
+            assert!(
+                n <= arrived,
+                "domain {d} holds {n} flows at {t:?}, {arrived} arrived"
+            );
+        }
+        let pulled_in = registered(&run).into_iter().max().expect("two domains");
+        for (i, &(start, spec)) in arrivals.iter().enumerate().skip(pulled_in) {
+            let r = run.merged_record(&topo, i);
+            assert_eq!(
+                (r.src, r.dst, r.bytes, r.start, r.retx_bytes, r.timeouts),
+                (spec.src, spec.dst, spec.bytes, start, 0, 0)
+            );
+            assert_eq!(r.fct(), None, "flow {i} has not arrived at {t:?}");
+        }
+    }
+    // Both domains start flows, so each has registered up to its last one.
+    let flows = registered(&run);
+    assert!(flows.iter().all(|&n| n > arrivals.len() - 20), "{flows:?}");
+    run.net.run_until(last_start + SimDuration::from_secs(1));
+    assert_eq!(run.completed_rx(), arrivals.len());
+    assert_eq!(run.merged_records(&topo).len(), arrivals.len());
+}
