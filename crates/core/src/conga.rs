@@ -335,10 +335,6 @@ impl LeafPolicy for CongaPolicy {
         reg.set_counter("dataplane.feedback_piggybacked", self.feedback_piggybacked);
         reg.set_counter("dataplane.feedback_harvested", self.feedback_harvested);
         reg.set_counter("dataplane.from_leaf_records", self.from_leaf_records);
-        if let Some(mask) = &self.conga_leaves {
-            let n = mask.iter().filter(|&&b| b).count();
-            reg.set_counter("dataplane.conga_leaves", n as u64);
-        }
     }
 }
 

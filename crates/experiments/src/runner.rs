@@ -677,7 +677,7 @@ pub fn absolute_starts(arrivals: Vec<(SimDuration, FlowSpec)>) -> Vec<(SimTime, 
 /// every domain besides the fabric, the policy and the flows.
 #[derive(Clone, Copy)]
 pub(crate) struct Engine<'a> {
-    /// Run seed; each domain forks its RNG from it.
+    /// Run seed; each node's random stream is forked from it.
     pub seed: u64,
     /// Worker threads (`--shards`).
     pub shards: usize,
@@ -740,8 +740,7 @@ impl ShardedRun {
     /// is registered here: a domain registers flow `i`, and every flow
     /// before it so that ids align by position, when its start timer fires
     /// there (only in the sender's domain) or its first packet lands there.
-    /// Each domain reserves the keys of all its start timers now, where
-    /// pushing them would have put them, and queues only the next one.
+    /// Each domain queues only its next start timer.
     ///
     /// `more_faults` is scheduled after `faults`. Every caller in this
     /// workspace passes `&[]`: the parameter only keeps the ten-argument
@@ -761,12 +760,14 @@ impl ShardedRun {
         arrivals: &[(SimTime, FlowSpec)],
     ) -> Self {
         let trace_cfg = trace.cloned();
-        let mut net = ShardedNetwork::new(topo, seed, shards, |_| {
+        let mut net = ShardedNetwork::partition(topo, seed, shards, |_| {
             (policy.clone(), TransportLayer::new())
         });
-        let schedule = Arc::new(Schedule::new(arrivals, net.n_domains(), |h| {
-            topo.leaf_of(h).idx()
-        }));
+        let schedule = Arc::new(Schedule::new(
+            arrivals.iter().copied(),
+            net.n_domains(),
+            |h| topo.leaf_of(h).idx(),
+        ));
         let mut tracer_parts = Vec::new();
         net.each(|d, n| {
             n.set_queue_kind(queue);
@@ -783,9 +784,8 @@ impl ShardedRun {
             for f in faults.iter().chain(more_faults) {
                 n.schedule_link(f.at, f.link, f.up);
             }
-            let tickets = n.reserve_tickets(schedule.local(d).0);
             let schedule = Arc::clone(&schedule);
-            n.agent_call(|a, _, em| a.attach_schedule(schedule, d, tickets, em));
+            n.agent_call(|a, _, em| a.attach_schedule(schedule, d, em));
         });
         ShardedRun {
             net,

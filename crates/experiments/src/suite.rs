@@ -18,16 +18,16 @@ use crate::figures::{
     TraceArgs,
 };
 use crate::fleet::{cell, fct_cell_with, run_cells, FleetCell, FleetOpts};
-use crate::runner::{ecn_marking, stamp_cc, tcp_spec, FctOutcome, Scheme, TestbedOpts};
+use crate::runner::{ecn_marking, stamp_cc, tcp_spec, Engine, FctOutcome, Scheme, TestbedOpts};
 use crate::{ablation, analytic, asymmetry, failures, hdfs, scale, tournament};
 use conga_analysis::imbalance::throughput_imbalance;
 use conga_analysis::stats::percentile;
 use conga_fleet::{CellResult, Scenario};
-use conga_net::{HostId, LeafSpineBuilder, Network};
-use conga_sim::{SimDuration, SimRng, SimTime};
+use conga_net::{EcnConfig, HostId, LeafSpineBuilder};
+use conga_sim::{QueueKind, SimDuration, SimRng, SimTime};
 use conga_telemetry::RunReport;
 use conga_trace::{TraceConfig, TraceHandle};
-use conga_transport::{FlowSpec, ListSource, TcpConfig, TransportLayer};
+use conga_transport::{FlowSpec, TcpConfig};
 use conga_workloads::{FlowSizeDist, IncastPattern};
 use std::fmt::Write as _;
 
@@ -314,6 +314,7 @@ pub fn fig13(args: &Args) -> bool {
         "10MB striped over N synchronized senders into one 10G access link;\n\
          y = goodput as % of line rate (paper: CONGA+TCP 2-8x MPTCP)",
     );
+    args.print_controller();
     let fanouts: Vec<u32> = if args.quick {
         vec![4, 16, 48]
     } else {
@@ -339,9 +340,11 @@ pub fn fig13(args: &Args) -> bool {
                     scheme: *scheme,
                     fanout: f,
                     tcp,
+                    ecn_threshold_pkts: args.ecn_threshold,
                     seed: args.seed,
                 };
-                cells.push(incast_cell(&tag, spec, tracing.clone()));
+                let engine = args.engine(tcp.mss);
+                cells.push(incast_cell(&tag, spec, engine, tracing.clone()));
             }
         }
     }
@@ -369,13 +372,14 @@ pub fn fig13(args: &Args) -> bool {
     written
 }
 
-/// One incast cell's inputs — [`run_incast`]'s arguments — and their
-/// cache-key text. The fabric is not among them: `run_incast` builds the
-/// one testbed itself.
+/// One incast cell's inputs and their cache-key text. The fabric is not
+/// among them: [`incast`] builds the one testbed itself.
 struct IncastSpec {
     scheme: Scheme,
     fanout: u32,
     tcp: TcpConfig,
+    /// `--ecn-threshold`: `None` leaves the controller's default marking.
+    ecn_threshold_pkts: Option<u32>,
     seed: u64,
 }
 
@@ -386,36 +390,47 @@ impl IncastSpec {
             scheme,
             fanout,
             tcp,
+            ecn_threshold_pkts,
             seed,
         } = self;
         format!(
-            "scheme={}\nfanout={fanout}\ntcp={}\nseed={seed}\n",
+            "scheme={}\nfanout={fanout}\ntcp={}\necn={}\nseed={seed}\n",
             scheme.name(),
-            tcp_spec(tcp)
+            tcp_spec(tcp),
+            ecn_threshold_pkts.map_or("none".to_string(), |pkts| pkts.to_string()),
         )
+    }
+
+    /// The ECN marking the cell runs under, by [`ecn_marking`].
+    fn marking(&self) -> Option<(u32, EcnConfig)> {
+        ecn_marking(self.tcp.cc, self.ecn_threshold_pkts, self.tcp.mss)
     }
 }
 
 /// One incast cell: a custom synchronized-senders simulation (not an FCT
-/// sweep), hashed under `kind = "incast"`.
-fn incast_cell(tag: &str, spec: IncastSpec, tracing: Option<TraceArgs>) -> FleetCell {
+/// sweep) on `engine`, hashed under `kind = "incast"`.
+fn incast_cell(
+    tag: &str,
+    spec: IncastSpec,
+    engine: Engine<'static>,
+    tracing: Option<TraceArgs>,
+) -> FleetCell {
     let scenario = Scenario::new("incast", "fig13_incast", tag, spec.spec());
     let trace_spec = tracing.as_ref().map(|t| t.spec.clone());
     cell(scenario, tracing, move |r| {
-        let (pct, report, trace) = run_incast(
-            spec.scheme,
-            spec.fanout,
-            spec.tcp,
-            spec.seed,
-            trace_spec.as_ref(),
-        );
+        let engine = Engine {
+            trace: trace_spec.as_ref(),
+            ..engine
+        };
+        let (pct, report, trace) = incast(engine, &spec);
         r.values.insert("goodput_pct".into(), pct);
         (report, trace)
     })
 }
 
-/// Run one incast: returns goodput as a % of the 10G access line rate, the
-/// run's telemetry report, and the trace handle (if tracing was requested).
+/// Run one incast on one worker with the controller's default ECN
+/// marking: returns goodput as a % of the 10G access line rate, the run's
+/// telemetry report, and the trace handle (if tracing was requested).
 pub fn run_incast(
     scheme: Scheme,
     fanout: u32,
@@ -423,20 +438,32 @@ pub fn run_incast(
     seed: u64,
     trace: Option<&TraceConfig>,
 ) -> (f64, RunReport, Option<TraceHandle>) {
+    let spec = IncastSpec {
+        scheme,
+        fanout,
+        tcp,
+        ecn_threshold_pkts: None,
+        seed,
+    };
+    let engine = Engine {
+        seed,
+        shards: 1,
+        queue: QueueKind::Heap,
+        ecn: spec.marking().map(|(_, ecn)| ecn),
+        trace,
+        faults: &[],
+    };
+    incast(engine, &spec)
+}
+
+/// One incast cell on `engine`, whose ECN marking is `spec`'s.
+fn incast(engine: Engine<'_>, spec: &IncastSpec) -> (f64, RunReport, Option<TraceHandle>) {
+    let (scheme, fanout, tcp) = (spec.scheme, spec.fanout, spec.tcp);
     let topo = LeafSpineBuilder::new(2, 2, 32)
         .host_rate_gbps(10)
         .fabric_rate_gbps(40)
         .parallel_links(2)
         .build();
-    let mut net = Network::new(topo, scheme.policy(), TransportLayer::new(), seed);
-    let marking = ecn_marking(tcp.cc, None, tcp.mss);
-    if let Some((_, ecn)) = marking {
-        net.set_ecn(ecn);
-    }
-    let trace = trace.map(|cfg| TraceHandle::recording(cfg.clone()));
-    if let Some(t) = &trace {
-        net.set_tracer(t.clone());
-    }
     let pat = IncastPattern::paper(fanout);
     // Client = host 0 (leaf 0); servers spread over the remaining hosts,
     // mostly remote so responses cross the fabric like the testbed's.
@@ -444,12 +471,12 @@ pub fn run_incast(
     // (mean 200us) — disk/kernel latency in the real benchmark; perfectly
     // clock-synchronized byte-identical senders would otherwise finish in
     // lockstep and all tail-drop together, which no real testbed does.
-    let mut jit = SimRng::new(seed ^ 0x1CA5);
-    let mut starts: Vec<(u64, FlowSpec)> = (0..fanout)
+    let mut jit = SimRng::new(spec.seed ^ 0x1CA5);
+    let mut starts: Vec<(SimTime, FlowSpec)> = (0..fanout)
         .map(|i| {
             let server = HostId(1 + (i * 63 / fanout.max(1)) % 63);
             (
-                (jit.exp(1.0 / 200_000.0)) as u64,
+                SimTime::from_nanos(jit.exp(1.0 / 200_000.0) as u64),
                 FlowSpec {
                     src: server,
                     dst: HostId(0),
@@ -460,44 +487,30 @@ pub fn run_incast(
         })
         .collect();
     starts.sort_by_key(|&(t, _)| t);
-    let mut prev = 0;
-    let arrivals: Vec<(SimDuration, FlowSpec)> = starts
-        .into_iter()
-        .map(|(t, spec)| {
-            let gap = SimDuration::from_nanos(t - prev);
-            prev = t;
-            (gap, spec)
-        })
-        .collect();
-    net.agent.attach_source(Box::new(ListSource::new(arrivals)));
-    if let Some((d, tok)) = net.agent.begin_source() {
-        net.schedule_timer(d, tok);
-    }
+    let mut run = engine.register(&topo, scheme.policy(), &starts);
     // Run until every response is delivered (generous bound: many RTOs).
-    while net.agent.completed_rx < fanout as usize && net.now() < SimTime::from_secs(30) {
-        net.run_until(net.now() + SimDuration::from_millis(100));
+    while run.completed_rx() < fanout as usize && run.net.now() < SimTime::from_secs(30) {
+        let t = run.net.now() + SimDuration::from_millis(100);
+        run.net.run_until(t);
     }
-    let last_done = net
-        .agent
-        .records
-        .iter()
-        .filter_map(|r| r.rx_done)
+    let last_done = (0..starts.len())
+        .filter_map(|i| run.merged_record(&topo, i).rx_done)
         .max()
-        .unwrap_or(net.now());
+        .unwrap_or(run.net.now());
     let total_bytes: u64 = pat.per_server * fanout as u64;
     let goodput = total_bytes as f64 * 8.0 / last_done.as_secs_f64();
     let mut report = RunReport::new();
     report.set_meta("figure", "fig13_incast");
     report.set_meta("scheme", scheme.name());
     report.set_meta("fanout", fanout.to_string());
-    report.set_meta("seed", seed.to_string());
+    report.set_meta("seed", spec.seed.to_string());
     report.set_meta("mss", tcp.mss.to_string());
     report.set_meta("min_rto_ns", tcp.min_rto.as_nanos().to_string());
-    stamp_cc(&mut report, tcp.cc, marking);
-    report.set_meta("end_time_ns", net.now().as_nanos().to_string());
-    net.export_metrics(&mut report.metrics);
+    stamp_cc(&mut report, tcp.cc, spec.marking());
+    report.set_meta("end_time_ns", run.net.now().as_nanos().to_string());
+    run.net.export_metrics(&mut report.metrics);
     // Percentage of the 10G access link (the paper's y-axis).
-    (100.0 * goodput / 10e9, report, trace)
+    (100.0 * goodput / 10e9, report, run.merged_trace())
 }
 
 #[cfg(test)]
@@ -511,9 +524,11 @@ mod tests {
             scheme: Scheme::Conga,
             fanout: 16,
             tcp: TcpConfig::standard(),
+            ecn_threshold_pkts: None,
             seed: 1,
         };
-        let hash = |spec: IncastSpec| incast_cell("a", spec, None).scenario.content_hash();
+        let engine = Args::from_iter(Vec::new()).expect("no flags").engine(1460);
+        let hash = |spec: IncastSpec| incast_cell("a", spec, engine, None).scenario.content_hash();
         // Every field `IncastSpec::spec` and `tcp_spec` destructure, in
         // their order. At the parent commit the key carried two of the
         // eight `tcp` fields.
@@ -532,6 +547,7 @@ mod tests {
             ("tcp.max_burst", |s| s.tcp.max_burst = 4),
             ("tcp.rwnd", |s| s.tcp.rwnd = 65_536),
             ("tcp.cc", |s| s.tcp.cc = conga_transport::CcKind::Dctcp),
+            ("ecn_threshold_pkts", |s| s.ecn_threshold_pkts = Some(20)),
             ("seed", |s| s.seed = 2),
         ];
         assert_key_coverage(base, hash, reaching, &[]);

@@ -31,7 +31,7 @@ use crate::packet::{ecmp_mix, Overlay, Packet};
 use crate::port::{Enqueue, TxPort};
 use crate::shard::Mail;
 use crate::topology::{Fib, Topology};
-use conga_sim::{EventQueue, SimDuration, SimRng, SimTime, Ticket, TicketBlock};
+use conga_sim::{EventQueue, Key, SimDuration, SimRng, SimTime};
 use conga_telemetry::{MetricsRegistry, SeriesRegistry};
 use conga_trace::{TraceEvent, TraceHandle};
 use std::collections::VecDeque;
@@ -150,8 +150,6 @@ pub trait HostAgent {
 pub struct Emitter {
     packets: Vec<Packet>,
     timers: Vec<(SimDuration, u64)>,
-    /// Timers under keys reserved by [`Network::reserve_tickets`].
-    ticketed: Vec<(Ticket, u64)>,
 }
 
 impl Emitter {
@@ -161,17 +159,12 @@ impl Emitter {
         self.packets.push(pkt);
     }
 
-    /// Request `on_timer(token)` after `delay`.
+    /// Request `on_timer(token)` after `delay`. The token is the timer's
+    /// key among equal-time events, so an agent keeps at most one timer
+    /// per token pending, and tokens stay below 2^61.
     #[inline]
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) {
         self.timers.push((delay, token));
-    }
-
-    /// Request `on_timer(token)` at `ticket.time`, under that reserved key
-    /// (see [`Network::reserve_tickets`]).
-    #[inline]
-    pub fn set_timer_under(&mut self, ticket: Ticket, token: u64) {
-        self.ticketed.push((ticket, token));
     }
 
     /// The packets sent so far (an agent's unit tests read its answers).
@@ -187,7 +180,7 @@ impl Emitter {
 
 /// Engine events.
 ///
-/// Deliberately small (16 bytes, so a queue entry with its `(time, seq)`
+/// Deliberately small (16 bytes, so a queue entry with its `(time, tie)`
 /// key is 32): every push/pop copies a whole `Scheduled<Ev>` inside the
 /// future-event list, so packets are *not* carried in the event. A packet
 /// in flight is referenced from its channel's wire FIFO (`Network::wire`)
@@ -197,7 +190,12 @@ impl Emitter {
 /// times on one channel are strictly increasing (the serializer is a
 /// non-preemptive unit and each packet's arrival is scheduled after the
 /// previous one's), and a host's NIC release times are monotone
-/// non-decreasing with equal-time events popping in scheduling order.
+/// non-decreasing with equal-time emissions popping in packet-id order.
+///
+/// Every event is scheduled under a key that names it ([`Network::at`]):
+/// its time, then its class, then its own id within the class. Equal-time
+/// events therefore pop in an order that depends on what they are, not
+/// on when, or in which domain of a sharded run, they were scheduled.
 #[derive(Debug)]
 enum Ev {
     /// Packet finished wire traversal of `ch`; process at the channel dst.
@@ -218,6 +216,60 @@ enum Ev {
     /// Scheduled link-state transition: `ch` goes down (`up = false`) or
     /// comes back up.
     Fault { ch: ChannelId, up: bool },
+}
+
+/// The classes of [`Ev`], in the order equal-time events pop in: a key's
+/// tie is its class shifted into the top three bits, or'ed with the
+/// event's id within the class — the index of the transition in the
+/// network's fault schedule, the channel of an arrival or a completion
+/// (arrivals on a channel strictly increase in time, and a channel has
+/// one completion pending), a timer's token, the packet an `Inject`
+/// releases, and 0 for the one pending sample tick. Timers sort before
+/// injections because a timer may emit a packet released at once: every
+/// event an event schedules at its own time then sorts after it, so a
+/// run pops its keys in increasing order.
+const CLASS_SHIFT: u32 = 61;
+const FAULT: u64 = 0;
+const ARRIVE: u64 = 1 << CLASS_SHIFT;
+const TX_DONE: u64 = 2 << CLASS_SHIFT;
+const TIMER: u64 = 3 << CLASS_SHIFT;
+const INJECT: u64 = 4 << CLASS_SHIFT;
+const SAMPLE: u64 = 5 << CLASS_SHIFT;
+
+/// A packet id is its source host above this many bits and the host's
+/// count of packets minted before it below: ids are unique in a run and
+/// increase along each host's emissions, however the fabric is sharded.
+const PKT_SEQ_BITS: u32 = 40;
+
+/// The key of an event of `class` with id `id` at `time`.
+#[inline]
+fn key(time: SimTime, class: u64, id: u64) -> Key {
+    debug_assert!(
+        id >> CLASS_SHIFT == 0,
+        "event id {id:#x} overflows its class"
+    );
+    Key {
+        time,
+        tie: class | id,
+    }
+}
+
+/// Node `n`'s random stream, `SimRng::new(seed).fork(n)`, made at its
+/// first draw: hosts are numbered first, then leaves, then spines.
+fn node_rng(rngs: &mut [Option<Box<SimRng>>], seed: u64, n: usize) -> &mut SimRng {
+    rngs[n].get_or_insert_with(|| Box::new(SimRng::new(seed).fork(n as u64)))
+}
+
+/// A host's NIC as the engine sees it.
+#[derive(Debug, Default)]
+struct Nic {
+    /// Emitted packets awaiting their jittered release, oldest first.
+    /// Heads are consumed by `Ev::Inject`.
+    queue: VecDeque<Box<Packet>>,
+    /// Earliest next release (see [`HOST_JITTER_NS`]).
+    release: SimTime,
+    /// Packets this host has emitted: the low bits of the next one's id.
+    minted: u64,
 }
 
 /// Shard identity installed on a [`Network`] that models one domain of a
@@ -261,7 +313,8 @@ pub struct EngineStats {
     pub blackholed: u64,
     /// Link-state transitions applied (fail + recover).
     pub fault_transitions: u64,
-    /// Events processed.
+    /// Events processed. A sample tick or a fault transition, which every
+    /// domain of a sharded run processes, is counted in one of them.
     pub events: u64,
 }
 
@@ -307,8 +360,6 @@ pub struct Network<D: Dataplane, A: HostAgent> {
     pub dataplane: D,
     /// The end-host stack.
     pub agent: A,
-    /// Deterministic randomness shared by the engine and dataplane.
-    pub rng: SimRng,
     /// Engine counters.
     pub stats: EngineStats,
     /// Windowed time-series gauges recorded on sampling boundaries
@@ -323,7 +374,10 @@ pub struct Network<D: Dataplane, A: HostAgent> {
     folded: Vec<ChannelId>,
     events: EventQueue<Ev>,
     now: SimTime,
-    next_pkt_id: u64,
+    /// The run seed, and every node's random stream ([`node_rng`]): a
+    /// host's emission jitter, a leaf's or spine's dataplane decisions.
+    seed: u64,
+    rngs: Vec<Option<Box<SimRng>>>,
     /// Per-channel liveness; all true until a scheduled fault fires. The
     /// FIB is recomputed from this mask on every transition — the one
     /// controlled mutation of the otherwise-immutable topology state.
@@ -349,18 +403,16 @@ pub struct Network<D: Dataplane, A: HostAgent> {
     /// Per-channel FIFO of packets on the wire, with the fail epoch captured
     /// at transmission start. Heads are consumed by `Ev::Arrive`.
     wire: Vec<VecDeque<(Box<Packet>, u32)>>,
-    /// Per-host FIFO of emitted packets awaiting their jittered NIC release.
-    /// Heads are consumed by `Ev::Inject`. Sized lazily with `nic_release`.
-    inject_q: Vec<VecDeque<Box<Packet>>>,
-    /// Per-host earliest next NIC release (see [`HOST_JITTER_NS`]).
-    nic_release: Vec<SimTime>,
+    /// Per-host NICs, sized at the first emission.
+    nics: Vec<Nic>,
     /// Structured event tracing; disabled (one dead branch per emission
     /// site) unless [`Network::set_tracer`] installed a recording handle.
     tracer: TraceHandle,
-    /// Whether any fault was ever scheduled: the `net.blackholed_packets`
-    /// and `net.fault_transitions` counters are exported only for runs
-    /// with a fault schedule, keeping fault-free report diffs clean.
-    faults_scheduled: bool,
+    /// Link-state transitions scheduled so far; each one's index is its
+    /// event's id. The `net.blackholed_packets` and
+    /// `net.fault_transitions` counters are exported only for runs with a
+    /// fault schedule, keeping fault-free report diffs clean.
+    faults_scheduled: u64,
     /// Shard identity when this network models one domain of a sharded
     /// run; `None` for the classic monolithic engine.
     shard: Option<ShardCtx>,
@@ -373,6 +425,11 @@ pub struct Network<D: Dataplane, A: HostAgent> {
 impl<D: Dataplane, A: HostAgent> Network<D, A> {
     /// Build a network over `topo` with the given dataplane and host agent.
     pub fn new(topo: Topology, mut dataplane: D, agent: A, seed: u64) -> Self {
+        assert!(
+            (topo.n_hosts as u64) < 1 << (CLASS_SHIFT - PKT_SEQ_BITS),
+            "{} hosts exceed the packet-id space",
+            topo.n_hosts
+        );
         let fib = topo.fib();
         dataplane.install(&topo, &fib);
         let ports: Vec<TxPort> = topo
@@ -380,20 +437,20 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
             .iter()
             .map(|c| TxPort::new(c.rate_bps, c.delay, c.queue_cap))
             .collect();
-        let nc = ports.len();
+        let (nc, nodes) = (ports.len(), topo.n_hosts + topo.n_leaves + topo.n_spines);
         Network {
             topo,
             fib,
             dataplane,
             agent,
-            rng: SimRng::new(seed),
             stats: EngineStats::default(),
             series: SeriesRegistry::disabled(),
             ports,
             folded: Vec::new(),
             events: EventQueue::with_capacity(1 << 16),
             now: SimTime::ZERO,
-            next_pkt_id: 0,
+            seed,
+            rngs: vec![None; nodes as usize],
             link_up: vec![true; nc],
             fail_epoch: vec![0; nc],
             log: MetricsRegistry::new(),
@@ -402,10 +459,9 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
             scratch: Emitter::default(),
             scratch_flush: Vec::new(),
             wire: (0..nc).map(|_| VecDeque::new()).collect(),
-            inject_q: Vec::new(),
-            nic_release: Vec::new(),
+            nics: Vec::new(),
             tracer: TraceHandle::disabled(),
-            faults_scheduled: false,
+            faults_scheduled: 0,
             shard: None,
             ecn: None,
         }
@@ -432,17 +488,10 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
         self.shard = Some(ctx);
     }
 
-    /// Offset the packet-id counter so each shard domain mints ids in a
-    /// disjoint range and merged traces stay collision-free.
-    pub fn set_pkt_id_base(&mut self, base: u64) {
-        assert_eq!(self.next_pkt_id, 0, "set the id base before injecting");
-        self.next_pkt_id = base;
-    }
-
     /// Select the future-event-list implementation (heap vs calendar).
     ///
     /// Purely a performance knob: both kinds implement the identical
-    /// stable `(time, seq)` ordering, so artifacts do not change. Call
+    /// `(time, tie)` ordering, so artifacts do not change. Call
     /// right after construction, before anything is scheduled — the
     /// queue is replaced, not migrated.
     pub fn set_queue_kind(&mut self, kind: conga_sim::QueueKind) {
@@ -491,7 +540,7 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
         self.sampled = channels.into_iter().map(|ch| (ch, 0)).collect();
         self.sample_every = Some(every);
         self.series = SeriesRegistry::new(every);
-        self.events.push(self.now + every, Ev::Sample);
+        self.at(self.now + every, SAMPLE, 0, Ev::Sample);
     }
 
     /// Total queue drops across all channels.
@@ -528,7 +577,7 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
         // Fault-domain counters appear only in runs that scheduled faults:
         // fault-free reports stay free of zero-valued noise and diff clean
         // against pre-fault-subsystem baselines.
-        if self.faults_scheduled {
+        if self.faults_scheduled > 0 {
             reg.set_counter("net.blackholed_packets", self.stats.blackholed);
             reg.set_counter("net.fault_transitions", self.stats.fault_transitions);
         }
@@ -577,27 +626,34 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
         r
     }
 
-    /// Schedule an agent timer from outside the event loop.
+    /// Schedule an agent timer from outside the event loop (the token
+    /// rule of [`Emitter::set_timer`] applies).
     pub fn schedule_timer(&mut self, delay: SimDuration, token: u64) {
-        self.events.push(self.now + delay, Ev::Timer { token });
+        self.set_timer(self.now + delay, token);
     }
 
-    /// Reserve the keys of `n` agent timers pushed in a row now, for an
-    /// agent to set later, one by one and in order, with
-    /// [`Emitter::set_timer_under`]: each then fires exactly where it would
-    /// have had it been scheduled now.
-    pub fn reserve_tickets(&mut self, n: usize) -> TicketBlock {
-        self.events.reserve_block(n)
+    /// Schedule `ev`, of `class`, under its key.
+    #[inline]
+    fn at(&mut self, time: SimTime, class: u64, id: u64, ev: Ev) {
+        self.events.schedule(key(time, class, id), ev);
+    }
+
+    #[inline]
+    fn set_timer(&mut self, time: SimTime, token: u64) {
+        assert!(token >> CLASS_SHIFT == 0, "timer token {token:#x} >= 2^61");
+        self.at(time, TIMER, token, Ev::Timer { token });
     }
 
     /// Schedule a single simplex channel to go down (`up = false`) or come
-    /// back up at absolute time `at`. Transitions are ordinary events:
-    /// equal-time events fire in scheduling order, so a fault schedule is
-    /// part of the deterministic run configuration.
+    /// back up at absolute time `at`. Transitions are ordinary events,
+    /// keyed by their index in this network's fault schedule, so
+    /// equal-time transitions fire in scheduling order and a fault schedule
+    /// is part of the deterministic run configuration.
     pub fn schedule_channel_fault(&mut self, at: SimTime, ch: ChannelId, up: bool) {
         assert!(at >= self.now, "fault scheduled in the past");
-        self.faults_scheduled = true;
-        self.events.push(at, Ev::Fault { ch, up });
+        let index = self.faults_scheduled;
+        self.faults_scheduled += 1;
+        self.at(at, FAULT, index, Ev::Fault { ch, up });
     }
 
     /// Schedule both directions of `link`, at any tier, to go down
@@ -686,14 +742,14 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
     }
 
     /// Run the event loop until `t_end` (inclusive) or until no events
-    /// remain. Returns the number of events processed.
+    /// remain. Returns the number of events processed, as
+    /// [`EngineStats::events`] counts them.
     pub fn run_until(&mut self, t_end: SimTime) -> u64 {
         let mut n = 0;
         while let Some((t, ev)) = self.events.pop_through(t_end) {
             debug_assert!(t >= self.now, "time went backwards");
             self.now = t;
-            self.dispatch(ev);
-            n += 1;
+            n += self.dispatch(ev) as u64;
         }
         if self.now < t_end {
             self.now = t_end;
@@ -721,7 +777,7 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
             .folded
             .iter()
             .filter_map(|ch| self.ports[ch.idx()].folded);
-        let folded = folded.map(|tk| tk.time).min();
+        let folded = folded.map(|k| k.time).min();
         [self.events.peek_time(), folded]
             .into_iter()
             .flatten()
@@ -737,7 +793,7 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
         self.folded.retain(|ch| {
             let p = &mut ports[ch.idx()];
             match p.folded {
-                Some(tk) if tk.time >= bound => return true,
+                Some(k) if k.time >= bound => return true,
                 Some(_) => p.settle(),
                 None => {}
             }
@@ -748,7 +804,7 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
 
     /// Run the event loop over one conservative window: process every
     /// event with `t < bound` (strictly — the bound is exclusive) and
-    /// return the number processed. Unlike [`Network::run_until`] the
+    /// return the number counted. Unlike [`Network::run_until`] the
     /// clock is *not* advanced to the bound afterwards: cross-domain
     /// deliveries injected at the next barrier may land anywhere in
     /// `[bound, ...)` and must not trip the monotonicity assertion.
@@ -763,8 +819,7 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
         while let Some((t, ev)) = self.events.pop_before(bound) {
             debug_assert!(t >= self.now, "time went backwards");
             self.now = t;
-            self.dispatch(ev);
-            n += 1;
+            n += self.dispatch(ev) as u64;
         }
         self.settle_folded(bound);
         self.stats.events += n;
@@ -790,7 +845,7 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
     pub fn deliver_remote(&mut self, at: SimTime, ch: ChannelId, pkt: Box<Packet>, epoch: u32) {
         debug_assert!(at >= self.now, "remote delivery inside the past window");
         self.wire[ch.idx()].push_back((pkt, epoch));
-        self.events.push(at, Ev::Arrive { ch });
+        self.at(at, ARRIVE, ch.0 as u64, Ev::Arrive { ch });
     }
 
     /// Move the accumulated cross-domain transmissions out of this
@@ -803,7 +858,13 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
         }
     }
 
-    fn dispatch(&mut self, ev: Ev) {
+    /// Process one event; returns whether it counts in
+    /// [`EngineStats::events`] here — not if it is a replicated sample
+    /// tick or fault transition that another domain counts.
+    fn dispatch(&mut self, ev: Ev) -> bool {
+        if self.tracer.enabled() {
+            self.tracer.at_event(self.events.last_popped().tie);
+        }
         match ev {
             Ev::Arrive { ch } => {
                 let (pkt, epoch) = self.wire[ch.idx()]
@@ -818,15 +879,23 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
             }
             Ev::Timer { token } => self.agent_call(|a, now, em| a.on_timer(token, now, em)),
             Ev::Inject { host } => {
-                let pkt = self.inject_q[host as usize]
+                let pkt = self.nics[host as usize]
+                    .queue
                     .pop_front()
                     .expect("inject event without a pending packet");
                 let access = self.fib.host_access[pkt.src.idx()];
                 self.enqueue(access, pkt);
             }
-            Ev::Sample => self.take_sample(),
-            Ev::Fault { ch, up } => self.apply_fault(ch, up),
+            Ev::Sample => {
+                self.take_sample();
+                return self.shard.as_ref().is_none_or(|s| s.id == 0);
+            }
+            Ev::Fault { ch, up } => {
+                self.apply_fault(ch, up);
+                return self.shard.as_ref().is_none_or(|s| s.owns_tx[ch.idx()]);
+            }
         }
+        true
     }
 
     fn take_sample(&mut self) {
@@ -864,38 +933,37 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
         }
         self.dataplane.sample_series(self.now, &mut self.series);
         self.agent.sample_series(self.now, &mut self.series);
-        self.events.push(self.now + every, Ev::Sample);
+        self.at(self.now + every, SAMPLE, 0, Ev::Sample);
     }
 
     /// Process packets/timers emitted by an agent callback.
     fn process_emissions(&mut self, em: &mut Emitter) {
         for (delay, token) in em.timers.drain(..) {
-            self.events.push(self.now + delay, Ev::Timer { token });
-        }
-        for (ticket, token) in em.ticketed.drain(..) {
-            self.events.insert(ticket, Ev::Timer { token });
+            self.set_timer(self.now + delay, token);
         }
         for pkt in em.packets.drain(..) {
             // The packet's one allocation: from here to its delivery, drop,
             // blackhole or unroutable exit only this handle moves.
             let mut pkt = Box::new(pkt);
-            pkt.id = self.next_pkt_id;
-            self.next_pkt_id += 1;
             self.stats.injected_pkts += 1;
             self.stats.injected_bytes += pkt.size as u64;
+            if self.nics.is_empty() {
+                self.nics
+                    .resize_with(self.topo.n_hosts as usize, Nic::default);
+            }
+            let host = pkt.src.idx();
+            let nic = &mut self.nics[host];
+            pkt.id = (host as u64) << PKT_SEQ_BITS | nic.minted;
+            nic.minted += 1;
+            let rng = node_rng(&mut self.rngs, self.seed, host);
             // Per-host monotone release times: jitter never reorders a
             // single host's emissions.
-            if self.nic_release.is_empty() {
-                let nh = self.topo.n_hosts as usize;
-                self.nic_release = vec![SimTime::ZERO; nh];
-                self.inject_q = (0..nh).map(|_| VecDeque::new()).collect();
-            }
-            let j = SimDuration::from_nanos(self.rng.range_u64(0, HOST_JITTER_NS));
-            let host = pkt.src.idx();
-            let release = (self.now + j).max(self.nic_release[host]);
-            self.nic_release[host] = release;
-            self.inject_q[host].push_back(pkt);
-            self.events.push(release, Ev::Inject { host: host as u32 });
+            let j = SimDuration::from_nanos(rng.range_u64(0, HOST_JITTER_NS));
+            let release = (self.now + j).max(nic.release);
+            nic.release = release;
+            let id = pkt.id;
+            nic.queue.push_back(pkt);
+            self.at(release, INJECT, id, Ev::Inject { host: host as u32 });
         }
     }
 
@@ -947,9 +1015,11 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
                         return;
                     }
                     pkt.overlay = Some(Overlay::new(l, dst_leaf));
-                    let chosen =
-                        self.dataplane
-                            .leaf_ingress(l, &mut pkt, cands, self.now, &mut self.rng);
+                    let n = (self.topo.n_hosts + l.0) as usize;
+                    let rng = node_rng(&mut self.rngs, self.seed, n);
+                    let chosen = self
+                        .dataplane
+                        .leaf_ingress(l, &mut pkt, cands, self.now, rng);
                     debug_assert!(cands.contains(&chosen), "dataplane chose a non-candidate");
                     self.enqueue(chosen, pkt);
                 }
@@ -962,9 +1032,11 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
                     .dst_tep;
                 let cands = &self.fib.spine_down[s.idx()][dst_leaf.idx()];
                 if !cands.is_empty() {
-                    let chosen =
-                        self.dataplane
-                            .spine_forward(s, &mut pkt, cands, self.now, &mut self.rng);
+                    let n = (self.topo.n_hosts + self.topo.n_leaves + s.0) as usize;
+                    let rng = node_rng(&mut self.rngs, self.seed, n);
+                    let chosen = self
+                        .dataplane
+                        .spine_forward(s, &mut pkt, cands, self.now, rng);
                     debug_assert!(cands.contains(&chosen), "dataplane chose a non-candidate");
                     self.enqueue(chosen, pkt);
                     return;
@@ -1020,7 +1092,7 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
         // The port consumes the packet; capture identity first if traced.
         let (pid, flow, size) = (pkt.id, pkt.flow, pkt.size);
         let port = &mut self.ports[ch.idx()];
-        if port.folded.is_some_and(|tk| self.events.passed(tk)) {
+        if port.folded.is_some_and(|k| self.events.passed(k)) {
             // The completion fired before this event, with nothing waiting.
             port.settle();
         }
@@ -1045,10 +1117,10 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
         match outcome {
             Enqueue::StartTx => self.start_tx(ch),
             // The first packet behind a folded completion schedules it,
-            // under the key it would have had all along.
+            // under its key.
             Enqueue::Queued => {
-                if let Some(tk) = self.ports[ch.idx()].folded.take() {
-                    self.events.insert(tk, Ev::TxDone { ch });
+                if let Some(k) = self.ports[ch.idx()].folded.take() {
+                    self.events.schedule(k, Ev::TxDone { ch });
                 }
             }
             Enqueue::Dropped => {}
@@ -1057,10 +1129,8 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
 
     /// Put the head of `ch`'s queue on the wire. Its completion is an
     /// event only if another packet waits behind it; otherwise the port
-    /// keeps the completion's reserved ticket, and the completion becomes
-    /// an event only if a packet queues before its time
-    /// ([`Network::enqueue`]). Either way the ticket is reserved where the
-    /// event would be pushed, so every other event keeps its key.
+    /// keeps the completion's key, and the completion becomes an event
+    /// only if a packet queues before it ([`Network::enqueue`]).
     fn start_tx(&mut self, ch: ChannelId) {
         let (mut pkt, ser) = self.ports[ch.idx()].begin_tx(self.now);
         if self.tracer.wants_flow(pkt.flow) {
@@ -1079,10 +1149,11 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
         }
         let port = &mut self.ports[ch.idx()];
         let delay = port.delay;
+        let done = key(self.now + ser, TX_DONE, ch.0 as u64);
         if port.queued_pkts() > 0 {
-            self.events.push(self.now + ser, Ev::TxDone { ch });
+            self.events.schedule(done, Ev::TxDone { ch });
         } else {
-            port.folded = Some(self.events.reserve(self.now + ser));
+            port.folded = Some(done);
             if !port.listed {
                 port.listed = true;
                 self.folded.push(ch);
@@ -1100,7 +1171,7 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
             }
         }
         self.wire[ch.idx()].push_back((pkt, epoch));
-        self.events.push(arrival, Ev::Arrive { ch });
+        self.at(arrival, ARRIVE, ch.0 as u64, Ev::Arrive { ch });
     }
 }
 
@@ -1676,8 +1747,8 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let run = |seed: u64| -> Vec<u64> {
-            let mut net = small_net();
-            net.rng = SimRng::new(seed);
+            let topo = LeafSpineBuilder::new(2, 2, 2).build();
+            let mut net = Network::new(topo, TestEcmp, SinkAgent::default(), seed);
             for f in 0..20u32 {
                 inject(
                     &mut net,
@@ -1720,8 +1791,7 @@ mod tests {
                 }
                 _ => {}
             }
-            net.dispatch(ev);
-            net.stats.events += 1;
+            net.stats.events += net.dispatch(ev) as u64;
         }
         net.now = net.now.max(t_end);
         net.settle_folded(t_end + SimDuration::from_nanos(1));

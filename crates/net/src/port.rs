@@ -12,11 +12,11 @@
 //! bytes (see DESIGN.md §11 for the ownership rule).
 //!
 //! A serializer completion that no queued packet waits for is not an event:
-//! the engine *folds* its [`Ticket`] into the port and schedules it only
+//! the engine *folds* its [`Key`] into the port and schedules it only
 //! when a packet queues behind the one on the wire (DESIGN.md §11).
 
 use crate::packet::Packet;
-use conga_sim::{SimDuration, SimTime, Ticket};
+use conga_sim::{Key, SimDuration, SimTime};
 use conga_telemetry::MetricsRegistry;
 use std::collections::VecDeque;
 
@@ -41,11 +41,11 @@ pub struct TxPort {
     /// Queue capacity in bytes.
     pub cap: u64,
     /// Whether a packet is currently being serialized — or, while its
-    /// completion is folded, was, until the engine settles the ticket.
+    /// completion is folded, was, until the engine settles it.
     pub busy: bool,
     /// The completion of the packet on the wire while no event carries it
     /// (nothing is queued behind the packet).
-    pub(crate) folded: Option<Ticket>,
+    pub(crate) folded: Option<Key>,
     /// Whether the engine's list of ports to settle holds this one.
     pub(crate) listed: bool,
     queue: VecDeque<Box<Packet>>,

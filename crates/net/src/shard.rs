@@ -53,9 +53,10 @@
 //!   peers are descheduled for long goes to sleep. There is no wait at all
 //!   at one worker.
 //! * **Deliver.** Every worker reads all slots, derives the same bound,
-//!   and injects the lanes addressed to its own domains — sorted by
-//!   `(arrival time, channel, packet id)`, a total order — before it runs
-//!   the next window or, when the slice is over, before it returns.
+//!   and injects the lanes addressed to its own domains before it runs
+//!   the next window or, when the slice is over, before it returns. No
+//!   sort: an arrival's key names it, and a channel's mail comes from the
+//!   one domain that transmits on it, in transmission order.
 //!
 //! Slots and lanes are double-buffered by window parity. A worker that
 //! leaves wait `k` early posts window `k+1`'s mail and minimum into the
@@ -68,29 +69,30 @@
 //!
 //! ## Determinism
 //!
-//! The window schedule is a pure function of the event timeline, the
-//! injection order is sorted, and each domain is single-threaded inside a
-//! window — so the run is a pure function of `(code, seed)` and, crucially,
-//! **independent of the worker count**: there is one window loop
-//! ([`ShardedNetwork::run_until`]), every worker derives the same bound
-//! from the same per-worker minima, and a worker count only decides how
-//! many threads share the domains. The differential battery in
-//! `tests/shards.rs` pins this byte-for-byte.
+//! Each domain processes, in key order, exactly the events of the nodes
+//! it owns, under the keys the monolithic [`Network`] gives them: an event
+//! is keyed by what it is, a node draws from its own random stream, and a
+//! packet's id counts its source host's emissions. So the run is the
+//! monolithic run, whatever the partition, and **independent of the
+//! worker count**: there is one window loop ([`ShardedNetwork::run_until`]),
+//! every worker derives the same bound from the same per-worker minima,
+//! and a worker count only decides how many threads share the domains.
+//! The differential battery in `tests/shards.rs` pins this byte-for-byte,
+//! against the monolithic engine too.
 
 use crate::engine::{Dataplane, HostAgent, Network, ShardCtx};
 use crate::ids::{ChannelId, NodeId};
 use crate::packet::Packet;
 use crate::topology::Topology;
-use conga_sim::{conservative_window, SimDuration, SimRng, SimTime};
+use conga_sim::{conservative_window, SimDuration, SimTime};
 use conga_telemetry::SeriesRegistry;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 
 /// A cross-domain packet in flight between windows:
 /// `(arrival time, channel, packet, fail epoch at tx start)`. The packet
-/// is the sender's handle: outbox, lane and the sort before injection
-/// move 24-byte entries, and the receiving domain frees the allocation the
-/// sending domain made.
+/// is the sender's handle: outbox and lane move 24-byte entries, and the
+/// receiving domain frees the allocation the sending domain made.
 pub type Mail = (SimTime, ChannelId, Box<Packet>, u32);
 
 /// A value on cache lines of its own (two: adjacent lines are prefetched
@@ -256,12 +258,8 @@ impl<D: Dataplane + Send, A: HostAgent + Send> ShardedNetwork<D, A> {
     /// 4 requested workers run on 3 — so no thread ever waits for a
     /// worker that has nothing to run.
     /// `mk(d)` constructs domain `d`'s dataplane and host agent — every
-    /// domain gets an identical fresh replica.
-    ///
-    /// Per-domain determinism inputs are functions of `(seed, d)` only:
-    /// the RNG is forked from the run seed by domain index and packet ids
-    /// are minted in the disjoint range `d << 48 ..`.
-    pub fn new(
+    /// domain gets an identical fresh replica, built with the run seed.
+    pub fn partition(
         topo: &Topology,
         seed: u64,
         workers: usize,
@@ -269,8 +267,7 @@ impl<D: Dataplane + Send, A: HostAgent + Send> ShardedNetwork<D, A> {
     ) -> Self {
         let n_domains = topo.n_leaves as usize;
         assert!(n_domains >= 1, "topology has no leaves");
-        // Domain ids are u16 and packet ids are minted from `d << 48`:
-        // beyond 2^16 domains both would alias.
+        // Domain ids are u16: beyond 2^16 domains they would alias.
         assert!(
             n_domains <= 1 << 16,
             "{n_domains} leaves exceed the 65536 shard domains ids can name"
@@ -292,13 +289,10 @@ impl<D: Dataplane + Send, A: HostAgent + Send> ShardedNetwork<D, A> {
             .filter(|&(i, _)| src_domain[i] != arrive_domain[i])
             .map(|(_, c)| c.delay)
             .min();
-        let mut parent = SimRng::new(seed);
         let nets = (0..n_domains)
             .map(|d| {
                 let (dp, agent) = mk(d);
                 let mut net = Network::new(topo.clone(), dp, agent, seed);
-                net.rng = parent.fork(d as u64);
-                net.set_pkt_id_base((d as u64) << 48);
                 net.set_shard(ShardCtx {
                     id: d as u16,
                     arrive_domain: arrive_domain.clone(),
@@ -431,7 +425,7 @@ impl<D: Dataplane + Send, A: HostAgent + Send> ShardedNetwork<D, A> {
     /// publish in slot[p][w]: min(own queues' next event, arrivals just mailed)
     /// ── wait ── every slot[p] and every lane[p] of this window is written
     /// every worker computes the same bound from slot[p][..]
-    /// deliver lane[p][..][own domains], sorted, into the own event queues
+    /// deliver lane[p][..][own domains] into the own event queues
     /// stop if there is no bound; else run the window
     /// move the own outboxes into lane[1-p][w][..]
     /// ```
@@ -479,17 +473,6 @@ impl<D: Dataplane + Send, A: HostAgent + Send> ShardedNetwork<D, A> {
                     for from in 0..workers {
                         buf.append(&mut lane(parity, from, w * chunk + i));
                     }
-                    // A total order (per-channel arrival times strictly
-                    // increase), so the event-queue scheduling sequence is
-                    // independent of which worker mailed each entry and of
-                    // the sort being unstable (which, unlike the stable
-                    // one, allocates nothing). The packet is only
-                    // dereferenced to break a (time, channel) tie.
-                    buf.sort_unstable_by(|a, b| {
-                        (a.0, (a.1).0)
-                            .cmp(&(b.0, (b.1).0))
-                            .then_with(|| a.2.id.cmp(&b.2.id))
-                    });
                     for (t, ch, pkt, epoch) in buf.drain(..) {
                         net.deliver_remote(t, ch, pkt, epoch);
                     }
@@ -599,7 +582,7 @@ mod tests {
     }
 
     fn sharded(workers: usize) -> ShardedNetwork<TestEcmp, SinkAgent> {
-        ShardedNetwork::new(&topo(), 1, workers, |_| (TestEcmp, SinkAgent::default()))
+        ShardedNetwork::partition(&topo(), 1, workers, |_| (TestEcmp, SinkAgent::default()))
     }
 
     /// A delivery observation: `(time, domain, packet id, seq)`.
@@ -674,7 +657,7 @@ mod tests {
     #[test]
     fn uneven_worker_count_runs_on_the_non_empty_chunks() {
         let topo = LeafSpineBuilder::new(6, 2, 1).build();
-        let mut net = ShardedNetwork::new(&topo, 1, 4, |_| (TestEcmp, SinkAgent::default()));
+        let mut net = ShardedNetwork::partition(&topo, 1, 4, |_| (TestEcmp, SinkAgent::default()));
         assert_eq!((net.n_domains(), net.workers()), (6, 3));
         // Host h hangs off leaf h: domain 0 → domain 5 crosses the fabric.
         crate::engine::inject(
@@ -760,8 +743,10 @@ mod tests {
         }
     }
 
+    /// A packet id is its source host's, above the count of the host's
+    /// earlier emissions: the same in any domain.
     #[test]
-    fn packet_ids_are_domain_disjoint() {
+    fn packet_ids_name_their_source_host() {
         let mut net = sharded(1);
         crate::engine::inject(
             net.domain_mut(0),
@@ -774,17 +759,17 @@ mod tests {
         net.run_until(SimTime::from_millis(1));
         let a = net.domain(1).agent.received[0].1.id;
         let b = net.domain(0).agent.received[0].1.id;
-        assert_eq!(a >> 48, 0, "domain 0 mints ids in 0 << 48 ..");
-        assert_eq!(b >> 48, 1, "domain 1 mints ids in 1 << 48 ..");
+        assert_eq!(a, 0, "host 0's first packet");
+        assert_eq!(b, 2 << 40, "host 2's first packet");
     }
 
     /// A domain id narrower than the leaf count aliases: as `u8`, leaf 256
-    /// becomes domain 0, its arrivals are scheduled in the wrong replica
-    /// and its packet ids collide with domain 0's.
+    /// becomes domain 0 and its arrivals are scheduled in the wrong
+    /// replica.
     #[test]
     fn domains_above_256_leaves_do_not_alias() {
         let topo = LeafSpineBuilder::new(257, 1, 1).build();
-        let mut net = ShardedNetwork::new(&topo, 1, 1, |_| (TestEcmp, SinkAgent::default()));
+        let mut net = ShardedNetwork::partition(&topo, 1, 1, |_| (TestEcmp, SinkAgent::default()));
         assert_eq!(net.n_domains(), 257);
         let into_leaf_256 = topo
             .channels
@@ -800,7 +785,7 @@ mod tests {
             .expect("leaf 256 has an outbound channel");
         assert_eq!(net.tx_domain(ChannelId(from_leaf_256 as u32)), 256);
         // Host h hangs off leaf h. One packet each way between the first
-        // and the last domain: both arrive, with ids from disjoint bases.
+        // and the last domain: both arrive, each with its host's id.
         crate::engine::inject(
             net.domain_mut(0),
             Packet::data(0, 0, 7, HostId(0), HostId(256), 0, 100, SimTime::ZERO),
@@ -813,8 +798,8 @@ mod tests {
         let at_256 = &net.domain(256).agent.received;
         let at_0 = &net.domain(0).agent.received;
         assert_eq!((at_256.len(), at_0.len()), (1, 1));
-        assert_eq!(at_256[0].1.id >> 48, 0, "minted by domain 0");
-        assert_eq!(at_0[0].1.id >> 48, 256, "minted by domain 256");
+        assert_eq!(at_256[0].1.id >> 40, 0, "sent by host 0");
+        assert_eq!(at_0[0].1.id >> 40, 256, "sent by host 256");
     }
 
     #[test]
@@ -825,7 +810,7 @@ mod tests {
         let run = |workers: usize| {
             let topo = TopologyBuilder::three_tier(2, 2, 2, 2, 2).build();
             let mut net =
-                ShardedNetwork::new(&topo, 1, workers, |_| (TestEcmp, SinkAgent::default()));
+                ShardedNetwork::partition(&topo, 1, workers, |_| (TestEcmp, SinkAgent::default()));
             for f in 0..30u32 {
                 let pkt = Packet::data(
                     f,
@@ -924,18 +909,17 @@ mod tests {
     }
 
     /// A packet that reaches a port at exactly the time the port's
-    /// serializer completes queues behind the packet on the wire when its
-    /// arrival sorts before the completion's ticket (so the completion
-    /// becomes an event), and finds the port idle and starts at once when
-    /// it sorts after (the completion fired folded). The second packet
-    /// arrives on host 3's access channel at leaf 1, bound for host 2
-    /// behind the first; its arrival is scheduled before the first one is
-    /// dispatched, or after. Both orders, on the monolithic engine and on
-    /// two domains, deliver at the same times and count the same
-    /// `events + tx_done_folded`; before the second arrival is scheduled,
-    /// `peek_time` reports the folded completion.
+    /// serializer completes queues behind the packet on the wire: an
+    /// arrival sorts before a completion at the same time, so the folded
+    /// completion becomes an event. The second packet arrives on host 3's
+    /// access channel at leaf 1, bound for host 2 behind the first; its
+    /// arrival is scheduled before the first one is dispatched, or after.
+    /// Both orders, on the monolithic engine and on two domains, deliver
+    /// at the same times and count the same `events + tx_done_folded`;
+    /// before the second arrival is scheduled, `peek_time` reports the
+    /// folded completion.
     #[test]
-    fn a_packet_at_the_completion_time_queues_or_starts_by_key_order() {
+    fn a_packet_at_the_completion_time_queues_by_key_order() {
         let topo = topo();
         let fib = topo.fib();
         let (up3, down2) = (fib.host_access[3], fib.host_down[2]);
@@ -963,11 +947,7 @@ mod tests {
         };
         for before in [true, false] {
             // (events, folded) once `done` is dispatched, then at the end.
-            let want = if before {
-                [(3, 0), (5, 1)]
-            } else {
-                [(2, 1), (4, 2)]
-            };
+            let want = [(3, 0), (5, 1)];
 
             let mut net = Network::new(topo.clone(), TestEcmp, SinkAgent::default(), 1);
             net.deliver_remote(SimTime::ZERO, up3, pkt(0), 0);
@@ -992,7 +972,8 @@ mod tests {
             assert_eq!(rx, want_rx, "monolithic, before={before}");
 
             // Leaf 1 and hosts 2 and 3 are domain 1.
-            let mut run = ShardedNetwork::new(&topo, 1, 1, |_| (TestEcmp, SinkAgent::default()));
+            let mut run =
+                ShardedNetwork::partition(&topo, 1, 1, |_| (TestEcmp, SinkAgent::default()));
             run.domain_mut(1)
                 .deliver_remote(SimTime::ZERO, up3, pkt(0), 0);
             if before {

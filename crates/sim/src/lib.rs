@@ -21,7 +21,7 @@ mod rng;
 mod time;
 mod window;
 
-pub use queue::{EventQueue, QueueKind, Ticket, TicketBlock};
+pub use queue::{EventQueue, Key, QueueKind};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
 pub use window::conservative_window;

@@ -1,12 +1,16 @@
-//! The future-event list: a time-ordered priority queue with stable ordering.
+//! The future-event list: a time-ordered priority queue with a total order.
 //!
 //! Determinism is a hard requirement for this project (every figure must be
-//! exactly reproducible from a seed), so ties in event time are broken by a
-//! monotonically increasing sequence number: events scheduled earlier fire
-//! earlier. `std::collections::BinaryHeap` alone is not stable, hence the
-//! explicit `(time, seq)` key.
+//! exactly reproducible from a seed), so every event carries a [`Key`]:
+//! its time, then a `tie` that orders events at the same time. A caller
+//! that keys its events itself ([`EventQueue::schedule`]) gets an order
+//! that does not depend on when anything was pushed; the engine keys each
+//! event by what it is (DESIGN.md §11). [`EventQueue::push`] gives the tie
+//! out in push order instead (FIFO among equal times); one queue uses one
+//! of the two. `std::collections::BinaryHeap` alone is not stable, hence
+//! the explicit key.
 //!
-//! Two backends implement the same `(time, seq)` contract:
+//! Two backends implement the same `(time, tie)` contract:
 //!
 //! * [`QueueKind::Heap`] — a `BinaryHeap<Reverse<Scheduled>>`; `O(log n)`
 //!   push/pop, the reference implementation.
@@ -25,17 +29,8 @@
 //! The two are observationally identical — `tests::calendar_matches_heap`
 //! (sparse, adversarial) and `tests::dense_calendar_matches_heap` (hundreds
 //! of events per bucket, far denser than the packet workloads) drive both
-//! with seeded workloads and assert identical pop sequences.
-//!
-//! A key can be taken before its event exists: [`EventQueue::reserve`]
-//! hands out the [`Ticket`] a `push` at that time would have been given,
-//! and [`EventQueue::insert`] schedules an event under it later — or
-//! never, if the caller finds out in time that dispatching it would have
-//! done nothing. Either way every other event keeps the sequence number,
-//! and so the order, it would have had. [`EventQueue::reserve_block`] takes
-//! `n` consecutive keys in one call, for a chain of events whose times are
-//! not known yet: [`TicketBlock::ticket`] names the `j`-th of them once its
-//! time is.
+//! with seeded caller-keyed workloads, equal-time events pushed in shuffled
+//! order, and assert that both pop in `(time, tie)` order.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
@@ -44,15 +39,14 @@ use std::collections::binary_heap::{BinaryHeap, PeekMut};
 /// A scheduled entry in the future-event list.
 #[derive(Debug)]
 struct Scheduled<E> {
-    time: SimTime,
-    seq: u64,
+    key: Key,
     event: E,
 }
 
-// Ordering is on (time, seq) only; the payload is irrelevant.
+// Ordering is on the key only; the payload is irrelevant.
 impl<E> PartialEq for Scheduled<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.key == other.key
     }
 }
 impl<E> Eq for Scheduled<E> {}
@@ -63,49 +57,22 @@ impl<E> PartialOrd for Scheduled<E> {
 }
 impl<E> Ord for Scheduled<E> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
+        self.key.cmp(&other.key)
     }
 }
 
-/// The `(time, seq)` key of an event: where it sorts in the queue.
-///
-/// Keys order by time, then by sequence number, and no two are equal. A
-/// ticket from [`EventQueue::reserve`] is a key no event holds yet.
+/// Where an event sorts in the queue: by time, then by `tie`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub struct Ticket {
+pub struct Key {
     /// When the event fires.
     pub time: SimTime,
-    seq: u64,
-}
-
-/// `n` consecutive sequence numbers taken by [`EventQueue::reserve_block`]:
-/// the keys `n` pushes in a row would have been given, whatever their
-/// times.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TicketBlock {
-    base: u64,
-    len: u64,
-}
-
-impl TicketBlock {
-    /// The key of the `j`-th of the `n` pushes, made at `time`.
-    #[inline]
-    pub fn ticket(&self, j: usize, time: SimTime) -> Ticket {
-        assert!(
-            (j as u64) < self.len,
-            "ticket {j} of a block of {}",
-            self.len
-        );
-        Ticket {
-            time,
-            seq: self.base + j as u64,
-        }
-    }
+    /// Orders events at the same time.
+    pub tie: u64,
 }
 
 /// Which future-event-list implementation a queue uses.
 ///
-/// Both kinds implement the identical stable `(time, seq)` ordering;
+/// Both kinds implement the identical `(time, tie)` ordering;
 /// the choice is purely a performance knob and must never change a
 /// simulation artifact (see `tests/hotpath.rs`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -140,7 +107,7 @@ const CAL_YEAR: u64 = (CAL_BUCKETS as u64) << CAL_SHIFT;
 /// rewind); the eligibility check in [`Calendar::seek`] skips those.
 #[derive(Debug)]
 struct Calendar<E> {
-    /// Ring of buckets, each sorted descending by `(time, seq)` so the
+    /// Ring of buckets, each sorted descending by key so the
     /// minimum is `last()` and pop is `Vec::pop`.
     buckets: Vec<Vec<Scheduled<E>>>,
     /// Occupancy bitmap: bit `b & 63` of `occ[b >> 6]` set iff bucket
@@ -183,20 +150,19 @@ impl<E> Calendar<E> {
     }
 
     fn insert_near(&mut self, s: Scheduled<E>) {
-        let b = ((s.time.as_nanos() >> CAL_SHIFT) & CAL_MASK) as usize;
+        let b = ((s.key.time.as_nanos() >> CAL_SHIFT) & CAL_MASK) as usize;
         let v = &mut self.buckets[b];
         if v.capacity() == 0 {
             if let Some(buf) = self.spare.pop() {
                 *v = buf;
             }
         }
-        // Descending by (time, seq): find the first element strictly
-        // smaller and insert before it. Pushes trend later-in-time and a
-        // later key sorts toward the *front*, so the typical insert lands
-        // near index 0 and the memmove shifts most of the bucket — the
-        // price of keeping the minimum at `last()` for an O(1) pop.
-        let key = (s.time, s.seq);
-        let i = v.partition_point(|x| (x.time, x.seq) > key);
+        // Descending by key: find the first element strictly smaller and
+        // insert before it. Pushes trend later-in-time and a later key
+        // sorts toward the *front*, so the typical insert lands near index
+        // 0 and the memmove shifts most of the bucket — the price of
+        // keeping the minimum at `last()` for an O(1) pop.
+        let i = v.partition_point(|x| x.key > s.key);
         v.insert(i, s);
         self.occ[b >> 6] |= 1 << (b & 63);
         self.top |= 1 << (b >> 6);
@@ -204,7 +170,7 @@ impl<E> Calendar<E> {
     }
 
     fn push(&mut self, s: Scheduled<E>) {
-        let t = s.time.as_nanos();
+        let t = s.key.time.as_nanos();
         if t < self.epoch + ((self.cur as u64) << CAL_SHIFT) {
             // Behind the scan (e.g. scheduled after a peek advanced it):
             // rewind so the forward scan sees this event first.
@@ -240,7 +206,7 @@ impl<E> Calendar<E> {
     fn migrate_far(&mut self) {
         let horizon = self.epoch + CAL_YEAR;
         while let Some(Reverse(s)) = self.far.peek() {
-            if s.time.as_nanos() >= horizon {
+            if s.key.time.as_nanos() >= horizon {
                 break;
             }
             let Reverse(s) = self.far.pop().expect("peeked");
@@ -256,6 +222,7 @@ impl<E> Calendar<E> {
             .peek()
             .expect("fast_forward needs far events")
             .0
+            .key
             .time
             .as_nanos();
         self.epoch = t & !(CAL_YEAR - 1);
@@ -278,7 +245,8 @@ impl<E> Calendar<E> {
                 // Eligible only if the bucket's minimum falls inside the
                 // bucket's window for the scan's current year; an entry
                 // for a later year (bucketed before a rewind) waits.
-                let min_t = self.buckets[b].last().expect("occupied").time.as_nanos();
+                let min_t = self.buckets[b].last().expect("occupied").key.time;
+                let min_t = min_t.as_nanos();
                 if min_t < self.epoch + ((b as u64 + 1) << CAL_SHIFT) {
                     self.cur = b;
                     return Some(b);
@@ -301,7 +269,7 @@ impl<E> Calendar<E> {
     fn pop_if(&mut self, ok: impl FnOnce(SimTime) -> bool) -> Option<Scheduled<E>> {
         let b = self.seek()?;
         let v = &mut self.buckets[b];
-        if !ok(v.last().expect("seek found an occupied bucket").time) {
+        if !ok(v.last().expect("seek found an occupied bucket").key.time) {
             return None;
         }
         let s = v.pop().expect("seek found an occupied bucket");
@@ -318,7 +286,7 @@ impl<E> Calendar<E> {
 
     fn peek_time(&mut self) -> Option<SimTime> {
         let b = self.seek()?;
-        Some(self.buckets[b].last().expect("occupied").time)
+        Some(self.buckets[b].last().expect("occupied").key.time)
     }
 
     fn clear(&mut self) {
@@ -345,11 +313,12 @@ enum Backend<E> {
 
 /// A deterministic future-event list.
 ///
-/// Events popped from the queue are non-decreasing in time; equal-time events
-/// come out in the order they were pushed (FIFO among ties).
+/// Events popped from the queue are non-decreasing in time. Equal-time
+/// events come out in `tie` order: the caller's own key under
+/// [`EventQueue::schedule`], push order (FIFO) under [`EventQueue::push`].
 ///
 /// ```
-/// use conga_sim::{EventQueue, SimTime};
+/// use conga_sim::{EventQueue, Key, SimTime};
 ///
 /// let mut q = EventQueue::new();
 /// q.push(SimTime::from_nanos(20), "b");
@@ -358,16 +327,23 @@ enum Backend<E> {
 /// assert_eq!(q.pop(), Some((SimTime::from_nanos(10), "a")));
 /// assert_eq!(q.pop(), Some((SimTime::from_nanos(20), "b")));
 /// assert_eq!(q.pop(), Some((SimTime::from_nanos(20), "c")));
+///
+/// let t = SimTime::from_nanos(30);
+/// q.schedule(Key { time: t, tie: 2 }, "late");
+/// q.schedule(Key { time: t, tie: 1 }, "early");
+/// assert_eq!(q.pop(), Some((t, "early")));
+/// assert_eq!(q.pop(), Some((t, "late")));
 /// assert_eq!(q.pop(), None);
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
     backend: Backend<E>,
+    /// The tie the next [`EventQueue::push`] gives its event.
     next_seq: u64,
     /// Total number of events ever pushed (for engine statistics).
     pushed: u64,
     /// Key of the most recently popped event.
-    popped: Ticket,
+    popped: Key,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -395,12 +371,11 @@ impl<E> EventQueue<E> {
         };
         EventQueue {
             backend,
-            // From 1, so every key sorts after the initial `popped`.
-            next_seq: 1,
+            next_seq: 0,
             pushed: 0,
-            popped: Ticket {
+            popped: Key {
                 time: SimTime::ZERO,
-                seq: 0,
+                tie: 0,
             },
         }
     }
@@ -413,63 +388,39 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Schedule `event` to fire at `time`.
+    /// Schedule `event` to fire at `time`, after every event pushed at the
+    /// same time before it.
     #[inline]
     pub fn push(&mut self, time: SimTime, event: E) {
-        let ticket = self.reserve(time);
-        self.schedule(ticket, event);
-    }
-
-    /// Take the key a [`EventQueue::push`] at `time` would give its event,
-    /// without scheduling anything yet.
-    #[inline]
-    pub fn reserve(&mut self, time: SimTime) -> Ticket {
-        let seq = self.next_seq;
+        let tie = self.next_seq;
         self.next_seq += 1;
-        Ticket { time, seq }
+        self.schedule(Key { time, tie }, event);
     }
 
-    /// Take the sequence numbers of `n` pushes in a row, to be given times
-    /// and events later with [`TicketBlock::ticket`] and
-    /// [`EventQueue::insert`].
-    pub fn reserve_block(&mut self, n: usize) -> TicketBlock {
-        let base = self.next_seq;
-        self.next_seq += n as u64;
-        TicketBlock {
-            base,
-            len: n as u64,
-        }
-    }
-
-    /// Schedule `event` under a reserved key. It pops exactly where a
-    /// `push` at reservation time would have, which requires that no event
-    /// sorting after the key has been popped yet.
+    /// Schedule `event` under a key of the caller's. Two events under one
+    /// key pop in an unspecified order between them.
     #[inline]
-    pub fn insert(&mut self, ticket: Ticket, event: E) {
-        debug_assert!(!self.passed(ticket), "inserted behind the last pop");
-        self.schedule(ticket, event);
-    }
-
-    #[inline]
-    fn schedule(&mut self, ticket: Ticket, event: E) {
+    pub fn schedule(&mut self, key: Key, event: E) {
         self.pushed += 1;
-        let s = Scheduled {
-            time: ticket.time,
-            seq: ticket.seq,
-            event,
-        };
+        let s = Scheduled { key, event };
         match &mut self.backend {
             Backend::Heap(h) => h.push(Reverse(s)),
             Backend::Calendar(c) => c.push(s),
         }
     }
 
-    /// Whether the event order has gone past `ticket`: the most recently
-    /// popped event sorts after it, so an event inserted under it would
+    /// Whether the event order has gone past `key`: the most recently
+    /// popped event sorts after it, so an event scheduled under it would
     /// already have fired.
     #[inline]
-    pub fn passed(&self, ticket: Ticket) -> bool {
-        ticket < self.popped
+    pub fn passed(&self, key: Key) -> bool {
+        key < self.popped
+    }
+
+    /// The key of the most recently popped event.
+    #[inline]
+    pub fn last_popped(&self) -> Key {
+        self.popped
     }
 
     /// Remove and return the earliest event, if any.
@@ -497,18 +448,15 @@ impl<E> EventQueue<E> {
         let s = match &mut self.backend {
             Backend::Heap(h) => {
                 let top = h.peek_mut()?;
-                if !ok(top.0.time) {
+                if !ok(top.0.key.time) {
                     return None;
                 }
                 PeekMut::pop(top).0
             }
             Backend::Calendar(c) => c.pop_if(ok)?,
         };
-        self.popped = Ticket {
-            time: s.time,
-            seq: s.seq,
-        };
-        Some((s.time, s.event))
+        self.popped = s.key;
+        Some((s.key.time, s.event))
     }
 
     /// The time of the earliest pending event, if any.
@@ -518,7 +466,7 @@ impl<E> EventQueue<E> {
     #[inline]
     pub fn peek_time(&mut self) -> Option<SimTime> {
         match &mut self.backend {
-            Backend::Heap(h) => h.peek().map(|Reverse(s)| s.time),
+            Backend::Heap(h) => h.peek().map(|Reverse(s)| s.key.time),
             Backend::Calendar(c) => c.peek_time(),
         }
     }
@@ -681,7 +629,7 @@ mod tests {
 
     /// The calendar backend crosses year boundaries (262 us) and parks
     /// far-future events in its overflow heap; both paths must preserve
-    /// the global (time, seq) order.
+    /// the global key order.
     #[test]
     fn calendar_handles_year_crossings_and_far_events() {
         let mut q = EventQueue::with_kind(QueueKind::Calendar, 0);
@@ -700,80 +648,63 @@ mod tests {
         assert_eq!(q.pop(), None);
     }
 
-    /// Seeded adversarial workload: interleaved pushes (always at or
-    /// after the last popped time, as the engine guarantees) and pops,
-    /// with heavy tie density and occasional multi-year jumps. The
-    /// calendar must reproduce the heap's pop sequence exactly.
-    ///
-    /// A third of the keys are reserved instead of pushed and inserted
-    /// later, or never: `eager` pushes every one of them at reservation
-    /// time, and both backends must pop each inserted event exactly where
-    /// `eager` does. An event of `eager` whose ticket is still pending when
-    /// it pops is one the other two never see (the caller folded it), and
-    /// from then on both report its ticket as passed.
-    ///
-    /// Some pushes are instead a chain of events with non-decreasing times,
-    /// the way a run's start timers are: `eager` pushes the whole chain at
-    /// once, the other two reserve its keys with one `reserve_block` and
-    /// hold only the next link, inserted under its ticket when the one
-    /// before it pops.
+    /// The tie of the `id`-th event of a test: a bijection of `id` that
+    /// scrambles its order, so equal-time events are pushed in an order
+    /// unrelated to the order they must pop in.
+    fn scrambled(id: u64) -> u64 {
+        id.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    }
+
+    /// Seeded adversarial workload of caller-keyed events: interleaved
+    /// schedules (always at or after the last popped time, as the engine
+    /// guarantees) and pops, bursts of equal-time events under scrambled
+    /// ties, and occasional multi-year jumps. At every pop both backends
+    /// must hand out the minimum of a reference ordered set, and `passed`
+    /// must say exactly which keys sort before the last pop.
     #[test]
     fn calendar_matches_heap() {
-        type Chains = Vec<(TicketBlock, Vec<(SimTime, u64)>)>;
-        /// After `popped` pops: if it is a chain link, queue the next one.
-        /// Returns whether it did.
-        fn follow(
-            popped: Option<(SimTime, u64)>,
-            [heap, cal]: [&mut EventQueue<u64>; 2],
-            chains: &Chains,
-            link_of: &std::collections::HashMap<u64, (usize, usize)>,
-        ) -> bool {
-            let Some(&(c, j)) = popped.and_then(|(_, e)| link_of.get(&e)) else {
-                return false;
-            };
-            let (block, links) = &chains[c];
-            let Some(&(t, e)) = links.get(j + 1) else {
-                return false;
-            };
-            heap.insert(block.ticket(j + 1, t), e);
-            cal.insert(block.ticket(j + 1, t), e);
-            true
-        }
         let mut rng = SimRng::new(0xCA1E_50DA);
-        let mut eager = EventQueue::with_kind(QueueKind::Heap, 0);
         let mut heap = EventQueue::with_kind(QueueKind::Heap, 0);
         let mut cal = EventQueue::with_kind(QueueKind::Calendar, 0);
-        let mut pending: Vec<(Ticket, u64)> = Vec::new();
-        let mut lapsed: Vec<Ticket> = Vec::new();
-        // Per chain: its block and its links' (time, id); by link id: the
-        // chain and the index of the link.
-        let mut chains: Chains = Vec::new();
-        let mut link_of: std::collections::HashMap<u64, (usize, usize)> = Default::default();
+        let mut pending: std::collections::BTreeSet<(Key, u64)> = Default::default();
         let (mut now, mut id) = (0u64, 0u64);
-        let (mut inserted, mut folded, mut linked) = (0, 0, 0);
-        // One pop from each queue, skipping `eager`'s events that lapsed.
-        let pop_all = |eager: &mut EventQueue<u64>,
-                       heap: &mut EventQueue<u64>,
+        let mut last: Option<(Key, u64)> = None;
+        let mut against_push_order = 0;
+        let mut pop = |heap: &mut EventQueue<u64>,
                        cal: &mut EventQueue<u64>,
-                       pending: &mut Vec<(Ticket, u64)>,
-                       lapsed: &mut Vec<Ticket>| {
-            let want = loop {
-                let got = eager.pop();
-                let Some((_, e)) = got else { break None };
-                match pending.iter().position(|&(_, p)| p == e) {
-                    Some(i) => lapsed.push(pending.swap_remove(i).0),
-                    None => break got,
-                }
-            };
+                       pending: &mut std::collections::BTreeSet<(Key, u64)>| {
+            let want = pending.pop_first();
             let (a, b) = (heap.pop(), cal.pop());
-            assert_eq!(a, want, "heap left the eager order");
-            assert_eq!(b, want, "calendar left the eager order");
-            want
+            assert_eq!(a, want.map(|(k, e)| (k.time, e)), "heap left the key order");
+            assert_eq!(b, a, "calendar left the key order");
+            let (key, e) = want?;
+            for q in [&*heap, &*cal] {
+                assert_eq!(q.last_popped(), key);
+                assert!(!q.passed(key));
+                if key.tie > 0 {
+                    let before = Key {
+                        tie: key.tie - 1,
+                        ..key
+                    };
+                    assert!(q.passed(before));
+                }
+                if let Some(&(next, _)) = pending.first() {
+                    assert!(!q.passed(next), "a pending key passed");
+                }
+            }
+            if let Some((k, prev)) = last {
+                if k.time == key.time && e < prev {
+                    against_push_order += 1;
+                }
+            }
+            last = Some((key, e));
+            Some(key.time)
         };
         for _ in 0..30_000 {
             match rng.u64() % 7 {
-                // Push or reserve: mostly near-future, sometimes far
-                // (RTO-like), often exactly `now` to stress tie-breaking.
+                // Schedule a burst of one to four events at one time:
+                // mostly near-future, sometimes far (RTO-like), often
+                // exactly `now` to stress the tie order.
                 0..=3 => {
                     let dt = match rng.u64() % 10 {
                         0 => 0,
@@ -781,83 +712,33 @@ mod tests {
                         7 | 8 => rng.u64() % 300_000,
                         _ => rng.u64() % 50_000_000,
                     };
-                    let t = SimTime::from_nanos(now + dt);
-                    eager.push(t, id);
-                    if rng.u64().is_multiple_of(3) {
-                        let tk = heap.reserve(t);
-                        assert_eq!(cal.reserve(t), tk);
-                        pending.push((tk, id));
-                    } else {
-                        heap.push(t, id);
-                        cal.push(t, id);
+                    let time = SimTime::from_nanos(now + dt);
+                    for _ in 0..1 + rng.u64() % 4 {
+                        let key = Key {
+                            time,
+                            tie: scrambled(id),
+                        };
+                        heap.schedule(key, id);
+                        cal.schedule(key, id);
+                        pending.insert((key, id));
+                        id += 1;
                     }
-                    id += 1;
-                }
-                4 if rng.u64().is_multiple_of(8) => {
-                    // A chain of 1..=16 links starting at or after `now`,
-                    // some of them tied.
-                    let n = 1 + (rng.u64() % 16) as usize;
-                    let mut t = now + rng.u64() % 3_000;
-                    let links: Vec<(SimTime, u64)> = (0..n)
-                        .map(|j| {
-                            t += [0, rng.u64() % 700, rng.u64() % 400_000][j % 3];
-                            let link = (SimTime::from_nanos(t), id);
-                            eager.push(link.0, id);
-                            link_of.insert(id, (chains.len(), j));
-                            id += 1;
-                            link
-                        })
-                        .collect();
-                    let block = heap.reserve_block(n);
-                    assert_eq!(cal.reserve_block(n), block);
-                    heap.insert(block.ticket(0, links[0].0), links[0].1);
-                    cal.insert(block.ticket(0, links[0].0), links[0].1);
-                    chains.push((block, links));
-                }
-                4 if !pending.is_empty() => {
-                    let i = (rng.u64() % pending.len() as u64) as usize;
-                    let (tk, e) = pending.swap_remove(i);
-                    heap.insert(tk, e);
-                    cal.insert(tk, e);
-                    inserted += 1;
                 }
                 _ => {
-                    let got = pop_all(&mut eager, &mut heap, &mut cal, &mut pending, &mut lapsed);
-                    if let Some((t, _)) = got {
+                    if let Some(t) = pop(&mut heap, &mut cal, &mut pending) {
                         now = t.as_nanos();
                     }
-                    linked += follow(got, [&mut heap, &mut cal], &chains, &link_of) as usize;
                 }
             }
-            assert_eq!(heap.len(), cal.len());
-            let unlinked: usize = chains.iter().map(|(_, l)| l.len()).sum::<usize>() - linked;
-            assert_eq!(
-                eager.len(),
-                heap.len() + pending.len() + unlinked - chains.len()
-            );
+            assert_eq!(heap.len(), pending.len());
+            assert_eq!(cal.len(), pending.len());
             assert_eq!(heap.peek_time(), cal.peek_time());
-            for &(tk, _) in &pending {
-                assert!(!heap.passed(tk) && !cal.passed(tk), "pending ticket passed");
-            }
-            for tk in lapsed.drain(..) {
-                assert!(
-                    heap.passed(tk) && cal.passed(tk),
-                    "lapsed ticket not passed"
-                );
-                folded += 1;
-            }
         }
-        loop {
-            let got = pop_all(&mut eager, &mut heap, &mut cal, &mut pending, &mut lapsed);
-            if got.is_none() {
-                break;
-            }
-            linked += follow(got, [&mut heap, &mut cal], &chains, &link_of) as usize;
-        }
-        assert!(pending.is_empty() && eager.is_empty() && heap.is_empty());
+        while pop(&mut heap, &mut cal, &mut pending).is_some() {}
+        assert!(heap.is_empty() && cal.is_empty());
         assert!(
-            inserted > 1000 && folded > 1000 && linked > 1000,
-            "{inserted} inserted, {folded} folded, {linked} linked"
+            against_push_order > 1000,
+            "{against_push_order} equal-time pops against push order"
         );
     }
 
@@ -868,16 +749,21 @@ mod tests {
     /// hands its buffer on), timers a fraction of a year, more than a year
     /// and many years out, and pushes behind a scan that a peek or a
     /// refused fused pop has already advanced. Every time is a multiple of
-    /// the bucket width `W`, so the geometry follows the constant.
-    /// `reference` only ever does `peek_time` then `pop`; the other two
-    /// use the fused pops and must agree with it.
+    /// the bucket width `W`, so the geometry follows the constant. Events
+    /// are keyed with scrambled ties. `reference` only ever does
+    /// `peek_time` then `pop`; the other two use the fused pops and must
+    /// agree with it.
     #[test]
     fn dense_calendar_matches_heap() {
         const W: u64 = 1 << CAL_SHIFT;
         const LEADS: [u64; 4] = [W / 12, W * 3 / 10, W * 6 / 5, W * 5];
         fn push_all(qs: &mut [EventQueue<u64>; 3], id: &mut u64, t: u64) {
+            let key = Key {
+                time: SimTime::from_nanos(t),
+                tie: scrambled(*id),
+            };
             for q in qs.iter_mut() {
-                q.push(SimTime::from_nanos(t), *id);
+                q.schedule(key, *id);
             }
             *id += 1;
         }

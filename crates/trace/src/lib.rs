@@ -501,6 +501,11 @@ struct Recorder {
     next_seq: u64,
     dropped: u64,
     records: VecDeque<TraceRecord>,
+    /// The tie of the key of the event each record was emitted under,
+    /// beside `records` (see [`TraceHandle::at_event`]).
+    ties: VecDeque<u64>,
+    /// The tie of the event being processed.
+    tie: u64,
 }
 
 impl Recorder {
@@ -518,6 +523,7 @@ impl Recorder {
             }
             if self.records.len() >= cap {
                 self.records.pop_front();
+                self.ties.pop_front();
                 self.dropped += 1;
             }
         }
@@ -526,6 +532,7 @@ impl Recorder {
             t: now,
             event,
         });
+        self.ties.push_back(self.tie);
         self.next_seq += 1;
     }
 }
@@ -576,26 +583,32 @@ impl TraceHandle {
             next_seq: 0,
             dropped: 0,
             records: VecDeque::new(),
+            ties: VecDeque::new(),
+            tie: 0,
         }))))
     }
 
     /// Deterministically merge per-shard trace streams into one handle.
     ///
-    /// Records are ordered by `(time, shard index, shard-local seq)` and
-    /// renumbered from zero; eviction counts sum. Because each shard's
-    /// stream is itself a pure function of `(code, seed, config)` — the
-    /// shard schedule does not depend on the worker count — the merged
-    /// stream is byte-stable for any `--shards N`.
+    /// Records are ordered by the key of the event that emitted them —
+    /// time, then the event's tie — and, within one event, in emission
+    /// order; then renumbered from zero, and eviction counts sum. An event
+    /// is processed in one shard and events are keyed by what they are,
+    /// so the merged stream is the one a single recorder of the whole
+    /// fabric writes, whatever the partition or worker count.
     pub fn merged(cfg: TraceConfig, parts: &[TraceHandle]) -> TraceHandle {
-        let mut all: Vec<(u64, usize, TraceRecord)> = Vec::new();
+        let mut all: Vec<(u64, u64, TraceRecord)> = Vec::new();
         let mut dropped = 0u64;
-        for (idx, part) in parts.iter().enumerate() {
-            dropped += part.dropped();
-            for rec in part.records() {
-                all.push((rec.t.as_nanos(), idx, rec));
+        for part in parts {
+            let Some(r) = &part.0 else { continue };
+            let r = lock(r);
+            dropped += r.dropped;
+            for (rec, &tie) in r.records.iter().zip(&r.ties) {
+                all.push((rec.t.as_nanos(), tie, rec.clone()));
             }
         }
-        all.sort_by_key(|a| (a.0, a.1, a.2.seq));
+        // Stable: a part's records of one event stay in emission order.
+        all.sort_by_key(|a| (a.0, a.1));
         // Re-apply the ring bound to the *merged* stream: each shard kept
         // its own newest `cap` records, so the union can exceed the cap —
         // evict the oldest of the union, exactly as one recorder would have.
@@ -606,6 +619,7 @@ impl TraceHandle {
                 all.drain(..evict);
             }
         }
+        let ties = all.iter().map(|a| a.1).collect();
         let records: VecDeque<TraceRecord> = all
             .into_iter()
             .enumerate()
@@ -620,7 +634,17 @@ impl TraceHandle {
             next_seq,
             dropped,
             records,
+            ties,
+            tie: 0,
         }))))
+    }
+
+    /// Name the event whose processing emits what follows, by the tie of
+    /// its queue key: [`TraceHandle::merged`] orders records by it.
+    pub fn at_event(&self, tie: u64) {
+        if let Some(r) = &self.0 {
+            lock(r).tie = tie;
+        }
     }
 
     /// Whether any recording is active. Call sites for events without a

@@ -15,10 +15,11 @@ use crate::tcp::{Lia, Segment, TcpRx, TcpTx};
 use conga_net::{
     flow_tuple_hash, Emitter, HostAgent, HostId, Packet, PacketKind, SackBlocks, WIRE_OVERHEAD,
 };
-use conga_sim::{SimDuration, SimTime, TicketBlock};
+use conga_sim::{SimDuration, SimTime};
 use conga_telemetry::{MetricsRegistry, SeriesRegistry};
 use conga_trace::{TraceEvent, TraceHandle};
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 /// Which transport a flow uses.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -71,27 +72,21 @@ impl FlowRecord {
 
 /// An open-loop workload: a pre-materialized list of arrivals.
 pub struct ListSource {
-    items: std::vec::IntoIter<(SimDuration, FlowSpec)>,
+    items: Vec<(SimDuration, FlowSpec)>,
 }
 
 impl ListSource {
-    /// Wrap a list of `(inter-arrival gap, spec)` pairs.
+    /// Wrap a list of `(inter-arrival gap, spec)` pairs: each flow starts
+    /// its gap after the one before it, the first one after time zero.
     pub fn new(items: Vec<(SimDuration, FlowSpec)>) -> Self {
-        ListSource {
-            items: items.into_iter(),
-        }
-    }
-
-    /// The next arrival: delay after the *previous* arrival, plus the spec.
-    /// `None` ends the workload.
-    fn next_flow(&mut self) -> Option<(SimDuration, FlowSpec)> {
-        self.items.next()
+        ListSource { items }
     }
 }
 
 // ---- timer token layout -----------------------------------------------
-// [63:28] flow | [27:12] subflow | [3:0] kind
-const KIND_ARRIVAL: u64 = 0;
+// [60:28] flow | [27:12] subflow | [3:0] kind. A token is its timer's key
+// among equal-time events: a subflow keeps at most one RTO and one pace
+// timer pending, and a flow one start.
 const KIND_RTO: u64 = 1;
 /// Activation timer of a registered flow, set in its sender's domain only
 /// (see [`TransportLayer::attach_schedule`] and
@@ -278,9 +273,6 @@ pub struct TransportLayer {
     activated: u64,
     /// The shared schedule flows are registered from, if one is attached.
     attached: Option<Attached>,
-    source: Option<Box<ListSource>>,
-    /// Spec pulled from the source, waiting for its arrival timer to fire.
-    pending_first: Option<FlowSpec>,
     /// Structured event tracing (cwnd moves, fast retransmits, RTOs);
     /// disabled by default.
     tracer: TraceHandle,
@@ -292,13 +284,9 @@ pub struct TransportLayer {
 
 /// An attached [`Schedule`] and this stack's place in it.
 struct Attached {
-    schedule: std::sync::Arc<Schedule>,
+    schedule: Arc<Schedule>,
     /// The domain this stack runs in: it starts the flows sent from it.
     domain: u16,
-    /// The keys of its start timers, one per flow it starts, in order.
-    tickets: TicketBlock,
-    /// Start timers set so far.
-    started: usize,
 }
 
 impl TransportLayer {
@@ -308,22 +296,27 @@ impl TransportLayer {
         Self::default()
     }
 
-    /// Attach an arrival source. The caller must kick it off by scheduling
-    /// the first arrival: `net.schedule_timer(delay0, 0)` where `delay0`
-    /// comes from the first `next_flow()` call — or more simply via
-    /// [`TransportLayer::begin_source`]. Boxed because `congabench`'s
-    /// replay passes `Box::new(ListSource::new(..))`; the box is stored as
-    /// it comes.
+    /// Run an arrival list on a monolithic network: the whole fabric is
+    /// one domain, which starts every flow of the list as a one-domain
+    /// [`Schedule`]. Kick it off with [`TransportLayer::begin_source`].
+    /// Boxed because `congabench`'s replay passes
+    /// `Box::new(ListSource::new(..))`.
+    #[allow(clippy::boxed_local)]
     pub fn attach_source(&mut self, source: Box<ListSource>) {
-        self.source = Some(source);
+        let mut t = SimTime::ZERO;
+        let starts = source.items.iter().map(|&(gap, spec)| {
+            t += gap;
+            (t, spec)
+        });
+        self.attach(Arc::new(Schedule::new(starts, 1, |_| 0)), 0);
     }
 
-    /// Pull the first arrival's delay so the engine can schedule it
-    /// (token 0 = arrival timer). Returns `None` for an empty workload.
+    /// The delay from time zero to the first flow's start timer, and its
+    /// token, for the caller to schedule (`net.schedule_timer(delay,
+    /// token)`); every start sets the next one. `None` for an empty list.
     pub fn begin_source(&mut self) -> Option<(SimDuration, u64)> {
-        let (delay, spec) = self.source.as_mut()?.next_flow()?;
-        self.pending_first = Some(spec);
-        Some((delay, token(0, 0, KIND_ARRIVAL)))
+        let first = self.attached.as_ref()?.schedule.flows.first()?;
+        Some((first.start - SimTime::ZERO, Self::start_token(0)))
     }
 
     /// Number of flows started so far.
@@ -379,18 +372,15 @@ impl TransportLayer {
     /// every domain attaches the same schedule. Nothing is registered
     /// here: a flow is registered, with every flow before it so that ids
     /// stay aligned across domains, when this domain's start timer for it
-    /// fires or when its first packet lands here. `tickets` holds the keys
-    /// of this domain's start timers, one per flow `domain` starts (the
-    /// count [`Schedule::local`] gives), reserved where pushing them all now
-    /// would have put them; only the next one is ever set, and each sets
-    /// its successor when it fires (the first one is set into `em` here).
-    pub fn attach_schedule(
-        &mut self,
-        schedule: std::sync::Arc<Schedule>,
-        domain: usize,
-        tickets: TicketBlock,
-        em: &mut Emitter,
-    ) {
+    /// fires or when its first packet lands here. Only the next start
+    /// timer is ever set, and each sets its successor when it fires (the
+    /// first one is set into `em` here, at time zero).
+    pub fn attach_schedule(&mut self, schedule: Arc<Schedule>, domain: usize, em: &mut Emitter) {
+        self.attach(schedule, domain);
+        self.set_next_start(0, SimTime::ZERO, em);
+    }
+
+    fn attach(&mut self, schedule: Arc<Schedule>, domain: usize) {
         assert!(
             self.flows.is_empty() && self.attached.is_none(),
             "a schedule is attached to a fresh stack"
@@ -402,29 +392,22 @@ impl TransportLayer {
         self.flows.reserve_exact(schedule.len());
         self.kinds.clone_from(&schedule.kinds);
         // Counted up front, as if every local flow were registered now.
-        self.tx_subflows = schedule.local(domain).1;
+        self.tx_subflows = schedule.local(domain);
         self.attached = Some(Attached {
             schedule,
             domain: domain as u16,
-            tickets,
-            started: 0,
         });
-        self.set_next_start(0, em);
     }
 
-    /// Set the start timer of the first flow from `from` on that this
-    /// domain starts, under its reserved key.
-    fn set_next_start(&mut self, from: usize, em: &mut Emitter) {
-        let Some(p) = &mut self.attached else { return };
+    /// At `now`, set the start timer of the first flow from `from` on that
+    /// this domain starts.
+    fn set_next_start(&self, from: usize, now: SimTime, em: &mut Emitter) {
+        let Some(p) = &self.attached else { return };
         let flows = &p.schedule.flows;
         let rest = flows.get(from..).unwrap_or_default();
         if let Some(k) = rest.iter().position(|f| f.tx_domain == p.domain) {
             let id = from + k;
-            em.set_timer_under(
-                p.tickets.ticket(p.started, flows[id].start),
-                Self::start_token(id),
-            );
-            p.started += 1;
+            em.set_timer(flows[id].start - now, Self::start_token(id));
         }
     }
 
@@ -1045,19 +1028,6 @@ impl HostAgent for TransportLayer {
 
     fn on_timer(&mut self, t: u64, now: SimTime, em: &mut Emitter) {
         let (flow, sub, kind) = untoken(t);
-        if kind == KIND_ARRIVAL {
-            // Start the pending flow, then schedule the next arrival.
-            if let Some(spec) = self.pending_first.take() {
-                self.start_flow(spec, now, em);
-            }
-            if let Some(src) = self.source.as_mut() {
-                if let Some((delay, spec)) = src.next_flow() {
-                    self.pending_first = Some(spec);
-                    em.set_timer(delay, token(0, 0, KIND_ARRIVAL));
-                }
-            }
-            return;
-        }
         if kind == KIND_START {
             self.register_through(flow);
         }
@@ -1130,7 +1100,7 @@ impl HostAgent for TransportLayer {
             }
             KIND_START => {
                 self.activate(flow, now, em);
-                self.set_next_start(flow + 1, em);
+                self.set_next_start(flow + 1, now, em);
             }
             _ => {}
         }

@@ -43,25 +43,25 @@ pub struct Schedule {
     pub(crate) flows: Vec<Planned>,
     /// The distinct transports, interned (a run has a handful).
     pub(crate) kinds: Vec<TransportKind>,
-    /// Per domain: the flows it starts and the subflows they run.
-    local: Vec<(usize, u64)>,
+    /// Per domain: the subflows of the flows it starts.
+    local: Vec<u64>,
 }
 
 impl Schedule {
     /// The schedule of `arrivals`, whose start times must not decrease,
     /// over `n_domains` domains; `domain_of` names the domain of a host.
     pub fn new(
-        arrivals: &[(SimTime, FlowSpec)],
+        arrivals: impl IntoIterator<Item = (SimTime, FlowSpec)>,
         n_domains: usize,
         domain_of: impl Fn(HostId) -> usize,
     ) -> Self {
         assert!(n_domains <= 1 << 16, "{n_domains} domains exceed u16");
         let mut kinds: Vec<TransportKind> = Vec::new();
-        let mut local = vec![(0, 0); n_domains];
+        let mut local = vec![0; n_domains];
         let mut last = SimTime::ZERO;
         let flows = arrivals
-            .iter()
-            .map(|&(start, spec)| {
+            .into_iter()
+            .map(|(start, spec)| {
                 assert!(start >= last, "arrivals out of start order");
                 last = start;
                 // Arrivals repeat the last kind, so the search is one
@@ -74,8 +74,7 @@ impl Schedule {
                     }
                 };
                 let tx_domain = domain_of(spec.src);
-                local[tx_domain].0 += 1;
-                local[tx_domain].1 += crate::layer::n_subflows(&spec.kind) as u64;
+                local[tx_domain] += crate::layer::n_subflows(&spec.kind) as u64;
                 Planned {
                     start,
                     bytes: spec.bytes,
@@ -113,8 +112,8 @@ impl Schedule {
         self.flows.iter().map(|p| p.start)
     }
 
-    /// Flows started by `domain`'s start timers, and the subflows they run.
-    pub fn local(&self, domain: usize) -> (usize, u64) {
+    /// The subflows of the flows `domain`'s start timers start.
+    pub fn local(&self, domain: usize) -> u64 {
         self.local[domain]
     }
 }

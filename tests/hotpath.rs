@@ -75,7 +75,7 @@ fn artifacts_match_pre_optimisation_goldens() {
 }
 
 /// The calendar event queue must be observationally identical to the
-/// binary heap: same `(time, seq)` pop order, therefore byte-identical
+/// binary heap: same `(time, tie)` pop order, therefore byte-identical
 /// RunReport and trace JSONL on the same seeded cell.
 #[test]
 fn queue_kinds_are_equivalent() {

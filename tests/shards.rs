@@ -4,20 +4,205 @@
 //! in conservative time windows; `--shards N` only chooses how many worker
 //! threads execute that fixed schedule. The contract pinned here: for any
 //! shard count, the artifacts — RunReport JSON, the FCT summary/sample
-//! sidecar values, and the trace JSONL/Chrome exports — are **byte
-//! identical** to the single-threaded run. This is the tier-1 gate that
+//! sidecar values, the series, and the trace JSONL/Chrome exports — are
+//! **byte identical** to the single-threaded run, and to the monolithic
+//! engine, the whole fabric as one domain. This is the tier-1 gate that
 //! lets `shards` stay out of every scenario hash.
 
 use conga::core::FabricPolicy;
 use conga::experiments::{
-    build_testbed, run_dynamic_failure, run_fct_with_policy, DynFailSpec, FctRun, Scheme,
-    ShardedRun, TestbedOpts,
+    build_testbed, merged_arrivals, run_dynamic_failure, run_fct_with_policy, uniform_arrivals,
+    DynFailSpec, FctRun, LinkFaultSpec, Scheme, ShardedRun, TestbedOpts,
 };
-use conga::net::LeafId;
-use conga::sim::{QueueKind, SimDuration, SimTime};
-use conga::trace::TraceConfig;
-use conga::transport::{FlowSpec, TcpConfig, TransportKind};
-use conga::workloads::FlowSizeDist;
+use conga::net::{ChannelId, CoreId, LeafId, Link, Network, NodeId, SpineId, Topology};
+use conga::sim::{QueueKind, SimDuration, SimRng, SimTime};
+use conga::telemetry::{RunReport, SeriesRegistry};
+use conga::trace::{TraceConfig, TraceHandle};
+use conga::transport::{FlowSpec, ListSource, TcpConfig, TransportKind, TransportLayer};
+use conga::workloads::{FlowSizeDist, PoissonPlan};
+
+/// A run's inputs, for the monolithic and the sharded engine alike.
+struct Cell {
+    topo: Topology,
+    policy: FabricPolicy,
+    seed: u64,
+    starts: Vec<(SimTime, FlowSpec)>,
+    faults: Vec<LinkFaultSpec>,
+    /// Channels sampled every 10 ms.
+    sampled: Vec<ChannelId>,
+}
+
+const SAMPLE_EVERY: SimDuration = SimDuration::from_millis(10);
+const TRACE_ALL: TraceConfig = TraceConfig {
+    flows: None,
+    ring: None,
+};
+
+impl Cell {
+    /// The quick two-tier testbed under `policy`, `n` flows each way at
+    /// 50 % load, with leaf 1 – spine 1 failing at 2 ms and recovering at
+    /// 6 ms.
+    fn two_tier(policy: FabricPolicy, n: usize) -> Cell {
+        let topo = build_testbed(TestbedOpts::paper_baseline().quick());
+        let (a, b) = (topo.hosts_under(LeafId(0)), topo.hosts_under(LeafId(1)));
+        let dist = FlowSizeDist::enterprise();
+        let plan = PoissonPlan::generate(&dist, 8, 8, 80_000_000_000, 0.5, n, &mut SimRng::new(3));
+        let tcp = TransportKind::Tcp(TcpConfig::standard());
+        let link = Link::new(NodeId::Leaf(LeafId(1)), NodeId::Spine(SpineId(1)), 0);
+        Cell {
+            sampled: topo.fib().leaf_uplinks[0].clone(),
+            starts: absolute(merged_arrivals(&plan, &a, &b, |_| tcp)),
+            faults: vec![
+                LinkFaultSpec::fail(SimTime::from_millis(2), link),
+                LinkFaultSpec::recover(SimTime::from_millis(6), link),
+            ],
+            topo,
+            policy,
+            seed: 7,
+        }
+    }
+
+    /// `three_tier(2, 2, 2, 2, 4)` under CONGA, 60 uniform flows, with
+    /// spine 0 – core 0 failing at 1 ms and recovering at 4 ms.
+    fn three_tier() -> Cell {
+        let topo = build_testbed(TestbedOpts::three_tier(2, 2, 2, 2, 4));
+        let tcp = TransportKind::Tcp(TcpConfig::standard());
+        let dist = FlowSizeDist::enterprise();
+        let arrivals = uniform_arrivals(
+            &dist,
+            &topo,
+            80_000_000_000,
+            0.4,
+            60,
+            &mut SimRng::new(4),
+            tcp,
+        );
+        let link = Link::new(NodeId::Spine(SpineId(0)), NodeId::Core(CoreId(0)), 0);
+        Cell {
+            sampled: topo.fib().leaf_uplinks[0].clone(),
+            starts: absolute(arrivals),
+            faults: vec![
+                LinkFaultSpec::fail(SimTime::from_millis(1), link),
+                LinkFaultSpec::recover(SimTime::from_millis(4), link),
+            ],
+            topo,
+            policy: FabricPolicy::conga(),
+            seed: 9,
+        }
+    }
+
+    /// Report JSON, series JSONL and trace JSONL of the cell run on the
+    /// monolithic engine, fed the way `congabench`'s replay feeds it.
+    fn monolithic(&self) -> [String; 3] {
+        let agent = TransportLayer::new();
+        let mut net = Network::new(self.topo.clone(), self.policy.clone(), agent, self.seed);
+        let tracer = TraceHandle::recording(TRACE_ALL);
+        net.set_tracer(tracer.clone());
+        for f in &self.faults {
+            net.schedule_link(f.at, f.link, f.up);
+        }
+        let mut prev = SimTime::ZERO;
+        let gaps = self.starts.iter().map(|&(t, spec)| {
+            let gap = t - prev;
+            prev = t;
+            (gap, spec)
+        });
+        net.agent
+            .attach_source(Box::new(ListSource::new(gaps.collect())));
+        if let Some((delay, token)) = net.agent.begin_source() {
+            net.schedule_timer(delay, token);
+        }
+        net.enable_sampling(self.sampled.clone(), SAMPLE_EVERY);
+        while net.agent.completed_rx < self.starts.len() && net.now() < SimTime::from_secs(2) {
+            net.run_until(net.now() + SimDuration::from_millis(5));
+        }
+        let mut report = RunReport::new();
+        net.export_metrics(&mut report.metrics);
+        let mut series = SeriesRegistry::disabled();
+        series.merge_domain(&net.series);
+        let trace = TraceHandle::merged(TRACE_ALL, &[tracer]);
+        [report.to_json(), series.to_jsonl(), jsonl(trace)]
+    }
+
+    /// The same on a `ShardedRun` of per-leaf domains on `workers`.
+    fn sharded(&self, workers: usize) -> [String; 3] {
+        let mut run = ShardedRun::new(
+            &self.topo,
+            self.policy.clone(),
+            self.seed,
+            workers,
+            QueueKind::Calendar,
+            None,
+            Some(&TRACE_ALL),
+            &self.faults,
+            &[],
+            &self.starts,
+        );
+        let owner: Vec<usize> = self.sampled.iter().map(|&c| run.net.tx_domain(c)).collect();
+        run.net.each(|d, n| {
+            let own = self.sampled.iter().zip(&owner).filter(|&(_, &o)| o == d);
+            n.enable_sampling(own.map(|(&c, _)| c).collect(), SAMPLE_EVERY);
+        });
+        while run.completed_rx() < self.starts.len() && run.net.now() < SimTime::from_secs(2) {
+            run.net
+                .run_until(run.net.now() + SimDuration::from_millis(5));
+        }
+        let mut report = RunReport::new();
+        run.net.export_metrics(&mut report.metrics);
+        let trace = run.merged_trace().expect("tracing was requested");
+        [
+            report.to_json(),
+            run.net.export_series().to_jsonl(),
+            jsonl(trace),
+        ]
+    }
+
+    /// Every run of the cell — monolithic, and sharded on 1, 2 and 3
+    /// workers — and what each left behind.
+    fn assert_partition_free(&self, what: &str) {
+        let whole = self.monolithic();
+        assert!(
+            whole[0].contains("\"net.fault_transitions\": 4"),
+            "{what}: no fault fired"
+        );
+        assert!(whole[2].lines().count() > 1000, "{what}: a thin trace");
+        for workers in [1, 2, 3] {
+            let got = self.sharded(workers);
+            for (i, kind) in ["report", "series", "trace"].iter().enumerate() {
+                assert!(
+                    got[i] == whole[i],
+                    "{what}: the {kind} on {workers} workers is not the monolithic one"
+                );
+            }
+        }
+    }
+}
+
+/// Gap-encoded arrivals as start times.
+fn absolute(arrivals: Vec<(SimDuration, FlowSpec)>) -> Vec<(SimTime, FlowSpec)> {
+    let mut t = SimTime::ZERO;
+    let abs = arrivals.into_iter().map(|(gap, spec)| {
+        t += gap;
+        (t, spec)
+    });
+    abs.collect()
+}
+
+fn jsonl(trace: TraceHandle) -> String {
+    trace.export_jsonl().expect("an enabled handle")
+}
+
+/// The identity the engine is built on: a run is a function of its inputs
+/// only, not of how the fabric is cut into domains or how many threads run
+/// them. A two-tier CONGA cell with a leaf–spine fail/recover and a
+/// three-tier cell with a spine–core fault, on the monolithic engine and
+/// on per-leaf domains at 1, 2 and 3 workers: the same report, series and
+/// trace, byte for byte.
+#[test]
+fn a_run_does_not_depend_on_its_partition() {
+    Cell::two_tier(FabricPolicy::conga(), 40).assert_partition_free("two-tier");
+    Cell::three_tier().assert_partition_free("three-tier");
+}
 
 /// A small traced FCT cell on the quick baseline testbed (2 leaf domains).
 fn fct_cell(shards: usize) -> FctRun {
@@ -193,7 +378,8 @@ fn a_flow_started_mid_run_matches_one_registered_up_front() {
 }
 
 /// Every fabric policy survives the differential (the shard barrier must
-/// not interact with any dataplane's feedback or flowlet state).
+/// not interact with any dataplane's feedback or flowlet state), and runs
+/// on per-leaf domains exactly as on the monolithic engine.
 #[test]
 fn every_policy_is_shard_count_invariant() {
     for (name, mk) in FabricPolicy::zoo() {
@@ -204,6 +390,12 @@ fn every_policy_is_shard_count_invariant() {
         let a = run_fct_with_policy(&serial, mk()).report.to_json();
         let b = run_fct_with_policy(&sharded, mk()).report.to_json();
         assert!(a == b, "policy {name}: report diverged under --shards 2");
+        let cell = Cell::two_tier(mk(), 12);
+        let whole = cell.monolithic();
+        assert!(
+            cell.sharded(2) == whole,
+            "policy {name}: the sharded run is not the monolithic one"
+        );
     }
 }
 
