@@ -54,8 +54,8 @@ pub struct FlowletStats {
 ///
 /// The slots are allocated by the first [`FlowletTable::lookup`] or
 /// [`FlowletTable::commit`], not by `new`: a fabric model builds one table
-/// per leaf, and a leaf that sources no traffic — every leaf but its own in
-/// a shard domain's replica — never pays the megabyte.
+/// per leaf, and a leaf that sources no traffic — every leaf outside its
+/// own group in a shard domain's replica — never pays the megabyte.
 #[derive(Clone, Debug)]
 pub struct FlowletTable {
     /// Empty until first touched, then `mask + 1` slots.

@@ -16,7 +16,7 @@
 //!
 //! Both allocate their cells when the first metric is stored, not in
 //! `new`: a fabric model builds the pair for every leaf, and in a shard
-//! domain's replica every leaf but the domain's own never stores one. An
+//! domain's replica a leaf outside the domain's group never stores one. An
 //! empty table reads exactly like one whose cells are all invalid.
 
 use conga_sim::{SimDuration, SimTime};

@@ -374,10 +374,9 @@ pub struct FctRun {
     /// both kinds are observationally identical (`tests/hotpath.rs`) —
     /// so it is deliberately *not* part of the cell's scenario hash.
     pub queue: QueueKind,
-    /// Worker threads for the sharded engine. Purely a performance knob,
-    /// exactly like `queue`: the run is always domain-decomposed (one
-    /// domain per leaf) and the conservative-window schedule is
-    /// independent of how many threads execute it, so it is deliberately
+    /// Worker threads for the sharded engine, one leaf-group domain each.
+    /// Purely a performance knob, exactly like `queue`: a run's bytes do
+    /// not depend on how the fabric is partitioned, so it is deliberately
     /// *not* part of the cell's scenario hash. `tests/shards.rs` pins
     /// byte-identical artifacts across shard counts.
     pub shards: usize,
@@ -715,9 +714,10 @@ impl Engine<'_> {
     }
 }
 
-/// A domain-decomposed simulation run: one replicated
-/// [`conga_net::Network`] per leaf domain, coordinated by
-/// [`ShardedNetwork`]'s conservative-window barrier.
+/// A domain-decomposed simulation run: one [`conga_net::Network`] per
+/// worker, each owning a contiguous group of leaves, coordinated by
+/// [`ShardedNetwork`]'s conservative-window barrier. At one worker it is
+/// the monolithic engine, one network over the whole fabric.
 ///
 /// Every domain sees the identical configuration (queue kind, fault
 /// schedule, flow schedule) so that replica state stays in lock-step;
@@ -766,7 +766,7 @@ impl ShardedRun {
         let schedule = Arc::new(Schedule::new(
             arrivals.iter().copied(),
             net.n_domains(),
-            |h| topo.leaf_of(h).idx(),
+            |h| net.host_domain(h),
         ));
         let mut tracer_parts = Vec::new();
         net.each(|d, n| {
@@ -805,9 +805,10 @@ impl ShardedRun {
     pub fn start_flow(&mut self, at: SimTime, spec: FlowSpec) -> usize {
         assert!(at >= self.net.now(), "a flow cannot start in the past");
         let mut id = 0;
+        let src_d = self.net.host_domain(spec.src);
         self.net.each(|d, n| {
             n.agent.register_schedule();
-            let tx_local = n.topo.leaf_of(spec.src).idx() == d;
+            let tx_local = d == src_d;
             id = n.agent.preregister(spec, at, tx_local);
             if tx_local {
                 n.schedule_timer(at - n.now(), TransportLayer::start_token(id));
@@ -865,8 +866,8 @@ impl ShardedRun {
     /// Flow records with sender-side counters from the sender's domain and
     /// `rx_done` taken from the receiver's domain: the schedule's flows,
     /// then those [`Self::start_flow`] added (which every domain holds).
-    /// Kept for `congabench`'s stage-by-stage replay of [`run_fct`], its
-    /// one caller.
+    /// The fabric argument is unused: it keeps the signature `congabench`'s
+    /// stage-by-stage replay of [`run_fct`] compiles against.
     pub fn merged_records(&self, topo: &Topology) -> Vec<FlowRecord> {
         let n = self
             .schedule
@@ -879,13 +880,14 @@ impl ShardedRun {
     /// with `rx_done` merged from the receiver's domain. The completion
     /// drain uses this to consume completions incrementally without
     /// materializing the full record list. A flow that has not arrived
-    /// yet reads as planned, with no `rx_done`.
-    pub fn merged_record(&self, topo: &Topology, i: usize) -> FlowRecord {
+    /// yet reads as planned, with no `rx_done`. The fabric argument is
+    /// unused, as in [`Self::merged_records`].
+    pub fn merged_record(&self, _topo: &Topology, i: usize) -> FlowRecord {
         let known = |d: usize| self.net.domain(d).agent.records.get(i).copied();
         let planned = self.schedule.record(i).or_else(|| known(0));
         let planned = planned.expect("no such flow");
-        let src_d = topo.leaf_of(planned.src).idx();
-        let dst_d = topo.leaf_of(planned.dst).idx();
+        let src_d = self.net.host_domain(planned.src);
+        let dst_d = self.net.host_domain(planned.dst);
         let mut r = known(src_d).unwrap_or(planned);
         if dst_d != src_d {
             r.rx_done = known(dst_d).and_then(|r| r.rx_done);
@@ -909,7 +911,7 @@ impl ShardedRun {
             .sum()
     }
 
-    /// The raw per-domain trace recorders (one per leaf domain, empty when
+    /// The raw per-domain trace recorders (one per domain, empty when
     /// tracing is off) — the property battery inspects these for
     /// within-shard event ordering before any merge.
     pub fn trace_parts(&self) -> &[TraceHandle] {

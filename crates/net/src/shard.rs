@@ -1,26 +1,35 @@
-//! Sharded execution: one simulation partitioned by leaf domain, advanced
-//! in conservative time windows with a barrier exchange of cross-domain
-//! packets.
+//! Sharded execution: one simulation partitioned into leaf-group domains,
+//! one per worker thread, advanced in conservative time windows with a
+//! barrier exchange of cross-domain packets.
 //!
 //! ## Decomposition
 //!
-//! A run over a fabric is split into `n_leaves` *domains*. Domain `d`
-//! owns leaf `d`, every host under it, and a fixed share of the upper
-//! tiers: spines round-robin over the leaves *of their own pod* (which in
-//! a two-tier fabric reduces exactly to `spine % n_leaves`), and core
-//! switches round-robin over all leaves (spines and cores are stateless
-//! ECMP hops plus their DREs, so any fixed assignment works). Each domain
-//! holds a **full replica** of
-//! the [`crate::Network`] over the same topology — same FIB, same fault
-//! schedule — but with a [`ShardCtx`] mask: it only ever *transmits* on
-//! channels whose source node it owns, and an owned channel whose
-//! destination lies in another domain diverts its arrival into an outbox
-//! instead of the local event queue.
+//! A run on `workers` threads is split into `n = min(workers, n_leaves)`
+//! *domains* (fewer when the groups come out uneven: 6 leaves on 4
+//! workers are 3 groups of 2). The leaves are dealt into contiguous groups
+//! of `⌈n_leaves / n⌉`, and domain `d` owns leaf group `d`, every host
+//! under it, and a fixed share of the upper tiers: a spine goes with the
+//! leaf its pod-local index picks among its own pod's leaves (which in a
+//! two-tier fabric reduces to leaf `spine % n_leaves`), and core switches
+//! round-robin over the domains (spines and cores are stateless ECMP hops
+//! plus their DREs, so any fixed assignment works). Leaves are numbered
+//! pod-major, so on a three-tier fabric whose pods divide evenly among
+//! the workers a domain is a run of whole pods and only spine–core
+//! channels cross domains.
+//!
+//! One domain is the monolithic engine: a [`crate::Network`] with no
+//! [`ShardCtx`] and no lookahead, so a `run_until` slice is one window.
+//! With more, each domain holds a **full replica** of the [`crate::Network`]
+//! over the same topology — same FIB, same fault schedule — but with a
+//! [`ShardCtx`] mask: it only ever *transmits* on channels whose source
+//! node it owns, and an owned channel whose destination lies in another
+//! domain diverts its arrival into an outbox instead of the local event
+//! queue.
 //!
 //! Replication is what keeps the dataplane logic untouched: leaf `l`'s
 //! congestion tables and flowlet state are only ever exercised by events
-//! processed in domain `l`, spine DREs only in the spine's domain, and the
-//! replica counters elsewhere stay zero — so summing per-domain metric
+//! processed in `l`'s domain, spine DREs only in the spine's domain, and
+//! the replica counters elsewhere stay zero — so summing per-domain metric
 //! registries reproduces the monolithic totals exactly.
 //!
 //! ## Conservative windows
@@ -34,13 +43,13 @@
 //!
 //! ## One wait per window
 //!
-//! Worker `w` owns the `w`-th chunk of domains. A window is: run the
-//! chunk's domains up to the bound, *post*, wait once, *deliver*.
+//! Worker `w` runs domain `w`. A window is: run the domain up to the
+//! bound, *post*, wait once, *deliver*.
 //!
-//! * **Post.** The worker moves its domains' outboxes into *lanes*, one
-//!   `Mutex<Vec<Mail>>` per `(parity, source worker, destination domain)`,
+//! * **Post.** The worker moves its domain's outbox into *lanes*, one
+//!   `Mutex<Vec<Mail>>` per `(parity, source domain, destination domain)`,
 //!   and publishes in its *slot* the earliest time it knows of: the
-//!   minimum over its own queues' next events and the arrivals it has just
+//!   minimum over its own queue's next event and the arrivals it has just
 //!   mailed. The mail is not in any event queue yet, but the minimum over
 //!   all slots is exactly what the minimum over all queues will be once it
 //!   is, so the bound can be derived before anything is delivered and the
@@ -53,7 +62,7 @@
 //!   peers are descheduled for long goes to sleep. There is no wait at all
 //!   at one worker.
 //! * **Deliver.** Every worker reads all slots, derives the same bound,
-//!   and injects the lanes addressed to its own domains before it runs
+//!   and injects the lanes addressed to its own domain before it runs
 //!   the next window or, when the slice is over, before it returns. No
 //!   sort: an arrival's key names it, and a channel's mail comes from the
 //!   one domain that transmits on it, in transmission order.
@@ -73,15 +82,13 @@
 //! it owns, under the keys the monolithic [`Network`] gives them: an event
 //! is keyed by what it is, a node draws from its own random stream, and a
 //! packet's id counts its source host's emissions. So the run is the
-//! monolithic run, whatever the partition, and **independent of the
-//! worker count**: there is one window loop ([`ShardedNetwork::run_until`]),
-//! every worker derives the same bound from the same per-worker minima,
-//! and a worker count only decides how many threads share the domains.
-//! The differential battery in `tests/shards.rs` pins this byte-for-byte,
-//! against the monolithic engine too.
+//! monolithic run, whatever the partition — and so whatever the worker
+//! count, which is all that picks the partition. The differential battery
+//! in `tests/shards.rs` pins this byte-for-byte at whole-fabric, leaf-group
+//! and per-leaf partitions, against the monolithic engine too.
 
 use crate::engine::{Dataplane, HostAgent, Network, ShardCtx};
-use crate::ids::{ChannelId, NodeId};
+use crate::ids::{ChannelId, HostId, NodeId};
 use crate::packet::Packet;
 use crate::topology::Topology;
 use conga_sim::{conservative_window, SimDuration, SimTime};
@@ -197,66 +204,65 @@ impl Rendezvous {
 /// One worker's buffers, kept between windows and between `run_until`
 /// calls so that a steady-state window allocates nothing.
 struct Scratch {
-    /// Mail in hand: the chunk's drained outboxes on the way out, one
-    /// domain's collected lanes on the way in.
+    /// Mail in hand: the domain's drained outbox on the way out, its
+    /// collected lanes on the way in.
     buf: Vec<Mail>,
     /// The outgoing mail sorted by destination domain, so that each lane
     /// is locked once per window rather than once per packet.
     by_domain: Vec<Vec<Mail>>,
 }
 
-/// Domain that owns a node: hosts and leaves by leaf index, spines
-/// round-robin across the leaves of their own pod, cores round-robin
-/// across all leaves.
-fn domain_of(topo: &Topology, node: NodeId) -> u16 {
-    match node {
-        NodeId::Host(h) => topo.leaf_of(h).0 as u16,
-        NodeId::Leaf(l) => l.0 as u16,
+/// Domain that owns a node when the leaves are dealt into `n_domains`
+/// contiguous groups of `group`: hosts and leaves by their leaf's group,
+/// spines with a leaf of their own pod, cores round-robin across the
+/// domains.
+fn domain_of(topo: &Topology, group: usize, n_domains: usize, node: NodeId) -> u16 {
+    let leaf = match node {
+        NodeId::Host(h) => topo.leaf_of(h).idx(),
+        NodeId::Leaf(l) => l.idx(),
         NodeId::Spine(s) => {
             // Pod-local round-robin: spine with pod-local index `sl` in pod
-            // `p` lands on leaf `p*leaves_per_pod + sl % leaves_per_pod`.
-            // With n_pods == 1 this is exactly the historical
-            // `spine % n_leaves` assignment, so two-tier runs keep their
-            // byte-identical domain decomposition.
+            // `p` goes with leaf `p*leaves_per_pod + sl % leaves_per_pod`,
+            // which with one pod is leaf `spine % n_leaves`.
             let lpp = topo.leaves_per_pod().max(1);
             let spp = topo.spines_per_pod().max(1);
-            let pod = s.0 / spp;
-            let sl = s.0 % spp;
-            (pod * lpp + sl % lpp) as u16
+            (s.0 / spp * lpp + s.0 % spp % lpp) as usize
         }
-        NodeId::Core(c) => (c.0 as usize % topo.n_leaves as usize) as u16,
-    }
+        NodeId::Core(c) => return (c.idx() % n_domains) as u16,
+    };
+    (leaf / group) as u16
 }
 
-/// A simulation partitioned into per-leaf domains that advance in
-/// conservative windows, exchanging cross-domain packets between them.
+/// A simulation partitioned into leaf-group domains, one per worker
+/// thread, that advance in conservative windows, exchanging cross-domain
+/// packets between them.
 ///
-/// The domain decomposition is fixed by the topology (`n_leaves` domains,
-/// always); the `workers` knob only chooses how many OS threads execute
-/// the windows. Artifacts are therefore byte-identical for every worker
-/// count by construction — which is why `--shards` is excluded from
+/// The worker count picks the partition and the partition changes no
+/// byte (see the module docs), which is why `--shards` is excluded from
 /// scenario hashes.
 pub struct ShardedNetwork<D: Dataplane, A: HostAgent> {
     nets: Vec<Network<D, A>>,
-    /// Mail between windows, `[parity][source worker][destination domain]`
+    /// Mail between windows, `[parity][source domain][destination domain]`
     /// flattened; empty outside `run_until`.
     lanes: Vec<Mutex<Vec<Mail>>>,
-    /// One per worker.
+    /// One per domain, and so per worker.
     scratch: Vec<Scratch>,
     arrive_domain: Vec<u16>,
     src_domain: Vec<u16>,
+    /// Leaves per domain (the last domain may have fewer).
+    group: usize,
     lookahead: Option<SimDuration>,
-    workers: usize,
     now: SimTime,
 }
 
 impl<D: Dataplane + Send, A: HostAgent + Send> ShardedNetwork<D, A> {
-    /// Partition `topo` into `n_leaves` domains executed by up to
-    /// `workers` threads (0 means 1). Domains are dealt in equal
-    /// contiguous chunks of `ceil(n_leaves / workers)`, and the number of
-    /// chunks that come out non-empty *is* the worker count — 6 leaves on
-    /// 4 requested workers run on 3 — so no thread ever waits for a
-    /// worker that has nothing to run.
+    /// Partition `topo` into one domain per worker (0 workers means 1, and
+    /// more than `n_leaves` mean `n_leaves`), each a contiguous group of
+    /// `ceil(n_leaves / workers)` leaves. The groups that come out
+    /// non-empty are the domains *and* the workers — 6 leaves on 4
+    /// requested workers run as 3 domains on 3 threads — so no thread ever
+    /// waits for a worker that has nothing to run. A single domain is the
+    /// monolithic engine: it gets no shard mask.
     /// `mk(d)` constructs domain `d`'s dataplane and host agent — every
     /// domain gets an identical fresh replica, built with the run seed.
     pub fn partition(
@@ -265,23 +271,18 @@ impl<D: Dataplane + Send, A: HostAgent + Send> ShardedNetwork<D, A> {
         workers: usize,
         mut mk: impl FnMut(usize) -> (D, A),
     ) -> Self {
-        let n_domains = topo.n_leaves as usize;
-        assert!(n_domains >= 1, "topology has no leaves");
+        let n_leaves = topo.n_leaves as usize;
+        assert!(n_leaves >= 1, "topology has no leaves");
+        let group = n_leaves.div_ceil(workers.clamp(1, n_leaves));
+        let n_domains = n_leaves.div_ceil(group);
         // Domain ids are u16: beyond 2^16 domains they would alias.
         assert!(
             n_domains <= 1 << 16,
-            "{n_domains} leaves exceed the 65536 shard domains ids can name"
+            "{n_domains} domains exceed the 65536 ids can name"
         );
-        let arrive_domain: Vec<u16> = topo
-            .channels
-            .iter()
-            .map(|c| domain_of(topo, c.dst))
-            .collect();
-        let src_domain: Vec<u16> = topo
-            .channels
-            .iter()
-            .map(|c| domain_of(topo, c.src))
-            .collect();
+        let of = |node| domain_of(topo, group, n_domains, node);
+        let arrive_domain: Vec<u16> = topo.channels.iter().map(|c| of(c.dst)).collect();
+        let src_domain: Vec<u16> = topo.channels.iter().map(|c| of(c.src)).collect();
         let lookahead = topo
             .channels
             .iter()
@@ -293,23 +294,23 @@ impl<D: Dataplane + Send, A: HostAgent + Send> ShardedNetwork<D, A> {
             .map(|d| {
                 let (dp, agent) = mk(d);
                 let mut net = Network::new(topo.clone(), dp, agent, seed);
-                net.set_shard(ShardCtx {
-                    id: d as u16,
-                    arrive_domain: arrive_domain.clone(),
-                    owns_tx: src_domain.iter().map(|&s| s as usize == d).collect(),
-                    outbox: Vec::new(),
-                });
+                if n_domains > 1 {
+                    net.set_shard(ShardCtx {
+                        id: d as u16,
+                        arrive_domain: arrive_domain.clone(),
+                        owns_tx: src_domain.iter().map(|&s| s as usize == d).collect(),
+                        outbox: Vec::new(),
+                    });
+                }
                 net
             })
             .collect();
-        let chunk = n_domains.div_ceil(workers.clamp(1, n_domains));
-        let workers = n_domains.div_ceil(chunk);
         ShardedNetwork {
             nets,
-            lanes: (0..2 * workers * n_domains)
+            lanes: (0..2 * n_domains * n_domains)
                 .map(|_| Mutex::new(Vec::new()))
                 .collect(),
-            scratch: (0..workers)
+            scratch: (0..n_domains)
                 .map(|_| Scratch {
                     buf: Vec::new(),
                     by_domain: (0..n_domains).map(|_| Vec::new()).collect(),
@@ -317,10 +318,16 @@ impl<D: Dataplane + Send, A: HostAgent + Send> ShardedNetwork<D, A> {
                 .collect(),
             arrive_domain,
             src_domain,
+            group,
             lookahead,
-            workers,
             now: SimTime::ZERO,
         }
+    }
+
+    /// Domain that owns host `h`: its leaf's group. It starts the host's
+    /// flows and receives the flows sent to it.
+    pub fn host_domain(&self, h: HostId) -> usize {
+        self.nets[0].topo.leaf_of(h).idx() / self.group
     }
 
     /// Domain that owns `ch`'s transmit side — where its port counters
@@ -334,14 +341,10 @@ impl<D: Dataplane + Send, A: HostAgent + Send> ShardedNetwork<D, A> {
         self.arrive_domain[ch.idx()] as usize
     }
 
-    /// Number of domains (`n_leaves`, fixed by the topology).
+    /// Number of domains, which is also the number of worker threads the
+    /// windows execute on (the calling thread is one).
     pub fn n_domains(&self) -> usize {
         self.nets.len()
-    }
-
-    /// Worker threads the windows execute on (the calling thread is one).
-    pub fn workers(&self) -> usize {
-        self.workers
     }
 
     /// The conservative lookahead: minimum propagation delay over
@@ -416,52 +419,48 @@ impl<D: Dataplane + Send, A: HostAgent + Send> ShardedNetwork<D, A> {
     /// exchanging cross-domain packets between them. Returns the total
     /// number of events processed across domains.
     ///
-    /// One loop for every worker count: worker `w` owns the `w`-th chunk
-    /// of domains, the calling thread is worker 0, and a window costs one
-    /// wait (none at one worker, where there is nobody to wait for). With
-    /// `p` the window's parity:
+    /// One loop for every worker count: worker `d` runs domain `d`, the
+    /// calling thread is worker 0, and a window costs one wait (none at
+    /// one worker, where there is nobody to wait for). With `p` the
+    /// window's parity:
     ///
     /// ```text
-    /// publish in slot[p][w]: min(own queues' next event, arrivals just mailed)
+    /// publish in slot[p][d]: min(own queue's next event, arrivals just mailed)
     /// ── wait ── every slot[p] and every lane[p] of this window is written
     /// every worker computes the same bound from slot[p][..]
-    /// deliver lane[p][..][own domains] into the own event queues
+    /// deliver lane[p][..][d] into the own event queue
     /// stop if there is no bound; else run the window
-    /// move the own outboxes into lane[1-p][w][..]
+    /// move the own outbox into lane[1-p][d][..]
     /// ```
     ///
     /// The module documentation says why one wait is enough and why the
     /// parities never meet.
     pub fn run_until(&mut self, t_end: SimTime) -> u64 {
-        let workers = self.workers;
         let n_domains = self.nets.len();
-        let chunk = n_domains.div_ceil(workers);
-        let barrier = Rendezvous::new(workers);
+        let barrier = Rendezvous::new(n_domains);
         let slots: [Vec<Padded<AtomicU64>>; 2] =
-            [0, 1].map(|_| (0..workers).map(|_| Padded(AtomicU64::new(0))).collect());
+            [0, 1].map(|_| (0..n_domains).map(|_| Padded(AtomicU64::new(0))).collect());
         let lanes = &self.lanes;
         let lane = |parity: usize, from: usize, to: usize| {
-            lanes[(parity * workers + from) * n_domains + to]
+            lanes[(parity * n_domains + from) * n_domains + to]
                 .lock()
                 .expect("a shard worker panicked")
         };
         let arrive_domain = &self.arrive_domain;
         let lookahead = self.lookahead;
 
-        let next_event = |nets: &mut [Network<D, A>]| {
-            let t = nets.iter_mut().filter_map(|n| n.peek_time()).min();
-            t.map_or(u64::MAX, |t| t.as_nanos())
-        };
+        let next_event =
+            |net: &mut Network<D, A>| net.peek_time().map_or(u64::MAX, |t| t.as_nanos());
 
-        let worker = |w: usize, nets: &mut [Network<D, A>], scratch: &mut Scratch| {
+        let worker = |d: usize, net: &mut Network<D, A>, scratch: &mut Scratch| {
             let Scratch { buf, by_domain } = scratch;
             let mut events = 0u64;
             let mut parity = 0;
-            let mut earliest = next_event(nets);
+            let mut earliest = next_event(net);
             loop {
                 // The wait orders the slots; Release/Acquire says so
                 // without leaning on the barrier's internals.
-                slots[parity][w].0.store(earliest, Ordering::Release);
+                slots[parity][d].0.store(earliest, Ordering::Release);
                 barrier.wait();
                 let m = slots[parity]
                     .iter()
@@ -469,23 +468,19 @@ impl<D: Dataplane + Send, A: HostAgent + Send> ShardedNetwork<D, A> {
                     .fold(u64::MAX, u64::min);
                 let min_pending = (m != u64::MAX).then(|| SimTime::from_nanos(m));
 
-                for (i, net) in nets.iter_mut().enumerate() {
-                    for from in 0..workers {
-                        buf.append(&mut lane(parity, from, w * chunk + i));
-                    }
-                    for (t, ch, pkt, epoch) in buf.drain(..) {
-                        net.deliver_remote(t, ch, pkt, epoch);
-                    }
+                for from in 0..n_domains {
+                    buf.append(&mut lane(parity, from, d));
+                }
+                for (t, ch, pkt, epoch) in buf.drain(..) {
+                    net.deliver_remote(t, ch, pkt, epoch);
                 }
                 let Some(bound) = conservative_window(min_pending, lookahead, t_end) else {
                     break events;
                 };
 
-                for net in nets.iter_mut() {
-                    events += net.run_window(bound);
-                    net.drain_outbox(buf);
-                }
-                earliest = next_event(nets);
+                events += net.run_window(bound);
+                net.drain_outbox(buf);
+                earliest = next_event(net);
                 for entry in buf.drain(..) {
                     earliest = earliest.min(entry.0.as_nanos());
                     by_domain[arrive_domain[entry.1.idx()] as usize].push(entry);
@@ -493,21 +488,17 @@ impl<D: Dataplane + Send, A: HostAgent + Send> ShardedNetwork<D, A> {
                 parity ^= 1;
                 for (to, mail) in by_domain.iter_mut().enumerate() {
                     if !mail.is_empty() {
-                        lane(parity, w, to).append(mail);
+                        lane(parity, d, to).append(mail);
                     }
                 }
             }
         };
 
         let events = std::thread::scope(|s| {
-            let mut chunks = self
-                .nets
-                .chunks_mut(chunk)
-                .zip(&mut self.scratch)
-                .enumerate();
-            let (_, (first, scratch)) = chunks.next().expect("at least one domain");
-            let spawned: Vec<_> = chunks
-                .map(|(w, (nets, scratch))| s.spawn(move || worker(w, nets, scratch)))
+            let mut domains = self.nets.iter_mut().zip(&mut self.scratch).enumerate();
+            let (_, (first, scratch)) = domains.next().expect("at least one domain");
+            let spawned: Vec<_> = domains
+                .map(|(d, (net, scratch))| s.spawn(move || worker(d, net, scratch)))
                 .collect();
             let mine = worker(0, first, scratch);
             spawned
@@ -588,6 +579,12 @@ mod tests {
     /// A delivery observation: `(time, domain, packet id, seq)`.
     type Delivery = (u64, usize, u64, u64);
 
+    /// The deliveries without the domain, which the partition picks.
+    fn undomained(run: (Vec<Delivery>, u64, u64)) -> (Vec<(u64, u64, u64)>, u64, u64) {
+        let got = run.0.iter().map(|&(t, _, id, seq)| (t, id, seq)).collect();
+        (got, run.1, run.2)
+    }
+
     /// Drive a burst of cross-leaf packets and collect every delivery.
     fn run_burst(workers: usize) -> (Vec<Delivery>, u64, u64) {
         let mut net = sharded(workers);
@@ -622,9 +619,11 @@ mod tests {
 
     #[test]
     fn lookahead_is_min_cross_domain_delay() {
-        let net = sharded(1);
+        // One domain has no cross-domain channel: a slice is one window.
+        assert_eq!(sharded(1).lookahead(), None);
+        let net = sharded(2);
         // Every fabric + access delay in the builder defaults apply; the
-        // cross-domain set is non-empty in a 2-leaf fabric.
+        // cross-domain set is non-empty across two leaf domains.
         assert!(net.lookahead().is_some());
         let min_delay = topo()
             .channels
@@ -637,7 +636,7 @@ mod tests {
 
     #[test]
     fn cross_leaf_burst_fully_delivered() {
-        let (got, injected, delivered) = run_burst(1);
+        let (got, injected, delivered) = run_burst(2);
         assert_eq!(injected, 30);
         assert_eq!(delivered, 30);
         // Deliveries land in domain 1 (host 2 is under leaf 1).
@@ -646,26 +645,75 @@ mod tests {
 
     #[test]
     fn worker_count_does_not_change_the_run() {
-        let one = run_burst(1);
-        let two = run_burst(2);
-        assert_eq!(one, two);
+        let (one, two) = (run_burst(1), run_burst(2));
+        assert!(one.0.iter().all(|&(_, d, _, _)| d == 0), "one domain");
+        assert_eq!(undomained(one), undomained(two));
     }
 
-    /// A requested worker count that does not divide the domains must not
-    /// leave a thread waiting for a worker with no chunk: 6 leaves on 4
-    /// workers are 3 chunks of 2 (this hung on a 4-party barrier).
+    /// A requested worker count that does not divide the leaves must not
+    /// leave a thread waiting for a worker with no group: 6 leaves on 4
+    /// workers are 3 groups of 2 (this hung on a 4-party barrier).
     #[test]
-    fn uneven_worker_count_runs_on_the_non_empty_chunks() {
+    fn uneven_worker_count_runs_on_the_non_empty_groups() {
         let topo = LeafSpineBuilder::new(6, 2, 1).build();
         let mut net = ShardedNetwork::partition(&topo, 1, 4, |_| (TestEcmp, SinkAgent::default()));
-        assert_eq!((net.n_domains(), net.workers()), (6, 3));
-        // Host h hangs off leaf h: domain 0 → domain 5 crosses the fabric.
+        assert_eq!(net.n_domains(), 3);
+        // Host h hangs off leaf h, and leaf 5 is in the third group:
+        // domain 0 → domain 2 crosses the fabric.
+        assert_eq!(net.host_domain(HostId(5)), 2);
         crate::engine::inject(
             net.domain_mut(0),
             Packet::data(0, 0, 7, HostId(0), HostId(5), 0, 100, SimTime::ZERO),
         );
         net.run_until(SimTime::from_millis(1));
-        assert_eq!(net.domain(5).agent.received.len(), 1);
+        assert_eq!(net.domain(2).agent.received.len(), 1);
+    }
+
+    /// The partition follows the worker count: one worker is one domain,
+    /// the monolithic engine with no lookahead, and two workers on
+    /// `clos3_shards2`'s fabric (4 pods of 4 leaves, 2 cores) are two
+    /// domains of two whole pods each, one core apiece, so that only
+    /// spine–core channels cross between them.
+    #[test]
+    fn one_domain_per_worker_of_whole_pods() {
+        use crate::ids::CoreId;
+        use crate::topology::TopologyBuilder;
+        let topo = TopologyBuilder::three_tier(4, 4, 2, 2, 16).build();
+        let build = |workers| {
+            ShardedNetwork::partition(&topo, 1, workers, |_| (TestEcmp, SinkAgent::default()))
+        };
+        let one = build(1);
+        assert_eq!((one.n_domains(), one.lookahead()), (1, None));
+
+        let two = build(2);
+        assert_eq!(two.n_domains(), 2);
+        let of = |node| domain_of(&topo, two.group, two.n_domains(), node) as usize;
+        for l in 0..16 {
+            assert_eq!(of(NodeId::Leaf(LeafId(l))), l as usize / 8, "leaf {l}");
+        }
+        for s in 0..8 {
+            assert_eq!(of(NodeId::Spine(SpineId(s))), s as usize / 4, "spine {s}");
+        }
+        assert_eq!(
+            (of(NodeId::Core(CoreId(0))), of(NodeId::Core(CoreId(1)))),
+            (0, 1)
+        );
+        for (i, c) in topo.channels.iter().enumerate() {
+            let ch = ChannelId(i as u32);
+            if two.tx_domain(ch) != two.rx_domain(ch) {
+                let ends = (c.src, c.dst);
+                assert!(
+                    matches!(
+                        ends,
+                        (NodeId::Spine(_), NodeId::Core(_)) | (NodeId::Core(_), NodeId::Spine(_))
+                    ),
+                    "{} → {} crosses domains",
+                    c.src,
+                    c.dst
+                );
+            }
+        }
+        assert_eq!(build(16).n_domains(), 16, "one domain per leaf");
     }
 
     /// More threads than cores must park, not livelock: every generation
@@ -700,7 +748,10 @@ mod tests {
     /// queues, not in a lane, when `run_until` returns.
     #[test]
     fn slicing_a_run_does_not_change_it() {
-        let run = |workers: usize, slices: &[SimTime]| {
+        // Per receiving host: `(time, packet id)` of each delivery; then
+        // the events and deliveries summed over domains.
+        type Run = (Vec<Vec<(u64, u64)>>, u64, u64);
+        let run = |workers: usize, slices: &[SimTime]| -> Run {
             let mut net = sharded(workers);
             // 30 full-size packets each way take ~36 us to leave the
             // 10G hosts, so both directions are mid-fabric at 20 us.
@@ -709,32 +760,33 @@ mod tests {
                 let east = Packet::data(f, 0, h, HostId(0), HostId(2), 0, 1460, SimTime::ZERO);
                 crate::engine::inject(net.domain_mut(0), east);
                 let west = Packet::data(30 + f, 0, h, HostId(3), HostId(1), 0, 1460, SimTime::ZERO);
-                crate::engine::inject(net.domain_mut(1), west);
+                let d = net.host_domain(HostId(3));
+                crate::engine::inject(net.domain_mut(d), west);
             }
             for &t in slices {
                 net.run_until(t);
             }
-            (0..net.n_domains())
-                .map(|d| {
-                    let dom = net.domain(d);
-                    let got: Vec<(u64, u64)> = dom
-                        .agent
-                        .received
-                        .iter()
-                        .map(|(t, p)| (t.as_nanos(), p.id))
-                        .collect();
-                    (got, format!("{:?}", dom.stats), dom.now())
-                })
-                .collect::<Vec<_>>()
+            let mut got = vec![Vec::new(); 4];
+            let (mut events, mut delivered) = (0, 0);
+            for d in 0..net.n_domains() {
+                let dom = net.domain(d);
+                assert_eq!(dom.now(), net.now());
+                events += dom.stats.events;
+                delivered += dom.stats.delivered_pkts;
+                for (t, p) in &dom.agent.received {
+                    got[p.dst.idx()].push((t.as_nanos(), p.id));
+                }
+            }
+            (got, events, delivered)
         };
         let (a, b) = (SimTime::from_micros(20), SimTime::from_millis(10));
         let whole = run(1, &[b]);
-        assert!(whole.iter().all(|(got, _, _)| got.len() == 30));
+        assert_eq!(whole.2, 60);
         let until_a = run(1, &[a]);
         assert!(
-            until_a
+            [1, 2]
                 .iter()
-                .all(|(got, _, _)| (1..30).contains(&got.len())),
+                .all(|&h| (1..30).contains(&until_a.0[h].len())),
             "the burst is neither all in nor all out at the cut"
         );
         for workers in [1, 2] {
@@ -747,7 +799,7 @@ mod tests {
     /// earlier emissions: the same in any domain.
     #[test]
     fn packet_ids_name_their_source_host() {
-        let mut net = sharded(1);
+        let mut net = sharded(2);
         crate::engine::inject(
             net.domain_mut(0),
             Packet::data(0, 0, 7, HostId(0), HostId(2), 0, 100, SimTime::ZERO),
@@ -763,39 +815,41 @@ mod tests {
         assert_eq!(b, 2 << 40, "host 2's first packet");
     }
 
-    /// A domain id narrower than the leaf count aliases: as `u8`, leaf 256
-    /// becomes domain 0 and its arrivals are scheduled in the wrong
-    /// replica.
+    /// A leaf index past 255 must not alias: narrowed to `u8`, leaf 256
+    /// would be leaf 0 and its arrivals would be scheduled in the wrong
+    /// replica. 257 leaves on three workers are groups of 86, 86 and 85,
+    /// and leaf 256 is in the last.
     #[test]
     fn domains_above_256_leaves_do_not_alias() {
         let topo = LeafSpineBuilder::new(257, 1, 1).build();
-        let mut net = ShardedNetwork::partition(&topo, 1, 1, |_| (TestEcmp, SinkAgent::default()));
-        assert_eq!(net.n_domains(), 257);
+        let mut net = ShardedNetwork::partition(&topo, 1, 3, |_| (TestEcmp, SinkAgent::default()));
+        assert_eq!(net.n_domains(), 3);
         let into_leaf_256 = topo
             .channels
             .iter()
             .position(|c| c.dst == NodeId::Leaf(LeafId(256)))
             .expect("leaf 256 has an inbound channel");
         let ch = ChannelId(into_leaf_256 as u32);
-        assert_eq!(net.rx_domain(ch), 256);
+        assert_eq!(net.rx_domain(ch), 2);
         let from_leaf_256 = topo
             .channels
             .iter()
             .position(|c| c.src == NodeId::Leaf(LeafId(256)))
             .expect("leaf 256 has an outbound channel");
-        assert_eq!(net.tx_domain(ChannelId(from_leaf_256 as u32)), 256);
+        assert_eq!(net.tx_domain(ChannelId(from_leaf_256 as u32)), 2);
         // Host h hangs off leaf h. One packet each way between the first
         // and the last domain: both arrive, each with its host's id.
+        assert_eq!(net.host_domain(HostId(256)), 2);
         crate::engine::inject(
             net.domain_mut(0),
             Packet::data(0, 0, 7, HostId(0), HostId(256), 0, 100, SimTime::ZERO),
         );
         crate::engine::inject(
-            net.domain_mut(256),
+            net.domain_mut(2),
             Packet::data(1, 0, 9, HostId(256), HostId(0), 0, 100, SimTime::ZERO),
         );
         net.run_until(SimTime::from_millis(1));
-        let at_256 = &net.domain(256).agent.received;
+        let at_256 = &net.domain(2).agent.received;
         let at_0 = &net.domain(0).agent.received;
         assert_eq!((at_256.len(), at_0.len()), (1, 1));
         assert_eq!(at_256[0].1.id >> 40, 0, "sent by host 0");
@@ -835,44 +889,55 @@ mod tests {
                     got.push((t.as_nanos(), d, p.id, p.seq));
                 }
             }
-            (got, injected, delivered)
+            // Host 4 hangs off leaf 2: domain 0, 1 and 2 at 1, 2 and 4
+            // workers.
+            let rx = net.host_domain(HostId(4));
+            assert_eq!(rx, 2 * workers / 4, "host 4's domain at {workers} workers");
+            assert!(got.iter().all(|&(_, d, _, _)| d == rx));
+            undomained((got, injected, delivered))
         };
         let one = run(1);
         assert_eq!(one.1, 30);
         assert_eq!(one.2, 30, "all inter-pod packets delivered");
-        assert!(
-            one.0.iter().all(|&(_, d, _, _)| d == 2),
-            "host 4 lives in domain 2"
-        );
         assert_eq!(one, run(2));
         assert_eq!(one, run(4));
     }
 
     #[test]
     fn three_tier_domain_assignment_reduces_to_two_tier_rule() {
-        use crate::ids::SpineId;
-        // Two-tier fabric: historical spine % n_leaves.
-        let two = topo();
-        assert_eq!(super::domain_of(&two, NodeId::Spine(SpineId(0))), 0);
-        assert_eq!(super::domain_of(&two, NodeId::Spine(SpineId(1))), 1);
-        // Three-tier: spines stay inside their pod's leaf range, cores
-        // round-robin over all leaves.
         use crate::ids::CoreId;
         use crate::topology::TopologyBuilder;
+        // Per-leaf domains (groups of one) on a two-tier fabric: spine s
+        // goes with leaf s % n_leaves.
+        let two = topo();
+        let spine = |s| NodeId::Spine(SpineId(s));
+        assert_eq!(domain_of(&two, 1, 2, spine(0)), 0);
+        assert_eq!(domain_of(&two, 1, 2, spine(1)), 1);
+        // Three-tier, per leaf: spines stay inside their pod's leaf range,
+        // cores round-robin over the domains.
         let three = TopologyBuilder::three_tier(2, 2, 2, 3, 2).build();
-        assert_eq!(super::domain_of(&three, NodeId::Spine(SpineId(0))), 0);
-        assert_eq!(super::domain_of(&three, NodeId::Spine(SpineId(1))), 1);
-        assert_eq!(super::domain_of(&three, NodeId::Spine(SpineId(2))), 2);
-        assert_eq!(super::domain_of(&three, NodeId::Spine(SpineId(3))), 3);
-        assert_eq!(super::domain_of(&three, NodeId::Core(CoreId(0))), 0);
-        assert_eq!(super::domain_of(&three, NodeId::Core(CoreId(2))), 2);
+        let per_leaf = |node| domain_of(&three, 1, 4, node);
+        assert_eq!([0, 1, 2, 3].map(|s| per_leaf(spine(s))), [0, 1, 2, 3]);
+        assert_eq!(
+            [0, 1, 2].map(|c| per_leaf(NodeId::Core(CoreId(c)))),
+            [0, 1, 2]
+        );
+        // Two groups of two leaves are the two pods; the three cores
+        // alternate between them.
+        let per_pod = |node| domain_of(&three, 2, 2, node);
+        assert_eq!([0, 1, 2, 3].map(|s| per_pod(spine(s))), [0, 0, 1, 1]);
+        assert_eq!(
+            [0, 1, 2].map(|c| per_pod(NodeId::Core(CoreId(c)))),
+            [0, 1, 0]
+        );
     }
 
     #[test]
     fn replicated_fault_schedule_counts_transitions_once() {
         let run = |workers: usize| -> (u64, u64, u64) {
             let mut net = sharded(workers);
-            // leaf0-spine1 is cross-domain (spine1 lives in domain 1).
+            // At two workers leaf0-spine1 is cross-domain (spine1 lives in
+            // domain 1).
             let link = Link::new(NodeId::Leaf(LeafId(0)), NodeId::Spine(SpineId(1)), 0);
             net.each(|_, n| {
                 n.schedule_link(SimTime::from_micros(20), link, false);
@@ -902,7 +967,7 @@ mod tests {
             }
             (transitions, blackholed, delivered)
         };
-        let (transitions, blackholed, delivered) = run(1);
+        let (transitions, blackholed, delivered) = run(2);
         assert_eq!(transitions, 4, "2 fail + 2 recover, owner-counted once");
         assert_eq!(delivered + blackholed, 20, "conservation through the fault");
         assert_eq!(run(1), run(2));
@@ -971,9 +1036,9 @@ mod tests {
             let rx: Vec<SimTime> = net.agent.received.iter().map(|r| r.0).collect();
             assert_eq!(rx, want_rx, "monolithic, before={before}");
 
-            // Leaf 1 and hosts 2 and 3 are domain 1.
+            // On two workers leaf 1 and hosts 2 and 3 are domain 1.
             let mut run =
-                ShardedNetwork::partition(&topo, 1, 1, |_| (TestEcmp, SinkAgent::default()));
+                ShardedNetwork::partition(&topo, 1, 2, |_| (TestEcmp, SinkAgent::default()));
             run.domain_mut(1)
                 .deliver_remote(SimTime::ZERO, up3, pkt(0), 0);
             if before {

@@ -168,14 +168,15 @@ fn no_flow_stranded_across_failure() {
     }
 }
 
-/// Mid-run fail/recover on a **cross-shard** channel. In the sharded
-/// engine's domain map (host → its leaf, spine s → domain s mod leaves)
-/// the Leaf0–Spine1 link is owned by domain 0 on transmit and domain 1 on
-/// arrival, so its fault transitions and blackholes exercise the
-/// replicated fault schedule and the ownership-gated accounting across the
-/// barrier. Contract: byte-identical artifacts at `--shards 1` vs
-/// `--shards 4`, a real outage (blackholes observed), and zero packets
-/// blackholed after the recovery transition.
+/// Mid-run fail/recover on a **cross-shard** channel. At `--shards 4` the
+/// two-leaf testbed runs one domain per leaf (host → its leaf, spine s →
+/// domain s mod leaves), and the Leaf0–Spine1 link is owned by domain 0 on
+/// transmit and domain 1 on arrival, so its fault transitions and
+/// blackholes exercise the replicated fault schedule and the
+/// ownership-gated accounting across the barrier. Contract:
+/// byte-identical artifacts at `--shards 1` vs `--shards 4`, a real
+/// outage (blackholes observed), and zero packets blackholed after the
+/// recovery transition.
 #[test]
 fn cross_shard_link_fault_is_shard_count_invariant() {
     use conga::experiments::{run_dynamic_failure, DynFailSpec};

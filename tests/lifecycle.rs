@@ -1,7 +1,7 @@
 //! Memory follows use: what a sharded run holds is proportional to what is
 //! in flight, not to what was registered. Flow state is built at first use
 //! and retired at completion without moving a counter; a domain replica
-//! allocates only the flowlet table of the leaf it owns.
+//! allocates only the flowlet tables of the leaves it owns.
 
 use conga::core::FabricPolicy;
 use conga::experiments::runner::{absolute_starts, merged_arrivals, uniform_arrivals};
@@ -95,9 +95,10 @@ fn flow_state_lives_from_arrival_to_completion() {
     }
 }
 
-/// The three-tier Clos of `clos3_shards2`: 16 leaf domains,
-/// each a full `Network` replica with a CONGA pipeline of 16 flowlet
-/// tables. Only the table a domain indexes — its own leaf's — may exist.
+/// The three-tier Clos of `clos3_shards2` on its two workers: two
+/// domains of eight leaves (two pods), each a full `Network` replica with
+/// a CONGA pipeline of 16 flowlet tables. Only the tables a domain
+/// indexes — its own leaves' — may exist.
 #[test]
 fn a_domain_allocates_only_its_own_leafs_flowlet_table() {
     let opts = TestbedOpts::three_tier(4, 4, 2, 2, 16);
@@ -118,12 +119,13 @@ fn a_domain_allocates_only_its_own_leafs_flowlet_table() {
     run.net.run_until(SimTime::from_secs(2));
     assert_eq!(run.completed_rx(), arrivals.len(), "cell did not finish");
 
+    assert_eq!(run.net.n_domains(), 2);
     let mut allocated = 0;
     for d in 0..run.net.n_domains() {
         let conga = run.net.domain(d).dataplane.as_conga().expect("CONGA");
         let tables: Vec<LeafId> = conga.allocated_flowlet_tables().collect();
         assert!(
-            tables.iter().all(|l| l.0 as usize == d),
+            tables.iter().all(|l| l.0 as usize / 8 == d),
             "domain {d} allocated tables {tables:?}"
         );
         allocated += tables.len();

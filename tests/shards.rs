@@ -1,13 +1,13 @@
 //! Differential determinism battery for the sharded parallel engine.
 //!
-//! The engine partitions every run by leaf domain and advances the domains
-//! in conservative time windows; `--shards N` only chooses how many worker
-//! threads execute that fixed schedule. The contract pinned here: for any
-//! shard count, the artifacts — RunReport JSON, the FCT summary/sample
-//! sidecar values, the series, and the trace JSONL/Chrome exports — are
-//! **byte identical** to the single-threaded run, and to the monolithic
-//! engine, the whole fabric as one domain. This is the tier-1 gate that
-//! lets `shards` stay out of every scenario hash.
+//! The engine cuts every run into one domain of contiguous leaves per
+//! worker thread and advances the domains in conservative time windows;
+//! `--shards N` picks N. The contract pinned here: for any shard count,
+//! and so for any partition, the artifacts — RunReport JSON, the FCT
+//! summary/sample sidecar values, the series, and the trace JSONL/Chrome
+//! exports — are **byte identical** to the single-threaded run, the whole
+//! fabric as one domain, and to the monolithic engine. This is the tier-1
+//! gate that lets `shards` stay out of every scenario hash.
 
 use conga::core::FabricPolicy;
 use conga::experiments::{
@@ -124,7 +124,7 @@ impl Cell {
         [report.to_json(), series.to_jsonl(), jsonl(trace)]
     }
 
-    /// The same on a `ShardedRun` of per-leaf domains on `workers`.
+    /// The same on a `ShardedRun` on `workers`, one leaf-group domain each.
     fn sharded(&self, workers: usize) -> [String; 3] {
         let mut run = ShardedRun::new(
             &self.topo,
@@ -157,8 +157,9 @@ impl Cell {
         ]
     }
 
-    /// Every run of the cell — monolithic, and sharded on 1, 2 and 3
-    /// workers — and what each left behind.
+    /// Every run of the cell — monolithic, and sharded on 1 (the whole
+    /// fabric), 2 (leaf groups: on the three-tier cell, pods) and
+    /// `n_leaves` (per-leaf) workers — and what each left behind.
     fn assert_partition_free(&self, what: &str) {
         let whole = self.monolithic();
         assert!(
@@ -166,7 +167,8 @@ impl Cell {
             "{what}: no fault fired"
         );
         assert!(whole[2].lines().count() > 1000, "{what}: a thin trace");
-        for workers in [1, 2, 3] {
+        let per_leaf = self.topo.n_leaves as usize;
+        for workers in [1, 2, per_leaf] {
             let got = self.sharded(workers);
             for (i, kind) in ["report", "series", "trace"].iter().enumerate() {
                 assert!(
@@ -196,8 +198,9 @@ fn jsonl(trace: TraceHandle) -> String {
 /// only, not of how the fabric is cut into domains or how many threads run
 /// them. A two-tier CONGA cell with a leaf–spine fail/recover and a
 /// three-tier cell with a spine–core fault, on the monolithic engine and
-/// on per-leaf domains at 1, 2 and 3 workers: the same report, series and
-/// trace, byte for byte.
+/// at 1, 2 and `n_leaves` workers — whole-fabric, leaf-group (per-pod)
+/// and per-leaf partitions: the same report, series and trace, byte for
+/// byte.
 #[test]
 fn a_run_does_not_depend_on_its_partition() {
     Cell::two_tier(FabricPolicy::conga(), 40).assert_partition_free("two-tier");
@@ -262,7 +265,7 @@ fn fct_artifacts_identical_across_shard_counts() {
 
 /// More than two domains: a 4-leaf testbed gives four shards real work and
 /// exercises the uniform (all-to-all) arrival path. Same contract — also
-/// at 3, which does not divide 4 (two 2-domain chunks run; a 3-party
+/// at 3, which does not divide 4 (two 2-leaf domains run; a 3-party
 /// barrier would wait for a third forever).
 #[test]
 fn four_leaf_topology_is_shard_count_invariant() {
