@@ -721,9 +721,9 @@ impl Engine<'_> {
 ///
 /// Every domain sees the identical configuration (queue kind, fault
 /// schedule, flow schedule) so that replica state stays in lock-step;
-/// per-domain ownership masks ensure each metric is accumulated exactly
-/// once, which is what makes the counter-ADD merge exact and the artifacts
-/// byte-identical for any worker count.
+/// channel ownership, read from the shared partition table, ensures each
+/// metric is accumulated exactly once, which is what makes the counter-ADD
+/// merge exact and the artifacts byte-identical for any worker count.
 pub struct ShardedRun {
     /// The coordinated per-domain networks.
     pub net: ShardedNetwork<FabricPolicy, TransportLayer>,
@@ -763,11 +763,7 @@ impl ShardedRun {
         let mut net = ShardedNetwork::partition(topo, seed, shards, |_| {
             (policy.clone(), TransportLayer::new())
         });
-        let schedule = Arc::new(Schedule::new(
-            arrivals.iter().copied(),
-            net.n_domains(),
-            |h| net.host_domain(h),
-        ));
+        let schedule = Arc::new(Schedule::new(arrivals.iter().copied(), net.table()));
         let mut tracer_parts = Vec::new();
         net.each(|d, n| {
             n.set_queue_kind(queue);
@@ -805,7 +801,7 @@ impl ShardedRun {
     pub fn start_flow(&mut self, at: SimTime, spec: FlowSpec) -> usize {
         assert!(at >= self.net.now(), "a flow cannot start in the past");
         let mut id = 0;
-        let src_d = self.net.host_domain(spec.src);
+        let src_d = self.net.table().host_domain(spec.src);
         self.net.each(|d, n| {
             n.agent.register_schedule();
             let tx_local = d == src_d;
@@ -886,8 +882,8 @@ impl ShardedRun {
         let known = |d: usize| self.net.domain(d).agent.records.get(i).copied();
         let planned = self.schedule.record(i).or_else(|| known(0));
         let planned = planned.expect("no such flow");
-        let src_d = self.net.host_domain(planned.src);
-        let dst_d = self.net.host_domain(planned.dst);
+        let src_d = self.net.table().host_domain(planned.src);
+        let dst_d = self.net.table().host_domain(planned.dst);
         let mut r = known(src_d).unwrap_or(planned);
         if dst_d != src_d {
             r.rx_done = known(dst_d).and_then(|r| r.rx_done);

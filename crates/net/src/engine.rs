@@ -29,12 +29,13 @@
 use crate::ids::{ChannelId, LeafId, Link, NodeId, SpineId};
 use crate::packet::{ecmp_mix, Overlay, Packet};
 use crate::port::{Enqueue, TxPort};
-use crate::shard::Mail;
+use crate::shard::{Mail, PartitionTable};
 use crate::topology::{Fib, Topology};
 use conga_sim::{EventQueue, Key, SimDuration, SimRng, SimTime};
 use conga_telemetry::{MetricsRegistry, SeriesRegistry};
 use conga_trace::{TraceEvent, TraceHandle};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Switch dataplane behaviour: load-balancing choice plus congestion-state
 /// maintenance. See the crate docs of `conga-core` for the implementations.
@@ -272,28 +273,6 @@ struct Nic {
     minted: u64,
 }
 
-/// Shard identity installed on a [`Network`] that models one domain of a
-/// sharded run (see `crate::shard`). Every domain replicates the full
-/// topology but *owns* only the channels whose source node lies in it:
-/// transmissions on non-owned channels never happen here, and arrivals on
-/// channels whose destination lies elsewhere are diverted into the
-/// `outbox` for barrier delivery instead of being scheduled locally.
-#[derive(Debug)]
-pub struct ShardCtx {
-    /// This domain's index.
-    pub id: u16,
-    /// Domain that processes each channel's arrivals (the domain of the
-    /// channel's destination node), indexed by channel.
-    pub arrive_domain: Vec<u16>,
-    /// Whether this domain owns each channel's transmit side (the domain
-    /// of the channel's source node), indexed by channel. Fault-transition
-    /// accounting is gated on this so the merged telemetry counts each
-    /// transition exactly once.
-    pub owns_tx: Vec<bool>,
-    /// Cross-domain transmissions captured during the current window.
-    pub outbox: Vec<Mail>,
-}
-
 /// Aggregate counters the engine maintains itself.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct EngineStats {
@@ -413,9 +392,16 @@ pub struct Network<D: Dataplane, A: HostAgent> {
     /// `net.fault_transitions` counters are exported only for runs with a
     /// fault schedule, keeping fault-free report diffs clean.
     faults_scheduled: u64,
-    /// Shard identity when this network models one domain of a sharded
-    /// run; `None` for the classic monolithic engine.
-    shard: Option<ShardCtx>,
+    /// The domain of the run's partition this network models, and the
+    /// partition, shared by every domain. It owns the channels whose
+    /// source node lies in it: it never transmits on another, and an
+    /// owned channel whose destination lies elsewhere diverts its
+    /// arrivals into `outbox` for barrier delivery. [`Network::new`] is
+    /// the one-domain partition, where every channel is its own.
+    domain: u16,
+    pub(crate) part: Arc<PartitionTable>,
+    /// Cross-domain transmissions captured during the current window.
+    outbox: Vec<Mail>,
     /// ECN marking; `None` (the default) leaves every CE bit untouched and
     /// exports no ECN counters, keeping non-ECN reports byte-identical to
     /// pre-ECN baselines.
@@ -423,8 +409,22 @@ pub struct Network<D: Dataplane, A: HostAgent> {
 }
 
 impl<D: Dataplane, A: HostAgent> Network<D, A> {
-    /// Build a network over `topo` with the given dataplane and host agent.
-    pub fn new(topo: Topology, mut dataplane: D, agent: A, seed: u64) -> Self {
+    /// Build a network over `topo` with the given dataplane and host agent:
+    /// the whole fabric as one domain.
+    pub fn new(topo: Topology, dataplane: D, agent: A, seed: u64) -> Self {
+        let part = Arc::new(PartitionTable::new(&topo, 1));
+        Self::in_domain(topo, dataplane, agent, seed, part, 0)
+    }
+
+    /// Build domain `domain` of the partition `part` of `topo`.
+    pub(crate) fn in_domain(
+        topo: Topology,
+        mut dataplane: D,
+        agent: A,
+        seed: u64,
+        part: Arc<PartitionTable>,
+        domain: usize,
+    ) -> Self {
         assert!(
             (topo.n_hosts as u64) < 1 << (CLASS_SHIFT - PKT_SEQ_BITS),
             "{} hosts exceed the packet-id space",
@@ -462,7 +462,9 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
             nics: Vec::new(),
             tracer: TraceHandle::disabled(),
             faults_scheduled: 0,
-            shard: None,
+            domain: domain as u16,
+            part,
+            outbox: Vec::new(),
             ecn: None,
         }
     }
@@ -478,14 +480,6 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
             last_marked: 0,
             last_seen: 0,
         });
-    }
-
-    /// Install a shard identity (see [`ShardCtx`]). Call right after
-    /// construction, before anything is scheduled.
-    pub fn set_shard(&mut self, ctx: ShardCtx) {
-        debug_assert_eq!(ctx.arrive_domain.len(), self.topo.channels.len());
-        debug_assert_eq!(ctx.owns_tx.len(), self.topo.channels.len());
-        self.shard = Some(ctx);
     }
 
     /// Select the future-event-list implementation (heap vs calendar).
@@ -603,10 +597,9 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
         for (i, port) in self.ports.iter().enumerate() {
             // A domain's replica of a port it neither transmits on nor
             // receives from is all zeros; the owners export its counters.
-            if let Some(s) = &self.shard {
-                if !s.owns_tx[i] && s.arrive_domain[i] != s.id {
-                    continue;
-                }
+            let ch = ChannelId(i as u32);
+            if !self.tx_here(ch) && self.part.rx_domain(ch) != self.domain as usize {
+                continue;
             }
             port.export_metrics(&format!("port.{i:04}"), reg);
         }
@@ -632,10 +625,18 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
         self.set_timer(self.now + delay, token);
     }
 
-    /// Schedule `ev`, of `class`, under its key.
+    /// Schedule `ev`, of `class`, under its key. Nothing is scheduled at
+    /// [`SimTime::MAX`]: no window, whose bound is exclusive, could run it.
     #[inline]
     fn at(&mut self, time: SimTime, class: u64, id: u64, ev: Ev) {
+        debug_assert!(time < SimTime::MAX, "event scheduled at SimTime::MAX");
         self.events.schedule(key(time, class, id), ev);
+    }
+
+    /// Whether this domain transmits on `ch`.
+    #[inline]
+    fn tx_here(&self, ch: ChannelId) -> bool {
+        self.part.tx_domain(ch) == self.domain as usize
     }
 
     #[inline]
@@ -691,7 +692,7 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
         // but only the channel's transmit-side owner records the
         // transition — merged telemetry counts each one exactly once,
         // byte-identical to the monolithic run.
-        let owns = self.shard.as_ref().is_none_or(|s| s.owns_tx[ch.idx()]);
+        let owns = self.tx_here(ch);
         if owns {
             self.stats.fault_transitions += 1;
             let name = format!("net.link_up.{:04}", ch.idx());
@@ -742,27 +743,19 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
     }
 
     /// Run the event loop until `t_end` (inclusive) or until no events
-    /// remain. Returns the number of events processed, as
-    /// [`EngineStats::events`] counts them.
+    /// remain, and leave the clock at `t_end`: one window to `t_end + 1 ns`.
+    /// Returns the number of events processed, as [`EngineStats::events`]
+    /// counts them.
     pub fn run_until(&mut self, t_end: SimTime) -> u64 {
-        let mut n = 0;
-        while let Some((t, ev)) = self.events.pop_through(t_end) {
-            debug_assert!(t >= self.now, "time went backwards");
-            self.now = t;
-            n += self.dispatch(ev) as u64;
-        }
-        if self.now < t_end {
-            self.now = t_end;
-        }
-        self.settle_folded(t_end + SimDuration::from_nanos(1));
-        self.stats.events += n;
+        let n = self.run_window(t_end.saturating_add(SimDuration::from_nanos(1)));
+        self.advance_to(t_end);
         n
     }
 
     /// Run until the event list is empty (all traffic drained, all timers
     /// fired). Only sensible when the agent stops rescheduling timers.
     pub fn run_to_quiescence(&mut self) -> u64 {
-        self.run_until(SimTime::MAX - SimDuration::from_nanos(1))
+        self.run_until(SimTime::MAX)
     }
 
     /// Timestamp of the earliest pending event, if any (`&mut` because a
@@ -804,15 +797,15 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
 
     /// Run the event loop over one conservative window: process every
     /// event with `t < bound` (strictly — the bound is exclusive) and
-    /// return the number counted. Unlike [`Network::run_until`] the
-    /// clock is *not* advanced to the bound afterwards: cross-domain
-    /// deliveries injected at the next barrier may land anywhere in
-    /// `[bound, ...)` and must not trip the monotonicity assertion.
+    /// return the number counted. The engine's one loop: a sharded run's
+    /// windows and [`Network::run_until`] both run it. The clock is *not*
+    /// advanced to the bound afterwards: cross-domain deliveries injected
+    /// at the next barrier may land anywhere in `[bound, ...)` and must
+    /// not trip the monotonicity assertion.
     ///
-    /// Out of line on purpose: this is the hot loop of every windowed run
-    /// and it has one caller, so LLVM would fold it into the coordinator's
-    /// worker closure — where `testbed_elephants` measured 5–10 % slower
-    /// (results/perf_ledger.jsonl, PR 22).
+    /// Out of line on purpose: this is the hot loop of every run, and
+    /// inlined into the coordinator's worker closure `testbed_elephants`
+    /// measured 5–10 % slower (recorded in results/perf_ledger.jsonl).
     #[inline(never)]
     pub fn run_window(&mut self, bound: SimTime) -> u64 {
         let mut n = 0;
@@ -827,9 +820,8 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
     }
 
     /// Advance the clock to `t` without processing anything (no-op if the
-    /// clock is already past `t`). The coordinator calls this once per
-    /// `run_until` slice so every domain reports the same final time,
-    /// matching the serial engine's end-of-slice clock advance.
+    /// clock is already past `t`): the end of a `run_until` slice, here and
+    /// in every domain of a sharded run, so all report the same time.
     pub fn advance_to(&mut self, t: SimTime) {
         if self.now < t {
             self.now = t;
@@ -849,13 +841,11 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
     }
 
     /// Move the accumulated cross-domain transmissions out of this
-    /// domain's outbox onto the end of `into` (nothing for monolithic
-    /// networks). Both vectors keep their capacity, so a window that mails
-    /// no more than an earlier one allocates nothing.
+    /// domain's outbox onto the end of `into` (nothing in a one-domain
+    /// run). Both vectors keep their capacity, so a window that mails no
+    /// more than an earlier one allocates nothing.
     pub fn drain_outbox(&mut self, into: &mut Vec<Mail>) {
-        if let Some(s) = &mut self.shard {
-            into.append(&mut s.outbox);
-        }
+        into.append(&mut self.outbox);
     }
 
     /// Process one event; returns whether it counts in
@@ -888,11 +878,11 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
             }
             Ev::Sample => {
                 self.take_sample();
-                return self.shard.as_ref().is_none_or(|s| s.id == 0);
+                return self.domain == 0;
             }
             Ev::Fault { ch, up } => {
                 self.apply_fault(ch, up);
-                return self.shard.as_ref().is_none_or(|s| s.owns_tx[ch.idx()]);
+                return self.tx_here(ch);
             }
         }
         true
@@ -1161,14 +1151,12 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
         }
         let epoch = self.fail_epoch[ch.idx()];
         let arrival = self.now + ser + delay;
-        if let Some(s) = &mut self.shard {
-            if s.arrive_domain[ch.idx()] != s.id {
-                // Cross-domain channel: the arrival happens in the remote
-                // domain. Serializer occupancy and TxDone stay local (the
-                // port is owned here); the packet rides the barrier.
-                s.outbox.push((arrival, ch, pkt, epoch));
-                return;
-            }
+        if self.part.rx_domain(ch) != self.domain as usize {
+            // Cross-domain channel: the arrival happens in the remote
+            // domain. Serializer occupancy and TxDone stay local (the port
+            // is owned here); the packet rides the barrier.
+            self.outbox.push((arrival, ch, pkt, epoch));
+            return;
         }
         self.wire[ch.idx()].push_back((pkt, epoch));
         self.at(arrival, ARRIVE, ch.0 as u64, Ev::Arrive { ch });
@@ -1782,7 +1770,8 @@ mod tests {
         tx_done: &mut [u64],
         failed_folded: &mut u32,
     ) {
-        while let Some((t, ev)) = net.events.pop_through(t_end) {
+        let bound = t_end.saturating_add(SimDuration::from_nanos(1));
+        while let Some((t, ev)) = net.events.pop_before(bound) {
             net.now = t;
             match ev {
                 Ev::TxDone { ch } => tx_done[ch.idx()] += 1,
@@ -1794,7 +1783,7 @@ mod tests {
             net.stats.events += net.dispatch(ev) as u64;
         }
         net.now = net.now.max(t_end);
-        net.settle_folded(t_end + SimDuration::from_nanos(1));
+        net.settle_folded(bound);
     }
 
     /// Every transmission's completion is accounted exactly once: at
@@ -1848,12 +1837,7 @@ mod tests {
         assert!(fail_at < done_at);
         net.schedule_channel_fault(fail_at, ch, false);
         net.schedule_channel_fault(SimTime::from_micros(500), ch, true);
-        run_counting(
-            &mut net,
-            SimTime::MAX - SimDuration::from_nanos(1),
-            &mut tx_done,
-            &mut failed_folded,
-        );
+        run_counting(&mut net, SimTime::MAX, &mut tx_done, &mut failed_folded);
 
         assert!(
             failed_folded >= 1,

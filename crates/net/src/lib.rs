@@ -17,7 +17,7 @@ mod shard;
 mod topology;
 
 pub use engine::{
-    inject, Dataplane, EcnConfig, Emitter, EngineStats, HostAgent, Network, ShardCtx, SinkAgent,
+    inject, Dataplane, EcnConfig, Emitter, EngineStats, HostAgent, Network, SinkAgent,
 };
 pub use ids::{ChannelId, CoreId, HostId, LeafId, Link, NodeId, SpineId};
 pub use packet::{
@@ -25,7 +25,7 @@ pub use packet::{
     WIRE_OVERHEAD,
 };
 pub use port::{Enqueue, TxPort};
-pub use shard::{Mail, ShardedNetwork};
+pub use shard::{Mail, PartitionTable, ShardedNetwork};
 pub use topology::{
     Channel, ChannelKind, Fib, LeafSpineBuilder, QueueProfile, Topology, TopologyBuilder,
 };

@@ -17,14 +17,17 @@
 //! the workers a domain is a run of whole pods and only spine–core
 //! channels cross domains.
 //!
-//! One domain is the monolithic engine: a [`crate::Network`] with no
-//! [`ShardCtx`] and no lookahead, so a `run_until` slice is one window.
-//! With more, each domain holds a **full replica** of the [`crate::Network`]
-//! over the same topology — same FIB, same fault schedule — but with a
-//! [`ShardCtx`] mask: it only ever *transmits* on channels whose source
-//! node it owns, and an owned channel whose destination lies in another
-//! domain diverts its arrival into an outbox instead of the local event
-//! queue.
+//! The cut is one [`PartitionTable`], built once per run and shared by
+//! every domain: the domain of each host and of each channel's two ends,
+//! and the lookahead. Each domain holds a **full replica** of the
+//! [`crate::Network`] over the same topology — same FIB, same fault
+//! schedule — with its domain id, the table and an outbox: it only ever
+//! *transmits* on channels whose source node it owns, and an owned channel
+//! whose destination lies in another domain diverts its arrival into the
+//! outbox instead of the local event queue. One domain is the monolithic
+//! engine, [`crate::Network::new`]'s one-domain table: every channel is
+//! its own, the outbox stays empty, there is no lookahead, and a
+//! `run_until` slice is one window.
 //!
 //! Replication is what keeps the dataplane logic untouched: leaf `l`'s
 //! congestion tables and flowlet state are only ever exercised by events
@@ -87,14 +90,14 @@
 //! in `tests/shards.rs` pins this byte-for-byte at whole-fabric, leaf-group
 //! and per-leaf partitions, against the monolithic engine too.
 
-use crate::engine::{Dataplane, HostAgent, Network, ShardCtx};
+use crate::engine::{Dataplane, HostAgent, Network};
 use crate::ids::{ChannelId, HostId, NodeId};
 use crate::packet::Packet;
 use crate::topology::Topology;
 use conga_sim::{conservative_window, SimDuration, SimTime};
 use conga_telemetry::SeriesRegistry;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 
 /// A cross-domain packet in flight between windows:
 /// `(arrival time, channel, packet, fail epoch at tx start)`. The packet
@@ -233,6 +236,90 @@ fn domain_of(topo: &Topology, group: usize, n_domains: usize, node: NodeId) -> u
     (leaf / group) as u16
 }
 
+/// How a run's fabric is cut into domains: built once per run, by
+/// [`ShardedNetwork::partition`] or, as one domain, by [`Network::new`],
+/// and shared by every domain of the run.
+#[derive(Debug)]
+pub struct PartitionTable {
+    n_domains: usize,
+    /// Each host's domain: its leaf's.
+    hosts: Vec<u16>,
+    /// Each channel's transmit domain (its source node's), which keeps
+    /// its port, and receive domain (its destination node's), which
+    /// processes its arrivals.
+    tx: Vec<u16>,
+    rx: Vec<u16>,
+    /// Minimum propagation delay over the channels that cross domains.
+    lookahead: Option<SimDuration>,
+}
+
+impl PartitionTable {
+    /// Deal `topo`'s leaves into one contiguous group of
+    /// `ceil(n_leaves / workers)` per worker (0 workers mean 1, and more
+    /// than `n_leaves` mean `n_leaves`); the groups that come out
+    /// non-empty are the domains.
+    pub fn new(topo: &Topology, workers: usize) -> Self {
+        let n_leaves = topo.n_leaves as usize;
+        assert!(n_leaves >= 1, "topology has no leaves");
+        let group = n_leaves.div_ceil(workers.clamp(1, n_leaves));
+        let n_domains = n_leaves.div_ceil(group);
+        // Domain ids are u16: beyond 2^16 domains they would alias.
+        assert!(
+            n_domains <= 1 << 16,
+            "{n_domains} domains exceed the 65536 ids can name"
+        );
+        let of = |node| domain_of(topo, group, n_domains, node);
+        let tx: Vec<u16> = topo.channels.iter().map(|c| of(c.src)).collect();
+        let rx: Vec<u16> = topo.channels.iter().map(|c| of(c.dst)).collect();
+        let hosts = topo.host_leaf.iter().map(|l| (l.idx() / group) as u16);
+        let lookahead = topo
+            .channels
+            .iter()
+            .zip(tx.iter().zip(&rx))
+            .filter(|(_, (t, r))| t != r)
+            .map(|(c, _)| c.delay)
+            .min();
+        PartitionTable {
+            n_domains,
+            hosts: hosts.collect(),
+            tx,
+            rx,
+            lookahead,
+        }
+    }
+
+    /// Number of domains.
+    pub fn n_domains(&self) -> usize {
+        self.n_domains
+    }
+
+    /// Domain that owns host `h`: its leaf's group. It starts the host's
+    /// flows and receives the flows sent to it.
+    #[inline]
+    pub fn host_domain(&self, h: HostId) -> usize {
+        self.hosts[h.idx()] as usize
+    }
+
+    /// Domain that owns `ch`'s transmit side — where its port counters
+    /// (tx bytes, queue occupancy) are maintained.
+    #[inline]
+    pub fn tx_domain(&self, ch: ChannelId) -> usize {
+        self.tx[ch.idx()] as usize
+    }
+
+    /// Domain that processes `ch`'s arrivals.
+    #[inline]
+    pub fn rx_domain(&self, ch: ChannelId) -> usize {
+        self.rx[ch.idx()] as usize
+    }
+
+    /// The conservative lookahead: minimum propagation delay over
+    /// cross-domain channels (`None` when every channel is intra-domain).
+    pub fn lookahead(&self) -> Option<SimDuration> {
+        self.lookahead
+    }
+}
+
 /// A simulation partitioned into leaf-group domains, one per worker
 /// thread, that advance in conservative windows, exchanging cross-domain
 /// packets between them.
@@ -247,22 +334,16 @@ pub struct ShardedNetwork<D: Dataplane, A: HostAgent> {
     lanes: Vec<Mutex<Vec<Mail>>>,
     /// One per domain, and so per worker.
     scratch: Vec<Scratch>,
-    arrive_domain: Vec<u16>,
-    src_domain: Vec<u16>,
-    /// Leaves per domain (the last domain may have fewer).
-    group: usize,
-    lookahead: Option<SimDuration>,
     now: SimTime,
 }
 
 impl<D: Dataplane + Send, A: HostAgent + Send> ShardedNetwork<D, A> {
-    /// Partition `topo` into one domain per worker (0 workers means 1, and
-    /// more than `n_leaves` mean `n_leaves`), each a contiguous group of
-    /// `ceil(n_leaves / workers)` leaves. The groups that come out
+    /// Partition `topo` into one domain per worker, as
+    /// [`PartitionTable::new`] deals it. The groups that come out
     /// non-empty are the domains *and* the workers — 6 leaves on 4
     /// requested workers run as 3 domains on 3 threads — so no thread ever
     /// waits for a worker that has nothing to run. A single domain is the
-    /// monolithic engine: it gets no shard mask.
+    /// monolithic engine, [`Network::new`].
     /// `mk(d)` constructs domain `d`'s dataplane and host agent — every
     /// domain gets an identical fresh replica, built with the run seed.
     pub fn partition(
@@ -271,38 +352,12 @@ impl<D: Dataplane + Send, A: HostAgent + Send> ShardedNetwork<D, A> {
         workers: usize,
         mut mk: impl FnMut(usize) -> (D, A),
     ) -> Self {
-        let n_leaves = topo.n_leaves as usize;
-        assert!(n_leaves >= 1, "topology has no leaves");
-        let group = n_leaves.div_ceil(workers.clamp(1, n_leaves));
-        let n_domains = n_leaves.div_ceil(group);
-        // Domain ids are u16: beyond 2^16 domains they would alias.
-        assert!(
-            n_domains <= 1 << 16,
-            "{n_domains} domains exceed the 65536 ids can name"
-        );
-        let of = |node| domain_of(topo, group, n_domains, node);
-        let arrive_domain: Vec<u16> = topo.channels.iter().map(|c| of(c.dst)).collect();
-        let src_domain: Vec<u16> = topo.channels.iter().map(|c| of(c.src)).collect();
-        let lookahead = topo
-            .channels
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| src_domain[i] != arrive_domain[i])
-            .map(|(_, c)| c.delay)
-            .min();
+        let table = Arc::new(PartitionTable::new(topo, workers));
+        let n_domains = table.n_domains();
         let nets = (0..n_domains)
             .map(|d| {
                 let (dp, agent) = mk(d);
-                let mut net = Network::new(topo.clone(), dp, agent, seed);
-                if n_domains > 1 {
-                    net.set_shard(ShardCtx {
-                        id: d as u16,
-                        arrive_domain: arrive_domain.clone(),
-                        owns_tx: src_domain.iter().map(|&s| s as usize == d).collect(),
-                        outbox: Vec::new(),
-                    });
-                }
-                net
+                Network::in_domain(topo.clone(), dp, agent, seed, Arc::clone(&table), d)
             })
             .collect();
         ShardedNetwork {
@@ -316,41 +371,25 @@ impl<D: Dataplane + Send, A: HostAgent + Send> ShardedNetwork<D, A> {
                     by_domain: (0..n_domains).map(|_| Vec::new()).collect(),
                 })
                 .collect(),
-            arrive_domain,
-            src_domain,
-            group,
-            lookahead,
             now: SimTime::ZERO,
         }
     }
 
-    /// Domain that owns host `h`: its leaf's group. It starts the host's
-    /// flows and receives the flows sent to it.
-    pub fn host_domain(&self, h: HostId) -> usize {
-        self.nets[0].topo.leaf_of(h).idx() / self.group
+    /// The partition every domain shares.
+    pub fn table(&self) -> &PartitionTable {
+        &self.nets[0].part
     }
 
-    /// Domain that owns `ch`'s transmit side — where its port counters
-    /// (tx bytes, queue occupancy) are maintained.
+    /// Domain that owns `ch`'s transmit side (see
+    /// [`PartitionTable::tx_domain`]).
     pub fn tx_domain(&self, ch: ChannelId) -> usize {
-        self.src_domain[ch.idx()] as usize
-    }
-
-    /// Domain that processes `ch`'s arrivals.
-    pub fn rx_domain(&self, ch: ChannelId) -> usize {
-        self.arrive_domain[ch.idx()] as usize
+        self.table().tx_domain(ch)
     }
 
     /// Number of domains, which is also the number of worker threads the
     /// windows execute on (the calling thread is one).
     pub fn n_domains(&self) -> usize {
         self.nets.len()
-    }
-
-    /// The conservative lookahead: minimum propagation delay over
-    /// cross-domain channels (`None` when every channel is intra-domain).
-    pub fn lookahead(&self) -> Option<SimDuration> {
-        self.lookahead
     }
 
     /// Current simulation time (the end of the last `run_until` slice).
@@ -446,8 +485,7 @@ impl<D: Dataplane + Send, A: HostAgent + Send> ShardedNetwork<D, A> {
                 .lock()
                 .expect("a shard worker panicked")
         };
-        let arrive_domain = &self.arrive_domain;
-        let lookahead = self.lookahead;
+        let table = Arc::clone(&self.nets[0].part);
 
         let next_event =
             |net: &mut Network<D, A>| net.peek_time().map_or(u64::MAX, |t| t.as_nanos());
@@ -474,7 +512,7 @@ impl<D: Dataplane + Send, A: HostAgent + Send> ShardedNetwork<D, A> {
                 for (t, ch, pkt, epoch) in buf.drain(..) {
                     net.deliver_remote(t, ch, pkt, epoch);
                 }
-                let Some(bound) = conservative_window(min_pending, lookahead, t_end) else {
+                let Some(bound) = conservative_window(min_pending, table.lookahead(), t_end) else {
                     break events;
                 };
 
@@ -483,7 +521,7 @@ impl<D: Dataplane + Send, A: HostAgent + Send> ShardedNetwork<D, A> {
                 earliest = next_event(net);
                 for entry in buf.drain(..) {
                     earliest = earliest.min(entry.0.as_nanos());
-                    by_domain[arrive_domain[entry.1.idx()] as usize].push(entry);
+                    by_domain[table.rx_domain(entry.1)].push(entry);
                 }
                 parity ^= 1;
                 for (to, mail) in by_domain.iter_mut().enumerate() {
@@ -620,18 +658,18 @@ mod tests {
     #[test]
     fn lookahead_is_min_cross_domain_delay() {
         // One domain has no cross-domain channel: a slice is one window.
-        assert_eq!(sharded(1).lookahead(), None);
+        assert_eq!(sharded(1).table().lookahead(), None);
         let net = sharded(2);
         // Every fabric + access delay in the builder defaults apply; the
         // cross-domain set is non-empty across two leaf domains.
-        assert!(net.lookahead().is_some());
+        assert!(net.table().lookahead().is_some());
         let min_delay = topo()
             .channels
             .iter()
             .map(|c| c.delay)
             .min()
             .expect("channels");
-        assert!(net.lookahead().unwrap() >= min_delay);
+        assert!(net.table().lookahead().unwrap() >= min_delay);
     }
 
     #[test]
@@ -650,6 +688,39 @@ mod tests {
         assert_eq!(undomained(one), undomained(two));
     }
 
+    /// `run_until(SimTime::MAX)` drains a burst on the one-domain engine
+    /// and on two domains alike: the slice's exclusive bound saturates at
+    /// `SimTime::MAX` rather than overflowing, and every completion is
+    /// settled by the end.
+    #[test]
+    fn a_run_to_the_end_of_time_drains_a_burst() {
+        let burst = |net: &mut Network<TestEcmp, SinkAgent>| {
+            for f in 0..30u32 {
+                let h = ecmp_mix(f as u64, 0xAB);
+                let pkt = Packet::data(f, 0, h, HostId(0), HostId(2), 0, 1460, SimTime::ZERO);
+                crate::engine::inject(net, pkt);
+            }
+        };
+        let times = |net: &Network<TestEcmp, SinkAgent>| -> Vec<SimTime> {
+            let idle = (0..net.topo.channels.len() as u32).all(|i| !net.port(ChannelId(i)).busy);
+            assert!(idle, "a serializer is still busy");
+            assert_eq!(net.now(), SimTime::MAX);
+            net.agent.received.iter().map(|r| r.0).collect()
+        };
+        let mut one = Network::new(topo(), TestEcmp, SinkAgent::default(), 1);
+        burst(&mut one);
+        one.run_until(SimTime::MAX);
+        let whole = times(&one);
+        assert_eq!(whole.len(), 30);
+
+        let mut two = sharded(2);
+        burst(two.domain_mut(0));
+        two.run_until(SimTime::MAX);
+        assert_eq!(two.now(), SimTime::MAX);
+        assert!(times(two.domain(0)).is_empty());
+        assert_eq!(times(two.domain(1)), whole);
+    }
+
     /// A requested worker count that does not divide the leaves must not
     /// leave a thread waiting for a worker with no group: 6 leaves on 4
     /// workers are 3 groups of 2 (this hung on a 4-party barrier).
@@ -660,7 +731,7 @@ mod tests {
         assert_eq!(net.n_domains(), 3);
         // Host h hangs off leaf h, and leaf 5 is in the third group:
         // domain 0 → domain 2 crosses the fabric.
-        assert_eq!(net.host_domain(HostId(5)), 2);
+        assert_eq!(net.table().host_domain(HostId(5)), 2);
         crate::engine::inject(
             net.domain_mut(0),
             Packet::data(0, 0, 7, HostId(0), HostId(5), 0, 100, SimTime::ZERO),
@@ -683,11 +754,12 @@ mod tests {
             ShardedNetwork::partition(&topo, 1, workers, |_| (TestEcmp, SinkAgent::default()))
         };
         let one = build(1);
-        assert_eq!((one.n_domains(), one.lookahead()), (1, None));
+        assert_eq!((one.n_domains(), one.table().lookahead()), (1, None));
 
         let two = build(2);
         assert_eq!(two.n_domains(), 2);
-        let of = |node| domain_of(&topo, two.group, two.n_domains(), node) as usize;
+        // Two groups of eight leaves.
+        let of = |node| domain_of(&topo, 8, 2, node) as usize;
         for l in 0..16 {
             assert_eq!(of(NodeId::Leaf(LeafId(l))), l as usize / 8, "leaf {l}");
         }
@@ -700,7 +772,7 @@ mod tests {
         );
         for (i, c) in topo.channels.iter().enumerate() {
             let ch = ChannelId(i as u32);
-            if two.tx_domain(ch) != two.rx_domain(ch) {
+            if two.tx_domain(ch) != two.table().rx_domain(ch) {
                 let ends = (c.src, c.dst);
                 assert!(
                     matches!(
@@ -760,7 +832,7 @@ mod tests {
                 let east = Packet::data(f, 0, h, HostId(0), HostId(2), 0, 1460, SimTime::ZERO);
                 crate::engine::inject(net.domain_mut(0), east);
                 let west = Packet::data(30 + f, 0, h, HostId(3), HostId(1), 0, 1460, SimTime::ZERO);
-                let d = net.host_domain(HostId(3));
+                let d = net.table().host_domain(HostId(3));
                 crate::engine::inject(net.domain_mut(d), west);
             }
             for &t in slices {
@@ -830,7 +902,7 @@ mod tests {
             .position(|c| c.dst == NodeId::Leaf(LeafId(256)))
             .expect("leaf 256 has an inbound channel");
         let ch = ChannelId(into_leaf_256 as u32);
-        assert_eq!(net.rx_domain(ch), 2);
+        assert_eq!(net.table().rx_domain(ch), 2);
         let from_leaf_256 = topo
             .channels
             .iter()
@@ -839,7 +911,7 @@ mod tests {
         assert_eq!(net.tx_domain(ChannelId(from_leaf_256 as u32)), 2);
         // Host h hangs off leaf h. One packet each way between the first
         // and the last domain: both arrive, each with its host's id.
-        assert_eq!(net.host_domain(HostId(256)), 2);
+        assert_eq!(net.table().host_domain(HostId(256)), 2);
         crate::engine::inject(
             net.domain_mut(0),
             Packet::data(0, 0, 7, HostId(0), HostId(256), 0, 100, SimTime::ZERO),
@@ -891,7 +963,7 @@ mod tests {
             }
             // Host 4 hangs off leaf 2: domain 0, 1 and 2 at 1, 2 and 4
             // workers.
-            let rx = net.host_domain(HostId(4));
+            let rx = net.table().host_domain(HostId(4));
             assert_eq!(rx, 2 * workers / 4, "host 4's domain at {workers} workers");
             assert!(got.iter().all(|&(_, d, _, _)| d == rx));
             undomained((got, injected, delivered))

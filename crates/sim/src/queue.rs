@@ -436,13 +436,6 @@ impl<E> EventQueue<E> {
         self.pop_if(|t| t < bound)
     }
 
-    /// Remove and return the earliest event if it fires at or before
-    /// `t_end` (the inclusive form of [`EventQueue::pop_before`]).
-    #[inline]
-    pub fn pop_through(&mut self, t_end: SimTime) -> Option<(SimTime, E)> {
-        self.pop_if(|t| t <= t_end)
-    }
-
     #[inline]
     fn pop_if(&mut self, ok: impl FnOnce(SimTime) -> bool) -> Option<(SimTime, E)> {
         let s = match &mut self.backend {
@@ -505,6 +498,7 @@ impl<E> EventQueue<E> {
 mod tests {
     use super::*;
     use crate::rng::SimRng;
+    use crate::time::SimDuration;
 
     fn kinds() -> [QueueKind; 2] {
         [QueueKind::Heap, QueueKind::Calendar]
@@ -768,7 +762,8 @@ mod tests {
             *id += 1;
         }
         /// One pop in each queue: form 0 plain, 1 `pop_before(bound)`,
-        /// 2 `pop_through(bound)`.
+        /// 2 `pop_before(bound + 1)`, the inclusive bound a
+        /// `Network::run_until` slice ends on.
         fn pop_all(qs: &mut [EventQueue<u64>; 3], form: u64, bound: u64) -> Option<(SimTime, u64)> {
             let bound = SimTime::from_nanos(bound);
             let [reference, heap, cal] = qs;
@@ -783,7 +778,7 @@ mod tests {
                 let got = match form {
                     0 => q.pop(),
                     1 => q.pop_before(bound),
-                    _ => q.pop_through(bound),
+                    _ => q.pop_before(bound.saturating_add(SimDuration::from_nanos(1))),
                 };
                 assert_eq!(got, want, "{:?} form {form}", q.kind());
             }
@@ -811,8 +806,8 @@ mod tests {
             // Steady state: every popped event schedules one successor.
             for step in 0..6_000u64 {
                 let bound = match rng.u64() % 4 {
-                    // Exactly the head's time: `pop_before` must refuse,
-                    // `pop_through` must accept.
+                    // Exactly the head's time: form 1 must refuse, form 2
+                    // accept.
                     0 => qs[0].peek_time().expect("cloud").as_nanos(),
                     _ => now + rng.u64() % (W / 16),
                 };

@@ -64,6 +64,19 @@ pub struct FlowRecord {
 }
 
 impl FlowRecord {
+    /// The record of a flow that has not run yet.
+    pub(crate) fn planned(src: HostId, dst: HostId, bytes: u64, start: SimTime) -> Self {
+        FlowRecord {
+            src,
+            dst,
+            bytes,
+            start,
+            rx_done: None,
+            retx_bytes: 0,
+            timeouts: 0,
+        }
+    }
+
     /// Receiver-side flow completion time, if the flow finished.
     pub fn fct(&self) -> Option<SimDuration> {
         self.rx_done.map(|t| t.saturating_since(self.start))
@@ -230,12 +243,23 @@ impl Totals {
     }
 }
 
-/// Subflows a flow of this kind runs.
-pub(crate) fn n_subflows(kind: &TransportKind) -> u16 {
-    match kind {
+/// `kind`'s index among the interned `kinds`, pushed on first sight, and
+/// the subflows a flow of it runs: how a stack and a [`Schedule`] alike
+/// file a flow's transport.
+pub(crate) fn intern(kinds: &mut Vec<TransportKind>, kind: TransportKind) -> (usize, u64) {
+    // Arrivals repeat the last kind, so the search is one comparison.
+    let k = match kinds.iter().rposition(|k| *k == kind) {
+        Some(k) => k,
+        None => {
+            kinds.push(kind);
+            kinds.len() - 1
+        }
+    };
+    let subflows = match kind {
         TransportKind::Tcp(_) => 1,
-        TransportKind::Mptcp(c) => c.subflows,
-    }
+        TransportKind::Mptcp(c) => c.subflows as u64,
+    };
+    (k, subflows)
 }
 
 /// The end-host transport stack for the whole simulation.
@@ -308,7 +332,7 @@ impl TransportLayer {
             t += gap;
             (t, spec)
         });
-        self.attach(Arc::new(Schedule::new(starts, 1, |_| 0)), 0);
+        self.attach(Arc::new(Schedule::over(starts, 1, |_| 0)), 0);
     }
 
     /// The delay from time zero to the first flow's start timer, and its
@@ -415,16 +439,11 @@ impl TransportLayer {
     /// (or its end) that are not registered yet.
     fn register_through(&mut self, last: usize) {
         let Some(p) = &self.attached else { return };
-        let end = p.schedule.len().min(last.saturating_add(1));
-        for f in p
-            .schedule
-            .flows
-            .get(self.flows.len()..end)
-            .unwrap_or_default()
-        {
-            self.records.push(f.record());
-            self.flows
-                .push(FlowSlot::new(f.kind as u32, f.tx_domain == p.domain));
+        let (schedule, domain) = (Arc::clone(&p.schedule), p.domain);
+        let end = schedule.len().min(last.saturating_add(1));
+        let flows = schedule.flows.get(self.flows.len()..end);
+        for f in flows.unwrap_or_default() {
+            self.register(f.record(), f.kind as usize, f.tx_domain == domain);
         }
     }
 
@@ -445,29 +464,19 @@ impl TransportLayer {
     /// small slot; the flow's TCP/MPTCP state is built when it is first
     /// used.
     pub fn preregister(&mut self, spec: FlowSpec, start: SimTime, tx_local: bool) -> usize {
-        let id = self.flows.len();
-        self.records.push(FlowRecord {
-            src: spec.src,
-            dst: spec.dst,
-            bytes: spec.bytes,
-            start,
-            rx_done: None,
-            retx_bytes: 0,
-            timeouts: 0,
-        });
-        // Arrivals repeat the last kind, so the search is one comparison.
-        let kind = match self.kinds.iter().rposition(|k| *k == spec.kind) {
-            Some(k) => k,
-            None => {
-                self.kinds.push(spec.kind);
-                self.kinds.len() - 1
-            }
-        };
+        let (kind, subflows) = intern(&mut self.kinds, spec.kind);
         if tx_local {
-            self.tx_subflows += n_subflows(&spec.kind) as u64;
+            self.tx_subflows += subflows;
         }
+        let record = FlowRecord::planned(spec.src, spec.dst, spec.bytes, start);
+        self.register(record, kind, tx_local)
+    }
+
+    /// The one registration: flow `flows.len()`'s record and slot.
+    fn register(&mut self, record: FlowRecord, kind: usize, tx_local: bool) -> usize {
+        self.records.push(record);
         self.flows.push(FlowSlot::new(kind as u32, tx_local));
-        id
+        self.flows.len() - 1
     }
 
     /// The timer token whose firing activates registered flow `flow`.
@@ -1215,7 +1224,7 @@ mod tests {
             // other counter is the same whether or not the state retired.
             let (mut retired, kept) = (counters(&retiring), counters(&keeping));
             assert_eq!(retired.counter("transport.subflows"), 0);
-            let n = n_subflows(&spec.kind) as u64;
+            let n = intern(&mut Vec::new(), spec.kind).1;
             assert_eq!(kept.counter("transport.subflows"), n);
             retired.set_counter("transport.subflows", n);
             assert_eq!(retired, kept);

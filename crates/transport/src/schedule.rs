@@ -3,8 +3,8 @@
 //! starts there or its first packet lands there (see
 //! [`crate::TransportLayer::attach_schedule`]).
 
-use crate::layer::{FlowRecord, FlowSpec, TransportKind};
-use conga_net::HostId;
+use crate::layer::{intern, FlowRecord, FlowSpec, TransportKind};
+use conga_net::{HostId, PartitionTable};
 use conga_sim::SimTime;
 
 /// One flow of a [`Schedule`]: 32 bytes where an arrival, a [`FlowSpec`]
@@ -24,15 +24,7 @@ pub(crate) struct Planned {
 impl Planned {
     /// The flow's record before it has run.
     pub fn record(&self) -> FlowRecord {
-        FlowRecord {
-            src: self.src,
-            dst: self.dst,
-            bytes: self.bytes,
-            start: self.start,
-            rx_done: None,
-            retx_bytes: 0,
-            timeouts: 0,
-        }
+        FlowRecord::planned(self.src, self.dst, self.bytes, self.start)
     }
 }
 
@@ -49,8 +41,20 @@ pub struct Schedule {
 
 impl Schedule {
     /// The schedule of `arrivals`, whose start times must not decrease,
-    /// over `n_domains` domains; `domain_of` names the domain of a host.
+    /// over the domains of `table`.
     pub fn new(
+        arrivals: impl IntoIterator<Item = (SimTime, FlowSpec)>,
+        table: &PartitionTable,
+    ) -> Self {
+        Self::over(arrivals, table.n_domains(), |h| table.host_domain(h))
+    }
+
+    /// The schedule of `arrivals` over `n_domains` domains, `domain_of`
+    /// naming each host's: [`TransportLayer::attach_source`]'s one domain
+    /// needs no table.
+    ///
+    /// [`TransportLayer::attach_source`]: crate::TransportLayer::attach_source
+    pub(crate) fn over(
         arrivals: impl IntoIterator<Item = (SimTime, FlowSpec)>,
         n_domains: usize,
         domain_of: impl Fn(HostId) -> usize,
@@ -64,17 +68,9 @@ impl Schedule {
             .map(|(start, spec)| {
                 assert!(start >= last, "arrivals out of start order");
                 last = start;
-                // Arrivals repeat the last kind, so the search is one
-                // comparison.
-                let kind = match kinds.iter().rposition(|k| *k == spec.kind) {
-                    Some(k) => k,
-                    None => {
-                        kinds.push(spec.kind);
-                        kinds.len() - 1
-                    }
-                };
+                let (kind, subflows) = intern(&mut kinds, spec.kind);
                 let tx_domain = domain_of(spec.src);
-                local[tx_domain] += crate::layer::n_subflows(&spec.kind) as u64;
+                local[tx_domain] += subflows;
                 Planned {
                     start,
                     bytes: spec.bytes,

@@ -14,7 +14,10 @@ use conga::experiments::{
     build_testbed, merged_arrivals, run_dynamic_failure, run_fct_with_policy, uniform_arrivals,
     DynFailSpec, FctRun, LinkFaultSpec, Scheme, ShardedRun, TestbedOpts,
 };
-use conga::net::{ChannelId, CoreId, LeafId, Link, Network, NodeId, SpineId, Topology};
+use conga::net::{
+    ChannelId, CoreId, LeafId, Link, Network, NodeId, PartitionTable, SpineId, Topology,
+    TopologyBuilder,
+};
 use conga::sim::{QueueKind, SimDuration, SimRng, SimTime};
 use conga::telemetry::{RunReport, SeriesRegistry};
 use conga::trace::{TraceConfig, TraceHandle};
@@ -158,17 +161,19 @@ impl Cell {
     }
 
     /// Every run of the cell — monolithic, and sharded on 1 (the whole
-    /// fabric), 2 (leaf groups: on the three-tier cell, pods) and
-    /// `n_leaves` (per-leaf) workers — and what each left behind.
+    /// fabric), 2 and 3 (leaf groups: on the three-tier cell, pods) and
+    /// `n_leaves` (per-leaf) workers, each distinct partition once — and
+    /// what each left behind.
     fn assert_partition_free(&self, what: &str) {
         let whole = self.monolithic();
-        assert!(
-            whole[0].contains("\"net.fault_transitions\": 4"),
-            "{what}: no fault fired"
-        );
+        let transitions = format!("\"net.fault_transitions\": {}", self.transitions());
+        assert!(whole[0].contains(&transitions), "{what}: not {transitions}");
         assert!(whole[2].lines().count() > 1000, "{what}: a thin trace");
-        let per_leaf = self.topo.n_leaves as usize;
-        for workers in [1, 2, per_leaf] {
+        let mut counts = [1, 2, 3, self.topo.n_leaves as usize]
+            .map(|w| (PartitionTable::new(&self.topo, w).n_domains(), w))
+            .to_vec();
+        counts.dedup_by_key(|&mut (domains, _)| domains);
+        for (_, workers) in counts {
             let got = self.sharded(workers);
             for (i, kind) in ["report", "series", "trace"].iter().enumerate() {
                 assert!(
@@ -178,6 +183,114 @@ impl Cell {
             }
         }
     }
+
+    /// The link-state transitions the fault schedule applies, one per
+    /// direction of a link whose state changes (a fail of a link that is
+    /// down, or a recovery of one that is up, changes nothing). The
+    /// transitions fire in time order, equal times in schedule order.
+    fn transitions(&self) -> u64 {
+        let mut faults = self.faults.clone();
+        faults.sort_by_key(|f| f.at);
+        let mut down = Vec::new();
+        let mut n = 0;
+        for f in faults {
+            let was_down = down.contains(&f.link);
+            if f.up == was_down {
+                n += 2;
+                match f.up {
+                    true => down.retain(|l| *l != f.link),
+                    false => down.push(f.link),
+                }
+            }
+        }
+        assert!(n > 0, "a cell without a fault transition");
+        n
+    }
+}
+
+/// The seeded generator of partition cells (ROADMAP item 10): two- and
+/// three-tier fabrics with odd leaf counts, one to three parallel links
+/// and, in one cell, a derated link; faults at both tiers, one at t = 0,
+/// one overlapping it (failed twice), one never recovered, each on its own
+/// leaf (or, three-tier, spine) so no switch is cut off; a policy drawn
+/// from the zoo; 24 uniform flows of at most 300 KB.
+fn generated_cells() -> Vec<(String, Cell)> {
+    let mut rng = SimRng::new(0xCE11_5EED);
+    let zoo = FabricPolicy::zoo();
+    let tcp = TransportKind::Tcp(TcpConfig::standard());
+    let ms = |x: u64| SimTime::from_micros(x * 100);
+    (0..6u32)
+        .map(|i| {
+            let three = i % 2 == 1;
+            let parallel = 1 + i % 3;
+            let odd = [3, 5][rng.below(2)];
+            let builder = if three {
+                let cores = 2 + rng.below(2) as u32;
+                TopologyBuilder::three_tier(odd, [1, 3][rng.below(2)], 2, cores, 2)
+            } else {
+                TopologyBuilder::new(odd, 2 + rng.below(2) as u32, 2 + rng.below(2) as u32)
+            };
+            let builder = builder.parallel_links(parallel);
+            let topo = match i {
+                2 => builder.override_link_rate_gbps(0, 0, 0, 10),
+                _ => builder,
+            }
+            .build();
+            let (n, lpp, spp) = (topo.n_leaves, topo.leaves_per_pod(), topo.spines_per_pod());
+            let up_link = |rng: &mut SimRng, l: u32| {
+                let spine = l / lpp * spp + rng.below(spp as usize) as u32;
+                let p = rng.below(parallel as usize) as u32;
+                Link::new(NodeId::Leaf(LeafId(l)), NodeId::Spine(SpineId(spine)), p)
+            };
+            let (first, overlap) = (up_link(&mut rng, 0), up_link(&mut rng, n - 1));
+            let never = match three {
+                true => {
+                    let spine = SpineId(rng.below(topo.n_spines as usize) as u32);
+                    let core = CoreId(rng.below(topo.n_cores as usize) as u32);
+                    Link::new(NodeId::Spine(spine), NodeId::Core(core), 0)
+                }
+                false => {
+                    let l = 1 + rng.below(n as usize - 2) as u32;
+                    up_link(&mut rng, l)
+                }
+            };
+            let back = 10 + rng.below(20) as u64;
+            let faults = vec![
+                LinkFaultSpec::fail(SimTime::ZERO, first),
+                LinkFaultSpec::fail(ms(5), overlap),
+                LinkFaultSpec::recover(ms(back), first),
+                LinkFaultSpec::fail(ms(back - 2), overlap),
+                LinkFaultSpec::fail(ms(3 + rng.below(20) as u64), never),
+                LinkFaultSpec::recover(ms(back + 10), overlap),
+            ];
+            let (name, mk) = zoo[rng.below(zoo.len())];
+            let policy = match name {
+                "incremental" => FabricPolicy::incremental((0..n).map(|l| l % 2 == 0).collect()),
+                _ => mk(),
+            };
+            let dist = FlowSizeDist::enterprise();
+            let capacity = topo.access_capacity(LeafId(0));
+            let mut arrivals = uniform_arrivals(&dist, &topo, capacity, 0.5, 24, &mut rng, tcp);
+            // The size tail is not what this battery is about: a few
+            // hundred KB keep every cell's trace in the 10^4 lines.
+            for (_, spec) in &mut arrivals {
+                spec.bytes = spec.bytes.min(300_000);
+            }
+            let what = format!(
+                "cell {i} ({n} leaves, {} tiers, {parallel} parallel, {name})",
+                2 + three as u32
+            );
+            let cell = Cell {
+                sampled: topo.fib().leaf_uplinks[0].clone(),
+                starts: absolute(arrivals),
+                faults,
+                topo,
+                policy,
+                seed: 11 + i as u64,
+            };
+            (what, cell)
+        })
+        .collect()
 }
 
 /// Gap-encoded arrivals as start times.
@@ -205,6 +318,15 @@ fn jsonl(trace: TraceHandle) -> String {
 fn a_run_does_not_depend_on_its_partition() {
     Cell::two_tier(FabricPolicy::conga(), 40).assert_partition_free("two-tier");
     Cell::three_tier().assert_partition_free("three-tier");
+}
+
+/// The identity on the generated cells: odd leaf counts (so uneven leaf
+/// groups), parallel and derated links, faults at both tiers, any policy.
+#[test]
+fn generated_fabrics_do_not_depend_on_their_partition() {
+    for (what, cell) in generated_cells() {
+        cell.assert_partition_free(&what);
+    }
 }
 
 /// A small traced FCT cell on the quick baseline testbed (2 leaf domains).
