@@ -760,13 +760,12 @@ impl ShardedRun {
         arrivals: &[(SimTime, FlowSpec)],
     ) -> Self {
         let trace_cfg = trace.cloned();
-        let mut net = ShardedNetwork::partition(topo, seed, shards, |_| {
+        let mut net = ShardedNetwork::partition(topo, seed, shards, queue, |_| {
             (policy.clone(), TransportLayer::new())
         });
         let schedule = Arc::new(Schedule::new(arrivals.iter().copied(), net.table()));
         let mut tracer_parts = Vec::new();
         net.each(|d, n| {
-            n.set_queue_kind(queue);
             // Every domain marks the enqueues it owns; installing the same
             // config everywhere keeps replicas in lock-step.
             if let Some(e) = ecn {

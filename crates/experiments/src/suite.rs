@@ -429,8 +429,9 @@ fn incast_cell(
 }
 
 /// Run one incast on one worker with the controller's default ECN
-/// marking: returns goodput as a % of the 10G access line rate, the run's
-/// telemetry report, and the trace handle (if tracing was requested).
+/// marking, on the calendar queue as every fig13 cell: returns goodput as
+/// a % of the 10G access line rate, the run's telemetry report, and the
+/// trace handle (if tracing was requested).
 pub fn run_incast(
     scheme: Scheme,
     fanout: u32,
@@ -448,7 +449,7 @@ pub fn run_incast(
     let engine = Engine {
         seed,
         shards: 1,
-        queue: QueueKind::Heap,
+        queue: QueueKind::Calendar,
         ecn: spec.marking().map(|(_, ecn)| ecn),
         trace,
         faults: &[],
@@ -565,6 +566,41 @@ mod tests {
         assert_eq!(dctcp.meta("cc"), Some("dctcp"));
         assert_eq!(dctcp.meta("ecn_threshold_pkts"), Some("65"));
         assert!(dctcp.metrics.counter("net.ecn_marked_pkts") > 0);
+    }
+
+    /// `run_incast` runs on the calendar: a CONGA and an MPTCP cell write
+    /// the same report and trace on either queue kind.
+    #[test]
+    fn an_incast_cell_does_not_depend_on_its_queue_kind() {
+        use conga_sim::QueueKind::{Calendar, Heap};
+        let trace = TraceConfig::all();
+        for scheme in [Scheme::Conga, Scheme::Mptcp] {
+            let spec = IncastSpec {
+                scheme,
+                fanout: 16,
+                tcp: TcpConfig::standard().with_min_rto(SimDuration::from_millis(1)),
+                ecn_threshold_pkts: None,
+                seed: 1,
+            };
+            let [heap, calendar] = [Heap, Calendar].map(|queue| {
+                let engine = Engine {
+                    seed: spec.seed,
+                    shards: 1,
+                    queue,
+                    ecn: None,
+                    trace: Some(&trace),
+                    faults: &[],
+                };
+                let (_, report, handle) = incast(engine, &spec);
+                let jsonl = handle.and_then(|h| h.export_jsonl()).expect("traced");
+                (report.to_json(), jsonl)
+            });
+            assert!(
+                heap.1.lines().count() > 1000,
+                "{scheme:?} traced too little"
+            );
+            assert!(heap == calendar, "{scheme:?}: the queue kinds diverge");
+        }
     }
 
     #[test]

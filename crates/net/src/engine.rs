@@ -31,7 +31,7 @@ use crate::packet::{ecmp_mix, Overlay, Packet};
 use crate::port::{Enqueue, TxPort};
 use crate::shard::{Mail, PartitionTable};
 use crate::topology::{Fib, Topology};
-use conga_sim::{EventQueue, Key, SimDuration, SimRng, SimTime};
+use conga_sim::{EventQueue, Key, QueueKind, SimDuration, SimRng, SimTime};
 use conga_telemetry::{MetricsRegistry, SeriesRegistry};
 use conga_trace::{TraceEvent, TraceHandle};
 use std::collections::VecDeque;
@@ -413,10 +413,11 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
     /// the whole fabric as one domain.
     pub fn new(topo: Topology, dataplane: D, agent: A, seed: u64) -> Self {
         let part = Arc::new(PartitionTable::new(&topo, 1));
-        Self::in_domain(topo, dataplane, agent, seed, part, 0)
+        Self::in_domain(topo, dataplane, agent, seed, part, 0, QueueKind::Heap)
     }
 
-    /// Build domain `domain` of the partition `part` of `topo`.
+    /// Build domain `domain` of the partition `part` of `topo`, its
+    /// future-event list of kind `queue`.
     pub(crate) fn in_domain(
         topo: Topology,
         mut dataplane: D,
@@ -424,6 +425,7 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
         seed: u64,
         part: Arc<PartitionTable>,
         domain: usize,
+        queue: QueueKind,
     ) -> Self {
         assert!(
             (topo.n_hosts as u64) < 1 << (CLASS_SHIFT - PKT_SEQ_BITS),
@@ -447,7 +449,7 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
             series: SeriesRegistry::disabled(),
             ports,
             folded: Vec::new(),
-            events: EventQueue::with_capacity(1 << 16),
+            events: EventQueue::with_kind(queue, 1 << 16),
             now: SimTime::ZERO,
             seed,
             rngs: vec![None; nodes as usize],
@@ -488,7 +490,7 @@ impl<D: Dataplane, A: HostAgent> Network<D, A> {
     /// `(time, tie)` ordering, so artifacts do not change. Call
     /// right after construction, before anything is scheduled — the
     /// queue is replaced, not migrated.
-    pub fn set_queue_kind(&mut self, kind: conga_sim::QueueKind) {
+    pub fn set_queue_kind(&mut self, kind: QueueKind) {
         assert!(
             self.events.is_empty() && self.events.total_pushed() == 0,
             "select the queue kind before scheduling events"

@@ -94,7 +94,7 @@ use crate::engine::{Dataplane, HostAgent, Network};
 use crate::ids::{ChannelId, HostId, NodeId};
 use crate::packet::Packet;
 use crate::topology::Topology;
-use conga_sim::{conservative_window, SimDuration, SimTime};
+use conga_sim::{conservative_window, QueueKind, SimDuration, SimTime};
 use conga_telemetry::SeriesRegistry;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -345,11 +345,13 @@ impl<D: Dataplane + Send, A: HostAgent + Send> ShardedNetwork<D, A> {
     /// waits for a worker that has nothing to run. A single domain is the
     /// monolithic engine, [`Network::new`].
     /// `mk(d)` constructs domain `d`'s dataplane and host agent — every
-    /// domain gets an identical fresh replica, built with the run seed.
+    /// domain gets an identical fresh replica, built with the run seed —
+    /// and every domain's future-event list is of kind `queue`.
     pub fn partition(
         topo: &Topology,
         seed: u64,
         workers: usize,
+        queue: QueueKind,
         mut mk: impl FnMut(usize) -> (D, A),
     ) -> Self {
         let table = Arc::new(PartitionTable::new(topo, workers));
@@ -357,7 +359,7 @@ impl<D: Dataplane + Send, A: HostAgent + Send> ShardedNetwork<D, A> {
         let nets = (0..n_domains)
             .map(|d| {
                 let (dp, agent) = mk(d);
-                Network::in_domain(topo.clone(), dp, agent, seed, Arc::clone(&table), d)
+                Network::in_domain(topo.clone(), dp, agent, seed, Arc::clone(&table), d, queue)
             })
             .collect();
         ShardedNetwork {
@@ -611,7 +613,9 @@ mod tests {
     }
 
     fn sharded(workers: usize) -> ShardedNetwork<TestEcmp, SinkAgent> {
-        ShardedNetwork::partition(&topo(), 1, workers, |_| (TestEcmp, SinkAgent::default()))
+        ShardedNetwork::partition(&topo(), 1, workers, QueueKind::Heap, |_| {
+            (TestEcmp, SinkAgent::default())
+        })
     }
 
     /// A delivery observation: `(time, domain, packet id, seq)`.
@@ -727,7 +731,9 @@ mod tests {
     #[test]
     fn uneven_worker_count_runs_on_the_non_empty_groups() {
         let topo = LeafSpineBuilder::new(6, 2, 1).build();
-        let mut net = ShardedNetwork::partition(&topo, 1, 4, |_| (TestEcmp, SinkAgent::default()));
+        let mut net = ShardedNetwork::partition(&topo, 1, 4, QueueKind::Heap, |_| {
+            (TestEcmp, SinkAgent::default())
+        });
         assert_eq!(net.n_domains(), 3);
         // Host h hangs off leaf h, and leaf 5 is in the third group:
         // domain 0 → domain 2 crosses the fabric.
@@ -751,7 +757,9 @@ mod tests {
         use crate::topology::TopologyBuilder;
         let topo = TopologyBuilder::three_tier(4, 4, 2, 2, 16).build();
         let build = |workers| {
-            ShardedNetwork::partition(&topo, 1, workers, |_| (TestEcmp, SinkAgent::default()))
+            ShardedNetwork::partition(&topo, 1, workers, QueueKind::Heap, |_| {
+                (TestEcmp, SinkAgent::default())
+            })
         };
         let one = build(1);
         assert_eq!((one.n_domains(), one.table().lookahead()), (1, None));
@@ -894,7 +902,9 @@ mod tests {
     #[test]
     fn domains_above_256_leaves_do_not_alias() {
         let topo = LeafSpineBuilder::new(257, 1, 1).build();
-        let mut net = ShardedNetwork::partition(&topo, 1, 3, |_| (TestEcmp, SinkAgent::default()));
+        let mut net = ShardedNetwork::partition(&topo, 1, 3, QueueKind::Heap, |_| {
+            (TestEcmp, SinkAgent::default())
+        });
         assert_eq!(net.n_domains(), 3);
         let into_leaf_256 = topo
             .channels
@@ -935,8 +945,9 @@ mod tests {
         // (pod 0) → host 4 (leaf 2, pod 1) crosses the core tier.
         let run = |workers: usize| {
             let topo = TopologyBuilder::three_tier(2, 2, 2, 2, 2).build();
-            let mut net =
-                ShardedNetwork::partition(&topo, 1, workers, |_| (TestEcmp, SinkAgent::default()));
+            let mut net = ShardedNetwork::partition(&topo, 1, workers, QueueKind::Heap, |_| {
+                (TestEcmp, SinkAgent::default())
+            });
             for f in 0..30u32 {
                 let pkt = Packet::data(
                     f,
@@ -1109,8 +1120,9 @@ mod tests {
             assert_eq!(rx, want_rx, "monolithic, before={before}");
 
             // On two workers leaf 1 and hosts 2 and 3 are domain 1.
-            let mut run =
-                ShardedNetwork::partition(&topo, 1, 2, |_| (TestEcmp, SinkAgent::default()));
+            let mut run = ShardedNetwork::partition(&topo, 1, 2, QueueKind::Heap, |_| {
+                (TestEcmp, SinkAgent::default())
+            });
             run.domain_mut(1)
                 .deliver_remote(SimTime::ZERO, up3, pkt(0), 0);
             if before {

@@ -18,13 +18,14 @@
 //!   64 ns-wide buckets spanning a ~262 µs "year", a two-level occupancy
 //!   bitmap for skipping empty buckets, and an overflow heap for events
 //!   beyond the current year (RTO and flow-start timers live there). A
-//!   bucket is kept sorted, so its width is what a push pays for: the
-//!   packet workloads schedule ~190 events per simulated µs, a dozen per
-//!   bucket at this width against 200–600 at 1024 ns. Push and pop are
-//!   amortised `O(1)` because simulators schedule overwhelmingly into the
-//!   near future. A push earlier than the current scan position rewinds
-//!   the scan, so ordering holds for arbitrary push patterns, not just
-//!   monotone ones.
+//!   push appends to its bucket and marks it dirty; the scan sorts a dirty
+//!   bucket once, when it first reads the bucket's minimum, and only a
+//!   push into the bucket being drained pays a sorted insert. The packet
+//!   workloads schedule ~190 events per simulated µs, a dozen per bucket
+//!   at this width. Push and pop are amortised `O(1)` because simulators
+//!   schedule overwhelmingly into the near future. A push earlier than
+//!   the current scan position rewinds the scan, so ordering holds for
+//!   arbitrary push patterns, not just monotone ones.
 //!
 //! The two are observationally identical — `tests::calendar_matches_heap`
 //! (sparse, adversarial) and `tests::dense_calendar_matches_heap` (hundreds
@@ -96,10 +97,14 @@ const CAL_YEAR: u64 = (CAL_BUCKETS as u64) << CAL_SHIFT;
 ///
 /// Invariants:
 /// * no bucketed event is earlier than the scan position
-///   `epoch + cur·width` (pushes behind the scan rewind it), and
+///   `epoch + cur·width` (pushes behind the scan rewind it),
 /// * `far` only holds events at or beyond `epoch + YEAR` (the horizon
 ///   only drops on a rewind, which keeps the property; wrapping a year
-///   migrates newly-near events back into buckets).
+///   migrates newly-near events back into buckets), and
+/// * a bucket whose `dirty` bit is clear is sorted descending by key, so
+///   its minimum is `last()` and pop is `Vec::pop`. A push into the scan's
+///   bucket keeps it sorted; a push into any other appends and sets the
+///   bit, and [`Calendar::seek`] sorts a dirty bucket before reading it.
 ///
 /// Together these mean the scan's first *eligible* bucket entry — one
 /// whose time is inside the bucket's current-year window — is the global
@@ -107,13 +112,14 @@ const CAL_YEAR: u64 = (CAL_BUCKETS as u64) << CAL_SHIFT;
 /// rewind); the eligibility check in [`Calendar::seek`] skips those.
 #[derive(Debug)]
 struct Calendar<E> {
-    /// Ring of buckets, each sorted descending by key so the
-    /// minimum is `last()` and pop is `Vec::pop`.
+    /// Ring of buckets.
     buckets: Vec<Vec<Scheduled<E>>>,
     /// Occupancy bitmap: bit `b & 63` of `occ[b >> 6]` set iff bucket
     /// `b` is non-empty; `top` summarises the 64 words.
     occ: [u64; CAL_BUCKETS / 64],
     top: u64,
+    /// Bit `b & 63` of `dirty[b >> 6]` set iff bucket `b` may be unsorted.
+    dirty: [u64; CAL_BUCKETS / 64],
     /// Scan position (bucket index) and the start time of its year (ns).
     cur: usize,
     epoch: u64,
@@ -137,6 +143,7 @@ impl<E> Calendar<E> {
             buckets: (0..CAL_BUCKETS).map(|_| Vec::new()).collect(),
             occ: [0; CAL_BUCKETS / 64],
             top: 0,
+            dirty: [0; CAL_BUCKETS / 64],
             cur: 0,
             epoch: 0,
             far: BinaryHeap::new(),
@@ -157,13 +164,15 @@ impl<E> Calendar<E> {
                 *v = buf;
             }
         }
-        // Descending by key: find the first element strictly smaller and
-        // insert before it. Pushes trend later-in-time and a later key
-        // sorts toward the *front*, so the typical insert lands near index
-        // 0 and the memmove shifts most of the bucket — the price of
-        // keeping the minimum at `last()` for an O(1) pop.
-        let i = v.partition_point(|x| x.key > s.key);
-        v.insert(i, s);
+        if b == self.cur {
+            // Descending by key: insert before the first element strictly
+            // smaller, so the minimum stays `last()` for the pops to come.
+            let i = v.partition_point(|x| x.key > s.key);
+            v.insert(i, s);
+        } else {
+            v.push(s);
+            self.dirty[b >> 6] |= 1 << (b & 63);
+        }
         self.occ[b >> 6] |= 1 << (b & 63);
         self.top |= 1 << (b >> 6);
         self.near_len += 1;
@@ -242,6 +251,10 @@ impl<E> Calendar<E> {
         let mut from = self.cur;
         loop {
             if let Some(b) = self.next_occupied(from) {
+                if self.dirty[b >> 6] & (1 << (b & 63)) != 0 {
+                    self.dirty[b >> 6] &= !(1 << (b & 63));
+                    self.buckets[b].sort_unstable_by_key(|x| Reverse(x.key));
+                }
                 // Eligible only if the bucket's minimum falls inside the
                 // bucket's window for the scan's current year; an entry
                 // for a later year (bucketed before a rewind) waits.
@@ -298,6 +311,7 @@ impl<E> Calendar<E> {
         }
         self.occ = [0; CAL_BUCKETS / 64];
         self.top = 0;
+        self.dirty = [0; CAL_BUCKETS / 64];
         self.cur = 0;
         self.epoch = 0;
         self.far.clear();
@@ -733,6 +747,120 @@ mod tests {
         assert!(
             against_push_order > 1000,
             "{against_push_order} equal-time pops against push order"
+        );
+    }
+
+    /// The push rule's four cases against a reference ordered set: pushes
+    /// into the bucket being drained after the scan sorted it, into dirty
+    /// buckets ahead of the scan, behind a scan that a peek or a refused
+    /// `pop_before` parked on a later bucket (so the scan rewinds across
+    /// dirty buckets), and into buckets on both sides of a year wrap. A
+    /// bucket receives its events in scrambled key order, so one read
+    /// without its sort hands out a wrong minimum.
+    #[test]
+    fn unsorted_buckets_pop_in_key_order() {
+        const W: u64 = 1 << CAL_SHIFT;
+        /// The scan position and the buckets marked dirty that hold more
+        /// than one event.
+        fn scan(q: &EventQueue<u64>) -> (usize, Vec<usize>) {
+            let Backend::Calendar(c) = &q.backend else {
+                unreachable!("built as a calendar")
+            };
+            let dirty = (0..CAL_BUCKETS)
+                .filter(|&b| c.dirty[b >> 6] & (1 << (b & 63)) != 0 && c.buckets[b].len() > 1)
+                .collect();
+            (c.cur, dirty)
+        }
+        let mut rng = SimRng::new(0xD1A7_B175);
+        let mut q = EventQueue::with_kind(QueueKind::Calendar, 0);
+        let mut want: std::collections::BTreeSet<(Key, u64)> = Default::default();
+        let (mut now, mut id) = (0u64, 0u64);
+        let mut push = |q: &mut EventQueue<u64>, want: &mut std::collections::BTreeSet<_>, t| {
+            let key = Key {
+                time: SimTime::from_nanos(t),
+                tie: scrambled(id),
+            };
+            q.schedule(key, id);
+            want.insert((key, id));
+            id += 1;
+        };
+        // Dirty buckets seen ahead of the scan, between a rewound scan and
+        // where it was parked, and on each side of a year wrap.
+        let (mut ahead, mut crossed, mut wrapped) = (0, 0, [0, 0]);
+        for _ in 0..4_000 {
+            let head = q.peek_time();
+            assert_eq!(head, want.first().map(|(k, _)| k.time));
+            let head = head.map_or(now, SimTime::as_nanos);
+            let parked = scan(&q).0;
+            match rng.u64() % 8 {
+                // The bucket being drained, sorted by the peek above.
+                0 => {
+                    for _ in 0..1 + rng.u64() % 4 {
+                        push(&mut q, &mut want, head + rng.u64() % (W - head % W));
+                    }
+                }
+                // A few buckets ahead of the scan, several events each.
+                1 => {
+                    for _ in 0..4 + rng.u64() % 12 {
+                        push(
+                            &mut q,
+                            &mut want,
+                            head + W * (1 + rng.u64() % 6) + rng.u64() % W,
+                        );
+                    }
+                    let (cur, dirty) = scan(&q);
+                    ahead += dirty.iter().filter(|&&b| b > cur).count();
+                }
+                // Between the last pop and a scan parked further on.
+                2 if head >= now + 2 * W => {
+                    for _ in 0..8 + rng.u64() % 32 {
+                        push(&mut q, &mut want, now + rng.u64() % (head - now));
+                    }
+                    let (cur, dirty) = scan(&q);
+                    crossed += dirty.iter().filter(|&&b| cur < b && b <= parked).count();
+                }
+                // Both sides of the next year wrap.
+                3 => {
+                    let wrap = (head / CAL_YEAR + 1) * CAL_YEAR;
+                    for _ in 0..4 + rng.u64() % 12 {
+                        push(&mut q, &mut want, wrap - 3 * W + rng.u64() % (6 * W));
+                    }
+                    for b in scan(&q).1 {
+                        if b >= CAL_BUCKETS - 3 {
+                            wrapped[0] += 1;
+                        } else if b < 3 {
+                            wrapped[1] += 1;
+                        }
+                    }
+                }
+                // Pops bounded at the head, just past it, or a few buckets on.
+                _ => {
+                    for _ in 0..1 + rng.u64() % 24 {
+                        let bound = match rng.u64() % 3 {
+                            0 => head,
+                            1 => head + 1,
+                            _ => head + rng.u64() % (8 * W),
+                        };
+                        let bound = SimTime::from_nanos(bound);
+                        let due = want.first().copied().filter(|(k, _)| k.time < bound);
+                        if let Some(d) = due {
+                            want.remove(&d);
+                            now = d.0.time.as_nanos();
+                        }
+                        assert_eq!(q.pop_before(bound), due.map(|(k, e)| (k.time, e)));
+                    }
+                }
+            }
+            assert_eq!(q.len(), want.len());
+        }
+        while let Some(got) = q.pop() {
+            let (k, e) = want.pop_first().expect("the reference holds as many");
+            assert_eq!(got, (k.time, e));
+        }
+        assert!(want.is_empty());
+        assert!(
+            ahead > 1000 && crossed > 100 && wrapped[0] > 50 && wrapped[1] > 50,
+            "dirty buckets: {ahead} ahead, {crossed} crossed, {wrapped:?} at wraps"
         );
     }
 

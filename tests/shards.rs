@@ -504,24 +504,29 @@ fn a_flow_started_mid_run_matches_one_registered_up_front() {
 
 /// Every fabric policy survives the differential (the shard barrier must
 /// not interact with any dataplane's feedback or flowlet state), and runs
-/// on per-leaf domains exactly as on the monolithic engine.
+/// on per-leaf domains exactly as on the monolithic engine. The policies
+/// run on one thread each.
 #[test]
 fn every_policy_is_shard_count_invariant() {
-    for (name, mk) in FabricPolicy::zoo() {
-        let mut serial = fct_cell(1);
-        serial.trace = None;
-        let mut sharded = fct_cell(2);
-        sharded.trace = None;
-        let a = run_fct_with_policy(&serial, mk()).report.to_json();
-        let b = run_fct_with_policy(&sharded, mk()).report.to_json();
-        assert!(a == b, "policy {name}: report diverged under --shards 2");
-        let cell = Cell::two_tier(mk(), 12);
-        let whole = cell.monolithic();
-        assert!(
-            cell.sharded(2) == whole,
-            "policy {name}: the sharded run is not the monolithic one"
-        );
-    }
+    std::thread::scope(|s| {
+        for (name, mk) in FabricPolicy::zoo() {
+            s.spawn(move || {
+                let mut serial = fct_cell(1);
+                serial.trace = None;
+                let mut sharded = fct_cell(2);
+                sharded.trace = None;
+                let a = run_fct_with_policy(&serial, mk()).report.to_json();
+                let b = run_fct_with_policy(&sharded, mk()).report.to_json();
+                assert!(a == b, "policy {name}: report diverged under --shards 2");
+                let cell = Cell::two_tier(mk(), 12);
+                let whole = cell.monolithic();
+                assert!(
+                    cell.sharded(2) == whole,
+                    "policy {name}: the sharded run is not the monolithic one"
+                );
+            });
+        }
+    });
 }
 
 /// The tournament's merged artifact is shard-count invariant: racing every
